@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import rescaled_hamiltonian, taylor_start_scaled
-from .integrator import Detector, EventKind, Trajectory, solve
+from .integrator import EventKind, Trajectory, solve, v_sign_detector
 from .params import Params, Tolerances
 
 
@@ -120,14 +120,7 @@ def node_radius(eps: float, p: Params, tol: Tolerances) -> float | None:
     """First zero of V before r = 1/eps, or None if V stays positive there."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
-    det = Detector(
-        EventKind.V_SIGN_CHANGE,
-        lambda r, y: y[1],
-        direction=0,
-        terminal=True,
-        payload=lambda r, y: {"u": y[0]},
-    )
-    traj = integrate_rescaled(eps, p, tol, detectors=[det])
+    traj = integrate_rescaled(eps, p, tol, detectors=[v_sign_detector(terminal=True)])
     hits = traj.events_of(EventKind.V_SIGN_CHANGE)
     return float(hits[0].r) if hits else None
 
@@ -254,79 +247,34 @@ class PerturbationRecord:
 
 
 def _rhs_joint(eps: float, p: Params):
-    """(h1, k1, h2, k2) system with exact eps^2-grouped remainder sources.
+    """(h1, k1, h2, k2) system with the exact remainder sources.
 
-    The groups follow from expanding the cubic nonlinearity of the
-    rescaled system around the bubble with U = U0 + e2 h1 + e4 h2,
-    V = V0 + e2 k1 + e4 k2; the expansion is finite, so the grouping
-    below is exact, not asymptotic.
+    With w = h1 + eps^2 h2, z = k1 + eps^2 k2 and the cubic nonlinearity
+    N(U, V) = (U^2 + V^2)(V, -U) split at the bubble into its linear part DN
+    and quadratic and cubic parts Q and C, the remainder obeys
+
+        (h2, k2)' = DN (h2, k2) + Q(w, z) + eps^2 C(w, z)
+                    - ((m - omega) z, (m + omega) w) - (h2 / r, 0)
+
+    exactly: the expansion of a cubic around the bubble is finite.
     """
     gm, gp = p.gap, p.m + p.omega
     e2 = eps * eps
+    first = _rhs_first_order(p)
 
     def f(r, y):
         h1, k1, h2, k2 = y
+        dh1, dk1 = first(r, (h1, k1))
         d = 4.0 + r * r
         u = 2.0 * r / d
         v = 4.0 / d
-        dh1 = -gm * v + 2.0 * u * v * h1 + (u * u + 3.0 * v * v) * k1 - h1 / r
-        dk1 = -gp * u - 2.0 * u * v * k1 - (3.0 * u * u + v * v) * h1
-
-        s0 = (
-            2.0 * u * v * h2
-            + (u * u + 3.0 * v * v) * k2
-            - gm * k1
-            + v * h1 * h1
-            + 2.0 * u * h1 * k1
-            + 3.0 * v * k1 * k1
-        )
-        s2 = (
-            -gm * k2
-            + 2.0 * v * h1 * h2
-            + 2.0 * u * (h1 * k2 + k1 * h2)
-            + 6.0 * v * k1 * k2
-            + h1 * h1 * k1
-            + k1 ** 3
-        )
-        s4 = (
-            v * h2 * h2
-            + 2.0 * u * h2 * k2
-            + 3.0 * v * k2 * k2
-            + h1 * h1 * k2
-            + 2.0 * h1 * h2 * k1
-            + 3.0 * k1 * k1 * k2
-        )
-        s6 = 2.0 * h1 * h2 * k2 + h2 * h2 * k1 + 3.0 * k1 * k2 * k2
-        s8 = h2 * h2 * k2 + k2 ** 3
-        dh2 = s0 + e2 * (s2 + e2 * (s4 + e2 * (s6 + e2 * s8))) - h2 / r
-
-        t0 = (
-            -(3.0 * u * u + v * v) * h2
-            - 2.0 * u * v * k2
-            - gp * h1
-            - 3.0 * u * h1 * h1
-            - 2.0 * v * h1 * k1
-            - u * k1 * k1
-        )
-        t2 = (
-            -gp * h2
-            - 6.0 * u * h1 * h2
-            - 2.0 * v * (h1 * k2 + k1 * h2)
-            - 2.0 * u * k1 * k2
-            - h1 ** 3
-            - h1 * k1 * k1
-        )
-        t4 = (
-            -3.0 * u * h2 * h2
-            - 2.0 * v * h2 * k2
-            - u * k2 * k2
-            - 3.0 * h1 * h1 * h2
-            - 2.0 * h1 * k1 * k2
-            - h2 * k1 * k1
-        )
-        t6 = -3.0 * h1 * h2 * h2 - h1 * k2 * k2 - 2.0 * h2 * k1 * k2
-        t8 = -(h2 ** 3) - h2 * k2 * k2
-        dk2 = t0 + e2 * (t2 + e2 * (t4 + e2 * (t6 + e2 * t8)))
+        w = h1 + e2 * h2
+        z = k1 + e2 * k2
+        c = e2 * (w * w + z * z)
+        dh2 = 2.0 * u * v * h2 + (u * u + 3.0 * v * v) * k2 - gm * z - h2 / r
+        dh2 += v * w * w + 2.0 * u * w * z + 3.0 * v * z * z + c * z
+        dk2 = -(3.0 * u * u + v * v) * h2 - 2.0 * u * v * k2 - gp * w
+        dk2 -= 3.0 * u * w * w + 2.0 * v * w * z + u * z * z + c * w
         return dh1, dk1, dh2, dk2
 
     return f
@@ -343,12 +291,7 @@ def integrate_remainder(
     r_end = 1.0 / eps
     grid = np.linspace(r0, r_end, n_grid)
 
-    y0 = (
-        -0.5 * p.gap * r0,
-        -0.5 * p.omega * r0 * r0,
-        0.0,
-        0.25 * (p.m * p.m - p.omega * p.omega) * r0 * r0,
-    )
+    y0 = (*_first_order_start(p, r0), 0.0, 0.25 * (p.m * p.m - p.omega * p.omega) * r0 * r0)
     joint = solve(
         _rhs_joint(eps, p),
         (r0, r_end),

@@ -2,18 +2,20 @@
 
 The radial system for (u, v) with datum v(0) = lambda reads
 
-    u' + (S+1) u / r = (u^2 + v^2) v - (m - omega) v
-    v' - S v / r     = -(u^2 + v^2) u - (m + omega) u
+    u' + u / r = (u^2 + v^2) v - (m - omega) v
+    v'         = -(u^2 + v^2) u - (m + omega) u
 
-and is singular at r = 0.  Dropping the 1/r terms gives the autonomous
-Hamiltonian system whose energy H confines every trajectory.
+and is singular at r = 0.  Dropping the 1/r term gives the autonomous
+Hamiltonian system whose energy H confines every trajectory.  Every flow
+has the signature rhs(r, s, p), so any of them can be handed to
+integrator.integrate.
 """
 
 from __future__ import annotations
 
 import math
 
-from .params import Params
+from .params import Params, Tolerances
 
 State = tuple[float, float]
 
@@ -24,29 +26,14 @@ def rhs_radial(r: float, s: State, p: Params) -> State:
         raise ValueError(f"radial right-hand side needs r > 0, got r={r}")
     u, v = s
     q = u * u + v * v
-    du = q * v - p.gap * v - (p.S + 1) * u / r
-    dv = -q * u - (p.m + p.omega) * u
-    if p.S:
-        dv += p.S * v / r
-    return du, dv
+    return q * v - p.gap * v - u / r, -q * u - (p.m + p.omega) * u
 
 
-def rhs_autonomous(s: State, p: Params) -> State:
-    """Radial flow with the singular 1/r terms dropped."""
+def rhs_autonomous(r: float, s: State, p: Params) -> State:
+    """Radial flow with the singular 1/r term dropped; r is unused."""
     u, v = s
     q = u * u + v * v
     return q * v - p.gap * v, -q * u - (p.m + p.omega) * u
-
-
-def rhs_shifted(r: float, s: State, p: Params, rho: float) -> State:
-    """Radial flow with r replaced by r + rho in the singular term."""
-    u, v = s
-    q = u * u + v * v
-    du = q * v - p.gap * v - (p.S + 1) * u / (r + rho)
-    dv = -q * u - (p.m + p.omega) * u
-    if p.S:
-        dv += p.S * v / (r + rho)
-    return du, dv
 
 
 def hamiltonian(s: State, p: Params) -> float:
@@ -99,9 +86,17 @@ def taylor_start(lam: float, p: Params, r0: float) -> State:
         raise ValueError(f"datum must be positive, got {lam}")
     if r0 <= 0.0:
         raise ValueError(f"start radius must be positive, got {r0}")
-    if p.S != 0:
-        raise NotImplementedError("series start is only available for S = 0")
     return taylor_start_scaled(lam, p.gap, p.m + p.omega, r0)
+
+
+def radial_start(lam: float, p: Params, tol: Tolerances) -> tuple[float, State]:
+    """Start (r0, (u, v)) of the radial flow for the datum v(0) = lambda.
+
+    The radius tol.r0 / max(1, lambda^2) keeps lambda^2 r0 small, where the
+    series start is valid.
+    """
+    r0 = tol.r0 / max(1.0, lam * lam)
+    return r0, taylor_start(lam, p, r0)
 
 
 def taylor_start_scaled(lam: float, a_minus: float, a_plus: float, r0: float) -> State:

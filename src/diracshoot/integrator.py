@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .equations import hamiltonian, rhs_autonomous, rhs_radial, rhs_shifted
+from .equations import hamiltonian
 from .params import Params, Tolerances
 
 # Dormand-Prince 5(4) tableau
@@ -78,6 +78,16 @@ class Detector:
     payload: Callable[[float, tuple], dict] | None = None
 
 
+def v_sign_detector(terminal: bool = False) -> Detector:
+    """Any sign change of v, reporting u at the crossing."""
+    return Detector(
+        EventKind.V_SIGN_CHANGE,
+        lambda r, y: y[1],
+        terminal=terminal,
+        payload=lambda r, y: {"u": y[0]},
+    )
+
+
 class IntegrationError(RuntimeError):
     """Step-size underflow; carries the trajectory integrated so far."""
 
@@ -112,14 +122,6 @@ class Trajectory:
         return self.y[:, 1]
 
     @property
-    def du(self) -> np.ndarray:
-        return self.dy[:, 0]
-
-    @property
-    def dv(self) -> np.ndarray:
-        return self.dy[:, 1]
-
-    @property
     def norm1(self) -> np.ndarray:
         return np.abs(self.u) + np.abs(self.v)
 
@@ -129,6 +131,10 @@ class Trajectory:
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind == kind]
+
+    def nodes_before(self, r: float = math.inf) -> int:
+        """Number of recorded sign changes of v strictly before radius r."""
+        return sum(1 for e in self.events if e.kind == EventKind.V_SIGN_CHANGE and e.r < r)
 
 
 def _hermite(r0, y0, f0, r1, y1, f1, r):
@@ -182,14 +188,14 @@ def solve(
     detectors: Sequence[Detector] = (),
     r_eval: Sequence[float] | None = None,
     energy: Callable[[tuple], float] | None = None,
-    emit_end_event: bool = True,
 ) -> Trajectory:
     """Integrate y' = f(r, y) over r_span with event detection.
 
     Samples are recorded at every accepted step, or exactly at r_eval when
     given (values interpolated on the dense output, derivatives re-evaluated
     on the interpolated state).  A terminal event truncates the trajectory
-    at the refined crossing.
+    at the refined crossing; otherwise the run ends with an RMAX_REACHED
+    event at r_span[1].
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
@@ -365,51 +371,12 @@ def solve(
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
         h *= max(_MIN_FACTOR, factor)
 
-    if emit_end_event:
-        events.append(Event(EventKind.RMAX_REACHED, r_end, {}))
+    events.append(Event(EventKind.RMAX_REACHED, r_end, {}))
     return build("completed")
 
 
-# --- system wrappers -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Radial:
-    """Full radial system; singular at r = 0, start from a series state."""
-
-
-@dataclass(frozen=True)
-class Autonomous:
-    """Hamiltonian system obtained by dropping the 1/r terms."""
-
-
-@dataclass(frozen=True)
-class Shifted:
-    """Radial system with the singular term moved to 1/(r + rho)."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError("shift rho must be positive")
-
-
-System = Radial | Autonomous | Shifted
-
-
-def _system_rhs(system: System, p: Params) -> Callable[[float, tuple], tuple]:
-    if isinstance(system, Radial):
-        return lambda r, y: rhs_radial(r, y, p)
-    if isinstance(system, Autonomous):
-        return lambda r, y: rhs_autonomous(y, p)
-    if isinstance(system, Shifted):
-        rho = system.rho
-        return lambda r, y: rhs_shifted(r, y, p, rho)
-    raise TypeError(f"unknown system {system!r}")
-
-
 def integrate(
-    system: System,
+    rhs: Callable[[float, tuple, Params], tuple],
     start: tuple[float, tuple[float, float]],
     p: Params,
     tol: Tolerances,
@@ -417,18 +384,17 @@ def integrate(
     r_end: float | None = None,
     r_eval: Sequence[float] | None = None,
 ) -> Trajectory:
-    """Integrate one of the three flows from start = (r_start, (u, v)).
+    """Integrate the flow rhs(r, s, p) from start = (r_start, (u, v)).
 
     Runs up to r_end (default tol.rmax) or to the first terminal event,
-    recording the energy trace alongside the samples.
+    recording the energy trace alongside the samples.  rhs_radial raises
+    for r <= 0, so the radial flow cannot start at the origin.
     """
     tol = tol.resolved(p)
     r_start, y_start = start
-    if isinstance(system, Radial) and r_start <= 0.0:
-        raise ValueError("the radial system must start at r > 0")
     end = float(r_end) if r_end is not None else float(tol.rmax)
     return solve(
-        _system_rhs(system, p),
+        lambda r, y: rhs(r, y, p),
         (r_start, end),
         y_start,
         rel=tol.rel,

@@ -7,24 +7,16 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Params:
-    """Mass m, frequency omega and angular index S of the radial system.
-
-    The standing assumption is 0 < omega < m; S = 0 is the only index
-    exercised by the shooting pipeline (S != 0 changes the 1/r weights of
-    the right-hand side and is accepted but untested).
-    """
+    """Mass m and frequency omega of the radial system; needs 0 < omega < m."""
 
     m: float = 1.0
     omega: float = 0.5
-    S: int = 0
 
     def __post_init__(self):
         if not self.m > 0:
             raise ValueError(f"m must be positive, got {self.m}")
         if not 0.0 < self.omega < self.m:
             raise ValueError(f"need 0 < omega < m, got omega={self.omega}, m={self.m}")
-        if self.S != int(self.S):
-            raise ValueError(f"S must be an integer, got {self.S}")
 
     @property
     def gap(self) -> float:

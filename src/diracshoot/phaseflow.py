@@ -8,7 +8,9 @@ The energy is a biquadratic polynomial, so for a given v the set
 
 which is quadratic in q.  Level curves are traced exactly from the
 positive root q(v); no grid contouring is needed and every emitted point
-satisfies |H - c| at rounding level.
+satisfies |H - c| at rounding level.  The curve meets the v-axis where
+u^2 = q(v) - v^2 = 0, i.e. at the roots of v^4 - 2(m - omega) v^2 - 4c = 0,
+so the v-spans of the curve are closed-form too.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .equations import hamiltonian, taylor_start
-from .integrator import Detector, EventKind, Radial, Trajectory, integrate
+from .equations import radial_start, rhs_autonomous, rhs_radial
+from .integrator import Trajectory, integrate, v_sign_detector
 from .params import Params, Tolerances
 from .shooting import VERDICT_A, classify
 
@@ -47,76 +48,51 @@ class AttractionReport:
     trajectory: Trajectory
 
 
-def _radial_q(level: float, v: float, p: Params) -> float:
-    """Positive root q = u^2 + v^2 of H(u, v) = level at fixed v.
-
-    Returns a negative number when no real intersection exists.
-    """
+def _radial_q(level: float, v, p: Params):
+    """Positive root q = u^2 + v^2 of H(u, v) = level at fixed v (scalar or
+    array); needs level >= -(m - omega)^2 / 4, where the radicand is positive."""
     mp = p.m + p.omega
-    disc = mp * mp + 4.0 * (p.m * v * v + level)
-    if disc < 0.0:
-        return -1.0
-    return -mp + math.sqrt(disc)
+    return -mp + np.sqrt(mp * mp + 4.0 * (p.m * v * v + level))
 
 
 def level_set(level: float, p: Params, resolution: int = 512) -> LevelSet:
     """Trace {H = level} as ordered closed polylines.
 
     The curve is parameterized by v: u = +-sqrt(q(v) - v^2) on the v-spans
-    where the radicand is nonnegative.  Level values below the global
-    minimum -(m-omega)^2/4 give the empty set; the minimum itself gives
-    the two equilibrium points.
+    where the radicand is nonnegative, v^2 between the roots
+    (m - omega) -+ sqrt((m - omega)^2 + 4 level).  Level values below the
+    global minimum -(m-omega)^2/4 give the empty set; the minimum itself
+    (within 1e-12) gives the two equilibrium points.  Negative levels give
+    two ovals, nonnegative ones a single curve around both; where that
+    curve pinches at the saddle (0, 0) it is returned as two lobes that
+    meet on the u = 0 axis.
     """
-    h_min = -(p.gap ** 2) / 4.0
+    a = p.gap
+    h_min = -(a ** 2) / 4.0
     if level < h_min - 1e-12:
         return LevelSet(level, ())
-
-    def g(v: float) -> float:
-        return _radial_q(level, v, p) - v * v
-
-    v_box = 2.0 * math.sqrt(1.0 + max(level, 0.0) + p.m + p.omega)
-    scan = np.linspace(-v_box, v_box, max(8 * resolution, 1024) + 1)
-    gs = np.array([g(v) for v in scan])
-
-    spans: list[tuple[float, float]] = []
-    inside = gs >= 0.0
-    i = 0
-    n = len(scan)
-    while i < n:
-        if inside[i]:
-            j = i
-            while j + 1 < n and inside[j + 1]:
-                j += 1
-            va = scan[i] if i == 0 else brentq(g, scan[i - 1], scan[i])
-            vb = scan[j] if j == n - 1 else brentq(g, scan[j], scan[j + 1])
-            spans.append((va, vb))
-            i = j + 1
-        else:
-            i += 1
-
-    if not spans and level <= h_min + 1e-12:
-        v0 = math.sqrt(p.gap)
+    if level <= h_min + 1e-12:
+        v0 = math.sqrt(a)
         return LevelSet(level, (np.array([[0.0, v0]]), np.array([[0.0, -v0]])))
 
-    # the zero level pinches at the saddle (0, 0): split the span so both
-    # lobes pass through the origin exactly
-    if abs(g(0.0)) <= 1e-9:
-        split = []
-        for va, vb in spans:
-            if va < 0.0 < vb:
-                split.extend([(va, 0.0), (0.0, vb)])
-            else:
-                split.append((va, vb))
-        spans = split
+    root = math.sqrt(a * a + 4.0 * level)
+    v_hi = math.sqrt(a + root)
+    if level < 0.0:
+        # small root in the form free of cancellation
+        v_lo = math.sqrt(-4.0 * level / (a + root))
+        spans = [(-v_hi, -v_lo), (v_lo, v_hi)]
+    elif _radial_q(level, 0.0, p) <= 1e-9:
+        spans = [(-v_hi, 0.0), (0.0, v_hi)]
+    else:
+        spans = [(-v_hi, v_hi)]
 
     pieces = []
     for va, vb in spans:
         vs = np.linspace(va, vb, resolution)
-        us = np.sqrt(np.maximum([g(v) for v in vs], 0.0))
+        us = np.sqrt(np.maximum(_radial_q(level, vs, p) - vs * vs, 0.0))
         right = np.column_stack([us, vs])
         left = np.column_stack([-us[-2:0:-1], vs[-2:0:-1]])
-        closed = np.vstack([right, left, right[:1]])
-        pieces.append(closed)
+        pieces.append(np.vstack([right, left, right[:1]]))
     return LevelSet(level, tuple(pieces))
 
 
@@ -136,16 +112,7 @@ def attraction_report(lam: float, p: Params, tol: Tolerances) -> AttractionRepor
         )
     entered_at = cls.evidence["r"]
 
-    r0 = tol.r0 / max(1.0, lam * lam)
-    det = [
-        Detector(
-            EventKind.V_SIGN_CHANGE,
-            lambda r, y: y[1],
-            direction=0,
-            payload=lambda r, y: {"u": y[0]},
-        )
-    ]
-    traj = integrate(Radial(), (r0, taylor_start(lam, p, r0)), p, tol, detectors=det)
+    traj = integrate(rhs_radial, radial_start(lam, p, tol), p, tol, detectors=[v_sign_detector()])
 
     v0 = math.sqrt(p.gap)
     u_end, v_end = traj.final_state
@@ -187,10 +154,15 @@ def stability_compare(
         raise ValueError("T must be nonnegative")
     if T == 0.0:
         return 0.0
-    from .integrator import Autonomous, Shifted
-
     tol = tol.resolved(p)
     grid = np.linspace(0.0, float(T), n_grid)
-    auto = integrate(Autonomous(), (0.0, start), p, tol, r_end=float(T), r_eval=grid)
-    shift = integrate(Shifted(rho), (0.0, start), p, tol, r_end=float(T), r_eval=grid)
+    auto = integrate(rhs_autonomous, (0.0, start), p, tol, r_end=float(T), r_eval=grid)
+    shift = integrate(
+        lambda r, s, p: rhs_radial(r + rho, s, p),
+        (0.0, start),
+        p,
+        tol,
+        r_end=float(T),
+        r_eval=grid,
+    )
     return float(np.max(np.abs(auto.y[:, 0] - shift.y[:, 0]) + np.abs(auto.y[:, 1] - shift.y[:, 1])))

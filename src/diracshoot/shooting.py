@@ -20,19 +20,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k0 as bessel_k0, k1 as bessel_k1
 
-from .equations import hamiltonian, taylor_start
+from .equations import hamiltonian, radial_start, rhs_radial
 from .integrator import (
     Detector,
     Event,
     EventKind,
     IntegrationError,
-    Radial,
     Trajectory,
     integrate,
+    v_sign_detector,
 )
 from .params import Params, Tolerances
+
+# bisection stops at one ulp long before this; the cap only guards the loop
+_MAX_BISECT_ITER = 200
+# samples of the matched decay tail between the anchor and the horizon
+_N_TAIL = 256
 
 VERDICT_A = "A"
 VERDICT_I = "I-candidate"
@@ -112,11 +116,6 @@ def certificate_check(r: float, s: tuple[float, float], p: Params) -> Certificat
     return None
 
 
-def _start_radius(lam: float, tol: Tolerances) -> float:
-    # series start is valid while lambda^2 r0 is small
-    return tol.r0 / max(1.0, lam * lam)
-
-
 def _detectors(p: Params, tol: Tolerances, stop_at_first_node: bool) -> list[Detector]:
     delta = tol.delta
     eta = tol.eta
@@ -135,13 +134,7 @@ def _detectors(p: Params, tol: Tolerances, stop_at_first_node: bool) -> list[Det
         return min(c0 / r - hamiltonian(y, p), y[0] * y[1], gap2 - y[1] * y[1])
 
     return [
-        Detector(
-            EventKind.V_SIGN_CHANGE,
-            lambda r, y: y[1],
-            direction=0,
-            terminal=stop_at_first_node,
-            payload=lambda r, y: {"u": y[0]},
-        ),
+        v_sign_detector(terminal=stop_at_first_node),
         Detector(
             EventKind.ENTERED_NEGATIVE_ENERGY,
             g_energy,
@@ -209,16 +202,13 @@ def classify(
     if lam <= 0.0:
         raise ValueError(f"datum must be positive, got {lam}")
     tol = tol.resolved(p)
-    r0 = _start_radius(lam, tol)
-    y0 = taylor_start(lam, p, r0)
+    r0, y0 = radial_start(lam, p, tol)
     rmax = float(horizon) if horizon is not None else tol.rmax
 
     H0 = hamiltonian(y0, p)
     if H0 < -tol.delta:
         # the datum starts inside the capture region and H only decreases
         ev = Event(EventKind.ENTERED_NEGATIVE_ENERGY, r0, {"H": H0})
-        from .equations import rhs_radial
-
         traj = Trajectory(
             np.array([r0]),
             np.array([[y0[0], y0[1]]]),
@@ -238,27 +228,24 @@ def classify(
 
     dets = _detectors(p, tol, stop_at_first_node)
     try:
-        traj = integrate(Radial(), (r0, y0), p, tol, detectors=dets, r_end=rmax)
+        traj = integrate(rhs_radial, (r0, y0), p, tol, detectors=dets, r_end=rmax)
     except IntegrationError as err:
         traj = err.partial
         ev = {"r": float("nan"), "H": float("nan"), "certificate": None, "note": str(err)}
         summ = _summary(traj) if traj is not None and len(traj) else {}
-        nodes = len(traj.events_of(EventKind.V_SIGN_CHANGE)) if traj is not None else 0
+        nodes = traj.nodes_before() if traj is not None else 0
         return Classification(
             lam, VERDICT_UNDECIDED, nodes, ev, summ, traj if keep_trajectory else None
         )
 
     cert = _certificate_from_events(traj, p)
     terminal = traj.events[-1] if traj.events else None
-    nodes_before = lambda r: sum(
-        1 for e in traj.events if e.kind == EventKind.V_SIGN_CHANGE and e.r < r
-    )
 
     if terminal is not None and terminal.kind == EventKind.ENTERED_NEGATIVE_ENERGY:
-        k = nodes_before(terminal.r)
+        k = traj.nodes_before(terminal.r)
         verdict, evid = VERDICT_A, {"r": terminal.r, "H": terminal.payload["H"], "certificate": cert}
     elif terminal is not None and terminal.kind == EventKind.NORM_BELOW_ETA:
-        k = nodes_before(terminal.r)
+        k = traj.nodes_before(terminal.r)
         verdict, evid = VERDICT_I, {"r": terminal.r, "H": terminal.payload["H"], "certificate": cert}
     elif stop_at_first_node and terminal is not None and terminal.kind == EventKind.V_SIGN_CHANGE:
         k = 1
@@ -267,7 +254,7 @@ def classify(
             {"r": terminal.r, "H": float(traj.H[-1]), "certificate": cert, "note": "stopped at first node"},
         )
     else:
-        k = len(traj.events_of(EventKind.V_SIGN_CHANGE))
+        k = traj.nodes_before()
         u_end, v_end = traj.final_state
         H_end = float(traj.H[-1])
         if abs(u_end) + abs(v_end) < tol.eta and H_end >= -tol.delta:
@@ -325,8 +312,12 @@ def _tail_basis(r, p: Params):
     """Decaying solution of the linearized radial system.
 
     (u, v) = (mu K1(mu r)/(m+omega), K0(mu r)) with mu = sqrt(m^2 - omega^2)
-    solves u' + u/r = -(m-omega) v, v' = -(m+omega) u exactly.
+    solves u' + u/r = -(m-omega) v, v' = -(m+omega) u exactly.  The Bessel
+    functions are imported here so that paths without a decay tail need
+    numpy only.
     """
+    from scipy.special import k0 as bessel_k0, k1 as bessel_k1
+
     mu = math.sqrt(p.m * p.m - p.omega * p.omega)
     x = mu * np.asarray(r, dtype=float)
     bu = mu * bessel_k1(x) / (p.m + p.omega)
@@ -339,7 +330,7 @@ def _tail_basis(r, p: Params):
 
 
 def extend_with_decay_tail(
-    traj: Trajectory, p: Params, r_end: float, n_tail: int = 256
+    traj: Trajectory, p: Params, r_end: float
 ) -> tuple[Trajectory, float, float]:
     """Truncate a near-connection trajectory at its closest approach to the
     origin and continue it with the matched decaying tail up to r_end.
@@ -365,7 +356,7 @@ def extend_with_decay_tail(
     den = float(np.dot(bu, bu) + np.dot(bv, bv))
     amp = num / den
 
-    r_tail = np.linspace(r_c, float(r_end), n_tail + 1)[1:]
+    r_tail = np.linspace(r_c, float(r_end), _N_TAIL + 1)[1:]
     bu, bv, dbu, dbv = _tail_basis(r_tail, p)
     u_tail, v_tail = amp * bu, amp * bv
     H_tail = np.array([hamiltonian((uu, vv), p) for uu, vv in zip(u_tail, v_tail)])
@@ -396,7 +387,6 @@ def bisect(
     p: Params,
     tol: Tolerances,
     lambda_tol: float = 0.0,
-    max_iter: int = 200,
 ) -> GroundState:
     """Bisection on the node count: node-free captured data move the lower
     endpoint, any datum with a sign change moves the upper one.
@@ -411,7 +401,7 @@ def bisect(
     converged = True
     connection = None  # datum whose trajectory reached the eta tube
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECT_ITER):
         width = hi - lo
         mid = 0.5 * (lo + hi)
         if width <= lambda_tol or mid <= lo or mid >= hi:
@@ -446,12 +436,8 @@ def bisect(
     probes = {lo, hi, 0.5 * (lo + hi)} if connection is None else {connection}
     candidates = [classify(lam_c, p, tol) for lam_c in sorted(probes)]
 
-    def nodes_before_min(c: Classification) -> int:
-        r_min = c.summary["r_at_min"]
-        return sum(1 for e in c.trajectory.events if e.kind == EventKind.V_SIGN_CHANGE and e.r < r_min)
-
     ideal = [c for c in candidates if c.verdict == VERDICT_I and c.node_count == 0]
-    clean = [c for c in candidates if nodes_before_min(c) == 0]
+    clean = [c for c in candidates if c.trajectory.nodes_before(c.summary["r_at_min"]) == 0]
     if ideal:
         best = ideal[0]
     elif clean:
@@ -461,7 +447,7 @@ def bisect(
         best = min(candidates, key=lambda c: c.summary["min_norm1"])
 
     profile, anchor_r, _amp = extend_with_decay_tail(best.trajectory, p, tol.rmax)
-    node_count = sum(1 for e in profile.events if e.kind == EventKind.V_SIGN_CHANGE)
+    node_count = profile.nodes_before()
     slope = decay_fit(profile, _decay_window(profile, anchor_r, tol))
 
     return GroundState(

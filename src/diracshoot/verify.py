@@ -8,6 +8,7 @@ oracle runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,14 +20,15 @@ from .equations import (
     hamiltonian,
     hamiltonian_rate,
     r2h_rate,
+    radial_start,
     rhs_autonomous,
     rhs_radial,
     taylor_start,
 )
-from .integrator import Autonomous, EventKind, Radial, integrate
+from .integrator import integrate
 from .params import Params, Tolerances
 from .phaseflow import attraction_report, level_set, stability_compare
-from .shooting import VERDICT_A, classify, decay_fit, ground_state
+from .shooting import VERDICT_A, classify, ground_state
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,7 @@ def _result(name, module, passed, detail) -> CheckResult:
 
 
 def _radial_trajectory(lam, p, tol, r_end=None):
-    r0 = tol.r0 / max(1.0, lam * lam)
-    return integrate(Radial(), (r0, taylor_start(lam, p, r0)), p, tol, r_end=r_end)
+    return integrate(rhs_radial, radial_start(lam, p, tol), p, tol, r_end=r_end)
 
 
 def check_energy_monotone(p, tol) -> CheckResult:
@@ -67,11 +68,9 @@ def check_confinement(p, tol) -> CheckResult:
 
 
 def check_sign_symmetry(p, tol) -> CheckResult:
-    lam = 1.3
-    r0 = tol.r0 / max(1.0, lam * lam)
-    y0 = taylor_start(lam, p, r0)
-    a = integrate(Radial(), (r0, y0), p, tol, r_end=20.0)
-    b = integrate(Radial(), (r0, (-y0[0], -y0[1])), p, tol, r_end=20.0)
+    r0, y0 = radial_start(1.3, p, tol)
+    a = integrate(rhs_radial, (r0, y0), p, tol, r_end=20.0)
+    b = integrate(rhs_radial, (r0, (-y0[0], -y0[1])), p, tol, r_end=20.0)
     d = float(np.max(np.abs(a.y + b.y)))
     return _result("sign_flip_symmetry", "radial-core", d <= 1e-12, f"max |y_+ + y_-| = {d:.3e}")
 
@@ -96,7 +95,7 @@ def check_rate_identities(p, tol) -> CheckResult:
 
 
 def check_autonomous_conservation(p, tol) -> CheckResult:
-    t = integrate(Autonomous(), (0.0, (0.3, 0.8)), p, tol, r_end=50.0)
+    t = integrate(rhs_autonomous, (0.0, (0.3, 0.8)), p, tol, r_end=50.0)
     drift = float(np.max(np.abs(t.H - t.H[0])))
     limit = 1e3 * tol.abs
     return _result(
@@ -109,7 +108,7 @@ def check_taylor_consistency(p, tol) -> CheckResult:
     lam = 1.3
     diffs = []
     for r0 in (1e-2, 5e-3):
-        t = integrate(Radial(), (r0 / 2.0, taylor_start(lam, p, r0 / 2.0)), p, tol, r_end=r0)
+        t = integrate(rhs_radial, (r0 / 2.0, taylor_start(lam, p, r0 / 2.0)), p, tol, r_end=r0)
         su, sv = taylor_start(lam, p, r0)
         diffs.append(abs(t.u[-1] - su) + abs(t.v[-1] - sv))
     ratio = diffs[0] / max(diffs[1], 1e-300)
@@ -128,7 +127,7 @@ def check_equilibria(p, tol) -> CheckResult:
     worst = 0.0
     for (pt, H) in eqs[1:]:
         worst = max(worst, abs(H + p.gap ** 2 / 4.0))
-        du, dv = rhs_autonomous(pt, p)
+        du, dv = rhs_autonomous(0.0, pt, p)
         worst = max(worst, abs(du), abs(dv))
     return _result(
         "equilibrium_energies", "radial-core", ok and worst < 1e-12, f"worst defect {worst:.3e}"
@@ -145,12 +144,7 @@ def check_classification_evidence(p, tol) -> CheckResult:
                     "classification_evidence", "shooting", False, f"H evidence fails at {lam}"
                 )
             if c.trajectory is not None:
-                k = sum(
-                    1
-                    for e in c.trajectory.events
-                    if e.kind == EventKind.V_SIGN_CHANGE and e.r < c.evidence["r"]
-                )
-                if k != c.node_count:
+                if c.trajectory.nodes_before(c.evidence["r"]) != c.node_count:
                     return _result(
                         "classification_evidence", "shooting", False, f"node count mismatch at {lam}"
                     )
@@ -166,10 +160,8 @@ def check_certificate_soundness(p, tol) -> CheckResult:
         if cert is None or c.trajectory is None:
             continue
         checked += 1
-        k_before = sum(
-            1 for e in c.trajectory.events if e.kind == EventKind.V_SIGN_CHANGE and e.r < cert.R
-        )
-        total = sum(1 for e in c.trajectory.events if e.kind == EventKind.V_SIGN_CHANGE)
+        k_before = c.trajectory.nodes_before(cert.R)
+        total = c.trajectory.nodes_before()
         entered = c.verdict == VERDICT_A
         if not (total <= k_before + 1 or entered):
             return _result(
@@ -178,11 +170,8 @@ def check_certificate_soundness(p, tol) -> CheckResult:
     return _result("certificate_soundness", "shooting", True, f"{checked} fired certificates sound")
 
 
-def _ground_state_cached(p, tol, cache={}):
-    key = (p.m, p.omega, tol.rel, tol.abs)
-    if key not in cache:
-        cache[key] = ground_state(p, tol)
-    return cache[key]
+# shared by the checks; keyed on the whole (frozen) Params and Tolerances
+_ground_state_cached = functools.cache(ground_state)
 
 
 def check_ground_state_residual(p, tol) -> CheckResult:
@@ -231,13 +220,11 @@ def check_rescaling_commutation(p, tol) -> CheckResult:
     tol_r = tol.resolved(p)
     worst = 0.0
     for eps in (0.5, 0.1):
-        lam = 1.0 / eps
         grid = np.linspace(0.05, 5.0, 160)
         resc = asymptotics.integrate_rescaled(eps, p, tol, r_end=5.0, r_eval=grid)
-        r0 = tol_r.r0 / lam ** 2
         rad = integrate(
-            Radial(),
-            (r0, taylor_start(lam, p, r0)),
+            rhs_radial,
+            radial_start(1.0 / eps, p, tol_r),
             p,
             tol,
             r_end=eps * eps * 5.0 * 1.01,

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from diracshoot import (
     Params,
-    Radial,
     Tolerances,
     bubble,
     bubble_profile,
@@ -21,6 +20,7 @@ from diracshoot import (
     integrate_rescaled,
     node_radius,
     rescaled_hamiltonian,
+    rhs_radial,
     taylor_start,
 )
 from diracshoot.integrator import EventKind
@@ -94,7 +94,7 @@ def test_rescaling_commutation():
         resc = integrate_rescaled(eps, P, TOL, r_end=5.0, r_eval=grid)
         r0 = 1e-6 / lam ** 2
         rad = integrate(
-            Radial(),
+            rhs_radial,
             (r0, taylor_start(lam, P, r0)),
             P,
             TOL,
@@ -187,3 +187,34 @@ def test_node_radius_consistent_with_radial_flow():
 def test_rescaled_hamiltonian_at_datum():
     assert rescaled_hamiltonian((0.0, 1.0), 0.5, P) <= 1.0
     assert rescaled_hamiltonian((0.0, 1.0), 0.0, P) == pytest.approx(0.25)
+
+
+def test_remainder_sources_exact_in_high_precision():
+    # (h2', k2') of the joint system must equal the eps^4-scaled defect
+    # [F_eps(U0 + e2 h1 + e4 h2, V0 + e2 k1 + e4 k2) - F_0(U0, V0) - e2 G(h1, k1)] / e4
+    # of the rescaled flow F_eps and first-order flow G; dyadic eps keeps
+    # eps^2 exact, so at 50 digits only rounding separates the two
+    import random
+
+    import mpmath
+
+    from diracshoot.asymptotics import _rhs_first_order, _rhs_joint, _rhs_rescaled
+
+    rng = random.Random(2017)
+    first, bubble_flow = _rhs_first_order(P), _rhs_rescaled(0.0, P)
+    with mpmath.workdps(50):
+        for eps in (0.5, 0.25, 0.125):
+            e2 = mpmath.mpf(eps) ** 2
+            e4 = e2 * e2
+            flow, joint = _rhs_rescaled(eps, P), _rhs_joint(eps, P)
+            for _ in range(20):
+                r = mpmath.mpf(rng.uniform(0.05, 40.0))
+                h1, k1, h2, k2 = (mpmath.mpf(rng.uniform(-3.0, 3.0)) for _ in range(4))
+                u0, v0 = 2 * r / (4 + r * r), 4 / (4 + r * r)
+                fu, fv = flow(r, (u0 + e2 * h1 + e4 * h2, v0 + e2 * k1 + e4 * k2))
+                bu, bv = bubble_flow(r, (u0, v0))
+                gu, gv = first(r, (h1, k1))
+                want = ((fu - bu - e2 * gu) / e4, (fv - bv - e2 * gv) / e4)
+                got = joint(r, (h1, k1, h2, k2))[2:]
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= mpmath.mpf("1e-40") * abs(w)

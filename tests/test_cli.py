@@ -179,3 +179,36 @@ def test_verify_loose_tolerance_still_passes_monotonicity():
 
     res = verify_mod.check_energy_monotone(Params(), Tolerances(rel=1e-2, abs=1e-2).resolved(Params()))
     assert res.passed
+
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+from diracshoot import cli
+
+seen = {}
+for argv in (
+    ["classify", "--lambda", "0.5"],
+    ["asymptotics", "--epsilon", "0.5"],
+    ["portrait", "--lambda", "0.5", "--resolution", "16"],
+    ["ground-state"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    seen[argv[0]] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_only_loaded_for_the_decay_tail():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    for command in ("classify", "asymptotics", "portrait"):
+        assert seen[command] == [], command
+    assert "scipy.special" in seen["ground-state"]
+    assert "scipy.optimize" not in seen["ground-state"]

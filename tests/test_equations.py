@@ -38,10 +38,10 @@ def test_rhs_radial_domain():
 
 
 def test_rhs_autonomous_frozen_values():
-    assert rhs_autonomous((0.0, 0.0), P) == (0.0, 0.0)
+    assert rhs_autonomous(0.0, (0.0, 0.0), P) == (0.0, 0.0)
     v0 = math.sqrt(0.5)
-    assert rhs_autonomous((0.0, v0), P) == pytest.approx((0.0, 0.0), abs=1e-15)
-    assert rhs_autonomous((0.0, 1.0), P) == pytest.approx((0.5, 0.0))
+    assert rhs_autonomous(0.0, (0.0, v0), P) == pytest.approx((0.0, 0.0), abs=1e-15)
+    assert rhs_autonomous(0.0, (0.0, 1.0), P) == pytest.approx((0.5, 0.0))
 
 
 def test_hamiltonian_frozen_values():

@@ -5,16 +5,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from diracshoot import (
-    Autonomous,
     Detector,
     EventKind,
     IntegrationError,
     Params,
-    Radial,
-    Shifted,
     Tolerances,
     hamiltonian,
     integrate,
+    rhs_autonomous,
     rhs_radial,
     solve,
     taylor_start,
@@ -37,7 +35,7 @@ def test_matches_scipy_on_radial():
         dense_output=True,
     )
     grid = np.linspace(0.5, 29.5, 200)
-    traj = integrate(Radial(), (1e-6, y0), P, TOL, r_end=30.0, r_eval=grid)
+    traj = integrate(rhs_radial, (1e-6, y0), P, TOL, r_end=30.0, r_eval=grid)
     ref_vals = ref.sol(grid)
     err = np.max(np.abs(traj.y[:, 0] - ref_vals[0]) + np.abs(traj.y[:, 1] - ref_vals[1]))
     assert err < 1e-6
@@ -48,7 +46,7 @@ def test_event_location_matches_scipy():
     r0 = 1e-6 / lam ** 2
     y0 = taylor_start(lam, P, r0)
     det = [Detector(EventKind.V_SIGN_CHANGE, lambda r, y: y[1], payload=lambda r, y: {"u": y[0]})]
-    traj = integrate(Radial(), (r0, y0), P, TOL, detectors=det, r_end=10.0)
+    traj = integrate(rhs_radial, (r0, y0), P, TOL, detectors=det, r_end=10.0)
     mine = [e.r for e in traj.events_of(EventKind.V_SIGN_CHANGE)]
 
     def ev(r, y):
@@ -69,14 +67,14 @@ def test_event_location_matches_scipy():
 
 def test_equilibrium_stays_fixed():
     v0 = math.sqrt(P.gap)
-    traj = integrate(Autonomous(), (0.0, (0.0, v0)), P, TOL, r_end=20.0)
+    traj = integrate(rhs_autonomous, (0.0, (0.0, v0)), P, TOL, r_end=20.0)
     assert np.max(np.abs(traj.y[:, 0])) < 1e-9
     assert np.max(np.abs(traj.y[:, 1] - v0)) < 1e-9
 
 
 def test_radial_energy_monotone_scaled():
     y0 = taylor_start(1.0, P, 1e-6)
-    traj = integrate(Radial(), (1e-6, y0), P, TOL)
+    traj = integrate(rhs_radial, (1e-6, y0), P, TOL)
     rises = np.diff(traj.H) - 10.0 * TOL.rel * (1.0 + np.abs(traj.H[:-1]))
     assert rises.max() <= 0.0
 
@@ -84,7 +82,7 @@ def test_radial_energy_monotone_scaled():
 def test_confinement_level_set():
     for lam in (0.6, 1.4, 2.3):
         r0 = 1e-6 / max(1.0, lam * lam)
-        traj = integrate(Radial(), (r0, taylor_start(lam, P, r0)), P, TOL)
+        traj = integrate(rhs_radial, (r0, taylor_start(lam, P, r0)), P, TOL)
         assert traj.H.max() <= hamiltonian((0.0, lam), P) + TOL.abs
 
 
@@ -92,26 +90,28 @@ def test_shifted_approaches_autonomous():
     # (0, 1) sits on the separatrix, which amplifies the O(1/rho)
     # perturbation by roughly e^(mu T) ~ 6e3 over T = 10
     grid = np.linspace(0.0, 10.0, 200)
-    auto = integrate(Autonomous(), (0.0, (0.0, 1.0)), P, TOL, r_end=10.0, r_eval=grid)
-    sh = integrate(Shifted(1e6), (0.0, (0.0, 1.0)), P, TOL, r_end=10.0, r_eval=grid)
+    auto = integrate(rhs_autonomous, (0.0, (0.0, 1.0)), P, TOL, r_end=10.0, r_eval=grid)
+    sh = integrate(
+        lambda r, s, p: rhs_radial(r + 1e6, s, p), (0.0, (0.0, 1.0)), P, TOL, r_end=10.0, r_eval=grid
+    )
     dev = np.max(np.abs(auto.y - sh.y))
     assert dev < 1e-3
 
 
 def test_r_eval_sampling_and_monotonicity():
     grid = [0.5, 1.0, 2.0, 5.0]
-    traj = integrate(Radial(), (1e-6, taylor_start(1.0, P, 1e-6)), P, TOL, r_eval=grid, r_end=10.0)
+    traj = integrate(rhs_radial, (1e-6, taylor_start(1.0, P, 1e-6)), P, TOL, r_eval=grid, r_end=10.0)
     assert np.allclose(traj.r, grid)
     assert np.all(np.diff(traj.r) > 0)
 
 
 def test_strictly_increasing_r():
-    traj = integrate(Radial(), (1e-6, taylor_start(1.5, P, 1e-6)), P, TOL, r_end=30.0)
+    traj = integrate(rhs_radial, (1e-6, taylor_start(1.5, P, 1e-6)), P, TOL, r_end=30.0)
     assert np.all(np.diff(traj.r) > 0)
 
 
 def test_recorded_derivatives_match_rhs():
-    traj = integrate(Radial(), (1e-6, taylor_start(1.2, P, 1e-6)), P, TOL, r_end=10.0)
+    traj = integrate(rhs_radial, (1e-6, taylor_start(1.2, P, 1e-6)), P, TOL, r_end=10.0)
     for rr, y, dy in zip(traj.r[1:], traj.y[1:], traj.dy[1:]):
         fu, fv = rhs_radial(rr, tuple(y), P)
         assert dy[0] == fu and dy[1] == fv
@@ -127,7 +127,7 @@ def test_terminal_event_truncates():
             payload=lambda r, y: {"H": hamiltonian(y, P)},
         )
     ]
-    traj = integrate(Radial(), (1e-6, taylor_start(1.0, P, 1e-6)), P, TOL, detectors=det)
+    traj = integrate(rhs_radial, (1e-6, taylor_start(1.0, P, 1e-6)), P, TOL, detectors=det)
     assert traj.status == "event:entered_negative_energy"
     ev = traj.events[-1]
     assert ev.payload["H"] <= -TOL.delta  # crossed-side reporting
@@ -138,7 +138,7 @@ def test_event_payload_carries_bracketing_step():
     lam = 2.0
     r0 = 1e-6 / lam ** 2
     det = [Detector(EventKind.V_SIGN_CHANGE, lambda r, y: y[1], payload=lambda r, y: {"u": y[0]})]
-    traj = integrate(Radial(), (r0, taylor_start(lam, P, r0)), P, TOL, detectors=det, r_end=5.0)
+    traj = integrate(rhs_radial, (r0, taylor_start(lam, P, r0)), P, TOL, detectors=det, r_end=5.0)
     ev = traj.events_of(EventKind.V_SIGN_CHANGE)[0]
     lo, hi = ev.payload["step"]
     assert lo <= ev.r <= hi
@@ -146,7 +146,7 @@ def test_event_payload_carries_bracketing_step():
 
 
 def test_rmax_event_emitted():
-    traj = integrate(Autonomous(), (0.0, (0.1, 0.1)), P, TOL, r_end=5.0)
+    traj = integrate(rhs_autonomous, (0.0, (0.1, 0.1)), P, TOL, r_end=5.0)
     assert traj.events[-1].kind == EventKind.RMAX_REACHED
     assert traj.r[-1] == pytest.approx(5.0)
 
@@ -155,7 +155,7 @@ def test_bad_span_rejected():
     with pytest.raises(ValueError):
         solve(lambda r, y: (0.0,), (1.0, 1.0), (0.0,), rel=1e-8, abs_tol=1e-8)
     with pytest.raises(ValueError):
-        integrate(Radial(), (0.0, (0.0, 1.0)), P, TOL)
+        integrate(rhs_radial, (0.0, (0.0, 1.0)), P, TOL)
 
 
 def test_step_underflow_carries_partial():
@@ -170,8 +170,8 @@ def test_step_underflow_carries_partial():
 def test_dense_output_consistency():
     # sampling through r_eval must agree with the accepted-step solution
     y0 = taylor_start(1.1, P, 1e-6)
-    full = integrate(Radial(), (1e-6, y0), P, TOL, r_end=8.0)
+    full = integrate(rhs_radial, (1e-6, y0), P, TOL, r_end=8.0)
     grid = full.r[10:-10:5]
-    sampled = integrate(Radial(), (1e-6, y0), P, TOL, r_end=8.0, r_eval=grid)
+    sampled = integrate(rhs_radial, (1e-6, y0), P, TOL, r_end=8.0, r_eval=grid)
     err = np.max(np.abs(sampled.y - full.y[10:-10:5]))
     assert err < 1e-12  # same accepted points, no interpolation involved

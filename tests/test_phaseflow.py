@@ -114,3 +114,18 @@ def test_stability_from_equilibrium_is_small():
     v0 = math.sqrt(P.gap)
     dev = stability_compare(1e4, (0.0, v0), 10.0, P, TOL)
     assert dev < 1e-3  # u stays 0, the singular term never activates
+
+
+@pytest.mark.parametrize("offset", [1e-9, 1e-11])
+def test_tiny_ovals_just_above_minimum(offset):
+    # the span ends are closed-form roots, so ovals far smaller than any
+    # scan spacing are still found
+    ls = level_set(-P.gap ** 2 / 4.0 + offset, P)
+    assert len(ls.pieces) == 2
+    assert _residual(ls, P) < 1e-12
+
+
+@pytest.mark.parametrize(("level", "n_pieces"), [(1e-10, 2), (1e-8, 1)])
+def test_pinch_rule_near_zero_level(level, n_pieces):
+    # a curve with q(0) <= 1e-9 is split into two lobes at the saddle
+    assert len(level_set(level, P).pieces) == n_pieces

@@ -7,7 +7,6 @@ from diracshoot import (
     Bracket,
     EventKind,
     Params,
-    Radial,
     Tolerances,
     Trajectory,
     bisect,
@@ -216,6 +215,6 @@ def test_decay_fit_domain_errors():
 def test_sign_flip_symmetry_of_flow():
     lam = 1.3
     y0 = taylor_start(lam, P, 1e-6)
-    a = integrate(Radial(), (1e-6, y0), P, TOL, r_end=15.0)
-    b = integrate(Radial(), (1e-6, (-y0[0], -y0[1])), P, TOL, r_end=15.0)
+    a = integrate(rhs_radial, (1e-6, y0), P, TOL, r_end=15.0)
+    b = integrate(rhs_radial, (1e-6, (-y0[0], -y0[1])), P, TOL, r_end=15.0)
     assert np.max(np.abs(a.y + b.y)) == 0.0

@@ -26,3 +26,14 @@ def test_corrupted_bubble_is_caught(monkeypatch):
     assert any(not r.passed for r in results)
     names = {r.name for r in results if not r.passed}
     assert "bubble_limit_agreement" in names
+
+
+def test_ground_state_cache_keys_on_all_tolerances():
+    from diracshoot import Params, Tolerances
+
+    p = Params(1.0, 0.5)
+    a = verify._ground_state_cached(p, Tolerances(rmax=80.0))
+    b = verify._ground_state_cached(p, Tolerances(rmax=60.0))
+    assert a is not b
+    assert a.profile.r[-1] == 80.0
+    assert b.profile.r[-1] == 60.0
