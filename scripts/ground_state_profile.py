@@ -21,6 +21,7 @@ def main():
     gs = ground_state(p, Tolerances())
     print(f"lambda*        = {gs.lambda_star:.15g}")
     print(f"bracket width  = {gs.bracket_width:.3e}")
+    print(f"classify calls = {len(gs.history)}")
     print(f"node count     = {gs.node_count}")
     print(f"decay slope    = {gs.decay_slope:.6f}  (bound {-p.gap / 2:.3f})")
     print(f"tail anchor r  = {gs.anchor_r:.3f}")

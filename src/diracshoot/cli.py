@@ -477,7 +477,14 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("ground-state", help="locate the node-free localized solution")
     _add_common(sp)
-    sp.add_argument("--lambda-tol", type=float, default=None, dest="lambda_tol")
+    sp.add_argument(
+        "--lambda-tol",
+        type=float,
+        default=None,
+        dest="lambda_tol",
+        help="stop once the lambda* bracket is this narrow (default 0: the "
+        "width 0.1 * rel * lambda* that the tolerance supports)",
+    )
 
     sp = sub.add_parser("classify", help="classify initial data")
     _add_common(sp)

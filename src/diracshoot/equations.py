@@ -37,7 +37,10 @@ def rhs_autonomous(r: float, s: State, p: Params) -> State:
 
 
 def hamiltonian(s: State, p: Params) -> float:
-    """Energy H(u, v) = (u^2+v^2)^2/4 + (m/2)(u^2-v^2) + (omega/2)(u^2+v^2)."""
+    """Energy H(u, v) = (u^2+v^2)^2/4 + (m/2)(u^2-v^2) + (omega/2)(u^2+v^2).
+
+    u and v may also be arrays, evaluated elementwise.
+    """
     u, v = s
     q = u * u + v * v
     return q * q / 4.0 + 0.5 * p.m * (u * u - v * v) + 0.5 * p.omega * q
@@ -112,7 +115,8 @@ def taylor_start_scaled(lam: float, a_minus: float, a_plus: float, r0: float) ->
 
 
 def rescaled_hamiltonian(s: State, eps: float, p: Params) -> float:
-    """Energy of the rescaled system: quartic term plus eps^2 mass terms."""
+    """Energy of the rescaled system: quartic term plus eps^2 mass terms
+    (elementwise for arrays u and v)."""
     u, v = s
     q = u * u + v * v
     e2 = eps * eps

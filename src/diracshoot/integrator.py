@@ -55,6 +55,7 @@ class EventKind(str, enum.Enum):
     NORM_BELOW_ETA = "norm_below_eta"
     CERTIFICATE_FIRED = "certificate_fired"
     RMAX_REACHED = "rmax_reached"
+    LINEAR_REGIME = "linear_regime"
 
 
 @dataclass(frozen=True)
@@ -187,15 +188,16 @@ def solve(
     abs_tol: float,
     detectors: Sequence[Detector] = (),
     r_eval: Sequence[float] | None = None,
-    energy: Callable[[tuple], float] | None = None,
+    energy: Callable[[tuple], np.ndarray] | None = None,
 ) -> Trajectory:
     """Integrate y' = f(r, y) over r_span with event detection.
 
     Samples are recorded at every accepted step, or exactly at r_eval when
     given (values interpolated on the dense output, derivatives re-evaluated
-    on the interpolated state).  A terminal event truncates the trajectory
-    at the refined crossing; otherwise the run ends with an RMAX_REACHED
-    event at r_span[1].
+    on the interpolated state).  energy, when given, is called once on the
+    tuple of state columns and returns the H trace elementwise.  A terminal
+    event truncates the trajectory at the refined crossing; otherwise the
+    run ends with an RMAX_REACHED event at r_span[1].
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
@@ -238,7 +240,7 @@ def solve(
         farr = np.array(fs, dtype=float).reshape(len(fs), n)
         rarr = np.array(rs, dtype=float)
         Harr = (
-            np.array([energy(tuple(row)) for row in arr], dtype=float)
+            np.asarray(energy(tuple(arr.T)), dtype=float)
             if energy is not None
             else np.full(len(rs), np.nan)
         )

@@ -1,10 +1,16 @@
-"""Classification of initial data and ground-state search by bisection.
+"""Classification of initial data and the ground-state search.
 
 A datum lambda = v(0) is classified by the fate of its radial trajectory:
 capture by the negative-energy region after k sign changes of v (verdict
 "A", k nodes), decay to the origin (verdict "I-candidate"), or neither
 within the horizon ("undecided").  The node-free ground state sits at the
-supremum of the node-free captured set and is located by bisection.
+supremum of the node-free captured set.  The search narrows a bracket
+whose sides are set by the node count alone.  Once a trial trajectory
+reaches the linear regime near the origin it also yields a signed shooting
+function, the Wronskian F = r (u K_v - v K_u) against the decaying Bessel
+mode, which is conserved by the linearized flow and proportional to
+lambda - lambda*.  Where both ends of the bracket carry F with opposite
+signs the next datum is an ITP step on F; elsewhere it is the midpoint.
 
 Shooting into a saddle point cannot hold the connection forever: the best
 double-precision trajectory leaves the origin again after its closest
@@ -33,8 +39,19 @@ from .integrator import (
 )
 from .params import Params, Tolerances
 
-# bisection stops at one ulp long before this; the cap only guards the loop
+# the search stops at its width target (or at one ulp when that is finer)
+# long before this; the cap only guards the loop
 _MAX_BISECT_ITER = 200
+# the search stops once hi - lo <= max(lambda_tol, _STOP_REL * tol.rel * hi),
+# the accuracy in lambda* that the integration tolerance supports
+_STOP_REL = 0.1
+# F is read where |u| + |v| first drops to _LINEAR_NORM * sqrt(m - omega);
+# the cubic terms are then 1e-8 of the linear ones
+_LINEAR_NORM = 1e-4
+# ITP parameters (Oliveira & Takahashi, ACM TOMS 47(1), 2020): truncation
+# kappa1 * width^2 with kappa1 = _ITP_K1 / initial width, one slack step
+_ITP_K1 = 0.2
+_ITP_N0 = 1
 # samples of the matched decay tail between the anchor and the horizon
 _N_TAIL = 256
 
@@ -68,6 +85,9 @@ class Classification:
     evidence: dict
     summary: dict
     trajectory: Trajectory | None = None
+    # shooting function F = r (u K_v - v K_u) read where the trajectory first
+    # enters the linear regime; only stop_at_first_node runs record it
+    wronskian: float | None = None
 
     @property
     def certificate(self) -> Certificate | None:
@@ -116,6 +136,24 @@ def certificate_check(r: float, s: tuple[float, float], p: Params) -> Certificat
     return None
 
 
+def _wronskian_detector(p: Params) -> Detector:
+    """Non-terminal, once: F at the first drop of |u| + |v| to the linear
+    regime; F changes sign with lambda - lambda*."""
+    level = _LINEAR_NORM * math.sqrt(p.gap)
+
+    def payload(r, y):
+        bu, bv, _, _ = _tail_basis(r, p)
+        return {"F": r * (y[0] * float(bv) - y[1] * float(bu))}
+
+    return Detector(
+        EventKind.LINEAR_REGIME,
+        lambda r, y: abs(y[0]) + abs(y[1]) - level,
+        direction=-1,
+        once=True,
+        payload=payload,
+    )
+
+
 def _detectors(p: Params, tol: Tolerances, stop_at_first_node: bool) -> list[Detector]:
     delta = tol.delta
     eta = tol.eta
@@ -133,7 +171,7 @@ def _detectors(p: Params, tol: Tolerances, stop_at_first_node: bool) -> list[Det
             return -1.0
         return min(c0 / r - hamiltonian(y, p), y[0] * y[1], gap2 - y[1] * y[1])
 
-    return [
+    dets = [
         v_sign_detector(terminal=stop_at_first_node),
         Detector(
             EventKind.ENTERED_NEGATIVE_ENERGY,
@@ -161,6 +199,9 @@ def _detectors(p: Params, tol: Tolerances, stop_at_first_node: bool) -> list[Det
             },
         ),
     ]
+    if stop_at_first_node:
+        dets.append(_wronskian_detector(p))
+    return dets
 
 
 def _certificate_from_events(traj: Trajectory, p: Params) -> Certificate | None:
@@ -197,7 +238,9 @@ def classify(
     Counts sign changes of v; stops at the first entry into {H < -delta}
     (verdict A(k)) or at the first drop of |u| + |v| below eta while the
     energy is still above -delta (verdict I-candidate(k)).  A trajectory
-    that reaches the horizon undecided is reported as such.
+    that reaches the horizon undecided is reported as such.  With
+    stop_at_first_node the run ends at the first sign change of v and also
+    records the shooting function F (see _wronskian_detector).
     """
     if lam <= 0.0:
         raise ValueError(f"datum must be positive, got {lam}")
@@ -239,6 +282,8 @@ def classify(
         )
 
     cert = _certificate_from_events(traj, p)
+    linear = traj.events_of(EventKind.LINEAR_REGIME)
+    wronskian = linear[0].payload["F"] if linear else None
     terminal = traj.events[-1] if traj.events else None
 
     if terminal is not None and terminal.kind == EventKind.ENTERED_NEGATIVE_ENERGY:
@@ -265,7 +310,9 @@ def classify(
                 {"r": float(traj.r[-1]), "H": H_end, "certificate": cert, "note": "horizon reached"},
             )
 
-    return Classification(lam, verdict, k, evid, _summary(traj), traj if keep_trajectory else None)
+    return Classification(
+        lam, verdict, k, evid, _summary(traj), traj if keep_trajectory else None, wronskian
+    )
 
 
 def bracket_search(p: Params, tol: Tolerances, max_factor: float = 1e6) -> Bracket:
@@ -359,7 +406,7 @@ def extend_with_decay_tail(
     r_tail = np.linspace(r_c, float(r_end), _N_TAIL + 1)[1:]
     bu, bv, dbu, dbv = _tail_basis(r_tail, p)
     u_tail, v_tail = amp * bu, amp * bv
-    H_tail = np.array([hamiltonian((uu, vv), p) for uu, vv in zip(u_tail, v_tail)])
+    H_tail = hamiltonian((u_tail, v_tail), p)
 
     profile = Trajectory(
         np.concatenate([traj.r[: i_c + 1], r_tail]),
@@ -382,54 +429,80 @@ def _decay_window(profile: Trajectory, anchor_r: float, tol: Tolerances) -> tupl
     return (r_a, anchor_r)
 
 
+def _itp_point(lo, hi, f_lo, f_hi, radius, kappa1, floor):
+    """Next datum inside (lo, hi): the ITP point on F when both ends carry
+    values of opposite sign, else the midpoint.
+
+    The regula falsi estimate is pushed toward the midpoint by the
+    truncation max(kappa1 (hi - lo)^2, floor) and projected into the radius
+    around the midpoint that keeps bisection's worst-case step count.  The
+    floor (a quarter of the width target) lets two trials on either side of
+    an accurate estimate close the bracket.
+    """
+    mid = 0.5 * (lo + hi)
+    if f_lo is None or f_hi is None or not f_lo * f_hi < 0.0:
+        return mid
+    x_f = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    sigma = math.copysign(1.0, mid - x_f)
+    delta = max(kappa1 * (hi - lo) ** 2, floor)
+    x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
+    radius = max(radius, 0.0)
+    return x_t if abs(x_t - mid) <= radius else mid - sigma * radius
+
+
 def bisect(
     bracket: Bracket,
     p: Params,
     tol: Tolerances,
     lambda_tol: float = 0.0,
 ) -> GroundState:
-    """Bisection on the node count: node-free captured data move the lower
-    endpoint, any datum with a sign change moves the upper one.
+    """Narrow the bracket on the node count: node-free captured data move
+    the lower endpoint, any datum with a sign change moves the upper one.
 
-    With lambda_tol = 0 the loop runs until the bracket collapses to one
-    ulp.  The returned profile is the best near-connection run, truncated
-    at its closest approach and continued with the matched decay tail.
+    Each trial datum is the midpoint, or the ITP step on the shooting
+    function F once both ends carry F of opposite signs.  The loop stops
+    when hi - lo <= max(lambda_tol, 0.1 tol.rel hi), or at one ulp if that
+    is finer.  The returned profile is the best near-connection run,
+    truncated at its closest approach and continued with the matched decay
+    tail.
     """
     tol = tol.resolved(p)
     lo, hi = bracket.lo, bracket.hi
+    f_lo = f_hi = None  # F of the trial that set each end, when it recorded one
     history = list(bracket.history)
     converged = True
     connection = None  # datum whose trajectory reached the eta tube
 
-    for _ in range(_MAX_BISECT_ITER):
-        width = hi - lo
-        mid = 0.5 * (lo + hi)
-        if width <= lambda_tol or mid <= lo or mid >= hi:
+    # ITP step budget n_max and truncation scale kappa1, fixed by the
+    # initial bracket; eps0 is half its width target
+    width0 = hi - lo
+    eps0 = 0.5 * max(lambda_tol, _STOP_REL * tol.rel * hi)
+    n_max = math.ceil(math.log2(max(width0 / (2.0 * eps0), 1.0))) + _ITP_N0
+    kappa1 = _ITP_K1 / width0 if width0 > 0.0 else 0.0
+
+    for j in range(_MAX_BISECT_ITER):
+        target = max(lambda_tol, _STOP_REL * tol.rel * hi)
+        if hi - lo <= target:
             break
-        c = classify(mid, p, tol, stop_at_first_node=True, keep_trajectory=False)
+        radius = eps0 * 2.0 ** (n_max - j) - 0.5 * (hi - lo)
+        lam = _itp_point(lo, hi, f_lo, f_hi, radius, kappa1, 0.25 * target)
+        if not lo < lam < hi:
+            break
+        c = classify(lam, p, tol, stop_at_first_node=True, keep_trajectory=False)
         history.append(c)
-        if c.node_count >= 1:
-            hi = mid
-        elif c.verdict == VERDICT_A:
-            lo = mid
-        elif c.verdict == VERDICT_I:
-            connection = mid
-            break
-        else:
+        if c.verdict == VERDICT_UNDECIDED and c.node_count == 0:
             # undecided without a node: retry once on a doubled horizon,
             # then count as a lower point while the energy stayed positive
-            c2 = classify(mid, p, tol, stop_at_first_node=True, horizon=2.0 * tol.rmax)
-            history.append(c2)
-            if c2.node_count >= 1:
-                hi = mid
-            elif c2.verdict == VERDICT_A:
-                lo = mid
-            elif c2.verdict == VERDICT_I:
-                connection = mid
-                break
-            else:
-                converged = False
-                lo = mid
+            c = classify(lam, p, tol, stop_at_first_node=True, horizon=2.0 * tol.rmax)
+            history.append(c)
+        if c.node_count >= 1:
+            hi, f_hi = lam, c.wronskian
+        elif c.verdict == VERDICT_I:
+            connection = lam
+            break
+        else:
+            converged = converged and c.verdict == VERDICT_A
+            lo, f_lo = lam, c.wronskian
 
     # full-horizon probes select the profile datum; they are not bisection
     # side decisions, so they stay out of the history

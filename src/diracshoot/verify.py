@@ -205,14 +205,15 @@ def check_decay_bound(p, tol) -> CheckResult:
 
 def check_bisection_bracketing(p, tol) -> CheckResult:
     gs = _ground_state_cached(p, tol)
-    below = classify(gs.lambda_star - 1e-6, p, tol)
-    above = classify(gs.lambda_star + 1e-6, p, tol)
+    # 1e-9 is well above the search's stop width (0.1 tol.rel lambda*)
+    below = classify(gs.lambda_star - 1e-9, p, tol)
+    above = classify(gs.lambda_star + 1e-9, p, tol)
     ok = below.node_count == 0 and above.node_count >= 1
     return _result(
         "bisection_bracketing",
         "shooting",
         ok,
-        f"lambda*-1e-6 -> {below.verdict}({below.node_count}), +1e-6 -> {above.verdict}({above.node_count})",
+        f"lambda*-1e-9 -> {below.verdict}({below.node_count}), +1e-9 -> {above.verdict}({above.node_count})",
     )
 
 

@@ -175,3 +175,32 @@ def test_dense_output_consistency():
     sampled = integrate(rhs_radial, (1e-6, y0), P, TOL, r_end=8.0, r_eval=grid)
     err = np.max(np.abs(sampled.y - full.y[10:-10:5]))
     assert err < 1e-12  # same accepted points, no interpolation involved
+
+
+def test_energy_column_matches_per_row_bitwise(gs):
+    # the H trace is computed in one call on the state columns; it must be
+    # bitwise the per-row evaluation for every recorded energy
+    from diracshoot.asymptotics import _first_order_start, _rhs_joint, integrate_rescaled
+    from diracshoot.equations import rescaled_hamiltonian
+
+    def same_bits(a, b):
+        return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+    y0 = taylor_start(1.8, P, 1e-6)
+    radial = integrate(rhs_radial, (1e-6, y0), P, TOL, r_end=20.0)
+    assert same_bits(radial.H, [hamiltonian(tuple(row), P) for row in radial.y])
+
+    eps = 0.2
+    resc = integrate_rescaled(eps, P, TOL, r_end=5.0)
+    assert same_bits(resc.H, [rescaled_hamiltonian(tuple(row), eps, P) for row in resc.y])
+
+    # the matched decay tail of the ground-state profile follows the same rule
+    tail = gs.profile.r > gs.anchor_r
+    assert same_bits(gs.profile.H[tail], [hamiltonian(tuple(row), P) for row in gs.profile.y[tail]])
+
+    # the 4-D remainder flow records no energy and keeps its NaN column
+    r0 = TOL.r0
+    start = (*_first_order_start(P, r0), 0.0, 0.25 * (P.m**2 - P.omega**2) * r0 * r0)
+    joint = solve(_rhs_joint(eps, P), (r0, 2.0), start, rel=TOL.rel, abs_tol=TOL.abs)
+    assert joint.y.shape[1] == 4
+    assert np.all(np.isnan(joint.H))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracshoot import (
     Bracket,
@@ -14,6 +16,7 @@ from diracshoot import (
     certificate_check,
     classify,
     decay_fit,
+    ground_state,
     hamiltonian,
     integrate,
     rhs_radial,
@@ -138,7 +141,7 @@ def test_bisect_shrinks(gs):
 
 def test_bisect_history_sides_consistent(gs):
     # every node-free captured datum in the history sits below every datum
-    # that showed a sign change; bisection nesting guarantees this ordering
+    # that showed a sign change; bracket nesting guarantees this ordering
     a0 = [c.lam for c in gs.history if c.verdict == "A" and c.node_count == 0]
     nodal = [c.lam for c in gs.history if c.node_count >= 1]
     assert a0 and nodal
@@ -218,3 +221,61 @@ def test_sign_flip_symmetry_of_flow():
     a = integrate(rhs_radial, (1e-6, y0), P, TOL, r_end=15.0)
     b = integrate(rhs_radial, (1e-6, (-y0[0], -y0[1])), P, TOL, r_end=15.0)
     assert np.max(np.abs(a.y + b.y)) == 0.0
+
+
+def test_wronskian_sign_and_linearity(gs):
+    # F = r (u K_v - v K_u) changes sign with the node-count verdict and is
+    # proportional to lambda - lambda* in the linear regime.  The datum
+    # lambda* - 1e-7 is captured just before |u| + |v| reaches the linear
+    # regime (closest approach 8.0e-5 > 7.1e-5), so it may carry no F.
+    ratios = []
+    for d in (1e-7, 1e-8, 1e-9, 1e-10, 1e-11):
+        below = classify(gs.lambda_star - d, P, TOL, stop_at_first_node=True, keep_trajectory=False)
+        above = classify(gs.lambda_star + d, P, TOL, stop_at_first_node=True, keep_trajectory=False)
+        assert below.verdict == "A" and below.node_count == 0
+        assert above.node_count >= 1 and above.wronskian > 0.0
+        ratios.append(above.wronskian / d)
+        if d <= 1e-8 or below.wronskian is not None:
+            assert below.wronskian < 0.0
+            ratios.append(below.wronskian / -d)
+    mid = float(np.median(ratios))
+    assert mid == pytest.approx(0.1831, rel=1e-3)
+    assert max(abs(x / mid - 1.0) for x in ratios) < 0.01
+
+
+def test_full_horizon_classify_records_no_wronskian():
+    # only the shooting trials carry F; the reported classification does not
+    assert classify(1.8078961486, P, TOL).wronskian is None
+
+
+def test_search_needs_few_classifications(gs):
+    # deterministic counter: 49 with bisection to one ulp
+    assert len(gs.history) <= 32
+
+
+def test_loose_lambda_tol_ends_while_bisecting():
+    b = bracket_search(P, TOL)
+    gs_loose = bisect(b, P, TOL, lambda_tol=1e-3)
+    assert gs_loose.bracket_width <= 1e-3
+    # replaying the verdicts gives exactly the midpoint at every trial
+    lo, hi = b.lo, b.hi
+    for c in gs_loose.history[len(b.history):]:
+        assert c.lam == 0.5 * (lo + hi)
+        assert c.wronskian is None
+        if c.node_count >= 1:
+            hi = c.lam
+        else:
+            lo = c.lam
+    assert hi - lo == gs_loose.bracket_width
+    a0 = [c.lam for c in gs_loose.history if c.verdict == "A" and c.node_count == 0]
+    nodal = [c.lam for c in gs_loose.history if c.node_count >= 1]
+    assert max(a0) < min(nodal)
+
+
+@given(st.floats(0.5, 4.0), st.floats(0.05, 0.95))
+@settings(max_examples=5, deadline=None)
+def test_scaling_covariance(m, ratio):
+    # r -> r/m, (u, v) -> sqrt(m) (u, v) maps (1, omega/m) onto (m, omega)
+    lam_m = ground_state(Params(m, ratio * m), TOL).lambda_star
+    lam_1 = ground_state(Params(1.0, ratio), TOL).lambda_star
+    assert lam_m == pytest.approx(math.sqrt(m) * lam_1, rel=10.0 * TOL.rel)
