@@ -214,6 +214,10 @@ def first_order_log_fit(
 
 # --- remainder --------------------------------------------------------------
 
+# rel_discrepancy below which the two remainder routes agree (verify checks it
+# at eps = 0.2); at or above it the crosscheck does not resolve the remainder.
+CROSSCHECK_REL_BOUND = 1e-4
+
 
 def remainder_bound_constant(p: Params) -> float:
     """The constant mu^2 = m^2 - omega^2 of the remainder growth law.
@@ -244,8 +248,9 @@ class PerturbationRecord:
     omega/m = 1 the ln^3 growth of k2 can exceed it at moderate eps).  The
     cancellation error of the subtraction route scales like tol.rel/eps^4,
     so the crosscheck resolves the remainder only while that is far below
-    sup_norm: for eps >~ 0.05 at the default tolerance (rel_discrepancy
-    6e-4 at eps = 0.05, 2e-2 at 0.0125).
+    sup_norm: rel_discrepancy is 1.1e-5 at eps = 0.2 and reaches
+    CROSSCHECK_REL_BOUND near eps = 0.1 at the default tolerance (5.9e-4 at
+    0.05, 2e-2 at 0.0125).
     """
 
     epsilon: float

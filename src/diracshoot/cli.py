@@ -258,6 +258,11 @@ def run_asymptotics(cfg: RunConfig) -> dict:
             )
         if not rec.threshold_ok:
             diags.append(f"remainder threshold eps^-3/2 breached at eps={rec.epsilon:g}")
+        if rec.rel_discrepancy >= asymptotics.CROSSCHECK_REL_BOUND:
+            diags.append(
+                f"crosscheck unresolved at eps={rec.epsilon:g}: "
+                f"rel {rec.rel_discrepancy:.2e} >= {asymptotics.CROSSCHECK_REL_BOUND:.0e}"
+            )
         remainders.append(
             {
                 "epsilon": rec.epsilon,

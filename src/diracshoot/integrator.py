@@ -5,12 +5,21 @@ float tuples (the systems here are 2- or 4-dimensional and are integrated
 many thousands of times during a shooting run, so the per-step overhead
 matters).  Events are located by sign bracketing over each accepted step
 and refined by bisection on a cubic Hermite interpolant.
+
+The step and its Hermite dense output are written once, in _DP54_SRC, as
+per-component expressions over the tableau constants below; _dp54(n)
+expands them for an n-dimensional state and compiles the result once per
+n, as dataclasses builds __init__.  A loop over components (a generator
+over zip per stage) costs about six times the arithmetic it performs; the
+expanded code keeps the same operation order, so it is bitwise the loop.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -102,7 +111,9 @@ class Trajectory:
     """Recorded integration path: samples (r, state, derivative, H) plus
     the event log.  r is strictly increasing; arrays are never mutated.
     y and dy have one row per sample; the first two columns are the (u, v)
-    plane for the 2-dimensional flows."""
+    plane for the 2-dimensional flows.  stats holds solve's counters in
+    the DOPRI5 names: nfev (calls of f), naccpt and nrejct (accepted and
+    rejected steps); it is empty for paths assembled outside solve."""
 
     r: np.ndarray
     y: np.ndarray
@@ -110,6 +121,7 @@ class Trajectory:
     H: np.ndarray
     events: tuple[Event, ...]
     status: str  # "completed" or "event:<kind>"
+    stats: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.r)
@@ -138,8 +150,26 @@ class Trajectory:
         return sum(1 for e in self.events if e.kind == EventKind.V_SIGN_CHANGE and e.r < r)
 
 
-def _hermite(r0, y0, f0, r1, y1, f1, r):
-    """Cubic Hermite interpolation of the state inside one accepted step."""
+# [expr] expands to "expr_0, expr_1, ..., " and [+expr] to "expr_0 + expr_1 + ...",
+# with # the component index.  step returns (y_new, k7, err): the 5th-order
+# solution, the FSAL derivative f(r_new, y_new) and the RMS error norm.
+_DP54_SRC = """
+def step(f, r, y, k1, h, r_new, rel, abs_tol):
+    [y#] = y
+    [a#] = k1
+    [b#] = f(r + _C2 * h, ([y# + h * _A21 * a#]))
+    [c#] = f(r + _C3 * h, ([y# + h * (_A31 * a# + _A32 * b#)]))
+    [d#] = f(r + _C4 * h, ([y# + h * (_A41 * a# + _A42 * b# + _A43 * c#)]))
+    [e#] = f(r + _C5 * h, ([y# + h * (_A51 * a# + _A52 * b# + _A53 * c# + _A54 * d#)]))
+    [g#] = f(r + h, ([y# + h * (_A61 * a# + _A62 * b# + _A63 * c# + _A64 * d# + _A65 * e#)]))
+    [n#] = [y# + h * (_B1 * a# + _B3 * c# + _B4 * d# + _B5 * e# + _B6 * g#)]
+    k7 = f(r_new, ([n#]))
+    [s#] = k7
+    err = [+(h * (_E1 * a# + _E3 * c# + _E4 * d# + _E5 * e# + _E6 * g# + _E7 * s#)
+            / (abs_tol + rel * max(abs(y#), abs(n#)))) ** 2]
+    return ([n#]), k7, math.sqrt(err / {n})
+
+def hermite(r0, y0, f0, r1, y1, f1, r):
     h = r1 - r0
     t = (r - r0) / h
     t2 = t * t
@@ -148,10 +178,25 @@ def _hermite(r0, y0, f0, r1, y1, f1, r):
     c10 = t3 - 2.0 * t2 + t
     c01 = -2.0 * t3 + 3.0 * t2
     c11 = t3 - t2
-    return tuple(
-        c00 * a + c10 * h * fa + c01 * b + c11 * h * fb
-        for a, fa, b, fb in zip(y0, f0, y1, f1)
-    )
+    [a#] = y0
+    [fa#] = f0
+    [b#] = y1
+    [fb#] = f1
+    return ([c00 * a# + c10 * h * fa# + c01 * b# + c11 * h * fb#])
+"""
+
+
+@functools.cache
+def _dp54(n: int):
+    """(step, hermite) for n-dimensional states, compiled from _DP54_SRC."""
+
+    def expand(m):
+        terms = [m[2].replace("#", str(i)) for i in range(n)]
+        return " + ".join(terms) if m[1] else "".join(t + ", " for t in terms)
+
+    ns: dict = {}
+    exec(re.sub(r"\[(\+?)(.*?)\]", expand, _DP54_SRC.format(n=n), flags=re.S), globals(), ns)
+    return ns["step"], ns["hermite"]
 
 
 def _crossed(g0: float, g1: float, direction: int) -> bool:
@@ -160,6 +205,12 @@ def _crossed(g0: float, g1: float, direction: int) -> bool:
     if direction > 0:
         return g0 < 0.0 <= g1
     return (g0 > 0.0 >= g1) or (g0 < 0.0 <= g1)
+
+
+def _event(det: Detector, r_star: float, y_star: tuple, step: tuple) -> Event:
+    payload = dict(det.payload(r_star, y_star)) if det.payload else {}
+    payload["step"] = step  # the bracketing step of the crossing
+    return Event(det.kind, r_star, payload)
 
 
 def _initial_step(f, r0, y0, f0, r_end, rel, abs_tol):
@@ -233,7 +284,6 @@ def solve(
     active = list(detectors)
     g_prev = [d.g(r, y) for d in active]
     events: list[Event] = []
-    status = "completed"
 
     def build(status_str) -> Trajectory:
         arr = np.array(ys, dtype=float).reshape(len(ys), n)
@@ -244,77 +294,48 @@ def solve(
             if energy is not None
             else np.full(len(rs), np.nan)
         )
-        return Trajectory(rarr, arr, farr, Harr, tuple(events), status_str)
+        stats = {"nfev": nfev, "naccpt": naccpt, "nrejct": nrejct}
+        return Trajectory(rarr, arr, farr, Harr, tuple(events), status_str, stats)
 
+    step, hermite = _dp54(n)
     h = _initial_step(f, r, y, k1, r_end, rel, abs_tol)
-    nsteps = 0
+    nfev, naccpt, nrejct = 2, 0, 0  # k1 and the initial-step probe
     while r < r_end:
-        nsteps += 1
-        if nsteps > _MAX_STEPS:
+        if naccpt + nrejct >= _MAX_STEPS:
             raise IntegrationError(f"step budget exhausted at r={r}", build("failed"))
         last = h >= r_end - r
         if last:
             h = r_end - r
         if h < 1e-14 * max(1.0, abs(r)):
             raise IntegrationError(f"step size underflow at r={r}", build("failed"))
-
-        k2 = f(r + _C2 * h, tuple(yi + h * _A21 * a for yi, a in zip(y, k1)))
-        k3 = f(r + _C3 * h, tuple(yi + h * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2)))
-        k4 = f(
-            r + _C4 * h,
-            tuple(yi + h * (_A41 * a + _A42 * b + _A43 * c) for yi, a, b, c in zip(y, k1, k2, k3)),
-        )
-        k5 = f(
-            r + _C5 * h,
-            tuple(
-                yi + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-            ),
-        )
-        k6 = f(
-            r + h,
-            tuple(
-                yi + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-            ),
-        )
-        y_new = tuple(
-            yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * g)
-            for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
-        )
         # land exactly on r_end so endpoint r_eval samples are never dropped
         r_new = r_end if last else r + h
-        k7 = f(r_new, y_new)
-
-        err = 0.0
-        for yi, yn, a, c, d, e, g, s in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-            sc = abs_tol + rel * max(abs(yi), abs(yn))
-            e_i = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * g + _E7 * s)
-            err += (e_i / sc) ** 2
-        err = math.sqrt(err / n)
-
+        y_new, k7, err = step(f, r, y, k1, h, r_new, rel, abs_tol)
+        nfev += 6
         if err > 1.0:
-            last = False
+            nrejct += 1
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             continue
+        naccpt += 1
 
         # accepted: locate events inside [r, r_new]
-        stop_at = None  # (r*, y*, detector)
-        fired_here: list[tuple[float, Detector]] = []
+        fired: list[tuple[float, Detector]] = []
         for i, det in enumerate(active):
             if det is None:
                 continue
-            g1 = det.g(r_new, y_new)
-            if _crossed(g_prev[i], g1, det.direction):
+            g0 = g_prev[i]
+            g1 = g_prev[i] = det.g(r_new, y_new)
+            # any crossing is a sign change; only then does the direction matter
+            if (g0 > 0.0 >= g1 or g0 < 0.0 <= g1) and _crossed(g0, g1, det.direction):
                 # bisect on the dense output; hi_r stays on the crossed side
                 # so the event condition holds at the reported point
                 lo_r, hi_r = r, r_new
-                g_lo = g_prev[i]
+                g_lo = g0
                 for _ in range(80):
                     if hi_r - lo_r <= 4e-16 * max(1.0, abs(hi_r)):
                         break
                     mid = 0.5 * (lo_r + hi_r)
-                    y_mid = _hermite(r, y, k1, r_new, y_new, k7, mid)
+                    y_mid = hermite(r, y, k1, r_new, y_new, k7, mid)
                     g_mid = det.g(mid, y_mid)
                     if _crossed(g_lo, g_mid, det.direction):
                         hi_r = mid
@@ -322,40 +343,33 @@ def solve(
                             break
                     else:
                         lo_r, g_lo = mid, g_mid
-                r_star = hi_r
-                fired_here.append((r_star, det))
+                fired.append((hi_r, det))
                 if det.once:
                     active[i] = None
-            g_prev[i] = g1
 
-        def make_event(r_star, y_star, det) -> Event:
-            payload = dict(det.payload(r_star, y_star)) if det.payload else {}
-            payload["step"] = (r, r_new)  # the bracketing step of the crossing
-            return Event(det.kind, r_star, payload)
-
-        fired_here.sort(key=lambda t: t[0])
-        for r_star, det in fired_here:
-            if det.terminal:
-                stop_at = (r_star, det)
-                break
-            y_star = _hermite(r, y, k1, r_new, y_new, k7, r_star)
-            events.append(make_event(r_star, y_star, det))
-
-        if stop_at is not None:
-            r_star, det = stop_at
-            y_star = _hermite(r, y, k1, r_new, y_new, k7, r_star)
-            f_star = f(r_star, y_star) if r_star > r_span[0] else k1
-            events.append(make_event(r_star, y_star, det))
-            if eval_pts is None:
-                record(r_star, y_star, f_star)
-            else:
-                while eval_idx < len(eval_pts) and eval_pts[eval_idx] <= r_star:
-                    pt = eval_pts[eval_idx]
-                    y_pt = _hermite(r, y, k1, r_new, y_new, k7, pt)
-                    record(pt, y_pt, f(pt, y_pt))
-                    eval_idx += 1
-            status = f"event:{det.kind.value}"
-            return build(status)
+        if fired:
+            fired.sort(key=lambda t: t[0])
+            for r_star, det in fired:
+                y_star = hermite(r, y, k1, r_new, y_new, k7, r_star)
+                if not det.terminal:
+                    events.append(_event(det, r_star, y_star, (r, r_new)))
+                    continue
+                if r_star > r_span[0]:
+                    f_star = f(r_star, y_star)
+                    nfev += 1
+                else:
+                    f_star = k1
+                events.append(_event(det, r_star, y_star, (r, r_new)))
+                if eval_pts is None:
+                    record(r_star, y_star, f_star)
+                else:
+                    while eval_idx < len(eval_pts) and eval_pts[eval_idx] <= r_star:
+                        pt = eval_pts[eval_idx]
+                        y_pt = hermite(r, y, k1, r_new, y_new, k7, pt)
+                        record(pt, y_pt, f(pt, y_pt))
+                        nfev += 1
+                        eval_idx += 1
+                return build(f"event:{det.kind.value}")
 
         if eval_pts is None:
             record(r_new, y_new, k7)
@@ -365,8 +379,9 @@ def solve(
                 if pt == r_new:
                     record(pt, y_new, k7)
                 else:
-                    y_pt = _hermite(r, y, k1, r_new, y_new, k7, pt)
+                    y_pt = hermite(r, y, k1, r_new, y_new, k7, pt)
                     record(pt, y_pt, f(pt, y_pt))
+                    nfev += 1
                 eval_idx += 1
 
         r, y, k1 = r_new, y_new, k7

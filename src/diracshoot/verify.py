@@ -283,7 +283,7 @@ def check_remainder_crosscheck(p, tol) -> CheckResult:
     return _result(
         "remainder_crosscheck",
         "asymptotics",
-        rec.rel_discrepancy < 1e-4,
+        rec.rel_discrepancy < asymptotics.CROSSCHECK_REL_BOUND,
         f"relative discrepancy {rec.rel_discrepancy:.2e}",
     )
 

@@ -155,6 +155,21 @@ def test_asymptotics_bound_is_the_derived_law(tmp_path):
     assert verdict[0.05] == alone["payload"]["remainders"][0]["bound_ok"]
 
 
+def test_asymptotics_flags_unresolved_crosscheck():
+    # the subtraction route cancels to about tol.rel/eps^4, so below eps ~ 0.1
+    # its crosscheck no longer resolves the remainder and the run says so
+    from diracshoot.asymptotics import CROSSCHECK_REL_BOUND
+
+    env = cli.run_asymptotics(RunConfig(epsilons=(0.2, 0.1, 0.05)))
+    rel = {r["epsilon"]: r["crosscheck_rel"] for r in env["payload"]["remainders"]}
+    assert rel[0.2] < CROSSCHECK_REL_BOUND <= rel[0.1] < rel[0.05]
+    flagged = [d for d in env["diagnostics"] if d.startswith("crosscheck unresolved")]
+    assert flagged == [
+        f"crosscheck unresolved at eps={eps:g}: rel {rel[eps]:.2e} >= 1e-04" for eps in (0.1, 0.05)
+    ]
+    assert not any(d.startswith("remainder bound exceeded") for d in env["diagnostics"])
+
+
 def test_module_entry_point():
     import subprocess
     import sys

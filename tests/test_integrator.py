@@ -204,3 +204,106 @@ def test_energy_column_matches_per_row_bitwise(gs):
     joint = solve(_rhs_joint(eps, P), (r0, 2.0), start, rel=TOL.rel, abs_tol=TOL.abs)
     assert joint.y.shape[1] == 4
     assert np.all(np.isnan(joint.H))
+
+
+def _reference_step(f, r, y, k1, h, r_new, rel, abs_tol):
+    """One DP5(4) step in the vector form, each stage a loop over the
+    components; returns (y_new, k7, err) like the generated step."""
+    from diracshoot import integrator as I
+
+    k2 = f(r + I._C2 * h, tuple(yi + h * I._A21 * a for yi, a in zip(y, k1)))
+    k3 = f(r + I._C3 * h, tuple(yi + h * (I._A31 * a + I._A32 * b) for yi, a, b in zip(y, k1, k2)))
+    k4 = f(
+        r + I._C4 * h,
+        tuple(
+            yi + h * (I._A41 * a + I._A42 * b + I._A43 * c)
+            for yi, a, b, c in zip(y, k1, k2, k3)
+        ),
+    )
+    k5 = f(
+        r + I._C5 * h,
+        tuple(
+            yi + h * (I._A51 * a + I._A52 * b + I._A53 * c + I._A54 * d)
+            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+        ),
+    )
+    k6 = f(
+        r + h,
+        tuple(
+            yi + h * (I._A61 * a + I._A62 * b + I._A63 * c + I._A64 * d + I._A65 * e)
+            for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+        ),
+    )
+    y_new = tuple(
+        yi + h * (I._B1 * a + I._B3 * c + I._B4 * d + I._B5 * e + I._B6 * g)
+        for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
+    )
+    k7 = f(r_new, y_new)
+    err = 0.0
+    for yi, yn, a, c, d, e, g, s in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+        sc = abs_tol + rel * max(abs(yi), abs(yn))
+        e_i = h * (I._E1 * a + I._E3 * c + I._E4 * d + I._E5 * e + I._E6 * g + I._E7 * s)
+        err += (e_i / sc) ** 2
+    return y_new, k7, math.sqrt(err / len(y))
+
+
+def _bits(y_new, k7, err):
+    return [float(v).hex() for v in (*y_new, *k7, err)]  # hex keeps the sign of zero
+
+
+def test_generated_step_is_bitwise_the_reference():
+    from diracshoot.asymptotics import _first_order_start, _rhs_joint
+    from diracshoot.integrator import _dp54
+
+    radial = integrate(rhs_radial, (1e-6, taylor_start(1.3, P, 1e-6)), P, TOL, r_end=2.0)
+    y2 = tuple(map(float, radial.y[-1]))
+    joint = _rhs_joint(0.2, P)
+    r4 = 0.5
+    y4 = (*_first_order_start(P, r4), 1e-3, 0.25 * (P.m**2 - P.omega**2) * r4 * r4)
+    cases = [  # (f, r, y, h, accepted)
+        (lambda r, y: rhs_radial(r, y, P), 2.0, y2, 1e-2, True),
+        (lambda r, y: rhs_radial(r, y, P), 2.0, y2, 1.5, False),
+        (joint, r4, y4, 1e-2, True),
+        (joint, r4, y4, 3.0, False),
+    ]
+    for f, r, y, h, accepted in cases:
+        k1 = f(r, y)
+        step, _ = _dp54(len(y))
+        got = step(f, r, y, k1, h, r + h, TOL.rel, TOL.abs)
+        want = _reference_step(f, r, y, k1, h, r + h, TOL.rel, TOL.abs)
+        assert (got[2] <= 1.0) == accepted
+        assert _bits(*got) == _bits(*want)
+
+
+def test_stats_count_every_rhs_call(gs):
+    # a counting wrapper around f is how a caller measures the work of solve;
+    # it must leave the trajectory unchanged and agree with nfev
+    calls = 0
+
+    def f(r, y):
+        return rhs_radial(r, y, P)
+
+    def counted(r, y):
+        nonlocal calls
+        calls += 1
+        return f(r, y)
+
+    lam = 2.0
+    r0 = 1e-6 / lam**2
+    y0 = taylor_start(lam, P, r0)
+    stop = Detector(EventKind.V_SIGN_CHANGE, lambda r, y: y[1], terminal=True)
+    grid = np.linspace(0.5, 9.5, 50)
+    for kw in (dict(), dict(r_eval=grid, detectors=[stop])):
+        plain = solve(f, (r0, 10.0), y0, rel=TOL.rel, abs_tol=TOL.abs, **kw)
+        calls = 0
+        wrapped = solve(counted, (r0, 10.0), y0, rel=TOL.rel, abs_tol=TOL.abs, **kw)
+        assert calls == wrapped.stats["nfev"] == plain.stats["nfev"]
+        assert np.array_equal(plain.r, wrapped.r) and np.array_equal(plain.y, wrapped.y)
+        assert np.array_equal(plain.dy, wrapped.dy) and plain.events == wrapped.events
+        steps = wrapped.stats["naccpt"] + wrapped.stats["nrejct"]
+        if kw:  # plus f at the terminal crossing and at each interpolated sample
+            assert calls == 2 + 6 * steps + 1 + len(wrapped)
+        else:
+            assert calls == 2 + 6 * steps
+            assert wrapped.stats["naccpt"] == len(wrapped) - 1 and wrapped.stats["nrejct"] > 0
+    assert gs.profile.stats == {}  # assembled outside solve
