@@ -182,8 +182,7 @@ def _fmt17(x) -> str:
 
 def run_ground_state(cfg: RunConfig) -> dict:
     p, tol = cfg.params(), cfg.tolerances()
-    bracket = shooting.bracket_search(p, tol)
-    gs = shooting.bisect(bracket, p, tol, lambda_tol=cfg.lambda_tol)
+    gs = shooting.ground_state(p, tol, lambda_tol=cfg.lambda_tol)
     diags = []
     if not gs.converged:
         diags.append("bisection did not reach a node-free connection; best candidate reported")
@@ -210,7 +209,6 @@ def run_classify(cfg: RunConfig) -> dict:
     out = []
     for lam in cfg.lambdas:
         c = shooting.classify(lam, p, tol)
-        cert = c.certificate
         out.append(
             {
                 "lambda": lam,
@@ -218,15 +216,7 @@ def run_classify(cfg: RunConfig) -> dict:
                 "node_count": c.node_count,
                 "r_event": c.evidence.get("r"),
                 "H_event": c.evidence.get("H"),
-                "certificate": None
-                if cert is None
-                else {
-                    "R": cert.R,
-                    "H_at_R": cert.H_at_R,
-                    "uv_product": cert.uv_product,
-                    "v_squared": cert.v_squared,
-                    "C0": cert.C0,
-                },
+                "certificate": c.certificate,
                 "summary": c.summary,
                 "v_sign_changes": [
                     e.r for e in (c.trajectory.events if c.trajectory else [])
@@ -514,29 +504,10 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    for key in (
-        "m",
-        "omega",
-        "tol_rel",
-        "tol_abs",
-        "r0",
-        "eta",
-        "delta",
-        "rmax",
-        "lambda_tol",
-        "T",
-        "level",
-        "resolution",
-        "format",
-        "out",
-    ):
-        flag = getattr(args, key, None)
+    for f in dataclasses.fields(RunConfig):
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[key] = flag
-    for key in ("lambdas", "epsilons"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = tuple(flag)
+            values[f.name] = tuple(flag) if isinstance(flag, list) else flag
     return RunConfig(**values)
 
 

@@ -108,16 +108,15 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded integration path: samples (r, state, derivative, H) plus
-    the event log.  r is strictly increasing; arrays are never mutated.
-    y and dy have one row per sample; the first two columns are the (u, v)
-    plane for the 2-dimensional flows.  stats holds solve's counters in
-    the DOPRI5 names: nfev (calls of f), naccpt and nrejct (accepted and
-    rejected steps); it is empty for paths assembled outside solve."""
+    """Recorded integration path: samples (r, state, H) plus the event log.
+    r is strictly increasing; arrays are never mutated.  y has one row per
+    sample; its first two columns are the (u, v) plane for the 2-dimensional
+    flows.  stats holds solve's counters in the DOPRI5 names: nfev (calls of
+    f), naccpt and nrejct (accepted and rejected steps); it is empty for
+    paths assembled outside solve."""
 
     r: np.ndarray
     y: np.ndarray
-    dy: np.ndarray
     H: np.ndarray
     events: tuple[Event, ...]
     status: str  # "completed" or "event:<kind>"
@@ -244,11 +243,12 @@ def solve(
     """Integrate y' = f(r, y) over r_span with event detection.
 
     Samples are recorded at every accepted step, or exactly at r_eval when
-    given (values interpolated on the dense output, derivatives re-evaluated
-    on the interpolated state).  energy, when given, is called once on the
-    tuple of state columns and returns the H trace elementwise.  A terminal
-    event truncates the trajectory at the refined crossing; otherwise the
-    run ends with an RMAX_REACHED event at r_span[1].
+    given (values interpolated on the dense output).  energy, when given, is
+    called once on the tuple of state columns and returns the H trace
+    elementwise.  A terminal event truncates the trajectory at the refined
+    crossing; otherwise the run ends with an RMAX_REACHED event at r_span[1].
+    f is called 2 + 6 (naccpt + nrejct) times: at the start, once for the
+    initial step size and six times per step.
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
@@ -257,6 +257,7 @@ def solve(
     n = len(y)
     r = r0
     k1 = f(r, y)
+    step, hermite = _dp54(n)
 
     eval_pts = None
     eval_idx = 0
@@ -267,19 +268,25 @@ def solve(
         if eval_pts and (eval_pts[0] < r0 or eval_pts[-1] > r_end):
             raise ValueError("r_eval must lie within r_span")
 
-    rs, ys, fs = [], [], []
+    rs, ys = [], []
 
-    def record(rr, yy, ff):
-        rs.append(rr)
-        ys.append(yy)
-        fs.append(ff)
-
-    if eval_pts is None:
-        record(r, y, k1)
-    else:
-        while eval_idx < len(eval_pts) and eval_pts[eval_idx] <= r:
-            record(eval_pts[eval_idx], y, k1)
+    def record(r_hi, y_hi, ra, ya, fa, rb, yb, fb):
+        # the samples up to r_hi: r_hi itself, or with r_eval each pending
+        # grid point <= r_hi, which takes y_hi at r_hi and the Hermite value
+        # on the step [ra, rb] below it
+        nonlocal eval_idx
+        if eval_pts is None:
+            rs.append(r_hi)
+            ys.append(y_hi)
+            return
+        while eval_idx < len(eval_pts) and eval_pts[eval_idx] <= r_hi:
+            pt = eval_pts[eval_idx]
+            rs.append(pt)
+            ys.append(y_hi if pt == r_hi else hermite(ra, ya, fa, rb, yb, fb, pt))
             eval_idx += 1
+
+    # r_eval lies within r_span, so at the start only a point at r0 is pending
+    record(r, y, r, y, k1, r, y, k1)
 
     active = list(detectors)
     g_prev = [d.g(r, y) for d in active]
@@ -287,19 +294,17 @@ def solve(
 
     def build(status_str) -> Trajectory:
         arr = np.array(ys, dtype=float).reshape(len(ys), n)
-        farr = np.array(fs, dtype=float).reshape(len(fs), n)
         rarr = np.array(rs, dtype=float)
         Harr = (
             np.asarray(energy(tuple(arr.T)), dtype=float)
             if energy is not None
             else np.full(len(rs), np.nan)
         )
-        stats = {"nfev": nfev, "naccpt": naccpt, "nrejct": nrejct}
-        return Trajectory(rarr, arr, farr, Harr, tuple(events), status_str, stats)
+        stats = {"nfev": 2 + 6 * (naccpt + nrejct), "naccpt": naccpt, "nrejct": nrejct}
+        return Trajectory(rarr, arr, Harr, tuple(events), status_str, stats)
 
-    step, hermite = _dp54(n)
     h = _initial_step(f, r, y, k1, r_end, rel, abs_tol)
-    nfev, naccpt, nrejct = 2, 0, 0  # k1 and the initial-step probe
+    naccpt, nrejct = 0, 0
     while r < r_end:
         if naccpt + nrejct >= _MAX_STEPS:
             raise IntegrationError(f"step budget exhausted at r={r}", build("failed"))
@@ -311,7 +316,6 @@ def solve(
         # land exactly on r_end so endpoint r_eval samples are never dropped
         r_new = r_end if last else r + h
         y_new, k7, err = step(f, r, y, k1, h, r_new, rel, abs_tol)
-        nfev += 6
         if err > 1.0:
             nrejct += 1
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
@@ -351,39 +355,12 @@ def solve(
             fired.sort(key=lambda t: t[0])
             for r_star, det in fired:
                 y_star = hermite(r, y, k1, r_new, y_new, k7, r_star)
-                if not det.terminal:
-                    events.append(_event(det, r_star, y_star, (r, r_new)))
-                    continue
-                if r_star > r_span[0]:
-                    f_star = f(r_star, y_star)
-                    nfev += 1
-                else:
-                    f_star = k1
                 events.append(_event(det, r_star, y_star, (r, r_new)))
-                if eval_pts is None:
-                    record(r_star, y_star, f_star)
-                else:
-                    while eval_idx < len(eval_pts) and eval_pts[eval_idx] <= r_star:
-                        pt = eval_pts[eval_idx]
-                        y_pt = hermite(r, y, k1, r_new, y_new, k7, pt)
-                        record(pt, y_pt, f(pt, y_pt))
-                        nfev += 1
-                        eval_idx += 1
-                return build(f"event:{det.kind.value}")
+                if det.terminal:
+                    record(r_star, y_star, r, y, k1, r_new, y_new, k7)
+                    return build(f"event:{det.kind.value}")
 
-        if eval_pts is None:
-            record(r_new, y_new, k7)
-        else:
-            while eval_idx < len(eval_pts) and eval_pts[eval_idx] <= r_new:
-                pt = eval_pts[eval_idx]
-                if pt == r_new:
-                    record(pt, y_new, k7)
-                else:
-                    y_pt = hermite(r, y, k1, r_new, y_new, k7, pt)
-                    record(pt, y_pt, f(pt, y_pt))
-                    nfev += 1
-                eval_idx += 1
-
+        record(r_new, y_new, r, y, k1, r_new, y_new, k7)
         r, y, k1 = r_new, y_new, k7
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
         h *= max(_MIN_FACTOR, factor)

@@ -142,7 +142,7 @@ def _wronskian_detector(p: Params) -> Detector:
     level = _LINEAR_NORM * math.sqrt(p.gap)
 
     def payload(r, y):
-        bu, bv, _, _ = _tail_basis(r, p)
+        bu, bv = _tail_basis(r, p)
         return {"F": r * (y[0] * float(bv) - y[1] * float(bu))}
 
     return Detector(
@@ -255,7 +255,6 @@ def classify(
         traj = Trajectory(
             np.array([r0]),
             np.array([[y0[0], y0[1]]]),
-            np.array([list(rhs_radial(r0, y0, p))]),
             np.array([H0]),
             (ev,),
             "event:entered_negative_energy",
@@ -367,13 +366,7 @@ def _tail_basis(r, p: Params):
 
     mu = math.sqrt(p.m * p.m - p.omega * p.omega)
     x = mu * np.asarray(r, dtype=float)
-    bu = mu * bessel_k1(x) / (p.m + p.omega)
-    bv = bessel_k0(x)
-    dbu = -mu * mu * (bessel_k0(x) + np.where(x > 0, bessel_k1(x) / np.where(x > 0, x, 1.0), 0.0)) / (
-        p.m + p.omega
-    )
-    dbv = -mu * bessel_k1(x)
-    return bu, bv, dbu, dbv
+    return mu * bessel_k1(x) / (p.m + p.omega), bessel_k0(x)
 
 
 def extend_with_decay_tail(
@@ -398,20 +391,19 @@ def extend_with_decay_tail(
     idx = np.nonzero(window)[0]
     if len(idx) < 2:
         idx = np.arange(max(0, i_c - 10), i_c + 1)
-    bu, bv, _, _ = _tail_basis(traj.r[idx], p)
+    bu, bv = _tail_basis(traj.r[idx], p)
     num = float(np.dot(traj.u[idx], bu) + np.dot(traj.v[idx], bv))
     den = float(np.dot(bu, bu) + np.dot(bv, bv))
     amp = num / den
 
     r_tail = np.linspace(r_c, float(r_end), _N_TAIL + 1)[1:]
-    bu, bv, dbu, dbv = _tail_basis(r_tail, p)
+    bu, bv = _tail_basis(r_tail, p)
     u_tail, v_tail = amp * bu, amp * bv
     H_tail = hamiltonian((u_tail, v_tail), p)
 
     profile = Trajectory(
         np.concatenate([traj.r[: i_c + 1], r_tail]),
         np.concatenate([traj.y[: i_c + 1], np.column_stack([u_tail, v_tail])]),
-        np.concatenate([traj.dy[: i_c + 1], np.column_stack([amp * dbu, amp * dbv])]),
         np.concatenate([traj.H[: i_c + 1], H_tail]),
         tuple(e for e in traj.events if e.r <= r_c),
         "completed",

@@ -110,13 +110,6 @@ def test_strictly_increasing_r():
     assert np.all(np.diff(traj.r) > 0)
 
 
-def test_recorded_derivatives_match_rhs():
-    traj = integrate(rhs_radial, (1e-6, taylor_start(1.2, P, 1e-6)), P, TOL, r_end=10.0)
-    for rr, y, dy in zip(traj.r[1:], traj.y[1:], traj.dy[1:]):
-        fu, fv = rhs_radial(rr, tuple(y), P)
-        assert dy[0] == fu and dy[1] == fv
-
-
 def test_terminal_event_truncates():
     det = [
         Detector(
@@ -299,11 +292,9 @@ def test_stats_count_every_rhs_call(gs):
         wrapped = solve(counted, (r0, 10.0), y0, rel=TOL.rel, abs_tol=TOL.abs, **kw)
         assert calls == wrapped.stats["nfev"] == plain.stats["nfev"]
         assert np.array_equal(plain.r, wrapped.r) and np.array_equal(plain.y, wrapped.y)
-        assert np.array_equal(plain.dy, wrapped.dy) and plain.events == wrapped.events
+        assert plain.events == wrapped.events
         steps = wrapped.stats["naccpt"] + wrapped.stats["nrejct"]
-        if kw:  # plus f at the terminal crossing and at each interpolated sample
-            assert calls == 2 + 6 * steps + 1 + len(wrapped)
-        else:
-            assert calls == 2 + 6 * steps
+        assert calls == 2 + 6 * steps
+        if not kw:
             assert wrapped.stats["naccpt"] == len(wrapped) - 1 and wrapped.stats["nrejct"] > 0
     assert gs.profile.stats == {}  # assembled outside solve

@@ -23,6 +23,7 @@ from diracshoot import (
     taylor_start,
     universal_constant,
 )
+from diracshoot.shooting import _tail_basis
 
 P = Params(1.0, 0.5)
 TOL = Tolerances()
@@ -158,12 +159,42 @@ def test_ground_state_profile_localized(gs):
 
 
 def test_ground_state_residual(gs):
-    worst = 0.0
-    for rr, y, dy in zip(gs.profile.r, gs.profile.y, gs.profile.dy):
-        fu, fv = rhs_radial(rr, tuple(y), P)
-        bound = 1e3 * TOLR.rel * (1.0 + abs(y[0]) + abs(y[1]))
-        worst = max(worst, abs(fu - dy[0]) + abs(fv - dy[1]) - bound)
-    assert worst <= 0.0
+    # beyond the anchor the Bessel tail solves the linear part exactly, so
+    # the residual of the radial system is the cubic term (u^2 + v^2)(v, -u)
+    tail = gs.profile.r > gs.anchor_r
+    u, v = gs.profile.u[tail], gs.profile.v[tail]
+    n1 = np.abs(u) + np.abs(v)
+    assert len(n1) > 0
+    assert np.all((u * u + v * v) * n1 <= 1e3 * TOLR.rel * (1.0 + n1))
+
+
+@pytest.mark.parametrize("m, omega", [(1.0, 0.5), (1.0, 0.9)])
+def test_tail_basis_matches_mpmath_bessel_pair(m, omega):
+    # oracle: (mu K1(mu r)/(m+omega), K0(mu r)) in 30-digit mpmath, which
+    # solves u' + u/r = -(m-omega) v and v' = -(m+omega) u
+    import mpmath
+
+    mu = math.sqrt(m * m - omega * omega)
+    rs = np.array([1e-2, 1.0, 10.0, 40.0]) / mu
+    bu, bv = _tail_basis(rs, Params(m, omega))
+    with mpmath.workdps(30):
+        mm, om = mpmath.mpf(m), mpmath.mpf(omega)
+        mu_mp = mpmath.sqrt(mm * mm - om * om)
+
+        def pair_u(r):
+            return mu_mp * mpmath.besselk(1, mu_mp * r) / (mm + om)
+
+        def pair_v(r):
+            return mpmath.besselk(0, mu_mp * r)
+
+        for r, got_u, got_v in zip(rs, bu, bv):
+            r = mpmath.mpf(r)
+            u, v = pair_u(r), pair_v(r)
+            assert abs(got_u - u) <= 1e-12 * abs(u)
+            assert abs(got_v - v) <= 1e-12 * abs(v)
+            du, dv = mpmath.diff(pair_u, r), mpmath.diff(pair_v, r)
+            assert abs(du + u / r + (mm - om) * v) <= 1e-20 * (abs(du) + abs(u / r))
+            assert abs(dv + (mm + om) * u) <= 1e-20 * abs(dv)
 
 
 def test_ground_state_decay_bound(gs):
@@ -187,7 +218,6 @@ def test_decay_fit_exact_exponential():
     traj = Trajectory(
         r,
         np.column_stack([vals / 2.0, vals / 2.0]),
-        np.zeros((len(r), 2)),
         np.zeros(len(r)),
         (),
         "completed",
@@ -198,17 +228,13 @@ def test_decay_fit_exact_exponential():
 
 def test_decay_fit_constant_is_flat():
     r = np.linspace(1.0, 5.0, 50)
-    traj = Trajectory(
-        r, np.full((len(r), 2), 0.5), np.zeros((len(r), 2)), np.zeros(len(r)), (), "completed"
-    )
+    traj = Trajectory(r, np.full((len(r), 2), 0.5), np.zeros(len(r)), (), "completed")
     assert decay_fit(traj, (1.0, 5.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_decay_fit_domain_errors():
     r = np.linspace(1.0, 5.0, 50)
-    traj = Trajectory(
-        r, np.zeros((len(r), 2)), np.zeros((len(r), 2)), np.zeros(len(r)), (), "completed"
-    )
+    traj = Trajectory(r, np.zeros((len(r), 2)), np.zeros(len(r)), (), "completed")
     with pytest.raises(ValueError):
         decay_fit(traj, (1.0, 5.0))  # |u|+|v| = 0 in window
     with pytest.raises(ValueError):
