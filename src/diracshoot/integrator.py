@@ -64,7 +64,6 @@ class EventKind(str, enum.Enum):
     NORM_BELOW_ETA = "norm_below_eta"
     CERTIFICATE_FIRED = "certificate_fired"
     RMAX_REACHED = "rmax_reached"
-    LINEAR_REGIME = "linear_regime"
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,12 @@ capture by the negative-energy region after k sign changes of v (verdict
 "A", k nodes), decay to the origin (verdict "I-candidate"), or neither
 within the horizon ("undecided").  The node-free ground state sits at the
 supremum of the node-free captured set.  The search narrows a bracket
-whose sides are set by the node count alone.  Once a trial trajectory
-reaches the linear regime near the origin it also yields a signed shooting
-function, the Wronskian F = r (u K_v - v K_u) against the decaying Bessel
-mode, which is conserved by the linearized flow and proportional to
-lambda - lambda*.  Where both ends of the bracket carry F with opposite
-signs the next datum is an ITP step on F; elsewhere it is the midpoint.
+whose sides are set by the node count alone.  Every trial trajectory also
+yields a signed shooting function, the Wronskian F = r (u K_v - v K_u)
+against the decaying Bessel mode, read at its closest approach to the
+origin: it is conserved by the linearized flow and close to linear in
+lambda - lambda* across the whole bracket, so each trial datum is an ITP
+step on F from the first bracket on.
 
 Shooting into a saddle point cannot hold the connection forever: the best
 double-precision trajectory leaves the origin again after its closest
@@ -45,9 +45,6 @@ _MAX_BISECT_ITER = 200
 # the search stops once hi - lo <= max(lambda_tol, _STOP_REL * tol.rel * hi),
 # the accuracy in lambda* that the integration tolerance supports
 _STOP_REL = 0.1
-# F is read where |u| + |v| first drops to _LINEAR_NORM * sqrt(m - omega);
-# the cubic terms are then 1e-8 of the linear ones
-_LINEAR_NORM = 1e-4
 # ITP parameters (Oliveira & Takahashi, ACM TOMS 47(1), 2020): truncation
 # kappa1 * width^2 with kappa1 = _ITP_K1 / initial width, one slack step
 _ITP_K1 = 0.2
@@ -85,8 +82,8 @@ class Classification:
     evidence: dict
     summary: dict
     trajectory: Trajectory | None = None
-    # shooting function F = r (u K_v - v K_u) read where the trajectory first
-    # enters the linear regime; only stop_at_first_node runs record it
+    # shooting function F = r (u K_v - v K_u) read at the trajectory's
+    # closest approach; only integrated stop_at_first_node runs record it
     wronskian: float | None = None
 
     @property
@@ -136,24 +133,6 @@ def certificate_check(r: float, s: tuple[float, float], p: Params) -> Certificat
     return None
 
 
-def _wronskian_detector(p: Params) -> Detector:
-    """Non-terminal, once: F at the first drop of |u| + |v| to the linear
-    regime; F changes sign with lambda - lambda*."""
-    level = _LINEAR_NORM * math.sqrt(p.gap)
-
-    def payload(r, y):
-        bu, bv = _tail_basis(r, p)
-        return {"F": r * (y[0] * float(bv) - y[1] * float(bu))}
-
-    return Detector(
-        EventKind.LINEAR_REGIME,
-        lambda r, y: abs(y[0]) + abs(y[1]) - level,
-        direction=-1,
-        once=True,
-        payload=payload,
-    )
-
-
 def _detectors(p: Params, tol: Tolerances, stop_at_first_node: bool) -> list[Detector]:
     delta = tol.delta
     eta = tol.eta
@@ -171,7 +150,7 @@ def _detectors(p: Params, tol: Tolerances, stop_at_first_node: bool) -> list[Det
             return -1.0
         return min(c0 / r - hamiltonian(y, p), y[0] * y[1], gap2 - y[1] * y[1])
 
-    dets = [
+    return [
         v_sign_detector(terminal=stop_at_first_node),
         Detector(
             EventKind.ENTERED_NEGATIVE_ENERGY,
@@ -199,9 +178,6 @@ def _detectors(p: Params, tol: Tolerances, stop_at_first_node: bool) -> list[Det
             },
         ),
     ]
-    if stop_at_first_node:
-        dets.append(_wronskian_detector(p))
-    return dets
 
 
 def _certificate_from_events(traj: Trajectory, p: Params) -> Certificate | None:
@@ -210,6 +186,15 @@ def _certificate_from_events(traj: Trajectory, p: Params) -> Certificate | None:
         return None
     e = fired[0]
     return Certificate(e.r, e.payload["H"], e.payload["uv"], e.payload["v2"], universal_constant(p))
+
+
+def _closest_approach_wronskian(traj: Trajectory, p: Params) -> float:
+    """F = r (u K_v - v K_u) at the sample of least |u| + |v| (the closest
+    approach that _summary reports); F changes sign with lambda - lambda*."""
+    i = int(np.argmin(traj.norm1))
+    r = float(traj.r[i])
+    bu, bv = _tail_basis(r, p)
+    return r * (float(traj.u[i]) * float(bv) - float(traj.v[i]) * float(bu))
 
 
 def _summary(traj: Trajectory) -> dict:
@@ -240,7 +225,8 @@ def classify(
     energy is still above -delta (verdict I-candidate(k)).  A trajectory
     that reaches the horizon undecided is reported as such.  With
     stop_at_first_node the run ends at the first sign change of v and also
-    records the shooting function F (see _wronskian_detector).
+    records the shooting function F at its closest approach to the origin
+    (see _closest_approach_wronskian).
     """
     if lam <= 0.0:
         raise ValueError(f"datum must be positive, got {lam}")
@@ -281,8 +267,7 @@ def classify(
         )
 
     cert = _certificate_from_events(traj, p)
-    linear = traj.events_of(EventKind.LINEAR_REGIME)
-    wronskian = linear[0].payload["F"] if linear else None
+    wronskian = _closest_approach_wronskian(traj, p) if stop_at_first_node else None
     terminal = traj.events[-1] if traj.events else None
 
     if terminal is not None and terminal.kind == EventKind.ENTERED_NEGATIVE_ENERGY:
@@ -421,20 +406,26 @@ def _decay_window(profile: Trajectory, anchor_r: float, tol: Tolerances) -> tupl
     return (r_a, anchor_r)
 
 
+def _regula_falsi(lo, hi, f_lo, f_hi):
+    """Root of the secant of F through both ends when they carry values of
+    opposite sign, else the midpoint."""
+    if f_lo is None or f_hi is None or not f_lo * f_hi < 0.0:
+        return 0.5 * (lo + hi)
+    return lo - f_lo * (hi - lo) / (f_hi - f_lo)
+
+
 def _itp_point(lo, hi, f_lo, f_hi, radius, kappa1, floor):
-    """Next datum inside (lo, hi): the ITP point on F when both ends carry
-    values of opposite sign, else the midpoint.
+    """Next datum inside (lo, hi): the ITP point on F.
 
     The regula falsi estimate is pushed toward the midpoint by the
     truncation max(kappa1 (hi - lo)^2, floor) and projected into the radius
     around the midpoint that keeps bisection's worst-case step count.  The
     floor (a quarter of the width target) lets two trials on either side of
-    an accurate estimate close the bracket.
+    an accurate estimate close the bracket.  Without F of opposite signs at
+    both ends the estimate is the midpoint, and so is the step.
     """
     mid = 0.5 * (lo + hi)
-    if f_lo is None or f_hi is None or not f_lo * f_hi < 0.0:
-        return mid
-    x_f = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    x_f = _regula_falsi(lo, hi, f_lo, f_hi)
     sigma = math.copysign(1.0, mid - x_f)
     delta = max(kappa1 * (hi - lo) ** 2, floor)
     x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
@@ -451,16 +442,20 @@ def bisect(
     """Narrow the bracket on the node count: node-free captured data move
     the lower endpoint, any datum with a sign change moves the upper one.
 
-    Each trial datum is the midpoint, or the ITP step on the shooting
-    function F once both ends carry F of opposite signs.  The loop stops
+    Each trial datum is the ITP step on the shooting function F, which
+    starts from the F that the bracket's own history recorded at both ends;
+    the midpoint is its fallback where an end carries no F.  The loop stops
     when hi - lo <= max(lambda_tol, 0.1 tol.rel hi), or at one ulp if that
-    is finer.  The returned profile is the best near-connection run,
-    truncated at its closest approach and continued with the matched decay
-    tail.
+    is finer.  Full-horizon runs at both ends and at the regula falsi root
+    of F on the final bracket select the profile: the best near-connection
+    run, truncated at its closest approach and continued with the matched
+    decay tail.
     """
     tol = tol.resolved(p)
     lo, hi = bracket.lo, bracket.hi
-    f_lo = f_hi = None  # F of the trial that set each end, when it recorded one
+    # F of the trial that set each end (the last one at that datum)
+    f_at = {c.lam: c.wronskian for c in bracket.history}
+    f_lo, f_hi = f_at.get(lo), f_at.get(hi)
     history = list(bracket.history)
     converged = True
     connection = None  # datum whose trajectory reached the eta tube
@@ -498,7 +493,7 @@ def bisect(
 
     # full-horizon probes select the profile datum; they are not bisection
     # side decisions, so they stay out of the history
-    probes = {lo, hi, 0.5 * (lo + hi)} if connection is None else {connection}
+    probes = {lo, hi, _regula_falsi(lo, hi, f_lo, f_hi)} if connection is None else {connection}
     candidates = [classify(lam_c, p, tol) for lam_c in sorted(probes)]
 
     ideal = [c for c in candidates if c.verdict == VERDICT_I and c.node_count == 0]
