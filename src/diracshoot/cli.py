@@ -229,10 +229,11 @@ def run_classify(cfg: RunConfig) -> dict:
 
 def run_asymptotics(cfg: RunConfig) -> dict:
     p, tol = cfg.params(), cfg.tolerances()
-    eps_sorted = tuple(sorted(set(cfg.epsilons), reverse=True))
-    diags = []
-    if eps_sorted != tuple(cfg.epsilons):
-        diags.append("epsilon list sorted into decreasing order")
+    unique = tuple(dict.fromkeys(cfg.epsilons))
+    eps_sorted = tuple(sorted(unique, reverse=True))
+    done = ["deduplicated"] if unique != tuple(cfg.epsilons) else []
+    done += ["sorted into decreasing order"] if eps_sorted != unique else []
+    diags = ["epsilon list " + " and ".join(done)] if done else []
     study = asymptotics.convergence_study(eps_sorted, cfg.T, p, tol)
     fit = asymptotics.first_order_log_fit(p, tol)
     records = [asymptotics.integrate_remainder(e, p, tol) for e in eps_sorted]

@@ -4,7 +4,9 @@ The stepper is the classic Dormand-Prince pair with FSAL, working on plain
 float tuples (the systems here are 2- or 4-dimensional and are integrated
 many thousands of times during a shooting run, so the per-step overhead
 matters).  Events are located by sign bracketing over each accepted step
-and refined by bisection on a cubic Hermite interpolant.
+and refined by bisection on the cubic Hermite dense output (Hairer, Norsett
+& Wanner, Solving ODEs I, II.6); r_eval samples are interpolated with the
+same polynomial, in one array pass over the recorded step ends.
 
 The step and its Hermite dense output are written once, in _DP54_SRC, as
 per-component expressions over the tableau constants below; _dp54(n)
@@ -150,7 +152,8 @@ class Trajectory:
 
 # [expr] expands to "expr_0, expr_1, ..., " and [+expr] to "expr_0 + expr_1 + ...",
 # with # the component index.  step returns (y_new, k7, err): the 5th-order
-# solution, the FSAL derivative f(r_new, y_new) and the RMS error norm.
+# solution, the FSAL derivative f(r_new, y_new) and the RMS error norm.  hermite
+# takes floats or, elementwise in the same operation order, NumPy columns.
 _DP54_SRC = """
 def step(f, r, y, k1, h, r_new, rel, abs_tol):
     [y#] = y
@@ -241,13 +244,16 @@ def solve(
 ) -> Trajectory:
     """Integrate y' = f(r, y) over r_span with event detection.
 
-    Samples are recorded at every accepted step, or exactly at r_eval when
-    given (values interpolated on the dense output).  energy, when given, is
-    called once on the tuple of state columns and returns the H trace
-    elementwise.  A terminal event truncates the trajectory at the refined
-    crossing; otherwise the run ends with an RMAX_REACHED event at r_span[1].
-    f is called 2 + 6 (naccpt + nrejct) times: at the start, once for the
-    initial step size and six times per step.
+    Samples are recorded at every accepted step, or exactly at the 1-D,
+    strictly increasing r_eval within r_span when given: a point equal to a
+    step end takes the state there, any other is interpolated in one pass
+    from the recorded step ends with the Hermite polynomial that refines
+    events.  energy, when given, is called once on the tuple of state
+    columns and returns the H trace elementwise.  A terminal event truncates
+    the trajectory at the refined crossing; otherwise the run ends with an
+    RMAX_REACHED event at r_span[1].  f is called 2 + 6 (naccpt + nrejct)
+    times: at the start, once for the initial step size and six times per
+    step.
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
@@ -258,46 +264,44 @@ def solve(
     k1 = f(r, y)
     step, hermite = _dp54(n)
 
-    eval_pts = None
-    eval_idx = 0
+    grid = None
     if r_eval is not None:
-        eval_pts = [float(x) for x in r_eval]
-        if any(b <= a for a, b in zip(eval_pts, eval_pts[1:])):
+        grid = np.array(r_eval, dtype=float)
+        if grid.ndim != 1:
+            raise ValueError(f"r_eval must be one-dimensional, got shape {grid.shape}")
+        if not np.all(grid[1:] > grid[:-1]):
             raise ValueError("r_eval must be strictly increasing")
-        if eval_pts and (eval_pts[0] < r0 or eval_pts[-1] > r_end):
+        if grid.size and not (grid[0] >= r0 and grid[-1] <= r_end):
             raise ValueError("r_eval must lie within r_span")
 
-    rs, ys = [], []
-
-    def record(r_hi, y_hi, ra, ya, fa, rb, yb, fb):
-        # the samples up to r_hi: r_hi itself, or with r_eval each pending
-        # grid point <= r_hi, which takes y_hi at r_hi and the Hermite value
-        # on the step [ra, rb] below it
-        nonlocal eval_idx
-        if eval_pts is None:
-            rs.append(r_hi)
-            ys.append(y_hi)
-            return
-        while eval_idx < len(eval_pts) and eval_pts[eval_idx] <= r_hi:
-            pt = eval_pts[eval_idx]
-            rs.append(pt)
-            ys.append(y_hi if pt == r_hi else hermite(ra, ya, fa, rb, yb, fb, pt))
-            eval_idx += 1
-
-    # r_eval lies within r_span, so at the start only a point at r0 is pending
-    record(r, y, r, y, k1, r, y, k1)
-
+    nodes = [(r, y, k1)]  # accepted (r, y, f); step j runs from node j-1 to node j
     active = list(detectors)
     g_prev = [d.g(r, y) for d in active]
     events: list[Event] = []
 
-    def build(status_str) -> Trajectory:
-        arr = np.array(ys, dtype=float).reshape(len(ys), n)
-        rarr = np.array(rs, dtype=float)
+    def build(status_str, cut=None) -> Trajectory:
+        # the samples are the nodes, the last one replaced by the terminal
+        # crossing cut = (r_star, y_star) inside the last step
+        R, Y, K = zip(*nodes)
+        rarr = np.array(R[:-1] + (cut[0],) if cut else R, dtype=float)
+        arr = np.array(Y[:-1] + (cut[1],) if cut else Y, dtype=float)
+        if grid is not None:
+            # each grid point up to the last sample lies on the first step
+            # ending at or beyond it: equal to that end it takes the sample
+            # there, otherwise the step's Hermite value
+            pts = grid[: np.searchsorted(grid, rarr[-1], "right")]
+            j = np.searchsorted(rarr, pts)
+            inner = pts != rarr[j]
+            rarr, arr = pts, arr[j]
+            j, R, Y, K = j[inner], np.array(R), np.array(Y).T, np.array(K).T
+            i = j - 1
+            arr[inner] = np.transpose(
+                hermite(R[i], Y[:, i], K[:, i], R[j], Y[:, j], K[:, j], pts[inner])
+            )
         Harr = (
             np.asarray(energy(tuple(arr.T)), dtype=float)
             if energy is not None
-            else np.full(len(rs), np.nan)
+            else np.full(len(rarr), np.nan)
         )
         stats = {"nfev": 2 + 6 * (naccpt + nrejct), "naccpt": naccpt, "nrejct": nrejct}
         return Trajectory(rarr, arr, Harr, tuple(events), status_str, stats)
@@ -356,11 +360,11 @@ def solve(
                 y_star = hermite(r, y, k1, r_new, y_new, k7, r_star)
                 events.append(_event(det, r_star, y_star, (r, r_new)))
                 if det.terminal:
-                    record(r_star, y_star, r, y, k1, r_new, y_new, k7)
-                    return build(f"event:{det.kind.value}")
+                    nodes.append((r_new, y_new, k7))
+                    return build(f"event:{det.kind.value}", (r_star, y_star))
 
-        record(r_new, y_new, r, y, k1, r_new, y_new, k7)
         r, y, k1 = r_new, y_new, k7
+        nodes.append((r, y, k1))
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
         h *= max(_MIN_FACTOR, factor)
 

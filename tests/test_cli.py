@@ -241,3 +241,24 @@ def test_scipy_only_loaded_for_the_decay_tail():
         assert seen[command] == [], command
     assert "scipy.special" in seen["ground-state"]
     assert "scipy.optimize" not in seen["ground-state"]
+
+
+@pytest.mark.parametrize(
+    "eps, diag",
+    [
+        ((0.2, 0.1), None),
+        ((0.1, 0.2), "epsilon list sorted into decreasing order"),
+        ((0.5, 0.5), "epsilon list deduplicated"),
+        ((0.2, 0.2, 0.1), "epsilon list deduplicated"),
+        ((0.1, 0.2, 0.1), "epsilon list deduplicated and sorted into decreasing order"),
+    ],
+)
+def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, diag):
+    # the diagnostic says what was done to the list, and only when it changed
+    out = tmp_path / "asym.json"
+    argv = ["asymptotics", *(a for e in eps for a in ("--epsilon", str(e))), "--out", str(out)]
+    assert cli.main(argv) == 0
+    env = json.loads(out.read_text())
+    assert env["payload"]["study"]["epsilons"] == sorted(set(eps), reverse=True)
+    notes = [d for d in env["diagnostics"] if d.startswith("epsilon list")]
+    assert notes == ([diag] if diag else [])

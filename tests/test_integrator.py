@@ -17,6 +17,7 @@ from diracshoot import (
     solve,
     taylor_start,
 )
+from diracshoot.integrator import v_sign_detector
 
 P = Params(1.0, 0.5)
 TOL = Tolerances().resolved(P)
@@ -298,3 +299,110 @@ def test_stats_count_every_rhs_call(gs):
         if not kw:
             assert wrapped.stats["naccpt"] == len(wrapped) - 1 and wrapped.stats["nrejct"] > 0
     assert gs.profile.stats == {}  # assembled outside solve
+
+
+def _hex(a):
+    return [float(v).hex() for v in np.ravel(a)]  # hex keeps the sign of zero and NaN
+
+
+def _dense_reference(f, r_span, y0, grid, energy=None, **kw):
+    """(r, y, H) at the grid, one point at a time: a point equal to a recorded
+    step end takes the state there, any other the scalar Hermite value on
+    the first step ending at or beyond it.  The steps come from a run
+    without r_eval; f is pure, so f(r, y) at a step end is its FSAL
+    derivative, and the last call of f ends the step a terminal event cuts."""
+    from diracshoot.integrator import _dp54
+
+    last = []
+
+    def logged(r, y):
+        out = f(r, y)
+        last[:] = [(r, y, out)]
+        return out
+
+    try:
+        plain = solve(logged, r_span, y0, **kw)
+    except IntegrationError as exc:
+        plain = exc.partial
+    rs = [float(r) for r in plain.r]
+    ys = [tuple(map(float, row)) for row in plain.y]
+    nodes = [(r, y, f(r, y)) for r, y in zip(rs, ys)]
+    if plain.status.startswith("event:"):
+        assert rs[-1] == plain.events[-1].r  # the last sample is the crossing
+        nodes[-1] = last[0]
+    hermite = _dp54(len(ys[0]))[1]
+    out_r, out_y = [], []
+    for pt in grid:
+        if pt > rs[-1]:
+            break
+        j = next(j for j, r in enumerate(rs) if r >= pt)
+        out_r.append(pt)
+        out_y.append(ys[j] if pt == rs[j] else hermite(*nodes[j - 1], *nodes[j], pt))
+    H = [energy(row) if energy else math.nan for row in out_y]
+    return out_r, out_y, H
+
+
+def test_dense_output_is_bitwise_the_scalar_loop():
+    from diracshoot.asymptotics import _first_order_start, _rhs_joint
+
+    def radial(r, y):
+        return rhs_radial(r, y, P)
+
+    def energy(y):
+        return hamiltonian(y, P)
+
+    lam = 2.0
+    r0 = 1e-6 / lam**2
+    y0 = taylor_start(lam, P, r0)
+    kw = dict(rel=TOL.rel, abs_tol=TOL.abs)
+    steps = solve(radial, (r0, 10.0), y0, **kw).r
+    stop = solve(radial, (r0, 10.0), y0, detectors=[v_sign_detector(terminal=True)], **kw)
+    r_star = stop.events[-1].r
+    # r0, accepted step ends, the terminal crossing, interior points and r_end
+    grid = np.unique(np.concatenate([steps[:60:4], [r_star], np.linspace(r0, 10.0, 301)]))
+    start4 = (*_first_order_start(P, TOL.r0), 0.0, 0.25 * (P.m**2 - P.omega**2) * TOL.r0**2)
+    runs = [  # (f, r_span, y0, grid, energy, detectors)
+        (radial, (r0, 10.0), y0, grid, energy, ()),
+        (_rhs_joint(0.2, P), (TOL.r0, 5.0), start4, np.linspace(TOL.r0, 5.0, 800), None, ()),
+        (radial, (r0, 10.0), y0, grid, energy, [v_sign_detector(terminal=True)]),
+    ]
+    for f, span, y_start, pts, en, dets in runs:
+        traj = solve(f, span, y_start, r_eval=pts, energy=en, detectors=dets, **kw)
+        r, y, H = _dense_reference(f, span, y_start, pts, en, detectors=dets, **kw)
+        assert len(r) > 0 and len(traj) == len(r)
+        assert _hex(traj.r) == _hex(r) and _hex(traj.y) == _hex(y) and _hex(traj.H) == _hex(H)
+    assert traj.status == "event:v_sign_change" and traj.r[-1] == r_star < grid[-1]
+    assert traj.y.shape == (np.count_nonzero(grid <= r_star), 2)
+
+    # a failed run keeps the samples up to its last accepted step
+    blowup = dict(rel=1e-10, abs_tol=1e-10)
+    grid = np.linspace(0.0, 2.0, 41)
+    with pytest.raises(IntegrationError) as exc:
+        solve(lambda r, y: (y[0] * y[0],), (0.0, 2.0), (1.0,), r_eval=grid, **blowup)
+    partial = exc.value.partial
+    r, y, H = _dense_reference(lambda r, y: (y[0] * y[0],), (0.0, 2.0), (1.0,), grid, **blowup)
+    assert len(partial) == 20 and partial.r[-1] == grid[19]
+    assert _hex(partial.r) == _hex(r) and _hex(partial.y) == _hex(y) and _hex(partial.H) == _hex(H)
+
+
+@pytest.mark.parametrize(
+    "r_eval, message",
+    [
+        ([0.5, 2.0, 1.0], "strictly increasing"),
+        ([0.5, 1.0, 1.0], "strictly increasing"),
+        ([0.0, 1.0], "within r_span"),
+        ([1.0, 3.5], "within r_span"),
+        ([[0.5, 1.0], [1.5, 2.0]], "one-dimensional"),
+        ([0.5, math.nan, 1.0], "strictly increasing"),
+        ([math.nan], "within r_span"),
+    ],
+)
+def test_r_eval_rejected(r_eval, message):
+    with pytest.raises(ValueError, match=message):
+        solve(lambda r, y: (-y[0],), (0.25, 3.0), (1.0,), rel=1e-8, abs_tol=1e-8, r_eval=r_eval)
+
+
+def test_empty_r_eval_gives_empty_trajectory():
+    traj = solve(lambda r, y: (-y[1], y[0]), (0.0, 3.0), (1.0, 0.0), rel=1e-8, abs_tol=1e-8, r_eval=[])
+    assert traj.status == "completed" and len(traj) == 0
+    assert traj.y.shape == (0, 2) and traj.H.shape == (0,)
