@@ -26,7 +26,7 @@ def main():
 
     print(f"{'eps':>8} {'sup err':>12} {'ratio':>8} {'node R':>10} {'sup|h2|+|k2|':>14}")
     for i, e in enumerate(study.epsilons):
-        rec = integrate_remainder(e, p, tol, n_grid=400)
+        rec = integrate_remainder(e, p, tol)
         ratio = f"{study.ratios[i - 1]:8.3f}" if i else " " * 8
         node = f"{study.node_radii[i]:10.4f}" if study.node_radii[i] else "      none"
         print(f"{e:8.4f} {study.sup_errors[i]:12.5e} {ratio} {node} {rec.sup_norm:14.5f}")

@@ -27,6 +27,13 @@ from .equations import rescaled_hamiltonian, taylor_start_scaled
 from .integrator import EventKind, Trajectory, solve, v_sign_detector
 from .params import Params, Tolerances
 
+# samples: of the k1 log-law fit over its radius window, of the remainder on
+# (0, 1/eps), and of the distance to the bubble on [0, T]
+_LOG_FIT_WINDOW = (1e3, 1e6)
+_LOG_FIT_N = 200
+_REMAINDER_N = 800
+_CONVERGENCE_N = 1024
+
 
 def bubble(r):
     """Closed-form blow-up profile (U0, V0); accepts scalars or arrays."""
@@ -192,12 +199,11 @@ def integrate_first_order(
     return FirstOrderSamples(traj.r, traj.y[:, 0], traj.y[:, 1])
 
 
-def first_order_log_fit(
-    p: Params, tol: Tolerances, window: tuple[float, float] = (1e3, 1e6), n: int = 200
-) -> LogLawFit:
-    """Fit the logarithmic growth law of the first-order V-correction."""
-    r_a, r_b = window
-    grid = np.geomspace(r_a, r_b, n)
+def first_order_log_fit(p: Params, tol: Tolerances) -> LogLawFit:
+    """Fit the logarithmic growth law of the first-order V-correction on
+    r in [1e3, 1e6]."""
+    r_a, r_b = _LOG_FIT_WINDOW
+    grid = np.geomspace(r_a, r_b, _LOG_FIT_N)
     fo = integrate_first_order(p, tol, r_b, r_eval=grid)
     L = np.log(fo.r)
     design = np.column_stack([L, np.ones_like(L)])
@@ -208,7 +214,7 @@ def first_order_log_fit(
         intercept=float(coef[1]),
         max_rel_residual=float(np.max(np.abs(resid)) / np.max(np.abs(fo.k1))),
         h1_sup=float(np.max(np.abs(fo.h1))),
-        window=window,
+        window=_LOG_FIT_WINDOW,
     )
 
 
@@ -268,10 +274,6 @@ class PerturbationRecord:
     threshold_ok: bool
     breach_r: float | None
 
-    @property
-    def norm1(self) -> np.ndarray:
-        return np.abs(self.h2) + np.abs(self.k2)
-
 
 def _rhs_joint(eps: float, p: Params):
     """(h1, k1, h2, k2) system with the exact remainder sources.
@@ -307,9 +309,7 @@ def _rhs_joint(eps: float, p: Params):
     return f
 
 
-def integrate_remainder(
-    eps: float, p: Params, tol: Tolerances, n_grid: int = 800
-) -> PerturbationRecord:
+def integrate_remainder(eps: float, p: Params, tol: Tolerances) -> PerturbationRecord:
     """Compute the remainder (h2, k2) on (0, 1/eps) along both routes.
 
     The joint flow gives (h2, k2) at any eps, with sup |h2|+|k2| growing like
@@ -322,7 +322,7 @@ def integrate_remainder(
     tol = tol.resolved(p)
     r0 = tol.r0
     r_end = 1.0 / eps
-    grid = np.linspace(r0, r_end, n_grid)
+    grid = np.linspace(r0, r_end, _REMAINDER_N)
 
     y0 = (*_first_order_start(p, r0), 0.0, 0.25 * (p.m * p.m - p.omega * p.omega) * r0 * r0)
     joint = solve(
@@ -382,9 +382,7 @@ class EpsilonStudy:
     T: float
 
 
-def convergence_study(
-    epsilons, T: float, p: Params, tol: Tolerances, n_grid: int = 1024
-) -> EpsilonStudy:
+def convergence_study(epsilons, T: float, p: Params, tol: Tolerances) -> EpsilonStudy:
     """Measure the rate of convergence of the rescaled flow to the bubble."""
     eps_list = [float(e) for e in epsilons]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -392,7 +390,7 @@ def convergence_study(
     if any(not 0.0 < e < 1.0 for e in eps_list):
         raise ValueError("every eps must lie in (0, 1)")
     tol_r = tol.resolved(p)
-    grid = np.linspace(tol_r.r0, float(T), n_grid)
+    grid = np.linspace(tol_r.r0, float(T), _CONVERGENCE_N)
     u0, v0 = bubble(grid)
     errs = []
     nodes = []

@@ -64,8 +64,16 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if not self.m > 0 or not 0.0 < self.omega < self.m:
-            raise ConfigError(f"need 0 < omega < m, got m={self.m}, omega={self.omega}")
+        # Params and Tolerances hold the checks of their own fields
+        try:
+            self.params()
+            self.tolerances()
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
+        if not self.T > self.r0:
+            raise ConfigError(f"T must exceed r0 = {self.r0:g}, got {self.T:g}")
+        if not self.resolution >= 2:
+            raise ConfigError(f"resolution must be at least 2, got {self.resolution}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         if any(lam <= 0 for lam in self.lambdas):
@@ -267,24 +275,7 @@ def run_asymptotics(cfg: RunConfig) -> dict:
                 "bound_ok": ok,
             }
         )
-    payload = {
-        "study": {
-            "epsilons": study.epsilons,
-            "sup_errors": study.sup_errors,
-            "ratios": study.ratios,
-            "node_radii": study.node_radii,
-            "T": study.T,
-        },
-        "log_fit": {
-            "c": fit.c,
-            "intercept": fit.intercept,
-            "max_rel_residual": fit.max_rel_residual,
-            "h1_sup": fit.h1_sup,
-            "window": fit.window,
-        },
-        "bound_constant": bound_c,
-        "remainders": remainders,
-    }
+    payload = {"study": study, "log_fit": fit, "bound_constant": bound_c, "remainders": remainders}
     return _envelope("asymptotics", cfg, payload, diags)
 
 
@@ -319,13 +310,7 @@ def run_portrait(cfg: RunConfig) -> dict:
 def run_verify(cfg: RunConfig) -> dict:
     p, tol = cfg.params(), cfg.tolerances()
     results = verify_mod.run_suite(p, tol)
-    payload = {
-        "checks": [
-            {"name": r.name, "module": r.module, "passed": r.passed, "detail": r.detail}
-            for r in results
-        ],
-        "all_passed": all(r.passed for r in results),
-    }
+    payload = {"checks": results, "all_passed": all(r.passed for r in results)}
     diags = [f"FAIL {r.module}/{r.name}: {r.detail}" for r in results if not r.passed]
     return _envelope("verify", cfg, payload, diags)
 
@@ -337,12 +322,17 @@ def render_json(envelope: dict) -> str:
     return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
+def _csv_text(header: str, lines: list[str]) -> str:
+    return "\n".join([header, *lines]) + "\n"
+
+
+def _csv_lines_ruvh(t) -> list[str]:
+    """One r,u,v,H row per sample of a serialized trajectory."""
+    return [",".join(_fmt17(x) for x in row) for row in zip(t["r"], t["u"], t["v"], t["H"])]
+
+
 def _csv_lines_ground_state(payload) -> list[str]:
-    prof = payload["profile"]
-    return [
-        ",".join(_fmt17(x) for x in row)
-        for row in zip(prof["r"], prof["u"], prof["v"], prof["H"])
-    ]
+    return _csv_lines_ruvh(payload["profile"])
 
 
 def _csv_lines_classify(payload) -> list[str]:
@@ -414,9 +404,7 @@ _CSV_BUILDERS = {
 
 def render_csv(envelope: dict) -> str:
     command = envelope["command"]
-    lines = [CSV_HEADERS[command]]
-    lines.extend(_CSV_BUILDERS[command](envelope["payload"]))
-    return "\n".join(lines) + "\n"
+    return _csv_text(CSV_HEADERS[command], _CSV_BUILDERS[command](envelope["payload"]))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -434,13 +422,8 @@ def write_output(envelope: dict, cfg: RunConfig) -> None:
     if envelope["command"] == "portrait" and cfg.out is not None:
         base = Path(cfg.out)
         for i, tr in enumerate(envelope["payload"]["trajectories"]):
-            rows = ["r,u,v,H"] + [
-                ",".join(_fmt17(x) for x in row)
-                for row in zip(tr["r"], tr["u"], tr["v"], tr["H"])
-            ]
-            base.with_suffix(base.suffix + f".traj{i}.csv").write_text(
-                "\n".join(rows) + "\n", encoding="utf-8", newline="\n"
-            )
+            text = _csv_text(CSV_HEADERS["ground-state"], _csv_lines_ruvh(tr))
+            _write_text(str(base.with_suffix(base.suffix + f".traj{i}.csv")), text)
 
 
 # --- argument parsing --------------------------------------------------------

@@ -5,8 +5,10 @@ float tuples (the systems here are 2- or 4-dimensional and are integrated
 many thousands of times during a shooting run, so the per-step overhead
 matters).  Events are located by sign bracketing over each accepted step
 and refined by bisection on the cubic Hermite dense output (Hairer, Norsett
-& Wanner, Solving ODEs I, II.6); r_eval samples are interpolated with the
-same polynomial, in one array pass over the recorded step ends.
+& Wanner, Solving ODEs I, II.6); an event records the interpolated state at
+its crossing, from which callers compute any value there.  r_eval samples
+are interpolated with the same polynomial, in one array pass over the
+recorded step ends.
 
 The step and its Hermite dense output are written once, in _DP54_SRC, as
 per-component expressions over the tableau constants below; _dp54(n)
@@ -70,33 +72,31 @@ class EventKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Event:
+    """An event of the given kind at radius r, with the state y there: the
+    refined crossing, or the final state for RMAX_REACHED."""
+
     kind: EventKind
     r: float
-    payload: dict = field(default_factory=dict)
+    y: tuple
 
 
 @dataclass(frozen=True)
 class Detector:
     """Scalar event function g whose root (with the given crossing
     direction) marks an event.  direction: -1 crossing into g <= 0,
-    +1 crossing into g >= 0, 0 any sign change."""
+    +1 crossing into g >= 0, 0 any sign change.  A crossing is logged as
+    Event(kind, r, y); anything else about it follows from y."""
 
     kind: EventKind
     g: Callable[[float, tuple], float]
     direction: int = 0
     terminal: bool = False
     once: bool = False
-    payload: Callable[[float, tuple], dict] | None = None
 
 
 def v_sign_detector(terminal: bool = False) -> Detector:
-    """Any sign change of v, reporting u at the crossing."""
-    return Detector(
-        EventKind.V_SIGN_CHANGE,
-        lambda r, y: y[1],
-        terminal=terminal,
-        payload=lambda r, y: {"u": y[0]},
-    )
+    """Any sign change of v."""
+    return Detector(EventKind.V_SIGN_CHANGE, lambda r, y: y[1], terminal=terminal)
 
 
 class IntegrationError(RuntimeError):
@@ -206,12 +206,6 @@ def _crossed(g0: float, g1: float, direction: int) -> bool:
     if direction > 0:
         return g0 < 0.0 <= g1
     return (g0 > 0.0 >= g1) or (g0 < 0.0 <= g1)
-
-
-def _event(det: Detector, r_star: float, y_star: tuple, step: tuple) -> Event:
-    payload = dict(det.payload(r_star, y_star)) if det.payload else {}
-    payload["step"] = step  # the bracketing step of the crossing
-    return Event(det.kind, r_star, payload)
 
 
 def _initial_step(f, r0, y0, f0, r_end, rel, abs_tol):
@@ -358,7 +352,7 @@ def solve(
             fired.sort(key=lambda t: t[0])
             for r_star, det in fired:
                 y_star = hermite(r, y, k1, r_new, y_new, k7, r_star)
-                events.append(_event(det, r_star, y_star, (r, r_new)))
+                events.append(Event(det.kind, r_star, y_star))
                 if det.terminal:
                     nodes.append((r_new, y_new, k7))
                     return build(f"event:{det.kind.value}", (r_star, y_star))
@@ -368,7 +362,7 @@ def solve(
         factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
         h *= max(_MIN_FACTOR, factor)
 
-    events.append(Event(EventKind.RMAX_REACHED, r_end, {}))
+    events.append(Event(EventKind.RMAX_REACHED, r_end, y))
     return build("completed")
 
 

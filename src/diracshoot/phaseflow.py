@@ -25,6 +25,9 @@ from .integrator import Trajectory, integrate, v_sign_detector
 from .params import Params, Tolerances
 from .shooting import VERDICT_A, classify
 
+# samples of the deviation between the shifted and autonomous flows on [0, T]
+_STABILITY_N = 512
+
 
 @dataclass(frozen=True)
 class LevelSet:
@@ -136,12 +139,7 @@ def attraction_report(lam: float, p: Params, tol: Tolerances) -> AttractionRepor
 
 
 def stability_compare(
-    rho: float,
-    start: tuple[float, float],
-    T: float,
-    p: Params,
-    tol: Tolerances,
-    n_grid: int = 512,
+    rho: float, start: tuple[float, float], T: float, p: Params, tol: Tolerances
 ) -> float:
     """Sup-norm deviation between the shifted and autonomous flows on [0, T].
 
@@ -155,7 +153,7 @@ def stability_compare(
     if T == 0.0:
         return 0.0
     tol = tol.resolved(p)
-    grid = np.linspace(0.0, float(T), n_grid)
+    grid = np.linspace(0.0, float(T), _STABILITY_N)
     auto = integrate(rhs_autonomous, (0.0, start), p, tol, r_end=float(T), r_eval=grid)
     shift = integrate(
         lambda r, s, p: rhs_radial(r + rho, s, p),

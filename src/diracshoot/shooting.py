@@ -121,15 +121,18 @@ def universal_constant(p: Params) -> float:
     return p.gap ** 2 / (4.0 * (3.0 * p.m - p.omega))
 
 
+def _certificate(r: float, s: tuple[float, float], p: Params) -> Certificate:
+    u, v = s
+    return Certificate(r, hamiltonian(s, p), u * v, v * v, universal_constant(p))
+
+
 def certificate_check(r: float, s: tuple[float, float], p: Params) -> Certificate | None:
     """Evaluate the capture certificate at a single point (empty for r <= 1)."""
     if r <= 1.0:
         return None
-    u, v = s
-    c0 = universal_constant(p)
-    H = hamiltonian(s, p)
-    if H < c0 / r and u * v > 0.0 and v * v < 2.0 * p.gap:
-        return Certificate(r, H, u * v, v * v, c0)
+    c = _certificate(r, s, p)
+    if c.H_at_R < c.C0 / r and c.uv_product > 0.0 and c.v_squared < 2.0 * p.gap:
+        return c
     return None
 
 
@@ -152,31 +155,9 @@ def _detectors(p: Params, tol: Tolerances, stop_at_first_node: bool) -> list[Det
 
     return [
         v_sign_detector(terminal=stop_at_first_node),
-        Detector(
-            EventKind.ENTERED_NEGATIVE_ENERGY,
-            g_energy,
-            direction=-1,
-            terminal=True,
-            payload=lambda r, y: {"H": hamiltonian(y, p)},
-        ),
-        Detector(
-            EventKind.NORM_BELOW_ETA,
-            g_norm,
-            direction=-1,
-            terminal=True,
-            payload=lambda r, y: {"norm": abs(y[0]) + abs(y[1]), "H": hamiltonian(y, p)},
-        ),
-        Detector(
-            EventKind.CERTIFICATE_FIRED,
-            g_cert,
-            direction=1,
-            once=True,
-            payload=lambda r, y: {
-                "H": hamiltonian(y, p),
-                "uv": y[0] * y[1],
-                "v2": y[1] * y[1],
-            },
-        ),
+        Detector(EventKind.ENTERED_NEGATIVE_ENERGY, g_energy, direction=-1, terminal=True),
+        Detector(EventKind.NORM_BELOW_ETA, g_norm, direction=-1, terminal=True),
+        Detector(EventKind.CERTIFICATE_FIRED, g_cert, direction=1, once=True),
     ]
 
 
@@ -184,8 +165,7 @@ def _certificate_from_events(traj: Trajectory, p: Params) -> Certificate | None:
     fired = traj.events_of(EventKind.CERTIFICATE_FIRED)
     if not fired:
         return None
-    e = fired[0]
-    return Certificate(e.r, e.payload["H"], e.payload["uv"], e.payload["v2"], universal_constant(p))
+    return _certificate(fired[0].r, fired[0].y, p)
 
 
 def _closest_approach_wronskian(traj: Trajectory, p: Params) -> float:
@@ -237,7 +217,7 @@ def classify(
     H0 = hamiltonian(y0, p)
     if H0 < -tol.delta:
         # the datum starts inside the capture region and H only decreases
-        ev = Event(EventKind.ENTERED_NEGATIVE_ENERGY, r0, {"H": H0})
+        ev = Event(EventKind.ENTERED_NEGATIVE_ENERGY, r0, y0)
         traj = Trajectory(
             np.array([r0]),
             np.array([[y0[0], y0[1]]]),
@@ -270,12 +250,11 @@ def classify(
     wronskian = _closest_approach_wronskian(traj, p) if stop_at_first_node else None
     terminal = traj.events[-1] if traj.events else None
 
-    if terminal is not None and terminal.kind == EventKind.ENTERED_NEGATIVE_ENERGY:
+    decided = {EventKind.ENTERED_NEGATIVE_ENERGY: VERDICT_A, EventKind.NORM_BELOW_ETA: VERDICT_I}
+    if terminal is not None and terminal.kind in decided:
         k = traj.nodes_before(terminal.r)
-        verdict, evid = VERDICT_A, {"r": terminal.r, "H": terminal.payload["H"], "certificate": cert}
-    elif terminal is not None and terminal.kind == EventKind.NORM_BELOW_ETA:
-        k = traj.nodes_before(terminal.r)
-        verdict, evid = VERDICT_I, {"r": terminal.r, "H": terminal.payload["H"], "certificate": cert}
+        verdict = decided[terminal.kind]
+        evid = {"r": terminal.r, "H": hamiltonian(terminal.y, p), "certificate": cert}
     elif stop_at_first_node and terminal is not None and terminal.kind == EventKind.V_SIGN_CHANGE:
         k = 1
         verdict, evid = (

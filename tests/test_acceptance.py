@@ -146,7 +146,7 @@ def test_criterion_08_second_order_convergence():
 
 
 def test_criterion_09_first_order_log_law():
-    fit = first_order_log_fit(P, TOL, window=(1e3, 1e6))
+    fit = first_order_log_fit(P, TOL)
     ok = fit.c > 0.0 and fit.max_rel_residual < 0.10
     _report(
         9,

@@ -141,7 +141,7 @@ def test_remainder_initial_conditions_and_crosscheck():
 
 def test_remainder_threshold_respected_small_eps():
     for eps in (0.1, 0.05):
-        rec = integrate_remainder(eps, P, TOL, n_grid=400)
+        rec = integrate_remainder(eps, P, TOL)
         assert rec.threshold_ok
         assert rec.breach_r is None
 

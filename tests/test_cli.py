@@ -16,6 +16,12 @@ def test_runconfig_validation():
         RunConfig(epsilons=(0.5, 1.5))
     with pytest.raises(ConfigError):
         RunConfig(format="xml")
+    with pytest.raises(ConfigError):
+        RunConfig(tol_rel=0.0)  # Tolerances' own check, reported as a ConfigError
+    with pytest.raises(ConfigError):
+        RunConfig(T=0.0)
+    with pytest.raises(ConfigError):
+        RunConfig(resolution=1)
 
 
 def test_config_file_parsing(tmp_path):
@@ -262,3 +268,51 @@ def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, di
     assert env["payload"]["study"]["epsilons"] == sorted(set(eps), reverse=True)
     notes = [d for d in env["diagnostics"] if d.startswith("epsilon list")]
     assert notes == ([diag] if diag else [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--lambda", "1", "--tol-rel", "-1"],
+        ["classify", "--lambda", "1", "--r0", "0"],
+        ["ground-state", "--rmax", "-5"],
+        ["asymptotics", "--epsilon", "0.2", "--T", "-1"],
+        ["portrait", "--resolution", "-3"],
+        ["portrait", "--resolution", "0"],
+    ],
+)
+def test_invalid_settings_are_usage_errors(argv):
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracshoot", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("diracshoot: error: ")
+
+
+def test_payload_records_keep_their_schema(monkeypatch):
+    # library records are serialized whole, so a new field would change the
+    # CLI schema; these key sets pin it
+    from diracshoot import verify as verify_mod
+
+    env = cli.run_asymptotics(RunConfig(epsilons=(0.5,)))
+    assert set(env["payload"]["study"]) == {"epsilons", "sup_errors", "ratios", "node_radii", "T"}
+    assert set(env["payload"]["log_fit"]) == {
+        "c",
+        "intercept",
+        "max_rel_residual",
+        "h1_sup",
+        "window",
+    }
+    monkeypatch.setattr(
+        verify_mod, "ALL_CHECKS", [verify_mod.check_equilibria, verify_mod.check_bubble_exactness]
+    )
+    checks = cli.run_verify(RunConfig())["payload"]["checks"]
+    assert len(checks) == 2
+    for check in checks:
+        assert set(check) == {"name", "module", "passed", "detail"}

@@ -46,7 +46,7 @@ def test_event_location_matches_scipy():
     lam = 2.0
     r0 = 1e-6 / lam ** 2
     y0 = taylor_start(lam, P, r0)
-    det = [Detector(EventKind.V_SIGN_CHANGE, lambda r, y: y[1], payload=lambda r, y: {"u": y[0]})]
+    det = [Detector(EventKind.V_SIGN_CHANGE, lambda r, y: y[1])]
     traj = integrate(rhs_radial, (r0, y0), P, TOL, detectors=det, r_end=10.0)
     mine = [e.r for e in traj.events_of(EventKind.V_SIGN_CHANGE)]
 
@@ -118,31 +118,37 @@ def test_terminal_event_truncates():
             lambda r, y: hamiltonian(y, P) + TOL.delta,
             direction=-1,
             terminal=True,
-            payload=lambda r, y: {"H": hamiltonian(y, P)},
         )
     ]
     traj = integrate(rhs_radial, (1e-6, taylor_start(1.0, P, 1e-6)), P, TOL, detectors=det)
     assert traj.status == "event:entered_negative_energy"
     ev = traj.events[-1]
-    assert ev.payload["H"] <= -TOL.delta  # crossed-side reporting
+    assert hamiltonian(ev.y, P) <= -TOL.delta  # crossed-side reporting
     assert traj.r[-1] == pytest.approx(ev.r)
 
 
-def test_event_payload_carries_bracketing_step():
+def test_event_carries_crossing_state():
     lam = 2.0
     r0 = 1e-6 / lam ** 2
-    det = [Detector(EventKind.V_SIGN_CHANGE, lambda r, y: y[1], payload=lambda r, y: {"u": y[0]})]
-    traj = integrate(rhs_radial, (r0, taylor_start(lam, P, r0)), P, TOL, detectors=det, r_end=5.0)
+    start = (r0, taylor_start(lam, P, r0))
+    # a terminal event's state is the trajectory's last sample, bit for bit
+    traj = integrate(rhs_radial, start, P, TOL, detectors=[v_sign_detector(terminal=True)])
+    ev = traj.events[-1]
+    assert ev.kind == EventKind.V_SIGN_CHANGE
+    assert ev.r == traj.r[-1]
+    assert np.array_equal(np.array(ev.y), traj.y[-1])
+    # a non-terminal v-sign event sits on v = 0
+    traj = integrate(rhs_radial, start, P, TOL, detectors=[v_sign_detector()], r_end=5.0)
     ev = traj.events_of(EventKind.V_SIGN_CHANGE)[0]
-    lo, hi = ev.payload["step"]
-    assert lo <= ev.r <= hi
-    assert "u" in ev.payload
+    assert len(ev.y) == 2
+    assert abs(ev.y[1]) <= 1e-9
 
 
 def test_rmax_event_emitted():
     traj = integrate(rhs_autonomous, (0.0, (0.1, 0.1)), P, TOL, r_end=5.0)
     assert traj.events[-1].kind == EventKind.RMAX_REACHED
     assert traj.r[-1] == pytest.approx(5.0)
+    assert np.array_equal(np.array(traj.events[-1].y), traj.y[-1])  # the final state
 
 
 def test_bad_span_rejected():

@@ -105,6 +105,27 @@ def test_certificate_soundness_within_horizon():
         assert total <= k_before + 1 or c.verdict == "A"
 
 
+def test_fired_certificate_is_certificate_check_at_its_event():
+    # one constructor: the event's state gives the classification's certificate
+    fired = 0
+    for lam in (1.5, 1.7, 1.8, 1.8078, 1.81):
+        c = classify(lam, P, TOL)
+        for ev in c.trajectory.events_of(EventKind.CERTIFICATE_FIRED):
+            cert = certificate_check(ev.r, ev.y, P)
+            if cert is not None:
+                fired += 1
+                assert cert == c.certificate
+    assert fired > 0
+
+
+def test_capture_region_start_logs_the_start_state():
+    c = classify(0.5, P, TOL)
+    (ev,) = c.trajectory.events
+    assert ev.kind == EventKind.ENTERED_NEGATIVE_ENERGY
+    assert ev.y == tuple(c.trajectory.y[0])
+    assert c.evidence["H"] == hamiltonian(ev.y, P)
+
+
 def test_bracket_search():
     b = bracket_search(P, TOL)
     assert b.lo == pytest.approx(1.0)
