@@ -72,6 +72,8 @@ class RunConfig:
             raise ConfigError(str(err)) from None
         if not self.T > self.r0:
             raise ConfigError(f"T must exceed r0 = {self.r0:g}, got {self.T:g}")
+        if self.rmax is not None and not self.rmax > self.r0:
+            raise ConfigError(f"rmax must exceed r0 = {self.r0:g}, got {self.rmax:g}")
         if not self.resolution >= 2:
             raise ConfigError(f"resolution must be at least 2, got {self.resolution}")
         if self.format not in ("json", "csv"):
@@ -153,6 +155,8 @@ def _jsonable(x):
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
+        if x.ndim == 1 and x.dtype.kind == "f":
+            return [None if v != v else v for v in x.tolist()]  # NaN -> None
         return [_jsonable(v) for v in x.tolist()]
     if isinstance(x, enum.Enum):
         return x.value
@@ -318,40 +322,55 @@ def run_verify(cfg: RunConfig) -> dict:
 # --- rendering ---------------------------------------------------------------
 
 
+_PLAIN = {float, int, bool, type(None)}
+
+
+def _emit(x, pad: str, out: list) -> None:
+    """Append x in the layout of json.dumps(x, indent=2, sort_keys=True)."""
+    inner = pad + "  "
+    if isinstance(x, (list, tuple)) and x and set(map(type, x)) <= _PLAIN:
+        # plain numbers in one C-encoder call; none of their tokens holds ", "
+        out.append("[\n" + inner + json.dumps(x)[1:-1].replace(", ", ",\n" + inner) + "\n" + pad + "]")
+    elif isinstance(x, dict) and x:
+        for i, k in enumerate(sorted(x)):
+            out.append(("," if i else "{") + "\n" + inner + json.dumps(k) + ": ")
+            _emit(x[k], inner, out)
+        out.append("\n" + pad + "}")
+    elif isinstance(x, (list, tuple)) and x:
+        for i, v in enumerate(x):
+            out.append(("," if i else "[") + "\n" + inner)
+            _emit(v, inner, out)
+        out.append("\n" + pad + "]")
+    else:
+        out.append(json.dumps(x))  # a scalar, {} or []
+
+
 def render_json(envelope: dict) -> str:
-    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    out: list[str] = []
+    _emit(envelope, "", out)
+    return "".join(out) + "\n"
 
 
 def _csv_text(header: str, lines: list[str]) -> str:
     return "\n".join([header, *lines]) + "\n"
 
 
+def _csv_row(*fields) -> str:
+    """Comma-joined fields: strings as they are, anything else by _fmt17."""
+    return ",".join(f if isinstance(f, str) else _fmt17(f) for f in fields)
+
+
 def _csv_lines_ruvh(t) -> list[str]:
     """One r,u,v,H row per sample of a serialized trajectory."""
-    return [",".join(_fmt17(x) for x in row) for row in zip(t["r"], t["u"], t["v"], t["H"])]
-
-
-def _csv_lines_ground_state(payload) -> list[str]:
-    return _csv_lines_ruvh(payload["profile"])
+    return [",".join(map(_fmt17, row)) for row in zip(t["r"], t["u"], t["v"], t["H"])]
 
 
 def _csv_lines_classify(payload) -> list[str]:
     lines = []
     for c in payload["classifications"]:
         cert_r = c["certificate"]["R"] if c["certificate"] else None
-        lines.append(
-            ",".join(
-                [
-                    _fmt17(c["lambda"]),
-                    c["verdict"],
-                    str(c["node_count"]),
-                    _fmt17(c["r_event"]),
-                    _fmt17(c["H_event"]),
-                    _fmt17(c["summary"]["min_norm1"]),
-                    _fmt17(cert_r),
-                ]
-            )
-        )
+        event = (c["lambda"], c["verdict"], c["node_count"], c["r_event"], c["H_event"])
+        lines.append(_csv_row(*event, c["summary"]["min_norm1"], cert_r))
     return lines
 
 
@@ -360,41 +379,26 @@ def _csv_lines_asymptotics(payload) -> list[str]:
     lines = []
     for i, rec in enumerate(payload["remainders"]):
         ratio = study["ratios"][i - 1] if i >= 1 else None
-        lines.append(
-            ",".join(
-                [
-                    _fmt17(rec["epsilon"]),
-                    _fmt17(study["sup_errors"][i]),
-                    _fmt17(ratio),
-                    _fmt17(study["node_radii"][i]),
-                    _fmt17(rec["sup_norm"]),
-                    _fmt17(rec["threshold_ok"]),
-                    _fmt17(rec["bound_limit"]),
-                    _fmt17(rec["bound_ok"]),
-                    _fmt17(rec["crosscheck_rel"]),
-                ]
-            )
-        )
+        fit = (rec["epsilon"], study["sup_errors"][i], ratio, study["node_radii"][i])
+        keys = ("sup_norm", "threshold_ok", "bound_limit", "bound_ok", "crosscheck_rel")
+        lines.append(_csv_row(*fit, *(rec[k] for k in keys)))
     return lines
 
 
 def _csv_lines_portrait(payload) -> list[str]:
-    lines = []
-    for i, piece in enumerate(payload["level_set"]["pieces"]):
-        for pt in piece:
-            lines.append(f"{i},{_fmt17(pt[0])},{_fmt17(pt[1])}")
-    return lines
+    pieces = payload["level_set"]["pieces"]
+    return [_csv_row(i, u, v) for i, piece in enumerate(pieces) for u, v in piece]
 
 
 def _csv_lines_verify(payload) -> list[str]:
     return [
-        ",".join([c["name"], c["module"], _fmt17(c["passed"]), '"' + c["detail"] + '"'])
+        _csv_row(c["name"], c["module"], c["passed"], '"' + c["detail"] + '"')
         for c in payload["checks"]
     ]
 
 
 _CSV_BUILDERS = {
-    "ground-state": _csv_lines_ground_state,
+    "ground-state": lambda payload: _csv_lines_ruvh(payload["profile"]),
     "classify": _csv_lines_classify,
     "asymptotics": _csv_lines_asymptotics,
     "portrait": _csv_lines_portrait,
@@ -519,7 +523,7 @@ def main(argv=None) -> int:
 
     try:
         envelope = _RUNNERS[args.command](cfg)
-    except (shooting.BracketError, IntegrationError) as err:
+    except (shooting.BracketError, shooting.DecayWindowError, IntegrationError) as err:
         print(f"diracshoot: computation failed: {err}", file=sys.stderr)
         return 2
 

@@ -6,9 +6,9 @@ The radial system for (u, v) with datum v(0) = lambda reads
     v'         = -(u^2 + v^2) u - (m + omega) u
 
 and is singular at r = 0.  Dropping the 1/r term gives the autonomous
-Hamiltonian system whose energy H confines every trajectory.  Every flow
-has the signature rhs(r, s, p), so any of them can be handed to
-integrator.integrate.
+Hamiltonian system whose energy H confines every trajectory.  Each flow is
+a factory flow(p) returning f(r, s) with p's constants bound, the form that
+integrator.integrate takes; rhs_radial and rhs_autonomous evaluate it at a point.
 """
 
 from __future__ import annotations
@@ -20,20 +20,40 @@ from .params import Params, Tolerances
 State = tuple[float, float]
 
 
+def radial_flow(p: Params):
+    """Radial flow f(r, s) = (u', v') for the parameters p; requires r > 0."""
+    gm, gp = p.m - p.omega, p.m + p.omega
+
+    def f(r, s):
+        if r <= 0.0:
+            raise ValueError(f"radial right-hand side needs r > 0, got r={r}")
+        u, v = s
+        q = u * u + v * v
+        return q * v - gm * v - u / r, -q * u - gp * u
+
+    return f
+
+
+def autonomous_flow(p: Params):
+    """Radial flow with the singular 1/r term dropped; r is unused."""
+    gm, gp = p.m - p.omega, p.m + p.omega
+
+    def f(r, s):
+        u, v = s
+        q = u * u + v * v
+        return q * v - gm * v, -q * u - gp * u
+
+    return f
+
+
 def rhs_radial(r: float, s: State, p: Params) -> State:
-    """Radial flow derivative (u', v'); requires r > 0."""
-    if r <= 0.0:
-        raise ValueError(f"radial right-hand side needs r > 0, got r={r}")
-    u, v = s
-    q = u * u + v * v
-    return q * v - p.gap * v - u / r, -q * u - (p.m + p.omega) * u
+    """Radial flow derivative (u', v') at one point; requires r > 0."""
+    return radial_flow(p)(r, s)
 
 
 def rhs_autonomous(r: float, s: State, p: Params) -> State:
-    """Radial flow with the singular 1/r term dropped; r is unused."""
-    u, v = s
-    q = u * u + v * v
-    return q * v - p.gap * v, -q * u - (p.m + p.omega) * u
+    """Autonomous flow derivative at one point; r is unused."""
+    return autonomous_flow(p)(r, s)
 
 
 def hamiltonian(s: State, p: Params) -> float:

@@ -367,7 +367,7 @@ def solve(
 
 
 def integrate(
-    rhs: Callable[[float, tuple, Params], tuple],
+    flow: Callable[[Params], Callable[[float, tuple], tuple]],
     start: tuple[float, tuple[float, float]],
     p: Params,
     tol: Tolerances,
@@ -375,17 +375,18 @@ def integrate(
     r_end: float | None = None,
     r_eval: Sequence[float] | None = None,
 ) -> Trajectory:
-    """Integrate the flow rhs(r, s, p) from start = (r_start, (u, v)).
+    """Integrate the flow f = flow(p) from start = (r_start, (u, v)).
 
+    flow is a factory such as equations.radial_flow, called once to bind p.
     Runs up to r_end (default tol.rmax) or to the first terminal event,
-    recording the energy trace alongside the samples.  rhs_radial raises
-    for r <= 0, so the radial flow cannot start at the origin.
+    recording the energy trace alongside the samples.  The radial flow
+    raises for r <= 0, so it cannot start at the origin.
     """
     tol = tol.resolved(p)
     r_start, y_start = start
     end = float(r_end) if r_end is not None else float(tol.rmax)
     return solve(
-        lambda r, y: rhs(r, y, p),
+        flow(p),
         (r_start, end),
         y_start,
         rel=tol.rel,

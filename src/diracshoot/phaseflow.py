@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import radial_start, rhs_autonomous, rhs_radial
+from .equations import autonomous_flow, radial_flow, radial_start
 from .integrator import Trajectory, integrate, v_sign_detector
 from .params import Params, Tolerances
 from .shooting import VERDICT_A, classify
@@ -115,7 +115,7 @@ def attraction_report(lam: float, p: Params, tol: Tolerances) -> AttractionRepor
         )
     entered_at = cls.evidence["r"]
 
-    traj = integrate(rhs_radial, radial_start(lam, p, tol), p, tol, detectors=[v_sign_detector()])
+    traj = integrate(radial_flow, radial_start(lam, p, tol), p, tol, detectors=[v_sign_detector()])
 
     v0 = math.sqrt(p.gap)
     u_end, v_end = traj.final_state
@@ -154,13 +154,11 @@ def stability_compare(
         return 0.0
     tol = tol.resolved(p)
     grid = np.linspace(0.0, float(T), _STABILITY_N)
-    auto = integrate(rhs_autonomous, (0.0, start), p, tol, r_end=float(T), r_eval=grid)
-    shift = integrate(
-        lambda r, s, p: rhs_radial(r + rho, s, p),
-        (0.0, start),
-        p,
-        tol,
-        r_end=float(T),
-        r_eval=grid,
-    )
+    auto = integrate(autonomous_flow, (0.0, start), p, tol, r_end=float(T), r_eval=grid)
+
+    def shifted_flow(p):
+        f = radial_flow(p)
+        return lambda r, s: f(r + rho, s)
+
+    shift = integrate(shifted_flow, (0.0, start), p, tol, r_end=float(T), r_eval=grid)
     return float(np.max(np.abs(auto.y[:, 0] - shift.y[:, 0]) + np.abs(auto.y[:, 1] - shift.y[:, 1])))

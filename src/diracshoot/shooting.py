@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import hamiltonian, radial_start, rhs_radial
+from .equations import hamiltonian, radial_flow, radial_start
 from .integrator import (
     Detector,
     Event,
@@ -59,6 +59,10 @@ VERDICT_UNDECIDED = "undecided"
 
 class BracketError(RuntimeError):
     """No node-bearing datum found while doubling the initial datum."""
+
+
+class DecayWindowError(RuntimeError):
+    """No decay window to fit before the anchor: the horizon is too short."""
 
 
 @dataclass(frozen=True)
@@ -236,7 +240,7 @@ def classify(
 
     dets = _detectors(p, tol, stop_at_first_node)
     try:
-        traj = integrate(rhs_radial, (r0, y0), p, tol, detectors=dets, r_end=rmax)
+        traj = integrate(radial_flow, (r0, y0), p, tol, detectors=dets, r_end=rmax)
     except IntegrationError as err:
         traj = err.partial
         ev = {"r": float("nan"), "H": float("nan"), "certificate": None, "note": str(err)}
@@ -290,7 +294,7 @@ def bracket_search(p: Params, tol: Tolerances, max_factor: float = 1e6) -> Brack
     history: list[Classification] = []
     last_a0 = None
     while lam <= max_factor * lam0:
-        c = classify(lam, p, tol, stop_at_first_node=True, keep_trajectory=False)
+        c = classify(lam, p, tol, stop_at_first_node=True)
         history.append(c)
         if c.node_count >= 1:
             if last_a0 is None:
@@ -380,7 +384,7 @@ def _decay_window(profile: Trajectory, anchor_r: float, tol: Tolerances) -> tupl
     mask = (profile.r <= anchor_r) & (profile.norm1 < 1e-2) & (profile.norm1 > tol.eta)
     rs = profile.r[mask]
     if len(rs) < 2:
-        raise ValueError("no usable decay window before the anchor")
+        raise DecayWindowError("no usable decay window before the anchor")
     r_a = max(float(rs[0]), anchor_r / 10.0)
     return (r_a, anchor_r)
 
@@ -428,13 +432,17 @@ def bisect(
     is finer.  Full-horizon runs at both ends and at the regula falsi root
     of F on the final bracket select the profile: the best near-connection
     run, truncated at its closest approach and continued with the matched
-    decay tail.
+    decay tail.  A node-free capture at the default horizon is its own
+    full-horizon run (its terminal sign-change detector never fired), so
+    the trial that set lo stands in for the probe there.
     """
     tol = tol.resolved(p)
     lo, hi = bracket.lo, bracket.hi
-    # F of the trial that set each end (the last one at that datum)
-    f_at = {c.lam: c.wronskian for c in bracket.history}
-    f_lo, f_hi = f_at.get(lo), f_at.get(hi)
+    # the trial that set each end (the last one at that datum) and its F;
+    # lo_trial is kept while it is a node-free capture at the default horizon
+    at = {c.lam: c for c in bracket.history}
+    lo_trial = at[lo] if lo in at and (at[lo].verdict, at[lo].node_count) == (VERDICT_A, 0) else None
+    f_lo, f_hi = (at[x].wronskian if x in at else None for x in (lo, hi))
     history = list(bracket.history)
     converged = True
     connection = None  # datum whose trajectory reached the eta tube
@@ -454,12 +462,13 @@ def bisect(
         lam = _itp_point(lo, hi, f_lo, f_hi, radius, kappa1, 0.25 * target)
         if not lo < lam < hi:
             break
-        c = classify(lam, p, tol, stop_at_first_node=True, keep_trajectory=False)
+        c = reusable = classify(lam, p, tol, stop_at_first_node=True)
         history.append(c)
         if c.verdict == VERDICT_UNDECIDED and c.node_count == 0:
             # undecided without a node: retry once on a doubled horizon,
             # then count as a lower point while the energy stayed positive
             c = classify(lam, p, tol, stop_at_first_node=True, horizon=2.0 * tol.rmax)
+            reusable = None
             history.append(c)
         if c.node_count >= 1:
             hi, f_hi = lam, c.wronskian
@@ -468,12 +477,15 @@ def bisect(
             break
         else:
             converged = converged and c.verdict == VERDICT_A
-            lo, f_lo = lam, c.wronskian
+            lo, f_lo, lo_trial = lam, c.wronskian, reusable
 
     # full-horizon probes select the profile datum; they are not bisection
     # side decisions, so they stay out of the history
     probes = {lo, hi, _regula_falsi(lo, hi, f_lo, f_hi)} if connection is None else {connection}
-    candidates = [classify(lam_c, p, tol) for lam_c in sorted(probes)]
+    candidates = [
+        lo_trial if lam_c == lo and lo_trial is not None else classify(lam_c, p, tol)
+        for lam_c in sorted(probes)
+    ]
 
     ideal = [c for c in candidates if c.verdict == VERDICT_I and c.node_count == 0]
     clean = [c for c in candidates if c.trajectory.nodes_before(c.summary["r_at_min"]) == 0]

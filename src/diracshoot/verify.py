@@ -16,13 +16,14 @@ import numpy as np
 
 from . import asymptotics
 from .equations import (
+    autonomous_flow,
     equilibria,
     hamiltonian,
     hamiltonian_rate,
     r2h_rate,
+    radial_flow,
     radial_start,
     rhs_autonomous,
-    rhs_radial,
     taylor_start,
 )
 from .integrator import integrate
@@ -44,7 +45,7 @@ def _result(name, module, passed, detail) -> CheckResult:
 
 
 def _radial_trajectory(lam, p, tol, r_end=None):
-    return integrate(rhs_radial, radial_start(lam, p, tol), p, tol, r_end=r_end)
+    return integrate(radial_flow, radial_start(lam, p, tol), p, tol, r_end=r_end)
 
 
 def check_energy_monotone(p, tol) -> CheckResult:
@@ -69,8 +70,8 @@ def check_confinement(p, tol) -> CheckResult:
 
 def check_sign_symmetry(p, tol) -> CheckResult:
     r0, y0 = radial_start(1.3, p, tol)
-    a = integrate(rhs_radial, (r0, y0), p, tol, r_end=20.0)
-    b = integrate(rhs_radial, (r0, (-y0[0], -y0[1])), p, tol, r_end=20.0)
+    a = integrate(radial_flow, (r0, y0), p, tol, r_end=20.0)
+    b = integrate(radial_flow, (r0, (-y0[0], -y0[1])), p, tol, r_end=20.0)
     d = float(np.max(np.abs(a.y + b.y)))
     return _result("sign_flip_symmetry", "radial-core", d <= 1e-12, f"max |y_+ + y_-| = {d:.3e}")
 
@@ -95,7 +96,7 @@ def check_rate_identities(p, tol) -> CheckResult:
 
 
 def check_autonomous_conservation(p, tol) -> CheckResult:
-    t = integrate(rhs_autonomous, (0.0, (0.3, 0.8)), p, tol, r_end=50.0)
+    t = integrate(autonomous_flow, (0.0, (0.3, 0.8)), p, tol, r_end=50.0)
     drift = float(np.max(np.abs(t.H - t.H[0])))
     limit = 1e3 * tol.abs
     return _result(
@@ -108,7 +109,7 @@ def check_taylor_consistency(p, tol) -> CheckResult:
     lam = 1.3
     diffs = []
     for r0 in (1e-2, 5e-3):
-        t = integrate(rhs_radial, (r0 / 2.0, taylor_start(lam, p, r0 / 2.0)), p, tol, r_end=r0)
+        t = integrate(radial_flow, (r0 / 2.0, taylor_start(lam, p, r0 / 2.0)), p, tol, r_end=r0)
         su, sv = taylor_start(lam, p, r0)
         diffs.append(abs(t.u[-1] - su) + abs(t.v[-1] - sv))
     ratio = diffs[0] / max(diffs[1], 1e-300)
@@ -227,7 +228,7 @@ def check_rescaling_commutation(p, tol) -> CheckResult:
         grid = np.linspace(0.05, 5.0, 160)
         resc = asymptotics.integrate_rescaled(eps, p, tol, r_end=5.0, r_eval=grid)
         rad = integrate(
-            rhs_radial,
+            radial_flow,
             radial_start(1.0 / eps, p, tol_r),
             p,
             tol,

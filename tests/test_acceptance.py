@@ -23,7 +23,7 @@ from diracshoot import (
     integrate,
     integrate_remainder,
     integrate_rescaled,
-    rhs_radial,
+    radial_flow,
     stability_compare,
     taylor_start,
 )
@@ -110,7 +110,7 @@ def test_criterion_05_energy_monotonicity():
     for p, lam in _random_parameter_sample():
         tol = Tolerances(rmax=40.0).resolved(p)
         r0 = tol.r0 / max(1.0, lam * lam)
-        traj = integrate(rhs_radial, (r0, taylor_start(lam, p, r0)), p, tol, r_end=40.0)
+        traj = integrate(radial_flow, (r0, taylor_start(lam, p, r0)), p, tol, r_end=40.0)
         if len(traj) > 1:
             worst = max(worst, float(np.diff(traj.H).max()))
     _report(5, worst < 1e-8, f"max per-step H increase {worst:.3e} < 1e-8")
@@ -205,7 +205,7 @@ def test_criterion_11_rescaling_commutation():
         resc = integrate_rescaled(eps, P, TOL, r_end=5.0, r_eval=grid)
         r0 = 1e-6 / lam ** 2
         rad = integrate(
-            rhs_radial,
+            radial_flow,
             (r0, taylor_start(lam, P, r0)),
             P,
             TOL,

@@ -19,8 +19,8 @@ from diracshoot import (
     integrate_remainder,
     integrate_rescaled,
     node_radius,
+    radial_flow,
     rescaled_hamiltonian,
-    rhs_radial,
     taylor_start,
 )
 from diracshoot.integrator import EventKind
@@ -94,7 +94,7 @@ def test_rescaling_commutation():
         resc = integrate_rescaled(eps, P, TOL, r_end=5.0, r_eval=grid)
         r0 = 1e-6 / lam ** 2
         rad = integrate(
-            rhs_radial,
+            radial_flow,
             (r0, taylor_start(lam, P, r0)),
             P,
             TOL,

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracshoot import cli
 from diracshoot.cli import ConfigError, RunConfig, parse_config_file
@@ -22,6 +25,8 @@ def test_runconfig_validation():
         RunConfig(T=0.0)
     with pytest.raises(ConfigError):
         RunConfig(resolution=1)
+    with pytest.raises(ConfigError):
+        RunConfig(rmax=1e-6)  # at the series start radius r0 no step is left
 
 
 def test_config_file_parsing(tmp_path):
@@ -279,20 +284,89 @@ def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, di
         ["asymptotics", "--epsilon", "0.2", "--T", "-1"],
         ["portrait", "--resolution", "-3"],
         ["portrait", "--resolution", "0"],
+        ["classify", "--lambda", "1", "--rmax", "1e-9"],
     ],
 )
 def test_invalid_settings_are_usage_errors(argv):
+    _assert_one_line_failure(argv, 1, "diracshoot: error: ")
+
+
+def test_horizon_too_short_for_the_tail_is_a_computation_failure():
+    # the search converges, but no decay window lies before the anchor
+    _assert_one_line_failure(["ground-state", "--rmax", "1"], 2, "diracshoot: computation failed: ")
+
+
+def _assert_one_line_failure(argv, code, prefix):
     import subprocess
     import sys
 
     proc = subprocess.run(
         [sys.executable, "-m", "diracshoot", *argv], capture_output=True, text=True
     )
-    assert proc.returncode == 1
+    assert proc.returncode == code
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("diracshoot: error: ")
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
+_EXTREMES = [math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e22, 1e-7]
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(_EXTREMES)
+    | st.text()
+    | st.sampled_from(["a, b", '"q", "r"', "é, ü, ∞", "\\", ""])
+)
+_PLAIN_LISTS = st.lists(st.floats() | st.sampled_from(_EXTREMES) | st.integers() | st.none() | st.booleans())
+_TREES = st.recursive(
+    _LEAVES | _PLAIN_LISTS,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(st.text(), kids),
+    max_leaves=20,
+)
+
+
+@given(_TREES)
+@settings(max_examples=100, deadline=None)
+def test_render_json_is_the_json_dumps_layout(x):
+    assert cli.render_json(x) == json.dumps(x, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "run, cfg",
+    [
+        (cli.run_ground_state, RunConfig()),
+        (cli.run_classify, RunConfig(lambdas=(0.5, 1.8, 10.0))),
+        (cli.run_asymptotics, RunConfig(epsilons=(0.2, 0.1))),
+        (cli.run_portrait, RunConfig(lambdas=(0.5,), resolution=32)),
+        (cli.run_verify, RunConfig()),
+    ],
+    ids=["ground-state", "classify", "asymptotics", "portrait", "verify"],
+)
+def test_render_json_is_the_json_dumps_layout_on_envelopes(run, cfg):
+    env = run(cfg)
+    got, want = cli.render_json(env), json.dumps(env, indent=2, sort_keys=True) + "\n"
+    # a boolean, so a failure reports the first difference instead of a slow
+    # line diff of two large texts
+    same = got == want
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    assert same, f"first difference at {i}: {got[i - 30:i + 30]!r} != {want[i - 30:i + 30]!r}"
+
+
+def test_jsonable_arrays():
+    # a 1-D float array in one pass with NaN -> None; -0.0 and inf kept
+    out = cli._jsonable(np.array([1.5, np.nan, -0.0, np.inf]))
+    assert out[0] == 1.5 and out[1] is None and out[3] == math.inf
+    assert math.copysign(1.0, out[2]) == -1.0
+    assert all(type(x) is float for x in (out[0], out[2], out[3]))
+    f32 = cli._jsonable(np.array([0.5, np.nan], dtype=np.float32))
+    assert f32 == [0.5, None] and type(f32[0]) is float
+    ints = cli._jsonable(np.array([3, -1], dtype=np.int64))
+    assert ints == [3, -1] and all(type(x) is int for x in ints)
+    assert cli._jsonable(np.array([[1.0, np.nan], [2.0, 3.0]])) == [[1.0, None], [2.0, 3.0]]
+    assert cli._jsonable(np.array([], dtype=float)) == []
 
 
 def test_payload_records_keep_their_schema(monkeypatch):

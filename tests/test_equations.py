@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from diracshoot import (
     Params,
+    autonomous_flow,
     equilibria,
     hamiltonian,
     hamiltonian_rate,
     r2h_rate,
+    radial_flow,
     rhs_autonomous,
     rhs_radial,
     taylor_start,
@@ -101,6 +103,23 @@ def test_r2h_identity(p, s, r):
     rhs = 2.0 * hamiltonian(s, p) + r * hamiltonian_rate(r, s, p)
     scale = 1.0 + abs(lhs) + abs(rhs)
     assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@given(params_st, state_st, st.floats(1e-3, 1e3))
+def test_bound_flows_are_the_pointwise_formulas_bitwise(p, s, r):
+    # the factories bind m - omega and m + omega once; the products are the
+    # same floating-point operations as through the Params.gap property
+    u, v = s
+    q = u * u + v * v
+    radial = (q * v - p.gap * v - u / r, -q * u - (p.m + p.omega) * u)
+    auto = (q * v - p.gap * v, -q * u - (p.m + p.omega) * u)
+    def bits(t):
+        return [x.hex() for x in t]
+
+    assert bits(radial_flow(p)(r, s)) == bits(rhs_radial(r, s, p)) == bits(radial)
+    assert bits(autonomous_flow(p)(r, s)) == bits(rhs_autonomous(r, s, p)) == bits(auto)
+    with pytest.raises(ValueError):
+        radial_flow(p)(-r, s)
 
 
 @given(params_st, state_st, st.floats(1e-3, 1e3))

@@ -10,9 +10,10 @@ from diracshoot import (
     IntegrationError,
     Params,
     Tolerances,
+    autonomous_flow,
     hamiltonian,
     integrate,
-    rhs_autonomous,
+    radial_flow,
     rhs_radial,
     solve,
     taylor_start,
@@ -36,7 +37,7 @@ def test_matches_scipy_on_radial():
         dense_output=True,
     )
     grid = np.linspace(0.5, 29.5, 200)
-    traj = integrate(rhs_radial, (1e-6, y0), P, TOL, r_end=30.0, r_eval=grid)
+    traj = integrate(radial_flow, (1e-6, y0), P, TOL, r_end=30.0, r_eval=grid)
     ref_vals = ref.sol(grid)
     err = np.max(np.abs(traj.y[:, 0] - ref_vals[0]) + np.abs(traj.y[:, 1] - ref_vals[1]))
     assert err < 1e-6
@@ -47,7 +48,7 @@ def test_event_location_matches_scipy():
     r0 = 1e-6 / lam ** 2
     y0 = taylor_start(lam, P, r0)
     det = [Detector(EventKind.V_SIGN_CHANGE, lambda r, y: y[1])]
-    traj = integrate(rhs_radial, (r0, y0), P, TOL, detectors=det, r_end=10.0)
+    traj = integrate(radial_flow, (r0, y0), P, TOL, detectors=det, r_end=10.0)
     mine = [e.r for e in traj.events_of(EventKind.V_SIGN_CHANGE)]
 
     def ev(r, y):
@@ -68,14 +69,14 @@ def test_event_location_matches_scipy():
 
 def test_equilibrium_stays_fixed():
     v0 = math.sqrt(P.gap)
-    traj = integrate(rhs_autonomous, (0.0, (0.0, v0)), P, TOL, r_end=20.0)
+    traj = integrate(autonomous_flow, (0.0, (0.0, v0)), P, TOL, r_end=20.0)
     assert np.max(np.abs(traj.y[:, 0])) < 1e-9
     assert np.max(np.abs(traj.y[:, 1] - v0)) < 1e-9
 
 
 def test_radial_energy_monotone_scaled():
     y0 = taylor_start(1.0, P, 1e-6)
-    traj = integrate(rhs_radial, (1e-6, y0), P, TOL)
+    traj = integrate(radial_flow, (1e-6, y0), P, TOL)
     rises = np.diff(traj.H) - 10.0 * TOL.rel * (1.0 + np.abs(traj.H[:-1]))
     assert rises.max() <= 0.0
 
@@ -83,7 +84,7 @@ def test_radial_energy_monotone_scaled():
 def test_confinement_level_set():
     for lam in (0.6, 1.4, 2.3):
         r0 = 1e-6 / max(1.0, lam * lam)
-        traj = integrate(rhs_radial, (r0, taylor_start(lam, P, r0)), P, TOL)
+        traj = integrate(radial_flow, (r0, taylor_start(lam, P, r0)), P, TOL)
         assert traj.H.max() <= hamiltonian((0.0, lam), P) + TOL.abs
 
 
@@ -91,23 +92,26 @@ def test_shifted_approaches_autonomous():
     # (0, 1) sits on the separatrix, which amplifies the O(1/rho)
     # perturbation by roughly e^(mu T) ~ 6e3 over T = 10
     grid = np.linspace(0.0, 10.0, 200)
-    auto = integrate(rhs_autonomous, (0.0, (0.0, 1.0)), P, TOL, r_end=10.0, r_eval=grid)
-    sh = integrate(
-        lambda r, s, p: rhs_radial(r + 1e6, s, p), (0.0, (0.0, 1.0)), P, TOL, r_end=10.0, r_eval=grid
-    )
+    auto = integrate(autonomous_flow, (0.0, (0.0, 1.0)), P, TOL, r_end=10.0, r_eval=grid)
+
+    def shifted_flow(p):
+        f = radial_flow(p)
+        return lambda r, s: f(r + 1e6, s)
+
+    sh = integrate(shifted_flow, (0.0, (0.0, 1.0)), P, TOL, r_end=10.0, r_eval=grid)
     dev = np.max(np.abs(auto.y - sh.y))
     assert dev < 1e-3
 
 
 def test_r_eval_sampling_and_monotonicity():
     grid = [0.5, 1.0, 2.0, 5.0]
-    traj = integrate(rhs_radial, (1e-6, taylor_start(1.0, P, 1e-6)), P, TOL, r_eval=grid, r_end=10.0)
+    traj = integrate(radial_flow, (1e-6, taylor_start(1.0, P, 1e-6)), P, TOL, r_eval=grid, r_end=10.0)
     assert np.allclose(traj.r, grid)
     assert np.all(np.diff(traj.r) > 0)
 
 
 def test_strictly_increasing_r():
-    traj = integrate(rhs_radial, (1e-6, taylor_start(1.5, P, 1e-6)), P, TOL, r_end=30.0)
+    traj = integrate(radial_flow, (1e-6, taylor_start(1.5, P, 1e-6)), P, TOL, r_end=30.0)
     assert np.all(np.diff(traj.r) > 0)
 
 
@@ -120,7 +124,7 @@ def test_terminal_event_truncates():
             terminal=True,
         )
     ]
-    traj = integrate(rhs_radial, (1e-6, taylor_start(1.0, P, 1e-6)), P, TOL, detectors=det)
+    traj = integrate(radial_flow, (1e-6, taylor_start(1.0, P, 1e-6)), P, TOL, detectors=det)
     assert traj.status == "event:entered_negative_energy"
     ev = traj.events[-1]
     assert hamiltonian(ev.y, P) <= -TOL.delta  # crossed-side reporting
@@ -132,20 +136,20 @@ def test_event_carries_crossing_state():
     r0 = 1e-6 / lam ** 2
     start = (r0, taylor_start(lam, P, r0))
     # a terminal event's state is the trajectory's last sample, bit for bit
-    traj = integrate(rhs_radial, start, P, TOL, detectors=[v_sign_detector(terminal=True)])
+    traj = integrate(radial_flow, start, P, TOL, detectors=[v_sign_detector(terminal=True)])
     ev = traj.events[-1]
     assert ev.kind == EventKind.V_SIGN_CHANGE
     assert ev.r == traj.r[-1]
     assert np.array_equal(np.array(ev.y), traj.y[-1])
     # a non-terminal v-sign event sits on v = 0
-    traj = integrate(rhs_radial, start, P, TOL, detectors=[v_sign_detector()], r_end=5.0)
+    traj = integrate(radial_flow, start, P, TOL, detectors=[v_sign_detector()], r_end=5.0)
     ev = traj.events_of(EventKind.V_SIGN_CHANGE)[0]
     assert len(ev.y) == 2
     assert abs(ev.y[1]) <= 1e-9
 
 
 def test_rmax_event_emitted():
-    traj = integrate(rhs_autonomous, (0.0, (0.1, 0.1)), P, TOL, r_end=5.0)
+    traj = integrate(autonomous_flow, (0.0, (0.1, 0.1)), P, TOL, r_end=5.0)
     assert traj.events[-1].kind == EventKind.RMAX_REACHED
     assert traj.r[-1] == pytest.approx(5.0)
     assert np.array_equal(np.array(traj.events[-1].y), traj.y[-1])  # the final state
@@ -155,7 +159,7 @@ def test_bad_span_rejected():
     with pytest.raises(ValueError):
         solve(lambda r, y: (0.0,), (1.0, 1.0), (0.0,), rel=1e-8, abs_tol=1e-8)
     with pytest.raises(ValueError):
-        integrate(rhs_radial, (0.0, (0.0, 1.0)), P, TOL)
+        integrate(radial_flow, (0.0, (0.0, 1.0)), P, TOL)
 
 
 def test_step_underflow_carries_partial():
@@ -170,9 +174,9 @@ def test_step_underflow_carries_partial():
 def test_dense_output_consistency():
     # sampling through r_eval must agree with the accepted-step solution
     y0 = taylor_start(1.1, P, 1e-6)
-    full = integrate(rhs_radial, (1e-6, y0), P, TOL, r_end=8.0)
+    full = integrate(radial_flow, (1e-6, y0), P, TOL, r_end=8.0)
     grid = full.r[10:-10:5]
-    sampled = integrate(rhs_radial, (1e-6, y0), P, TOL, r_end=8.0, r_eval=grid)
+    sampled = integrate(radial_flow, (1e-6, y0), P, TOL, r_end=8.0, r_eval=grid)
     err = np.max(np.abs(sampled.y - full.y[10:-10:5]))
     assert err < 1e-12  # same accepted points, no interpolation involved
 
@@ -187,7 +191,7 @@ def test_energy_column_matches_per_row_bitwise(gs):
         return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
     y0 = taylor_start(1.8, P, 1e-6)
-    radial = integrate(rhs_radial, (1e-6, y0), P, TOL, r_end=20.0)
+    radial = integrate(radial_flow, (1e-6, y0), P, TOL, r_end=20.0)
     assert same_bits(radial.H, [hamiltonian(tuple(row), P) for row in radial.y])
 
     eps = 0.2
@@ -255,7 +259,7 @@ def test_generated_step_is_bitwise_the_reference():
     from diracshoot.asymptotics import _first_order_start, _rhs_joint
     from diracshoot.integrator import _dp54
 
-    radial = integrate(rhs_radial, (1e-6, taylor_start(1.3, P, 1e-6)), P, TOL, r_end=2.0)
+    radial = integrate(radial_flow, (1e-6, taylor_start(1.3, P, 1e-6)), P, TOL, r_end=2.0)
     y2 = tuple(map(float, radial.y[-1]))
     joint = _rhs_joint(0.2, P)
     r4 = 0.5

@@ -19,7 +19,7 @@ from diracshoot import (
     ground_state,
     hamiltonian,
     integrate,
-    rhs_radial,
+    radial_flow,
     taylor_start,
     universal_constant,
 )
@@ -265,8 +265,8 @@ def test_decay_fit_domain_errors():
 def test_sign_flip_symmetry_of_flow():
     lam = 1.3
     y0 = taylor_start(lam, P, 1e-6)
-    a = integrate(rhs_radial, (1e-6, y0), P, TOL, r_end=15.0)
-    b = integrate(rhs_radial, (1e-6, (-y0[0], -y0[1])), P, TOL, r_end=15.0)
+    a = integrate(radial_flow, (1e-6, y0), P, TOL, r_end=15.0)
+    b = integrate(radial_flow, (1e-6, (-y0[0], -y0[1])), P, TOL, r_end=15.0)
     assert np.max(np.abs(a.y + b.y)) == 0.0
 
 
@@ -327,6 +327,43 @@ def test_every_shooting_trial_carries_signed_wronskian(searched):
             assert c.wronskian > 0.0
         else:
             assert c.verdict == "A" and c.wronskian < 0.0
+
+
+@pytest.mark.parametrize("mw", SEARCH_POINTS, ids=lambda mw: f"{mw[0]}-{mw[1]}")
+def test_lower_probe_is_the_trial_that_set_lo(monkeypatch, mw):
+    # a node-free capture at the default horizon never fired its terminal
+    # sign-change detector, so a full-horizon run at lo would repeat it step
+    # for step; only the hi probe and the regula falsi root are integrated
+    # (a trial that reached the eta tube is then the single probe)
+    from diracshoot import shooting
+
+    real = shooting.classify
+    full = []
+
+    def recording(lam, *args, **kwargs):
+        c = real(lam, *args, **kwargs)
+        if not kwargs.get("stop_at_first_node"):
+            full.append(c)
+        return c
+
+    monkeypatch.setattr(shooting, "classify", recording)
+    p = Params(*mw)
+    gs = shooting.ground_state(p, TOL)
+    connected = any(c.verdict == "I-candidate" for c in gs.history)
+    assert len(full) == (1 if connected else 2)
+    assert not any(c.verdict == "undecided" and c.node_count == 0 for c in gs.history)
+    lo = max(c.lam for c in gs.history if c.verdict == "A" and c.node_count == 0)
+    assert lo not in [c.lam for c in full]
+    trial = [c for c in gs.history if c.lam == lo][-1]
+    fresh = real(lo, p, TOL)
+    for name in ("r", "y", "H"):
+        a, b = getattr(trial.trajectory, name), getattr(fresh.trajectory, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert trial.trajectory.events == fresh.trajectory.events
+    assert trial.trajectory.status == fresh.trajectory.status
+    assert (trial.verdict, trial.node_count) == (fresh.verdict, fresh.node_count)
+    assert trial.evidence == fresh.evidence
+    assert trial.summary == fresh.summary
 
 
 def test_loose_lambda_tol_ends_while_bisecting():
