@@ -286,7 +286,9 @@ def bracket_search(p: Params, tol: Tolerances, max_factor: float = 1e6) -> Brack
     """Bracket the node-free/nodal transition by doubling the datum.
 
     Starts at sqrt(2(m-omega)) (guaranteed captured without nodes) and
-    doubles until a trajectory shows a sign change of v.
+    doubles until a trajectory shows a sign change of v.  If that first
+    datum is undecided, the horizon is too short to classify anything and
+    the search stops there.
     """
     tol = tol.resolved(p)
     lam0 = math.sqrt(2.0 * p.gap)
@@ -302,6 +304,11 @@ def bracket_search(p: Params, tol: Tolerances, max_factor: float = 1e6) -> Brack
                     f"first datum {lam} already has a node; no node-free lower bound"
                 )
             return Bracket(last_a0.lam, c.lam, tuple(history))
+        if c.verdict == VERDICT_UNDECIDED and lam == lam0:
+            raise BracketError(
+                f"the node-free first datum {lam:.6g} is undecided at the horizon "
+                f"rmax = {tol.rmax:.6g}; the horizon is too short to classify any datum"
+            )
         if c.verdict == VERDICT_A and c.node_count == 0:
             last_a0 = c
         lam *= 2.0
@@ -322,19 +329,37 @@ def decay_fit(t: Trajectory, window: tuple[float, float]) -> float:
     return float(np.polyfit(t.r[mask], np.log(n1), 1)[0])
 
 
+def _bessel_k01(x):
+    """(K0(x), K1(x)) for x > 0, elementwise over an array or a scalar.
+
+    The trapezoid rule on K_nu(x) = e^-x int_0^inf exp(-2x sinh^2(t/2))
+    cosh(nu t) dt, whose integrand is even and analytic in a strip, so the
+    rule converges exponentially (Trefethen & Weideman, SIAM Rev. 56(3),
+    2014).  The largest x sets the step (the integrand narrows like
+    1/sqrt(x)); the smallest sets the range (the integrand falls below
+    e^-45 past sinh^2(t/2) = 22.5/x, plus 2 for the growth of cosh t).
+    Pairwise sums keep both within a few ulp on [1e-8, 700].
+    """
+    x = np.asarray(x, dtype=float)
+    h = min(0.1, 0.7 / math.sqrt(float(x.max())))
+    t_end = 2.0 * math.asinh(math.sqrt(22.5 / float(x.min()))) + 2.0
+    t = h * np.arange(math.ceil(t_end / h) + 1)
+    e = np.exp(-2.0 * np.multiply.outer(x, np.sinh(0.5 * t) ** 2))
+    e[..., 0] *= 0.5
+    scale = h * np.exp(-x)
+    return scale * e.sum(axis=-1), scale * (e * np.cosh(t)).sum(axis=-1)
+
+
 def _tail_basis(r, p: Params):
     """Decaying solution of the linearized radial system.
 
     (u, v) = (mu K1(mu r)/(m+omega), K0(mu r)) with mu = sqrt(m^2 - omega^2)
-    solves u' + u/r = -(m-omega) v, v' = -(m+omega) u exactly.  The Bessel
-    functions are imported here so that paths without a decay tail need
-    numpy only.
+    solves u' + u/r = -(m-omega) v, v' = -(m+omega) u exactly.  The modified
+    Bessel pair comes from _bessel_k01, so no path needs more than numpy.
     """
-    from scipy.special import k0 as bessel_k0, k1 as bessel_k1
-
     mu = math.sqrt(p.m * p.m - p.omega * p.omega)
-    x = mu * np.asarray(r, dtype=float)
-    return mu * bessel_k1(x) / (p.m + p.omega), bessel_k0(x)
+    k0, k1 = _bessel_k01(mu * np.asarray(r, dtype=float))
+    return mu * k1 / (p.m + p.omega), k0
 
 
 def extend_with_decay_tail(

@@ -189,15 +189,21 @@ def test_ground_state_residual(gs):
     assert np.all((u * u + v * v) * n1 <= 1e3 * TOLR.rel * (1.0 + n1))
 
 
+_BESSEL_X = (1e-8, 1e-6, 1e-3, 1e-2, 1.0, 10.0, 40.0, 200.0, 700.0)
+
+
 @pytest.mark.parametrize("m, omega", [(1.0, 0.5), (1.0, 0.9)])
 def test_tail_basis_matches_mpmath_bessel_pair(m, omega):
     # oracle: (mu K1(mu r)/(m+omega), K0(mu r)) in 30-digit mpmath, which
-    # solves u' + u/r = -(m-omega) v and v' = -(m+omega) u
+    # solves u' + u/r = -(m-omega) v and v' = -(m+omega) u; each x = mu r
+    # alone, and once in one call spanning them all, where the quadrature
+    # step must come from the largest x and its range from the smallest
     import mpmath
 
     mu = math.sqrt(m * m - omega * omega)
-    rs = np.array([1e-2, 1.0, 10.0, 40.0]) / mu
-    bu, bv = _tail_basis(rs, Params(m, omega))
+    rs = np.array(_BESSEL_X) / mu
+    p = Params(m, omega)
+    wide_u, wide_v = _tail_basis(rs, p)
     with mpmath.workdps(30):
         mm, om = mpmath.mpf(m), mpmath.mpf(omega)
         mu_mp = mpmath.sqrt(mm * mm - om * om)
@@ -208,11 +214,13 @@ def test_tail_basis_matches_mpmath_bessel_pair(m, omega):
         def pair_v(r):
             return mpmath.besselk(0, mu_mp * r)
 
-        for r, got_u, got_v in zip(rs, bu, bv):
+        for r, w_u, w_v in zip(rs, wide_u, wide_v):
+            s_u, s_v = _tail_basis(r, p)
             r = mpmath.mpf(r)
             u, v = pair_u(r), pair_v(r)
-            assert abs(got_u - u) <= 1e-12 * abs(u)
-            assert abs(got_v - v) <= 1e-12 * abs(v)
+            for got_u, got_v in ((s_u, s_v), (w_u, w_v)):
+                assert abs(got_u - u) <= 1e-12 * abs(u)
+                assert abs(got_v - v) <= 1e-12 * abs(v)
             du, dv = mpmath.diff(pair_u, r), mpmath.diff(pair_v, r)
             assert abs(du + u / r + (mm - om) * v) <= 1e-20 * (abs(du) + abs(u / r))
             assert abs(dv + (mm + om) * u) <= 1e-20 * abs(dv)
