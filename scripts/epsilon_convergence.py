@@ -22,11 +22,11 @@ def main():
     p = Params(args.m, args.omega)
     tol = Tolerances()
     eps = sorted(set(args.epsilon), reverse=True)
-    study = convergence_study(eps, args.T, p, tol)
+    records = [integrate_remainder(e, p, tol) for e in eps]
+    study = convergence_study(records, args.T, p, tol)
 
     print(f"{'eps':>8} {'sup err':>12} {'ratio':>8} {'node R':>10} {'sup|h2|+|k2|':>14}")
-    for i, e in enumerate(study.epsilons):
-        rec = integrate_remainder(e, p, tol)
+    for i, (e, rec) in enumerate(zip(study.epsilons, records)):
         ratio = f"{study.ratios[i - 1]:8.3f}" if i else " " * 8
         node = f"{study.node_radii[i]:10.4f}" if study.node_radii[i] else "      none"
         print(f"{e:8.4f} {study.sup_errors[i]:12.5e} {ratio} {node} {rec.sup_norm:14.5f}")

@@ -42,25 +42,6 @@ def bubble(r):
     return 2.0 * r / d, 4.0 / d
 
 
-def bubble_gradient(r):
-    """Exact derivatives (U0', V0') of the bubble."""
-    r = np.asarray(r, dtype=float)
-    d = (4.0 + r * r) ** 2
-    return (8.0 - 2.0 * r * r) / d, -8.0 * r / d
-
-
-@dataclass(frozen=True)
-class BubbleProfile:
-    grid: np.ndarray
-    values: np.ndarray  # columns (U0, V0)
-
-
-def bubble_profile(grid) -> BubbleProfile:
-    grid = np.asarray(grid, dtype=float)
-    u0, v0 = bubble(grid)
-    return BubbleProfile(grid, np.column_stack([u0, v0]))
-
-
 def bubble_residual(grid) -> float:
     """Max residual of the bubble in the massless limiting system.
 
@@ -71,7 +52,8 @@ def bubble_residual(grid) -> float:
     if np.any(grid <= 0.0):
         raise ValueError("grid must be positive")
     u0, v0 = bubble(grid)
-    du0, dv0 = bubble_gradient(grid)
+    d = (4.0 + grid * grid) ** 2
+    du0, dv0 = (8.0 - 2.0 * grid * grid) / d, -8.0 * grid / d
     q = u0 * u0 + v0 * v0
     res_u = np.abs(du0 + u0 / grid - q * v0)
     res_v = np.abs(dv0 + q * u0)
@@ -123,11 +105,8 @@ def integrate_rescaled(
     )
 
 
-def node_radius(eps: float, p: Params, tol: Tolerances) -> float | None:
-    """First zero of V before r = 1/eps, or None if V stays positive there."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"need 0 < eps < 1, got {eps}")
-    traj = integrate_rescaled(eps, p, tol, detectors=[v_sign_detector(terminal=True)])
+def node_radius(traj: Trajectory) -> float | None:
+    """First zero of V on a rescaled run with a v_sign_detector, or None."""
     hits = traj.events_of(EventKind.V_SIGN_CHANGE)
     return float(hits[0].r) if hits else None
 
@@ -221,7 +200,8 @@ def first_order_log_fit(p: Params, tol: Tolerances) -> LogLawFit:
 # --- remainder --------------------------------------------------------------
 
 # rel_discrepancy below which the two remainder routes agree (verify checks it
-# at eps = 0.2); at or above it the crosscheck does not resolve the remainder.
+# at eps = 0.2); at or above it the Hermite error of the rescaled samples over
+# eps^4 (see PerturbationRecord) keeps the crosscheck from resolving the remainder.
 CROSSCHECK_REL_BOUND = 1e-4
 
 
@@ -247,16 +227,17 @@ class PerturbationRecord:
     _subtraction arrays divide the expansion defect of the rescaled
     solution by eps^4.  max_discrepancy / rel_discrepancy quantify the
     route agreement; threshold_ok records |h2|+|k2| < eps^(-3/2) with
-    breach_r the first violation radius (None when respected).
+    breach_r the first violation radius (None when respected), node_radius
+    the first zero of V in the rescaled run (None when V stays positive).
 
     sup_norm grows like mu^2/eps (ln(1/eps) - a), below the bound
     mu^2 ln(1/eps)/eps of remainder_bound_constant for small eps (near
     omega/m = 1 the ln^3 growth of k2 can exceed it at moderate eps).  The
-    cancellation error of the subtraction route scales like tol.rel/eps^4,
-    so the crosscheck resolves the remainder only while that is far below
-    sup_norm: rel_discrepancy is 1.1e-5 at eps = 0.2 and reaches
-    CROSSCHECK_REL_BOUND near eps = 0.1 at the default tolerance (5.9e-4 at
-    0.05, 2e-2 at 0.0125).
+    subtraction route divides the cubic-Hermite error of the rescaled samples
+    between step ends (2.3e-8 at eps = 0.2, 1.2e-10 at the step ends) by
+    eps^4, so it resolves the remainder only while that is far below sup_norm:
+    rel_discrepancy is 1.1e-5 at eps = 0.2 and reaches CROSSCHECK_REL_BOUND
+    near eps = 0.1 at the default tolerance (5.9e-4 at 0.05, 2e-2 at 0.0125).
     """
 
     epsilon: float
@@ -273,6 +254,7 @@ class PerturbationRecord:
     threshold: float
     threshold_ok: bool
     breach_r: float | None
+    node_radius: float | None
 
 
 def _rhs_joint(eps: float, p: Params):
@@ -315,7 +297,7 @@ def integrate_remainder(eps: float, p: Params, tol: Tolerances) -> PerturbationR
     The joint flow gives (h2, k2) at any eps, with sup |h2|+|k2| growing like
     mu^2/eps (ln(1/eps) - a) (see remainder_bound_constant); the subtraction
     route is an independent check only for eps >~ 0.05 at the default
-    tolerance, as its cancellation error scales like tol.rel/eps^4.
+    tolerance, as its error is the rescaled samples' Hermite error / eps^4.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
@@ -336,7 +318,8 @@ def integrate_remainder(eps: float, p: Params, tol: Tolerances) -> PerturbationR
     h1, k1 = joint.y[:, 0], joint.y[:, 1]
     h2, k2 = joint.y[:, 2], joint.y[:, 3]
 
-    resc = integrate_rescaled(eps, p, tol, r_end=r_end, r_eval=grid)
+    # a detector leaves the steps as they are: a run stopped at the node agrees
+    resc = integrate_rescaled(eps, p, tol, r_eval=grid, detectors=[v_sign_detector()])
     u0, v0 = bubble(grid)
     e2 = eps * eps
     e4 = e2 * e2
@@ -363,6 +346,7 @@ def integrate_remainder(eps: float, p: Params, tol: Tolerances) -> PerturbationR
         threshold=threshold,
         threshold_ok=len(breaches) == 0,
         breach_r=float(grid[breaches[0]]) if len(breaches) else None,
+        node_radius=node_radius(resc),
     )
 
 
@@ -373,7 +357,8 @@ def integrate_remainder(eps: float, p: Params, tol: Tolerances) -> PerturbationR
 class EpsilonStudy:
     """Sup-norm distance to the bubble on [0, T] per eps, with consecutive
     ratios (second-order rate gives ratios near 4 for eps halving) and the
-    first V-node radius per eps when one occurs before 1/eps."""
+    first V-node radius per eps when one occurs before 1/eps, as read off
+    each eps's remainder record."""
 
     epsilons: tuple[float, ...]
     sup_errors: tuple[float, ...]
@@ -382,21 +367,19 @@ class EpsilonStudy:
     T: float
 
 
-def convergence_study(epsilons, T: float, p: Params, tol: Tolerances) -> EpsilonStudy:
-    """Measure the rate of convergence of the rescaled flow to the bubble."""
-    eps_list = [float(e) for e in epsilons]
+def convergence_study(records, T: float, p: Params, tol: Tolerances) -> EpsilonStudy:
+    """Rate of convergence of the rescaled flow to the bubble, per eps of the
+    integrate_remainder records (a sequence in strictly decreasing eps)."""
+    eps_list = [float(rec.epsilon) for rec in records]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilons must be strictly decreasing")
-    if any(not 0.0 < e < 1.0 for e in eps_list):
-        raise ValueError("every eps must lie in (0, 1)")
     tol_r = tol.resolved(p)
     grid = np.linspace(tol_r.r0, float(T), _CONVERGENCE_N)
     u0, v0 = bubble(grid)
     errs = []
-    nodes = []
     for eps in eps_list:
         traj = integrate_rescaled(eps, p, tol, r_end=float(T), r_eval=grid)
         errs.append(float(np.max(np.abs(traj.y[:, 0] - u0) + np.abs(traj.y[:, 1] - v0))))
-        nodes.append(node_radius(eps, p, tol))
     ratios = tuple(a / b for a, b in zip(errs, errs[1:]))
-    return EpsilonStudy(tuple(eps_list), tuple(errs), ratios, tuple(nodes), float(T))
+    nodes = tuple(rec.node_radius for rec in records)
+    return EpsilonStudy(tuple(eps_list), tuple(errs), ratios, nodes, float(T))

@@ -25,6 +25,7 @@ import numpy as np
 from . import asymptotics, phaseflow, shooting, verify as verify_mod
 from .integrator import EventKind, IntegrationError
 from .params import Params, Tolerances
+from .phaseflow import NotCapturedError
 
 SCHEMA_VERSION = "1"
 
@@ -64,6 +65,10 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(x) for x in values if isinstance(x, float)):
+                raise ConfigError(f"{name} must be finite, got {value}")
         # Params and Tolerances hold the checks of their own fields
         try:
             self.params()
@@ -78,8 +83,10 @@ class RunConfig:
             raise ConfigError(f"resolution must be at least 2, got {self.resolution}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
-        if any(lam <= 0 for lam in self.lambdas):
-            raise ConfigError("every lambda must be positive")
+        if not self.lambda_tol >= 0:
+            raise ConfigError(f"lambda_tol must be nonnegative, got {self.lambda_tol:g}")
+        if not all(lam > 0 and math.isfinite(lam * lam) for lam in self.lambdas):
+            raise ConfigError("every lambda must be positive, with a finite square")
         if any(not 0.0 < e < 1.0 for e in self.epsilons):
             raise ConfigError("every epsilon must lie in (0, 1)")
 
@@ -246,9 +253,9 @@ def run_asymptotics(cfg: RunConfig) -> dict:
     done = ["deduplicated"] if unique != tuple(cfg.epsilons) else []
     done += ["sorted into decreasing order"] if eps_sorted != unique else []
     diags = ["epsilon list " + " and ".join(done)] if done else []
-    study = asymptotics.convergence_study(eps_sorted, cfg.T, p, tol)
-    fit = asymptotics.first_order_log_fit(p, tol)
     records = [asymptotics.integrate_remainder(e, p, tol) for e in eps_sorted]
+    study = asymptotics.convergence_study(records, cfg.T, p, tol)
+    fit = asymptotics.first_order_log_fit(p, tol)
     bound_c = asymptotics.remainder_bound_constant(p)
     remainders = []
     for rec in records:
@@ -523,7 +530,7 @@ def main(argv=None) -> int:
 
     try:
         envelope = _RUNNERS[args.command](cfg)
-    except (shooting.BracketError, shooting.DecayWindowError, IntegrationError) as err:
+    except (shooting.BracketError, shooting.DecayWindowError, NotCapturedError, IntegrationError) as err:
         print(f"diracshoot: computation failed: {err}", file=sys.stderr)
         return 2
 

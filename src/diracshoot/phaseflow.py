@@ -29,6 +29,10 @@ from .shooting import VERDICT_A, classify
 _STABILITY_N = 512
 
 
+class NotCapturedError(ValueError):
+    """attraction_report was given a datum that does not classify as captured."""
+
+
 @dataclass(frozen=True)
 class LevelSet:
     level: float
@@ -110,7 +114,7 @@ def attraction_report(lam: float, p: Params, tol: Tolerances) -> AttractionRepor
     tol = tol.resolved(p)
     cls = classify(lam, p, tol)
     if cls.verdict != VERDICT_A:
-        raise ValueError(
+        raise NotCapturedError(
             f"attraction_report needs a captured datum, got {cls.verdict}({cls.node_count})"
         )
     entered_at = cls.evidence["r"]

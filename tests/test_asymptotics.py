@@ -9,7 +9,6 @@ from diracshoot import (
     Params,
     Tolerances,
     bubble,
-    bubble_profile,
     bubble_residual,
     classify,
     convergence_study,
@@ -18,7 +17,6 @@ from diracshoot import (
     integrate_first_order,
     integrate_remainder,
     integrate_rescaled,
-    node_radius,
     radial_flow,
     rescaled_hamiltonian,
     taylor_start,
@@ -58,13 +56,6 @@ def test_bubble_residual_rejects_nonpositive_grid():
         bubble_residual(np.array([0.0, 1.0]))
 
 
-def test_bubble_profile_matches_closed_form():
-    grid = np.linspace(0.0, 9.0, 10)
-    prof = bubble_profile(grid)
-    u0, v0 = bubble(grid)
-    assert np.allclose(prof.values[:, 0], u0) and np.allclose(prof.values[:, 1], v0)
-
-
 def test_rescaled_limit_is_bubble():
     t = integrate_rescaled(0.0, P, TOL, r_end=20.0)
     u0, v0 = bubble(t.r)
@@ -82,8 +73,6 @@ def test_rescaled_energy_decreasing_and_bounded():
 def test_rescaled_rejects_bad_eps():
     with pytest.raises(ValueError):
         integrate_rescaled(1.5, P, TOL, r_end=1.0)
-    with pytest.raises(ValueError):
-        node_radius(0.0, P, TOL)
 
 
 def test_rescaling_commutation():
@@ -151,33 +140,39 @@ def test_remainder_rejects_bad_eps():
         integrate_remainder(0.0, P, TOL)
 
 
+def _records(epsilons):
+    return [integrate_remainder(eps, P, TOL) for eps in epsilons]
+
+
 def test_convergence_study_ratios():
-    study = convergence_study([0.2, 0.1, 0.05, 0.025], 10.0, P, TOL)
+    records = _records([0.2, 0.1, 0.05, 0.025])
+    study = convergence_study(records, 10.0, P, TOL)
     assert len(study.ratios) == 3
     assert all(b < a for a, b in zip(study.sup_errors, study.sup_errors[1:]))
     for ratio in study.ratios:
         assert 3.0 <= ratio <= 5.0
+    assert study.node_radii == tuple(rec.node_radius for rec in records)
 
 
 def test_convergence_study_validation():
     with pytest.raises(ValueError):
-        convergence_study([0.1, 0.2], 10.0, P, TOL)
+        convergence_study(_records([0.1, 0.2]), 10.0, P, TOL)
     with pytest.raises(ValueError):
-        convergence_study([0.5, 0.0], 10.0, P, TOL)
+        convergence_study(_records([0.2, 0.2]), 10.0, P, TOL)
 
 
 def test_node_radius_regimes():
     # V stays positive before 1/eps until eps is small enough that the
     # logarithmic correction overtakes the bubble tail
-    assert node_radius(0.5, P, TOL) is None
-    assert node_radius(0.05, P, TOL) is None
-    R = node_radius(0.02, P, TOL)
+    assert integrate_remainder(0.5, P, TOL).node_radius is None
+    assert integrate_remainder(0.05, P, TOL).node_radius is None
+    R = integrate_remainder(0.02, P, TOL).node_radius
     assert R is not None and R < 50.0
 
 
 def test_node_radius_consistent_with_radial_flow():
     eps = 0.02
-    R = node_radius(eps, P, TOL)
+    R = integrate_remainder(eps, P, TOL).node_radius
     lam = 1.0 / eps
     c = classify(lam, P, TOL)
     first = [e.r for e in c.trajectory.events if e.kind == EventKind.V_SIGN_CHANGE][0]

@@ -167,8 +167,9 @@ def test_asymptotics_bound_is_the_derived_law(tmp_path):
 
 
 def test_asymptotics_flags_unresolved_crosscheck():
-    # the subtraction route cancels to about tol.rel/eps^4, so below eps ~ 0.1
-    # its crosscheck no longer resolves the remainder and the run says so
+    # the subtraction route carries the Hermite error of the rescaled samples
+    # divided by eps^4, so below eps ~ 0.1 its crosscheck no longer resolves
+    # the remainder and the run says so
     from diracshoot.asymptotics import CROSSCHECK_REL_BOUND
 
     env = cli.run_asymptotics(RunConfig(epsilons=(0.2, 0.1, 0.05)))
@@ -179,6 +180,24 @@ def test_asymptotics_flags_unresolved_crosscheck():
         f"crosscheck unresolved at eps={eps:g}: rel {rel[eps]:.2e} >= 1e-04" for eps in (0.1, 0.05)
     ]
     assert not any(d.startswith("remainder bound exceeded") for d in env["diagnostics"])
+
+
+def test_asymptotics_integrates_the_rescaled_flow_twice_per_epsilon(monkeypatch):
+    # per eps one run on [r0, T] for the distance to the bubble and one run to
+    # 1/eps, which the remainder's subtraction route and the node radius share
+    from diracshoot import asymptotics
+
+    real = asymptotics.integrate_rescaled
+    calls = []
+
+    def counted(eps, *args, **kwargs):
+        calls.append(eps)
+        return real(eps, *args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "integrate_rescaled", counted)
+    eps = (0.2, 0.1, 0.05)
+    cli.run_asymptotics(RunConfig(epsilons=eps))
+    assert sorted(calls, reverse=True) == [e for e in eps for _ in range(2)]
 
 
 def test_module_entry_point():
@@ -289,10 +308,28 @@ def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, di
         ["portrait", "--resolution", "-3"],
         ["portrait", "--resolution", "0"],
         ["classify", "--lambda", "1", "--rmax", "1e-9"],
+        ["ground-state", "--lambda-tol", "nan"],
+        ["ground-state", "--lambda-tol=-1e-9"],
+        ["ground-state", "--rmax", "inf"],
+        ["asymptotics", "--epsilon", "0.2", "--T", "inf"],
+        ["classify", "--lambda", "inf"],
+        ["classify", "--lambda", "1e300"],
+        ["classify", "--lambda", "nan"],
+        ["classify", "--lambda", "1", "--m", "inf"],
+        ["portrait", "--level", "nan", "--lambda", "0.5"],
+        ["portrait", "--level=-inf"],
     ],
 )
 def test_invalid_settings_are_usage_errors(argv):
     _assert_one_line_failure(argv, 1, "diracshoot: error: ")
+
+
+def test_portrait_of_a_datum_that_is_not_captured_is_a_computation_failure():
+    # the README's lambda* is an I-candidate, so it has no spiral to follow
+    msg = _assert_one_line_failure(
+        ["portrait", "--lambda", "1.807896148637092"], 2, "diracshoot: computation failed: "
+    )
+    assert "needs a captured datum" in msg
 
 
 def test_horizon_too_short_for_the_tail_is_a_computation_failure():

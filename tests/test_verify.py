@@ -37,3 +37,25 @@ def test_ground_state_cache_keys_on_all_tolerances():
     assert a is not b
     assert a.profile.r[-1] == 80.0
     assert b.profile.r[-1] == 60.0
+
+
+def test_remainder_checks_share_one_integration_per_eps(monkeypatch):
+    from diracshoot import Params, Tolerances, asymptotics
+
+    real = asymptotics.integrate_remainder
+    calls = []
+
+    def counted(eps, p, tol):
+        calls.append(eps)
+        return real(eps, p, tol)
+
+    monkeypatch.setattr(asymptotics, "integrate_remainder", counted)
+    p = Params()
+    tol = Tolerances().resolved(p)
+    verify._remainder_cached.cache_clear()
+    try:
+        assert verify.check_remainder_crosscheck(p, tol).passed
+        assert verify.check_remainder_threshold(p, tol).passed
+    finally:
+        verify._remainder_cached.cache_clear()
+    assert calls == [0.2, 0.1, 0.05]
