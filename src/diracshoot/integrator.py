@@ -211,13 +211,16 @@ def _crossed(g0: float, g1: float, direction: int) -> bool:
 def _initial_step(f, r0, y0, f0, r_end, rel, abs_tol):
     span = r_end - r0
     sc = [abs_tol + rel * abs(yi) for yi in y0]
-    d0 = math.sqrt(sum((yi / c) ** 2 for yi, c in zip(y0, sc)) / len(y0))
-    d1 = math.sqrt(sum((fi / c) ** 2 for fi, c in zip(f0, sc)) / len(y0))
-    h0 = 1e-6 * span if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, span)
-    y1 = tuple(yi + h0 * fi for yi, fi in zip(y0, f0))
-    f1 = f(r0 + h0, y1)
-    d2 = math.sqrt(sum(((a - b) / c) ** 2 for a, b, c in zip(f1, f0, sc)) / len(y0)) / h0
+    try:
+        d0 = math.sqrt(sum((yi / c) ** 2 for yi, c in zip(y0, sc)) / len(y0))
+        d1 = math.sqrt(sum((fi / c) ** 2 for fi, c in zip(f0, sc)) / len(y0))
+        h0 = 1e-6 * span if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+        h0 = min(h0, span)
+        y1 = tuple(yi + h0 * fi for yi, fi in zip(y0, f0))
+        f1 = f(r0 + h0, y1)
+        d2 = math.sqrt(sum(((a - b) / c) ** 2 for a, b, c in zip(f1, f0, sc)) / len(y0)) / h0
+    except OverflowError:  # no float step: solve reports a step-size underflow
+        return 0.0
     if max(d1, d2) < 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

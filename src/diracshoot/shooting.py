@@ -23,7 +23,7 @@ solves the radial system to below the integrator's own residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,7 +116,7 @@ class GroundState:
     node_count: int
     converged: bool
     anchor_r: float
-    closest_approach: float
+    closest_approach: float  # least |u| + |v| before the first sign change of v
     history: tuple[Classification, ...] = ()
 
 
@@ -191,6 +191,17 @@ def _summary(traj: Trajectory) -> dict:
         "r_at_min": float(traj.r[i]),
         "samples": len(traj),
     }
+
+
+def _before_first_node(c: Classification) -> Classification:
+    """c with samples and events strictly before its first sign change of v."""
+    t = c.trajectory
+    i = next((k for k, e in enumerate(t.events) if e.kind == EventKind.V_SIGN_CHANGE), None)
+    if i is None:
+        return c
+    n = int(np.searchsorted(t.r, t.events[i].r))
+    cut = replace(t, r=t.r[:n], y=t.y[:n], H=t.H[:n], events=t.events[:i])
+    return replace(c, trajectory=cut, summary=_summary(cut))
 
 
 def classify(
@@ -372,12 +383,7 @@ def extend_with_decay_tail(
     least squares against the last reliable decade of the numerical decay.
     """
     n1 = traj.norm1
-    eta_events = traj.events_of(EventKind.NORM_BELOW_ETA)
-    if eta_events:
-        i_c = int(np.searchsorted(traj.r, eta_events[0].r, side="right")) - 1
-    else:
-        i_c = int(np.argmin(n1))
-    i_c = max(i_c, 1)
+    i_c = max(int(np.argmin(n1)), 1)
     r_c = float(traj.r[i_c])
 
     window = (n1[: i_c + 1] <= 1e-2) & (traj.r[: i_c + 1] >= 0.5 * r_c)
@@ -454,20 +460,21 @@ def bisect(
     starts from the F that the bracket's own history recorded at both ends;
     the midpoint is its fallback where an end carries no F.  The loop stops
     when hi - lo <= max(lambda_tol, 0.1 tol.rel hi), or at one ulp if that
-    is finer.  Full-horizon runs at both ends and at the regula falsi root
-    of F on the final bracket select the profile: the best near-connection
-    run, truncated at its closest approach and continued with the matched
-    decay tail.  A node-free capture at the default horizon is its own
-    full-horizon run (its terminal sign-change detector never fired), so
-    the trial that set lo stands in for the probe there.
+    is finer.  The profile candidates are the runs at lo, hi and the regula
+    falsi root of F on the final bracket, or at the connection (a trial
+    that reached the eta tube), each cut at its first sign change of v.  A
+    trial at the default horizon takes the steps of the full-horizon run up
+    to its terminal event, so it stands in for that run; only a datum
+    without one (the root) is integrated to the full horizon.  The profile
+    is the connection, else the candidate of least closest approach,
+    truncated there and continued with the matched decay tail.
     """
     tol = tol.resolved(p)
     lo, hi = bracket.lo, bracket.hi
-    # the trial that set each end (the last one at that datum) and its F;
-    # lo_trial is kept while it is a node-free capture at the default horizon
-    at = {c.lam: c for c in bracket.history}
-    lo_trial = at[lo] if lo in at and (at[lo].verdict, at[lo].node_count) == (VERDICT_A, 0) else None
-    f_lo, f_hi = (at[x].wronskian if x in at else None for x in (lo, hi))
+    # every trial at the default horizon by datum (not the doubled-horizon
+    # retries); the ends' trials carry their F
+    trials = {c.lam: c for c in bracket.history}
+    f_lo, f_hi = (trials[x].wronskian if x in trials else None for x in (lo, hi))
     history = list(bracket.history)
     converged = True
     connection = None  # datum whose trajectory reached the eta tube
@@ -487,13 +494,12 @@ def bisect(
         lam = _itp_point(lo, hi, f_lo, f_hi, radius, kappa1, 0.25 * target)
         if not lo < lam < hi:
             break
-        c = reusable = classify(lam, p, tol, stop_at_first_node=True)
+        c = trials[lam] = classify(lam, p, tol, stop_at_first_node=True)
         history.append(c)
         if c.verdict == VERDICT_UNDECIDED and c.node_count == 0:
             # undecided without a node: retry once on a doubled horizon,
             # then count as a lower point while the energy stayed positive
             c = classify(lam, p, tol, stop_at_first_node=True, horizon=2.0 * tol.rmax)
-            reusable = None
             history.append(c)
         if c.node_count >= 1:
             hi, f_hi = lam, c.wronskian
@@ -502,25 +508,13 @@ def bisect(
             break
         else:
             converged = converged and c.verdict == VERDICT_A
-            lo, f_lo, lo_trial = lam, c.wronskian, reusable
+            lo, f_lo = lam, c.wronskian
 
-    # full-horizon probes select the profile datum; they are not bisection
-    # side decisions, so they stay out of the history
+    # the root's full-horizon run decides no side, so it stays out of the history
     probes = {lo, hi, _regula_falsi(lo, hi, f_lo, f_hi)} if connection is None else {connection}
-    candidates = [
-        lo_trial if lam_c == lo and lo_trial is not None else classify(lam_c, p, tol)
-        for lam_c in sorted(probes)
-    ]
-
+    candidates = [_before_first_node(trials.get(x) or classify(x, p, tol)) for x in sorted(probes)]
     ideal = [c for c in candidates if c.verdict == VERDICT_I and c.node_count == 0]
-    clean = [c for c in candidates if c.trajectory.nodes_before(c.summary["r_at_min"]) == 0]
-    if ideal:
-        best = ideal[0]
-    elif clean:
-        best = min(clean, key=lambda c: c.summary["min_norm1"])
-    else:
-        converged = False
-        best = min(candidates, key=lambda c: c.summary["min_norm1"])
+    best = ideal[0] if ideal else min(candidates, key=lambda c: c.summary["min_norm1"])
 
     profile, anchor_r, _amp = extend_with_decay_tail(best.trajectory, p, tol.rmax)
     node_count = profile.nodes_before()

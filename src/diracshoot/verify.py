@@ -408,6 +408,9 @@ def run_suite(p: Params | None = None, tol: Tolerances | None = None) -> list[Ch
     """Execute every invariant check; failures are reported, not raised."""
     p = p or Params()
     tol = (tol or Tolerances()).resolved(p)
+    # the shared results live for one run: a later run checks the code as it is then
+    _ground_state_cached.cache_clear()
+    _remainder_cached.cache_clear()
     results = []
     for check in ALL_CHECKS:
         try:

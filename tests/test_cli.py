@@ -345,6 +345,25 @@ def test_horizon_too_short_to_classify_is_blamed_on_the_horizon():
     assert "no sign change" not in msg
 
 
+@pytest.mark.parametrize("lam", ["1e60", "1e80", "1e100", "1e154"])
+def test_huge_datum_is_undecided(lam):
+    # the first step falls below the step-size floor, so the run ends
+    # undecided at its first sample; at 1e80 and 1e100 the scaled derivative
+    # squares past the float range while the step size is estimated
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracshoot", "classify", "--lambda", lam],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    (c,) = json.loads(proc.stdout)["payload"]["classifications"]
+    assert (c["verdict"], c["node_count"]) == ("undecided", 0)
+
+
 def _assert_one_line_failure(argv, code, prefix):
     import subprocess
     import sys

@@ -337,16 +337,24 @@ def test_every_shooting_trial_carries_signed_wronskian(searched):
             assert c.verdict == "A" and c.wronskian < 0.0
 
 
+def test_closest_approach_is_near_the_eta_tube(searched):
+    # the profile's closest approach is measured before its first node, so a
+    # probe whose v changes sign after approaching the origin still competes;
+    # when such probes were dropped, (2, 0.6) fell back to lo at 5.0e-7
+    _, gs = searched
+    assert gs.closest_approach <= 3e-8
+
+
 @pytest.mark.parametrize("mw", SEARCH_POINTS, ids=lambda mw: f"{mw[0]}-{mw[1]}")
-def test_lower_probe_is_the_trial_that_set_lo(monkeypatch, mw):
-    # a node-free capture at the default horizon never fired its terminal
-    # sign-change detector, so a full-horizon run at lo would repeat it step
-    # for step; only the hi probe and the regula falsi root are integrated
-    # (a trial that reached the eta tube is then the single probe)
+def test_profile_candidates_are_the_search_trials_cut_at_their_first_node(monkeypatch, mw):
+    # a trial at the default horizon takes the steps of the full-horizon run
+    # up to its terminal event, so cut at the first node it is that run cut
+    # there; only the regula falsi root has no trial and is integrated to the
+    # full horizon (a trial that reached the eta tube is the single candidate)
     from diracshoot import shooting
 
-    real = shooting.classify
-    full = []
+    real, cut = shooting.classify, shooting._before_first_node
+    full, candidates = [], []
 
     def recording(lam, *args, **kwargs):
         c = real(lam, *args, **kwargs)
@@ -354,24 +362,27 @@ def test_lower_probe_is_the_trial_that_set_lo(monkeypatch, mw):
             full.append(c)
         return c
 
+    def recording_cut(c):
+        candidates.append(cut(c))
+        return candidates[-1]
+
     monkeypatch.setattr(shooting, "classify", recording)
+    monkeypatch.setattr(shooting, "_before_first_node", recording_cut)
     p = Params(*mw)
     gs = shooting.ground_state(p, TOL)
     connected = any(c.verdict == "I-candidate" for c in gs.history)
-    assert len(full) == (1 if connected else 2)
-    assert not any(c.verdict == "undecided" and c.node_count == 0 for c in gs.history)
-    lo = max(c.lam for c in gs.history if c.verdict == "A" and c.node_count == 0)
-    assert lo not in [c.lam for c in full]
-    trial = [c for c in gs.history if c.lam == lo][-1]
-    fresh = real(lo, p, TOL)
-    for name in ("r", "y", "H"):
-        a, b = getattr(trial.trajectory, name), getattr(fresh.trajectory, name)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert trial.trajectory.events == fresh.trajectory.events
-    assert trial.trajectory.status == fresh.trajectory.status
-    assert (trial.verdict, trial.node_count) == (fresh.verdict, fresh.node_count)
-    assert trial.evidence == fresh.evidence
-    assert trial.summary == fresh.summary
+    assert connected == (mw == (1.0, 0.99))
+    assert len(full) == (0 if connected else 1)
+    assert not {c.lam for c in full} & {c.lam for c in gs.history}
+    assert len(candidates) == (1 if connected else 3)
+    for c in candidates:
+        fresh = cut(real(c.lam, p, TOL))
+        for name in ("r", "y", "H"):
+            a, b = getattr(c.trajectory, name), getattr(fresh.trajectory, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert c.trajectory.events == fresh.trajectory.events
+        assert c.trajectory.nodes_before() == 0
+        assert c.summary == fresh.summary
 
 
 def test_loose_lambda_tol_ends_while_bisecting():

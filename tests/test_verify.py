@@ -28,6 +28,18 @@ def test_corrupted_bubble_is_caught(monkeypatch):
     assert "bubble_limit_agreement" in names
 
 
+def test_suite_caches_live_for_one_run(monkeypatch):
+    # a second run recomputes the shared ground state and remainders, so it
+    # sees a bubble corrupted after the first run
+    from diracshoot import asymptotics
+
+    real = asymptotics.bubble
+    assert all(r.passed for r in verify.run_suite() if r.name == "remainder_crosscheck")
+    monkeypatch.setattr(asymptotics, "bubble", lambda r: tuple(1.01 * x for x in real(r)))
+    results = {r.name: r.passed for r in verify.run_suite()}
+    assert results["remainder_crosscheck"] is False
+
+
 def test_ground_state_cache_keys_on_all_tolerances():
     from diracshoot import Params, Tolerances
 
