@@ -8,7 +8,7 @@ The radial system for (u, v) with datum v(0) = lambda reads
 and is singular at r = 0.  Dropping the 1/r term gives the autonomous
 Hamiltonian system whose energy H confines every trajectory.  Each flow is
 a factory flow(p) returning f(r, s) with p's constants bound, the form that
-integrator.integrate takes; rhs_radial and rhs_autonomous evaluate it at a point.
+integrator.integrate takes; radial_flow(p)(r, s) evaluates it at one point.
 """
 
 from __future__ import annotations
@@ -44,16 +44,6 @@ def autonomous_flow(p: Params):
         return q * v - gm * v, -q * u - gp * u
 
     return f
-
-
-def rhs_radial(r: float, s: State, p: Params) -> State:
-    """Radial flow derivative (u', v') at one point; requires r > 0."""
-    return radial_flow(p)(r, s)
-
-
-def rhs_autonomous(r: float, s: State, p: Params) -> State:
-    """Autonomous flow derivative at one point; r is unused."""
-    return autonomous_flow(p)(r, s)
 
 
 def hamiltonian(s: State, p: Params) -> float:

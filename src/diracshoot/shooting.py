@@ -230,6 +230,14 @@ def classify(
     rmax = float(horizon) if horizon is not None else tol.rmax
 
     H0 = hamiltonian(y0, p)
+    if not math.isfinite(H0):
+        # from lambda ~ 1.2e77 the start's energy overflows, from ~1e103 the
+        # series start itself; no step is taken and no sample recorded
+        nan = float("nan")
+        note = f"float overflow at the series start: H = {H0}"
+        evid = {"r": nan, "H": nan, "certificate": None, "note": note}
+        summ = {"r_end": nan, "H_end": nan, "min_norm1": nan, "r_at_min": nan, "samples": 0}
+        return Classification(lam, VERDICT_UNDECIDED, 0, evid, summ, None)
     if H0 < -tol.delta:
         # the datum starts inside the capture region and H only decreases
         ev = Event(EventKind.ENTERED_NEGATIVE_ENERGY, r0, y0)

@@ -23,7 +23,6 @@ from .equations import (
     r2h_rate,
     radial_flow,
     radial_start,
-    rhs_autonomous,
     taylor_start,
 )
 from .integrator import integrate
@@ -48,12 +47,16 @@ def _radial_trajectory(lam, p, tol, r_end=None):
     return integrate(radial_flow, radial_start(lam, p, tol), p, tol, r_end=r_end)
 
 
+def _worst_rise(H, tol) -> float:
+    """Largest step rise of the energy trace H beyond 10 rel (1 + |H|);
+    at most 0 when H is non-increasing to within the tolerance."""
+    return float(np.max(np.diff(H) - 10.0 * tol.rel * (1.0 + np.abs(H[:-1]))))
+
+
 def check_energy_monotone(p, tol) -> CheckResult:
     worst = -np.inf
     for lam in (0.5, 1.0, 1.8, 2.5):
-        t = _radial_trajectory(lam, p, tol)
-        rise = np.diff(t.H) - 10.0 * tol.rel * (1.0 + np.abs(t.H[:-1]))
-        worst = max(worst, float(rise.max()))
+        worst = max(worst, _worst_rise(_radial_trajectory(lam, p, tol).H, tol))
     return _result(
         "energy_monotone", "radial-core", worst <= 0.0, f"worst scaled rise {worst:.3e}"
     )
@@ -72,24 +75,24 @@ def check_sign_symmetry(p, tol) -> CheckResult:
     r0, y0 = radial_start(1.3, p, tol)
     a = integrate(radial_flow, (r0, y0), p, tol, r_end=20.0)
     b = integrate(radial_flow, (r0, (-y0[0], -y0[1])), p, tol, r_end=20.0)
+    # the flow is odd and every operation of a step commutes with negation,
+    # so the mirrored run is the exact negative of the first
     d = float(np.max(np.abs(a.y + b.y)))
-    return _result("sign_flip_symmetry", "radial-core", d <= 1e-12, f"max |y_+ + y_-| = {d:.3e}")
+    return _result("sign_flip_symmetry", "radial-core", d == 0.0, f"max |y_+ + y_-| = {d:.3e}")
 
 
 def check_rate_identities(p, tol) -> CheckResult:
+    # finite differences of H and r^2 H against the trapezoid of their rates
     t = _radial_trajectory(1.3, p, tol, r_end=20.0)
-    r, H = t.r, t.H
-    h = np.diff(r)
-    rate = np.array([hamiltonian_rate(rr, (uu, vv), p) for rr, uu, vv in zip(r, t.u, t.v)])
-    fd = np.diff(H) / h
-    trap = 0.5 * (rate[:-1] + rate[1:])
-    err1 = np.abs(fd - trap) - (h * h * (1.0 + np.abs(trap)) + 1e-9)
-    r2h = r * r * H
-    rate2 = r * np.array([r2h_rate(rr, (uu, vv), p) for rr, uu, vv in zip(r, t.u, t.v)])
-    fd2 = np.diff(r2h) / h
-    trap2 = 0.5 * (rate2[:-1] + rate2[1:])
-    err2 = np.abs(fd2 - trap2) - (h * h * (1.0 + np.abs(trap2)) + 1e-9)
-    worst = float(max(err1.max(), err2.max()))
+    r, h, states = t.r, np.diff(t.r), list(zip(t.r, zip(t.u, t.v)))
+    worst = -np.inf
+    for g, rate in (
+        (t.H, np.array([hamiltonian_rate(rr, s, p) for rr, s in states])),
+        (r * r * t.H, r * np.array([r2h_rate(rr, s, p) for rr, s in states])),
+    ):
+        trap = 0.5 * (rate[:-1] + rate[1:])
+        err = np.abs(np.diff(g) / h - trap) - (h * h * (1.0 + np.abs(trap)) + 1e-9)
+        worst = max(worst, float(err.max()))
     return _result(
         "rate_identities_fd", "radial-core", worst <= 0.0, f"worst scaled defect {worst:.3e}"
     )
@@ -126,9 +129,10 @@ def check_equilibria(p, tol) -> CheckResult:
     eqs = equilibria(p)
     ok = eqs[0][1] == 0.0
     worst = 0.0
+    f = autonomous_flow(p)
     for (pt, H) in eqs[1:]:
         worst = max(worst, abs(H + p.gap ** 2 / 4.0))
-        du, dv = rhs_autonomous(0.0, pt, p)
+        du, dv = f(0.0, pt)
         worst = max(worst, abs(du), abs(dv))
     return _result(
         "equilibrium_energies", "radial-core", ok and worst < 1e-12, f"worst defect {worst:.3e}"
@@ -153,7 +157,6 @@ def check_classification_evidence(p, tol) -> CheckResult:
 
 
 def check_certificate_soundness(p, tol) -> CheckResult:
-    tol_r = tol.resolved(p)
     checked = 0
     for lam in (1.5, 1.7, 1.8, 1.8078, 1.81):
         c = classify(lam, p, tol)
@@ -187,9 +190,8 @@ def check_ground_state_residual(p, tol) -> CheckResult:
     n1 = np.abs(u) + np.abs(v)
     excess = (u * u + v * v) * n1 - 1e3 * tol_r.rel * (1.0 + n1)
     worst = float(np.max(excess, initial=0.0))
-    return _result(
-        "ground_state_residual", "shooting", worst <= 0.0, f"worst scaled residual {worst:.3e}"
-    )
+    ok = len(n1) > 0 and worst <= 0.0
+    return _result("ground_state_residual", "shooting", ok, f"worst scaled residual {worst:.3e}")
 
 
 def check_decay_bound(p, tol) -> CheckResult:
@@ -198,7 +200,8 @@ def check_decay_bound(p, tol) -> CheckResult:
     t = gs.profile
     logn = np.log(np.maximum(t.norm1, 1e-300))
     worst = -np.inf
-    for r in np.linspace(1.05 * gs.anchor_r, tol_r.rmax, 24):
+    a, b = gs.anchor_r, tol_r.rmax
+    for r in np.union1d(np.linspace(1.05 * a, b, 24), np.linspace(1.2 * a, b, 16)):
         if r / 2.0 < t.r[0] or r > t.r[-1]:
             continue
         n_r = math.exp(np.interp(r, t.r, logn))
@@ -224,8 +227,9 @@ def check_bisection_bracketing(p, tol) -> CheckResult:
 def check_rescaling_commutation(p, tol) -> CheckResult:
     tol_r = tol.resolved(p)
     worst = 0.0
+    spans = ((0.05, 160), (0.05, 120), (0.02, 250))
+    grid = functools.reduce(np.union1d, [np.linspace(r, 5.0, n) for r, n in spans])
     for eps in (0.5, 0.1):
-        grid = np.linspace(0.05, 5.0, 160)
         resc = asymptotics.integrate_rescaled(eps, p, tol, r_end=5.0, r_eval=grid)
         rad = integrate(
             radial_flow,
@@ -246,7 +250,7 @@ def check_rescaling_commutation(p, tol) -> CheckResult:
 
 
 def check_bubble_exactness(p, tol) -> CheckResult:
-    grid = np.geomspace(1e-3, 1e6, 400)
+    grid = functools.reduce(np.union1d, (np.geomspace(1e-3, 1e6, n) for n in (400, 701, 901)))
     res = asymptotics.bubble_residual(grid)
     return _result("bubble_exactness", "asymptotics", res < 1e-12, f"residual {res:.3e}")
 
@@ -265,8 +269,7 @@ def check_rescaled_energy(p, tol) -> CheckResult:
         t = asymptotics.integrate_rescaled(eps, p, tol, r_end=1.0 / eps)
         if not float(t.H[0]) <= 1.0:
             return _result("rescaled_energy", "asymptotics", False, "datum energy above 1")
-        rise = np.diff(t.H) - 10.0 * tol.rel * (1.0 + np.abs(t.H[:-1]))
-        if rise.max() > 0.0:
+        if _worst_rise(t.H, tol) > 0.0:
             return _result("rescaled_energy", "asymptotics", False, f"eps={eps} energy rise")
     return _result("rescaled_energy", "asymptotics", True, "non-increasing, bounded by datum")
 
@@ -336,12 +339,10 @@ def check_attraction(p, tol) -> CheckResult:
     for lam in (0.5, 2.0):
         rep = attraction_report(lam, p, tol)
         t = rep.trajectory
-        mask = t.r >= rep.entered_at
-        H = t.H[mask]
-        rise = np.diff(H) - 10.0 * tol_r.rel * (1.0 + np.abs(H[:-1]))
+        H = t.H[t.r >= rep.entered_at]
         H_end = float(H[-1])
         in_window = -p.gap ** 2 / 4.0 - tol_r.abs <= H_end <= -tol_r.delta
-        if rise.max() > 0.0 or not in_window or rep.u_sign_alternations < 2:
+        if _worst_rise(H, tol_r) > 0.0 or not in_window or rep.u_sign_alternations < 2:
             return _result("attraction", "phaseflow", False, f"lambda={lam} violates spiral window")
     return _result("attraction", "phaseflow", True, "energy window and spiral alternations hold")
 

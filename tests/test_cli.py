@@ -320,8 +320,15 @@ def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, di
         ["portrait", "--level=-inf"],
     ],
 )
-def test_invalid_settings_are_usage_errors(argv):
-    _assert_one_line_failure(argv, 1, "diracshoot: error: ")
+def test_invalid_settings_are_usage_errors(argv, capsys):
+    # each fails in RunConfig before any computation, so it runs in-process;
+    # test_module_entry_point covers python -m
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("diracshoot: error: ")
 
 
 def test_portrait_of_a_datum_that_is_not_captured_is_a_computation_failure():
@@ -347,11 +354,14 @@ def test_horizon_too_short_to_classify_is_blamed_on_the_horizon():
 
 @pytest.mark.parametrize("lam", ["1e60", "1e80", "1e100", "1e154"])
 def test_huge_datum_is_undecided(lam):
-    # the first step falls below the step-size floor, so the run ends
-    # undecided at its first sample; at 1e80 and 1e100 the scaled derivative
-    # squares past the float range while the step size is estimated
+    # at 1e60 the first step falls below the step-size floor, so the run ends
+    # undecided at its first sample; from about 1.2e77 the start's energy
+    # overflows and from about 1e103 the series start itself, so no step is
+    # taken; either way stderr stays empty and stdout is strict JSON
     import subprocess
     import sys
+
+    from diracshoot import Params, Tolerances, classify
 
     proc = subprocess.run(
         [sys.executable, "-m", "diracshoot", "classify", "--lambda", lam],
@@ -359,9 +369,15 @@ def test_huge_datum_is_undecided(lam):
         text=True,
     )
     assert proc.returncode == 0
-    assert "Traceback" not in proc.stderr
-    (c,) = json.loads(proc.stdout)["payload"]["classifications"]
+    assert proc.stderr == ""
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    (c,) = json.loads(proc.stdout, parse_constant=reject)["payload"]["classifications"]
     assert (c["verdict"], c["node_count"]) == ("undecided", 0)
+    note = classify(float(lam), Params(), Tolerances()).evidence["note"]
+    assert note.startswith("step size underflow" if lam == "1e60" else "float overflow")
 
 
 def _assert_one_line_failure(argv, code, prefix):

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +12,6 @@ from diracshoot import (
     hamiltonian_rate,
     r2h_rate,
     radial_flow,
-    rhs_autonomous,
-    rhs_radial,
     taylor_start,
 )
 
@@ -27,23 +24,26 @@ state_st = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 
 
 def test_rhs_radial_frozen_values():
-    assert rhs_radial(1.0, (0.0, 0.0), P) == (0.0, 0.0)
-    assert rhs_radial(1.0, (0.0, 1.0), P) == pytest.approx((0.5, 0.0))
-    assert rhs_radial(2.0, (1.0, 0.0), P) == pytest.approx((-0.5, -2.5))
+    f = radial_flow(P)
+    assert f(1.0, (0.0, 0.0)) == (0.0, 0.0)
+    assert f(1.0, (0.0, 1.0)) == pytest.approx((0.5, 0.0))
+    assert f(2.0, (1.0, 0.0)) == pytest.approx((-0.5, -2.5))
 
 
 def test_rhs_radial_domain():
+    f = radial_flow(P)
     with pytest.raises(ValueError):
-        rhs_radial(0.0, (0.1, 0.1), P)
+        f(0.0, (0.1, 0.1))
     with pytest.raises(ValueError):
-        rhs_radial(-1.0, (0.1, 0.1), P)
+        f(-1.0, (0.1, 0.1))
 
 
 def test_rhs_autonomous_frozen_values():
-    assert rhs_autonomous(0.0, (0.0, 0.0), P) == (0.0, 0.0)
+    f = autonomous_flow(P)
+    assert f(0.0, (0.0, 0.0)) == (0.0, 0.0)
     v0 = math.sqrt(0.5)
-    assert rhs_autonomous(0.0, (0.0, v0), P) == pytest.approx((0.0, 0.0), abs=1e-15)
-    assert rhs_autonomous(0.0, (0.0, 1.0), P) == pytest.approx((0.5, 0.0))
+    assert f(0.0, (0.0, v0)) == pytest.approx((0.0, 0.0), abs=1e-15)
+    assert f(0.0, (0.0, 1.0)) == pytest.approx((0.5, 0.0))
 
 
 def test_hamiltonian_frozen_values():
@@ -116,16 +116,17 @@ def test_bound_flows_are_the_pointwise_formulas_bitwise(p, s, r):
     def bits(t):
         return [x.hex() for x in t]
 
-    assert bits(radial_flow(p)(r, s)) == bits(rhs_radial(r, s, p)) == bits(radial)
-    assert bits(autonomous_flow(p)(r, s)) == bits(rhs_autonomous(r, s, p)) == bits(auto)
+    assert bits(radial_flow(p)(r, s)) == bits(radial)
+    assert bits(autonomous_flow(p)(r, s)) == bits(auto)
     with pytest.raises(ValueError):
         radial_flow(p)(-r, s)
 
 
 @given(params_st, state_st, st.floats(1e-3, 1e3))
 def test_rhs_odd_symmetry(p, s, r):
-    du, dv = rhs_radial(r, s, p)
-    mu, mv = rhs_radial(r, (-s[0], -s[1]), p)
+    f = radial_flow(p)
+    du, dv = f(r, s)
+    mu, mv = f(r, (-s[0], -s[1]))
     assert (mu, mv) == (-du, -dv)
 
 

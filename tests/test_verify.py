@@ -1,14 +1,27 @@
+import pytest
+
 from diracshoot import verify
 
 
-def test_full_suite_passes():
-    results = verify.run_suite()
-    failed = [r for r in results if not r.passed]
-    assert not failed, "; ".join(f"{r.module}/{r.name}: {r.detail}" for r in failed)
+@pytest.fixture(scope="module")
+def suite():
+    # one run at (Params(), Tolerances()) serves every check's test id
+    return verify.run_suite()
 
 
-def test_suite_covers_every_module():
-    modules = {r.module for r in verify.run_suite()}
+@pytest.mark.parametrize(
+    "i",
+    range(len(verify.ALL_CHECKS)),
+    ids=[check.__name__.removeprefix("check_") for check in verify.ALL_CHECKS],
+)
+def test_check_passes(suite, i):
+    r = suite[i]
+    assert r.passed, f"{r.module}/{r.name}: {r.detail}"
+
+
+def test_suite_covers_every_module(suite):
+    assert len(suite) == len(verify.ALL_CHECKS)
+    modules = {r.module for r in suite}
     assert {"radial-core", "shooting", "asymptotics", "phaseflow", "cli"} <= modules
 
 
