@@ -89,7 +89,6 @@ def integrate_rescaled(
         raise ValueError(f"need 0 <= eps < 1, got {eps}")
     if r_end is None and eps == 0.0:
         raise ValueError("the massless limit needs an explicit r_end")
-    tol = tol.resolved(p)
     end = float(r_end) if r_end is not None else 1.0 / eps
     r0 = tol.r0
     y0 = taylor_start_scaled(1.0, eps * eps * p.gap, eps * eps * (p.m + p.omega), r0)
@@ -165,7 +164,6 @@ def integrate_first_order(
     """Solve the linear first-order perturbation system with h1(0)=k1(0)=0."""
     if r_end <= 0.0:
         raise ValueError("r_end must be positive")
-    tol = tol.resolved(p)
     r0 = tol.r0
     traj = solve(
         _rhs_first_order(p),
@@ -301,7 +299,6 @@ def integrate_remainder(eps: float, p: Params, tol: Tolerances) -> PerturbationR
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
-    tol = tol.resolved(p)
     r0 = tol.r0
     r_end = 1.0 / eps
     grid = np.linspace(r0, r_end, _REMAINDER_N)
@@ -373,8 +370,7 @@ def convergence_study(records, T: float, p: Params, tol: Tolerances) -> EpsilonS
     eps_list = [float(rec.epsilon) for rec in records]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilons must be strictly decreasing")
-    tol_r = tol.resolved(p)
-    grid = np.linspace(tol_r.r0, float(T), _CONVERGENCE_N)
+    grid = np.linspace(tol.r0, float(T), _CONVERGENCE_N)
     u0, v0 = bubble(grid)
     errs = []
     for eps in eps_list:

@@ -311,12 +311,13 @@ def solve(
         last = h >= r_end - r
         if last:
             h = r_end - r
-        if h < 1e-14 * max(1.0, abs(r)):
+        # negated so that a NaN step size (from a non-finite start) fails here
+        if not h >= 1e-14 * max(1.0, abs(r)):
             raise IntegrationError(f"step size underflow at r={r}", build("failed"))
         # land exactly on r_end so endpoint r_eval samples are never dropped
         r_new = r_end if last else r + h
         y_new, k7, err = step(f, r, y, k1, h, r_new, rel, abs_tol)
-        if err > 1.0:
+        if not err <= 1.0:  # a NaN error norm rejects the step
             nrejct += 1
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             continue

@@ -111,7 +111,6 @@ def attraction_report(lam: float, p: Params, tol: Tolerances) -> AttractionRepor
     (0, +-sqrt(m-omega)) is visible.  Spiraling is quantified by the number
     of sign alternations of u after entering {H < -delta}.
     """
-    tol = tol.resolved(p)
     cls = classify(lam, p, tol)
     if cls.verdict != VERDICT_A:
         raise NotCapturedError(
@@ -156,7 +155,6 @@ def stability_compare(
         raise ValueError("T must be nonnegative")
     if T == 0.0:
         return 0.0
-    tol = tol.resolved(p)
     grid = np.linspace(0.0, float(T), _STABILITY_N)
     auto = integrate(autonomous_flow, (0.0, start), p, tol, r_end=float(T), r_eval=grid)
 

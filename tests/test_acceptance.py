@@ -122,7 +122,7 @@ def test_criterion_06_equilibrium_energies():
     results = [verify.check_equilibria(p, TOL) for p, _ in _random_parameter_sample()]
     failed = [r for r in results if not r.passed]
     shown = failed[0] if failed else results[0]
-    detail = f"{len(failed)} of {len(results)} random (m, omega) fail; {shown.detail}"
+    detail = f"{shown.name}: {len(failed)} of {len(results)} random (m, omega) fail; {shown.detail}"
     _report(6, not failed, detail)
 
 

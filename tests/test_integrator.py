@@ -164,6 +164,25 @@ def test_step_underflow_carries_partial():
     assert partial.r[-1] < 2.0
 
 
+def _rotation(r, y):
+    return (-y[1], y[0])
+
+
+@pytest.mark.parametrize(
+    "f, y0",
+    [
+        (_rotation, (math.nan, 0.0)),
+        (_rotation, (math.inf, 0.0)),
+        (lambda r, y: (math.nan if r > 0.5 else -y[1], y[0]), (1.0, 0.0)),
+    ],
+    ids=["nan-start", "inf-start", "nan-rhs"],
+)
+def test_non_finite_run_raises(f, y0):
+    # a NaN error norm or step size must not pass for an accepted step
+    with pytest.raises(IntegrationError):
+        solve(f, (0.0, 3.0), y0, rel=1e-8, abs_tol=1e-8)
+
+
 def test_dense_output_consistency():
     # sampling through r_eval must agree with the accepted-step solution
     y0 = taylor_start(1.1, P, 1e-6)

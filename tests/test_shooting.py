@@ -125,6 +125,16 @@ def test_bisect_history_sides_consistent(gs):
     assert abs(gs.lambda_star - max(a0)) <= max(gs.bracket_width, 1e-12)
 
 
+def test_undecided_trial_is_retried_on_a_doubled_horizon(gs):
+    # at rmax = 20 one trial datum is still undecided at the horizon; bisect
+    # classifies it again to 40 and the search ends where the default one does
+    short = ground_state(P, Tolerances(rmax=20.0))
+    lams = [c.lam for c in short.history]
+    assert [c.verdict for c in short.history if lams.count(c.lam) == 2] == ["undecided", "A"]
+    assert short.converged and short.node_count == 0
+    assert short.lambda_star == pytest.approx(gs.lambda_star, rel=1e-10)
+
+
 def test_ground_state_profile_localized(gs):
     # |u| + |v| at r = 40 is acceptance criterion 1
     prof = gs.profile

@@ -25,6 +25,31 @@ def test_suite_covers_every_module(suite):
     assert {"radial-core", "shooting", "asymptotics", "phaseflow", "cli"} <= modules
 
 
+def test_result_names_are_the_check_names(suite):
+    # the name verify prints is the test id, so -k <name> selects that check
+    assert [r.name for r in suite] == [c.__name__.removeprefix("check_") for c in verify.ALL_CHECKS]
+
+
+def test_raising_check_is_a_failure_of_its_module(monkeypatch, capsys):
+    import json
+
+    from diracshoot import asymptotics, cli
+
+    def broken(grid):
+        raise RuntimeError("broken residual")
+
+    monkeypatch.setattr(asymptotics, "bubble_residual", broken)
+    assert cli.main(["verify"]) == 3
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["payload"]["checks"]}
+    assert checks["bubble_exactness"] == {
+        "name": "bubble_exactness",
+        "module": "asymptotics",
+        "passed": False,
+        "detail": "raised RuntimeError('broken residual')",
+    }
+    assert all(c["passed"] for name, c in checks.items() if name != "bubble_exactness")
+
+
 def test_corrupted_bubble_is_caught(monkeypatch):
     from diracshoot import asymptotics
 
