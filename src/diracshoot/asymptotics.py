@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import rescaled_hamiltonian, taylor_start_scaled
-from .integrator import EventKind, Trajectory, solve, v_sign_detector
+from .integrator import Detector, EventKind, Trajectory, solve, v_sign
 from .params import Params, Tolerances
 
 # samples: of the k1 log-law fit over its radius window, of the remainder on
@@ -79,6 +79,7 @@ def integrate_rescaled(
     r_end: float | None = None,
     r_eval=None,
     detectors=(),
+    g=None,
 ) -> Trajectory:
     """Integrate the rescaled system from (0, 1) up to r_end (default 1/eps).
 
@@ -99,13 +100,14 @@ def integrate_rescaled(
         rel=tol.rel,
         abs_tol=tol.abs,
         detectors=detectors,
+        g=g,
         r_eval=r_eval,
         energy=lambda y: rescaled_hamiltonian(y, eps, p),
     )
 
 
 def node_radius(traj: Trajectory) -> float | None:
-    """First zero of V on a rescaled run with a v_sign_detector, or None."""
+    """First zero of V on a rescaled run with a V_SIGN_CHANGE detector, or None."""
     hits = traj.events_of(EventKind.V_SIGN_CHANGE)
     return float(hits[0].r) if hits else None
 
@@ -316,7 +318,8 @@ def integrate_remainder(eps: float, p: Params, tol: Tolerances) -> PerturbationR
     h2, k2 = joint.y[:, 2], joint.y[:, 3]
 
     # a detector leaves the steps as they are: a run stopped at the node agrees
-    resc = integrate_rescaled(eps, p, tol, r_eval=grid, detectors=[v_sign_detector()])
+    nodes = [Detector(EventKind.V_SIGN_CHANGE)]
+    resc = integrate_rescaled(eps, p, tol, r_eval=grid, detectors=nodes, g=v_sign)
     u0, v0 = bubble(grid)
     e2 = eps * eps
     e4 = e2 * e2

@@ -10,12 +10,13 @@ its crossing, from which callers compute any value there.  r_eval samples
 are interpolated with the same polynomial, in one array pass over the
 recorded step ends.
 
-The step and its Hermite dense output are written once, in _DP54_SRC, as
-per-component expressions over the tableau constants below; _dp54(n)
-expands them for an n-dimensional state and compiles the result once per
-n, as dataclasses builds __init__.  A loop over components (a generator
-over zip per stage) costs about six times the arithmetic it performs; the
-expanded code keeps the same operation order, so it is bitwise the loop.
+The adaptive loop, with a sign screen of the event values, and the Hermite
+dense output are written once, in _DP54_SRC, as per-component expressions
+over the tableau constants below; _dp54(n, k) expands them for n state
+components and k event values and compiles the result once per (n, k), as
+dataclasses builds __init__.  Loops over components or detectors in Python
+cost several times the arithmetic they perform; the expanded code keeps
+their operation order, so it is bitwise the loops.
 """
 
 from __future__ import annotations
@@ -82,25 +83,24 @@ class Event:
 
 @dataclass(frozen=True)
 class Detector:
-    """Scalar event function g whose root (with the given crossing
-    direction) marks an event.  direction: -1 crossing into g <= 0,
-    +1 crossing into g >= 0, 0 any sign change.  A crossing is logged as
-    Event(kind, r, y); anything else about it follows from y."""
+    """The event marked by a root of one value of solve's event function g.
+    direction: -1 crossing into g <= 0, +1 crossing into g >= 0, 0 any
+    sign change.  A crossing is logged as Event(kind, r, y); anything else
+    about it follows from y."""
 
     kind: EventKind
-    g: Callable[[float, tuple], float]
     direction: int = 0
     terminal: bool = False
     once: bool = False
 
 
-def v_sign_detector(terminal: bool = False) -> Detector:
-    """Any sign change of v."""
-    return Detector(EventKind.V_SIGN_CHANGE, lambda r, y: y[1], terminal=terminal)
+def v_sign(r: float, y: tuple) -> tuple:
+    """The event values of a run with one V_SIGN_CHANGE detector."""
+    return (y[1],)
 
 
 class IntegrationError(RuntimeError):
-    """Step-size underflow; carries the trajectory integrated so far."""
+    """Step-size underflow or no step budget left; carries the run so far."""
 
     def __init__(self, message: str, partial: "Trajectory | None" = None):
         super().__init__(message)
@@ -150,25 +150,56 @@ class Trajectory:
         return sum(1 for e in self.events if e.kind == EventKind.V_SIGN_CHANGE and e.r < r)
 
 
-# [expr] expands to "expr_0, expr_1, ..., " and [+expr] to "expr_0 + expr_1 + ...",
-# with # the component index.  step returns (y_new, k7, err): the 5th-order
-# solution, the FSAL derivative f(r_new, y_new) and the RMS error norm.  hermite
-# takes floats or, elementwise in the same operation order, NumPy columns.
+# [expr] expands to "expr_0, expr_1, ..., ", [+expr] to "expr_0 + expr_1 + ..." and
+# [|expr] to "expr_0 or expr_1 or ...", with # the state component index or $ the
+# event value index; lines starting with ? (the sign screen) are kept for k > 0.
+# run appends each accepted (r, y, f) to nodes and returns (status, r, y, k1, h,
+# naccpt, nrejct, p, q): "completed" at r_end, "event" after a step over which some
+# value changed sign from p to q, or a failure.  hermite takes floats or NumPy columns.
 _DP54_SRC = """
-def step(f, r, y, k1, h, r_new, rel, abs_tol):
+def run(f, g, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
     [y#] = y
     [a#] = k1
-    [b#] = f(r + _C2 * h, ([y# + h * _A21 * a#]))
-    [c#] = f(r + _C3 * h, ([y# + h * (_A31 * a# + _A32 * b#)]))
-    [d#] = f(r + _C4 * h, ([y# + h * (_A41 * a# + _A42 * b# + _A43 * c#)]))
-    [e#] = f(r + _C5 * h, ([y# + h * (_A51 * a# + _A52 * b# + _A53 * c# + _A54 * d#)]))
-    [g#] = f(r + h, ([y# + h * (_A61 * a# + _A62 * b# + _A63 * c# + _A64 * d# + _A65 * e#)]))
-    [n#] = [y# + h * (_B1 * a# + _B3 * c# + _B4 * d# + _B5 * e# + _B6 * g#)]
-    k7 = f(r_new, ([n#]))
-    [s#] = k7
-    err = [+(h * (_E1 * a# + _E3 * c# + _E4 * d# + _E5 * e# + _E6 * g# + _E7 * s#)
-            / (abs_tol + rel * max(abs(y#), abs(n#)))) ** 2]
-    return ([n#]), k7, math.sqrt(err / {n})
+    [ay#] = [abs(y#)]
+    while r < r_end:
+        if naccpt + nrejct >= _MAX_STEPS:
+            return "step budget exhausted", r, y, k1, h, naccpt, nrejct, (), ()
+        last = h >= r_end - r
+        if last:
+            h = r_end - r
+        # negated so that a NaN step size (from a non-finite start) fails here
+        if not h >= 1e-14 * max(1.0, abs(r)):
+            return "step size underflow", r, y, k1, h, naccpt, nrejct, (), ()
+        # land exactly on r_end so endpoint r_eval samples are never dropped
+        r_new = r_end if last else r + h
+        [b#] = f(r + _C2 * h, ([y# + h * _A21 * a#]))
+        [c#] = f(r + _C3 * h, ([y# + h * (_A31 * a# + _A32 * b#)]))
+        [d#] = f(r + _C4 * h, ([y# + h * (_A41 * a# + _A42 * b# + _A43 * c#)]))
+        [e#] = f(r + _C5 * h, ([y# + h * (_A51 * a# + _A52 * b# + _A53 * c# + _A54 * d#)]))
+        [g#] = f(r + h, ([y# + h * (_A61 * a# + _A62 * b# + _A63 * c# + _A64 * d# + _A65 * e#)]))
+        [n#] = [y# + h * (_B1 * a# + _B3 * c# + _B4 * d# + _B5 * e# + _B6 * g#)]
+        y_new = ([n#])
+        k7 = f(r_new, y_new)
+        [s#] = k7
+        [an#] = [abs(n#)]
+        # the scale is max(ay#, an#), written out: ay# unless an# is larger
+        err = math.sqrt(([+(h * (_E1 * a# + _E3 * c# + _E4 * d# + _E5 * e# + _E6 * g# + _E7 * s#)
+                            / (abs_tol + rel * (an# if an# > ay# else ay#))) ** 2]) / {n})
+        if not err <= 1.0:  # a NaN error norm rejects the step
+            nrejct += 1
+            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            continue
+        naccpt += 1
+        r, y, k1 = r_new, y_new, k7
+        [y#][ay#][a#] = [n#][an#][s#]
+        nodes.append((r, y, k1))
+        # err <= 1 here, so the factor is at least _SAFETY > _MIN_FACTOR
+        h *= _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
+?        [q$] = g(r, y)
+?        if [|p$ > 0.0 >= q$ or p$ < 0.0 <= q$]:
+?            return "event", r, y, k1, h, naccpt, nrejct, ([p$]), ([q$])
+?        [p$] = [q$]
+    return "completed", r, y, k1, h, naccpt, nrejct, (), ()
 
 def hermite(r0, y0, f0, r1, y1, f1, r):
     h = r1 - r0
@@ -188,24 +219,23 @@ def hermite(r0, y0, f0, r1, y1, f1, r):
 
 
 @functools.cache
-def _dp54(n: int):
-    """(step, hermite) for n-dimensional states, compiled from _DP54_SRC."""
+def _dp54(n: int, k: int):
+    """(run, hermite) for n state components and k event values."""
 
     def expand(m):
-        terms = [m[2].replace("#", str(i)) for i in range(n)]
-        return " + ".join(terms) if m[1] else "".join(t + ", " for t in terms)
+        index, count = ("$", k) if "$" in m[2] else ("#", n)
+        terms = [m[2].replace(index, str(i)) for i in range(count)]
+        return {"+": " + ", "|": " or "}[m[1]].join(terms) if m[1] else "".join(t + ", " for t in terms)
 
+    src = re.sub(r"^\?(.*\n)", r"\1" if k else "", _DP54_SRC.format(n=n), flags=re.M)
+    src = re.sub(r"\b_[ABCE]\d+\b", lambda m: repr(globals()[m[0]]), src)  # tableau as literals
     ns: dict = {}
-    exec(re.sub(r"\[(\+?)(.*?)\]", expand, _DP54_SRC.format(n=n), flags=re.S), globals(), ns)
-    return ns["step"], ns["hermite"]
+    exec(re.sub(r"\[([+|]?)(.*?)\]", expand, src, flags=re.S), globals(), ns)
+    return ns["run"], ns["hermite"]
 
 
 def _crossed(g0: float, g1: float, direction: int) -> bool:
-    if direction < 0:
-        return g0 > 0.0 >= g1
-    if direction > 0:
-        return g0 < 0.0 <= g1
-    return (g0 > 0.0 >= g1) or (g0 < 0.0 <= g1)
+    return (direction <= 0 and g0 > 0.0 >= g1) or (direction >= 0 and g0 < 0.0 <= g1)
 
 
 def _initial_step(f, r0, y0, f0, r_end, rel, abs_tol):
@@ -236,30 +266,32 @@ def solve(
     rel: float,
     abs_tol: float,
     detectors: Sequence[Detector] = (),
+    g: Callable[[float, tuple], tuple] | None = None,
     r_eval: Sequence[float] | None = None,
     energy: Callable[[tuple], np.ndarray] | None = None,
 ) -> Trajectory:
     """Integrate y' = f(r, y) over r_span with event detection.
 
-    Samples are recorded at every accepted step, or exactly at the 1-D,
-    strictly increasing r_eval within r_span when given: a point equal to a
-    step end takes the state there, any other is interpolated in one pass
-    from the recorded step ends with the Hermite polynomial that refines
-    events.  energy, when given, is called once on the tuple of state
-    columns and returns the H trace elementwise.  A terminal event truncates
-    the trajectory at the refined crossing; otherwise the run ends with an
-    RMAX_REACHED event at r_span[1].  f is called 2 + 6 (naccpt + nrejct)
-    times: at the start, once for the initial step size and six times per
-    step.
+    g(r, y) returns the event values, one per detector in their order; it is
+    called at the start, per accepted step and per bisection point of a
+    crossing.  Samples are recorded at every accepted step, or exactly at
+    the 1-D, strictly increasing r_eval within r_span when given: a point
+    equal to a step end takes the state there, any other is interpolated in
+    one pass from the recorded step ends with the Hermite polynomial that
+    refines events.  energy, when given, is called once on the tuple of
+    state columns and returns the H trace elementwise.  A terminal event
+    truncates the trajectory at the refined crossing; otherwise the run ends
+    with an RMAX_REACHED event at r_span[1].  f is called 2 + 6 (naccpt +
+    nrejct) times: at the start, once for the initial step size and six
+    times per step.
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
         raise ValueError(f"need r_end > r_start, got {r_span}")
     y = tuple(float(c) for c in y0)
-    n = len(y)
     r = r0
     k1 = f(r, y)
-    step, hermite = _dp54(n)
+    run, hermite = _dp54(len(y), len(detectors))
 
     grid = None
     if r_eval is not None:
@@ -273,7 +305,7 @@ def solve(
 
     nodes = [(r, y, k1)]  # accepted (r, y, f); step j runs from node j-1 to node j
     active = list(detectors)
-    g_prev = [d.g(r, y) for d in active]
+    g_prev = tuple(g(r, y)) if active else ()
     events: list[Event] = []
 
     def build(status_str, cut=None) -> Trajectory:
@@ -303,68 +335,44 @@ def solve(
         stats = {"nfev": 2 + 6 * (naccpt + nrejct), "naccpt": naccpt, "nrejct": nrejct}
         return Trajectory(rarr, arr, Harr, tuple(events), status_str, stats)
 
-    h = _initial_step(f, r, y, k1, r_end, rel, abs_tol)
-    naccpt, nrejct = 0, 0
-    while r < r_end:
-        if naccpt + nrejct >= _MAX_STEPS:
-            raise IntegrationError(f"step budget exhausted at r={r}", build("failed"))
-        last = h >= r_end - r
-        if last:
-            h = r_end - r
-        # negated so that a NaN step size (from a non-finite start) fails here
-        if not h >= 1e-14 * max(1.0, abs(r)):
-            raise IntegrationError(f"step size underflow at r={r}", build("failed"))
-        # land exactly on r_end so endpoint r_eval samples are never dropped
-        r_new = r_end if last else r + h
-        y_new, k7, err = step(f, r, y, k1, h, r_new, rel, abs_tol)
-        if not err <= 1.0:  # a NaN error norm rejects the step
-            nrejct += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            continue
-        naccpt += 1
-
-        # accepted: locate events inside [r, r_new]
+    h, naccpt, nrejct = _initial_step(f, r, y, k1, r_end, rel, abs_tol), 0, 0
+    while True:
+        status, r, y, k1, h, naccpt, nrejct, g0, g1 = run(
+            f, g, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, *g_prev
+        )
+        if status == "completed":
+            break
+        if status != "event":
+            raise IntegrationError(f"{status} at r={r}", build("failed"))
+        # some value changed sign over the step that ended at node -1
+        (ra, ya, fa), (rb, yb, fb) = nodes[-2:]
         fired: list[tuple[float, Detector]] = []
         for i, det in enumerate(active):
-            if det is None:
+            if det is None or not _crossed(g0[i], g1[i], det.direction):
                 continue
-            g0 = g_prev[i]
-            g1 = g_prev[i] = det.g(r_new, y_new)
-            # any crossing is a sign change; only then does the direction matter
-            if (g0 > 0.0 >= g1 or g0 < 0.0 <= g1) and _crossed(g0, g1, det.direction):
-                # bisect on the dense output; hi_r stays on the crossed side
-                # so the event condition holds at the reported point
-                lo_r, hi_r = r, r_new
-                g_lo = g0
-                for _ in range(80):
-                    if hi_r - lo_r <= 4e-16 * max(1.0, abs(hi_r)):
+            # bisect on the dense output; hi_r stays on the crossed side
+            # so the event condition holds at the reported point
+            lo_r, hi_r, g_lo = ra, rb, g0[i]
+            for _ in range(80):
+                if hi_r - lo_r <= 4e-16 * max(1.0, abs(hi_r)):
+                    break
+                mid = 0.5 * (lo_r + hi_r)
+                g_mid = g(mid, hermite(ra, ya, fa, rb, yb, fb, mid))[i]
+                if _crossed(g_lo, g_mid, det.direction):
+                    hi_r = mid
+                    if abs(g_mid) <= abs_tol:
                         break
-                    mid = 0.5 * (lo_r + hi_r)
-                    y_mid = hermite(r, y, k1, r_new, y_new, k7, mid)
-                    g_mid = det.g(mid, y_mid)
-                    if _crossed(g_lo, g_mid, det.direction):
-                        hi_r = mid
-                        if abs(g_mid) <= abs_tol:
-                            break
-                    else:
-                        lo_r, g_lo = mid, g_mid
-                fired.append((hi_r, det))
-                if det.once:
-                    active[i] = None
-
-        if fired:
-            fired.sort(key=lambda t: t[0])
-            for r_star, det in fired:
-                y_star = hermite(r, y, k1, r_new, y_new, k7, r_star)
-                events.append(Event(det.kind, r_star, y_star))
-                if det.terminal:
-                    nodes.append((r_new, y_new, k7))
-                    return build(f"event:{det.kind.value}", (r_star, y_star))
-
-        r, y, k1 = r_new, y_new, k7
-        nodes.append((r, y, k1))
-        factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
-        h *= max(_MIN_FACTOR, factor)
+                else:
+                    lo_r, g_lo = mid, g_mid
+            fired.append((hi_r, det))
+            if det.once:
+                active[i] = None
+        for r_star, det in sorted(fired, key=lambda t: t[0]):
+            y_star = hermite(ra, ya, fa, rb, yb, fb, r_star)
+            events.append(Event(det.kind, r_star, y_star))
+            if det.terminal:
+                return build(f"event:{det.kind.value}", (r_star, y_star))
+        g_prev = g1
 
     events.append(Event(EventKind.RMAX_REACHED, r_end, y))
     return build("completed")
@@ -378,13 +386,15 @@ def integrate(
     detectors: Sequence[Detector] = (),
     r_end: float | None = None,
     r_eval: Sequence[float] | None = None,
+    g: Callable[[float, tuple], tuple] | None = None,
 ) -> Trajectory:
     """Integrate the flow f = flow(p) from start = (r_start, (u, v)).
 
-    flow is a factory such as equations.radial_flow, called once to bind p.
-    Runs up to r_end (default tol.rmax) or to the first terminal event,
-    recording the energy trace alongside the samples.  The radial flow
-    raises for r <= 0, so it cannot start at the origin.
+    flow is a factory such as equations.radial_flow, called once to bind p;
+    detectors and g are solve's.  Runs up to r_end (default tol.rmax) or to
+    the first terminal event, recording the energy trace alongside the
+    samples.  The radial flow raises for r <= 0, so it cannot start at the
+    origin.
     """
     tol = tol.resolved(p)
     r_start, y_start = start
@@ -396,6 +406,7 @@ def integrate(
         rel=tol.rel,
         abs_tol=tol.abs,
         detectors=detectors,
+        g=g,
         r_eval=r_eval,
         energy=lambda y: hamiltonian(y, p),
     )

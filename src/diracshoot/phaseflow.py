@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import autonomous_flow, radial_flow, radial_start
-from .integrator import Trajectory, integrate, v_sign_detector
+from .integrator import Detector, EventKind, Trajectory, integrate, v_sign
 from .params import Params, Tolerances
 from .shooting import VERDICT_A, classify
 
@@ -118,7 +118,8 @@ def attraction_report(lam: float, p: Params, tol: Tolerances) -> AttractionRepor
         )
     entered_at = cls.evidence["r"]
 
-    traj = integrate(radial_flow, radial_start(lam, p, tol), p, tol, detectors=[v_sign_detector()])
+    nodes = [Detector(EventKind.V_SIGN_CHANGE)]
+    traj = integrate(radial_flow, radial_start(lam, p, tol), p, tol, nodes, g=v_sign)
 
     v0 = math.sqrt(p.gap)
     u_end, v_end = traj.final_state

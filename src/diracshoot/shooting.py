@@ -22,21 +22,14 @@ solves the radial system to below the integrator's own residual.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .equations import hamiltonian, radial_flow, radial_start
-from .integrator import (
-    Detector,
-    Event,
-    EventKind,
-    IntegrationError,
-    Trajectory,
-    integrate,
-    v_sign_detector,
-)
+from .integrator import Detector, Event, EventKind, IntegrationError, Trajectory, integrate
 from .params import Params, Tolerances
 
 # the search stops at its width target (or at one ulp when that is finer)
@@ -140,28 +133,24 @@ def certificate_check(r: float, s: tuple[float, float], p: Params) -> Certificat
     return None
 
 
-def _detectors(p: Params, tol: Tolerances, stop_at_first_node: bool) -> list[Detector]:
+def _events(p: Params, tol: Tolerances, stop_at_first_node: bool):
+    """(g, detectors) of a shooting trial; g shares one H between two values."""
     delta = tol.delta
     eta = tol.eta
     gap2 = 2.0 * p.gap
     c0 = universal_constant(p)
 
-    def g_energy(r, y):
-        return hamiltonian(y, p) + delta
+    def g(r, y):
+        u, v = y
+        H = hamiltonian(y, p)
+        cert = -1.0 if r <= 1.0 else min(c0 / r - H, u * v, gap2 - v * v)
+        return v, H + delta, abs(u) + abs(v) - eta, cert
 
-    def g_norm(r, y):
-        return abs(y[0]) + abs(y[1]) - eta
-
-    def g_cert(r, y):
-        if r <= 1.0:
-            return -1.0
-        return min(c0 / r - hamiltonian(y, p), y[0] * y[1], gap2 - y[1] * y[1])
-
-    return [
-        v_sign_detector(terminal=stop_at_first_node),
-        Detector(EventKind.ENTERED_NEGATIVE_ENERGY, g_energy, direction=-1, terminal=True),
-        Detector(EventKind.NORM_BELOW_ETA, g_norm, direction=-1, terminal=True),
-        Detector(EventKind.CERTIFICATE_FIRED, g_cert, direction=1, once=True),
+    return g, [
+        Detector(EventKind.V_SIGN_CHANGE, terminal=stop_at_first_node),
+        Detector(EventKind.ENTERED_NEGATIVE_ENERGY, direction=-1, terminal=True),
+        Detector(EventKind.NORM_BELOW_ETA, direction=-1, terminal=True),
+        Detector(EventKind.CERTIFICATE_FIRED, direction=1, once=True),
     ]
 
 
@@ -257,9 +246,9 @@ def classify(
             traj if keep_trajectory else None,
         )
 
-    dets = _detectors(p, tol, stop_at_first_node)
+    g, dets = _events(p, tol, stop_at_first_node)
     try:
-        traj = integrate(radial_flow, (r0, y0), p, tol, detectors=dets, r_end=rmax)
+        traj = integrate(radial_flow, (r0, y0), p, tol, detectors=dets, r_end=rmax, g=g)
     except IntegrationError as err:
         traj = err.partial
         ev = {"r": float("nan"), "H": float("nan"), "certificate": None, "note": str(err)}
@@ -362,11 +351,21 @@ def _bessel_k01(x):
     x = np.asarray(x, dtype=float)
     h = min(0.1, 0.7 / math.sqrt(float(x.max())))
     t_end = 2.0 * math.asinh(math.sqrt(22.5 / float(x.min()))) + 2.0
-    t = h * np.arange(math.ceil(t_end / h) + 1)
-    e = np.exp(-2.0 * np.multiply.outer(x, np.sinh(0.5 * t) ** 2))
+    size = math.ceil(t_end / h) + 1
+    s2, ch = _k01_nodes(h, 1 << (size - 1).bit_length())
+    e = np.exp(-2.0 * np.multiply.outer(x, s2[:size]))
     e[..., 0] *= 0.5
     scale = h * np.exp(-x)
-    return scale * e.sum(axis=-1), scale * (e * np.cosh(t)).sum(axis=-1)
+    return scale * e.sum(axis=-1), scale * (e * ch[:size]).sum(axis=-1)
+
+
+@functools.lru_cache(maxsize=32)
+def _k01_nodes(h: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sinh^2(t/2), cosh t at t = h * arange(size), a power of two."""
+    t = h * np.arange(size)
+    s2, ch = np.sinh(0.5 * t) ** 2, np.cosh(t)
+    s2.flags.writeable = ch.flags.writeable = False
+    return s2, ch
 
 
 def _tail_basis(r, p: Params):

@@ -17,11 +17,13 @@ from diracshoot import (
     solve,
     taylor_start,
 )
-from diracshoot.integrator import v_sign_detector
+from diracshoot.integrator import v_sign
 
 P = Params(1.0, 0.5)
 TOL = Tolerances().resolved(P)
 RADIAL = radial_flow(P)
+NODE = Detector(EventKind.V_SIGN_CHANGE)  # with g=v_sign
+STOP = Detector(EventKind.V_SIGN_CHANGE, terminal=True)
 
 
 def test_matches_scipy_on_radial():
@@ -47,8 +49,8 @@ def test_event_location_matches_scipy():
     lam = 2.0
     r0 = 1e-6 / lam ** 2
     y0 = taylor_start(lam, P, r0)
-    det = [Detector(EventKind.V_SIGN_CHANGE, lambda r, y: y[1])]
-    traj = integrate(radial_flow, (r0, y0), P, TOL, detectors=det, r_end=10.0)
+    det = [Detector(EventKind.V_SIGN_CHANGE)]
+    traj = integrate(radial_flow, (r0, y0), P, TOL, det, r_end=10.0, g=lambda r, y: (y[1],))
     mine = [e.r for e in traj.events_of(EventKind.V_SIGN_CHANGE)]
 
     def ev(r, y):
@@ -109,15 +111,9 @@ def test_strictly_increasing_r():
 
 
 def test_terminal_event_truncates():
-    det = [
-        Detector(
-            EventKind.ENTERED_NEGATIVE_ENERGY,
-            lambda r, y: hamiltonian(y, P) + TOL.delta,
-            direction=-1,
-            terminal=True,
-        )
-    ]
-    traj = integrate(radial_flow, (1e-6, taylor_start(1.0, P, 1e-6)), P, TOL, detectors=det)
+    det = [Detector(EventKind.ENTERED_NEGATIVE_ENERGY, direction=-1, terminal=True)]
+    start = (1e-6, taylor_start(1.0, P, 1e-6))
+    traj = integrate(radial_flow, start, P, TOL, det, g=lambda r, y: (hamiltonian(y, P) + TOL.delta,))
     assert traj.status == "event:entered_negative_energy"
     ev = traj.events[-1]
     assert hamiltonian(ev.y, P) <= -TOL.delta  # crossed-side reporting
@@ -129,13 +125,13 @@ def test_event_carries_crossing_state():
     r0 = 1e-6 / lam ** 2
     start = (r0, taylor_start(lam, P, r0))
     # a terminal event's state is the trajectory's last sample, bit for bit
-    traj = integrate(radial_flow, start, P, TOL, detectors=[v_sign_detector(terminal=True)])
+    traj = integrate(radial_flow, start, P, TOL, [STOP], g=v_sign)
     ev = traj.events[-1]
     assert ev.kind == EventKind.V_SIGN_CHANGE
     assert ev.r == traj.r[-1]
     assert np.array_equal(np.array(ev.y), traj.y[-1])
     # a non-terminal v-sign event sits on v = 0
-    traj = integrate(radial_flow, start, P, TOL, detectors=[v_sign_detector()], r_end=5.0)
+    traj = integrate(radial_flow, start, P, TOL, [NODE], r_end=5.0, g=v_sign)
     ev = traj.events_of(EventKind.V_SIGN_CHANGE)[0]
     assert len(ev.y) == 2
     assert abs(ev.y[1]) <= 1e-9
@@ -263,32 +259,234 @@ def _reference_step(f, r, y, k1, h, r_new, rel, abs_tol):
     return y_new, k7, math.sqrt(err / len(y))
 
 
-def _bits(y_new, k7, err):
-    return [float(v).hex() for v in (*y_new, *k7, err)]  # hex keeps the sign of zero
+def _bits(*values):
+    return [float(v).hex() for v in values]  # hex keeps the sign of zero
 
 
 def test_generated_step_is_bitwise_the_reference():
+    # one step of the compiled loop against the vector-form step: the step
+    # lands on r_end = r + h and the budget allows no second attempt, so
+    # the loop records the accepted node, or none after a rejection, and
+    # returns the next step size
+    from diracshoot import integrator as I
     from diracshoot.asymptotics import _first_order_start, _rhs_joint
-    from diracshoot.integrator import _dp54
 
     radial = integrate(radial_flow, (1e-6, taylor_start(1.3, P, 1e-6)), P, TOL, r_end=2.0)
     y2 = tuple(map(float, radial.y[-1]))
     joint = _rhs_joint(0.2, P)
     r4 = 0.5
     y4 = (*_first_order_start(P, r4), 1e-3, 0.25 * (P.m**2 - P.omega**2) * r4 * r4)
-    cases = [  # (f, r, y, h, accepted)
-        (RADIAL, 2.0, y2, 1e-2, True),
+    cases = [  # (f, r, y, h, accepted); r + h - r == h exactly
+        (RADIAL, 2.0, y2, 2.0**-7, True),
         (RADIAL, 2.0, y2, 1.5, False),
-        (joint, r4, y4, 1e-2, True),
+        (joint, r4, y4, 2.0**-7, True),
         (joint, r4, y4, 3.0, False),
     ]
     for f, r, y, h, accepted in cases:
         k1 = f(r, y)
-        step, _ = _dp54(len(y))
-        got = step(f, r, y, k1, h, r + h, TOL.rel, TOL.abs)
-        want = _reference_step(f, r, y, k1, h, r + h, TOL.rel, TOL.abs)
-        assert (got[2] <= 1.0) == accepted
-        assert _bits(*got) == _bits(*want)
+        run, _ = I._dp54(len(y), 0)
+        nodes = []
+        status, *_, h_next, naccpt, nrejct, _, _ = run(
+            f, None, r, y, k1, h, r + h, TOL.rel, TOL.abs, nodes, 0, I._MAX_STEPS - 1
+        )
+        y_new, k7, err = _reference_step(f, r, y, k1, h, r + h, TOL.rel, TOL.abs)
+        assert (err <= 1.0) == accepted
+        if accepted:
+            factor = min(I._MAX_FACTOR, I._SAFETY * err**-0.2)
+            assert (status, naccpt) == ("completed", 1) and len(nodes) == 1
+            assert _bits(*nodes[0][1], *nodes[0][2]) == _bits(*y_new, *k7)
+            assert nodes[0][0] == r + h
+        else:
+            factor = I._SAFETY * err**-0.2
+            assert (status, naccpt, nodes) == ("step budget exhausted", 0, [])
+        assert _bits(h_next) == _bits(h * max(I._MIN_FACTOR, factor))
+
+
+def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, energy=None):
+    """solve without r_eval as a Python loop over the steps and, for each
+    accepted step, over the detectors, taking each value from its own call
+    of g and each step from _reference_step: the bitwise reference for the
+    compiled loop.  A failure raises IntegrationError with the partial run."""
+    from diracshoot import integrator as I
+
+    r_end = float(r_span[1])
+    r, y = float(r_span[0]), tuple(float(c) for c in y0)
+    k1 = f(r, y)
+    hermite = I._dp54(len(y), 0)[1]
+    nodes = [(r, y, k1)]
+    active = list(detectors)
+    g_prev = [g(r, y)[i] for i in range(len(active))]
+    events = []
+    naccpt, nrejct = 0, 0
+
+    def build(status, cut=None):
+        R, Y, _ = zip(*nodes)
+        rarr = np.array(R[:-1] + (cut[0],) if cut else R, dtype=float)
+        arr = np.array(Y[:-1] + (cut[1],) if cut else Y, dtype=float)
+        H = np.asarray(energy(tuple(arr.T)), dtype=float) if energy else np.full(len(rarr), np.nan)
+        stats = {"nfev": 2 + 6 * (naccpt + nrejct), "naccpt": naccpt, "nrejct": nrejct}
+        return I.Trajectory(rarr, arr, H, tuple(events), status, stats)
+
+    h = I._initial_step(f, r, y, k1, r_end, rel, abs_tol)
+    while r < r_end:
+        if naccpt + nrejct >= I._MAX_STEPS:
+            raise IntegrationError(f"step budget exhausted at r={r}", build("failed"))
+        last = h >= r_end - r
+        if last:
+            h = r_end - r
+        if not h >= 1e-14 * max(1.0, abs(r)):
+            raise IntegrationError(f"step size underflow at r={r}", build("failed"))
+        r_new = r_end if last else r + h
+        y_new, k7, err = _reference_step(f, r, y, k1, h, r_new, rel, abs_tol)
+        if not err <= 1.0:
+            nrejct += 1
+            h *= max(I._MIN_FACTOR, I._SAFETY * err**-0.2)
+            continue
+        naccpt += 1
+        fired = []
+        for i, det in enumerate(active):
+            if det is None:
+                continue
+            g0 = g_prev[i]
+            g1 = g_prev[i] = g(r_new, y_new)[i]
+            if (g0 > 0.0 >= g1 or g0 < 0.0 <= g1) and I._crossed(g0, g1, det.direction):
+                lo_r, hi_r, g_lo = r, r_new, g0
+                for _ in range(80):
+                    if hi_r - lo_r <= 4e-16 * max(1.0, abs(hi_r)):
+                        break
+                    mid = 0.5 * (lo_r + hi_r)
+                    g_mid = g(mid, hermite(r, y, k1, r_new, y_new, k7, mid))[i]
+                    if I._crossed(g_lo, g_mid, det.direction):
+                        hi_r = mid
+                        if abs(g_mid) <= abs_tol:
+                            break
+                    else:
+                        lo_r, g_lo = mid, g_mid
+                fired.append((hi_r, det))
+                if det.once:
+                    active[i] = None
+        fired.sort(key=lambda t: t[0])
+        for r_star, det in fired:
+            y_star = hermite(r, y, k1, r_new, y_new, k7, r_star)
+            events.append(I.Event(det.kind, r_star, y_star))
+            if det.terminal:
+                nodes.append((r_new, y_new, k7))
+                return build(f"event:{det.kind.value}", (r_star, y_star))
+        r, y, k1 = r_new, y_new, k7
+        nodes.append((r, y, k1))
+        factor = I._MAX_FACTOR if err == 0.0 else min(I._MAX_FACTOR, I._SAFETY * err**-0.2)
+        h *= max(I._MIN_FACTOR, factor)
+    events.append(I.Event(EventKind.RMAX_REACHED, r_end, y))
+    return build("completed")
+
+
+def _assert_same_run(traj, ref):
+    assert _hex(traj.r) == _hex(ref.r) and _hex(traj.y) == _hex(ref.y) and _hex(traj.H) == _hex(ref.H)
+    assert (traj.status, traj.stats) == (ref.status, ref.stats)
+    assert [(e.kind, _hex([e.r, *e.y])) for e in traj.events] == [
+        (e.kind, _hex([e.r, *e.y])) for e in ref.events
+    ]
+
+
+def _rotation_events(r, y):
+    return y[1], y[0]
+
+
+def test_compiled_loop_is_bitwise_the_reference_solve():
+    from diracshoot.asymptotics import _first_order_start, _rhs_joint, _rhs_rescaled
+    from diracshoot.equations import radial_start, rescaled_hamiltonian, taylor_start_scaled
+    from diracshoot.phaseflow import attraction_report
+    from diracshoot.shooting import _events
+
+    kw = dict(rel=TOL.rel, abs_tol=TOL.abs)
+    lam_star = 1.8078961486370915  # the ground state's datum at P, TOL
+    runs = []  # (f, r_span, y0, keywords of solve)
+    # shooting trials: A(0), nodal (A(1)), I-candidate, undecided at a
+    # horizon, and one stopped at its first node; the once certificate fires
+    # in the first four
+    for lam, stop, horizon in [
+        (lam_star - 7e-12, False, TOL.rmax),
+        (lam_star + 3e-12, False, TOL.rmax),
+        (lam_star, False, TOL.rmax),
+        (lam_star, False, 15.0),
+        (2.5, True, TOL.rmax),
+    ]:
+        r0, y0 = radial_start(lam, P, TOL)
+        g, dets = _events(P, TOL, stop)
+        energy = lambda y: hamiltonian(y, P)  # noqa: E731
+        runs.append((RADIAL, (r0, horizon), y0, dict(detectors=dets, g=g, energy=energy)))
+    # the rescaled run with a v-sign detector, and the 4-D joint remainder
+    eps = 0.05
+    start = taylor_start_scaled(1.0, eps * eps * P.gap, eps * eps * (P.m + P.omega), TOL.r0)
+    energy = lambda y: rescaled_hamiltonian(y, eps, P)  # noqa: E731
+    ev = dict(detectors=[NODE], g=v_sign, energy=energy)
+    runs.append((_rhs_rescaled(eps, P), (TOL.r0, 1.0 / eps), start, ev))
+    start4 = (*_first_order_start(P, TOL.r0), 0.0, 0.25 * (P.m**2 - P.omega**2) * TOL.r0**2)
+    runs.append((_rhs_joint(0.2, P), (TOL.r0, 5.0), start4, {}))
+    # a once detector whose value keeps changing sign after it fired, next
+    # to one that fires on upward crossings only
+    once = [Detector(EventKind.V_SIGN_CHANGE, once=True), Detector(EventKind.CERTIFICATE_FIRED, 1)]
+    runs.append((_rotation, (0.0, 30.0), (1.0, 0.1), dict(detectors=once, g=_rotation_events)))
+    # a value that reaches exactly 0.0 from either side where the last step
+    # lands on r_end
+    for sign in (1.0, -1.0):
+        g = lambda r, y, s=sign: (s * (3.0 - r),)  # noqa: E731
+        runs.append((_rotation, (0.0, 3.0), (1.0, 0.1), dict(detectors=[NODE], g=g)))
+
+    got = [solve(f, span, y0, **ev, **kw) for f, span, y0, ev in runs]
+    for traj, (f, span, y0, ev) in zip(got, runs):
+        _assert_same_run(traj, _reference_solve(f, span, y0, **ev, **kw))
+    assert [t.status for t in got[:5]] == [
+        "event:entered_negative_energy",
+        "event:entered_negative_energy",
+        "event:norm_below_eta",
+        "completed",
+        "event:v_sign_change",
+    ]
+    assert [t.nodes_before() for t in got[:5]] == [0, 1, 0, 0, 1]
+    assert len(got[-3].events_of(EventKind.V_SIGN_CHANGE)) == 1
+    assert len(got[-3].events_of(EventKind.CERTIFICATE_FIRED)) == 5
+    assert [e.r for t in got[-2:] for e in t.events_of(EventKind.V_SIGN_CHANGE)] == [3.0, 3.0]
+
+    # attraction_report's run to the horizon, where u crosses zero many
+    # times on the spiral toward the equilibrium
+    lam = 2.5
+    report = attraction_report(lam, P, TOL)
+    r0, y0 = radial_start(lam, P, TOL)
+    ev = dict(detectors=[NODE], g=v_sign, energy=lambda y: hamiltonian(y, P))
+    _assert_same_run(report.trajectory, _reference_solve(RADIAL, (r0, TOL.rmax), y0, **ev, **kw))
+    assert report.u_sign_alternations > 30
+
+
+def test_failures_match_the_reference_solve(monkeypatch):
+    # step-size underflow in the finite-time blow-up of y' = y^2, and a step
+    # budget that runs out after the first node of a nodal trial: the same
+    # message and the same partial run
+    from diracshoot import integrator as I
+    from diracshoot.equations import radial_start
+    from diracshoot.shooting import _events
+
+    def blowup(r, y):
+        return (y[0] * y[0],)
+
+    def same_failure(f, span, y_start, message, **kw):
+        with pytest.raises(IntegrationError, match=message) as exc:
+            solve(f, span, y_start, **kw)
+        with pytest.raises(IntegrationError) as ref:
+            _reference_solve(f, span, y_start, **kw)
+        assert str(exc.value) == str(ref.value)
+        _assert_same_run(exc.value.partial, ref.value.partial)
+        return exc.value.partial
+
+    same_failure(blowup, (0.0, 2.0), (1.0,), "step size underflow", rel=1e-10, abs_tol=1e-10)
+
+    monkeypatch.setattr(I, "_MAX_STEPS", 120)
+    r0, y0 = radial_start(2.5, P, TOL)
+    g, dets = _events(P, TOL, False)
+    kw = dict(detectors=dets, g=g, energy=lambda y: hamiltonian(y, P), rel=TOL.rel, abs_tol=TOL.abs)
+    partial = same_failure(RADIAL, (r0, TOL.rmax), y0, "step budget exhausted", **kw)
+    assert partial.stats["naccpt"] + partial.stats["nrejct"] == 120
+    assert partial.nodes_before() == 1
 
 
 def test_stats_count_every_rhs_call(gs):
@@ -304,9 +502,8 @@ def test_stats_count_every_rhs_call(gs):
     lam = 2.0
     r0 = 1e-6 / lam**2
     y0 = taylor_start(lam, P, r0)
-    stop = Detector(EventKind.V_SIGN_CHANGE, lambda r, y: y[1], terminal=True)
     grid = np.linspace(0.5, 9.5, 50)
-    for kw in (dict(), dict(r_eval=grid, detectors=[stop])):
+    for kw in (dict(), dict(r_eval=grid, detectors=[STOP], g=v_sign)):
         plain = solve(RADIAL, (r0, 10.0), y0, rel=TOL.rel, abs_tol=TOL.abs, **kw)
         calls = 0
         wrapped = solve(counted, (r0, 10.0), y0, rel=TOL.rel, abs_tol=TOL.abs, **kw)
@@ -349,7 +546,7 @@ def _dense_reference(f, r_span, y0, grid, energy=None, **kw):
     if plain.status.startswith("event:"):
         assert rs[-1] == plain.events[-1].r  # the last sample is the crossing
         nodes[-1] = last[0]
-    hermite = _dp54(len(ys[0]))[1]
+    hermite = _dp54(len(ys[0]), 0)[1]
     out_r, out_y = [], []
     for pt in grid:
         if pt > rs[-1]:
@@ -374,19 +571,20 @@ def test_dense_output_is_bitwise_the_scalar_loop():
     y0 = taylor_start(lam, P, r0)
     kw = dict(rel=TOL.rel, abs_tol=TOL.abs)
     steps = solve(radial, (r0, 10.0), y0, **kw).r
-    stop = solve(radial, (r0, 10.0), y0, detectors=[v_sign_detector(terminal=True)], **kw)
+    stop = solve(radial, (r0, 10.0), y0, detectors=[STOP], g=v_sign, **kw)
     r_star = stop.events[-1].r
     # r0, accepted step ends, the terminal crossing, interior points and r_end
     grid = np.unique(np.concatenate([steps[:60:4], [r_star], np.linspace(r0, 10.0, 301)]))
     start4 = (*_first_order_start(P, TOL.r0), 0.0, 0.25 * (P.m**2 - P.omega**2) * TOL.r0**2)
-    runs = [  # (f, r_span, y0, grid, energy, detectors)
-        (radial, (r0, 10.0), y0, grid, energy, ()),
-        (_rhs_joint(0.2, P), (TOL.r0, 5.0), start4, np.linspace(TOL.r0, 5.0, 800), None, ()),
-        (radial, (r0, 10.0), y0, grid, energy, [v_sign_detector(terminal=True)]),
+    stop_kw = dict(detectors=[STOP], g=v_sign)
+    runs = [  # (f, r_span, y0, grid, energy, detectors and g)
+        (radial, (r0, 10.0), y0, grid, energy, {}),
+        (_rhs_joint(0.2, P), (TOL.r0, 5.0), start4, np.linspace(TOL.r0, 5.0, 800), None, {}),
+        (radial, (r0, 10.0), y0, grid, energy, stop_kw),
     ]
-    for f, span, y_start, pts, en, dets in runs:
-        traj = solve(f, span, y_start, r_eval=pts, energy=en, detectors=dets, **kw)
-        r, y, H = _dense_reference(f, span, y_start, pts, en, detectors=dets, **kw)
+    for f, span, y_start, pts, en, ev in runs:
+        traj = solve(f, span, y_start, r_eval=pts, energy=en, **ev, **kw)
+        r, y, H = _dense_reference(f, span, y_start, pts, en, **ev, **kw)
         assert len(r) > 0 and len(traj) == len(r)
         assert _hex(traj.r) == _hex(r) and _hex(traj.y) == _hex(y) and _hex(traj.H) == _hex(H)
     assert traj.status == "event:v_sign_change" and traj.r[-1] == r_star < grid[-1]

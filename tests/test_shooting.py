@@ -179,6 +179,34 @@ def test_tail_basis_matches_mpmath_bessel_pair(m, omega):
             assert abs(dv + (mm + om) * u) <= 1e-20 * abs(dv)
 
 
+def _bessel_k01_direct(x):
+    """shooting._bessel_k01 with its nodes computed on every call."""
+    x = np.asarray(x, dtype=float)
+    h = min(0.1, 0.7 / math.sqrt(float(x.max())))
+    t_end = 2.0 * math.asinh(math.sqrt(22.5 / float(x.min()))) + 2.0
+    t = h * np.arange(math.ceil(t_end / h) + 1)
+    e = np.exp(-2.0 * np.multiply.outer(x, np.sinh(0.5 * t) ** 2))
+    e[..., 0] *= 0.5
+    scale = h * np.exp(-x)
+    return scale * e.sum(axis=-1), scale * (e * np.cosh(t)).sum(axis=-1)
+
+
+def test_bessel_node_cache_is_bitwise_the_direct_formula():
+    # scalars across the range, repeated so that cached grids are reused,
+    # and arrays whose largest x sets a step below 0.1
+    from diracshoot.shooting import _bessel_k01, _k01_nodes
+
+    scalars = [*np.geomspace(1e-8, 700.0, 97), *np.linspace(20.0, 40.0, 50)]
+    arrays = [np.linspace(1.0, 60.0, 40), np.geomspace(1e-3, 700.0, 30), np.array(_BESSEL_X)]
+    for x in [*scalars, *arrays, *scalars[::7]]:
+        got, want = _bessel_k01(x), _bessel_k01_direct(x)
+        assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in want]
+    info = _k01_nodes.cache_info()
+    assert info.hits > 0 and info.currsize <= info.maxsize
+    s2, ch = _k01_nodes(0.1, 64)
+    assert not (s2.flags.writeable or ch.flags.writeable)
+
+
 def test_degenerate_bracket_returns_immediately():
     lam = 1.8078961486370915
     gs2 = bisect(Bracket(lam, lam, ()), P, TOL)
