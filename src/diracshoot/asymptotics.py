@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import rescaled_hamiltonian, taylor_start_scaled
+from .equations import cubic_flow, rescaled_hamiltonian, taylor_start_scaled
 from .integrator import Detector, EventKind, Trajectory, solve, v_sign
 from .params import Params, Tolerances
 
@@ -60,18 +60,6 @@ def bubble_residual(grid) -> float:
     return float(np.max(res_u + res_v))
 
 
-def _rhs_rescaled(eps: float, p: Params):
-    e2m = eps * eps * p.gap
-    e2p = eps * eps * (p.m + p.omega)
-
-    def f(r, y):
-        u, v = y
-        q = u * u + v * v
-        return q * v - e2m * v - u / r, -q * u - e2p * u
-
-    return f
-
-
 def integrate_rescaled(
     eps: float,
     p: Params,
@@ -91,12 +79,11 @@ def integrate_rescaled(
     if r_end is None and eps == 0.0:
         raise ValueError("the massless limit needs an explicit r_end")
     end = float(r_end) if r_end is not None else 1.0 / eps
-    r0 = tol.r0
-    y0 = taylor_start_scaled(1.0, eps * eps * p.gap, eps * eps * (p.m + p.omega), r0)
+    a_minus, a_plus = eps * eps * p.gap, eps * eps * (p.m + p.omega)
     return solve(
-        _rhs_rescaled(eps, p),
-        (r0, end),
-        y0,
+        cubic_flow(a_minus, a_plus),
+        (tol.r0, end),
+        taylor_start_scaled(1.0, a_minus, a_plus, tol.r0),
         rel=tol.rel,
         abs_tol=tol.abs,
         detectors=detectors,

@@ -9,6 +9,7 @@ and is singular at r = 0.  Dropping the 1/r term gives the autonomous
 Hamiltonian system whose energy H confines every trajectory.  Each flow is
 a factory flow(p) returning f(r, s) with p's constants bound, the form that
 integrator.integrate takes; radial_flow(p)(r, s) evaluates it at one point.
+The radial and rescaled flows are cubic_flow(a-, a+), which solve inlines.
 """
 
 from __future__ import annotations
@@ -20,18 +21,24 @@ from .params import Params, Tolerances
 State = tuple[float, float]
 
 
-def radial_flow(p: Params):
-    """Radial flow f(r, s) = (u', v') for the parameters p; requires r > 0."""
-    gm, gp = p.m - p.omega, p.m + p.omega
+def cubic_flow(a_minus: float, a_plus: float):
+    """f(r, s) = (q v - a- v - u / r, -q u - a+ u), q = u^2 + v^2, for r > 0;
+    integrator.solve writes this formula into its loop for f.cubic = (a-, a+)."""
 
     def f(r, s):
         if r <= 0.0:
             raise ValueError(f"radial right-hand side needs r > 0, got r={r}")
         u, v = s
         q = u * u + v * v
-        return q * v - gm * v - u / r, -q * u - gp * u
+        return q * v - a_minus * v - u / r, -q * u - a_plus * u
 
+    f.cubic = (a_minus, a_plus)
     return f
+
+
+def radial_flow(p: Params):
+    """Radial flow f(r, s) = (u', v') for the parameters p; requires r > 0."""
+    return cubic_flow(p.m - p.omega, p.m + p.omega)
 
 
 def autonomous_flow(p: Params):

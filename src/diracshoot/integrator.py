@@ -11,12 +11,13 @@ are interpolated with the same polynomial, in one array pass over the
 recorded step ends.
 
 The adaptive loop, with a sign screen of the event values, and the Hermite
-dense output are written once, in _DP54_SRC, as per-component expressions
-over the tableau constants below; _dp54(n, k) expands them for n state
-components and k event values and compiles the result once per (n, k), as
-dataclasses builds __init__.  Loops over components or detectors in Python
-cost several times the arithmetic they perform; the expanded code keeps
-their operation order, so it is bitwise the loops.
+dense output are written once, in _DP54_SRC and _HERMITE_SRC, as
+per-component expressions over the tableau constants below; _dp54(n, k,
+inline) and _hermite(n) compile them once per key, as dataclasses builds
+__init__.  Loops over components or detectors in Python cost several times
+the arithmetic they perform; the expanded code keeps their operation order,
+so it is bitwise the loops.  With inline, each stage evaluates the formula
+of an equations.cubic_flow the same way in place of calling it.
 """
 
 from __future__ import annotations
@@ -112,9 +113,9 @@ class Trajectory:
     """Recorded integration path: samples (r, state, H) plus the event log.
     r is strictly increasing; arrays are never mutated.  y has one row per
     sample; its first two columns are the (u, v) plane for the 2-dimensional
-    flows.  stats holds solve's counters in the DOPRI5 names: nfev (calls of
-    f), naccpt and nrejct (accepted and rejected steps); it is empty for
-    paths assembled outside solve."""
+    flows.  stats holds solve's counters in the DOPRI5 names: nfev
+    (right-hand side evaluations), naccpt and nrejct (accepted and rejected
+    steps); it is empty for paths assembled outside solve."""
 
     r: np.ndarray
     y: np.ndarray
@@ -157,7 +158,7 @@ class Trajectory:
 # naccpt, nrejct, p, q): "completed" at r_end, "event" after a step over which some
 # value changed sign from p to q, or a failure.  hermite takes floats or NumPy columns.
 _DP54_SRC = """
-def run(f, g, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
+def run(f, a_minus, a_plus, g, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
     [y#] = y
     [a#] = k1
     [ay#] = [abs(y#)]
@@ -178,9 +179,7 @@ def run(f, g, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
         [e#] = f(r + _C5 * h, ([y# + h * (_A51 * a# + _A52 * b# + _A53 * c# + _A54 * d#)]))
         [g#] = f(r + h, ([y# + h * (_A61 * a# + _A62 * b# + _A63 * c# + _A64 * d# + _A65 * e#)]))
         [n#] = [y# + h * (_B1 * a# + _B3 * c# + _B4 * d# + _B5 * e# + _B6 * g#)]
-        y_new = ([n#])
-        k7 = f(r_new, y_new)
-        [s#] = k7
+        [s#] = f(r_new, ([n#]))
         [an#] = [abs(n#)]
         # the scale is max(ay#, an#), written out: ay# unless an# is larger
         err = math.sqrt(([+(h * (_E1 * a# + _E3 * c# + _E4 * d# + _E5 * e# + _E6 * g# + _E7 * s#)
@@ -190,7 +189,7 @@ def run(f, g, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             continue
         naccpt += 1
-        r, y, k1 = r_new, y_new, k7
+        r, y, k1 = r_new, ([n#]), ([s#])
         [y#][ay#][a#] = [n#][an#][s#]
         nodes.append((r, y, k1))
         # err <= 1 here, so the factor is at least _SAFETY > _MIN_FACTOR
@@ -200,7 +199,9 @@ def run(f, g, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
 ?            return "event", r, y, k1, h, naccpt, nrejct, ([p$]), ([q$])
 ?        [p$] = [q$]
     return "completed", r, y, k1, h, naccpt, nrejct, (), ()
+"""
 
+_HERMITE_SRC = """
 def hermite(r0, y0, f0, r1, y1, f1, r):
     h = r1 - r0
     t = (r - r0) / h
@@ -217,21 +218,32 @@ def hermite(r0, y0, f0, r1, y1, f1, r):
     return ([c00 * a# + c10 * h * fa# + c01 * b# + c11 * h * fb#])
 """
 
+# a call [x#] = f(radius, ([arguments])) as equations.cubic_flow's operations
+_INLINE = r"^( *)\[(\w+)#\] = f\((.+?), \((\[.+\])\)\)$", (
+    r"\1[z#] = \4\n\1q = z0 * z0 + z1 * z1\n"
+    r"\1\g<2>0, \g<2>1 = q * z1 - a_minus * z1 - z0 / (\3), -q * z0 - a_plus * z0")
 
-@functools.cache
-def _dp54(n: int, k: int):
-    """(run, hermite) for n state components and k event values."""
 
+def _compile(src: str, n: int, k: int = 0):
     def expand(m):
         index, count = ("$", k) if "$" in m[2] else ("#", n)
         terms = [m[2].replace(index, str(i)) for i in range(count)]
         return {"+": " + ", "|": " or "}[m[1]].join(terms) if m[1] else "".join(t + ", " for t in terms)
 
-    src = re.sub(r"^\?(.*\n)", r"\1" if k else "", _DP54_SRC.format(n=n), flags=re.M)
+    src = re.sub(r"^\?(.*\n)", r"\1" if k else "", src.format(n=n), flags=re.M)
     src = re.sub(r"\b_[ABCE]\d+\b", lambda m: repr(globals()[m[0]]), src)  # tableau as literals
     ns: dict = {}
     exec(re.sub(r"\[([+|]?)(.*?)\]", expand, src, flags=re.S), globals(), ns)
-    return ns["run"], ns["hermite"]
+    return ns.popitem()[1]
+
+
+@functools.cache
+def _dp54(n: int, k: int, inline: bool):
+    """run; inline: the 2-D cubic flow with coefficients (a_minus, a_plus) as f."""
+    return _compile(re.sub(*_INLINE, _DP54_SRC, flags=re.M) if inline else _DP54_SRC, n, k)
+
+
+_hermite = functools.cache(functools.partial(_compile, _HERMITE_SRC))
 
 
 def _crossed(g0: float, g1: float, direction: int) -> bool:
@@ -281,9 +293,10 @@ def solve(
     refines events.  energy, when given, is called once on the tuple of
     state columns and returns the H trace elementwise.  A terminal event
     truncates the trajectory at the refined crossing; otherwise the run ends
-    with an RMAX_REACHED event at r_span[1].  f is called 2 + 6 (naccpt +
-    nrejct) times: at the start, once for the initial step size and six
-    times per step.
+    with an RMAX_REACHED event at r_span[1].  The right-hand side is
+    evaluated 2 + 6 (naccpt + nrejct) times: at the start, for the initial
+    step size and six times per step, each a call of f unless f is an
+    equations.cubic_flow (f.cubic is set), whose stages the loop inlines.
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
@@ -291,7 +304,8 @@ def solve(
     y = tuple(float(c) for c in y0)
     r = r0
     k1 = f(r, y)
-    run, hermite = _dp54(len(y), len(detectors))
+    a_minus, a_plus = getattr(f, "cubic", (None, None))
+    run, hermite = _dp54(len(y), len(detectors), a_minus is not None), _hermite(len(y))
 
     grid = None
     if r_eval is not None:
@@ -338,7 +352,7 @@ def solve(
     h, naccpt, nrejct = _initial_step(f, r, y, k1, r_end, rel, abs_tol), 0, 0
     while True:
         status, r, y, k1, h, naccpt, nrejct, g0, g1 = run(
-            f, g, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, *g_prev
+            f, a_minus, a_plus, g, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, *g_prev
         )
         if status == "completed":
             break

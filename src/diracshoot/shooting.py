@@ -143,7 +143,9 @@ def _events(p: Params, tol: Tolerances, stop_at_first_node: bool):
     def g(r, y):
         u, v = y
         H = hamiltonian(y, p)
-        cert = -1.0 if r <= 1.0 else min(c0 / r - H, u * v, gap2 - v * v)
+        a, b, c = c0 / r - H, u * v, gap2 - v * v  # min(a, b, c): the first least, or NaN
+        b = b if b < a else a
+        cert = -1.0 if r <= 1.0 else c if c < b else b
         return v, H + delta, abs(u) + abs(v) - eta, cert
 
     return g, [

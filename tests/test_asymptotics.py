@@ -151,15 +151,17 @@ def test_remainder_sources_exact_in_high_precision():
 
     import mpmath
 
-    from diracshoot.asymptotics import _rhs_first_order, _rhs_joint, _rhs_rescaled
+    from diracshoot.asymptotics import _rhs_first_order, _rhs_joint
+    from diracshoot.equations import cubic_flow
 
     rng = random.Random(2017)
-    first, bubble_flow = _rhs_first_order(P), _rhs_rescaled(0.0, P)
+    first, bubble_flow = _rhs_first_order(P), cubic_flow(0.0, 0.0)
     with mpmath.workdps(50):
         for eps in (0.5, 0.25, 0.125):
             e2 = mpmath.mpf(eps) ** 2
             e4 = e2 * e2
-            flow, joint = _rhs_rescaled(eps, P), _rhs_joint(eps, P)
+            flow = cubic_flow(eps * eps * P.gap, eps * eps * (P.m + P.omega))
+            joint = _rhs_joint(eps, P)
             for _ in range(20):
                 r = mpmath.mpf(rng.uniform(0.05, 40.0))
                 h1, k1, h2, k2 = (mpmath.mpf(rng.uniform(-3.0, 3.0)) for _ in range(4))

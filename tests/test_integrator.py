@@ -267,7 +267,8 @@ def test_generated_step_is_bitwise_the_reference():
     # one step of the compiled loop against the vector-form step: the step
     # lands on r_end = r + h and the budget allows no second attempt, so
     # the loop records the accepted node, or none after a rejection, and
-    # returns the next step size
+    # returns the next step size; the radial flow runs both inlined and
+    # called, the joint flow called
     from diracshoot import integrator as I
     from diracshoot.asymptotics import _first_order_start, _rhs_joint
 
@@ -276,18 +277,21 @@ def test_generated_step_is_bitwise_the_reference():
     joint = _rhs_joint(0.2, P)
     r4 = 0.5
     y4 = (*_first_order_start(P, r4), 1e-3, 0.25 * (P.m**2 - P.omega**2) * r4 * r4)
-    cases = [  # (f, r, y, h, accepted); r + h - r == h exactly
-        (RADIAL, 2.0, y2, 2.0**-7, True),
-        (RADIAL, 2.0, y2, 1.5, False),
-        (joint, r4, y4, 2.0**-7, True),
-        (joint, r4, y4, 3.0, False),
+    cases = [  # (f, inline, r, y, h, accepted); r + h - r == h exactly
+        (RADIAL, True, 2.0, y2, 2.0**-7, True),
+        (RADIAL, True, 2.0, y2, 1.5, False),
+        (RADIAL, False, 2.0, y2, 2.0**-7, True),
+        (RADIAL, False, 2.0, y2, 1.5, False),
+        (joint, False, r4, y4, 2.0**-7, True),
+        (joint, False, r4, y4, 3.0, False),
     ]
-    for f, r, y, h, accepted in cases:
+    for f, inline, r, y, h, accepted in cases:
         k1 = f(r, y)
-        run, _ = I._dp54(len(y), 0)
+        run = I._dp54(len(y), 0, inline)
+        a_minus, a_plus = RADIAL.cubic if inline else (None, None)
         nodes = []
         status, *_, h_next, naccpt, nrejct, _, _ = run(
-            f, None, r, y, k1, h, r + h, TOL.rel, TOL.abs, nodes, 0, I._MAX_STEPS - 1
+            f, a_minus, a_plus, None, r, y, k1, h, r + h, TOL.rel, TOL.abs, nodes, 0, I._MAX_STEPS - 1
         )
         y_new, k7, err = _reference_step(f, r, y, k1, h, r + h, TOL.rel, TOL.abs)
         assert (err <= 1.0) == accepted
@@ -312,7 +316,7 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, energ
     r_end = float(r_span[1])
     r, y = float(r_span[0]), tuple(float(c) for c in y0)
     k1 = f(r, y)
-    hermite = I._dp54(len(y), 0)[1]
+    hermite = I._hermite(len(y))
     nodes = [(r, y, k1)]
     active = list(detectors)
     g_prev = [g(r, y)[i] for i in range(len(active))]
@@ -392,18 +396,17 @@ def _rotation_events(r, y):
     return y[1], y[0]
 
 
-def test_compiled_loop_is_bitwise_the_reference_solve():
-    from diracshoot.asymptotics import _first_order_start, _rhs_joint, _rhs_rescaled
-    from diracshoot.equations import radial_start, rescaled_hamiltonian, taylor_start_scaled
-    from diracshoot.phaseflow import attraction_report
+def _cubic_runs():
+    """(f, r_span, y0, keywords of solve) of the runs on a cubic_flow:
+    shooting trials A(0), nodal (A(1)), I-candidate, undecided at a horizon,
+    and one stopped at its first node (the once certificate fires in the
+    first four), then the rescaled run with a v-sign detector at eps = 0.05,
+    0.2 and the eps = 0 bubble limit."""
+    from diracshoot.equations import cubic_flow, radial_start, rescaled_hamiltonian, taylor_start_scaled
     from diracshoot.shooting import _events
 
-    kw = dict(rel=TOL.rel, abs_tol=TOL.abs)
     lam_star = 1.8078961486370915  # the ground state's datum at P, TOL
-    runs = []  # (f, r_span, y0, keywords of solve)
-    # shooting trials: A(0), nodal (A(1)), I-candidate, undecided at a
-    # horizon, and one stopped at its first node; the once certificate fires
-    # in the first four
+    runs = []
     for lam, stop, horizon in [
         (lam_star - 7e-12, False, TOL.rmax),
         (lam_star + 3e-12, False, TOL.rmax),
@@ -415,12 +418,24 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
         g, dets = _events(P, TOL, stop)
         energy = lambda y: hamiltonian(y, P)  # noqa: E731
         runs.append((RADIAL, (r0, horizon), y0, dict(detectors=dets, g=g, energy=energy)))
-    # the rescaled run with a v-sign detector, and the 4-D joint remainder
-    eps = 0.05
-    start = taylor_start_scaled(1.0, eps * eps * P.gap, eps * eps * (P.m + P.omega), TOL.r0)
-    energy = lambda y: rescaled_hamiltonian(y, eps, P)  # noqa: E731
-    ev = dict(detectors=[NODE], g=v_sign, energy=energy)
-    runs.append((_rhs_rescaled(eps, P), (TOL.r0, 1.0 / eps), start, ev))
+    for eps in (0.05, 0.2, 0.0):
+        a_minus, a_plus = eps * eps * P.gap, eps * eps * (P.m + P.omega)
+        start = taylor_start_scaled(1.0, a_minus, a_plus, TOL.r0)
+        energy = lambda y, eps=eps: rescaled_hamiltonian(y, eps, P)  # noqa: E731
+        span = (TOL.r0, 1.0 / eps if eps else 20.0)
+        runs.append((cubic_flow(a_minus, a_plus), span, start, dict(detectors=[NODE], g=v_sign, energy=energy)))
+    return runs
+
+
+def test_compiled_loop_is_bitwise_the_reference_solve():
+    from diracshoot.asymptotics import _first_order_start, _rhs_joint
+    from diracshoot.equations import radial_start
+    from diracshoot.phaseflow import attraction_report
+
+    kw = dict(rel=TOL.rel, abs_tol=TOL.abs)
+    # the cubic runs take the inlined flow, the others call f
+    runs = _cubic_runs()
+    # the 4-D joint remainder
     start4 = (*_first_order_start(P, TOL.r0), 0.0, 0.25 * (P.m**2 - P.omega**2) * TOL.r0**2)
     runs.append((_rhs_joint(0.2, P), (TOL.r0, 5.0), start4, {}))
     # a once detector whose value keeps changing sign after it fired, next
@@ -458,6 +473,14 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     assert report.u_sign_alternations > 30
 
 
+def test_inlined_cubic_flow_is_bitwise_the_called_one():
+    # a cubic_flow takes the loop with its formula written in; the same flow
+    # behind a plain callable takes the loop that calls it
+    kw = dict(rel=TOL.rel, abs_tol=TOL.abs)
+    for f, span, y0, ev in _cubic_runs():
+        _assert_same_run(solve(f, span, y0, **ev, **kw), solve(lambda r, y: f(r, y), span, y0, **ev, **kw))
+
+
 def test_failures_match_the_reference_solve(monkeypatch):
     # step-size underflow in the finite-time blow-up of y' = y^2, and a step
     # budget that runs out after the first node of a nodal trial: the same
@@ -491,13 +514,20 @@ def test_failures_match_the_reference_solve(monkeypatch):
 
 def test_stats_count_every_rhs_call(gs):
     # a counting wrapper around f is how a caller measures the work of solve;
-    # it must leave the trajectory unchanged and agree with nfev
+    # it must leave the trajectory unchanged and agree with nfev.  A wrapper
+    # that keeps the cubic coefficients is called only for the first
+    # derivative and the initial step size: the stages are inlined
     calls = 0
 
     def counted(r, y):
         nonlocal calls
         calls += 1
         return RADIAL(r, y)
+
+    def counted_cubic(r, y):
+        return counted(r, y)
+
+    counted_cubic.cubic = RADIAL.cubic
 
     lam = 2.0
     r0 = 1e-6 / lam**2
@@ -512,6 +542,9 @@ def test_stats_count_every_rhs_call(gs):
         assert plain.events == wrapped.events
         steps = wrapped.stats["naccpt"] + wrapped.stats["nrejct"]
         assert calls == 2 + 6 * steps
+        calls = 0
+        inlined = solve(counted_cubic, (r0, 10.0), y0, rel=TOL.rel, abs_tol=TOL.abs, **kw)
+        assert calls == 2 and inlined.stats == plain.stats
         if not kw:
             assert wrapped.stats["naccpt"] == len(wrapped) - 1 and wrapped.stats["nrejct"] > 0
     assert gs.profile.stats == {}  # assembled outside solve
@@ -527,7 +560,7 @@ def _dense_reference(f, r_span, y0, grid, energy=None, **kw):
     the first step ending at or beyond it.  The steps come from a run
     without r_eval; f is pure, so f(r, y) at a step end is its FSAL
     derivative, and the last call of f ends the step a terminal event cuts."""
-    from diracshoot.integrator import _dp54
+    from diracshoot.integrator import _hermite
 
     last = []
 
@@ -546,7 +579,7 @@ def _dense_reference(f, r_span, y0, grid, energy=None, **kw):
     if plain.status.startswith("event:"):
         assert rs[-1] == plain.events[-1].r  # the last sample is the crossing
         nodes[-1] = last[0]
-    hermite = _dp54(len(ys[0]), 0)[1]
+    hermite = _hermite(len(ys[0]))
     out_r, out_y = [], []
     for pt in grid:
         if pt > rs[-1]:
