@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import cubic_flow, rescaled_hamiltonian, taylor_start_scaled
+from .equations import hamiltonian, radial_flow, taylor_start
 from .integrator import Detector, EventKind, Trajectory, solve, v_sign
 from .params import Params, Tolerances
 
@@ -69,27 +69,27 @@ def integrate_rescaled(
     detectors=(),
     g=None,
 ) -> Trajectory:
-    """Integrate the rescaled system from (0, 1) up to r_end (default 1/eps).
+    """Integrate the rescaled system radial_flow(p, eps) from (0, 1) up to
+    r_end (default 1/eps).
 
-    The associated rescaled energy is recorded as the H trace; it is
-    non-increasing along the flow and bounded by its datum value <= 1.
+    The rescaled energy hamiltonian(y, p, eps) is recorded as the H trace;
+    it is non-increasing along the flow and bounded by its datum value <= 1.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"need 0 <= eps < 1, got {eps}")
     if r_end is None and eps == 0.0:
         raise ValueError("the massless limit needs an explicit r_end")
     end = float(r_end) if r_end is not None else 1.0 / eps
-    a_minus, a_plus = eps * eps * p.gap, eps * eps * (p.m + p.omega)
     return solve(
-        cubic_flow(a_minus, a_plus),
+        radial_flow(p, eps),
         (tol.r0, end),
-        taylor_start_scaled(1.0, a_minus, a_plus, tol.r0),
+        taylor_start(1.0, p, tol.r0, eps),
         rel=tol.rel,
         abs_tol=tol.abs,
         detectors=detectors,
         g=g,
         r_eval=r_eval,
-        energy=lambda y: rescaled_hamiltonian(y, eps, p),
+        energy=lambda y: hamiltonian(y, p, eps),
     )
 
 

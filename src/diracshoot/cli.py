@@ -69,10 +69,10 @@ class RunConfig:
             values = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(x) for x in values if isinstance(x, float)):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        # Params and Tolerances hold the checks of their own fields
+        # Params and Tolerances hold the checks of their own fields, and
+        # Tolerances.resolved those that join the two
         try:
-            self.params()
-            self.tolerances()
+            self.tolerances().resolved(self.params())
         except ValueError as err:
             raise ConfigError(str(err)) from None
         if not self.T > self.r0:

@@ -9,7 +9,9 @@ and is singular at r = 0.  Dropping the 1/r term gives the autonomous
 Hamiltonian system whose energy H confines every trajectory.  Each flow is
 a factory flow(p) returning f(r, s) with p's constants bound, the form that
 integrator.integrate takes; radial_flow(p)(r, s) evaluates it at one point.
-The radial and rescaled flows are cubic_flow(a-, a+), which solve inlines.
+The blow-up rescaling (U, V)(r) = eps (u, v)(eps^2 r) gives back the same
+system with m and omega scaled by eps^2, so radial_flow, hamiltonian and
+taylor_start take eps (default 1) for it; solve inlines the radial flow.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ from .params import Params, Tolerances
 State = tuple[float, float]
 
 
-def cubic_flow(a_minus: float, a_plus: float):
-    """f(r, s) = (q v - a- v - u / r, -q u - a+ u), q = u^2 + v^2, for r > 0;
-    integrator.solve writes this formula into its loop for f.cubic = (a-, a+)."""
+def radial_flow(p: Params, eps: float = 1.0):
+    """f(r, s) = (q v - a- v - u / r, -q u - a+ u), q = u^2 + v^2, for r > 0,
+    with (a-, a+) = eps^2 (m - omega, m + omega); integrator.solve writes this
+    formula into its loop for f.cubic = (a-, a+)."""
+    e2 = eps * eps
+    a_minus, a_plus = e2 * (p.m - p.omega), e2 * (p.m + p.omega)
 
     def f(r, s):
         if r <= 0.0:
@@ -36,13 +41,11 @@ def cubic_flow(a_minus: float, a_plus: float):
     return f
 
 
-def radial_flow(p: Params):
-    """Radial flow f(r, s) = (u', v') for the parameters p; requires r > 0."""
-    return cubic_flow(p.m - p.omega, p.m + p.omega)
-
-
 def autonomous_flow(p: Params):
-    """Radial flow with the singular 1/r term dropped; r is unused."""
+    """Radial flow with the singular 1/r term dropped; r is unused.  Not
+    folded into radial_flow: radial_flow(p) at r = inf is bitwise this flow
+    on finite states, but as a wrapper that solve calls, since solve inlines
+    one formula."""
     gm, gp = p.m - p.omega, p.m + p.omega
 
     def f(r, s):
@@ -53,14 +56,16 @@ def autonomous_flow(p: Params):
     return f
 
 
-def hamiltonian(s: State, p: Params) -> float:
-    """Energy H(u, v) = (u^2+v^2)^2/4 + (m/2)(u^2-v^2) + (omega/2)(u^2+v^2).
+def hamiltonian(s: State, p: Params, eps: float = 1.0) -> float:
+    """Energy H(u, v) = (u^2+v^2)^2/4 + (m/2)(u^2-v^2) + (omega/2)(u^2+v^2),
+    with m and omega scaled by eps^2.
 
     u and v may also be arrays, evaluated elementwise.
     """
     u, v = s
     q = u * u + v * v
-    return q * q / 4.0 + 0.5 * p.m * (u * u - v * v) + 0.5 * p.omega * q
+    e2 = eps * eps
+    return q * q / 4.0 + 0.5 * (e2 * p.m) * (u * u - v * v) + 0.5 * (e2 * p.omega) * q
 
 
 def hamiltonian_rate(r: float, s: State, p: Params) -> float:
@@ -90,7 +95,7 @@ def equilibria(p: Params) -> list[tuple[State, float]]:
     return [(pt, hamiltonian(pt, p)) for pt in pts]
 
 
-def taylor_start(lam: float, p: Params, r0: float) -> State:
+def taylor_start(lam: float, p: Params, r0: float, eps: float = 1.0) -> State:
     """Second-order series start (u(r0), v(r0)) for the datum v(0) = lambda.
 
     Matched against the integral form of the radial system:
@@ -99,14 +104,18 @@ def taylor_start(lam: float, p: Params, r0: float) -> State:
         v(r0) = lambda - (r0^2/4) lambda (lambda^2 - (m-omega))
                                          (lambda^2 + m + omega) + O(r0^4)
 
-    Valid while lambda^2 * r0 is small; callers shooting at large lambda
-    should shrink r0 like 1/lambda^2.
+    with m and omega scaled by eps^2.  Valid while lambda^2 * r0 is small;
+    callers shooting at large lambda should shrink r0 like 1/lambda^2.
     """
     if lam <= 0.0:
         raise ValueError(f"datum must be positive, got {lam}")
     if r0 <= 0.0:
         raise ValueError(f"start radius must be positive, got {r0}")
-    return taylor_start_scaled(lam, p.gap, p.m + p.omega, r0)
+    e2 = eps * eps
+    cu = lam * (lam * lam - e2 * (p.m - p.omega))
+    u = 0.5 * r0 * cu
+    v = lam - 0.25 * r0 * r0 * cu * (lam * lam + e2 * (p.m + p.omega))
+    return u, v
 
 
 def radial_start(lam: float, p: Params, tol: Tolerances) -> tuple[float, State]:
@@ -117,24 +126,3 @@ def radial_start(lam: float, p: Params, tol: Tolerances) -> tuple[float, State]:
     """
     r0 = tol.r0 / max(1.0, lam * lam)
     return r0, taylor_start(lam, p, r0)
-
-
-def taylor_start_scaled(lam: float, a_minus: float, a_plus: float, r0: float) -> State:
-    """Series start for the radial structure with mass weights (a-, a+).
-
-    The radial system uses (a-, a+) = (m-omega, m+omega); the blow-up
-    rescaled system uses (eps^2 (m-omega), eps^2 (m+omega)) with lam = 1.
-    """
-    cu = lam * (lam * lam - a_minus)
-    u = 0.5 * r0 * cu
-    v = lam - 0.25 * r0 * r0 * cu * (lam * lam + a_plus)
-    return u, v
-
-
-def rescaled_hamiltonian(s: State, eps: float, p: Params) -> float:
-    """Energy of the rescaled system: quartic term plus eps^2 mass terms
-    (elementwise for arrays u and v)."""
-    u, v = s
-    q = u * u + v * v
-    e2 = eps * eps
-    return q * q / 4.0 + e2 * (0.5 * p.m * (u * u - v * v) + 0.5 * p.omega * q)

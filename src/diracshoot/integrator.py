@@ -17,7 +17,7 @@ inline) and _hermite(n) compile them once per key, as dataclasses builds
 __init__.  Loops over components or detectors in Python cost several times
 the arithmetic they perform; the expanded code keeps their operation order,
 so it is bitwise the loops.  With inline, each stage evaluates the formula
-of an equations.cubic_flow the same way in place of calling it.
+of an equations.radial_flow the same way in place of calling it.
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ def hermite(r0, y0, f0, r1, y1, f1, r):
     return ([c00 * a# + c10 * h * fa# + c01 * b# + c11 * h * fb#])
 """
 
-# a call [x#] = f(radius, ([arguments])) as equations.cubic_flow's operations
+# a call [x#] = f(radius, ([arguments])) as equations.radial_flow's operations
 _INLINE = r"^( *)\[(\w+)#\] = f\((.+?), \((\[.+\])\)\)$", (
     r"\1[z#] = \4\n\1q = z0 * z0 + z1 * z1\n"
     r"\1\g<2>0, \g<2>1 = q * z1 - a_minus * z1 - z0 / (\3), -q * z0 - a_plus * z0")
@@ -296,7 +296,7 @@ def solve(
     with an RMAX_REACHED event at r_span[1].  The right-hand side is
     evaluated 2 + 6 (naccpt + nrejct) times: at the start, for the initial
     step size and six times per step, each a call of f unless f is an
-    equations.cubic_flow (f.cubic is set), whose stages the loop inlines.
+    equations.radial_flow (f.cubic is set), whose stages the loop inlines.
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:

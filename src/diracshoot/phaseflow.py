@@ -149,6 +149,10 @@ def stability_compare(
 
     The shifted system carries the singular term as u/(r + rho); its flow
     approaches the autonomous one at rate O(1/rho) on bounded intervals.
+    It wraps radial_flow rather than running it from r = rho: there r + h
+    drops the step's digits, so at rho = 1e10 that run reads 6.1e-6 for
+    1.04e-7 and from rho = 1e12 its step size underflows, while this form
+    holds up to rho = 1e17.
     """
     if rho <= 0.0:
         raise ValueError("rho must be positive")

@@ -13,10 +13,11 @@ from diracshoot import (
     classify,
     convergence_study,
     first_order_log_fit,
+    hamiltonian,
     integrate_first_order,
     integrate_remainder,
     integrate_rescaled,
-    rescaled_hamiltonian,
+    radial_flow,
 )
 from diracshoot.integrator import EventKind
 
@@ -137,9 +138,9 @@ def test_node_radius_consistent_with_radial_flow():
     assert first == pytest.approx(R * eps * eps, rel=1e-6)
 
 
-def test_rescaled_hamiltonian_at_datum():
-    assert rescaled_hamiltonian((0.0, 1.0), 0.5, P) <= 1.0
-    assert rescaled_hamiltonian((0.0, 1.0), 0.0, P) == pytest.approx(0.25)
+def test_rescaled_energy_at_datum():
+    assert hamiltonian((0.0, 1.0), P, 0.5) <= 1.0
+    assert hamiltonian((0.0, 1.0), P, 0.0) == pytest.approx(0.25)
 
 
 def test_remainder_sources_exact_in_high_precision():
@@ -152,15 +153,14 @@ def test_remainder_sources_exact_in_high_precision():
     import mpmath
 
     from diracshoot.asymptotics import _rhs_first_order, _rhs_joint
-    from diracshoot.equations import cubic_flow
 
     rng = random.Random(2017)
-    first, bubble_flow = _rhs_first_order(P), cubic_flow(0.0, 0.0)
+    first, bubble_flow = _rhs_first_order(P), radial_flow(P, 0.0)
     with mpmath.workdps(50):
         for eps in (0.5, 0.25, 0.125):
             e2 = mpmath.mpf(eps) ** 2
             e4 = e2 * e2
-            flow = cubic_flow(eps * eps * P.gap, eps * eps * (P.m + P.omega))
+            flow = radial_flow(P, eps)
             joint = _rhs_joint(eps, P)
             for _ in range(20):
                 r = mpmath.mpf(rng.uniform(0.05, 40.0))

@@ -277,6 +277,26 @@ def test_no_command_loads_scipy():
     assert seen["loaded"] == []
 
 
+def test_readme_python_blocks_run_as_documented():
+    # every python block of the README, run in order in one namespace as a
+    # reader would paste them, gives the values its comments print
+    import ast
+    import re
+    from pathlib import Path
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    ns: dict = {}
+    for block in re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S):
+        exec(block, ns)
+    printed = dict(re.findall(r"^(radial\.stats|gs\.lambda_star) +# (\{.*?\}|[\d.]+)", readme, re.M))
+    assert printed == {
+        "radial.stats": "{'nfev': 2564, 'naccpt': 427, 'nrejct': 0}",
+        "gs.lambda_star": "1.807896148637",
+    }
+    assert ns["radial"].stats == ast.literal_eval(printed["radial.stats"])
+    assert repr(ns["gs"].lambda_star).startswith(printed["gs.lambda_star"])
+
+
 @pytest.mark.parametrize(
     "eps, diag",
     [
@@ -318,6 +338,9 @@ def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, di
         ["classify", "--lambda", "1", "--m", "inf"],
         ["portrait", "--level", "nan", "--lambda", "0.5"],
         ["portrait", "--level=-inf"],
+        # at or past the energy well's depth (m - omega)^2/4 = 0.0625
+        ["ground-state", "--delta", "0.0625"],
+        ["classify", "--lambda", "1", "--delta", "0.07"],
     ],
 )
 def test_invalid_settings_are_usage_errors(argv, capsys):

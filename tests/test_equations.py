@@ -105,8 +105,8 @@ def test_r2h_identity(p, s, r):
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
-@given(params_st, state_st, st.floats(1e-3, 1e3))
-def test_bound_flows_are_the_pointwise_formulas_bitwise(p, s, r):
+@given(params_st, state_st, st.floats(1e-3, 1e3), st.floats(1e-3, 1.0, exclude_max=True))
+def test_bound_flows_are_the_pointwise_formulas_bitwise(p, s, r, eps):
     # the factories bind m - omega and m + omega once; the products are the
     # same floating-point operations as through the Params.gap property
     u, v = s
@@ -120,6 +120,21 @@ def test_bound_flows_are_the_pointwise_formulas_bitwise(p, s, r):
     assert bits(autonomous_flow(p)(r, s)) == bits(auto)
     with pytest.raises(ValueError):
         radial_flow(p)(-r, s)
+
+    # eps = 1 is bitwise the default; any other eps is the blow-up covariance
+    # (U, V)(R) = eps (u, v)(eps^2 R), to rounding of the terms' magnitudes;
+    # tiny covers subnormal states, which carry fewer than 53 bits
+    lam, tiny = 1.0 + abs(u), 1e-300
+    assert bits(radial_flow(p, 1.0)(r, s)) == bits(radial)
+    assert hamiltonian(s, p, 1.0).hex() == hamiltonian(s, p).hex()
+    assert bits(taylor_start(lam, p, r, 1.0)) == bits(taylor_start(lam, p, r))
+    e2, unscaled = eps * eps, (u / eps, v / eps)
+    fu, fv = radial_flow(p, eps)(r, s)
+    gu, gv = radial_flow(p)(e2 * r, unscaled)
+    assert abs(fu - eps**3 * gu) <= 1e-14 * (abs(q * v) + e2 * p.gap * abs(v) + abs(u / r)) + tiny
+    assert abs(fv - eps**3 * gv) <= 1e-14 * (q + e2 * (p.m + p.omega)) * abs(u) + tiny
+    H = hamiltonian(s, p, eps)
+    assert abs(H - eps**4 * hamiltonian(unscaled, p)) <= 1e-14 * (q * q / 4.0 + e2 * (p.m + p.omega) * q) + tiny
 
 
 @given(params_st, state_st, st.floats(1e-3, 1e3))

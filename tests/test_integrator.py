@@ -193,7 +193,6 @@ def test_energy_column_matches_per_row_bitwise(gs):
     # the H trace is computed in one call on the state columns; it must be
     # bitwise the per-row evaluation for every recorded energy
     from diracshoot.asymptotics import _first_order_start, _rhs_joint, integrate_rescaled
-    from diracshoot.equations import rescaled_hamiltonian
 
     def same_bits(a, b):
         return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
@@ -204,7 +203,7 @@ def test_energy_column_matches_per_row_bitwise(gs):
 
     eps = 0.2
     resc = integrate_rescaled(eps, P, TOL, r_end=5.0)
-    assert same_bits(resc.H, [rescaled_hamiltonian(tuple(row), eps, P) for row in resc.y])
+    assert same_bits(resc.H, [hamiltonian(tuple(row), P, eps) for row in resc.y])
 
     # the matched decay tail of the ground-state profile follows the same rule
     tail = gs.profile.r > gs.anchor_r
@@ -397,12 +396,12 @@ def _rotation_events(r, y):
 
 
 def _cubic_runs():
-    """(f, r_span, y0, keywords of solve) of the runs on a cubic_flow:
+    """(f, r_span, y0, keywords of solve) of the runs on a radial_flow:
     shooting trials A(0), nodal (A(1)), I-candidate, undecided at a horizon,
     and one stopped at its first node (the once certificate fires in the
     first four), then the rescaled run with a v-sign detector at eps = 0.05,
     0.2 and the eps = 0 bubble limit."""
-    from diracshoot.equations import cubic_flow, radial_start, rescaled_hamiltonian, taylor_start_scaled
+    from diracshoot.equations import radial_start
     from diracshoot.shooting import _events
 
     lam_star = 1.8078961486370915  # the ground state's datum at P, TOL
@@ -419,11 +418,10 @@ def _cubic_runs():
         energy = lambda y: hamiltonian(y, P)  # noqa: E731
         runs.append((RADIAL, (r0, horizon), y0, dict(detectors=dets, g=g, energy=energy)))
     for eps in (0.05, 0.2, 0.0):
-        a_minus, a_plus = eps * eps * P.gap, eps * eps * (P.m + P.omega)
-        start = taylor_start_scaled(1.0, a_minus, a_plus, TOL.r0)
-        energy = lambda y, eps=eps: rescaled_hamiltonian(y, eps, P)  # noqa: E731
+        start = taylor_start(1.0, P, TOL.r0, eps)
+        energy = lambda y, eps=eps: hamiltonian(y, P, eps)  # noqa: E731
         span = (TOL.r0, 1.0 / eps if eps else 20.0)
-        runs.append((cubic_flow(a_minus, a_plus), span, start, dict(detectors=[NODE], g=v_sign, energy=energy)))
+        runs.append((radial_flow(P, eps), span, start, dict(detectors=[NODE], g=v_sign, energy=energy)))
     return runs
 
 
@@ -473,8 +471,8 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     assert report.u_sign_alternations > 30
 
 
-def test_inlined_cubic_flow_is_bitwise_the_called_one():
-    # a cubic_flow takes the loop with its formula written in; the same flow
+def test_inlined_radial_flow_is_bitwise_the_called_one():
+    # a radial_flow takes the loop with its formula written in; the same flow
     # behind a plain callable takes the loop that calls it
     kw = dict(rel=TOL.rel, abs_tol=TOL.abs)
     for f, span, y0, ev in _cubic_runs():

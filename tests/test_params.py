@@ -27,6 +27,10 @@ def test_tolerances_resolution():
     # explicit values win over derived defaults
     t2 = Tolerances(delta=1e-6, rmax=30.0).resolved(p)
     assert t2.delta == 1e-6 and t2.rmax == 30.0
+    # H >= -(m - omega)^2/4, so no datum reaches a delta at that depth
+    assert Tolerances(delta=0.0624).resolved(p).delta == 0.0624
+    with pytest.raises(ValueError, match=r"depth \(m - omega\)\^2/4 = 0.0625"):
+        Tolerances(delta=0.0625).resolved(p)
 
 
 def test_tolerances_validation():
