@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import hamiltonian, radial_flow, taylor_start
-from .integrator import Detector, EventKind, Trajectory, solve, v_sign
+from .integrator import Detector, EventKind, Trajectory, formula_flow, solve, v_sign
 from .params import Params, Tolerances
 
 # samples: of the k1 log-law fit over its radius window, of the remainder on
@@ -126,19 +126,23 @@ class LogLawFit:
     window: tuple[float, float]
 
 
+# formulas (see integrator.formula_flow): the bubble (u, v) at radius x and the first-order
+# derivatives, with the bubble's coefficients 2uv, u^2 + 3v^2 and 3u^2 + v^2 computed once
+_FIRST_ORDER_LINES = """
+    d = 4.0 + x * x
+    u = 2.0 * x / d
+    v = 4.0 / d
+    uv = 2.0 * u * v
+    cu = u * u + 3.0 * v * v
+    cv = 3.0 * u * u + v * v
+    dh1 = -gm * v + uv * h1 + cu * k1 - h1 / x
+    dk1 = -gp * u - uv * k1 - cv * h1"""
+
+_FIRST_ORDER = f"def f(x, s, gm, gp):\n    h1, k1 = s{_FIRST_ORDER_LINES}\n    return dh1, dk1\n"
+
+
 def _rhs_first_order(p: Params):
-    gm, gp = p.gap, p.m + p.omega
-
-    def f(r, y):
-        h1, k1 = y
-        d = 4.0 + r * r
-        u0 = 2.0 * r / d
-        v0 = 4.0 / d
-        dh1 = -gm * v0 + 2.0 * u0 * v0 * h1 + (u0 * u0 + 3.0 * v0 * v0) * k1 - h1 / r
-        dk1 = -gp * u0 - 2.0 * u0 * v0 * k1 - (3.0 * u0 * u0 + v0 * v0) * h1
-        return dh1, dk1
-
-    return f
+    return formula_flow(_FIRST_ORDER, p.gap, p.m + p.omega)
 
 
 def _first_order_start(p: Params, r0: float) -> tuple[float, float]:
@@ -244,6 +248,20 @@ class PerturbationRecord:
     node_radius: float | None
 
 
+_JOINT = f"""
+def f(x, s, gm, gp, eps2):
+    h1, k1, h2, k2 = s{_FIRST_ORDER_LINES}
+    w = h1 + eps2 * h2
+    z = k1 + eps2 * k2
+    c = eps2 * (w * w + z * z)
+    dh2 = uv * h2 + cu * k2 - gm * z - h2 / x
+    dh2 += v * w * w + 2.0 * u * w * z + 3.0 * v * z * z + c * z
+    dk2 = -cv * h2 - uv * k2 - gp * w
+    dk2 -= 3.0 * u * w * w + 2.0 * v * w * z + u * z * z + c * w
+    return dh1, dk1, dh2, dk2
+"""
+
+
 def _rhs_joint(eps: float, p: Params):
     """(h1, k1, h2, k2) system with the exact remainder sources.
 
@@ -254,28 +272,11 @@ def _rhs_joint(eps: float, p: Params):
         (h2, k2)' = DN (h2, k2) + Q(w, z) + eps^2 C(w, z)
                     - ((m - omega) z, (m + omega) w) - (h2 / r, 0)
 
-    exactly: the expansion of a cubic around the bubble is finite.
+    exactly: the expansion of a cubic around the bubble is finite.  The
+    formula is the first-order one, whose bubble and coefficients DN reuses,
+    followed by the remainder lines.
     """
-    gm, gp = p.gap, p.m + p.omega
-    e2 = eps * eps
-    first = _rhs_first_order(p)
-
-    def f(r, y):
-        h1, k1, h2, k2 = y
-        dh1, dk1 = first(r, (h1, k1))
-        d = 4.0 + r * r
-        u = 2.0 * r / d
-        v = 4.0 / d
-        w = h1 + e2 * h2
-        z = k1 + e2 * k2
-        c = e2 * (w * w + z * z)
-        dh2 = 2.0 * u * v * h2 + (u * u + 3.0 * v * v) * k2 - gm * z - h2 / r
-        dh2 += v * w * w + 2.0 * u * w * z + 3.0 * v * z * z + c * z
-        dk2 = -(3.0 * u * u + v * v) * h2 - 2.0 * u * v * k2 - gp * w
-        dk2 -= 3.0 * u * w * w + 2.0 * v * w * z + u * z * z + c * w
-        return dh1, dk1, dh2, dk2
-
-    return f
+    return formula_flow(_JOINT, p.gap, p.m + p.omega, eps * eps)
 
 
 def integrate_remainder(eps: float, p: Params, tol: Tolerances) -> PerturbationRecord:

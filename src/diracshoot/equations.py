@@ -11,49 +11,43 @@ a factory flow(p) returning f(r, s) with p's constants bound, the form that
 integrator.integrate takes; radial_flow(p)(r, s) evaluates it at one point.
 The blow-up rescaling (U, V)(r) = eps (u, v)(eps^2 r) gives back the same
 system with m and omega scaled by eps^2, so radial_flow, hamiltonian and
-taylor_start take eps (default 1) for it; solve inlines the radial flow.
+taylor_start take eps (default 1) for it.  radial_flow is an
+integrator.formula_flow: solve writes its formula into the compiled loop.
 """
 
 from __future__ import annotations
 
 import math
 
+from .integrator import formula_flow
 from .params import Params, Tolerances
 
 State = tuple[float, float]
 
 
+_RADIAL = """
+def f(x, s, a_minus, a_plus):
+    if x <= 0.0: raise ValueError(f"radial right-hand side needs r > 0, got r={x}")
+    u, v = s
+    q = u * u + v * v
+    return q * v - a_minus * v - u / x, -q * u - a_plus * u
+"""
+
+
 def radial_flow(p: Params, eps: float = 1.0):
     """f(r, s) = (q v - a- v - u / r, -q u - a+ u), q = u^2 + v^2, for r > 0,
-    with (a-, a+) = eps^2 (m - omega, m + omega); integrator.solve writes this
-    formula into its loop for f.cubic = (a-, a+)."""
+    with (a-, a+) = eps^2 (m - omega, m + omega)."""
     e2 = eps * eps
-    a_minus, a_plus = e2 * (p.m - p.omega), e2 * (p.m + p.omega)
-
-    def f(r, s):
-        if r <= 0.0:
-            raise ValueError(f"radial right-hand side needs r > 0, got r={r}")
-        u, v = s
-        q = u * u + v * v
-        return q * v - a_minus * v - u / r, -q * u - a_plus * u
-
-    f.cubic = (a_minus, a_plus)
-    return f
+    return formula_flow(_RADIAL, e2 * (p.m - p.omega), e2 * (p.m + p.omega))
 
 
 def autonomous_flow(p: Params):
-    """Radial flow with the singular 1/r term dropped; r is unused.  Not
-    folded into radial_flow: radial_flow(p) at r = inf is bitwise this flow
-    on finite states, but as a wrapper that solve calls, since solve inlines
-    one formula."""
-    gm, gp = p.m - p.omega, p.m + p.omega
-
-    def f(r, s):
-        u, v = s
-        q = u * u + v * v
-        return q * v - gm * v, -q * u - gp * u
-
-    return f
+    """Radial flow with the singular 1/r term dropped; r is unused.  It is
+    radial_flow(p) at r = inf, where u / r = +-0 leaves each derivative
+    bitwise that of the other terms on finite states.  solve calls it, and
+    compiles no loop of its own for its few short runs."""
+    f = radial_flow(p)
+    return lambda r, s: f(math.inf, s)
 
 
 def hamiltonian(s: State, p: Params, eps: float = 1.0) -> float:

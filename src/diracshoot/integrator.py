@@ -13,11 +13,11 @@ recorded step ends.
 The adaptive loop, with a sign screen of the event values, and the Hermite
 dense output are written once, in _DP54_SRC and _HERMITE_SRC, as
 per-component expressions over the tableau constants below; _dp54(n, k,
-inline) and _hermite(n) compile them once per key, as dataclasses builds
+formula) and _hermite(n) compile them once per key, as dataclasses builds
 __init__.  Loops over components or detectors in Python cost several times
 the arithmetic they perform; the expanded code keeps their operation order,
-so it is bitwise the loops.  With inline, each stage evaluates the formula
-of an equations.radial_flow the same way in place of calling it.
+so it is bitwise the loops.  Each stage evaluates the formula of a
+formula_flow in place of calling it, bitwise the same way.
 """
 
 from __future__ import annotations
@@ -26,12 +26,13 @@ import enum
 import functools
 import math
 import re
+import types
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .equations import hamiltonian
+from . import equations
 from .params import Params, Tolerances
 
 # Dormand-Prince 5(4) tableau
@@ -154,23 +155,24 @@ class Trajectory:
 # [expr] expands to "expr_0, expr_1, ..., ", [+expr] to "expr_0 + expr_1 + ..." and
 # [|expr] to "expr_0 or expr_1 or ...", with # the state component index or $ the
 # event value index; lines starting with ? (the sign screen) are kept for k > 0.
-# run appends each accepted (r, y, f) to nodes and returns (status, r, y, k1, h,
-# naccpt, nrejct, p, q): "completed" at r_end, "event" after a step over which some
-# value changed sign from p to q, or a failure.  hermite takes floats or NumPy columns.
+# run appends each accepted r, y and f = dy/dr to the flat list nodes and returns
+# (status, r, y, dy, h, naccpt, nrejct, p, q): "completed" at r_end, "event" after
+# a step over which some value changed sign from p to q, or a failure.  hermite
+# interpolates between two such rows, of floats or of NumPy columns.
 _DP54_SRC = """
-def run(f, a_minus, a_plus, g, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
+def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
     [y#] = y
-    [a#] = k1
+    [a#] = dy
     [ay#] = [abs(y#)]
     while r < r_end:
         if naccpt + nrejct >= _MAX_STEPS:
-            return "step budget exhausted", r, y, k1, h, naccpt, nrejct, (), ()
+            return "step budget exhausted", r, ([y#]), ([a#]), h, naccpt, nrejct, (), ()
         last = h >= r_end - r
         if last:
             h = r_end - r
-        # negated so that a NaN step size (from a non-finite start) fails here
-        if not h >= 1e-14 * max(1.0, abs(r)):
-            return "step size underflow", r, y, k1, h, naccpt, nrejct, (), ()
+        # relative to r, and negated so that a NaN step size (from a non-finite start) fails here
+        if not h > 1e-14 * abs(r):
+            return "step size underflow", r, ([y#]), ([a#]), h, naccpt, nrejct, (), ()
         # land exactly on r_end so endpoint r_eval samples are never dropped
         r_new = r_end if last else r + h
         [b#] = f(r + _C2 * h, ([y# + h * _A21 * a#]))
@@ -189,20 +191,22 @@ def run(f, a_minus, a_plus, g, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, 
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             continue
         naccpt += 1
-        r, y, k1 = r_new, ([n#]), ([s#])
+        r = r_new
         [y#][ay#][a#] = [n#][an#][s#]
-        nodes.append((r, y, k1))
+        nodes += (r, [n#][s#])
         # err <= 1 here, so the factor is at least _SAFETY > _MIN_FACTOR
         h *= _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
-?        [q$] = g(r, y)
+?        [q$] = g(r, ([y#]))
 ?        if [|p$ > 0.0 >= q$ or p$ < 0.0 <= q$]:
-?            return "event", r, y, k1, h, naccpt, nrejct, ([p$]), ([q$])
+?            return "event", r, ([y#]), ([a#]), h, naccpt, nrejct, ([p$]), ([q$])
 ?        [p$] = [q$]
-    return "completed", r, y, k1, h, naccpt, nrejct, (), ()
+    return "completed", r, ([y#]), ([a#]), h, naccpt, nrejct, (), ()
 """
 
 _HERMITE_SRC = """
-def hermite(r0, y0, f0, r1, y1, f1, r):
+def hermite(row0, row1, r):
+    r0, [a#][fa#] = row0
+    r1, [b#][fb#] = row1
     h = r1 - r0
     t = (r - r0) / h
     t2 = t * t
@@ -211,17 +215,8 @@ def hermite(r0, y0, f0, r1, y1, f1, r):
     c10 = t3 - 2.0 * t2 + t
     c01 = -2.0 * t3 + 3.0 * t2
     c11 = t3 - t2
-    [a#] = y0
-    [fa#] = f0
-    [b#] = y1
-    [fb#] = f1
     return ([c00 * a# + c10 * h * fa# + c01 * b# + c11 * h * fb#])
 """
-
-# a call [x#] = f(radius, ([arguments])) as equations.radial_flow's operations
-_INLINE = r"^( *)\[(\w+)#\] = f\((.+?), \((\[.+\])\)\)$", (
-    r"\1[z#] = \4\n\1q = z0 * z0 + z1 * z1\n"
-    r"\1\g<2>0, \g<2>1 = q * z1 - a_minus * z1 - z0 / (\3), -q * z0 - a_plus * z0")
 
 
 def _compile(src: str, n: int, k: int = 0):
@@ -232,15 +227,58 @@ def _compile(src: str, n: int, k: int = 0):
 
     src = re.sub(r"^\?(.*\n)", r"\1" if k else "", src.format(n=n), flags=re.M)
     src = re.sub(r"\b_[ABCE]\d+\b", lambda m: repr(globals()[m[0]]), src)  # tableau as literals
-    ns: dict = {}
-    exec(re.sub(r"\[([+|]?)(.*?)\]", expand, src, flags=re.S), globals(), ns)
+    exec(re.sub(r"\[([+|]?)(.*?)\]", expand, src, flags=re.S), globals(), ns := {})
     return ns.popitem()[1]
 
 
 @functools.cache
-def _dp54(n: int, k: int, inline: bool):
-    """run; inline: the 2-D cubic flow with coefficients (a_minus, a_plus) as f."""
-    return _compile(re.sub(*_INLINE, _DP54_SRC, flags=re.M) if inline else _DP54_SRC, n, k)
+def _definition(src: str):
+    exec(src, ns := {})
+    return ns["f"]
+
+
+def formula_flow(src: str, *consts):
+    """The flow f(r, s) that src defines as def f(x, s, *names), with consts
+    bound to the names.  src is plain arithmetic: the radius x (run uses r),
+    the state s unpacked first, one return.  solve writes f.formula = (src,
+    consts) into each stage of run, the constants as run's arguments, so the
+    inlined f is bitwise the called one; the lines that raise check the
+    arguments, and run leaves them out as it starts where solve called f."""
+    fn = _definition(src)
+    f = types.FunctionType(fn.__code__, fn.__globals__, "f", consts)
+    f.formula = src, consts
+    return f
+
+
+def _words(text: str) -> set:
+    """The names in text, with the # of an indexed stem x# kept."""
+    return set(text.translate(dict.fromkeys(map(ord, "()[]{}=+-*/<>.,:;|?!%'\"\n"), " ")).split())
+
+
+@functools.cache
+def _dp54(n: int, k: int, formula: str | None):
+    """run for n components and k event values.  The formula of a
+    formula_flow replaces each call [x#] = f(radius, ([arguments])),
+    and its constants follow f among run's arguments.  A parameter or an
+    assigned name of the formula that is also a name of _DP54_SRC, or one of
+    its indexed names, would clobber the loop's value, so it raises
+    ValueError."""
+    src = _DP54_SRC
+    if formula is not None:
+        head, unpack, *body, ret = [x.strip() for x in formula.strip().splitlines() if " raise " not in x]
+        radius, state, *consts = head.removeprefix("def f(").removesuffix("):").split(", ")
+        ret = ret.removeprefix("return ")
+        names = {radius, state, *consts, *_words(" ".join(x.split("=")[0] for x in [unpack, *body]))}
+        taken = _words(src.replace("$", "#"))  # a stem x# takes x0, x1, ...
+        indexed = {x for x in names if x[-1].isdigit() and x.rstrip("0123456789") + "#" in taken}
+        clash = sorted(names & taken | indexed)
+        if clash:
+            raise ValueError(f"formula names {clash} are also names of the loop")
+        lines = [f"{radius} = \\3", unpack.removesuffix(state) + "(\\4)", *body, f"[\\2#] = {ret}"]
+        src = src.replace("def run(f, ", "def run(f, " + "".join(c + ", " for c in consts))
+        stage = "".join(r"\1" + x + "\n" for x in lines)
+        src = re.sub(r"^( *)\[(\w+)#\] = f\((.+?), \((\[.+\])\)\)\n", stage, src, flags=re.M)
+    return _compile(src, n, k)
 
 
 _hermite = functools.cache(functools.partial(_compile, _HERMITE_SRC))
@@ -295,8 +333,8 @@ def solve(
     truncates the trajectory at the refined crossing; otherwise the run ends
     with an RMAX_REACHED event at r_span[1].  The right-hand side is
     evaluated 2 + 6 (naccpt + nrejct) times: at the start, for the initial
-    step size and six times per step, each a call of f unless f is an
-    equations.radial_flow (f.cubic is set), whose stages the loop inlines.
+    step size and six times per step, each a call of f unless f is a
+    formula_flow, whose formula the loop's stages inline.
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
@@ -304,8 +342,9 @@ def solve(
     y = tuple(float(c) for c in y0)
     r = r0
     k1 = f(r, y)
-    a_minus, a_plus = getattr(f, "cubic", (None, None))
-    run, hermite = _dp54(len(y), len(detectors), a_minus is not None), _hermite(len(y))
+    n = len(y)
+    formula, consts = getattr(f, "formula", (None, ()))
+    run, hermite = _dp54(n, len(detectors), formula), _hermite(n)
 
     grid = None
     if r_eval is not None:
@@ -317,7 +356,9 @@ def solve(
         if grid.size and not (grid[0] >= r0 and grid[-1] <= r_end):
             raise ValueError("r_eval must lie within r_span")
 
-    nodes = [(r, y, k1)]  # accepted (r, y, f); step j runs from node j-1 to node j
+    # the accepted (r, y, f) as rows of 1 + 2n floats; step j runs from row j-1 to row j
+    nodes = [r, *y, *k1]
+    w = 1 + 2 * n
     active = list(detectors)
     g_prev = tuple(g(r, y)) if active else ()
     events: list[Event] = []
@@ -325,9 +366,10 @@ def solve(
     def build(status_str, cut=None) -> Trajectory:
         # the samples are the nodes, the last one replaced by the terminal
         # crossing cut = (r_star, y_star) inside the last step
-        R, Y, K = zip(*nodes)
-        rarr = np.array(R[:-1] + (cut[0],) if cut else R, dtype=float)
-        arr = np.array(Y[:-1] + (cut[1],) if cut else Y, dtype=float)
+        table = np.fromiter(nodes, float, len(nodes)).reshape(-1, w)
+        rarr, arr = table[:, 0].copy(), table[:, 1 : n + 1].copy()
+        if cut:
+            rarr[-1], arr[-1] = cut
         if grid is not None:
             # each grid point up to the last sample lies on the first step
             # ending at or beyond it: equal to that end it takes the sample
@@ -336,11 +378,8 @@ def solve(
             j = np.searchsorted(rarr, pts)
             inner = pts != rarr[j]
             rarr, arr = pts, arr[j]
-            j, R, Y, K = j[inner], np.array(R), np.array(Y).T, np.array(K).T
-            i = j - 1
-            arr[inner] = np.transpose(
-                hermite(R[i], Y[:, i], K[:, i], R[j], Y[:, j], K[:, j], pts[inner])
-            )
+            j = j[inner]
+            arr[inner] = np.transpose(hermite(table[j - 1].T, table[j].T, pts[inner]))
         Harr = (
             np.asarray(energy(tuple(arr.T)), dtype=float)
             if energy is not None
@@ -352,26 +391,26 @@ def solve(
     h, naccpt, nrejct = _initial_step(f, r, y, k1, r_end, rel, abs_tol), 0, 0
     while True:
         status, r, y, k1, h, naccpt, nrejct, g0, g1 = run(
-            f, a_minus, a_plus, g, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, *g_prev
+            f, *consts, g, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, *g_prev
         )
         if status == "completed":
             break
         if status != "event":
             raise IntegrationError(f"{status} at r={r}", build("failed"))
-        # some value changed sign over the step that ended at node -1
-        (ra, ya, fa), (rb, yb, fb) = nodes[-2:]
+        # some value changed sign over the step between the last two rows
+        a, b = nodes[-2 * w : -w], nodes[-w:]
         fired: list[tuple[float, Detector]] = []
         for i, det in enumerate(active):
             if det is None or not _crossed(g0[i], g1[i], det.direction):
                 continue
             # bisect on the dense output; hi_r stays on the crossed side
             # so the event condition holds at the reported point
-            lo_r, hi_r, g_lo = ra, rb, g0[i]
+            lo_r, hi_r, g_lo = a[0], b[0], g0[i]
             for _ in range(80):
                 if hi_r - lo_r <= 4e-16 * max(1.0, abs(hi_r)):
                     break
                 mid = 0.5 * (lo_r + hi_r)
-                g_mid = g(mid, hermite(ra, ya, fa, rb, yb, fb, mid))[i]
+                g_mid = g(mid, hermite(a, b, mid))[i]
                 if _crossed(g_lo, g_mid, det.direction):
                     hi_r = mid
                     if abs(g_mid) <= abs_tol:
@@ -382,7 +421,7 @@ def solve(
             if det.once:
                 active[i] = None
         for r_star, det in sorted(fired, key=lambda t: t[0]):
-            y_star = hermite(ra, ya, fa, rb, yb, fb, r_star)
+            y_star = hermite(a, b, r_star)
             events.append(Event(det.kind, r_star, y_star))
             if det.terminal:
                 return build(f"event:{det.kind.value}", (r_star, y_star))
@@ -422,5 +461,5 @@ def integrate(
         detectors=detectors,
         g=g,
         r_eval=r_eval,
-        energy=lambda y: hamiltonian(y, p),
+        energy=lambda y: equations.hamiltonian(y, p),
     )

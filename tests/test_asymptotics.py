@@ -143,6 +143,38 @@ def test_rescaled_energy_at_datum():
     assert hamiltonian((0.0, 1.0), P, 0.0) == pytest.approx(0.25)
 
 
+@settings(deadline=None)
+@given(
+    st.floats(1e-3, 1e3),
+    st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+    st.floats(1e-3, 1.0, exclude_max=True),
+)
+def test_perturbation_flows_are_the_pointwise_formulas_bitwise(r, y, eps):
+    # the formulas compute 2uv, u^2 + 3v^2 and 3u^2 + v^2 once and share the
+    # bubble between the first-order and remainder lines; every product and
+    # sum keeps the operand order of the expressions written out in full
+    from diracshoot.asymptotics import _rhs_first_order, _rhs_joint
+
+    gm, gp, e2 = P.gap, P.m + P.omega, eps * eps
+    h1, k1, h2, k2 = y
+    d = 4.0 + r * r
+    u, v = 2.0 * r / d, 4.0 / d
+    dh1 = -gm * v + 2.0 * u * v * h1 + (u * u + 3.0 * v * v) * k1 - h1 / r
+    dk1 = -gp * u - 2.0 * u * v * k1 - (3.0 * u * u + v * v) * h1
+    w, z = h1 + e2 * h2, k1 + e2 * k2
+    c = e2 * (w * w + z * z)
+    dh2 = 2.0 * u * v * h2 + (u * u + 3.0 * v * v) * k2 - gm * z - h2 / r
+    dh2 += v * w * w + 2.0 * u * w * z + 3.0 * v * z * z + c * z
+    dk2 = -(3.0 * u * u + v * v) * h2 - 2.0 * u * v * k2 - gp * w
+    dk2 -= 3.0 * u * w * w + 2.0 * v * w * z + u * z * z + c * w
+
+    def bits(t):
+        return [x.hex() for x in t]
+
+    assert bits(_rhs_first_order(P)(r, (h1, k1))) == bits((dh1, dk1))
+    assert bits(_rhs_joint(eps, P)(r, y)) == bits((dh1, dk1, dh2, dk2))
+
+
 def test_remainder_sources_exact_in_high_precision():
     # (h2', k2') of the joint system must equal the eps^4-scaled defect
     # [F_eps(U0 + e2 h1 + e4 h2, V0 + e2 k1 + e4 k2) - F_0(U0, V0) - e2 G(h1, k1)] / e4

@@ -375,12 +375,24 @@ def test_horizon_too_short_to_classify_is_blamed_on_the_horizon():
     assert "no sign change" not in msg
 
 
-@pytest.mark.parametrize("lam", ["1e60", "1e80", "1e100", "1e154"])
+@pytest.mark.parametrize("lam", ["1e5", "1e8", "1e60"])
+def test_large_datum_is_decided(lam):
+    # the start radius shrinks like 1/lambda^2 (1e-22 at 1e8), and the
+    # step-size floor is relative to r, so the steps follow it down and the
+    # run is captured after its nodes, one at 1e5 and 1e8
+    from diracshoot import Params, Tolerances, classify
+
+    c = classify(float(lam), Params(), Tolerances())
+    assert c.verdict == "A"
+    if lam != "1e60":
+        assert c.node_count == 1
+
+
+@pytest.mark.parametrize("lam", ["1e80", "1e100", "1e154"])
 def test_huge_datum_is_undecided(lam):
-    # at 1e60 the first step falls below the step-size floor, so the run ends
-    # undecided at its first sample; from about 1.2e77 the start's energy
-    # overflows and from about 1e103 the series start itself, so no step is
-    # taken; either way stderr stays empty and stdout is strict JSON
+    # from about 1e78 the start's energy overflows and from about 1e103 the
+    # series start itself, so no step is taken; stderr stays empty and
+    # stdout is strict JSON
     import subprocess
     import sys
 
@@ -400,7 +412,7 @@ def test_huge_datum_is_undecided(lam):
     (c,) = json.loads(proc.stdout, parse_constant=reject)["payload"]["classifications"]
     assert (c["verdict"], c["node_count"]) == ("undecided", 0)
     note = classify(float(lam), Params(), Tolerances()).evidence["note"]
-    assert note.startswith("step size underflow" if lam == "1e60" else "float overflow")
+    assert note.startswith("float overflow")
 
 
 def _assert_one_line_failure(argv, code, prefix):

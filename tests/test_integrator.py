@@ -265,9 +265,9 @@ def _bits(*values):
 def test_generated_step_is_bitwise_the_reference():
     # one step of the compiled loop against the vector-form step: the step
     # lands on r_end = r + h and the budget allows no second attempt, so
-    # the loop records the accepted node, or none after a rejection, and
-    # returns the next step size; the radial flow runs both inlined and
-    # called, the joint flow called
+    # the loop records the accepted row r, y, f of floats, or none after a
+    # rejection, and returns the next step size; the radial and joint flows
+    # run both inlined and called
     from diracshoot import integrator as I
     from diracshoot.asymptotics import _first_order_start, _rhs_joint
 
@@ -276,40 +276,44 @@ def test_generated_step_is_bitwise_the_reference():
     joint = _rhs_joint(0.2, P)
     r4 = 0.5
     y4 = (*_first_order_start(P, r4), 1e-3, 0.25 * (P.m**2 - P.omega**2) * r4 * r4)
-    cases = [  # (f, inline, r, y, h, accepted); r + h - r == h exactly
-        (RADIAL, True, 2.0, y2, 2.0**-7, True),
-        (RADIAL, True, 2.0, y2, 1.5, False),
-        (RADIAL, False, 2.0, y2, 2.0**-7, True),
-        (RADIAL, False, 2.0, y2, 1.5, False),
-        (joint, False, r4, y4, 2.0**-7, True),
-        (joint, False, r4, y4, 3.0, False),
+    cases = [  # (f, inlined, r, y, h, accepted); r + h - r == h exactly
+        (f, inlined, r, y, h, accepted)
+        for f, r, y, h_ok, h_bad in [(RADIAL, 2.0, y2, 2.0**-7, 1.5), (joint, r4, y4, 2.0**-7, 3.0)]
+        for inlined in (True, False)
+        for h, accepted in [(h_ok, True), (h_bad, False)]
     ]
-    for f, inline, r, y, h, accepted in cases:
+    for f, inlined, r, y, h, accepted in cases:
         k1 = f(r, y)
-        run = I._dp54(len(y), 0, inline)
-        a_minus, a_plus = RADIAL.cubic if inline else (None, None)
+        formula, consts = f.formula if inlined else (None, ())
+        run = I._dp54(len(y), 0, formula)
         nodes = []
         status, *_, h_next, naccpt, nrejct, _, _ = run(
-            f, a_minus, a_plus, None, r, y, k1, h, r + h, TOL.rel, TOL.abs, nodes, 0, I._MAX_STEPS - 1
+            f, *consts, None, r, y, k1, h, r + h, TOL.rel, TOL.abs, nodes, 0, I._MAX_STEPS - 1
         )
         y_new, k7, err = _reference_step(f, r, y, k1, h, r + h, TOL.rel, TOL.abs)
         assert (err <= 1.0) == accepted
         if accepted:
             factor = min(I._MAX_FACTOR, I._SAFETY * err**-0.2)
-            assert (status, naccpt) == ("completed", 1) and len(nodes) == 1
-            assert _bits(*nodes[0][1], *nodes[0][2]) == _bits(*y_new, *k7)
-            assert nodes[0][0] == r + h
+            assert (status, naccpt) == ("completed", 1) and len(nodes) == 1 + 2 * len(y)
+            assert _bits(*nodes) == _bits(r + h, *y_new, *k7)
         else:
             factor = I._SAFETY * err**-0.2
             assert (status, naccpt, nodes) == ("step budget exhausted", 0, [])
         assert _bits(h_next) == _bits(h * max(I._MIN_FACTOR, factor))
 
 
-def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, energy=None):
-    """solve without r_eval as a Python loop over the steps and, for each
-    accepted step, over the detectors, taking each value from its own call
-    of g and each step from _reference_step: the bitwise reference for the
-    compiled loop.  A failure raises IntegrationError with the partial run."""
+def _row(r, y, f):
+    """A step end as the row (r, *y, *f) that the loop stores and hermite reads."""
+    return (r, *y, *f)
+
+
+def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, energy=None, r_eval=None):
+    """solve as a Python loop over the steps and, for each accepted step,
+    over the detectors, taking each value from its own call of g and each
+    step from _reference_step, and over the r_eval points, each the state at
+    an equal step end or the scalar Hermite value on the first step ending
+    beyond it: the bitwise reference for the compiled loop.  A failure
+    raises IntegrationError with the partial run."""
     from diracshoot import integrator as I
 
     r_end = float(r_span[1])
@@ -324,8 +328,15 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, energ
 
     def build(status, cut=None):
         R, Y, _ = zip(*nodes)
-        rarr = np.array(R[:-1] + (cut[0],) if cut else R, dtype=float)
-        arr = np.array(Y[:-1] + (cut[1],) if cut else Y, dtype=float)
+        R, Y = (R[:-1] + (cut[0],), Y[:-1] + (cut[1],)) if cut else (R, Y)
+        if r_eval is not None:
+            pts = [pt for pt in r_eval if pt <= R[-1]]
+            js = [next(j for j, r in enumerate(R) if r >= pt) for pt in pts]
+            Y = [Y[j] if pt == R[j] else hermite(_row(*nodes[j - 1]), _row(*nodes[j]), pt)
+                 for pt, j in zip(pts, js)]
+            R = pts
+        rarr = np.array(R, dtype=float)
+        arr = np.array(Y, dtype=float)
         H = np.asarray(energy(tuple(arr.T)), dtype=float) if energy else np.full(len(rarr), np.nan)
         stats = {"nfev": 2 + 6 * (naccpt + nrejct), "naccpt": naccpt, "nrejct": nrejct}
         return I.Trajectory(rarr, arr, H, tuple(events), status, stats)
@@ -337,7 +348,7 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, energ
         last = h >= r_end - r
         if last:
             h = r_end - r
-        if not h >= 1e-14 * max(1.0, abs(r)):
+        if not h > 1e-14 * abs(r):
             raise IntegrationError(f"step size underflow at r={r}", build("failed"))
         r_new = r_end if last else r + h
         y_new, k7, err = _reference_step(f, r, y, k1, h, r_new, rel, abs_tol)
@@ -358,7 +369,7 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, energ
                     if hi_r - lo_r <= 4e-16 * max(1.0, abs(hi_r)):
                         break
                     mid = 0.5 * (lo_r + hi_r)
-                    g_mid = g(mid, hermite(r, y, k1, r_new, y_new, k7, mid))[i]
+                    g_mid = g(mid, hermite(_row(r, y, k1), _row(r_new, y_new, k7), mid))[i]
                     if I._crossed(g_lo, g_mid, det.direction):
                         hi_r = mid
                         if abs(g_mid) <= abs_tol:
@@ -370,7 +381,7 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, energ
                     active[i] = None
         fired.sort(key=lambda t: t[0])
         for r_star, det in fired:
-            y_star = hermite(r, y, k1, r_new, y_new, k7, r_star)
+            y_star = hermite(_row(r, y, k1), _row(r_new, y_new, k7), r_star)
             events.append(I.Event(det.kind, r_star, y_star))
             if det.terminal:
                 nodes.append((r_new, y_new, k7))
@@ -436,6 +447,10 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     # the 4-D joint remainder
     start4 = (*_first_order_start(P, TOL.r0), 0.0, 0.25 * (P.m**2 - P.omega**2) * TOL.r0**2)
     runs.append((_rhs_joint(0.2, P), (TOL.r0, 5.0), start4, {}))
+    # and with samples at r_eval up to a terminal event, where h1 falls
+    # below -0.5 (past r = 1), so that the cut step is interpolated
+    stop4 = dict(detectors=[STOP], g=lambda r, y: (y[0] + 0.5,), r_eval=np.linspace(TOL.r0, 5.0, 800))
+    runs.append((_rhs_joint(0.1, P), (TOL.r0, 5.0), start4, stop4))
     # a once detector whose value keeps changing sign after it fired, next
     # to one that fires on upward crossings only
     once = [Detector(EventKind.V_SIGN_CHANGE, once=True), Detector(EventKind.CERTIFICATE_FIRED, 1)]
@@ -449,6 +464,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     got = [solve(f, span, y0, **ev, **kw) for f, span, y0, ev in runs]
     for traj, (f, span, y0, ev) in zip(got, runs):
         _assert_same_run(traj, _reference_solve(f, span, y0, **ev, **kw))
+    assert got[-4].status == "event:v_sign_change" and 1.0 < got[-4].r[-1] < 5.0
     assert [t.status for t in got[:5]] == [
         "event:entered_negative_energy",
         "event:entered_negative_energy",
@@ -477,6 +493,37 @@ def test_inlined_radial_flow_is_bitwise_the_called_one():
     kw = dict(rel=TOL.rel, abs_tol=TOL.abs)
     for f, span, y0, ev in _cubic_runs():
         _assert_same_run(solve(f, span, y0, **ev, **kw), solve(lambda r, y: f(r, y), span, y0, **ev, **kw))
+
+
+def test_inlined_perturbation_flows_are_bitwise_the_called_ones():
+    # the first-order flow over the log-law window and the joint remainder
+    # flow on (0, 1/eps), sampled as asymptotics samples them
+    from diracshoot.asymptotics import _first_order_start, _rhs_first_order, _rhs_joint
+
+    kw = dict(rel=TOL.rel, abs_tol=TOL.abs)
+    r0 = TOL.r0
+    start2 = _first_order_start(P, r0)
+    runs = [(_rhs_first_order(P), (r0, 1e6), start2, np.geomspace(1e3, 1e6, 200))]
+    for eps in (0.3, 0.1, 0.02):
+        start4 = (*start2, 0.0, 0.25 * (P.m**2 - P.omega**2) * r0 * r0)
+        runs.append((_rhs_joint(eps, P), (r0, 1.0 / eps), start4, np.linspace(r0, 1.0 / eps, 800)))
+    for f, span, y0, grid in runs:
+        inlined = solve(f, span, y0, r_eval=grid, **kw)
+        _assert_same_run(inlined, solve(lambda r, y: f(r, y), span, y0, r_eval=grid, **kw))
+        assert len(inlined) == len(grid)
+
+
+def test_formula_name_clashing_with_the_loop_raises():
+    # e1 is the second component of the loop's fifth stage, r its radius
+    from diracshoot.integrator import formula_flow
+
+    for src in (
+        "def f(x, s, e1):\n    u, v = s\n    return e1 * v, -u\n",
+        "def f(x, s, c):\n    u, v = s\n    r = c * x\n    return r * v, -u\n",
+    ):
+        f = formula_flow(src, 0.5)
+        with pytest.raises(ValueError, match="also names of the loop"):
+            solve(f, (1.0, 2.0), (1.0, 0.0), rel=1e-8, abs_tol=1e-8)
 
 
 def test_failures_match_the_reference_solve(monkeypatch):
@@ -513,8 +560,8 @@ def test_failures_match_the_reference_solve(monkeypatch):
 def test_stats_count_every_rhs_call(gs):
     # a counting wrapper around f is how a caller measures the work of solve;
     # it must leave the trajectory unchanged and agree with nfev.  A wrapper
-    # that keeps the cubic coefficients is called only for the first
-    # derivative and the initial step size: the stages are inlined
+    # that keeps the radial formula is called only for the first derivative
+    # and the initial step size: the stages are inlined
     calls = 0
 
     def counted(r, y):
@@ -522,10 +569,10 @@ def test_stats_count_every_rhs_call(gs):
         calls += 1
         return RADIAL(r, y)
 
-    def counted_cubic(r, y):
+    def counted_formula(r, y):
         return counted(r, y)
 
-    counted_cubic.cubic = RADIAL.cubic
+    counted_formula.formula = RADIAL.formula
 
     lam = 2.0
     r0 = 1e-6 / lam**2
@@ -541,7 +588,7 @@ def test_stats_count_every_rhs_call(gs):
         steps = wrapped.stats["naccpt"] + wrapped.stats["nrejct"]
         assert calls == 2 + 6 * steps
         calls = 0
-        inlined = solve(counted_cubic, (r0, 10.0), y0, rel=TOL.rel, abs_tol=TOL.abs, **kw)
+        inlined = solve(counted_formula, (r0, 10.0), y0, rel=TOL.rel, abs_tol=TOL.abs, **kw)
         assert calls == 2 and inlined.stats == plain.stats
         if not kw:
             assert wrapped.stats["naccpt"] == len(wrapped) - 1 and wrapped.stats["nrejct"] > 0
@@ -584,7 +631,7 @@ def _dense_reference(f, r_span, y0, grid, energy=None, **kw):
             break
         j = next(j for j, r in enumerate(rs) if r >= pt)
         out_r.append(pt)
-        out_y.append(ys[j] if pt == rs[j] else hermite(*nodes[j - 1], *nodes[j], pt))
+        out_y.append(ys[j] if pt == rs[j] else hermite(_row(*nodes[j - 1]), _row(*nodes[j]), pt))
     H = [energy(row) if energy else math.nan for row in out_y]
     return out_r, out_y, H
 
