@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import hamiltonian, radial_flow, taylor_start
+from .equations import radial_flow, taylor_start
 from .integrator import Detector, EventKind, Trajectory, formula_flow, solve, v_sign
 from .params import Params, Tolerances
 
@@ -70,11 +70,8 @@ def integrate_rescaled(
     g=None,
 ) -> Trajectory:
     """Integrate the rescaled system radial_flow(p, eps) from (0, 1) up to
-    r_end (default 1/eps).
-
-    The rescaled energy hamiltonian(y, p, eps) is recorded as the H trace;
-    it is non-increasing along the flow and bounded by its datum value <= 1.
-    """
+    r_end (default 1/eps).  Its energy hamiltonian((U, V), p, eps) is
+    non-increasing along the flow and bounded by its datum value <= 1."""
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"need 0 <= eps < 1, got {eps}")
     if r_end is None and eps == 0.0:
@@ -89,7 +86,6 @@ def integrate_rescaled(
         detectors=detectors,
         g=g,
         r_eval=r_eval,
-        energy=lambda y: hamiltonian(y, p, eps),
     )
 
 
@@ -214,12 +210,12 @@ def remainder_bound_constant(p: Params) -> float:
 class PerturbationRecord:
     """Remainder (h2, k2) on (0, 1/eps) computed along two routes.
 
-    h2/k2 come from integrating the exact remainder equations; the
-    _subtraction arrays divide the expansion defect of the rescaled
-    solution by eps^4.  max_discrepancy / rel_discrepancy quantify the
-    route agreement; threshold_ok records |h2|+|k2| < eps^(-3/2) with
-    breach_r the first violation radius (None when respected), node_radius
-    the first zero of V in the rescaled run (None when V stays positive).
+    h2/k2 come from integrating the exact remainder equations;
+    max_discrepancy / rel_discrepancy compare them with the subtraction
+    route, the expansion defect of the rescaled solution over eps^4.
+    threshold_ok records |h2|+|k2| < eps^(-3/2) with breach_r the first
+    violation radius (None when respected), node_radius the first zero of V
+    in the rescaled run (None when V stays positive).
 
     sup_norm grows like mu^2/eps (ln(1/eps) - a), below the bound
     mu^2 ln(1/eps)/eps of remainder_bound_constant for small eps (near
@@ -237,8 +233,6 @@ class PerturbationRecord:
     k1: np.ndarray
     h2: np.ndarray
     k2: np.ndarray
-    h2_subtraction: np.ndarray
-    k2_subtraction: np.ndarray
     max_discrepancy: float
     rel_discrepancy: float
     sup_norm: float
@@ -326,8 +320,6 @@ def integrate_remainder(eps: float, p: Params, tol: Tolerances) -> PerturbationR
         k1=k1,
         h2=h2,
         k2=k2,
-        h2_subtraction=h2_sub,
-        k2_subtraction=k2_sub,
         max_discrepancy=float(np.max(diff)),
         rel_discrepancy=float(np.max(diff) / max(sup, 1e-300)),
         sup_norm=sup,

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, phaseflow, shooting, verify as verify_mod
+from .equations import hamiltonian
 from .integrator import EventKind, IntegrationError
 from .params import Params, Tolerances
 from .phaseflow import NotCapturedError
@@ -107,23 +108,17 @@ class RunConfig:
         return _jsonable(dataclasses.asdict(self))
 
 
-_CONFIG_KEYS = {
-    "m": float,
-    "omega": float,
-    "tol_rel": float,
-    "tol_abs": float,
-    "r0": float,
-    "eta": float,
-    "delta": float,
-    "rmax": float,
-    "lambda": "floats",
-    "epsilon": "floats",
-    "lambda_tol": float,
-    "T": float,
-    "level": float,
-    "resolution": int,
-    "format": str,
-    "out": str,
+# each config-file key names a RunConfig field; a tuple field (lambdas, epsilons)
+# is keyed in the singular, like its repeated flag, and takes a list of floats
+_CONFIG_FIELDS = {
+    f.name.removesuffix("s") if f.type.startswith("tuple") else f.name: f
+    for f in dataclasses.fields(RunConfig)
+}
+_PARSERS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "tuple": lambda text: tuple(float(tok) for tok in text.replace(",", " ").split()),
 }
 
 
@@ -139,20 +134,14 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        kind = _CONFIG_KEYS[key]
+        f = _CONFIG_FIELDS[key]
         try:
-            if kind == "floats":
-                parsed = tuple(float(tok) for tok in val.replace(",", " ").split())
-            elif kind is str:
-                parsed = val
-            else:
-                parsed = kind(val)
+            # the type's first name: float | None parses as float, tuple[...] as tuple
+            values[f.name] = _PARSERS[f.type.split("[")[0].split(" | ")[0]](val)
         except ValueError as err:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {err}") from None
-        target = {"lambda": "lambdas", "epsilon": "epsilons"}.get(key, key)
-        values[target] = parsed
     return values
 
 
@@ -217,7 +206,7 @@ def run_ground_state(cfg: RunConfig) -> dict:
             "r": gs.profile.r,
             "u": gs.profile.u,
             "v": gs.profile.v,
-            "H": gs.profile.H,
+            "H": hamiltonian((gs.profile.u, gs.profile.v), p),
         },
     }
     return _envelope("ground-state", cfg, payload, diags)
@@ -307,7 +296,7 @@ def run_portrait(cfg: RunConfig) -> dict:
                 "r": t.r,
                 "u": t.u,
                 "v": t.v,
-                "H": t.H,
+                "H": hamiltonian((t.u, t.v), p),
             }
         )
     payload = {

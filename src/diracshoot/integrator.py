@@ -32,7 +32,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import equations
 from .params import Params, Tolerances
 
 # Dormand-Prince 5(4) tableau
@@ -70,13 +69,12 @@ class EventKind(str, enum.Enum):
     ENTERED_NEGATIVE_ENERGY = "entered_negative_energy"
     NORM_BELOW_ETA = "norm_below_eta"
     CERTIFICATE_FIRED = "certificate_fired"
-    RMAX_REACHED = "rmax_reached"
 
 
 @dataclass(frozen=True)
 class Event:
-    """An event of the given kind at radius r, with the state y there: the
-    refined crossing, or the final state for RMAX_REACHED."""
+    """An event of the given kind at its refined crossing r, with the state
+    y there."""
 
     kind: EventKind
     r: float
@@ -111,7 +109,7 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded integration path: samples (r, state, H) plus the event log.
+    """Recorded integration path: samples (r, state) plus the event log.
     r is strictly increasing; arrays are never mutated.  y has one row per
     sample; its first two columns are the (u, v) plane for the 2-dimensional
     flows.  stats holds solve's counters in the DOPRI5 names: nfev
@@ -120,7 +118,6 @@ class Trajectory:
 
     r: np.ndarray
     y: np.ndarray
-    H: np.ndarray
     events: tuple[Event, ...]
     status: str  # "completed" or "event:<kind>"
     stats: dict = field(default_factory=dict)
@@ -318,7 +315,6 @@ def solve(
     detectors: Sequence[Detector] = (),
     g: Callable[[float, tuple], tuple] | None = None,
     r_eval: Sequence[float] | None = None,
-    energy: Callable[[tuple], np.ndarray] | None = None,
 ) -> Trajectory:
     """Integrate y' = f(r, y) over r_span with event detection.
 
@@ -328,13 +324,12 @@ def solve(
     the 1-D, strictly increasing r_eval within r_span when given: a point
     equal to a step end takes the state there, any other is interpolated in
     one pass from the recorded step ends with the Hermite polynomial that
-    refines events.  energy, when given, is called once on the tuple of
-    state columns and returns the H trace elementwise.  A terminal event
-    truncates the trajectory at the refined crossing; otherwise the run ends
-    with an RMAX_REACHED event at r_span[1].  The right-hand side is
-    evaluated 2 + 6 (naccpt + nrejct) times: at the start, for the initial
-    step size and six times per step, each a call of f unless f is a
-    formula_flow, whose formula the loop's stages inline.
+    refines events.  A terminal event truncates the trajectory at the
+    refined crossing; otherwise the run ends at r_span[1] with status
+    "completed".  The right-hand side is evaluated 2 + 6 (naccpt + nrejct)
+    times: at the start, for the initial step size and six times per step,
+    each a call of f unless f is a formula_flow, whose formula the loop's
+    stages inline.
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
@@ -380,13 +375,8 @@ def solve(
             rarr, arr = pts, arr[j]
             j = j[inner]
             arr[inner] = np.transpose(hermite(table[j - 1].T, table[j].T, pts[inner]))
-        Harr = (
-            np.asarray(energy(tuple(arr.T)), dtype=float)
-            if energy is not None
-            else np.full(len(rarr), np.nan)
-        )
         stats = {"nfev": 2 + 6 * (naccpt + nrejct), "naccpt": naccpt, "nrejct": nrejct}
-        return Trajectory(rarr, arr, Harr, tuple(events), status_str, stats)
+        return Trajectory(rarr, arr, tuple(events), status_str, stats)
 
     h, naccpt, nrejct = _initial_step(f, r, y, k1, r_end, rel, abs_tol), 0, 0
     while True:
@@ -394,7 +384,7 @@ def solve(
             f, *consts, g, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, *g_prev
         )
         if status == "completed":
-            break
+            return build("completed")
         if status != "event":
             raise IntegrationError(f"{status} at r={r}", build("failed"))
         # some value changed sign over the step between the last two rows
@@ -403,11 +393,12 @@ def solve(
         for i, det in enumerate(active):
             if det is None or not _crossed(g0[i], g1[i], det.direction):
                 continue
-            # bisect on the dense output; hi_r stays on the crossed side
-            # so the event condition holds at the reported point
+            # bisect on the dense output down to a width relative to r, as
+            # runs below r = 1 need; hi_r stays on the crossed side so the
+            # event condition holds at the reported point
             lo_r, hi_r, g_lo = a[0], b[0], g0[i]
             for _ in range(80):
-                if hi_r - lo_r <= 4e-16 * max(1.0, abs(hi_r)):
+                if hi_r - lo_r <= 4e-16 * abs(hi_r):
                     break
                 mid = 0.5 * (lo_r + hi_r)
                 g_mid = g(mid, hermite(a, b, mid))[i]
@@ -427,9 +418,6 @@ def solve(
                 return build(f"event:{det.kind.value}", (r_star, y_star))
         g_prev = g1
 
-    events.append(Event(EventKind.RMAX_REACHED, r_end, y))
-    return build("completed")
-
 
 def integrate(
     flow: Callable[[Params], Callable[[float, tuple], tuple]],
@@ -445,9 +433,8 @@ def integrate(
 
     flow is a factory such as equations.radial_flow, called once to bind p;
     detectors and g are solve's.  Runs up to r_end (default tol.rmax) or to
-    the first terminal event, recording the energy trace alongside the
-    samples.  The radial flow raises for r <= 0, so it cannot start at the
-    origin.
+    the first terminal event.  The radial flow raises for r <= 0, so it
+    cannot start at the origin.
     """
     tol = tol.resolved(p)
     r_start, y_start = start
@@ -461,5 +448,4 @@ def integrate(
         detectors=detectors,
         g=g,
         r_eval=r_eval,
-        energy=lambda y: equations.hamiltonian(y, p),
     )

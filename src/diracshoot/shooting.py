@@ -44,6 +44,8 @@ _ITP_K1 = 0.2
 _ITP_N0 = 1
 # samples of the matched decay tail between the anchor and the horizon
 _N_TAIL = 256
+# bracket_search doubles the datum up to this multiple of its first one
+_MAX_FACTOR = 1e6
 
 VERDICT_A = "A"
 VERDICT_I = "I-candidate"
@@ -172,27 +174,27 @@ def _closest_approach_wronskian(traj: Trajectory, p: Params) -> float:
     return r * (float(traj.u[i]) * float(bv) - float(traj.v[i]) * float(bu))
 
 
-def _summary(traj: Trajectory) -> dict:
+def _summary(traj: Trajectory, p: Params) -> dict:
     n1 = traj.norm1
     i = int(np.argmin(n1))
     return {
         "r_end": float(traj.r[-1]),
-        "H_end": float(traj.H[-1]),
+        "H_end": hamiltonian(traj.final_state, p),
         "min_norm1": float(n1[i]),
         "r_at_min": float(traj.r[i]),
         "samples": len(traj),
     }
 
 
-def _before_first_node(c: Classification) -> Classification:
+def _before_first_node(c: Classification, p: Params) -> Classification:
     """c with samples and events strictly before its first sign change of v."""
     t = c.trajectory
     i = next((k for k, e in enumerate(t.events) if e.kind == EventKind.V_SIGN_CHANGE), None)
     if i is None:
         return c
     n = int(np.searchsorted(t.r, t.events[i].r))
-    cut = replace(t, r=t.r[:n], y=t.y[:n], H=t.H[:n], events=t.events[:i])
-    return replace(c, trajectory=cut, summary=_summary(cut))
+    cut = replace(t, r=t.r[:n], y=t.y[:n], events=t.events[:i])
+    return replace(c, trajectory=cut, summary=_summary(cut, p))
 
 
 def classify(
@@ -232,21 +234,9 @@ def classify(
     if H0 < -tol.delta:
         # the datum starts inside the capture region and H only decreases
         ev = Event(EventKind.ENTERED_NEGATIVE_ENERGY, r0, y0)
-        traj = Trajectory(
-            np.array([r0]),
-            np.array([[y0[0], y0[1]]]),
-            np.array([H0]),
-            (ev,),
-            "event:entered_negative_energy",
-        )
-        return Classification(
-            lam,
-            VERDICT_A,
-            0,
-            {"r": r0, "H": H0, "certificate": None},
-            _summary(traj),
-            traj if keep_trajectory else None,
-        )
+        traj = Trajectory(np.array([r0]), np.array([y0]), (ev,), "event:entered_negative_energy")
+        evid, summ = {"r": r0, "H": H0, "certificate": None}, _summary(traj, p)
+        return Classification(lam, VERDICT_A, 0, evid, summ, traj if keep_trajectory else None)
 
     g, dets = _events(p, tol, stop_at_first_node)
     try:
@@ -254,7 +244,7 @@ def classify(
     except IntegrationError as err:
         traj = err.partial
         ev = {"r": float("nan"), "H": float("nan"), "certificate": None, "note": str(err)}
-        summ = _summary(traj) if traj is not None and len(traj) else {}
+        summ = _summary(traj, p) if traj is not None and len(traj) else {}
         nodes = traj.nodes_before() if traj is not None else 0
         return Classification(
             lam, VERDICT_UNDECIDED, nodes, ev, summ, traj if keep_trajectory else None
@@ -262,37 +252,30 @@ def classify(
 
     cert = _certificate_from_events(traj, p)
     wronskian = _closest_approach_wronskian(traj, p) if stop_at_first_node else None
-    terminal = traj.events[-1] if traj.events else None
+    summ = _summary(traj, p)
 
     decided = {EventKind.ENTERED_NEGATIVE_ENERGY: VERDICT_A, EventKind.NORM_BELOW_ETA: VERDICT_I}
-    if terminal is not None and terminal.kind in decided:
-        k = traj.nodes_before(terminal.r)
-        verdict = decided[terminal.kind]
+    if traj.status != "completed":  # ended at a terminal event: capture, the eta tube or a node
+        terminal = traj.events[-1]
         evid = {"r": terminal.r, "H": hamiltonian(terminal.y, p), "certificate": cert}
-    elif stop_at_first_node and terminal is not None and terminal.kind == EventKind.V_SIGN_CHANGE:
-        k = 1
-        verdict, evid = (
-            VERDICT_UNDECIDED,
-            {"r": terminal.r, "H": float(traj.H[-1]), "certificate": cert, "note": "stopped at first node"},
-        )
+        if terminal.kind in decided:
+            k, verdict = traj.nodes_before(terminal.r), decided[terminal.kind]
+        else:
+            k, verdict = 1, VERDICT_UNDECIDED
+            evid["note"] = "stopped at first node"
     else:
         k = traj.nodes_before()
-        u_end, v_end = traj.final_state
-        H_end = float(traj.H[-1])
-        if abs(u_end) + abs(v_end) < tol.eta and H_end >= -tol.delta:
-            verdict, evid = VERDICT_I, {"r": float(traj.r[-1]), "H": H_end, "certificate": cert}
+        evid = {"r": summ["r_end"], "H": summ["H_end"], "certificate": cert}
+        if float(traj.norm1[-1]) < tol.eta and summ["H_end"] >= -tol.delta:
+            verdict = VERDICT_I
         else:
-            verdict, evid = (
-                VERDICT_UNDECIDED,
-                {"r": float(traj.r[-1]), "H": H_end, "certificate": cert, "note": "horizon reached"},
-            )
+            verdict = VERDICT_UNDECIDED
+            evid["note"] = "horizon reached"
 
-    return Classification(
-        lam, verdict, k, evid, _summary(traj), traj if keep_trajectory else None, wronskian
-    )
+    return Classification(lam, verdict, k, evid, summ, traj if keep_trajectory else None, wronskian)
 
 
-def bracket_search(p: Params, tol: Tolerances, max_factor: float = 1e6) -> Bracket:
+def bracket_search(p: Params, tol: Tolerances) -> Bracket:
     """Bracket the node-free/nodal transition by doubling the datum.
 
     Starts at sqrt(2(m-omega)) (guaranteed captured without nodes) and
@@ -305,7 +288,7 @@ def bracket_search(p: Params, tol: Tolerances, max_factor: float = 1e6) -> Brack
     lam = lam0
     history: list[Classification] = []
     last_a0 = None
-    while lam <= max_factor * lam0:
+    while lam <= _MAX_FACTOR * lam0:
         c = classify(lam, p, tol, stop_at_first_node=True)
         history.append(c)
         if c.node_count >= 1:
@@ -322,7 +305,7 @@ def bracket_search(p: Params, tol: Tolerances, max_factor: float = 1e6) -> Brack
         if c.verdict == VERDICT_A and c.node_count == 0:
             last_a0 = c
         lam *= 2.0
-    raise BracketError(f"no sign change found up to lambda = {max_factor * lam0:.3e}")
+    raise BracketError(f"no sign change found up to lambda = {_MAX_FACTOR * lam0:.3e}")
 
 
 def decay_fit(t: Trajectory, window: tuple[float, float]) -> float:
@@ -406,13 +389,10 @@ def extend_with_decay_tail(
 
     r_tail = np.linspace(r_c, float(r_end), _N_TAIL + 1)[1:]
     bu, bv = _tail_basis(r_tail, p)
-    u_tail, v_tail = amp * bu, amp * bv
-    H_tail = hamiltonian((u_tail, v_tail), p)
 
     profile = Trajectory(
         np.concatenate([traj.r[: i_c + 1], r_tail]),
-        np.concatenate([traj.y[: i_c + 1], np.column_stack([u_tail, v_tail])]),
-        np.concatenate([traj.H[: i_c + 1], H_tail]),
+        np.concatenate([traj.y[: i_c + 1], np.column_stack([amp * bu, amp * bv])]),
         tuple(e for e in traj.events if e.r <= r_c),
         "completed",
     )
@@ -521,7 +501,7 @@ def bisect(
 
     # the root's full-horizon run decides no side, so it stays out of the history
     probes = {lo, hi, _regula_falsi(lo, hi, f_lo, f_hi)} if connection is None else {connection}
-    candidates = [_before_first_node(trials.get(x) or classify(x, p, tol)) for x in sorted(probes)]
+    candidates = [_before_first_node(trials.get(x) or classify(x, p, tol), p) for x in sorted(probes)]
     ideal = [c for c in candidates if c.verdict == VERDICT_I and c.node_count == 0]
     best = ideal[0] if ideal else min(candidates, key=lambda c: c.summary["min_norm1"])
 

@@ -18,6 +18,7 @@ from diracshoot import (
     Tolerances,
     classify,
     convergence_study,
+    hamiltonian,
     integrate,
     integrate_remainder,
     radial_flow,
@@ -114,7 +115,7 @@ def test_criterion_05_energy_monotonicity():
         r0 = tol.r0 / max(1.0, lam * lam)
         traj = integrate(radial_flow, (r0, taylor_start(lam, p, r0)), p, tol, r_end=40.0)
         if len(traj) > 1:
-            worst = max(worst, float(np.diff(traj.H).max()))
+            worst = max(worst, float(np.diff(hamiltonian((traj.u, traj.v), p)).max()))
     _report(5, worst < 1e-8, f"max per-step H increase {worst:.3e} < 1e-8")
 
 

@@ -74,7 +74,7 @@ def test_exit_code_usage_errors(capsys):
 def test_exit_code_computation_failure(monkeypatch, capsys):
     from diracshoot import shooting
 
-    def boom(p, tol, max_factor=1e6):
+    def boom(p, tol):
         raise shooting.BracketError("forced")
 
     monkeypatch.setattr(shooting, "bracket_search", boom)

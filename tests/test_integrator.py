@@ -80,7 +80,7 @@ def test_confinement_level_set():
     for lam in (0.6, 1.4, 2.3):
         r0 = 1e-6 / max(1.0, lam * lam)
         traj = integrate(radial_flow, (r0, taylor_start(lam, P, r0)), P, TOL)
-        assert traj.H.max() <= hamiltonian((0.0, lam), P) + TOL.abs
+        assert hamiltonian((traj.u, traj.v), P).max() <= hamiltonian((0.0, lam), P) + TOL.abs
 
 
 def test_shifted_approaches_autonomous():
@@ -137,11 +137,10 @@ def test_event_carries_crossing_state():
     assert abs(ev.y[1]) <= 1e-9
 
 
-def test_rmax_event_emitted():
+def test_run_to_r_end_completes_without_event():
     traj = integrate(autonomous_flow, (0.0, (0.1, 0.1)), P, TOL, r_end=5.0)
-    assert traj.events[-1].kind == EventKind.RMAX_REACHED
-    assert traj.r[-1] == pytest.approx(5.0)
-    assert np.array_equal(np.array(traj.events[-1].y), traj.y[-1])  # the final state
+    assert traj.status == "completed" and traj.events == ()
+    assert traj.r[-1] == 5.0  # the last step lands exactly on r_end
 
 
 def test_bad_span_rejected():
@@ -189,34 +188,6 @@ def test_dense_output_consistency():
     assert err < 1e-12  # same accepted points, no interpolation involved
 
 
-def test_energy_column_matches_per_row_bitwise(gs):
-    # the H trace is computed in one call on the state columns; it must be
-    # bitwise the per-row evaluation for every recorded energy
-    from diracshoot.asymptotics import _first_order_start, _rhs_joint, integrate_rescaled
-
-    def same_bits(a, b):
-        return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
-
-    y0 = taylor_start(1.8, P, 1e-6)
-    radial = integrate(radial_flow, (1e-6, y0), P, TOL, r_end=20.0)
-    assert same_bits(radial.H, [hamiltonian(tuple(row), P) for row in radial.y])
-
-    eps = 0.2
-    resc = integrate_rescaled(eps, P, TOL, r_end=5.0)
-    assert same_bits(resc.H, [hamiltonian(tuple(row), P, eps) for row in resc.y])
-
-    # the matched decay tail of the ground-state profile follows the same rule
-    tail = gs.profile.r > gs.anchor_r
-    assert same_bits(gs.profile.H[tail], [hamiltonian(tuple(row), P) for row in gs.profile.y[tail]])
-
-    # the 4-D remainder flow records no energy and keeps its NaN column
-    r0 = TOL.r0
-    start = (*_first_order_start(P, r0), 0.0, 0.25 * (P.m**2 - P.omega**2) * r0 * r0)
-    joint = solve(_rhs_joint(eps, P), (r0, 2.0), start, rel=TOL.rel, abs_tol=TOL.abs)
-    assert joint.y.shape[1] == 4
-    assert np.all(np.isnan(joint.H))
-
-
 def _reference_step(f, r, y, k1, h, r_new, rel, abs_tol):
     """One DP5(4) step in the vector form, each stage a loop over the
     components; returns (y_new, k7, err) like the generated step."""
@@ -258,56 +229,12 @@ def _reference_step(f, r, y, k1, h, r_new, rel, abs_tol):
     return y_new, k7, math.sqrt(err / len(y))
 
 
-def _bits(*values):
-    return [float(v).hex() for v in values]  # hex keeps the sign of zero
-
-
-def test_generated_step_is_bitwise_the_reference():
-    # one step of the compiled loop against the vector-form step: the step
-    # lands on r_end = r + h and the budget allows no second attempt, so
-    # the loop records the accepted row r, y, f of floats, or none after a
-    # rejection, and returns the next step size; the radial and joint flows
-    # run both inlined and called
-    from diracshoot import integrator as I
-    from diracshoot.asymptotics import _first_order_start, _rhs_joint
-
-    radial = integrate(radial_flow, (1e-6, taylor_start(1.3, P, 1e-6)), P, TOL, r_end=2.0)
-    y2 = tuple(map(float, radial.y[-1]))
-    joint = _rhs_joint(0.2, P)
-    r4 = 0.5
-    y4 = (*_first_order_start(P, r4), 1e-3, 0.25 * (P.m**2 - P.omega**2) * r4 * r4)
-    cases = [  # (f, inlined, r, y, h, accepted); r + h - r == h exactly
-        (f, inlined, r, y, h, accepted)
-        for f, r, y, h_ok, h_bad in [(RADIAL, 2.0, y2, 2.0**-7, 1.5), (joint, r4, y4, 2.0**-7, 3.0)]
-        for inlined in (True, False)
-        for h, accepted in [(h_ok, True), (h_bad, False)]
-    ]
-    for f, inlined, r, y, h, accepted in cases:
-        k1 = f(r, y)
-        formula, consts = f.formula if inlined else (None, ())
-        run = I._dp54(len(y), 0, formula)
-        nodes = []
-        status, *_, h_next, naccpt, nrejct, _, _ = run(
-            f, *consts, None, r, y, k1, h, r + h, TOL.rel, TOL.abs, nodes, 0, I._MAX_STEPS - 1
-        )
-        y_new, k7, err = _reference_step(f, r, y, k1, h, r + h, TOL.rel, TOL.abs)
-        assert (err <= 1.0) == accepted
-        if accepted:
-            factor = min(I._MAX_FACTOR, I._SAFETY * err**-0.2)
-            assert (status, naccpt) == ("completed", 1) and len(nodes) == 1 + 2 * len(y)
-            assert _bits(*nodes) == _bits(r + h, *y_new, *k7)
-        else:
-            factor = I._SAFETY * err**-0.2
-            assert (status, naccpt, nodes) == ("step budget exhausted", 0, [])
-        assert _bits(h_next) == _bits(h * max(I._MIN_FACTOR, factor))
-
-
 def _row(r, y, f):
     """A step end as the row (r, *y, *f) that the loop stores and hermite reads."""
     return (r, *y, *f)
 
 
-def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, energy=None, r_eval=None):
+def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eval=None):
     """solve as a Python loop over the steps and, for each accepted step,
     over the detectors, taking each value from its own call of g and each
     step from _reference_step, and over the r_eval points, each the state at
@@ -335,11 +262,9 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, energ
             Y = [Y[j] if pt == R[j] else hermite(_row(*nodes[j - 1]), _row(*nodes[j]), pt)
                  for pt, j in zip(pts, js)]
             R = pts
-        rarr = np.array(R, dtype=float)
-        arr = np.array(Y, dtype=float)
-        H = np.asarray(energy(tuple(arr.T)), dtype=float) if energy else np.full(len(rarr), np.nan)
         stats = {"nfev": 2 + 6 * (naccpt + nrejct), "naccpt": naccpt, "nrejct": nrejct}
-        return I.Trajectory(rarr, arr, H, tuple(events), status, stats)
+        R, Y = np.array(R, dtype=float), np.array(Y, dtype=float)
+        return I.Trajectory(R, Y, tuple(events), status, stats)
 
     h = I._initial_step(f, r, y, k1, r_end, rel, abs_tol)
     while r < r_end:
@@ -366,7 +291,7 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, energ
             if (g0 > 0.0 >= g1 or g0 < 0.0 <= g1) and I._crossed(g0, g1, det.direction):
                 lo_r, hi_r, g_lo = r, r_new, g0
                 for _ in range(80):
-                    if hi_r - lo_r <= 4e-16 * max(1.0, abs(hi_r)):
+                    if hi_r - lo_r <= 4e-16 * abs(hi_r):
                         break
                     mid = 0.5 * (lo_r + hi_r)
                     g_mid = g(mid, hermite(_row(r, y, k1), _row(r_new, y_new, k7), mid))[i]
@@ -390,12 +315,11 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, energ
         nodes.append((r, y, k1))
         factor = I._MAX_FACTOR if err == 0.0 else min(I._MAX_FACTOR, I._SAFETY * err**-0.2)
         h *= max(I._MIN_FACTOR, factor)
-    events.append(I.Event(EventKind.RMAX_REACHED, r_end, y))
     return build("completed")
 
 
 def _assert_same_run(traj, ref):
-    assert _hex(traj.r) == _hex(ref.r) and _hex(traj.y) == _hex(ref.y) and _hex(traj.H) == _hex(ref.H)
+    assert _hex(traj.r) == _hex(ref.r) and _hex(traj.y) == _hex(ref.y)
     assert (traj.status, traj.stats) == (ref.status, ref.stats)
     assert [(e.kind, _hex([e.r, *e.y])) for e in traj.events] == [
         (e.kind, _hex([e.r, *e.y])) for e in ref.events
@@ -406,17 +330,20 @@ def _rotation_events(r, y):
     return y[1], y[0]
 
 
-def _cubic_runs():
-    """(f, r_span, y0, keywords of solve) of the runs on a radial_flow:
-    shooting trials A(0), nodal (A(1)), I-candidate, undecided at a horizon,
-    and one stopped at its first node (the once certificate fires in the
-    first four), then the rescaled run with a v-sign detector at eps = 0.05,
-    0.2 and the eps = 0 bubble limit."""
+def test_compiled_loop_is_bitwise_the_reference_solve():
+    # each run three ways: solve(f), which inlines the formula of a
+    # formula_flow, solve of a plain callable around f, and the reference
+    from diracshoot.asymptotics import _first_order_start, _rhs_first_order, _rhs_joint
     from diracshoot.equations import radial_start
+    from diracshoot.phaseflow import attraction_report
     from diracshoot.shooting import _events
 
+    kw = dict(rel=TOL.rel, abs_tol=TOL.abs)
+    runs = []  # (f, r_span, y0, keywords of solve)
+    # shooting trials A(0), nodal (A(1)), I-candidate, undecided at a
+    # horizon, and one stopped at its first node (the once certificate fires
+    # in the first four); each has rejected steps
     lam_star = 1.8078961486370915  # the ground state's datum at P, TOL
-    runs = []
     for lam, stop, horizon in [
         (lam_star - 7e-12, False, TOL.rmax),
         (lam_star + 3e-12, False, TOL.rmax),
@@ -426,29 +353,38 @@ def _cubic_runs():
     ]:
         r0, y0 = radial_start(lam, P, TOL)
         g, dets = _events(P, TOL, stop)
-        energy = lambda y: hamiltonian(y, P)  # noqa: E731
-        runs.append((RADIAL, (r0, horizon), y0, dict(detectors=dets, g=g, energy=energy)))
+        runs.append((RADIAL, (r0, horizon), y0, dict(detectors=dets, g=g)))
+    # the rescaled run with a v-sign detector at eps = 0.05, 0.2 and the
+    # eps = 0 bubble limit
     for eps in (0.05, 0.2, 0.0):
-        start = taylor_start(1.0, P, TOL.r0, eps)
-        energy = lambda y, eps=eps: hamiltonian(y, P, eps)  # noqa: E731
-        span = (TOL.r0, 1.0 / eps if eps else 20.0)
-        runs.append((radial_flow(P, eps), span, start, dict(detectors=[NODE], g=v_sign, energy=energy)))
-    return runs
-
-
-def test_compiled_loop_is_bitwise_the_reference_solve():
-    from diracshoot.asymptotics import _first_order_start, _rhs_joint
-    from diracshoot.equations import radial_start
-    from diracshoot.phaseflow import attraction_report
-
-    kw = dict(rel=TOL.rel, abs_tol=TOL.abs)
-    # the cubic runs take the inlined flow, the others call f
-    runs = _cubic_runs()
-    # the 4-D joint remainder
-    start4 = (*_first_order_start(P, TOL.r0), 0.0, 0.25 * (P.m**2 - P.omega**2) * TOL.r0**2)
-    runs.append((_rhs_joint(0.2, P), (TOL.r0, 5.0), start4, {}))
-    # and with samples at r_eval up to a terminal event, where h1 falls
-    # below -0.5 (past r = 1), so that the cut step is interpolated
+        span, y0 = (TOL.r0, 1.0 / eps if eps else 20.0), taylor_start(1.0, P, TOL.r0, eps)
+        runs.append((radial_flow(P, eps), span, y0, dict(detectors=[NODE], g=v_sign)))
+    # attraction_report's run to the horizon, where u crosses zero many
+    # times on the spiral toward the equilibrium
+    r0, y0 = radial_start(2.5, P, TOL)
+    runs.append((RADIAL, (r0, TOL.rmax), y0, dict(detectors=[NODE], g=v_sign)))
+    # an r_eval grid through r0, step ends, the terminal crossing, interior
+    # points and r_end, with and without the terminal detector
+    lam = 2.0
+    r0 = 1e-6 / lam**2
+    y0 = taylor_start(lam, P, r0)
+    steps = solve(RADIAL, (r0, 10.0), y0, **kw).r
+    r_star = solve(RADIAL, (r0, 10.0), y0, detectors=[STOP], g=v_sign, **kw).events[-1].r
+    grid = np.unique(np.concatenate([steps[:60:4], [r_star], np.linspace(r0, 10.0, 301)]))
+    runs.append((RADIAL, (r0, 10.0), y0, dict(r_eval=grid)))
+    runs.append((RADIAL, (r0, 10.0), y0, dict(r_eval=grid, detectors=[STOP], g=v_sign)))
+    # the first-order flow over the log-law window and the 4-D joint
+    # remainder flow on (0, 1/eps), sampled as asymptotics samples them
+    start2 = _first_order_start(P, TOL.r0)
+    start4 = (*start2, 0.0, 0.25 * (P.m**2 - P.omega**2) * TOL.r0**2)
+    runs.append((_rhs_first_order(P), (TOL.r0, 1e6), start2, dict(r_eval=np.geomspace(1e3, 1e6, 200))))
+    for eps in (0.3, 0.2, 0.1, 0.02):
+        grid4 = np.linspace(TOL.r0, 1.0 / eps, 800)
+        runs.append((_rhs_joint(eps, P), (TOL.r0, 1.0 / eps), start4, dict(r_eval=grid4)))
+    # the joint flow with rejected steps from a large remainder at r0, and
+    # with samples up to a terminal event where h1 falls below -0.5 (past
+    # r = 1), so that the cut step is interpolated
+    runs.append((_rhs_joint(0.5, P), (TOL.r0, 2.0), (0.0, 0.0, 1.0, 1.0), {}))
     stop4 = dict(detectors=[STOP], g=lambda r, y: (y[0] + 0.5,), r_eval=np.linspace(TOL.r0, 5.0, 800))
     runs.append((_rhs_joint(0.1, P), (TOL.r0, 5.0), start4, stop4))
     # a once detector whose value keeps changing sign after it fired, next
@@ -461,10 +397,13 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
         g = lambda r, y, s=sign: (s * (3.0 - r),)  # noqa: E731
         runs.append((_rotation, (0.0, 3.0), (1.0, 0.1), dict(detectors=[NODE], g=g)))
 
-    got = [solve(f, span, y0, **ev, **kw) for f, span, y0, ev in runs]
-    for traj, (f, span, y0, ev) in zip(got, runs):
-        _assert_same_run(traj, _reference_solve(f, span, y0, **ev, **kw))
-    assert got[-4].status == "event:v_sign_change" and 1.0 < got[-4].r[-1] < 5.0
+    got = []
+    for f, span, y0, ev in runs:
+        got.append(solve(f, span, y0, **ev, **kw))
+        _assert_same_run(got[-1], solve(lambda r, y: f(r, y), span, y0, **ev, **kw))
+        _assert_same_run(got[-1], _reference_solve(f, span, y0, **ev, **kw))
+        if "r_eval" in ev and got[-1].status == "completed":
+            assert len(got[-1]) == len(ev["r_eval"])
     assert [t.status for t in got[:5]] == [
         "event:entered_negative_energy",
         "event:entered_negative_energy",
@@ -473,44 +412,15 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
         "event:v_sign_change",
     ]
     assert [t.nodes_before() for t in got[:5]] == [0, 1, 0, 0, 1]
+    assert all(t.stats["nrejct"] > 0 for t in got[:5])
+    _assert_same_run(attraction_report(2.5, P, TOL).trajectory, got[8])
+    assert got[10].status == "event:v_sign_change" and got[10].r[-1] == r_star < grid[-1]
+    assert got[10].y.shape == (np.count_nonzero(grid <= r_star), 2)
+    assert got[16].y.shape[1] == 4 and got[16].stats["nrejct"] == 3
+    assert got[-4].status == "event:v_sign_change" and 1.0 < got[-4].r[-1] < 5.0
     assert len(got[-3].events_of(EventKind.V_SIGN_CHANGE)) == 1
     assert len(got[-3].events_of(EventKind.CERTIFICATE_FIRED)) == 5
     assert [e.r for t in got[-2:] for e in t.events_of(EventKind.V_SIGN_CHANGE)] == [3.0, 3.0]
-
-    # attraction_report's run to the horizon, where u crosses zero many
-    # times on the spiral toward the equilibrium
-    lam = 2.5
-    report = attraction_report(lam, P, TOL)
-    r0, y0 = radial_start(lam, P, TOL)
-    ev = dict(detectors=[NODE], g=v_sign, energy=lambda y: hamiltonian(y, P))
-    _assert_same_run(report.trajectory, _reference_solve(RADIAL, (r0, TOL.rmax), y0, **ev, **kw))
-    assert report.u_sign_alternations > 30
-
-
-def test_inlined_radial_flow_is_bitwise_the_called_one():
-    # a radial_flow takes the loop with its formula written in; the same flow
-    # behind a plain callable takes the loop that calls it
-    kw = dict(rel=TOL.rel, abs_tol=TOL.abs)
-    for f, span, y0, ev in _cubic_runs():
-        _assert_same_run(solve(f, span, y0, **ev, **kw), solve(lambda r, y: f(r, y), span, y0, **ev, **kw))
-
-
-def test_inlined_perturbation_flows_are_bitwise_the_called_ones():
-    # the first-order flow over the log-law window and the joint remainder
-    # flow on (0, 1/eps), sampled as asymptotics samples them
-    from diracshoot.asymptotics import _first_order_start, _rhs_first_order, _rhs_joint
-
-    kw = dict(rel=TOL.rel, abs_tol=TOL.abs)
-    r0 = TOL.r0
-    start2 = _first_order_start(P, r0)
-    runs = [(_rhs_first_order(P), (r0, 1e6), start2, np.geomspace(1e3, 1e6, 200))]
-    for eps in (0.3, 0.1, 0.02):
-        start4 = (*start2, 0.0, 0.25 * (P.m**2 - P.omega**2) * r0 * r0)
-        runs.append((_rhs_joint(eps, P), (r0, 1.0 / eps), start4, np.linspace(r0, 1.0 / eps, 800)))
-    for f, span, y0, grid in runs:
-        inlined = solve(f, span, y0, r_eval=grid, **kw)
-        _assert_same_run(inlined, solve(lambda r, y: f(r, y), span, y0, r_eval=grid, **kw))
-        assert len(inlined) == len(grid)
 
 
 def test_formula_name_clashing_with_the_loop_raises():
@@ -527,9 +437,10 @@ def test_formula_name_clashing_with_the_loop_raises():
 
 
 def test_failures_match_the_reference_solve(monkeypatch):
-    # step-size underflow in the finite-time blow-up of y' = y^2, and a step
-    # budget that runs out after the first node of a nodal trial: the same
-    # message and the same partial run
+    # step-size underflow in the finite-time blow-up of y' = y^2, sampled at
+    # every step end or at an r_eval grid, and a step budget that runs out
+    # after the first node of a nodal trial: the same message and the same
+    # partial run, which keeps the samples up to its last accepted step
     from diracshoot import integrator as I
     from diracshoot.equations import radial_start
     from diracshoot.shooting import _events
@@ -546,12 +457,16 @@ def test_failures_match_the_reference_solve(monkeypatch):
         _assert_same_run(exc.value.partial, ref.value.partial)
         return exc.value.partial
 
-    same_failure(blowup, (0.0, 2.0), (1.0,), "step size underflow", rel=1e-10, abs_tol=1e-10)
+    blow = dict(rel=1e-10, abs_tol=1e-10)
+    same_failure(blowup, (0.0, 2.0), (1.0,), "step size underflow", **blow)
+    grid = np.linspace(0.0, 2.0, 41)
+    partial = same_failure(blowup, (0.0, 2.0), (1.0,), "step size underflow", r_eval=grid, **blow)
+    assert len(partial) == 20 and partial.r[-1] == grid[19]
 
     monkeypatch.setattr(I, "_MAX_STEPS", 120)
     r0, y0 = radial_start(2.5, P, TOL)
     g, dets = _events(P, TOL, False)
-    kw = dict(detectors=dets, g=g, energy=lambda y: hamiltonian(y, P), rel=TOL.rel, abs_tol=TOL.abs)
+    kw = dict(detectors=dets, g=g, rel=TOL.rel, abs_tol=TOL.abs)
     partial = same_failure(RADIAL, (r0, TOL.rmax), y0, "step budget exhausted", **kw)
     assert partial.stats["naccpt"] + partial.stats["nrejct"] == 120
     assert partial.nodes_before() == 1
@@ -599,86 +514,6 @@ def _hex(a):
     return [float(v).hex() for v in np.ravel(a)]  # hex keeps the sign of zero and NaN
 
 
-def _dense_reference(f, r_span, y0, grid, energy=None, **kw):
-    """(r, y, H) at the grid, one point at a time: a point equal to a recorded
-    step end takes the state there, any other the scalar Hermite value on
-    the first step ending at or beyond it.  The steps come from a run
-    without r_eval; f is pure, so f(r, y) at a step end is its FSAL
-    derivative, and the last call of f ends the step a terminal event cuts."""
-    from diracshoot.integrator import _hermite
-
-    last = []
-
-    def logged(r, y):
-        out = f(r, y)
-        last[:] = [(r, y, out)]
-        return out
-
-    try:
-        plain = solve(logged, r_span, y0, **kw)
-    except IntegrationError as exc:
-        plain = exc.partial
-    rs = [float(r) for r in plain.r]
-    ys = [tuple(map(float, row)) for row in plain.y]
-    nodes = [(r, y, f(r, y)) for r, y in zip(rs, ys)]
-    if plain.status.startswith("event:"):
-        assert rs[-1] == plain.events[-1].r  # the last sample is the crossing
-        nodes[-1] = last[0]
-    hermite = _hermite(len(ys[0]))
-    out_r, out_y = [], []
-    for pt in grid:
-        if pt > rs[-1]:
-            break
-        j = next(j for j, r in enumerate(rs) if r >= pt)
-        out_r.append(pt)
-        out_y.append(ys[j] if pt == rs[j] else hermite(_row(*nodes[j - 1]), _row(*nodes[j]), pt))
-    H = [energy(row) if energy else math.nan for row in out_y]
-    return out_r, out_y, H
-
-
-def test_dense_output_is_bitwise_the_scalar_loop():
-    from diracshoot.asymptotics import _first_order_start, _rhs_joint
-
-    radial = RADIAL
-
-    def energy(y):
-        return hamiltonian(y, P)
-
-    lam = 2.0
-    r0 = 1e-6 / lam**2
-    y0 = taylor_start(lam, P, r0)
-    kw = dict(rel=TOL.rel, abs_tol=TOL.abs)
-    steps = solve(radial, (r0, 10.0), y0, **kw).r
-    stop = solve(radial, (r0, 10.0), y0, detectors=[STOP], g=v_sign, **kw)
-    r_star = stop.events[-1].r
-    # r0, accepted step ends, the terminal crossing, interior points and r_end
-    grid = np.unique(np.concatenate([steps[:60:4], [r_star], np.linspace(r0, 10.0, 301)]))
-    start4 = (*_first_order_start(P, TOL.r0), 0.0, 0.25 * (P.m**2 - P.omega**2) * TOL.r0**2)
-    stop_kw = dict(detectors=[STOP], g=v_sign)
-    runs = [  # (f, r_span, y0, grid, energy, detectors and g)
-        (radial, (r0, 10.0), y0, grid, energy, {}),
-        (_rhs_joint(0.2, P), (TOL.r0, 5.0), start4, np.linspace(TOL.r0, 5.0, 800), None, {}),
-        (radial, (r0, 10.0), y0, grid, energy, stop_kw),
-    ]
-    for f, span, y_start, pts, en, ev in runs:
-        traj = solve(f, span, y_start, r_eval=pts, energy=en, **ev, **kw)
-        r, y, H = _dense_reference(f, span, y_start, pts, en, **ev, **kw)
-        assert len(r) > 0 and len(traj) == len(r)
-        assert _hex(traj.r) == _hex(r) and _hex(traj.y) == _hex(y) and _hex(traj.H) == _hex(H)
-    assert traj.status == "event:v_sign_change" and traj.r[-1] == r_star < grid[-1]
-    assert traj.y.shape == (np.count_nonzero(grid <= r_star), 2)
-
-    # a failed run keeps the samples up to its last accepted step
-    blowup = dict(rel=1e-10, abs_tol=1e-10)
-    grid = np.linspace(0.0, 2.0, 41)
-    with pytest.raises(IntegrationError) as exc:
-        solve(lambda r, y: (y[0] * y[0],), (0.0, 2.0), (1.0,), r_eval=grid, **blowup)
-    partial = exc.value.partial
-    r, y, H = _dense_reference(lambda r, y: (y[0] * y[0],), (0.0, 2.0), (1.0,), grid, **blowup)
-    assert len(partial) == 20 and partial.r[-1] == grid[19]
-    assert _hex(partial.r) == _hex(r) and _hex(partial.y) == _hex(y) and _hex(partial.H) == _hex(H)
-
-
 @pytest.mark.parametrize(
     "r_eval, message",
     [
@@ -699,4 +534,14 @@ def test_r_eval_rejected(r_eval, message):
 def test_empty_r_eval_gives_empty_trajectory():
     traj = solve(lambda r, y: (-y[1], y[0]), (0.0, 3.0), (1.0, 0.0), rel=1e-8, abs_tol=1e-8, r_eval=[])
     assert traj.status == "completed" and len(traj) == 0
-    assert traj.y.shape == (0, 2) and traj.H.shape == (0,)
+    assert traj.y.shape == (0, 2)
+
+
+def test_crossing_is_refined_far_below_unit_radius():
+    # the bisection stops at a width relative to the radius, so the first
+    # node of a large datum (near 4e-11, 4e-15 and 4e-19) lands on v = 0
+    from diracshoot import classify
+
+    for lam in (1e8, 1e10, 1e12):
+        node = classify(lam, P, TOL).trajectory.events_of(EventKind.V_SIGN_CHANGE)[0]
+        assert abs(node.y[1]) < 1e-9, (lam, node)

@@ -100,13 +100,14 @@ def test_bracket_requires_order():
         Bracket(2.0, 1.0, ())
 
 
-def test_bracket_search_failure_when_capped():
+def test_bracket_search_failure_when_capped(monkeypatch):
     # with the doubling capped before the first nodal datum the search
     # must report a bracket failure rather than fabricate an endpoint
-    from diracshoot.shooting import BracketError
+    from diracshoot import shooting
 
-    with pytest.raises(BracketError):
-        bracket_search(P, TOL, max_factor=1.5)
+    monkeypatch.setattr(shooting, "_MAX_FACTOR", 1.5)
+    with pytest.raises(shooting.BracketError):
+        bracket_search(P, TOL)
 
 
 def test_bisect_ground_state(gs):
@@ -216,26 +217,20 @@ def test_degenerate_bracket_returns_immediately():
 def test_decay_fit_exact_exponential():
     r = np.linspace(1.0, 10.0, 200)
     vals = 3.0 * np.exp(-0.4 * r)
-    traj = Trajectory(
-        r,
-        np.column_stack([vals / 2.0, vals / 2.0]),
-        np.zeros(len(r)),
-        (),
-        "completed",
-    )
+    traj = Trajectory(r, np.column_stack([vals / 2.0, vals / 2.0]), (), "completed")
     slope = decay_fit(traj, (1.0, 10.0))
     assert slope == pytest.approx(-0.4, abs=1e-6)
 
 
 def test_decay_fit_constant_is_flat():
     r = np.linspace(1.0, 5.0, 50)
-    traj = Trajectory(r, np.full((len(r), 2), 0.5), np.zeros(len(r)), (), "completed")
+    traj = Trajectory(r, np.full((len(r), 2), 0.5), (), "completed")
     assert decay_fit(traj, (1.0, 5.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_decay_fit_domain_errors():
     r = np.linspace(1.0, 5.0, 50)
-    traj = Trajectory(r, np.zeros((len(r), 2)), np.zeros(len(r)), (), "completed")
+    traj = Trajectory(r, np.zeros((len(r), 2)), (), "completed")
     with pytest.raises(ValueError):
         decay_fit(traj, (1.0, 5.0))  # |u|+|v| = 0 in window
     with pytest.raises(ValueError):
@@ -326,8 +321,8 @@ def test_profile_candidates_are_the_search_trials_cut_at_their_first_node(monkey
             full.append(c)
         return c
 
-    def recording_cut(c):
-        candidates.append(cut(c))
+    def recording_cut(c, p):
+        candidates.append(cut(c, p))
         return candidates[-1]
 
     monkeypatch.setattr(shooting, "classify", recording)
@@ -340,8 +335,8 @@ def test_profile_candidates_are_the_search_trials_cut_at_their_first_node(monkey
     assert not {c.lam for c in full} & {c.lam for c in gs.history}
     assert len(candidates) == (1 if connected else 3)
     for c in candidates:
-        fresh = cut(real(c.lam, p, TOL))
-        for name in ("r", "y", "H"):
+        fresh = cut(real(c.lam, p, TOL), p)
+        for name in ("r", "y"):
             a, b = getattr(c.trajectory, name), getattr(fresh.trajectory, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert c.trajectory.events == fresh.trajectory.events
