@@ -344,6 +344,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     # horizon, and one stopped at its first node (the once certificate fires
     # in the first four); each has rejected steps
     lam_star = 1.8078961486370915  # the ground state's datum at P, TOL
+    trials = slice(len(runs), len(runs) + 5)
     for lam, stop, horizon in [
         (lam_star - 7e-12, False, TOL.rmax),
         (lam_star + 3e-12, False, TOL.rmax),
@@ -362,6 +363,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     # attraction_report's run to the horizon, where u crosses zero many
     # times on the spiral toward the equilibrium
     r0, y0 = radial_start(2.5, P, TOL)
+    i_spiral = len(runs)
     runs.append((RADIAL, (r0, TOL.rmax), y0, dict(detectors=[NODE], g=v_sign)))
     # an r_eval grid through r0, step ends, the terminal crossing, interior
     # points and r_end, with and without the terminal detector
@@ -372,6 +374,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     r_star = solve(RADIAL, (r0, 10.0), y0, detectors=[STOP], g=v_sign, **kw).events[-1].r
     grid = np.unique(np.concatenate([steps[:60:4], [r_star], np.linspace(r0, 10.0, 301)]))
     runs.append((RADIAL, (r0, 10.0), y0, dict(r_eval=grid)))
+    i_grid_stop = len(runs)
     runs.append((RADIAL, (r0, 10.0), y0, dict(r_eval=grid, detectors=[STOP], g=v_sign)))
     # the first-order flow over the log-law window and the 4-D joint
     # remainder flow on (0, 1/eps), sampled as asymptotics samples them
@@ -384,15 +387,19 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     # the joint flow with rejected steps from a large remainder at r0, and
     # with samples up to a terminal event where h1 falls below -0.5 (past
     # r = 1), so that the cut step is interpolated
+    i_joint_rej = len(runs)
     runs.append((_rhs_joint(0.5, P), (TOL.r0, 2.0), (0.0, 0.0, 1.0, 1.0), {}))
     stop4 = dict(detectors=[STOP], g=lambda r, y: (y[0] + 0.5,), r_eval=np.linspace(TOL.r0, 5.0, 800))
+    i_joint_stop = len(runs)
     runs.append((_rhs_joint(0.1, P), (TOL.r0, 5.0), start4, stop4))
     # a once detector whose value keeps changing sign after it fired, next
     # to one that fires on upward crossings only
     once = [Detector(EventKind.V_SIGN_CHANGE, once=True), Detector(EventKind.CERTIFICATE_FIRED, 1)]
+    i_once = len(runs)
     runs.append((_rotation, (0.0, 30.0), (1.0, 0.1), dict(detectors=once, g=_rotation_events)))
     # a value that reaches exactly 0.0 from either side where the last step
     # lands on r_end
+    zeros = slice(len(runs), len(runs) + 2)
     for sign in (1.0, -1.0):
         g = lambda r, y, s=sign: (s * (3.0 - r),)  # noqa: E731
         runs.append((_rotation, (0.0, 3.0), (1.0, 0.1), dict(detectors=[NODE], g=g)))
@@ -404,23 +411,27 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
         _assert_same_run(got[-1], _reference_solve(f, span, y0, **ev, **kw))
         if "r_eval" in ev and got[-1].status == "completed":
             assert len(got[-1]) == len(ev["r_eval"])
-    assert [t.status for t in got[:5]] == [
+    assert [t.status for t in got[trials]] == [
         "event:entered_negative_energy",
         "event:entered_negative_energy",
         "event:norm_below_eta",
         "completed",
         "event:v_sign_change",
     ]
-    assert [t.nodes_before() for t in got[:5]] == [0, 1, 0, 0, 1]
-    assert all(t.stats["nrejct"] > 0 for t in got[:5])
-    _assert_same_run(attraction_report(2.5, P, TOL).trajectory, got[8])
-    assert got[10].status == "event:v_sign_change" and got[10].r[-1] == r_star < grid[-1]
-    assert got[10].y.shape == (np.count_nonzero(grid <= r_star), 2)
-    assert got[16].y.shape[1] == 4 and got[16].stats["nrejct"] == 3
-    assert got[-4].status == "event:v_sign_change" and 1.0 < got[-4].r[-1] < 5.0
-    assert len(got[-3].events_of(EventKind.V_SIGN_CHANGE)) == 1
-    assert len(got[-3].events_of(EventKind.CERTIFICATE_FIRED)) == 5
-    assert [e.r for t in got[-2:] for e in t.events_of(EventKind.V_SIGN_CHANGE)] == [3.0, 3.0]
+    assert [t.nodes_before() for t in got[trials]] == [0, 1, 0, 0, 1]
+    assert all(t.stats["nrejct"] > 0 for t in got[trials])
+    report = attraction_report(2.5, P, TOL)
+    _assert_same_run(report.trajectory, got[i_spiral])
+    assert report.u_sign_alternations > 30
+    stopped = got[i_grid_stop]
+    assert stopped.status == "event:v_sign_change" and stopped.r[-1] == r_star < grid[-1]
+    assert stopped.y.shape == (np.count_nonzero(grid <= r_star), 2)
+    assert got[i_joint_rej].y.shape[1] == 4 and got[i_joint_rej].stats["nrejct"] == 3
+    stopped = got[i_joint_stop]
+    assert stopped.status == "event:v_sign_change" and 1.0 < stopped.r[-1] < 5.0
+    assert len(got[i_once].events_of(EventKind.V_SIGN_CHANGE)) == 1
+    assert len(got[i_once].events_of(EventKind.CERTIFICATE_FIRED)) == 5
+    assert [e.r for t in got[zeros] for e in t.events_of(EventKind.V_SIGN_CHANGE)] == [3.0, 3.0]
 
 
 def test_formula_name_clashing_with_the_loop_raises():
