@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import radial_flow, taylor_start
-from .integrator import Detector, EventKind, Trajectory, formula_flow, solve, v_sign
+from .integrator import Detector, EventKind, Trajectory, formula, solve, v_sign
 from .params import Params, Tolerances
 
 # samples: of the k1 log-law fit over its radius window, of the remainder on
@@ -122,7 +122,7 @@ class LogLawFit:
     window: tuple[float, float]
 
 
-# formulas (see integrator.formula_flow): the bubble (u, v) at radius x and the first-order
+# formulas (see integrator.formula): the bubble (u, v) at radius x and the first-order
 # derivatives, with the bubble's coefficients 2uv, u^2 + 3v^2 and 3u^2 + v^2 computed once
 _FIRST_ORDER_LINES = """
     d = 4.0 + x * x
@@ -138,7 +138,7 @@ _FIRST_ORDER = f"def f(x, s, gm, gp):\n    h1, k1 = s{_FIRST_ORDER_LINES}\n    r
 
 
 def _rhs_first_order(p: Params):
-    return formula_flow(_FIRST_ORDER, p.gap, p.m + p.omega)
+    return formula(_FIRST_ORDER, p.gap, p.m + p.omega)
 
 
 def _first_order_start(p: Params, r0: float) -> tuple[float, float]:
@@ -270,7 +270,7 @@ def _rhs_joint(eps: float, p: Params):
     formula is the first-order one, whose bubble and coefficients DN reuses,
     followed by the remainder lines.
     """
-    return formula_flow(_JOINT, p.gap, p.m + p.omega, eps * eps)
+    return formula(_JOINT, p.gap, p.m + p.omega, eps * eps)
 
 
 def integrate_remainder(eps: float, p: Params, tol: Tolerances) -> PerturbationRecord:

@@ -11,15 +11,17 @@ a factory flow(p) returning f(r, s) with p's constants bound, the form that
 integrator.integrate takes; radial_flow(p)(r, s) evaluates it at one point.
 The blow-up rescaling (U, V)(r) = eps (u, v)(eps^2 r) gives back the same
 system with m and omega scaled by eps^2, so radial_flow, hamiltonian and
-taylor_start take eps (default 1) for it.  radial_flow is an
-integrator.formula_flow: solve writes its formula into the compiled loop.
+taylor_start take eps (default 1) for it.  radial_flow is built by
+integrator.formula, so solve writes its formula into the compiled loop;
+the energy is the text ENERGY, which hamiltonian evaluates and the shooting
+event formulas splice into theirs.
 """
 
 from __future__ import annotations
 
 import math
 
-from .integrator import formula_flow
+from .integrator import formula
 from .params import Params, Tolerances
 
 State = tuple[float, float]
@@ -38,7 +40,7 @@ def radial_flow(p: Params, eps: float = 1.0):
     """f(r, s) = (q v - a- v - u / r, -q u - a+ u), q = u^2 + v^2, for r > 0,
     with (a-, a+) = eps^2 (m - omega, m + omega)."""
     e2 = eps * eps
-    return formula_flow(_RADIAL, e2 * (p.m - p.omega), e2 * (p.m + p.omega))
+    return formula(_RADIAL, e2 * (p.m - p.omega), e2 * (p.m + p.omega))
 
 
 def autonomous_flow(p: Params):
@@ -50,16 +52,24 @@ def autonomous_flow(p: Params):
     return lambda r, s: f(math.inf, s)
 
 
+# H over u, v, q = u^2 + v^2 and the constants (hm, hw) of energy_constants
+ENERGY = "q * q / 4.0 + hm * (u * u - v * v) + hw * q"
+_energy = formula(f"def f(x, s, hm, hw):\n    u, v = s\n    q = u * u + v * v\n    return {ENERGY}\n")
+
+
+def energy_constants(p: Params, eps: float = 1.0) -> tuple[float, float]:
+    """(hm, hw) = (m/2, omega/2) with m and omega scaled by eps^2."""
+    e2 = eps * eps
+    return 0.5 * (e2 * p.m), 0.5 * (e2 * p.omega)
+
+
 def hamiltonian(s: State, p: Params, eps: float = 1.0) -> float:
     """Energy H(u, v) = (u^2+v^2)^2/4 + (m/2)(u^2-v^2) + (omega/2)(u^2+v^2),
-    with m and omega scaled by eps^2.
+    with m and omega scaled by eps^2: ENERGY at energy_constants(p, eps).
 
     u and v may also be arrays, evaluated elementwise.
     """
-    u, v = s
-    q = u * u + v * v
-    e2 = eps * eps
-    return q * q / 4.0 + 0.5 * (e2 * p.m) * (u * u - v * v) + 0.5 * (e2 * p.omega) * q
+    return _energy(None, s, *energy_constants(p, eps))
 
 
 def hamiltonian_rate(r: float, s: State, p: Params) -> float:

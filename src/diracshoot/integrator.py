@@ -13,11 +13,13 @@ recorded step ends.
 The adaptive loop, with a sign screen of the event values, and the Hermite
 dense output are written once, in _DP54_SRC and _HERMITE_SRC, as
 per-component expressions over the tableau constants below; _dp54(n, k,
-formula) and _hermite(n) compile them once per key, as dataclasses builds
-__init__.  Loops over components or detectors in Python cost several times
-the arithmetic they perform; the expanded code keeps their operation order,
-so it is bitwise the loops.  Each stage evaluates the formula of a
-formula_flow in place of calling it, bitwise the same way.
+flow, events) and _hermite(n) compile them once per key, as dataclasses
+builds __init__.  Loops over components or detectors in Python cost several
+times the arithmetic they perform; the expanded code keeps their operation
+order, so it is bitwise the loops.  A right-hand side or event function
+built by formula carries its source text: each stage evaluates the flow's
+formula in place of calling it, and the sign screen the event function's,
+bitwise the same way.
 """
 
 from __future__ import annotations
@@ -92,11 +94,6 @@ class Detector:
     direction: int = 0
     terminal: bool = False
     once: bool = False
-
-
-def v_sign(r: float, y: tuple) -> tuple:
-    """The event values of a run with one V_SIGN_CHANGE detector."""
-    return (y[1],)
 
 
 class IntegrationError(RuntimeError):
@@ -234,17 +231,24 @@ def _definition(src: str):
     return ns["f"]
 
 
-def formula_flow(src: str, *consts):
-    """The flow f(r, s) that src defines as def f(x, s, *names), with consts
-    bound to the names.  src is plain arithmetic: the radius x (run uses r),
-    the state s unpacked first, one return.  solve writes f.formula = (src,
-    consts) into each stage of run, the constants as run's arguments, so the
-    inlined f is bitwise the called one; the lines that raise check the
-    arguments, and run leaves them out as it starts where solve called f."""
+def formula(src: str, *consts):
+    """The function f(r, s) that src defines as def f(x, s, *names), with
+    consts bound to the names: a flow returning the derivative tuple, or an
+    event function returning the event values.  src is plain arithmetic: the
+    radius x (run uses r), the state s unpacked first, one return.  solve
+    writes f.formula = (src, consts) into run, a flow's into each stage and
+    an event function's into the sign screen, with the constants as run's
+    arguments, so the inlined f is bitwise the called one; the lines that
+    raise check the arguments, and run leaves them out as it starts where
+    solve called f."""
     fn = _definition(src)
     f = types.FunctionType(fn.__code__, fn.__globals__, "f", consts)
     f.formula = src, consts
     return f
+
+
+# the event values of a run on (u, v) with one V_SIGN_CHANGE detector
+v_sign = formula("def f(x, s):\n    u, v = s\n    return v,\n")
 
 
 def _words(text: str) -> set:
@@ -253,28 +257,38 @@ def _words(text: str) -> set:
 
 
 @functools.cache
-def _dp54(n: int, k: int, formula: str | None):
-    """run for n components and k event values.  The formula of a
-    formula_flow replaces each call [x#] = f(radius, ([arguments])),
-    and its constants follow f among run's arguments.  A parameter or an
-    assigned name of the formula that is also a name of _DP54_SRC, or one of
-    its indexed names, would clobber the loop's value, so it raises
-    ValueError."""
+def _dp54(n: int, k: int, flow: str | None, events: str | None):
+    """run for n components and k event values.  The formula of a flow
+    replaces each call [x#] = f(radius, ([arguments])) and that of an event
+    function the call [q$] = g(...), and their constants follow g among
+    run's arguments.  A name of either formula that is also a name of
+    _DP54_SRC, or one of its indexed names, would clobber the loop's value,
+    as would a constant of one formula that the other one assigns, so it
+    raises ValueError."""
     src = _DP54_SRC
-    if formula is not None:
-        head, unpack, *body, ret = [x.strip() for x in formula.strip().splitlines() if " raise " not in x]
-        radius, state, *consts = head.removeprefix("def f(").removesuffix("):").split(", ")
+    # the loop's names outside its comments; a stem x# takes x0, x1, ...
+    taken = _words(re.sub(r"(^|\s)#.*", "", src, flags=re.M).replace("$", "#"))
+    names, consts, params = [], [], ""
+    for callee, text in (("f", flow), ("g", events)):
+        if text is None:
+            continue
+        head, unpack, *body, ret = [x.strip() for x in text.strip().splitlines() if " raise " not in x]
+        radius, state, *own = head.removeprefix("def f(").removesuffix("):").split(", ")
         ret = ret.removeprefix("return ")
-        names = {radius, state, *consts, *_words(" ".join(x.split("=")[0] for x in [unpack, *body]))}
-        taken = _words(src.replace("$", "#"))  # a stem x# takes x0, x1, ...
-        indexed = {x for x in names if x[-1].isdigit() and x.rstrip("0123456789") + "#" in taken}
-        clash = sorted(names & taken | indexed)
-        if clash:
-            raise ValueError(f"formula names {clash} are also names of the loop")
-        lines = [f"{radius} = \\3", unpack.removesuffix(state) + "(\\4)", *body, f"[\\2#] = {ret}"]
-        src = src.replace("def run(f, ", "def run(f, " + "".join(c + ", " for c in consts))
+        names.append({radius, state, *own, *_words(" ".join(x.split("=")[0] for x in [unpack, *body]))})
+        consts.append(set(own))
+        params += "".join(c + ", " for c in own)
+        lines = [f"{radius} = \\4", unpack.removesuffix(state) + "(\\5)", *body, f"[\\2\\3] = {ret}"]
         stage = "".join(r"\1" + x + "\n" for x in lines)
-        src = re.sub(r"^( *)\[(\w+)#\] = f\((.+?), \((\[.+\])\)\)\n", stage, src, flags=re.M)
+        call = rf"^(\?? *)\[(\w+)([#$])\] = {callee}\((.+?), \((\[.+\])\)\)\n"
+        src = re.sub(call, stage, src, flags=re.M)
+    src = src.replace("def run(f, g, ", "def run(f, g, " + params)
+    mine = set().union(*names)
+    indexed = {x for x in mine if x[-1].isdigit() and x.rstrip("0123456789") + "#" in taken}
+    crossed = consts[0] & names[1] | consts[1] & names[0] if len(names) == 2 else set()
+    clash = sorted(mine & taken | indexed | crossed)
+    if clash:
+        raise ValueError(f"formula names {clash} are also names of the loop or of the other formula")
     return _compile(src, n, k)
 
 
@@ -285,19 +299,24 @@ def _crossed(g0: float, g1: float, direction: int) -> bool:
     return (direction <= 0 and g0 > 0.0 >= g1) or (direction >= 0 and g0 < 0.0 <= g1)
 
 
+def _rms(xs: list) -> float:
+    try:
+        return math.sqrt(sum(x ** 2 for x in xs) / len(xs))
+    except OverflowError:  # a square past the float range: factor out the largest term
+        big = max(map(abs, xs))
+        return big * math.sqrt(sum((x / big) ** 2 for x in xs) / len(xs))
+
+
 def _initial_step(f, r0, y0, f0, r_end, rel, abs_tol):
     span = r_end - r0
     sc = [abs_tol + rel * abs(yi) for yi in y0]
-    try:
-        d0 = math.sqrt(sum((yi / c) ** 2 for yi, c in zip(y0, sc)) / len(y0))
-        d1 = math.sqrt(sum((fi / c) ** 2 for fi, c in zip(f0, sc)) / len(y0))
-        h0 = 1e-6 * span if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-        h0 = min(h0, span)
-        y1 = tuple(yi + h0 * fi for yi, fi in zip(y0, f0))
-        f1 = f(r0 + h0, y1)
-        d2 = math.sqrt(sum(((a - b) / c) ** 2 for a, b, c in zip(f1, f0, sc)) / len(y0)) / h0
-    except OverflowError:  # no float step: solve reports a step-size underflow
-        return 0.0
+    d0 = _rms([yi / c for yi, c in zip(y0, sc)])
+    d1 = _rms([fi / c for fi, c in zip(f0, sc)])
+    h0 = 1e-6 * span if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    y1 = tuple(yi + h0 * fi for yi, fi in zip(y0, f0))
+    f1 = f(r0 + h0, y1)
+    d2 = _rms([(a - b) / c for a, b, c in zip(f1, f0, sc)]) / h0
     if max(d1, d2) < 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -319,17 +338,18 @@ def solve(
     """Integrate y' = f(r, y) over r_span with event detection.
 
     g(r, y) returns the event values, one per detector in their order; it is
-    called at the start, per accepted step and per bisection point of a
-    crossing.  Samples are recorded at every accepted step, or exactly at
-    the 1-D, strictly increasing r_eval within r_span when given: a point
-    equal to a step end takes the state there, any other is interpolated in
-    one pass from the recorded step ends with the Hermite polynomial that
-    refines events.  A terminal event truncates the trajectory at the
+    called at the start and per bisection point of a crossing, and evaluated
+    per accepted step, where the loop's sign screen inlines the source text
+    of a g built by formula.  Samples are recorded at every accepted step,
+    or exactly at the 1-D, strictly increasing r_eval within r_span when
+    given: a point equal to a step end takes the state there, any other is
+    interpolated in one pass from the recorded step ends with the Hermite
+    polynomial that refines events.  A terminal event truncates the trajectory at the
     refined crossing; otherwise the run ends at r_span[1] with status
     "completed".  The right-hand side is evaluated 2 + 6 (naccpt + nrejct)
     times: at the start, for the initial step size and six times per step,
-    each a call of f unless f is a formula_flow, whose formula the loop's
-    stages inline.
+    each a call of f unless f was built by formula, whose source text the
+    loop's stages inline.
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
@@ -338,8 +358,9 @@ def solve(
     r = r0
     k1 = f(r, y)
     n = len(y)
-    formula, consts = getattr(f, "formula", (None, ()))
-    run, hermite = _dp54(n, len(detectors), formula), _hermite(n)
+    flow, consts = getattr(f, "formula", (None, ()))
+    events, g_consts = getattr(g, "formula", (None, ())) if detectors else (None, ())
+    run, hermite = _dp54(n, len(detectors), flow, events), _hermite(n)
 
     grid = None
     if r_eval is not None:
@@ -381,7 +402,7 @@ def solve(
     h, naccpt, nrejct = _initial_step(f, r, y, k1, r_end, rel, abs_tol), 0, 0
     while True:
         status, r, y, k1, h, naccpt, nrejct, g0, g1 = run(
-            f, *consts, g, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, *g_prev
+            f, g, *consts, *g_consts, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, *g_prev
         )
         if status == "completed":
             return build("completed")

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equations import hamiltonian, radial_flow, radial_start
-from .integrator import Detector, Event, EventKind, IntegrationError, Trajectory, integrate
+from .equations import ENERGY, energy_constants, hamiltonian, radial_flow, radial_start
+from .integrator import Detector, Event, EventKind, IntegrationError, Trajectory, formula, integrate
 from .params import Params, Tolerances
 
 # the search stops at its width target (or at one ulp when that is finer)
@@ -135,27 +135,42 @@ def certificate_check(r: float, s: tuple[float, float], p: Params) -> Certificat
     return None
 
 
+# event values of a shooting trial, with H the energy text of equations:
+# v, H + delta and |u| + |v| - eta
+_TRIAL = f"""
+def f(x, s, hm, hw, delta, eta):
+    u, v = s
+    q = u * u + v * v
+    return v, {ENERGY} + delta, abs(u) + abs(v) - eta
+"""
+# a full-horizon run also screens the capture certificate: min(C0/r - H, u v,
+# 2(m - omega) - v^2), the first least or NaN, past r = 1
+_FULL = f"""
+def f(x, s, hm, hw, delta, eta, gap2, cap):
+    u, v = s
+    q = u * u + v * v
+    H = {ENERGY}
+    a, b, c = cap / x - H, u * v, gap2 - v * v
+    b = b if b < a else a
+    return v, H + delta, abs(u) + abs(v) - eta, -1.0 if x <= 1.0 else c if c < b else b
+"""
+
+
 def _events(p: Params, tol: Tolerances, stop_at_first_node: bool):
-    """(g, detectors) of a shooting trial; g shares one H between two values."""
-    delta = tol.delta
-    eta = tol.eta
-    gap2 = 2.0 * p.gap
-    c0 = universal_constant(p)
-
-    def g(r, y):
-        u, v = y
-        H = hamiltonian(y, p)
-        a, b, c = c0 / r - H, u * v, gap2 - v * v  # min(a, b, c): the first least, or NaN
-        b = b if b < a else a
-        cert = -1.0 if r <= 1.0 else c if c < b else b
-        return v, H + delta, abs(u) + abs(v) - eta, cert
-
-    return g, [
+    """(g, detectors) of a shooting trial, which stops at its first node, or
+    of a full-horizon run.  Only the latter screens the capture certificate:
+    it bounds the sign changes after its radius, which a trial never
+    reaches."""
+    consts = (*energy_constants(p), tol.delta, tol.eta)
+    dets = [
         Detector(EventKind.V_SIGN_CHANGE, terminal=stop_at_first_node),
         Detector(EventKind.ENTERED_NEGATIVE_ENERGY, direction=-1, terminal=True),
         Detector(EventKind.NORM_BELOW_ETA, direction=-1, terminal=True),
-        Detector(EventKind.CERTIFICATE_FIRED, direction=1, once=True),
     ]
+    if stop_at_first_node:
+        return formula(_TRIAL, *consts), dets
+    certificate = Detector(EventKind.CERTIFICATE_FIRED, direction=1, once=True)
+    return formula(_FULL, *consts, 2.0 * p.gap, universal_constant(p)), [*dets, certificate]
 
 
 def _certificate_from_events(traj: Trajectory, p: Params) -> Certificate | None:
@@ -212,9 +227,12 @@ def classify(
     (verdict A(k)) or at the first drop of |u| + |v| below eta while the
     energy is still above -delta (verdict I-candidate(k)).  A trajectory
     that reaches the horizon undecided is reported as such.  With
-    stop_at_first_node the run ends at the first sign change of v and also
-    records the shooting function F at its closest approach to the origin
-    (see _closest_approach_wronskian).
+    stop_at_first_node (a search trial) the run ends at the first sign
+    change of v and also records the shooting function F at its closest
+    approach to the origin (see _closest_approach_wronskian); it does not
+    screen the capture certificate, so its certificate is None.  The steps
+    do not depend on the events screened, so a trial takes the steps of the
+    full-horizon run up to its terminal event.
     """
     if lam <= 0.0:
         raise ValueError(f"datum must be positive, got {lam}")
@@ -449,14 +467,13 @@ def bisect(
     starts from the F that the bracket's own history recorded at both ends;
     the midpoint is its fallback where an end carries no F.  The loop stops
     when hi - lo <= max(lambda_tol, 0.1 tol.rel hi), or at one ulp if that
-    is finer.  The profile candidates are the runs at lo, hi and the regula
-    falsi root of F on the final bracket, or at the connection (a trial
-    that reached the eta tube), each cut at its first sign change of v.  A
-    trial at the default horizon takes the steps of the full-horizon run up
-    to its terminal event, so it stands in for that run; only a datum
-    without one (the root) is integrated to the full horizon.  The profile
-    is the connection, else the candidate of least closest approach,
-    truncated there and continued with the matched decay tail.
+    is finer.  The profile candidates are the trials at lo, hi and the
+    regula falsi root of F on the final bracket, or at the connection (a
+    trial that reached the eta tube), each cut at its first sign change of
+    v; the root is one more trial where it has none.  So a search runs no
+    full-horizon integration.  The profile is the connection, else the
+    candidate of least closest approach, truncated there and continued with
+    the matched decay tail.
     """
     tol = tol.resolved(p)
     lo, hi = bracket.lo, bracket.hi
@@ -499,9 +516,12 @@ def bisect(
             converged = converged and c.verdict == VERDICT_A
             lo, f_lo = lam, c.wronskian
 
-    # the root's full-horizon run decides no side, so it stays out of the history
+    # the root's trial decides no side, so it stays out of the history
     probes = {lo, hi, _regula_falsi(lo, hi, f_lo, f_hi)} if connection is None else {connection}
-    candidates = [_before_first_node(trials.get(x) or classify(x, p, tol), p) for x in sorted(probes)]
+    candidates = [
+        _before_first_node(trials.get(x) or classify(x, p, tol, stop_at_first_node=True), p)
+        for x in sorted(probes)
+    ]
     ideal = [c for c in candidates if c.verdict == VERDICT_I and c.node_count == 0]
     best = ideal[0] if ideal else min(candidates, key=lambda c: c.summary["min_norm1"])
 

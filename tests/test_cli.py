@@ -375,16 +375,19 @@ def test_horizon_too_short_to_classify_is_blamed_on_the_horizon():
     assert "no sign change" not in msg
 
 
-@pytest.mark.parametrize("lam", ["1e5", "1e8", "1e60"])
+@pytest.mark.parametrize("lam", ["1e5", "1e8", "1e60", "1e70"])
 def test_large_datum_is_decided(lam):
     # the start radius shrinks like 1/lambda^2 (1e-22 at 1e8), and the
     # step-size floor is relative to r, so the steps follow it down and the
-    # run is captured after its nodes, one at 1e5 and 1e8
+    # run is captured after its nodes, one at 1e5 and 1e8.  At 1e70 the
+    # initial step size's norms square terms past the float range, so they
+    # factor out the largest term; the node counts of 1e60 and 1e70 still
+    # change with the tolerance, so only the verdict is asserted there
     from diracshoot import Params, Tolerances, classify
 
     c = classify(float(lam), Params(), Tolerances())
     assert c.verdict == "A"
-    if lam != "1e60":
+    if lam in ("1e5", "1e8"):
         assert c.node_count == 1
 
 

@@ -331,8 +331,9 @@ def _rotation_events(r, y):
 
 
 def test_compiled_loop_is_bitwise_the_reference_solve():
-    # each run three ways: solve(f), which inlines the formula of a
-    # formula_flow, solve of a plain callable around f, and the reference
+    # each run three ways: solve(f), which inlines the text of a flow or an
+    # event function built by formula, solve of a plain callable around f,
+    # which inlines g alone, and the reference, which calls both
     from diracshoot.asymptotics import _first_order_start, _rhs_first_order, _rhs_joint
     from diracshoot.equations import radial_start
     from diracshoot.phaseflow import attraction_report
@@ -435,16 +436,28 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
 
 
 def test_formula_name_clashing_with_the_loop_raises():
-    # e1 is the second component of the loop's fifth stage, r its radius
-    from diracshoot.integrator import formula_flow
+    # e1 is the second component of the loop's fifth stage, r its radius, c0
+    # the first of its third stage; an event formula that assigns the radial
+    # flow's constant a_minus would change the next step's derivatives
+    from diracshoot.integrator import formula
 
     for src in (
         "def f(x, s, e1):\n    u, v = s\n    return e1 * v, -u\n",
         "def f(x, s, c):\n    u, v = s\n    r = c * x\n    return r * v, -u\n",
     ):
-        f = formula_flow(src, 0.5)
+        f = formula(src, 0.5)
         with pytest.raises(ValueError, match="also names of the loop"):
             solve(f, (1.0, 2.0), (1.0, 0.0), rel=1e-8, abs_tol=1e-8)
+    kw = dict(rel=1e-8, abs_tol=1e-8, detectors=[NODE])
+    r0, y0 = 1e-6, taylor_start(1.0, P, 1e-6)
+    for g in (
+        formula("def f(x, s, c0):\n    u, v = s\n    return v - c0,\n", 0.5),
+        formula("def f(x, s):\n    u, v = s\n    a_minus = v * v\n    return a_minus - 0.25,\n"),
+    ):
+        with pytest.raises(ValueError, match="also names of the loop or of the other formula"):
+            solve(RADIAL, (r0, 2.0), y0, g=g, **kw)
+        # called, the same event function runs
+        assert solve(RADIAL, (r0, 2.0), y0, g=lambda r, y: g(r, y), **kw).status == "completed"
 
 
 def test_failures_match_the_reference_solve(monkeypatch):

@@ -304,22 +304,27 @@ def test_closest_approach_is_near_the_eta_tube(searched):
     assert gs.closest_approach <= 3e-8
 
 
+def _event_bytes(events):
+    return [(e.kind, *(float(x).hex() for x in (e.r, *e.y))) for e in events]
+
+
 @pytest.mark.parametrize("mw", SEARCH_POINTS, ids=lambda mw: f"{mw[0]}-{mw[1]}")
 def test_profile_candidates_are_the_search_trials_cut_at_their_first_node(monkeypatch, mw):
-    # a trial at the default horizon takes the steps of the full-horizon run
-    # up to its terminal event, so cut at the first node it is that run cut
-    # there; only the regula falsi root has no trial and is integrated to the
-    # full horizon (a trial that reached the eta tube is the single candidate)
+    # every classification of a search is a trial, the regula falsi root's
+    # too (a trial that reached the eta tube is the single candidate), and
+    # none screens the capture certificate.  The steps do not depend on the
+    # events screened, so cut at its first node a trial is the full-horizon
+    # run cut there, up to that run's certificate
     from diracshoot import shooting
 
     real, cut = shooting.classify, shooting._before_first_node
-    full, candidates = [], []
+    calls, full, candidates = [], [], []
 
     def recording(lam, *args, **kwargs):
-        c = real(lam, *args, **kwargs)
+        calls.append(real(lam, *args, **kwargs))
         if not kwargs.get("stop_at_first_node"):
-            full.append(c)
-        return c
+            full.append(calls[-1])
+        return calls[-1]
 
     def recording_cut(c, p):
         candidates.append(cut(c, p))
@@ -331,17 +336,36 @@ def test_profile_candidates_are_the_search_trials_cut_at_their_first_node(monkey
     gs = shooting.ground_state(p, TOL)
     connected = any(c.verdict == "I-candidate" for c in gs.history)
     assert connected == (mw == (1.0, 0.99))
-    assert len(full) == (0 if connected else 1)
-    assert not {c.lam for c in full} & {c.lam for c in gs.history}
+    assert len(full) == 0
+    # the root's trial decides no side and stays out of the history
+    searched = {c.lam for c in gs.history}
+    assert len([c for c in calls if c.lam not in searched]) == (0 if connected else 1)
+    for c in calls:
+        assert c.certificate is None and not c.trajectory.events_of(EventKind.CERTIFICATE_FIRED)
     assert len(candidates) == (1 if connected else 3)
     for c in candidates:
-        fresh = cut(real(c.lam, p, TOL), p)
+        fresh = cut(real(c.lam, p, TOL, stop_at_first_node=True), p)
+        whole = cut(real(c.lam, p, TOL), p)
         for name in ("r", "y"):
-            a, b = getattr(c.trajectory, name), getattr(fresh.trajectory, name)
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert c.trajectory.events == fresh.trajectory.events
+            a, b, w = (getattr(x.trajectory, name) for x in (c, fresh, whole))
+            assert a.shape == b.shape == w.shape
+            assert a.tobytes() == b.tobytes() == w.tobytes()
+        assert _event_bytes(c.trajectory.events) == _event_bytes(fresh.trajectory.events)
+        kept = [e for e in whole.trajectory.events if e.kind != EventKind.CERTIFICATE_FIRED]
+        assert _event_bytes(c.trajectory.events) == _event_bytes(kept)
         assert c.trajectory.nodes_before() == 0
-        assert c.summary == fresh.summary
+        assert repr(c.summary) == repr(fresh.summary) == repr(whole.summary)
+
+
+def test_lambda_star_matches_the_taylor_oracle():
+    # oracle: a 40-digit mpmath Taylor integrator (Cauchy products for the
+    # cubic terms, series division for u/r, a Frobenius start at r = 0; the
+    # verdict is whichever of v < 0 and H < 0 comes first) bisected on the
+    # datum.  Its runs at step and order (h, N) = (0.125, 40) and (0.0625,
+    # 30) agree on all 19 digits of lambda*(1, 0.5) below.  The search at the
+    # default tolerance is 7.6e-11 below it, relative
+    lam = ground_state(P, TOL).lambda_star
+    assert abs(lam / 1.807896148773709416 - 1.0) < 1e-10
 
 
 def test_loose_lambda_tol_ends_while_bisecting():
