@@ -9,7 +9,7 @@ whose sides are set by the node count alone.  Every trial trajectory also
 yields a signed shooting function, the Wronskian F = r (u K_v - v K_u)
 against the decaying Bessel mode, read at its closest approach to the
 origin: it is conserved by the linearized flow and close to linear in
-lambda - lambda* across the whole bracket, so each trial datum is an ITP
+lambda - lambda* across the whole bracket, so each trial datum is a secant
 step on F from the first bracket on.
 
 Shooting into a saddle point cannot hold the connection forever: the best
@@ -38,10 +38,6 @@ _MAX_BISECT_ITER = 200
 # the search stops once hi - lo <= max(lambda_tol, _STOP_REL * tol.rel * hi),
 # the accuracy in lambda* that the integration tolerance supports
 _STOP_REL = 0.1
-# ITP parameters (Oliveira & Takahashi, ACM TOMS 47(1), 2020): truncation
-# kappa1 * width^2 with kappa1 = _ITP_K1 / initial width, one slack step
-_ITP_K1 = 0.2
-_ITP_N0 = 1
 # samples of the matched decay tail between the anchor and the horizon
 _N_TAIL = 256
 # bracket_search doubles the datum up to this multiple of its first one
@@ -427,6 +423,15 @@ def _decay_window(profile: Trajectory, anchor_r: float, tol: Tolerances) -> tupl
     return (r_a, anchor_r)
 
 
+def _secant(a, b):
+    """Root of the secant of F through two (datum, F) trials, or None where
+    one carries no F or the two F are equal."""
+    (x0, f0), (x1, f1) = a, b
+    if f0 is None or f1 is None or f0 == f1:
+        return None
+    return x1 - f1 * (x1 - x0) / (f1 - f0)
+
+
 def _regula_falsi(lo, hi, f_lo, f_hi):
     """Root of the secant of F through both ends when they carry values of
     opposite sign, else the midpoint."""
@@ -435,45 +440,32 @@ def _regula_falsi(lo, hi, f_lo, f_hi):
     return lo - f_lo * (hi - lo) / (f_hi - f_lo)
 
 
-def _itp_point(lo, hi, f_lo, f_hi, radius, kappa1, floor):
-    """Next datum inside (lo, hi): the ITP point on F.
-
-    The regula falsi estimate is pushed toward the midpoint by the
-    truncation max(kappa1 (hi - lo)^2, floor) and projected into the radius
-    around the midpoint that keeps bisection's worst-case step count.  The
-    floor (a quarter of the width target) lets two trials on either side of
-    an accurate estimate close the bracket.  Without F of opposite signs at
-    both ends the estimate is the midpoint, and so is the step.
-    """
-    mid = 0.5 * (lo + hi)
-    x_f = _regula_falsi(lo, hi, f_lo, f_hi)
-    sigma = math.copysign(1.0, mid - x_f)
-    delta = max(kappa1 * (hi - lo) ** 2, floor)
-    x_t = x_f + sigma * delta if delta <= abs(mid - x_f) else mid
-    radius = max(radius, 0.0)
-    return x_t if abs(x_t - mid) <= radius else mid - sigma * radius
-
-
 def bisect(
     bracket: Bracket,
     p: Params,
     tol: Tolerances,
     lambda_tol: float = 0.0,
 ) -> GroundState:
-    """Narrow the bracket on the node count: node-free captured data move
-    the lower endpoint, any datum with a sign change moves the upper one.
+    """Narrow the bracket on the node count: node-free data move the lower
+    endpoint, any datum with a sign change moves the upper one.
 
-    Each trial datum is the ITP step on the shooting function F, which
-    starts from the F that the bracket's own history recorded at both ends;
-    the midpoint is its fallback where an end carries no F.  The loop stops
-    when hi - lo <= max(lambda_tol, 0.1 tol.rel hi), or at one ulp if that
-    is finer.  The profile candidates are the trials at lo, hi and the
-    regula falsi root of F on the final bracket, or at the connection (a
-    trial that reached the eta tube), each cut at its first sign change of
-    v; the root is one more trial where it has none.  So a search runs no
-    full-horizon integration.  The profile is the connection, else the
-    candidate of least closest approach, truncated there and continued with
-    the matched decay tail.
+    Each trial datum is the root of the secant of the shooting function F
+    through the two latest trials (Dekker 1969), the first through the
+    bracket's ends with the F their trials recorded (bracket_search's last
+    two).  Where that root leaves (lo, hi), the trial is the regula falsi
+    root of F on the bracket, or the midpoint where the ends carry no F of
+    opposite signs.  After n_max = ceil(log2(w0 / target0)) + 1 trials,
+    bisection's count for the initial bracket, every trial is the midpoint,
+    so no search takes more than 2 n_max trials.  The loop stops when
+    hi - lo <= target = max(lambda_tol, 0.1 tol.rel hi), or at one ulp if
+    that is finer.  A node-free trial that reaches the eta tube (a
+    connection) is the lower end like any node-free one, and one closing
+    trial at min(lo + target/2, (lo + hi)/2) ends the search.  The profile
+    is that connection, else the candidate of least closest approach among
+    the trials at lo and hi and the regula falsi root of F on the final
+    bracket (one more trial), each cut at its first sign change of v;
+    truncated there, it is continued with the matched decay tail.  So a
+    search runs no full-horizon integration.
     """
     tol = tol.resolved(p)
     lo, hi = bracket.lo, bracket.hi
@@ -481,23 +473,26 @@ def bisect(
     # retries); the ends' trials carry their F
     trials = {c.lam: c for c in bracket.history}
     f_lo, f_hi = (trials[x].wronskian if x in trials else None for x in (lo, hi))
+    latest = [(lo, f_lo), (hi, f_hi)]  # the two latest trials' (datum, F)
     history = list(bracket.history)
     converged = True
     connection = None  # datum whose trajectory reached the eta tube
-
-    # ITP step budget n_max and truncation scale kappa1, fixed by the
-    # initial bracket; eps0 is half its width target
-    width0 = hi - lo
-    eps0 = 0.5 * max(lambda_tol, _STOP_REL * tol.rel * hi)
-    n_max = math.ceil(math.log2(max(width0 / (2.0 * eps0), 1.0))) + _ITP_N0
-    kappa1 = _ITP_K1 / width0 if width0 > 0.0 else 0.0
+    target0 = max(lambda_tol, _STOP_REL * tol.rel * hi)
+    n_max = math.ceil(math.log2(max((hi - lo) / target0, 1.0))) + 1
 
     for j in range(_MAX_BISECT_ITER):
         target = max(lambda_tol, _STOP_REL * tol.rel * hi)
         if hi - lo <= target:
             break
-        radius = eps0 * 2.0 ** (n_max - j) - 0.5 * (hi - lo)
-        lam = _itp_point(lo, hi, f_lo, f_hi, radius, kappa1, 0.25 * target)
+        closing = connection is not None
+        if closing:
+            lam = min(lo + 0.5 * target, 0.5 * (lo + hi))
+        elif j < n_max:
+            lam = _secant(*latest)
+            if lam is None or not lo < lam < hi:
+                lam = _regula_falsi(lo, hi, f_lo, f_hi)
+        else:
+            lam = 0.5 * (lo + hi)
         if not lo < lam < hi:
             break
         c = trials[lam] = classify(lam, p, tol, stop_at_first_node=True)
@@ -507,14 +502,16 @@ def bisect(
             # then count as a lower point while the energy stayed positive
             c = classify(lam, p, tol, stop_at_first_node=True, horizon=2.0 * tol.rmax)
             history.append(c)
+        if c.verdict == VERDICT_I:
+            connection = lam
+        latest = [latest[-1], (lam, c.wronskian)]
         if c.node_count >= 1:
             hi, f_hi = lam, c.wronskian
-        elif c.verdict == VERDICT_I:
-            connection = lam
-            break
         else:
-            converged = converged and c.verdict == VERDICT_A
+            converged = converged and c.verdict != VERDICT_UNDECIDED
             lo, f_lo = lam, c.wronskian
+        if closing:
+            break
 
     # the root's trial decides no side, so it stays out of the history
     probes = {lo, hi, _regula_falsi(lo, hi, f_lo, f_hi)} if connection is None else {connection}

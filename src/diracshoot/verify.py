@@ -335,7 +335,7 @@ def check_levelset_residual(p, tol):
         if len(pts) == 0:
             continue
         nonempty += 1
-        H = np.array([hamiltonian((uu, vv), p) for uu, vv in pts])
+        H = hamiltonian((pts[:, 0], pts[:, 1]), p)
         worst = max(worst, float(np.max(np.abs(H - level))))
     ok = nonempty == 3 and worst < 1e-9
     return ok, f"worst |H - level| {worst:.3e} over {nonempty} level sets"

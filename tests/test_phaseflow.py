@@ -61,6 +61,15 @@ def test_positive_level_single_curve():
     assert np.allclose(piece[0], piece[-1])  # closed polyline
 
 
+@pytest.mark.parametrize("level", [0.0, -P.gap ** 2 / 8.0, 0.2])
+def test_columnwise_energy_is_bitwise_the_per_point_calls(level):
+    # verify's levelset_residual evaluates H once on the point columns; the
+    # elementwise operations are the scalar ones, so the values are the same
+    pts = level_set(level, P).points
+    per_point = np.array([hamiltonian((u, v), P) for u, v in pts])
+    assert hamiltonian((pts[:, 0], pts[:, 1]), P).tobytes() == per_point.tobytes()
+
+
 @given(st.floats(-0.06, 2.0))
 @settings(max_examples=25, deadline=None)
 def test_levelset_residual_random_levels(level):

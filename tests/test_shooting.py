@@ -117,21 +117,32 @@ def test_bisect_ground_state(gs):
 
 
 def test_bisect_history_sides_consistent(gs):
-    # every node-free captured datum in the history sits below every datum
-    # that showed a sign change; bracket nesting guarantees this ordering
-    a0 = [c.lam for c in gs.history if c.verdict == "A" and c.node_count == 0]
+    # every node-free datum in the history, captured (A(0)) or a connection
+    # (I-candidate), sits below every datum that showed a sign change;
+    # bracket nesting guarantees this ordering.  Replayed by node count, the
+    # history gives the final bracket, whose lower end may be the connection
+    free = [c.lam for c in gs.history if c.verdict in ("A", "I-candidate") and c.node_count == 0]
     nodal = [c.lam for c in gs.history if c.node_count >= 1]
-    assert a0 and nodal
-    assert max(a0) < min(nodal)
-    assert abs(gs.lambda_star - max(a0)) <= max(gs.bracket_width, 1e-12)
+    assert free and nodal
+    assert max(free) < min(nodal)
+    lo, hi = -math.inf, math.inf
+    for c in gs.history:
+        if c.node_count >= 1:
+            hi = min(hi, c.lam)
+        else:
+            lo = max(lo, c.lam)
+    assert hi - lo == gs.bracket_width
+    assert abs(gs.lambda_star - max(free)) <= max(gs.bracket_width, 1e-12)
 
 
 def test_undecided_trial_is_retried_on_a_doubled_horizon(gs):
     # at rmax = 20 one trial datum is still undecided at the horizon; bisect
-    # classifies it again to 40 and the search ends where the default one does
+    # classifies it again to 40, where it reaches the eta tube, and the
+    # search ends where the default one does
     short = ground_state(P, Tolerances(rmax=20.0))
     lams = [c.lam for c in short.history]
-    assert [c.verdict for c in short.history if lams.count(c.lam) == 2] == ["undecided", "A"]
+    retried = [c.verdict for c in short.history if lams.count(c.lam) == 2]
+    assert retried == ["undecided", "I-candidate"]
     assert short.converged and short.node_count == 0
     assert short.lambda_star == pytest.approx(gs.lambda_star, rel=1e-10)
 
@@ -273,15 +284,56 @@ def searched(request):
 
 
 def test_search_needs_few_classifications(searched):
-    # deterministic counter: 9-12 at these points; 27-29 when F was read
-    # only near lambda* and most trials were midpoints
+    # deterministic counter: 8-11 at these points; 9-12 with ITP steps on F,
+    # and 27-29 when F was read only near lambda* and most trials were
+    # midpoints
     _, gs = searched
-    assert len(gs.history) <= 14
+    assert len(gs.history) <= 11
+
+
+def test_search_closes_the_bracket_to_its_target(searched):
+    # a connection is the lower end and one closing trial the upper one, so
+    # the width meets the target (lambda_tol = 0 here) there too; at
+    # (1, 0.99) a search that stopped on its connection inside the bracket
+    # reported 8.6e-8 against a target of 2.2e-12
+    _, gs = searched
+    assert gs.bracket_width <= 0.1 * TOL.rel * gs.lambda_star
+
+
+def test_useless_wronskian_falls_back_to_midpoints(monkeypatch):
+    # F a constant carrying the verdict's sign, 1e3 times larger on nodal
+    # data: each secant step then moves lo by a thousandth of the width, as
+    # a stalled regula falsi does.  After n_max trials every trial is the
+    # midpoint of its bracket, and the search still closes within 2 n_max
+    from diracshoot import shooting
+
+    def sign_only(traj, p):
+        return 1e3 if traj.events_of(EventKind.V_SIGN_CHANGE) else -1.0
+
+    monkeypatch.setattr(shooting, "_closest_approach_wronskian", sign_only)
+    b = bracket_search(P, TOL)
+    gs2 = bisect(b, P, TOL)
+    target0 = 0.1 * TOL.rel * b.hi
+    n_max = math.ceil(math.log2((b.hi - b.lo) / target0)) + 1
+    trials = gs2.history[len(b.history):]
+    assert n_max < len(trials) <= 2 * n_max
+    lo, hi = b.lo, b.hi
+    for j, c in enumerate(trials):
+        assert lo < c.lam < hi
+        if j >= n_max:
+            assert c.lam == 0.5 * (lo + hi)
+        if c.node_count >= 1:
+            hi = c.lam
+        else:
+            lo = c.lam
+    assert hi - lo == gs2.bracket_width <= 0.1 * TOL.rel * hi
+    assert gs2.node_count == 0 and gs2.converged
 
 
 def test_every_shooting_trial_carries_signed_wronskian(searched):
     # F at the closest approach is negative for node-free captured data and
-    # positive for nodal ones, which lets ITP run from the first bracket.
+    # positive for nodal ones, which lets the secant step from the first
+    # bracket.
     # Every searched datum is >= sqrt(2(m - omega)), where H(0, v) >= 0, so
     # none starts inside {H < -delta} and each one is integrated
     _, gs = searched
@@ -335,7 +387,10 @@ def test_profile_candidates_are_the_search_trials_cut_at_their_first_node(monkey
     p = Params(*mw)
     gs = shooting.ground_state(p, TOL)
     connected = any(c.verdict == "I-candidate" for c in gs.history)
-    assert connected == (mw == (1.0, 0.99))
+    if connected:
+        # the connection is the profile and the bracket's lower end
+        free = [c.lam for c in gs.history if c.node_count == 0]
+        assert gs.lambda_star == max(free)
     assert len(full) == 0
     # the root's trial decides no side and stays out of the history
     searched = {c.lam for c in gs.history}
@@ -373,7 +428,8 @@ def test_loose_lambda_tol_ends_while_bisecting():
     gs_loose = bisect(b, P, TOL, lambda_tol=1e-3)
     assert gs_loose.bracket_width <= 1e-3
     # replaying the verdicts: every trial lies strictly inside the bracket
-    # of its time, within ITP's step budget for the initial bracket
+    # of its time, within the n_max secant steps that bisect allows before
+    # it falls back to midpoints
     lo, hi = b.lo, b.hi
     trials = gs_loose.history[len(b.history):]
     n_max = math.ceil(math.log2((hi - lo) / 1e-3)) + 1
