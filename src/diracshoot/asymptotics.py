@@ -19,6 +19,7 @@ source-term algebra.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,25 +69,36 @@ def integrate_rescaled(
     r_eval=None,
     detectors=(),
     g=None,
-) -> Trajectory:
+    also=None,
+) -> Trajectory | tuple[Trajectory, Trajectory]:
     """Integrate the rescaled system radial_flow(p, eps) from (0, 1) up to
     r_end (default 1/eps).  Its energy hamiltonian((U, V), p, eps) is
-    non-increasing along the flow and bounded by its datum value <= 1."""
+    non-increasing along the flow and bounded by its datum value <= 1.
+
+    also = (r_other, r_eval_other) returns the pair of this run and the run
+    to r_other sampled at r_eval_other, with the same detectors, from one
+    integration: the run to the nearer end goes first, and the other one
+    continues from its last step (see solve's fork)."""
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"need 0 <= eps < 1, got {eps}")
     if r_end is None and eps == 0.0:
         raise ValueError("the massless limit needs an explicit r_end")
     end = float(r_end) if r_end is not None else 1.0 / eps
-    return solve(
+    run = functools.partial(
+        solve,
         radial_flow(p, eps),
-        (tol.r0, end),
-        taylor_start(1.0, p, tol.r0, eps),
+        y0=taylor_start(1.0, p, tol.r0, eps),
         rel=tol.rel,
         abs_tol=tol.abs,
         detectors=detectors,
         g=g,
-        r_eval=r_eval,
     )
+    if also is None:
+        return run((tol.r0, end), r_eval=r_eval)
+    fork, this = [], (end, r_eval)
+    near, far = sorted([this, (float(also[0]), also[1])], key=lambda leg: leg[0])
+    runs = tuple(run((tol.r0, e), r_eval=grid, fork=fork) for e, grid in (near, far))
+    return runs if near is this else runs[::-1]
 
 
 def node_radius(traj: Trajectory) -> float | None:
@@ -215,7 +227,9 @@ class PerturbationRecord:
     route, the expansion defect of the rescaled solution over eps^4.
     threshold_ok records |h2|+|k2| < eps^(-3/2) with breach_r the first
     violation radius (None when respected), node_radius the first zero of V
-    in the rescaled run (None when V stays positive).
+    in the rescaled run (None when V stays positive).  sup_error is the
+    sup of |U - U0| + |V - V0| on [0, T], the rescaled run's distance to the
+    bubble that convergence_study compares across eps (both None without T).
 
     sup_norm grows like mu^2/eps (ln(1/eps) - a), below the bound
     mu^2 ln(1/eps)/eps of remainder_bound_constant for small eps (near
@@ -240,6 +254,8 @@ class PerturbationRecord:
     threshold_ok: bool
     breach_r: float | None
     node_radius: float | None
+    T: float | None = None
+    sup_error: float | None = None
 
 
 _JOINT = f"""
@@ -273,13 +289,19 @@ def _rhs_joint(eps: float, p: Params):
     return formula(_JOINT, p.gap, p.m + p.omega, eps * eps)
 
 
-def integrate_remainder(eps: float, p: Params, tol: Tolerances) -> PerturbationRecord:
-    """Compute the remainder (h2, k2) on (0, 1/eps) along both routes.
+def integrate_remainder(
+    eps: float, p: Params, tol: Tolerances, T: float | None = None
+) -> PerturbationRecord:
+    """Compute the remainder (h2, k2) on (0, 1/eps) along both routes, and
+    with T the rescaled run's distance to the bubble on [0, T].
 
     The joint flow gives (h2, k2) at any eps, with sup |h2|+|k2| growing like
     mu^2/eps (ln(1/eps) - a) (see remainder_bound_constant); the subtraction
     route is an independent check only for eps >~ 0.05 at the default
     tolerance, as its error is the rescaled samples' Hermite error / eps^4.
+    The rescaled flow is integrated once, to max(1/eps, T): the runs to 1/eps
+    and to T share their steps up to the nearer end, and each is bitwise a
+    run of its own.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
@@ -299,9 +321,19 @@ def integrate_remainder(eps: float, p: Params, tol: Tolerances) -> PerturbationR
     h1, k1 = joint.y[:, 0], joint.y[:, 1]
     h2, k2 = joint.y[:, 2], joint.y[:, 3]
 
-    # a detector leaves the steps as they are: a run stopped at the node agrees
+    # a detector leaves the steps as they are: a run stopped at the node
+    # agrees, and the run to T, which carries it too, shares them
     nodes = [Detector(EventKind.V_SIGN_CHANGE)]
-    resc = integrate_rescaled(eps, p, tol, r_eval=grid, detectors=nodes, g=v_sign)
+    sup_error = None
+    if T is None:
+        resc = integrate_rescaled(eps, p, tol, r_eval=grid, detectors=nodes, g=v_sign)
+    else:
+        grid_T = np.linspace(r0, float(T), _CONVERGENCE_N)
+        resc, to_T = integrate_rescaled(
+            eps, p, tol, r_eval=grid, detectors=nodes, g=v_sign, also=(T, grid_T)
+        )
+        u0, v0 = bubble(grid_T)
+        sup_error = float(np.max(np.abs(to_T.y[:, 0] - u0) + np.abs(to_T.y[:, 1] - v0)))
     u0, v0 = bubble(grid)
     e2 = eps * eps
     e4 = e2 * e2
@@ -327,6 +359,8 @@ def integrate_remainder(eps: float, p: Params, tol: Tolerances) -> PerturbationR
         threshold_ok=len(breaches) == 0,
         breach_r=float(grid[breaches[0]]) if len(breaches) else None,
         node_radius=node_radius(resc),
+        T=None if T is None else float(T),
+        sup_error=sup_error,
     )
 
 
@@ -337,8 +371,8 @@ def integrate_remainder(eps: float, p: Params, tol: Tolerances) -> PerturbationR
 class EpsilonStudy:
     """Sup-norm distance to the bubble on [0, T] per eps, with consecutive
     ratios (second-order rate gives ratios near 4 for eps halving) and the
-    first V-node radius per eps when one occurs before 1/eps, as read off
-    each eps's remainder record."""
+    first V-node radius per eps when one occurs before 1/eps, both as read
+    off each eps's remainder record."""
 
     epsilons: tuple[float, ...]
     sup_errors: tuple[float, ...]
@@ -347,18 +381,16 @@ class EpsilonStudy:
     T: float
 
 
-def convergence_study(records, T: float, p: Params, tol: Tolerances) -> EpsilonStudy:
-    """Rate of convergence of the rescaled flow to the bubble, per eps of the
-    integrate_remainder records (a sequence in strictly decreasing eps)."""
+def convergence_study(records, T: float) -> EpsilonStudy:
+    """Rate of convergence of the rescaled flow to the bubble, assembled from
+    the distances on [0, T] that the integrate_remainder records carry (a
+    sequence in strictly decreasing eps, each run with this T)."""
     eps_list = [float(rec.epsilon) for rec in records]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilons must be strictly decreasing")
-    grid = np.linspace(tol.r0, float(T), _CONVERGENCE_N)
-    u0, v0 = bubble(grid)
-    errs = []
-    for eps in eps_list:
-        traj = integrate_rescaled(eps, p, tol, r_end=float(T), r_eval=grid)
-        errs.append(float(np.max(np.abs(traj.y[:, 0] - u0) + np.abs(traj.y[:, 1] - v0))))
+    if any(rec.T != float(T) for rec in records):
+        raise ValueError(f"every record needs its distance to the bubble on [0, {T:g}]")
+    errs = [rec.sup_error for rec in records]
     ratios = tuple(a / b for a, b in zip(errs, errs[1:]))
     nodes = tuple(rec.node_radius for rec in records)
     return EpsilonStudy(tuple(eps_list), tuple(errs), ratios, nodes, float(T))

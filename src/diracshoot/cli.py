@@ -194,6 +194,8 @@ def run_ground_state(cfg: RunConfig) -> dict:
     diags = []
     if not gs.converged:
         diags.append("bisection did not reach a node-free connection; best candidate reported")
+    if gs.anchor_r == gs.profile.r[-1]:
+        diags.append(f"closest approach at the horizon r={gs.anchor_r:g}: no decay tail; raise --rmax")
     payload = {
         "lambda_star": gs.lambda_star,
         "bracket_width": gs.bracket_width,
@@ -242,8 +244,8 @@ def run_asymptotics(cfg: RunConfig) -> dict:
     done = ["deduplicated"] if unique != tuple(cfg.epsilons) else []
     done += ["sorted into decreasing order"] if eps_sorted != unique else []
     diags = ["epsilon list " + " and ".join(done)] if done else []
-    records = [asymptotics.integrate_remainder(e, p, tol) for e in eps_sorted]
-    study = asymptotics.convergence_study(records, cfg.T, p, tol)
+    records = [asymptotics.integrate_remainder(e, p, tol, cfg.T) for e in eps_sorted]
+    study = asymptotics.convergence_study(records, cfg.T)
     fit = asymptotics.first_order_log_fit(p, tol)
     bound_c = asymptotics.remainder_bound_constant(p)
     remainders = []

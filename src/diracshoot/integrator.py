@@ -20,6 +20,12 @@ order, so it is bitwise the loops.  A right-hand side or event function
 built by formula carries its source text: each stage evaluates the flow's
 formula in place of calling it, and the sign screen the event function's,
 bitwise the same way.
+
+With a deterministic step control, runs of one start to two ends take the
+same steps up to the one that would land on the nearer end (only that step
+is cut to an end).  solve's fork pauses a run where that step begins, in
+the loop's branch that cuts it, and a second solve continues from there to
+its own end; each is bitwise its fresh run.
 """
 
 from __future__ import annotations
@@ -151,10 +157,12 @@ class Trajectory:
 # event value index; lines starting with ? (the sign screen) are kept for k > 0.
 # run appends each accepted r, y and f = dy/dr to the flat list nodes and returns
 # (status, r, y, dy, h, naccpt, nrejct, p, q): "completed" at r_end, "event" after
-# a step over which some value changed sign from p to q, or a failure.  hermite
+# a step over which some value changed sign from p to q, "paused" with pause set
+# where the step landing on r_end begins (h not yet cut to it, p the values
+# there), or a failure.  hermite
 # interpolates between two such rows, of floats or of NumPy columns.
 _DP54_SRC = """
-def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
+def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, pause, [p$]):
     [y#] = y
     [a#] = dy
     [ay#] = [abs(y#)]
@@ -163,6 +171,8 @@ def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
             return "step budget exhausted", r, ([y#]), ([a#]), h, naccpt, nrejct, (), ()
         last = h >= r_end - r
         if last:
+            if pause:
+                return "paused", r, ([y#]), ([a#]), h, naccpt, nrejct, ([p$]), ()
             h = r_end - r
         # relative to r, and negated so that a NaN step size (from a non-finite start) fails here
         if not h > 1e-14 * abs(r):
@@ -334,6 +344,7 @@ def solve(
     detectors: Sequence[Detector] = (),
     g: Callable[[float, tuple], tuple] | None = None,
     r_eval: Sequence[float] | None = None,
+    fork: list | None = None,
 ) -> Trajectory:
     """Integrate y' = f(r, y) over r_span with event detection.
 
@@ -350,6 +361,15 @@ def solve(
     times: at the start, for the initial step size and six times per step,
     each a call of f unless f was built by formula, whose source text the
     loop's stages inline.
+
+    fork lets two runs of the same f, y0, tolerances, detectors and g to
+    different ends share their steps: a fresh run to either end takes the
+    same steps up to the one that would land on the nearer end, as only
+    that step is cut to an end.  Passed an empty list, the run pauses where
+    its step landing on r_end begins and leaves its state in the list; a
+    run passed that state takes it out and continues from it when its own
+    first step size is the same and its r_end no nearer, and otherwise
+    starts afresh.  Either run is bitwise the fresh one, stats included.
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
@@ -400,10 +420,22 @@ def solve(
         return Trajectory(rarr, arr, tuple(events), status_str, stats)
 
     h, naccpt, nrejct = _initial_step(f, r, y, k1, r_end, rel, abs_tol), 0, 0
+    # what fixes the steps up to the first one that lands on an end
+    start = (r, y, h, rel, abs_tol, tuple(detectors), g, flow, consts)
+    pause = fork == []
+    if fork:
+        (begun, near), state = fork.pop()
+        if begun == start and near <= r_end:
+            r, y, k1, h, naccpt, nrejct, g_prev, nodes, events, active = state
     while True:
         status, r, y, k1, h, naccpt, nrejct, g0, g1 = run(
-            f, g, *consts, *g_consts, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, *g_prev
+            f, g, *consts, *g_consts, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, pause, *g_prev
         )
+        if status == "paused":
+            state = r, y, k1, h, naccpt, nrejct, g0, nodes.copy(), events.copy(), active.copy()
+            fork.append(((start, r_end), state))
+            pause, g_prev = False, g0
+            continue
         if status == "completed":
             return build("completed")
         if status != "event":

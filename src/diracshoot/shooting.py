@@ -386,7 +386,8 @@ def extend_with_decay_tail(
     origin and continue it with the matched decaying tail up to r_end.
 
     Returns (profile, anchor_r, tail_amplitude).  The tail is matched by
-    least squares against the last reliable decade of the numerical decay.
+    least squares against the last reliable decade of the numerical decay;
+    an anchor at r_end leaves no room for it, and the profile ends there.
     """
     n1 = traj.norm1
     i_c = max(int(np.argmin(n1)), 1)
@@ -401,8 +402,8 @@ def extend_with_decay_tail(
     den = float(np.dot(bu, bu) + np.dot(bv, bv))
     amp = num / den
 
-    r_tail = np.linspace(r_c, float(r_end), _N_TAIL + 1)[1:]
-    bu, bv = _tail_basis(r_tail, p)
+    r_tail = np.linspace(r_c, float(r_end), _N_TAIL + 1)[1:] if r_c < r_end else np.empty(0)
+    bu, bv = _tail_basis(r_tail, p) if r_tail.size else (r_tail, r_tail)
 
     profile = Trajectory(
         np.concatenate([traj.r[: i_c + 1], r_tail]),

@@ -69,7 +69,9 @@ def _check(module: str):
     return register
 
 
+@functools.cache
 def _radial_trajectory(lam, p, tol, r_end=None):
+    # a datum run to one end is shared by the radial-core checks that read it
     return integrate(radial_flow, radial_start(lam, p, tol), p, tol, r_end=r_end)
 
 
@@ -101,7 +103,7 @@ def check_confinement(p, tol):
 @_check("radial-core")
 def check_sign_symmetry(p, tol):
     r0, y0 = radial_start(1.3, p, tol)
-    a = integrate(radial_flow, (r0, y0), p, tol, r_end=20.0)
+    a = _radial_trajectory(1.3, p, tol, r_end=20.0)
     b = integrate(radial_flow, (r0, (-y0[0], -y0[1])), p, tol, r_end=20.0)
     # the flow is odd and every operation of a step commutes with negation,
     # so the mirrored run is the exact negative of the first
@@ -391,4 +393,5 @@ def run_suite(p: Params | None = None, tol: Tolerances | None = None) -> list[Ch
     # the shared results live for one run: a later run checks the code as it is then
     _ground_state_cached.cache_clear()
     _remainder_cached.cache_clear()
+    _radial_trajectory.cache_clear()
     return [check(p, tol) for check in ALL_CHECKS]

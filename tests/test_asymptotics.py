@@ -99,25 +99,31 @@ def test_remainder_rejects_bad_eps():
         integrate_remainder(0.0, P, TOL)
 
 
-def _records(epsilons):
-    return [integrate_remainder(eps, P, TOL) for eps in epsilons]
+def _records(epsilons, T=10.0):
+    return [integrate_remainder(eps, P, TOL, T) for eps in epsilons]
 
 
 def test_convergence_study_ratios():
     records = _records([0.2, 0.1, 0.05, 0.025])
-    study = convergence_study(records, 10.0, P, TOL)
+    study = convergence_study(records, 10.0)
     assert len(study.ratios) == 3
     assert all(b < a for a, b in zip(study.sup_errors, study.sup_errors[1:]))
     for ratio in study.ratios:
         assert 3.0 <= ratio <= 5.0
     assert study.node_radii == tuple(rec.node_radius for rec in records)
+    assert study.sup_errors == tuple(rec.sup_error for rec in records)
 
 
 def test_convergence_study_validation():
     with pytest.raises(ValueError):
-        convergence_study(_records([0.1, 0.2]), 10.0, P, TOL)
+        convergence_study(_records([0.1, 0.2]), 10.0)
     with pytest.raises(ValueError):
-        convergence_study(_records([0.2, 0.2]), 10.0, P, TOL)
+        convergence_study(_records([0.2, 0.2]), 10.0)
+    # the study integrates nothing: records without the distance on [0, T]
+    # or with it on another T are refused
+    for records in (_records([0.2], None), _records([0.2], 5.0)):
+        with pytest.raises(ValueError, match="distance to the bubble"):
+            convergence_study(records, 10.0)
 
 
 def test_node_radius_regimes():

@@ -182,22 +182,51 @@ def test_asymptotics_flags_unresolved_crosscheck():
     assert not any(d.startswith("remainder bound exceeded") for d in env["diagnostics"])
 
 
-def test_asymptotics_integrates_the_rescaled_flow_twice_per_epsilon(monkeypatch):
-    # per eps one run on [r0, T] for the distance to the bubble and one run to
-    # 1/eps, which the remainder's subtraction route and the node radius share
+def test_asymptotics_integrates_the_rescaled_flow_once_per_epsilon(monkeypatch):
+    # per eps one integration to max(1/eps, T): the run to 1/eps (the
+    # remainder's subtraction route and the node radius) and the run on
+    # [r0, T] (the distance to the bubble) share their steps up to the nearer
+    # end, so the solve calls after the first take only their own steps
     from diracshoot import asymptotics
 
-    real = asymptotics.integrate_rescaled
-    calls = []
+    real_rescaled, real_solve = asymptotics.integrate_rescaled, asymptotics.solve
+    calls, steps = [], []
 
     def counted(eps, *args, **kwargs):
         calls.append(eps)
-        return real(eps, *args, **kwargs)
+        return real_rescaled(eps, *args, **kwargs)
+
+    def counted_solve(f, *args, **kwargs):
+        rhs = []  # a plain wrapper, as the benchmark's tracer counts f calls
+        traj = real_solve(lambda r, y: rhs.append(r) or f(r, y), *args, **kwargs)
+        steps.append((len(rhs), traj.stats["nfev"]))
+        return traj
 
     monkeypatch.setattr(asymptotics, "integrate_rescaled", counted)
-    eps = (0.2, 0.1, 0.05)
+    monkeypatch.setattr(asymptotics, "solve", counted_solve)
+    eps = (0.2, 0.1, 0.05)  # 1/eps below, at and beyond T = 10
     cli.run_asymptotics(RunConfig(epsilons=eps))
-    assert sorted(calls, reverse=True) == [e for e in eps for _ in range(2)]
+    assert calls == list(eps)
+    # per eps (f calls, nfev) of the joint flow, of the rescaled run to the
+    # nearer end and of the one to the farther end, which evaluates f at its
+    # start and on its steps past the shared ones: all of the nearer run's
+    # steps but its landing one; the log-law fit's run comes last
+    assert len(steps) == 3 * len(eps) + 1
+    for joint, near, far in zip(*[iter(steps[:-1])] * 3):
+        assert joint[0] == joint[1] and near[0] == near[1]
+        assert far[0] == 2 + far[1] - (near[1] - 6)
+
+
+@pytest.mark.parametrize("rmax", [10.0, 20.0])
+def test_profile_anchored_at_the_horizon_ends_there(rmax):
+    # the closest approach lies at the horizon: no tail samples repeat r = rmax,
+    # and the run names the horizon
+    env = cli.run_ground_state(RunConfig(rmax=rmax))
+    r = np.asarray(env["payload"]["profile"]["r"])
+    assert np.all(np.diff(r) > 0) and r[-1] == env["payload"]["anchor_r"] == rmax
+    assert f"closest approach at the horizon r={rmax:g}: no decay tail; raise --rmax" in env["diagnostics"]
+    rows = cli.render_csv(env).splitlines()[1:]
+    assert len(rows) == len(r)
 
 
 def test_module_entry_point():

@@ -17,7 +17,7 @@ from diracshoot import (
     solve,
     taylor_start,
 )
-from diracshoot.integrator import v_sign
+from diracshoot.integrator import formula, v_sign
 
 P = Params(1.0, 0.5)
 TOL = Tolerances().resolved(P)
@@ -433,6 +433,42 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     assert len(got[i_once].events_of(EventKind.V_SIGN_CHANGE)) == 1
     assert len(got[i_once].events_of(EventKind.CERTIFICATE_FIRED)) == 5
     assert [e.r for t in got[zeros] for e in t.events_of(EventKind.V_SIGN_CHANGE)] == [3.0, 3.0]
+
+    # forked pairs: the second run of each continues from where the first
+    # one's step landing on its end began, when its own end lies beyond
+    # (before), at or short of (after) that fork, on a formula rotation with
+    # v-sign changes in the shared steps and in each branch, and on the
+    # rescaled flow forked inside its first step (a horizon T = 2e-6), where
+    # the first step sizes differ and the second run starts afresh; each on
+    # the formula path and on the called path, whose f calls show the steps
+    # the second run shares
+    rotation = formula("def f(x, s):\n    u, v = s\n    return -v, u\n")
+    a = 12.47  # the step landing on a holds the zero of v at 12.4667
+    rescaled = (radial_flow(P, 0.1), TOL.r0, taylor_start(1.0, P, TOL.r0, 0.1))
+    forks = [  # (f, r0, y0, [(end, r_eval) per run], whether the second shares steps)
+        (rotation, 0.0, (1.0, 0.1), [(e, np.linspace(0.0, e, 97)) for e in (a, 30.0)], True),
+        (rotation, 0.0, (1.0, 0.1), [(a, None), (a, None)], True),
+        (rotation, 0.0, (1.0, 0.1), [(30.0, None), (a, None)], False),
+        # v starts at 0.0 and first changes sign in the step landing on 3.15:
+        # that step needs the value of v where the first run paused
+        (rotation, 0.0, (1.0, 0.0), [(3.15, None), (30.0, None)], True),
+        (*rescaled, [(2e-6, np.linspace(TOL.r0, 2e-6, 1024)), (10.0, None)], False),
+    ]
+    ev = dict(detectors=[NODE], g=v_sign, **kw)
+    for f, r0, y0, legs, shared in forks:
+        refs = [_reference_solve(f, (r0, end), y0, r_eval=grid, **ev) for end, grid in legs]
+        for called in (False, True):
+            fork, calls = [], []
+            fn = (lambda r, y: calls.append(r) or f(r, y)) if called else f
+            for (end, grid), ref in zip(legs, refs):
+                calls.clear()
+                _assert_same_run(solve(fn, (r0, end), y0, r_eval=grid, fork=fork, **ev), ref)
+            assert fork == []
+            assert not called or (len(calls) < ref.stats["nfev"]) == shared
+    near, far = [_reference_solve(rotation, (0.0, end), (1.0, 0.1), **ev) for end in (a, 30.0)]
+    r_fork = near.r[-2]
+    for t, lo, hi in [(near, 0.0, r_fork), (near, r_fork, a), (far, a, 30.0)]:
+        assert any(lo < e.r <= hi for e in t.events)
 
 
 def test_formula_name_clashing_with_the_loop_raises():
