@@ -10,7 +10,8 @@ Its eps -> 0 limit has the closed-form solution
 
     U = U0 + eps^2 h1 + eps^4 h2,   V = V0 + eps^2 k1 + eps^4 k2
 
-where (h1, k1) solves a linear system driven by the bubble and (h2, k2)
+where (h1, k1) solves a linear system driven by the bubble, evaluated in
+closed form (one dilogarithm; integrate_first_order), and (h2, k2)
 collects the exact remainder.  The remainder is computed two independent
 ways: by subtracting the expansion from the rescaled solution, and by
 integrating the exact remainder equations; their agreement validates the
@@ -28,10 +29,11 @@ from .equations import radial_flow, taylor_start
 from .integrator import Detector, EventKind, Trajectory, formula, solve, v_sign
 from .params import Params, Tolerances
 
-# samples: of the k1 log-law fit over its radius window, of the remainder on
-# (0, 1/eps), and of the distance to the bubble on [0, T]
+# samples: of the k1 log-law fit over its radius window (the radii and their
+# logs), of the remainder on (0, 1/eps), and of the distance to the bubble on [0, T]
 _LOG_FIT_WINDOW = (1e3, 1e6)
-_LOG_FIT_N = 200
+_LOG_FIT_R = np.geomspace(*_LOG_FIT_WINDOW, 200)
+_LOG_FIT_L = np.log(_LOG_FIT_R)
 _REMAINDER_N = 800
 _CONVERGENCE_N = 1024
 
@@ -159,37 +161,63 @@ def _first_order_start(p: Params, r0: float) -> tuple[float, float]:
     return -0.5 * p.gap * r0, -0.5 * p.omega * r0 * r0
 
 
-def integrate_first_order(
-    p: Params, tol: Tolerances, r_end: float, r_eval=None
-) -> FirstOrderSamples:
-    """Solve the linear first-order perturbation system with h1(0)=k1(0)=0."""
-    if r_end <= 0.0:
-        raise ValueError("r_end must be positive")
-    r0 = tol.r0
-    traj = solve(
-        _rhs_first_order(p),
-        (r0, float(r_end)),
-        _first_order_start(p, r0),
-        rel=tol.rel,
-        abs_tol=tol.abs,
-        r_eval=r_eval,
-    )
-    return FirstOrderSamples(traj.r, traj.y[:, 0], traj.y[:, 1])
+# Li2(-x) = -Li2(y) - ln^2(1 + x)/2, y = x/(1 + x) <= 1/2 (Landen), after Li2(-x) =
+# -pi^2/6 - ln^2(x)/2 - Li2(-1/x) for x > 1 (inversion; Lewin, Polylogarithms, 1981);
+# sum y^k/k^2 runs to y^k < 1e-16 at the largest y, 54 terms at y = 1/2
+def _li2_neg(x):
+    """The dilogarithm Li2(-x) for x > 0, elementwise."""
+    inv = x > 1.0
+    z = np.where(inv, 1.0 / x, x)
+    y = z / (1.0 + z)
+    s = 0.0
+    for k in range(int(-36.9 / np.log(y.max())) + 1, 0, -1):
+        s = s * y + 1.0 / (k * k)
+    li = -s * y - 0.5 * np.log1p(z) ** 2
+    return np.where(inv, -np.pi ** 2 / 6.0 - 0.5 * np.log(x) ** 2 - li, li)
 
 
-def first_order_log_fit(p: Params, tol: Tolerances) -> LogLawFit:
-    """Fit the logarithmic growth law of the first-order V-correction on
-    r in [1e3, 1e6]."""
-    r_a, r_b = _LOG_FIT_WINDOW
-    grid = np.geomspace(r_a, r_b, _LOG_FIT_N)
-    fo = integrate_first_order(p, tol, r_b, r_eval=grid)
-    L = np.log(fo.r)
-    design = np.column_stack([L, np.ones_like(L)])
-    coef, *_ = np.linalg.lstsq(design, fo.k1, rcond=None)
-    resid = fo.k1 - design @ coef
+def integrate_first_order(p: Params, r) -> FirstOrderSamples:
+    """The first-order correction (h1, k1) with h1(0) = k1(0) = 0, in closed
+    form at the radii r > 0.
+
+    The homogeneous system has the bubble's scaling mode
+    phi1 = (U0 + 2r U0', V0 + 2r V0') = (2r(12 - t), 4(4 - 3t))/D^2 and, by
+    reduction of order with Wronskian 4/r, phi2 = 2L phi1 + (D/r)(-phi1_v,
+    phi1_u), where t = r^2, D = t + 4 and L = ln t.  Variation of parameters
+    gives (h1, k1) = c1 phi1 + c2 phi2 with one dilogarithm in c1.
+    """
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise ValueError("radii must be positive")
+    t = r * r
+    d = t + 4.0
+    d2 = d * d
+    a = t / d2
+    L, Ls = np.log(t), np.log1p(0.25 * t)
+    gm, gp = p.gap, p.m + p.omega
+    pu, pv = 2.0 * r * (12.0 - t) / d2, 4.0 * (4.0 - 3.0 * t) / d2
+    c1 = gm * a * (L * (t - 4.0) - 2.0 * d)
+    c1 -= gp * (L * Ls + _li2_neg(0.25 * t) + a * (2.0 * t + 8.0 - L * (3.0 * t + 4.0)))
+    c2 = 0.5 * (gp * Ls - a * (gm * (t - 4.0) + gp * (3.0 * t + 4.0)))
+    # c1 phi1 + c2 phi2 = (c1 + 2L c2) phi1 + c2 (D/r) (-phi1_v, phi1_u)
+    c, s = c1 + 2.0 * L * c2, c2 * d / r
+    return FirstOrderSamples(r, c * pu - s * pv, c * pv + s * pu)
+
+
+def first_order_log_fit(p: Params) -> LogLawFit:
+    """Fit the logarithmic growth law of the first-order V-correction to the
+    closed form on r in [1e3, 1e6]; the exact law is k1 = -2(m + omega) ln r
+    + b + O(ln^2 r / r^2) with b = (m + omega)(3 + 2 ln 2) + (m - omega)."""
+    fo = integrate_first_order(p, _LOG_FIT_R)
+    # least squares in ln r about its mean
+    mean = _LOG_FIT_L.mean()
+    x = _LOG_FIT_L - mean
+    slope = (x @ fo.k1) / (x @ x)
+    intercept = fo.k1.mean() - slope * mean
+    resid = fo.k1 - intercept - slope * _LOG_FIT_L
     return LogLawFit(
-        c=float(-coef[0]),
-        intercept=float(coef[1]),
+        c=float(-slope),
+        intercept=float(intercept),
         max_rel_residual=float(np.max(np.abs(resid)) / np.max(np.abs(fo.k1))),
         h1_sup=float(np.max(np.abs(fo.h1))),
         window=_LOG_FIT_WINDOW,
@@ -208,12 +236,13 @@ def remainder_bound_constant(p: Params) -> float:
     """The constant mu^2 = m^2 - omega^2 of the remainder growth law.
 
     For large r the h2 equation reduces to (r h2)' = -(m - omega) r k1 +
-    O(ln^2 r / r), and k1 = -2(m + omega) ln r + b + o(1), so
-    h2 = mu^2 r (ln r - a) + o(r) with an offset a > 0 (2.86 at (1, 0.5)),
-    while k2 grows only like ln^3 r.  Hence sup |h2|+|k2| on (0, 1/eps) is
-    mu^2/eps (ln(1/eps) - a) to leading order: it stays below
-    mu^2 ln(1/eps)/eps for small eps and approaches it from below, so mu^2 is
-    the smallest eps-independent constant in that bound.
+    O(ln^2 r / r), and k1 = -2(m + omega) ln r + b + o(1) with
+    b = (m + omega)(3 + 2 ln 2) + (m - omega) (integrate_first_order), so
+    h2 = mu^2 r (ln r - a) + o(r) with a = 2 + ln 2 + (m - omega)/(2(m + omega))
+    (2.8598 at (1, 0.5)), while k2 grows only like ln^3 r.  Hence
+    sup |h2|+|k2| on (0, 1/eps) is mu^2/eps (ln(1/eps) - a) to leading
+    order: it stays below mu^2 ln(1/eps)/eps for small eps and approaches it
+    from below, so mu^2 is the smallest eps-independent constant in that bound.
     """
     return p.m * p.m - p.omega * p.omega
 
@@ -231,7 +260,8 @@ class PerturbationRecord:
     sup of |U - U0| + |V - V0| on [0, T], the rescaled run's distance to the
     bubble that convergence_study compares across eps (both None without T).
 
-    sup_norm grows like mu^2/eps (ln(1/eps) - a), below the bound
+    sup_norm grows like mu^2/eps (ln(1/eps) - a), a = 2 + ln 2 +
+    (m - omega)/(2(m + omega)), below the bound
     mu^2 ln(1/eps)/eps of remainder_bound_constant for small eps (near
     omega/m = 1 the ln^3 growth of k2 can exceed it at moderate eps).  The
     subtraction route divides the cubic-Hermite error of the rescaled samples

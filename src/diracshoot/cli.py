@@ -246,7 +246,7 @@ def run_asymptotics(cfg: RunConfig) -> dict:
     diags = ["epsilon list " + " and ".join(done)] if done else []
     records = [asymptotics.integrate_remainder(e, p, tol, cfg.T) for e in eps_sorted]
     study = asymptotics.convergence_study(records, cfg.T)
-    fit = asymptotics.first_order_log_fit(p, tol)
+    fit = asymptotics.first_order_log_fit(p)
     bound_c = asymptotics.remainder_bound_constant(p)
     remainders = []
     for rec in records:

@@ -323,7 +323,8 @@ def bracket_search(p: Params, tol: Tolerances) -> Bracket:
 
 
 def decay_fit(t: Trajectory, window: tuple[float, float]) -> float:
-    """Least-squares slope of log(|u| + |v|) over the radius window."""
+    """Least-squares slope of log((|u| + |v|) sqrt(r)) over the radius window:
+    the tail is K0(mu r) ~ e^(-mu r)/sqrt(r), so the slope reads -mu."""
     r_a, r_b = window
     if not r_a < r_b:
         raise ValueError(f"need r_a < r_b, got {window}")
@@ -333,7 +334,8 @@ def decay_fit(t: Trajectory, window: tuple[float, float]) -> float:
     n1 = t.norm1[mask]
     if np.any(n1 <= 0.0):
         raise ValueError("window contains non-positive |u| + |v|")
-    return float(np.polyfit(t.r[mask], np.log(n1), 1)[0])
+    r = t.r[mask]
+    return float(np.polyfit(r, np.log(n1 * np.sqrt(r)), 1)[0])
 
 
 def _bessel_k01(x):

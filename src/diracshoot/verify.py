@@ -299,9 +299,17 @@ def check_rescaled_energy(p, tol):
 
 @_check("asymptotics")
 def check_first_order_log_law(p, tol):
-    fit = asymptotics.first_order_log_fit(p, tol)
-    ok = fit.c > 0.0 and fit.max_rel_residual < 0.1
-    return ok, f"c={fit.c:.4f}, rel residual {fit.max_rel_residual:.2e}"
+    # the closed form against the (h1, k1) columns the joint flow integrates;
+    # those samples lie between step ends, where the cubic Hermite error
+    # scales like the tolerance to the 4/5 (0.6-4.5 x this scale measured)
+    fit = asymptotics.first_order_log_fit(p)
+    rec = _remainder_cached(0.2, p, tol)
+    fo = asymptotics.integrate_first_order(p, rec.r)
+    dev = float(np.max(np.abs(fo.h1 - rec.h1) + np.abs(fo.k1 - rec.k1)))
+    bound = 20.0 * (tol.abs + tol.rel * float(np.max(np.abs(fo.h1) + np.abs(fo.k1)))) ** 0.8
+    ok = fit.c > 0.0 and fit.max_rel_residual < 0.1 and dev <= bound
+    detail = f"c={fit.c:.4f}, rel residual {fit.max_rel_residual:.2e}"
+    return ok, f"{detail}, joint flow off by {dev:.2e} <= {bound:.2e}"
 
 
 @functools.cache

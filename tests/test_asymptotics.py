@@ -18,6 +18,14 @@ from diracshoot import (
     integrate_remainder,
     integrate_rescaled,
     radial_flow,
+    solve,
+)
+from diracshoot.asymptotics import (
+    _first_order_start,
+    _li2_neg,
+    _rhs_first_order,
+    _rhs_joint,
+    remainder_bound_constant,
 )
 from diracshoot.integrator import EventKind
 
@@ -64,27 +72,156 @@ def test_rescaled_rejects_bad_eps():
         integrate_rescaled(1.5, P, TOL, r_end=1.0)
 
 
+def _first_order_run(p, r_end, r_eval=None, rel=TOL.rel):
+    return solve(
+        _rhs_first_order(p), (TOL.r0, r_end), _first_order_start(p, TOL.r0), rel=rel, abs_tol=rel, r_eval=r_eval
+    )
+
+
 def test_first_order_initial_conditions():
-    fo = integrate_first_order(P, TOL, r_end=1.0, r_eval=[1e-5, 0.5, 1.0])
-    assert abs(fo.h1[0]) < 1e-4 and abs(fo.k1[0]) < 1e-8
+    fo = _first_order_run(P, 1.0, r_eval=[1e-5, 0.5, 1.0])
+    assert abs(fo.y[0, 0]) < 1e-4 and abs(fo.y[0, 1]) < 1e-8
 
 
 def test_first_order_log_growth_in_v_component():
     grid = np.geomspace(1e2, 1e6, 9)
-    fo = integrate_first_order(P, TOL, r_end=1e6, r_eval=grid)
+    fo = _first_order_run(P, 1e6, r_eval=grid)
+    h1, k1 = fo.y[:, 0], fo.y[:, 1]
     # the sum stays O(log r) while the U-component vanishes
-    assert np.max((np.abs(fo.h1) + np.abs(fo.k1)) / np.log(grid)) < 4.0
-    assert abs(fo.h1[-1]) < 1e-2
+    assert np.max((np.abs(h1) + np.abs(k1)) / np.log(grid)) < 4.0
+    assert abs(h1[-1]) < 1e-2
     # V-component slope approaches -2(m + omega)
-    slope = (fo.k1[-1] - fo.k1[0]) / (math.log(grid[-1]) - math.log(grid[0]))
+    slope = (k1[-1] - k1[0]) / (math.log(grid[-1]) - math.log(grid[0]))
     assert slope == pytest.approx(-2.0 * (P.m + P.omega), rel=0.05)
 
 
 def test_first_order_log_fit():
     # c > 0 and the residual bound are verify's first_order_log_law
-    fit = first_order_log_fit(P, TOL)
-    assert fit.c == pytest.approx(2.0 * (P.m + P.omega), rel=0.01)
+    fit = first_order_log_fit(P)
+    assert fit.c == pytest.approx(2.0 * (P.m + P.omega), rel=1e-4)
     assert fit.h1_sup < 1.0
+
+
+def test_li2_neg_matches_mpmath():
+    import mpmath
+
+    x = np.geomspace(1e-14, 1e14, 300)
+    got = _li2_neg(x)
+    want = np.array([float(mpmath.polylog(2, -mpmath.mpf(float(v)))) for v in x])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 5e-16  # 4.0e-16 measured
+
+
+def _closed_form_mp(p, r):
+    # the closed form of integrate_first_order in mpmath, at the working precision
+    import mpmath
+
+    r = mpmath.mpf(r)
+    t = r * r
+    d = t + 4
+    d2 = d * d
+    L, Ls = mpmath.log(t), mpmath.log1p(t / 4)
+    gm, gp = mpmath.mpf(p.m) - p.omega, mpmath.mpf(p.m) + p.omega
+    pu, pv = 2 * r * (12 - t) / d2, 4 * (4 - 3 * t) / d2
+    c1 = gm * t * (L * (t - 4) - 2 * d) / d2
+    c1 -= gp * (L * Ls + mpmath.polylog(2, -t / 4) + t * (2 * t + 8 - L * (3 * t + 4)) / d2)
+    c2 = -gm * t * (t - 4) / (2 * d2) + gp * (Ls / 2 - t * (3 * t + 4) / (2 * d2))
+    q = d / r
+    return c1 * pu + c2 * (2 * L * pu - q * pv), c1 * pv + c2 * (2 * L * pv + q * pu)
+
+
+@pytest.mark.parametrize("m", [0.01, 1.0, 10.0])
+def test_first_order_closed_form_in_double_matches_60_digits(m):
+    # no RuntimeWarning either: pytest turns them into errors
+    import mpmath
+
+    p = Params(m, 0.5 * m)
+    r = np.geomspace(1e-8, 1e8, 41)
+    fo = integrate_first_order(p, r)
+    with mpmath.workdps(60):
+        want = np.array([[float(x) for x in _closed_form_mp(p, v)] for v in r])
+    err = np.abs(fo.h1 - want[:, 0]) + np.abs(fo.k1 - want[:, 1])
+    assert np.max(err / (np.abs(want[:, 0]) + np.abs(want[:, 1]))) <= 2e-15  # 1.1e-15 measured
+
+
+def test_first_order_closed_form_solves_the_system_to_20_digits():
+    # mpmath's Taylor-series solve of the first-order system, started on the
+    # closed form at r = 1e-3, against the closed form at the same precision
+    # (4.5e-21 measured); its double evaluation is the test above
+    import mpmath
+
+    with mpmath.workdps(20):
+        gm, gp = mpmath.mpf(P.gap), mpmath.mpf(P.m + P.omega)
+
+        def f(x, s):
+            h1, k1 = s
+            d = 4 + x * x
+            u, v = 2 * x / d, 4 / d
+            return [-gm * v + 2 * u * v * h1 + (u * u + 3 * v * v) * k1 - h1 / x, -gp * u - 2 * u * v * k1 - (3 * u * u + v * v) * h1]
+
+        r0 = mpmath.mpf("1e-3")
+        sol = mpmath.odefun(f, r0, list(_closed_form_mp(P, r0)))
+        for r in (0.06, 0.5, 2.0, 5.0):
+            (h1, k1), want = sol(mpmath.mpf(r)), _closed_form_mp(P, r)
+            assert abs(h1 - want[0]) + abs(k1 - want[1]) <= 1e-18 * (abs(want[0]) + abs(want[1]))
+
+
+def test_first_order_closed_form_matches_the_series_start():
+    for r in (1e-4, 1e-3, 1e-2):
+        fo = integrate_first_order(P, r)
+        h, k = _first_order_start(P, r)
+        assert abs(fo.h1 - h) + abs(fo.k1 - k) <= 0.25 * r**3  # 0.219 r^3 measured
+
+
+def test_dp5_converges_to_the_first_order_closed_form():
+    # k1 at r = 1e6 off by 2.7e-10, 2.9e-12 and 3.0e-14 (relative)
+    want = float(integrate_first_order(P, 1e6).k1)
+    for rel in (1e-10, 1e-12, 1e-14):
+        got = _first_order_run(P, 1e6, rel=rel).y[-1, 1]
+        assert abs(got - want) <= 5.0 * rel * abs(want)
+
+
+def test_first_order_log_law_constants_are_exact():
+    # k1 = -2(m + omega) ln r + b + O(ln^2 r / r^2) with
+    # b = (m + omega)(3 + 2 ln 2) + (m - omega); 1.0e-12 measured at 1e8
+    for p in (P, Params(2.0, 0.6), Params(1.0, 0.1), Params(1.0, 0.9)):
+        gp, r = p.m + p.omega, 1e8
+        b = gp * (3.0 + 2.0 * math.log(2.0)) + p.gap
+        assert abs(float(integrate_first_order(p, r).k1) + 2.0 * gp * math.log(r) - b) < 1e-11
+
+
+def test_integrate_first_order_rejects_nonpositive_radii():
+    with pytest.raises(ValueError):
+        integrate_first_order(P, [0.0, 1.0])
+
+
+def _joint_start(p, r0):
+    return (*_first_order_start(p, r0), 0.0, 0.25 * (p.m * p.m - p.omega * p.omega) * r0 * r0)
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.05])
+def test_joint_flow_first_order_columns_match_the_closed_form(eps):
+    t = solve(_rhs_joint(eps, P), (TOL.r0, 1.0 / eps), _joint_start(P, TOL.r0), rel=TOL.rel, abs_tol=TOL.abs)
+    fo = integrate_first_order(P, t.r)
+    err = np.abs(t.y[:, 0] - fo.h1) + np.abs(t.y[:, 1] - fo.k1)
+    sup = np.max(np.abs(fo.h1) + np.abs(fo.k1))
+    assert np.max(err) <= 1e-9 * sup  # at most 6.3e-11 * sup measured at the step ends
+    # the r_eval samples between the step ends are off by 1.8e-8, about 300x the
+    # step-end error: the cubic Hermite of ROADMAP item 4; this guards against worse
+    rec = integrate_remainder(eps, P, TOL)
+    fo = integrate_first_order(P, rec.r)
+    assert np.max(np.abs(rec.h1 - fo.h1) + np.abs(rec.k1 - fo.k1)) < 1e-7
+
+
+@pytest.mark.parametrize("mw", [(1.0, 0.5), (2.0, 0.6), (1.0, 0.1), (1.0, 0.9)])
+def test_remainder_offset_is_exact(mw):
+    # h2 = mu^2 r (ln r - a) + o(r) with a = 2 + ln 2 + (m - omega)/(2(m + omega))
+    # (see remainder_bound_constant); 1.8e-7 to 9.7e-7 measured at r = 1e6
+    p = Params(*mw)
+    eps = 1e-6
+    t = solve(_rhs_joint(eps, p), (TOL.r0, 1.0 / eps), _joint_start(p, TOL.r0), rel=TOL.rel, abs_tol=TOL.abs)
+    r, h2 = t.r[-1], t.y[-1, 2]
+    a = 2.0 + math.log(2.0) + p.gap / (2.0 * (p.m + p.omega))
+    assert abs(h2 / r - remainder_bound_constant(p) * (math.log(r) - a)) < 2e-6
 
 
 def test_remainder_initial_conditions_and_crosscheck():

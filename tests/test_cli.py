@@ -210,9 +210,10 @@ def test_asymptotics_integrates_the_rescaled_flow_once_per_epsilon(monkeypatch):
     # per eps (f calls, nfev) of the joint flow, of the rescaled run to the
     # nearer end and of the one to the farther end, which evaluates f at its
     # start and on its steps past the shared ones: all of the nearer run's
-    # steps but its landing one; the log-law fit's run comes last
-    assert len(steps) == 3 * len(eps) + 1
-    for joint, near, far in zip(*[iter(steps[:-1])] * 3):
+    # steps but its landing one; the log-law fit reads the closed form and
+    # integrates nothing
+    assert len(steps) == 3 * len(eps)
+    for joint, near, far in zip(*[iter(steps)] * 3):
         assert joint[0] == joint[1] and near[0] == near[1]
         assert far[0] == 2 + far[1] - (near[1] - 6)
 

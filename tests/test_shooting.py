@@ -226,16 +226,18 @@ def test_degenerate_bracket_returns_immediately():
 
 
 def test_decay_fit_exact_exponential():
+    # the K0 tail model e^(-mu r)/sqrt(r) is fitted exactly
     r = np.linspace(1.0, 10.0, 200)
-    vals = 3.0 * np.exp(-0.4 * r)
+    vals = 3.0 * np.exp(-0.4 * r) / np.sqrt(r)
     traj = Trajectory(r, np.column_stack([vals / 2.0, vals / 2.0]), (), "completed")
     slope = decay_fit(traj, (1.0, 10.0))
     assert slope == pytest.approx(-0.4, abs=1e-6)
 
 
 def test_decay_fit_constant_is_flat():
+    # mu = 0: the 1/sqrt(r) prefactor alone has slope 0
     r = np.linspace(1.0, 5.0, 50)
-    traj = Trajectory(r, np.full((len(r), 2), 0.5), (), "completed")
+    traj = Trajectory(r, np.full((len(r), 2), 0.5) / np.sqrt(r)[:, None], (), "completed")
     assert decay_fit(traj, (1.0, 5.0)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -289,6 +291,14 @@ def test_search_needs_few_classifications(searched):
     # midpoints
     _, gs = searched
     assert len(gs.history) <= 11
+
+
+def test_decay_slope_reads_minus_mu(searched):
+    # the fit of log((|u| + |v|) sqrt(r)) reads the K0(mu r) tail's rate
+    # (off by 1.5% at worst here, at (1, 0.99))
+    p, gs = searched
+    mu = math.sqrt(p.m * p.m - p.omega * p.omega)
+    assert abs(gs.decay_slope + mu) <= 0.03 * mu
 
 
 def test_search_closes_the_bracket_to_its_target(searched):
