@@ -42,6 +42,10 @@ _STOP_REL = 0.1
 _N_TAIL = 256
 # bracket_search doubles the datum up to this multiple of its first one
 _MAX_FACTOR = 1e6
+# the loose tolerance of search trials and its two distances (see bisect)
+_LOOSE_TOL = 1e-7
+_DECIDE_REL = 1e-3
+_NEAR_REL = 1e-2
 
 VERDICT_A = "A"
 VERDICT_I = "I-candidate"
@@ -80,6 +84,7 @@ class Classification:
     # shooting function F = r (u K_v - v K_u) read at the trajectory's
     # closest approach; only integrated stop_at_first_node runs record it
     wronskian: float | None = None
+    tol: Tolerances | None = None  # the resolved tolerances of the run
 
     @property
     def certificate(self) -> Certificate | None:
@@ -228,7 +233,9 @@ def classify(
     approach to the origin (see _closest_approach_wronskian); it does not
     screen the capture certificate, so its certificate is None.  The steps
     do not depend on the events screened, so a trial takes the steps of the
-    full-horizon run up to its terminal event.
+    full-horizon run up to its terminal event.  The classification records
+    the resolved tolerances it ran at: a search runs its trials far from
+    lambda* at a looser one (see bisect), and its history shows which.
     """
     if lam <= 0.0:
         raise ValueError(f"datum must be positive, got {lam}")
@@ -244,13 +251,14 @@ def classify(
         note = f"float overflow at the series start: H = {H0}"
         evid = {"r": nan, "H": nan, "certificate": None, "note": note}
         summ = {"r_end": nan, "H_end": nan, "min_norm1": nan, "r_at_min": nan, "samples": 0}
-        return Classification(lam, VERDICT_UNDECIDED, 0, evid, summ, None)
+        return Classification(lam, VERDICT_UNDECIDED, 0, evid, summ, None, tol=tol)
     if H0 < -tol.delta:
         # the datum starts inside the capture region and H only decreases
         ev = Event(EventKind.ENTERED_NEGATIVE_ENERGY, r0, y0)
         traj = Trajectory(np.array([r0]), np.array([y0]), (ev,), "event:entered_negative_energy")
         evid, summ = {"r": r0, "H": H0, "certificate": None}, _summary(traj, p)
-        return Classification(lam, VERDICT_A, 0, evid, summ, traj if keep_trajectory else None)
+        traj = traj if keep_trajectory else None
+        return Classification(lam, VERDICT_A, 0, evid, summ, traj, tol=tol)
 
     g, dets = _events(p, tol, stop_at_first_node)
     try:
@@ -261,7 +269,7 @@ def classify(
         summ = _summary(traj, p) if traj is not None and len(traj) else {}
         nodes = traj.nodes_before() if traj is not None else 0
         return Classification(
-            lam, VERDICT_UNDECIDED, nodes, ev, summ, traj if keep_trajectory else None
+            lam, VERDICT_UNDECIDED, nodes, ev, summ, traj if keep_trajectory else None, tol=tol
         )
 
     cert = _certificate_from_events(traj, p)
@@ -286,7 +294,24 @@ def classify(
             verdict = VERDICT_UNDECIDED
             evid["note"] = "horizon reached"
 
-    return Classification(lam, verdict, k, evid, summ, traj if keep_trajectory else None, wronskian)
+    traj = traj if keep_trajectory else None
+    return Classification(lam, verdict, k, evid, summ, traj, wronskian, tol)
+
+
+def _trial(lam: float, p: Params, tol: Tolerances, history: list) -> Classification:
+    """Classify a search trial, loose where the policy of bisect allows, and
+    append the run that decides its side to the search's history."""
+    loose = replace(tol, rel=max(tol.rel, _LOOSE_TOL), abs=max(tol.abs, _LOOSE_TOL))
+    near = any(h.summary.get("min_norm1", math.inf) < _NEAR_REL * h.lam for h in history)
+    if loose != tol and not near:
+        c = classify(lam, p, loose, stop_at_first_node=True)
+        decided = c.verdict != VERDICT_UNDECIDED or c.node_count >= 1
+        if decided and c.summary["min_norm1"] >= _DECIDE_REL * lam:
+            history.append(c)
+            return c
+    c = classify(lam, p, tol, stop_at_first_node=True)
+    history.append(c)
+    return c
 
 
 def bracket_search(p: Params, tol: Tolerances) -> Bracket:
@@ -295,7 +320,8 @@ def bracket_search(p: Params, tol: Tolerances) -> Bracket:
     Starts at sqrt(2(m-omega)) (guaranteed captured without nodes) and
     doubles until a trajectory shows a sign change of v.  If that first
     datum is undecided, the horizon is too short to classify anything and
-    the search stops there.
+    the search stops there.  Each datum is a search trial, run at the
+    loose tolerance far from the origin's saddle (see bisect).
     """
     tol = tol.resolved(p)
     lam0 = math.sqrt(2.0 * p.gap)
@@ -303,8 +329,7 @@ def bracket_search(p: Params, tol: Tolerances) -> Bracket:
     history: list[Classification] = []
     last_a0 = None
     while lam <= _MAX_FACTOR * lam0:
-        c = classify(lam, p, tol, stop_at_first_node=True)
-        history.append(c)
+        c = _trial(lam, p, tol, history)
         if c.node_count >= 1:
             if last_a0 is None:
                 raise BracketError(
@@ -462,13 +487,27 @@ def bisect(
     so no search takes more than 2 n_max trials.  The loop stops when
     hi - lo <= target = max(lambda_tol, 0.1 tol.rel hi), or at one ulp if
     that is finer.  A node-free trial that reaches the eta tube (a
-    connection) is the lower end like any node-free one, and one closing
-    trial at min(lo + target/2, (lo + hi)/2) ends the search.  The profile
-    is that connection, else the candidate of least closest approach among
-    the trials at lo and hi and the regula falsi root of F on the final
-    bracket (one more trial), each cut at its first sign change of v;
-    truncated there, it is continued with the matched decay tail.  So a
-    search runs no full-horizon integration.
+    connection) is the lower end like any node-free one, and a closing
+    trial at min(lo + target/2, (lo + hi)/2) follows; where the eta tube is
+    wider than the target it connects too, and midpoints close the rest.
+    The profile is the last connection, else the candidate of least closest
+    approach among the trials at lo and hi and the regula falsi root of F on
+    the final bracket (one more trial), each cut at its first sign change
+    of v; truncated there, it is continued with the matched decay tail.  So
+    a search runs no full-horizon integration.
+
+    A trajectory's side is settled where it passes the saddle at the
+    origin, so a trial far from it cannot change sides through an error
+    much smaller than that distance.  A trial (here and in bracket_search)
+    runs at rel = abs = max(tol, _LOOSE_TOL = 1e-7), never tighter than tol,
+    and decides its side if it ended on a node, a capture or the eta tube
+    with min |u| + |v| >= _DECIDE_REL lambda = 1e-3 lambda; any other runs
+    again at tol, and only that run enters the history.  Once a trial came
+    within _NEAR_REL lambda = 1e-2 lambda of the origin, every later one
+    runs at tol, so the connection, the closing trials and the candidates
+    (a loose one runs again) are runs at tol.  At a loose 1e3 tol.rel
+    instead of the floor, trials of (4, 1) at rel = 1e-6 came out node-free
+    2e-2 lambda from the origin where the runs at tol have a node.
     """
     tol = tol.resolved(p)
     lo, hi = bracket.lo, bracket.hi
@@ -483,13 +522,14 @@ def bisect(
     target0 = max(lambda_tol, _STOP_REL * tol.rel * hi)
     n_max = math.ceil(math.log2(max((hi - lo) / target0, 1.0))) + 1
 
+    closing = False
     for j in range(_MAX_BISECT_ITER):
         target = max(lambda_tol, _STOP_REL * tol.rel * hi)
         if hi - lo <= target:
             break
-        closing = connection is not None
-        if closing:
-            lam = min(lo + 0.5 * target, 0.5 * (lo + hi))
+        if connection is not None:
+            lam = 0.5 * (lo + hi) if closing else min(lo + 0.5 * target, 0.5 * (lo + hi))
+            closing = True
         elif j < n_max:
             lam = _secant(*latest)
             if lam is None or not lo < lam < hi:
@@ -498,8 +538,7 @@ def bisect(
             lam = 0.5 * (lo + hi)
         if not lo < lam < hi:
             break
-        c = trials[lam] = classify(lam, p, tol, stop_at_first_node=True)
-        history.append(c)
+        c = trials[lam] = _trial(lam, p, tol, history)
         if c.verdict == VERDICT_UNDECIDED and c.node_count == 0:
             # undecided without a node: retry once on a doubled horizon,
             # then count as a lower point while the energy stayed positive
@@ -513,15 +552,16 @@ def bisect(
         else:
             converged = converged and c.verdict != VERDICT_UNDECIDED
             lo, f_lo = lam, c.wronskian
-        if closing:
-            break
 
-    # the root's trial decides no side, so it stays out of the history
+    # the root's trial decides no side, so it stays out of the history;
+    # every candidate is a run at tol
     probes = {lo, hi, _regula_falsi(lo, hi, f_lo, f_hi)} if connection is None else {connection}
-    candidates = [
-        _before_first_node(trials.get(x) or classify(x, p, tol, stop_at_first_node=True), p)
-        for x in sorted(probes)
-    ]
+    candidates = []
+    for x in sorted(probes):
+        c = trials.get(x)
+        if c is None or c.tol != tol:
+            c = classify(x, p, tol, stop_at_first_node=True)
+        candidates.append(_before_first_node(c, p))
     ideal = [c for c in candidates if c.verdict == VERDICT_I and c.node_count == 0]
     best = ideal[0] if ideal else min(candidates, key=lambda c: c.summary["min_norm1"])
 

@@ -310,6 +310,81 @@ def test_search_closes_the_bracket_to_its_target(searched):
     assert gs.bracket_width <= 0.1 * TOL.rel * gs.lambda_star
 
 
+def test_bracket_closes_after_a_second_connection():
+    # at omega/m = 0.999 the eta tube is wider than the target: the closing
+    # trial at lo + target/2 connects too, and midpoints close the rest (the
+    # search that stopped there reported 6.45e-10 against 6.98e-13)
+    gs = ground_state(Params(1.0, 0.999), TOL)
+    assert sum(c.verdict == "I-candidate" for c in gs.history) >= 2
+    assert gs.bracket_width <= 0.1 * TOL.rel * gs.lambda_star
+    assert gs.converged and gs.node_count == 0
+
+
+def _ran_loose(gs, p, tol):
+    return [c for c in gs.history if c.tol != tol.resolved(p)]
+
+
+@pytest.mark.parametrize("rel", [1e-8, 1e-12])
+@pytest.mark.parametrize("mw", SEARCH_POINTS, ids=lambda mw: f"{mw[0]}-{mw[1]}")
+def test_loose_trials_decide_as_full_tolerance_runs(mw, rel):
+    # a trial far from the origin's saddle decides its side at the loose
+    # tolerance; the run at tol gives the same node verdict at its datum
+    p, tol = Params(*mw), Tolerances(rel=rel, abs=rel)
+    gs = ground_state(p, tol)
+    assert gs.converged and gs.node_count == 0
+    loose = _ran_loose(gs, p, tol)
+    assert loose and all(c.tol.rel == c.tol.abs == 1e-7 for c in loose)
+    for c in loose:
+        full = classify(c.lam, p, tol, stop_at_first_node=True, keep_trajectory=False)
+        assert (c.verdict, c.node_count) == (full.verdict, full.node_count)
+
+
+@pytest.mark.parametrize("rel", [1e-7, 1e-6])
+def test_no_trial_runs_loose_at_or_above_the_floor(rel):
+    p, tol = P, Tolerances(rel=rel, abs=rel)
+    gs = ground_state(p, tol)
+    assert gs.history and not _ran_loose(gs, p, tol)
+
+
+@pytest.mark.parametrize(
+    "mw, lam", [((1.0, 0.999), 0.06978687625), ((4.0, 1.0), None)], ids=["1-0.999", "4-1"]
+)
+def test_loose_floor_keeps_the_search_at_rel_1e_6(mw, lam):
+    # with the loose trials at 1e3 tol.rel instead of max(tol.rel, 1e-7),
+    # trials of (4, 1) came out node-free where the runs at tol have a node,
+    # and the search raised DecayWindowError
+    gs = ground_state(Params(*mw), Tolerances(rel=1e-6, abs=1e-6))
+    assert gs.converged and gs.node_count == 0
+    if lam is not None:
+        assert abs(gs.lambda_star / lam - 1.0) <= 1e-9
+
+
+def test_loose_trials_cut_the_rhs_calls_of_a_search(monkeypatch):
+    # every RHS call of one search at (1, 0.5), counted by a wrapper without
+    # the flow's formula so that solve calls it at every stage (see
+    # test_stats_count_every_rhs_call).  With every trial at tol the same
+    # count read 7,290 (this test against the search before its loose
+    # trials, rel = abs = 1e-10)
+    from diracshoot import shooting
+
+    real, calls = shooting.radial_flow, 0
+
+    def counted_flow(p):
+        f = real(p)
+
+        def counted(r, y):
+            nonlocal calls
+            calls += 1
+            return f(r, y)
+
+        return counted
+
+    monkeypatch.setattr(shooting, "radial_flow", counted_flow)
+    gs = ground_state(P, TOL)
+    assert gs.converged
+    assert calls <= 0.85 * 7290
+
+
 def test_useless_wronskian_falls_back_to_midpoints(monkeypatch):
     # F a constant carrying the verdict's sign, 1e3 times larger on nodal
     # data: each secant step then moves lo by a thousandth of the width, as
