@@ -2,6 +2,8 @@
 two-dimensional focusing cubic Dirac equation, with the blow-up rescaling
 analysis and remainder estimates exposed as testable operations."""
 
+import types
+
 from .asymptotics import (
     EpsilonStudy,
     FirstOrderSamples,
@@ -60,55 +62,9 @@ from .shooting import (
     universal_constant,
 )
 
-__all__ = [
-    "AttractionReport",
-    "Bracket",
-    "BracketError",
-    "Certificate",
-    "Classification",
-    "DecayWindowError",
-    "Detector",
-    "EpsilonStudy",
-    "Event",
-    "EventKind",
-    "FirstOrderSamples",
-    "GroundState",
-    "IntegrationError",
-    "LevelSet",
-    "LogLawFit",
-    "NotCapturedError",
-    "Params",
-    "PerturbationRecord",
-    "Tolerances",
-    "Trajectory",
-    "attraction_report",
-    "autonomous_flow",
-    "bisect",
-    "bracket_search",
-    "bubble",
-    "bubble_residual",
-    "certificate_check",
-    "classify",
-    "convergence_study",
-    "decay_fit",
-    "equilibria",
-    "extend_with_decay_tail",
-    "first_order_log_fit",
-    "ground_state",
-    "hamiltonian",
-    "hamiltonian_rate",
-    "integrate",
-    "integrate_first_order",
-    "integrate_remainder",
-    "integrate_rescaled",
-    "level_set",
-    "node_radius",
-    "r2h_rate",
-    "radial_flow",
-    "solve",
-    "stability_compare",
-    "taylor_start",
-    "universal_constant",
-]
+# the public names are those imported above, not listed a second time
+__all__ = sorted(
+    k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, types.ModuleType)
+)
 
 __version__ = "0.1.0"

@@ -105,7 +105,8 @@ class RunConfig:
         )
 
     def echo(self) -> dict:
-        return _jsonable(dataclasses.asdict(self))
+        # the fields are finite floats, ints, strings, None and float tuples
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
 # each config-file key names a RunConfig field; a tuple field (lambdas, epsilons)
@@ -151,9 +152,10 @@ def _jsonable(x):
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
-        if x.ndim == 1 and x.dtype.kind == "f":
-            return [None if v != v else v for v in x.tolist()]  # NaN -> None
-        return [_jsonable(v) for v in x.tolist()]
+        values = x.tolist()
+        if x.dtype.kind == "f" and not np.isnan(x).any():
+            return values  # no NaN to map to None
+        return [_jsonable(v) for v in values]
     if isinstance(x, enum.Enum):
         return x.value
     if isinstance(x, (np.floating, np.integer)):
@@ -515,6 +517,11 @@ def main(argv=None) -> int:
             raise ConfigError("classify needs at least one --lambda")
         if args.command == "asymptotics" and not cfg.epsilons:
             raise ConfigError("asymptotics needs at least one --epsilon")
+        # checked before the computation, which the failed write would waste
+        if cfg.out is not None and not Path(cfg.out).parent.is_dir():
+            raise ConfigError(f"output directory {str(Path(cfg.out).parent)!r} does not exist")
+        if cfg.out is not None and Path(cfg.out).is_dir():
+            raise ConfigError(f"output path {cfg.out!r} is a directory")
     except (ConfigError, ValueError, OSError) as err:
         print(f"diracshoot: error: {err}", file=sys.stderr)
         return 1

@@ -10,16 +10,17 @@ its crossing, from which callers compute any value there.  r_eval samples
 are interpolated with the same polynomial, in one array pass over the
 recorded step ends.
 
-The adaptive loop, with a sign screen of the event values, and the Hermite
-dense output are written once, in _DP54_SRC and _HERMITE_SRC, as
-per-component expressions over the tableau constants below; _dp54(n, k,
-flow, events) and _hermite(n) compile them once per key, as dataclasses
-builds __init__.  Loops over components or detectors in Python cost several
-times the arithmetic they perform; the expanded code keeps their operation
-order, so it is bitwise the loops.  A right-hand side or event function
-built by formula carries its source text: each stage evaluates the flow's
-formula in place of calling it, and the sign screen the event function's,
-bitwise the same way.
+The adaptive loop, with a sign screen of the event values, the bisection
+that refines a crossing and the Hermite dense output are written once, in
+_DP54_SRC, _REFINE_SRC and _HERMITE_SRC, as per-component expressions over
+the tableau constants below; _dp54(n, k, flow, events) compiles the loop and
+the bisection in one exec per key, and _hermite(n) the dense output, as
+dataclasses builds __init__.  Loops over components or detectors in Python
+cost several times the arithmetic they perform; the expanded code keeps
+their operation order, so it is bitwise the loops.  A right-hand side or
+event function built by formula carries its source text: each stage
+evaluates the flow's formula in place of calling it, and the sign screen
+and each bisection point the event function's, bitwise the same way.
 
 With a deterministic step control, runs of one start to two ends take the
 same steps up to the one that would land on the nearer end (only that step
@@ -34,6 +35,7 @@ import enum
 import functools
 import math
 import re
+import struct
 import types
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -117,7 +119,8 @@ class Trajectory:
     sample; its first two columns are the (u, v) plane for the 2-dimensional
     flows.  stats holds solve's counters in the DOPRI5 names: nfev
     (right-hand side evaluations), naccpt and nrejct (accepted and rejected
-    steps); it is empty for paths assembled outside solve."""
+    steps), and nbisect (event function evaluations that refine crossings);
+    it is empty for paths assembled outside solve."""
 
     r: np.ndarray
     y: np.ndarray
@@ -140,9 +143,15 @@ class Trajectory:
     def norm1(self) -> np.ndarray:
         return np.abs(self.u) + np.abs(self.v)
 
+    @functools.cached_property
+    def closest(self) -> int:
+        """Index of the sample of least |u| + |v|, the closest approach to
+        the origin; computed once per trajectory."""
+        return int(np.argmin(self.norm1))
+
     @property
     def final_state(self) -> tuple[float, float]:
-        return float(self.u[-1]), float(self.v[-1])
+        return tuple(self.y[-1, :2].tolist())
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind == kind]
@@ -192,14 +201,16 @@ def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, pause, [p
                             / (abs_tol + rel * (an# if an# > ay# else ay#))) ** 2]) / {n})
         if not err <= 1.0:  # a NaN error norm rejects the step
             nrejct += 1
-            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            fac = _SAFETY * err ** -0.2
+            h *= fac if fac > _MIN_FACTOR else _MIN_FACTOR
             continue
         naccpt += 1
         r = r_new
         [y#][ay#][a#] = [n#][an#][s#]
         nodes += (r, [n#][s#])
         # err <= 1 here, so the factor is at least _SAFETY > _MIN_FACTOR
-        h *= _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
+        fac = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** -0.2
+        h *= fac if fac < _MAX_FACTOR else _MAX_FACTOR
 ?        [q$] = g(r, ([y#]))
 ?        if [|p$ > 0.0 >= q$ or p$ < 0.0 <= q$]:
 ?            return "event", r, ([y#]), ([a#]), h, naccpt, nrejct, ([p$]), ([q$])
@@ -222,6 +233,30 @@ def hermite(row0, row1, r):
     return ([c00 * a# + c10 * h * fa# + c01 * b# + c11 * h * fb#])
 """
 
+# refine bisects the step between two rows for the crossing of value i from
+# its value lo at row0, down to a width relative to r, as runs below r = 1
+# need; hi_r stays on the crossed side so the event condition holds at the
+# reported point.  Each point r runs hermite's lines, which pass its value to
+# g.  It returns hi_r and the number of points.
+_REFINE_SRC = """
+def refine(g, row0, row1, i, direction, lo, abs_tol):
+    lo_r, hi_r, count = row0[0], row1[0], 0
+    while count < 80 and not hi_r - lo_r <= 4e-16 * abs(hi_r):
+        r = 0.5 * (lo_r + hi_r)
+HERMITE        value = ([q$])[i]
+        count += 1
+        if direction <= 0 and lo > 0.0 >= value or direction >= 0 and lo < 0.0 <= value:
+            hi_r = r
+            if abs(value) <= abs_tol:
+                break
+        else:
+            lo_r, lo = r, value
+    return hi_r, count
+"""
+_REFINE_SRC = _REFINE_SRC.replace("HERMITE", re.sub(
+    r"return (.*)", r"[q$] = g(r, \1)", re.sub(r"(?m)^(?=.)", "    ", _HERMITE_SRC.split(":\n")[1])
+))
+
 
 def _compile(src: str, n: int, k: int = 0):
     def expand(m):
@@ -230,9 +265,11 @@ def _compile(src: str, n: int, k: int = 0):
         return {"+": " + ", "|": " or "}[m[1]].join(terms) if m[1] else "".join(t + ", " for t in terms)
 
     src = re.sub(r"^\?(.*\n)", r"\1" if k else "", src.format(n=n), flags=re.M)
-    src = re.sub(r"\b_[ABCE]\d+\b", lambda m: repr(globals()[m[0]]), src)  # tableau as literals
-    exec(re.sub(r"\[([+|]?)(.*?)\]", expand, src, flags=re.S), globals(), ns := {})
-    return ns.popitem()[1]
+    # the tableau and the step-size factors as literals
+    src = re.sub(r"\b_([ABCE]\d+|SAFETY|M[AI][XN]_FACTOR)\b", lambda m: repr(globals()[m[0]]), src)
+    # a bracket expands when it holds an index, so [i] stays a subscript
+    exec(re.sub(r"\[([+|]?)([^]]*[#$][^]]*)\]", expand, src), globals(), ns := {})
+    return ns
 
 
 @functools.cache
@@ -268,17 +305,19 @@ def _words(text: str) -> set:
 
 @functools.cache
 def _dp54(n: int, k: int, flow: str | None, events: str | None):
-    """run for n components and k event values.  The formula of a flow
-    replaces each call [x#] = f(radius, ([arguments])) and that of an event
-    function the call [q$] = g(...), and their constants follow g among
-    run's arguments.  A name of either formula that is also a name of
-    _DP54_SRC, or one of its indexed names, would clobber the loop's value,
-    as would a constant of one formula that the other one assigns, so it
-    raises ValueError."""
-    src = _DP54_SRC
+    """(run, refine) for n components and k event values, refine None for
+    k = 0.  The formula of a flow replaces each call [x#] = f(radius,
+    ([arguments])) and that of an event function each call [q$] = g(...),
+    and their constants follow g among the arguments, the event function's
+    alone in refine's.  A name of either formula that is also a name of
+    _DP54_SRC or _REFINE_SRC, or one of their indexed names, would clobber
+    the loop's value, as would a constant of one formula that the other one
+    assigns, so it raises ValueError."""
+    src = _DP54_SRC + _REFINE_SRC
     # the loop's names outside its comments; a stem x# takes x0, x1, ...
     taken = _words(re.sub(r"(^|\s)#.*", "", src, flags=re.M).replace("$", "#"))
-    names, consts, params = [], [], ""
+    src = src if k else _DP54_SRC
+    names, consts, params = [], [], {"f": "", "g": ""}
     for callee, text in (("f", flow), ("g", events)):
         if text is None:
             continue
@@ -287,22 +326,26 @@ def _dp54(n: int, k: int, flow: str | None, events: str | None):
         ret = ret.removeprefix("return ")
         names.append({radius, state, *own, *_words(" ".join(x.split("=")[0] for x in [unpack, *body]))})
         consts.append(set(own))
-        params += "".join(c + ", " for c in own)
+        params[callee] = "".join(c + ", " for c in own)
         lines = [f"{radius} = \\4", unpack.removesuffix(state) + "(\\5)", *body, f"[\\2\\3] = {ret}"]
         stage = "".join(r"\1" + x + "\n" for x in lines)
         call = rf"^(\?? *)\[(\w+)([#$])\] = {callee}\((.+?), \((\[.+\])\)\)\n"
         src = re.sub(call, stage, src, flags=re.M)
-    src = src.replace("def run(f, g, ", "def run(f, g, " + params)
+    src = src.replace("def run(f, g, ", "def run(f, g, " + params["f"] + params["g"])
+    src = src.replace("def refine(g, ", "def refine(g, " + params["g"])
     mine = set().union(*names)
     indexed = {x for x in mine if x[-1].isdigit() and x.rstrip("0123456789") + "#" in taken}
     crossed = consts[0] & names[1] | consts[1] & names[0] if len(names) == 2 else set()
     clash = sorted(mine & taken | indexed | crossed)
     if clash:
         raise ValueError(f"formula names {clash} are also names of the loop or of the other formula")
-    return _compile(src, n, k)
+    ns = _compile(src, n, k)
+    return ns["run"], ns.get("refine")
 
 
-_hermite = functools.cache(functools.partial(_compile, _HERMITE_SRC))
+@functools.cache
+def _hermite(n: int):
+    return _compile(_HERMITE_SRC, n)["hermite"]
 
 
 def _crossed(g0: float, g1: float, direction: int) -> bool:
@@ -349,18 +392,19 @@ def solve(
     """Integrate y' = f(r, y) over r_span with event detection.
 
     g(r, y) returns the event values, one per detector in their order; it is
-    called at the start and per bisection point of a crossing, and evaluated
-    per accepted step, where the loop's sign screen inlines the source text
-    of a g built by formula.  Samples are recorded at every accepted step,
-    or exactly at the 1-D, strictly increasing r_eval within r_span when
-    given: a point equal to a step end takes the state there, any other is
-    interpolated in one pass from the recorded step ends with the Hermite
-    polynomial that refines events.  A terminal event truncates the trajectory at the
-    refined crossing; otherwise the run ends at r_span[1] with status
-    "completed".  The right-hand side is evaluated 2 + 6 (naccpt + nrejct)
-    times: at the start, for the initial step size and six times per step,
-    each a call of f unless f was built by formula, whose source text the
-    loop's stages inline.
+    called at the start and evaluated per accepted step and per bisection
+    point of a crossing, where the loop's sign screen and the bisection
+    inline the source text of a g built by formula.  Samples are recorded at
+    every accepted step, or exactly at the 1-D, strictly increasing r_eval
+    within r_span when given: a point equal to a step end takes the state
+    there, any other is interpolated in one pass from the recorded step ends
+    with the Hermite polynomial that refines events.  A terminal event
+    truncates the trajectory at the refined crossing; otherwise the run ends
+    at r_span[1] with status "completed".  The right-hand side is evaluated
+    2 + 6 (naccpt + nrejct) times: at the start, for the initial step size
+    and six times per step, each a call of f unless f was built by formula,
+    whose source text the loop's stages inline.  stats also counts in
+    nbisect the evaluations of g that refine the crossings.
 
     fork lets two runs of the same f, y0, tolerances, detectors and g to
     different ends share their steps: a fresh run to either end takes the
@@ -380,7 +424,7 @@ def solve(
     n = len(y)
     flow, consts = getattr(f, "formula", (None, ()))
     events, g_consts = getattr(g, "formula", (None, ())) if detectors else (None, ())
-    run, hermite = _dp54(n, len(detectors), flow, events), _hermite(n)
+    (run, refine), hermite = _dp54(n, len(detectors), flow, events), _hermite(n)
 
     grid = None
     if r_eval is not None:
@@ -402,7 +446,9 @@ def solve(
     def build(status_str, cut=None) -> Trajectory:
         # the samples are the nodes, the last one replaced by the terminal
         # crossing cut = (r_star, y_star) inside the last step
-        table = np.fromiter(nodes, float, len(nodes)).reshape(-1, w)
+        # one buffer of C doubles, which numpy reads in place (about twice
+        # as fast as np.fromiter over the list)
+        table = np.frombuffer(struct.pack(f"{len(nodes)}d", *nodes)).reshape(-1, w)
         rarr, arr = table[:, 0].copy(), table[:, 1 : n + 1].copy()
         if cut:
             rarr[-1], arr[-1] = cut
@@ -416,23 +462,24 @@ def solve(
             rarr, arr = pts, arr[j]
             j = j[inner]
             arr[inner] = np.transpose(hermite(table[j - 1].T, table[j].T, pts[inner]))
-        stats = {"nfev": 2 + 6 * (naccpt + nrejct), "naccpt": naccpt, "nrejct": nrejct}
+        stats = dict(nfev=2 + 6 * (naccpt + nrejct), naccpt=naccpt, nrejct=nrejct, nbisect=nbisect)
         return Trajectory(rarr, arr, tuple(events), status_str, stats)
 
-    h, naccpt, nrejct = _initial_step(f, r, y, k1, r_end, rel, abs_tol), 0, 0
+    h, naccpt, nrejct, nbisect = _initial_step(f, r, y, k1, r_end, rel, abs_tol), 0, 0, 0
     # what fixes the steps up to the first one that lands on an end
     start = (r, y, h, rel, abs_tol, tuple(detectors), g, flow, consts)
     pause = fork == []
     if fork:
         (begun, near), state = fork.pop()
         if begun == start and near <= r_end:
-            r, y, k1, h, naccpt, nrejct, g_prev, nodes, events, active = state
+            r, y, k1, h, naccpt, nrejct, nbisect, g_prev, nodes, events, active = state
     while True:
         status, r, y, k1, h, naccpt, nrejct, g0, g1 = run(
             f, g, *consts, *g_consts, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, pause, *g_prev
         )
         if status == "paused":
-            state = r, y, k1, h, naccpt, nrejct, g0, nodes.copy(), events.copy(), active.copy()
+            state = (r, y, k1, h, naccpt, nrejct, nbisect, g0,
+                     nodes.copy(), events.copy(), active.copy())
             fork.append(((start, r_end), state))
             pause, g_prev = False, g0
             continue
@@ -446,22 +493,9 @@ def solve(
         for i, det in enumerate(active):
             if det is None or not _crossed(g0[i], g1[i], det.direction):
                 continue
-            # bisect on the dense output down to a width relative to r, as
-            # runs below r = 1 need; hi_r stays on the crossed side so the
-            # event condition holds at the reported point
-            lo_r, hi_r, g_lo = a[0], b[0], g0[i]
-            for _ in range(80):
-                if hi_r - lo_r <= 4e-16 * abs(hi_r):
-                    break
-                mid = 0.5 * (lo_r + hi_r)
-                g_mid = g(mid, hermite(a, b, mid))[i]
-                if _crossed(g_lo, g_mid, det.direction):
-                    hi_r = mid
-                    if abs(g_mid) <= abs_tol:
-                        break
-                else:
-                    lo_r, g_lo = mid, g_mid
-            fired.append((hi_r, det))
+            r_star, count = refine(g, *g_consts, a, b, i, det.direction, g0[i], abs_tol)
+            nbisect += count
+            fired.append((r_star, det))
             if det.once:
                 active[i] = None
         for r_star, det in sorted(fired, key=lambda t: t[0]):

@@ -54,12 +54,15 @@ class Tolerances:
         """Fill in parameter-dependent defaults for delta and rmax.
 
         H >= -(m - omega)^2 / 4 everywhere, so a delta at or past that depth
-        of the energy well is one that no datum can reach: it raises.
+        of the energy well is one that no datum can reach: it raises.  An
+        instance with both set comes back as it is.
         """
         depth = p.gap ** 2 / 4.0
         if self.delta is not None and not self.delta < depth:
             raise ValueError(f"delta must be below the energy well's depth "
                              f"(m - omega)^2/4 = {depth:g}, got {self.delta:g}")
+        if self.delta is not None and self.rmax is not None:
+            return self
         delta = self.delta if self.delta is not None else 1e-8 * p.gap ** 2
         rmax = self.rmax if self.rmax is not None else 40.0 / p.gap
         return replace(self, delta=delta, rmax=rmax)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .equations import ENERGY, energy_constants, hamiltonian, radial_flow, radial_start
-from .integrator import Detector, Event, EventKind, IntegrationError, Trajectory, formula, integrate
+from .integrator import Detector, Event, EventKind, IntegrationError, Trajectory, formula, solve
 from .params import Params, Tolerances
 
 # the search stops at its width target (or at one ulp when that is finer)
@@ -157,21 +157,27 @@ def f(x, s, hm, hw, delta, eta, gap2, cap):
 """
 
 
+@functools.lru_cache(maxsize=16)
 def _events(p: Params, tol: Tolerances, stop_at_first_node: bool):
     """(g, detectors) of a shooting trial, which stops at its first node, or
-    of a full-horizon run.  Only the latter screens the capture certificate:
-    it bounds the sign changes after its radius, which a trial never
-    reaches."""
+    of a full-horizon run, at resolved tolerances; built once per key, as a
+    search runs many trials of one key.  Only the latter screens the capture
+    certificate: it bounds the sign changes after its radius, which a trial
+    never reaches."""
     consts = (*energy_constants(p), tol.delta, tol.eta)
-    dets = [
+    dets = (
         Detector(EventKind.V_SIGN_CHANGE, terminal=stop_at_first_node),
         Detector(EventKind.ENTERED_NEGATIVE_ENERGY, direction=-1, terminal=True),
         Detector(EventKind.NORM_BELOW_ETA, direction=-1, terminal=True),
-    ]
+    )
     if stop_at_first_node:
         return formula(_TRIAL, *consts), dets
     certificate = Detector(EventKind.CERTIFICATE_FIRED, direction=1, once=True)
-    return formula(_FULL, *consts, 2.0 * p.gap, universal_constant(p)), [*dets, certificate]
+    return formula(_FULL, *consts, 2.0 * p.gap, universal_constant(p)), (*dets, certificate)
+
+
+# the radial flow of p, bound once per search like _events
+_flow = functools.lru_cache(maxsize=16)(radial_flow)
 
 
 def _certificate_from_events(traj: Trajectory, p: Params) -> Certificate | None:
@@ -184,19 +190,19 @@ def _certificate_from_events(traj: Trajectory, p: Params) -> Certificate | None:
 def _closest_approach_wronskian(traj: Trajectory, p: Params) -> float:
     """F = r (u K_v - v K_u) at the sample of least |u| + |v| (the closest
     approach that _summary reports); F changes sign with lambda - lambda*."""
-    i = int(np.argmin(traj.norm1))
-    r = float(traj.r[i])
+    i = traj.closest
+    r, (u, v) = float(traj.r[i]), traj.y[i, :2].tolist()
     bu, bv = _tail_basis(r, p)
-    return r * (float(traj.u[i]) * float(bv) - float(traj.v[i]) * float(bu))
+    return r * (u * float(bv) - v * float(bu))
 
 
 def _summary(traj: Trajectory, p: Params) -> dict:
-    n1 = traj.norm1
-    i = int(np.argmin(n1))
+    i = traj.closest
+    u, v = traj.y[i, :2].tolist()
     return {
         "r_end": float(traj.r[-1]),
         "H_end": hamiltonian(traj.final_state, p),
-        "min_norm1": float(n1[i]),
+        "min_norm1": abs(u) + abs(v),
         "r_at_min": float(traj.r[i]),
         "samples": len(traj),
     }
@@ -262,7 +268,7 @@ def classify(
 
     g, dets = _events(p, tol, stop_at_first_node)
     try:
-        traj = integrate(radial_flow, (r0, y0), p, tol, detectors=dets, r_end=rmax, g=g)
+        traj = solve(_flow(p), (r0, rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g)
     except IntegrationError as err:
         traj = err.partial
         ev = {"r": float("nan"), "H": float("nan"), "certificate": None, "note": str(err)}
@@ -298,12 +304,19 @@ def classify(
     return Classification(lam, verdict, k, evid, summ, traj, wronskian, tol)
 
 
+@functools.lru_cache(maxsize=16)
+def _loose(tol: Tolerances) -> Tolerances | None:
+    """The loose tolerance of search trials at tol, None where it is tol."""
+    loose = replace(tol, rel=max(tol.rel, _LOOSE_TOL), abs=max(tol.abs, _LOOSE_TOL))
+    return None if loose == tol else loose
+
+
 def _trial(lam: float, p: Params, tol: Tolerances, history: list) -> Classification:
     """Classify a search trial, loose where the policy of bisect allows, and
     append the run that decides its side to the search's history."""
-    loose = replace(tol, rel=max(tol.rel, _LOOSE_TOL), abs=max(tol.abs, _LOOSE_TOL))
+    loose = _loose(tol)
     near = any(h.summary.get("min_norm1", math.inf) < _NEAR_REL * h.lam for h in history)
-    if loose != tol and not near:
+    if loose is not None and not near:
         c = classify(lam, p, loose, stop_at_first_node=True)
         decided = c.verdict != VERDICT_UNDECIDED or c.node_count >= 1
         if decided and c.summary["min_norm1"] >= _DECIDE_REL * lam:
@@ -372,26 +385,29 @@ def _bessel_k01(x):
     2014).  The largest x sets the step (the integrand narrows like
     1/sqrt(x)); the smallest sets the range (the integrand falls below
     e^-45 past sinh^2(t/2) = 22.5/x, plus 2 for the growth of cosh t).
-    Pairwise sums keep both within a few ulp on [1e-8, 700].
+    Pairwise sums keep both within a few ulp on [1e-8, 700].  A float x
+    takes the operations of a 0-d array in fewer numpy calls.
     """
-    x = np.asarray(x, dtype=float)
-    h = min(0.1, 0.7 / math.sqrt(float(x.max())))
-    t_end = 2.0 * math.asinh(math.sqrt(22.5 / float(x.min()))) + 2.0
+    scalar = isinstance(x, float)
+    lo, hi = (x, x) if scalar else (float(x.min()), float(x.max()))
+    h = min(0.1, 0.7 / math.sqrt(hi))
+    t_end = 2.0 * math.asinh(math.sqrt(22.5 / lo)) + 2.0
     size = math.ceil(t_end / h) + 1
-    s2, ch = _k01_nodes(h, 1 << (size - 1).bit_length())
-    e = np.exp(-2.0 * np.multiply.outer(x, s2[:size]))
-    e[..., 0] *= 0.5
+    m2s2, ch = _k01_nodes(h, 1 << (size - 1).bit_length())
+    e = np.exp(x * m2s2[:size] if scalar else np.multiply.outer(x, m2s2[:size]))
+    e.T[0] *= 0.5
     scale = h * np.exp(-x)
-    return scale * e.sum(axis=-1), scale * (e * ch[:size]).sum(axis=-1)
+    return scale * np.add.reduce(e, -1), scale * np.add.reduce(e * ch[:size], -1)
 
 
 @functools.lru_cache(maxsize=32)
 def _k01_nodes(h: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only sinh^2(t/2), cosh t at t = h * arange(size), a power of two."""
+    """Read-only -2 sinh^2(t/2), cosh t at t = h * arange(size), a power of
+    two; -2 scales exactly, so x times the first is -2 x sinh^2(t/2)."""
     t = h * np.arange(size)
-    s2, ch = np.sinh(0.5 * t) ** 2, np.cosh(t)
-    s2.flags.writeable = ch.flags.writeable = False
-    return s2, ch
+    m2s2, ch = -2.0 * np.sinh(0.5 * t) ** 2, np.cosh(t)
+    m2s2.flags.writeable = ch.flags.writeable = False
+    return m2s2, ch
 
 
 def _tail_basis(r, p: Params):
@@ -402,7 +418,7 @@ def _tail_basis(r, p: Params):
     Bessel pair comes from _bessel_k01, so no path needs more than numpy.
     """
     mu = math.sqrt(p.m * p.m - p.omega * p.omega)
-    k0, k1 = _bessel_k01(mu * np.asarray(r, dtype=float))
+    k0, k1 = _bessel_k01(mu * (r if isinstance(r, float) else np.asarray(r, dtype=float)))
     return mu * k1 / (p.m + p.omega), k0
 
 
@@ -417,7 +433,7 @@ def extend_with_decay_tail(
     an anchor at r_end leaves no room for it, and the profile ends there.
     """
     n1 = traj.norm1
-    i_c = max(int(np.argmin(n1)), 1)
+    i_c = max(traj.closest, 1)
     r_c = float(traj.r[i_c])
 
     window = (n1[: i_c + 1] <= 1e-2) & (traj.r[: i_c + 1] >= 0.5 * r_c)

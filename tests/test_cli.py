@@ -320,7 +320,7 @@ def test_readme_python_blocks_run_as_documented():
         exec(block, ns)
     printed = dict(re.findall(r"^(radial\.stats|gs\.lambda_star) +# (\{.*?\}|[\d.]+)", readme, re.M))
     assert printed == {
-        "radial.stats": "{'nfev': 2564, 'naccpt': 427, 'nrejct': 0}",
+        "radial.stats": "{'nfev': 2564, 'naccpt': 427, 'nrejct': 0, 'nbisect': 0}",
         "gs.lambda_star": "1.807896148637",
     }
     assert ns["radial"].stats == ast.literal_eval(printed["radial.stats"])
@@ -382,6 +382,25 @@ def test_invalid_settings_are_usage_errors(argv, capsys):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("diracshoot: error: ")
+
+
+def test_unwritable_output_path_fails_before_the_computation(tmp_path, monkeypatch, capsys):
+    # --out in a missing directory, or naming a directory, is checked with
+    # the settings, so no computation runs only for its result to be lost to
+    # a failed write
+    def computed(cfg):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli._RUNNERS, "classify", computed)
+    missing = tmp_path / "nonexistent" / "dir" / "x.json"
+    for out, message in [
+        (missing, f"output directory {str(missing.parent)!r} does not exist"),
+        (tmp_path, f"output path {str(tmp_path)!r} is a directory"),
+    ]:
+        assert cli.main(["classify", "--lambda", "0.5", "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.splitlines() == ["diracshoot: error: " + message]
+    assert not missing.parent.exists()
 
 
 def test_portrait_of_a_datum_that_is_not_captured_is_a_computation_failure():

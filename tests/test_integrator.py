@@ -239,8 +239,9 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
     over the detectors, taking each value from its own call of g and each
     step from _reference_step, and over the r_eval points, each the state at
     an equal step end or the scalar Hermite value on the first step ending
-    beyond it: the bitwise reference for the compiled loop.  A failure
-    raises IntegrationError with the partial run."""
+    beyond it: the bitwise reference for the compiled loop.  nbisect counts
+    the calls of g at bisection points.  A failure raises IntegrationError
+    with the partial run."""
     from diracshoot import integrator as I
 
     r_end = float(r_span[1])
@@ -251,7 +252,7 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
     active = list(detectors)
     g_prev = [g(r, y)[i] for i in range(len(active))]
     events = []
-    naccpt, nrejct = 0, 0
+    naccpt, nrejct, nbisect = 0, 0, 0
 
     def build(status, cut=None):
         R, Y, _ = zip(*nodes)
@@ -262,7 +263,7 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
             Y = [Y[j] if pt == R[j] else hermite(_row(*nodes[j - 1]), _row(*nodes[j]), pt)
                  for pt, j in zip(pts, js)]
             R = pts
-        stats = {"nfev": 2 + 6 * (naccpt + nrejct), "naccpt": naccpt, "nrejct": nrejct}
+        stats = {"nfev": 2 + 6 * (naccpt + nrejct), "naccpt": naccpt, "nrejct": nrejct, "nbisect": nbisect}
         R, Y = np.array(R, dtype=float), np.array(Y, dtype=float)
         return I.Trajectory(R, Y, tuple(events), status, stats)
 
@@ -295,6 +296,7 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
                         break
                     mid = 0.5 * (lo_r + hi_r)
                     g_mid = g(mid, hermite(_row(r, y, k1), _row(r_new, y_new, k7), mid))[i]
+                    nbisect += 1
                     if I._crossed(g_lo, g_mid, det.direction):
                         hi_r = mid
                         if abs(g_mid) <= abs_tol:
@@ -469,6 +471,37 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     r_fork = near.r[-2]
     for t, lo, hi in [(near, 0.0, r_fork), (near, r_fork, a), (far, a, 30.0)]:
         assert any(lo < e.r <= hi for e in t.events)
+
+
+def test_formula_event_function_is_called_only_at_the_start():
+    # the sign screen and the bisection both inline a g built by formula, so
+    # a counting wrapper that keeps the formula is called once per run, at
+    # the start, on a nodal full-horizon trial whose v-sign change and
+    # certificate are not terminal and whose capture is; the run is bitwise
+    # that of the called wrapper, which counts each accepted step and each
+    # bisection point
+    from diracshoot.equations import radial_start
+    from diracshoot.shooting import _events
+
+    g, dets = _events(P, TOL, False)
+    calls = 0
+
+    def counted(r, y):
+        nonlocal calls
+        calls += 1
+        return g(r, y)
+
+    counted.formula = g.formula
+    r0, y0 = radial_start(1.8078961486370915 + 3e-12, P, TOL)
+    kw = dict(rel=TOL.rel, abs_tol=TOL.abs, detectors=dets)
+    inlined = solve(RADIAL, (r0, TOL.rmax), y0, g=counted, **kw)
+    assert calls == 1
+    called = solve(RADIAL, (r0, TOL.rmax), y0, g=lambda r, y: counted(r, y), **kw)
+    _assert_same_run(inlined, called)
+    assert calls == 2 + called.stats["naccpt"] + called.stats["nbisect"]
+    assert inlined.status == "event:entered_negative_energy"
+    assert {e.kind for e in inlined.events} == set(EventKind) - {EventKind.NORM_BELOW_ETA}
+    assert inlined.stats["nbisect"] > 0
 
 
 def test_formula_name_clashing_with_the_loop_raises():

@@ -31,6 +31,11 @@ def test_tolerances_resolution():
     assert Tolerances(delta=0.0624).resolved(p).delta == 0.0624
     with pytest.raises(ValueError, match=r"depth \(m - omega\)\^2/4 = 0.0625"):
         Tolerances(delta=0.0625).resolved(p)
+    # every solver resolves its tolerances on entry, so a resolved instance
+    # comes back as it is, not copied; its delta is still checked
+    assert t.resolved(p) is t and t2.resolved(p) is t2
+    with pytest.raises(ValueError, match="depth"):
+        Tolerances(delta=0.0624, rmax=30.0).resolved(Params(1.0, 0.9))
 
 
 def test_tolerances_validation():
