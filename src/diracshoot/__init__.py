@@ -33,7 +33,6 @@ from .integrator import (
     EventKind,
     IntegrationError,
     Trajectory,
-    integrate,
     solve,
 )
 from .params import Params, Tolerances

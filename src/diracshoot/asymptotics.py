@@ -36,6 +36,8 @@ _LOG_FIT_R = np.geomspace(*_LOG_FIT_WINDOW, 200)
 _LOG_FIT_L = np.log(_LOG_FIT_R)
 _REMAINDER_N = 800
 _CONVERGENCE_N = 1024
+# the detector of every rescaled run, with g = v_sign
+_NODES = (Detector(EventKind.V_SIGN_CHANGE),)
 
 
 def bubble(r):
@@ -69,18 +71,18 @@ def integrate_rescaled(
     tol: Tolerances,
     r_end: float | None = None,
     r_eval=None,
-    detectors=(),
-    g=None,
     also=None,
 ) -> Trajectory | tuple[Trajectory, Trajectory]:
     """Integrate the rescaled system radial_flow(p, eps) from (0, 1) up to
-    r_end (default 1/eps).  Its energy hamiltonian((U, V), p, eps) is
-    non-increasing along the flow and bounded by its datum value <= 1.
+    r_end (default 1/eps), recording the sign changes of V as V_SIGN_CHANGE
+    events (a detector leaves the steps as they are).  Its energy
+    hamiltonian((U, V), p, eps) is non-increasing along the flow and bounded
+    by its datum value <= 1.
 
     also = (r_other, r_eval_other) returns the pair of this run and the run
-    to r_other sampled at r_eval_other, with the same detectors, from one
-    integration: the run to the nearer end goes first, and the other one
-    continues from its last step (see solve's fork)."""
+    to r_other sampled at r_eval_other from one integration: the run to the
+    nearer end goes first, and the other one continues from its last step
+    (see solve's fork)."""
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"need 0 <= eps < 1, got {eps}")
     if r_end is None and eps == 0.0:
@@ -92,8 +94,8 @@ def integrate_rescaled(
         y0=taylor_start(1.0, p, tol.r0, eps),
         rel=tol.rel,
         abs_tol=tol.abs,
-        detectors=detectors,
-        g=g,
+        detectors=_NODES,
+        g=v_sign,
     )
     if also is None:
         return run((tol.r0, end), r_eval=r_eval)
@@ -104,7 +106,7 @@ def integrate_rescaled(
 
 
 def node_radius(traj: Trajectory) -> float | None:
-    """First zero of V on a rescaled run with a V_SIGN_CHANGE detector, or None."""
+    """First zero of V on a rescaled run, or None."""
     hits = traj.events_of(EventKind.V_SIGN_CHANGE)
     return float(hits[0].r) if hits else None
 
@@ -351,17 +353,12 @@ def integrate_remainder(
     h1, k1 = joint.y[:, 0], joint.y[:, 1]
     h2, k2 = joint.y[:, 2], joint.y[:, 3]
 
-    # a detector leaves the steps as they are: a run stopped at the node
-    # agrees, and the run to T, which carries it too, shares them
-    nodes = [Detector(EventKind.V_SIGN_CHANGE)]
     sup_error = None
     if T is None:
-        resc = integrate_rescaled(eps, p, tol, r_eval=grid, detectors=nodes, g=v_sign)
+        resc = integrate_rescaled(eps, p, tol, r_eval=grid)
     else:
         grid_T = np.linspace(r0, float(T), _CONVERGENCE_N)
-        resc, to_T = integrate_rescaled(
-            eps, p, tol, r_eval=grid, detectors=nodes, g=v_sign, also=(T, grid_T)
-        )
+        resc, to_T = integrate_rescaled(eps, p, tol, r_eval=grid, also=(T, grid_T))
         u0, v0 = bubble(grid_T)
         sup_error = float(np.max(np.abs(to_T.y[:, 0] - u0) + np.abs(to_T.y[:, 1] - v0)))
     u0, v0 = bubble(grid)

@@ -48,12 +48,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    m: float = 1.0
-    omega: float = 0.5
-    tol_rel: float = 1e-10
-    tol_abs: float = 1e-10
-    r0: float = 1e-6
-    eta: float = 1e-8
+    m: float = Params.m
+    omega: float = Params.omega
+    tol_rel: float = Tolerances.rel
+    tol_abs: float = Tolerances.abs
+    r0: float = Tolerances.r0
+    eta: float = Tolerances.eta
     delta: float | None = None
     rmax: float | None = None
     lambdas: tuple[float, ...] = ()

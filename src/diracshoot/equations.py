@@ -6,9 +6,9 @@ The radial system for (u, v) with datum v(0) = lambda reads
     v'         = -(u^2 + v^2) u - (m + omega) u
 
 and is singular at r = 0.  Dropping the 1/r term gives the autonomous
-Hamiltonian system whose energy H confines every trajectory.  Each flow is
-a factory flow(p) returning f(r, s) with p's constants bound, the form that
-integrator.integrate takes; radial_flow(p)(r, s) evaluates it at one point.
+Hamiltonian system whose energy H confines every trajectory.  flow(p)
+returns the right-hand side f(r, s) with p's constants bound, which
+integrator.solve integrates; radial_flow(p)(r, s) evaluates it at one point.
 The blow-up rescaling (U, V)(r) = eps (u, v)(eps^2 r) gives back the same
 system with m and omega scaled by eps^2, so radial_flow, hamiltonian and
 taylor_start take eps (default 1) for it.  radial_flow is built by

@@ -42,8 +42,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .params import Params, Tolerances
-
 # Dormand-Prince 5(4) tableau
 _C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
 _A21 = 0.2
@@ -197,9 +195,12 @@ def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, pause, [p
         [s#] = f(r_new, ([n#]))
         [an#] = [abs(n#)]
         # the scale is max(ay#, an#), written out: ay# unless an# is larger
-        err = math.sqrt(([+(h * (_E1 * a# + _E3 * c# + _E4 * d# + _E5 * e# + _E6 * g# + _E7 * s#)
-                            / (abs_tol + rel * (an# if an# > ay# else ay#))) ** 2]) / {n})
-        if not err <= 1.0:  # a NaN error norm rejects the step
+        try:
+            err = math.sqrt(([+(h * (_E1 * a# + _E3 * c# + _E4 * d# + _E5 * e# + _E6 * g# + _E7 * s#)
+                                / (abs_tol + rel * (an# if an# > ay# else ay#))) ** 2]) / {n})
+        except OverflowError:  # a square past the float range, where ** raises
+            err = math.inf
+        if not err <= 1.0:  # an infinite or NaN error norm rejects the step
             nrejct += 1
             fac = _SAFETY * err ** -0.2
             h *= fac if fac > _MIN_FACTOR else _MIN_FACTOR
@@ -504,35 +505,3 @@ def solve(
             if det.terminal:
                 return build(f"event:{det.kind.value}", (r_star, y_star))
         g_prev = g1
-
-
-def integrate(
-    flow: Callable[[Params], Callable[[float, tuple], tuple]],
-    start: tuple[float, tuple[float, float]],
-    p: Params,
-    tol: Tolerances,
-    detectors: Sequence[Detector] = (),
-    r_end: float | None = None,
-    r_eval: Sequence[float] | None = None,
-    g: Callable[[float, tuple], tuple] | None = None,
-) -> Trajectory:
-    """Integrate the flow f = flow(p) from start = (r_start, (u, v)).
-
-    flow is a factory such as equations.radial_flow, called once to bind p;
-    detectors and g are solve's.  Runs up to r_end (default tol.rmax) or to
-    the first terminal event.  The radial flow raises for r <= 0, so it
-    cannot start at the origin.
-    """
-    tol = tol.resolved(p)
-    r_start, y_start = start
-    end = float(r_end) if r_end is not None else float(tol.rmax)
-    return solve(
-        flow(p),
-        (r_start, end),
-        y_start,
-        rel=tol.rel,
-        abs_tol=tol.abs,
-        detectors=detectors,
-        g=g,
-        r_eval=r_eval,
-    )

@@ -54,9 +54,13 @@ class Tolerances:
         """Fill in parameter-dependent defaults for delta and rmax.
 
         H >= -(m - omega)^2 / 4 everywhere, so a delta at or past that depth
-        of the energy well is one that no datum can reach: it raises.  An
+        of the energy well is one that no datum can reach: it raises, as does
+        an m - omega whose square, or 1e-8 of it, leaves the float range.  An
         instance with both set comes back as it is.
         """
+        if not 1e-150 < p.gap < 1e150:
+            raise ValueError(f"m - omega = {p.gap:g} must lie in (1e-150, 1e150), where the "
+                             f"default delta 1e-8 (m - omega)^2 is a positive finite float")
         depth = p.gap ** 2 / 4.0
         if self.delta is not None and not self.delta < depth:
             raise ValueError(f"delta must be below the energy well's depth "

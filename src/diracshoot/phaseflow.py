@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import autonomous_flow, radial_flow, radial_start
-from .integrator import Detector, EventKind, Trajectory, integrate, v_sign
+from .integrator import Detector, EventKind, Trajectory, solve, v_sign
 from .params import Params, Tolerances
 from .shooting import VERDICT_A, classify
 
@@ -118,8 +118,11 @@ def attraction_report(lam: float, p: Params, tol: Tolerances) -> AttractionRepor
         )
     entered_at = cls.evidence["r"]
 
+    tol = cls.tol  # resolved, so its rmax is the horizon
+    r0, y0 = radial_start(lam, p, tol)
     nodes = [Detector(EventKind.V_SIGN_CHANGE)]
-    traj = integrate(radial_flow, radial_start(lam, p, tol), p, tol, nodes, g=v_sign)
+    traj = solve(radial_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs,
+                 detectors=nodes, g=v_sign)
 
     v0 = math.sqrt(p.gap)
     u_end, v_end = traj.final_state
@@ -161,11 +164,8 @@ def stability_compare(
     if T == 0.0:
         return 0.0
     grid = np.linspace(0.0, float(T), _STABILITY_N)
-    auto = integrate(autonomous_flow, (0.0, start), p, tol, r_end=float(T), r_eval=grid)
-
-    def shifted_flow(p):
-        f = radial_flow(p)
-        return lambda r, s: f(r + rho, s)
-
-    shift = integrate(shifted_flow, (0.0, start), p, tol, r_end=float(T), r_eval=grid)
+    kw = dict(rel=tol.rel, abs_tol=tol.abs, r_eval=grid)
+    auto = solve(autonomous_flow(p), (0.0, T), start, **kw)
+    f = radial_flow(p)
+    shift = solve(lambda r, s: f(r + rho, s), (0.0, T), start, **kw)
     return float(np.max(np.abs(auto.y[:, 0] - shift.y[:, 0]) + np.abs(auto.y[:, 1] - shift.y[:, 1])))

@@ -25,7 +25,7 @@ from .equations import (
     radial_start,
     taylor_start,
 )
-from .integrator import integrate
+from .integrator import solve
 from .params import Params, Tolerances
 from .phaseflow import attraction_report, level_set, stability_compare
 from .shooting import VERDICT_A, classify, ground_state
@@ -71,8 +71,10 @@ def _check(module: str):
 
 @functools.cache
 def _radial_trajectory(lam, p, tol, r_end=None):
-    # a datum run to one end is shared by the radial-core checks that read it
-    return integrate(radial_flow, radial_start(lam, p, tol), p, tol, r_end=r_end)
+    # a datum run to one end (default the horizon) is shared by the radial-core checks
+    r0, y0 = radial_start(lam, p, tol)
+    end = tol.rmax if r_end is None else r_end
+    return solve(radial_flow(p), (r0, end), y0, rel=tol.rel, abs_tol=tol.abs)
 
 
 def _worst_rise(H, tol) -> float:
@@ -104,7 +106,7 @@ def check_confinement(p, tol):
 def check_sign_symmetry(p, tol):
     r0, y0 = radial_start(1.3, p, tol)
     a = _radial_trajectory(1.3, p, tol, r_end=20.0)
-    b = integrate(radial_flow, (r0, (-y0[0], -y0[1])), p, tol, r_end=20.0)
+    b = solve(radial_flow(p), (r0, 20.0), (-y0[0], -y0[1]), rel=tol.rel, abs_tol=tol.abs)
     # the flow is odd and every operation of a step commutes with negation,
     # so the mirrored run is the exact negative of the first
     d = float(np.max(np.abs(a.y + b.y)))
@@ -130,7 +132,7 @@ def check_rate_identities(p, tol):
 
 @_check("radial-core")
 def check_autonomous_conservation(p, tol):
-    t = integrate(autonomous_flow, (0.0, (0.3, 0.8)), p, tol, r_end=50.0)
+    t = solve(autonomous_flow(p), (0.0, 50.0), (0.3, 0.8), rel=tol.rel, abs_tol=tol.abs)
     H = hamiltonian((t.u, t.v), p)
     drift = float(np.max(np.abs(H - H[0])))
     limit = 1e3 * tol.abs
@@ -142,8 +144,9 @@ def check_taylor_consistency(p, tol):
     # integrating from r0/2 to r0 must reproduce the series start to O(r0^3)
     lam = 1.3
     diffs = []
+    f = radial_flow(p)
     for r0 in (1e-2, 5e-3):
-        t = integrate(radial_flow, (r0 / 2.0, taylor_start(lam, p, r0 / 2.0)), p, tol, r_end=r0)
+        t = solve(f, (r0 / 2.0, r0), taylor_start(lam, p, r0 / 2.0), rel=tol.rel, abs_tol=tol.abs)
         su, sv = taylor_start(lam, p, r0)
         diffs.append(abs(t.u[-1] - su) + abs(t.v[-1] - sv))
     ratio = diffs[0] / max(diffs[1], 1e-300)
@@ -252,14 +255,9 @@ def check_rescaling_commutation(p, tol):
     grid = functools.reduce(np.union1d, [np.linspace(r, 5.0, n) for r, n in spans])
     for eps in (0.5, 0.1):
         resc = asymptotics.integrate_rescaled(eps, p, tol, r_end=5.0, r_eval=grid)
-        rad = integrate(
-            radial_flow,
-            radial_start(1.0 / eps, p, tol),
-            p,
-            tol,
-            r_end=eps * eps * 5.0 * 1.01,
-            r_eval=eps * eps * grid,
-        )
+        r0, y0 = radial_start(1.0 / eps, p, tol)
+        rad = solve(radial_flow(p), (r0, eps * eps * 5.0 * 1.01), y0,
+                    rel=tol.rel, abs_tol=tol.abs, r_eval=eps * eps * grid)
         d = np.max(
             np.abs(eps * rad.y[:, 0] - resc.y[:, 0]) + np.abs(eps * rad.y[:, 1] - resc.y[:, 1])
         )

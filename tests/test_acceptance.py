@@ -19,10 +19,10 @@ from diracshoot import (
     classify,
     convergence_study,
     hamiltonian,
-    integrate,
     integrate_remainder,
     radial_flow,
     stability_compare,
+    solve,
     taylor_start,
     verify,
 )
@@ -113,7 +113,7 @@ def test_criterion_05_energy_monotonicity():
     for p, lam in _random_parameter_sample():
         tol = Tolerances(rmax=40.0).resolved(p)
         r0 = tol.r0 / max(1.0, lam * lam)
-        traj = integrate(radial_flow, (r0, taylor_start(lam, p, r0)), p, tol, r_end=40.0)
+        traj = solve(radial_flow(p), (r0, 40.0), taylor_start(lam, p, r0), rel=tol.rel, abs_tol=tol.abs)
         if len(traj) > 1:
             worst = max(worst, float(np.diff(hamiltonian((traj.u, traj.v), p)).max()))
     _report(5, worst < 1e-8, f"max per-step H increase {worst:.3e} < 1e-8")

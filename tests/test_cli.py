@@ -218,6 +218,60 @@ def test_asymptotics_integrates_the_rescaled_flow_once_per_epsilon(monkeypatch):
         assert far[0] == 2 + far[1] - (near[1] - 6)
 
 
+def test_asymptotics_and_verify_csv(tmp_path, monkeypatch):
+    # under the header one row per eps or per check; asymptotics numbers at
+    # 17 significant digits, so they read back exactly, and no ratio on the
+    # first row; --out holds render_csv of the envelope the command returned
+    import csv
+
+    from diracshoot import verify as verify_mod
+
+    envelopes = {}
+
+    def kept(run):
+        def runner(cfg):
+            envelopes[run.__name__] = run(cfg)
+            return envelopes[run.__name__]
+
+        return runner
+
+    for command in ("asymptotics", "verify"):
+        monkeypatch.setitem(cli._RUNNERS, command, kept(cli._RUNNERS[command]))
+    # the second check's detail holds a comma, which its quoted field keeps
+    checks = [verify_mod.check_equilibria, verify_mod.check_taylor_consistency]
+    monkeypatch.setattr(verify_mod, "ALL_CHECKS", checks)
+    asym, ver = tmp_path / "asym.csv", tmp_path / "verify.csv"
+    eps = ["--epsilon", "0.2", "--epsilon", "0.1"]
+    assert cli.main(["asymptotics", *eps, "--format", "csv", "--out", str(asym)]) == 0
+    assert cli.main(["verify", "--format", "csv", "--out", str(ver)]) == 0
+
+    env, text = envelopes["run_asymptotics"], asym.read_text()
+    assert text == cli.render_csv(env)
+    assert text.splitlines()[0] == cli.CSV_HEADERS["asymptotics"]
+    rows = list(csv.DictReader(text.splitlines()))
+    study, recs = env["payload"]["study"], env["payload"]["remainders"]
+    assert [row["ratio"] for row in rows] == ["", cli._fmt17(study["ratios"][0])]
+    for i, row in enumerate(rows):
+        expected = {
+            "epsilon": recs[i]["epsilon"],
+            "sup_error": study["sup_errors"][i],
+            "remainder_sup": recs[i]["sup_norm"],
+            "bound_limit": recs[i]["bound_limit"],
+            "crosscheck_rel": recs[i]["crosscheck_rel"],
+        }
+        for key, value in expected.items():
+            assert row[key] == format(value, ".17g") and float(row[key]) == value
+        assert row["threshold_ok"] == "true" and row["node_radius"] == ""
+
+    env, text = envelopes["run_verify"], ver.read_text()
+    assert text == cli.render_csv(env)
+    header, *rows = csv.reader(text.splitlines())
+    assert ",".join(header) == cli.CSV_HEADERS["verify"]
+    results = env["payload"]["checks"]
+    assert rows == [[r["name"], r["module"], "true", r["detail"]] for r in results]
+    assert len(rows) == len(checks) and "," in results[1]["detail"]
+
+
 @pytest.mark.parametrize("rmax", [10.0, 20.0])
 def test_profile_anchored_at_the_horizon_ends_there(rmax):
     # the closest approach lies at the horizon: no tail samples repeat r = rmax,
@@ -371,6 +425,9 @@ def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, di
         # at or past the energy well's depth (m - omega)^2/4 = 0.0625
         ["ground-state", "--delta", "0.0625"],
         ["classify", "--lambda", "1", "--delta", "0.07"],
+        # (m - omega)^2 overflows, or 1e-8 of it underflows to 0
+        ["ground-state", "--m", "1e160", "--omega", "5e159"],
+        ["ground-state", "--m", "1e-160", "--omega", "5e-161"],
     ],
 )
 def test_invalid_settings_are_usage_errors(argv, capsys):
@@ -401,6 +458,19 @@ def test_unwritable_output_path_fails_before_the_computation(tmp_path, monkeypat
         stdout, err = capsys.readouterr()
         assert stdout == "" and err.splitlines() == ["diracshoot: error: " + message]
     assert not missing.parent.exists()
+
+
+def test_error_norm_past_the_float_range_is_a_computation_failure(monkeypatch, capsys):
+    # at eps = 1e-31 the rescaled run's error norm overflows near r = 5.1e30
+    # (see test_integrator); the run ends on its step budget, which a lower
+    # budget reaches sooner, once the joint flow (1,677 steps) has completed
+    from diracshoot import integrator
+
+    monkeypatch.setattr(integrator, "_MAX_STEPS", 2500)
+    assert cli.main(["asymptotics", "--epsilon", "1e-31"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("diracshoot: computation failed: step budget exhausted at r=5.1")
 
 
 def test_portrait_of_a_datum_that_is_not_captured_is_a_computation_failure():

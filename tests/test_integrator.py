@@ -12,7 +12,6 @@ from diracshoot import (
     Tolerances,
     autonomous_flow,
     hamiltonian,
-    integrate,
     radial_flow,
     solve,
     taylor_start,
@@ -22,6 +21,7 @@ from diracshoot.integrator import formula, v_sign
 P = Params(1.0, 0.5)
 TOL = Tolerances().resolved(P)
 RADIAL = radial_flow(P)
+KW = dict(rel=TOL.rel, abs_tol=TOL.abs)
 NODE = Detector(EventKind.V_SIGN_CHANGE)  # with g=v_sign
 STOP = Detector(EventKind.V_SIGN_CHANGE, terminal=True)
 
@@ -39,7 +39,7 @@ def test_matches_scipy_on_radial():
         dense_output=True,
     )
     grid = np.linspace(0.5, 29.5, 200)
-    traj = integrate(radial_flow, (1e-6, y0), P, TOL, r_end=30.0, r_eval=grid)
+    traj = solve(RADIAL, (1e-6, 30.0), y0, r_eval=grid, **KW)
     ref_vals = ref.sol(grid)
     err = np.max(np.abs(traj.y[:, 0] - ref_vals[0]) + np.abs(traj.y[:, 1] - ref_vals[1]))
     assert err < 1e-6
@@ -50,7 +50,7 @@ def test_event_location_matches_scipy():
     r0 = 1e-6 / lam ** 2
     y0 = taylor_start(lam, P, r0)
     det = [Detector(EventKind.V_SIGN_CHANGE)]
-    traj = integrate(radial_flow, (r0, y0), P, TOL, det, r_end=10.0, g=lambda r, y: (y[1],))
+    traj = solve(RADIAL, (r0, 10.0), y0, detectors=det, g=lambda r, y: (y[1],), **KW)
     mine = [e.r for e in traj.events_of(EventKind.V_SIGN_CHANGE)]
 
     def ev(r, y):
@@ -71,7 +71,7 @@ def test_event_location_matches_scipy():
 
 def test_equilibrium_stays_fixed():
     v0 = math.sqrt(P.gap)
-    traj = integrate(autonomous_flow, (0.0, (0.0, v0)), P, TOL, r_end=20.0)
+    traj = solve(autonomous_flow(P), (0.0, 20.0), (0.0, v0), **KW)
     assert np.max(np.abs(traj.y[:, 0])) < 1e-9
     assert np.max(np.abs(traj.y[:, 1] - v0)) < 1e-9
 
@@ -79,7 +79,7 @@ def test_equilibrium_stays_fixed():
 def test_confinement_level_set():
     for lam in (0.6, 1.4, 2.3):
         r0 = 1e-6 / max(1.0, lam * lam)
-        traj = integrate(radial_flow, (r0, taylor_start(lam, P, r0)), P, TOL)
+        traj = solve(RADIAL, (r0, TOL.rmax), taylor_start(lam, P, r0), **KW)
         assert hamiltonian((traj.u, traj.v), P).max() <= hamiltonian((0.0, lam), P) + TOL.abs
 
 
@@ -87,33 +87,28 @@ def test_shifted_approaches_autonomous():
     # (0, 1) sits on the separatrix, which amplifies the O(1/rho)
     # perturbation by roughly e^(mu T) ~ 6e3 over T = 10
     grid = np.linspace(0.0, 10.0, 200)
-    auto = integrate(autonomous_flow, (0.0, (0.0, 1.0)), P, TOL, r_end=10.0, r_eval=grid)
-
-    def shifted_flow(p):
-        f = radial_flow(p)
-        return lambda r, s: f(r + 1e6, s)
-
-    sh = integrate(shifted_flow, (0.0, (0.0, 1.0)), P, TOL, r_end=10.0, r_eval=grid)
+    auto = solve(autonomous_flow(P), (0.0, 10.0), (0.0, 1.0), r_eval=grid, **KW)
+    sh = solve(lambda r, s: RADIAL(r + 1e6, s), (0.0, 10.0), (0.0, 1.0), r_eval=grid, **KW)
     dev = np.max(np.abs(auto.y - sh.y))
     assert dev < 1e-3
 
 
 def test_r_eval_sampling_and_monotonicity():
     grid = [0.5, 1.0, 2.0, 5.0]
-    traj = integrate(radial_flow, (1e-6, taylor_start(1.0, P, 1e-6)), P, TOL, r_eval=grid, r_end=10.0)
+    traj = solve(RADIAL, (1e-6, 10.0), taylor_start(1.0, P, 1e-6), r_eval=grid, **KW)
     assert np.allclose(traj.r, grid)
     assert np.all(np.diff(traj.r) > 0)
 
 
 def test_strictly_increasing_r():
-    traj = integrate(radial_flow, (1e-6, taylor_start(1.5, P, 1e-6)), P, TOL, r_end=30.0)
+    traj = solve(RADIAL, (1e-6, 30.0), taylor_start(1.5, P, 1e-6), **KW)
     assert np.all(np.diff(traj.r) > 0)
 
 
 def test_terminal_event_truncates():
     det = [Detector(EventKind.ENTERED_NEGATIVE_ENERGY, direction=-1, terminal=True)]
-    start = (1e-6, taylor_start(1.0, P, 1e-6))
-    traj = integrate(radial_flow, start, P, TOL, det, g=lambda r, y: (hamiltonian(y, P) + TOL.delta,))
+    g = lambda r, y: (hamiltonian(y, P) + TOL.delta,)  # noqa: E731
+    traj = solve(RADIAL, (1e-6, TOL.rmax), taylor_start(1.0, P, 1e-6), detectors=det, g=g, **KW)
     assert traj.status == "event:entered_negative_energy"
     ev = traj.events[-1]
     assert hamiltonian(ev.y, P) <= -TOL.delta  # crossed-side reporting
@@ -123,22 +118,22 @@ def test_terminal_event_truncates():
 def test_event_carries_crossing_state():
     lam = 2.0
     r0 = 1e-6 / lam ** 2
-    start = (r0, taylor_start(lam, P, r0))
+    y0 = taylor_start(lam, P, r0)
     # a terminal event's state is the trajectory's last sample, bit for bit
-    traj = integrate(radial_flow, start, P, TOL, [STOP], g=v_sign)
+    traj = solve(RADIAL, (r0, TOL.rmax), y0, detectors=[STOP], g=v_sign, **KW)
     ev = traj.events[-1]
     assert ev.kind == EventKind.V_SIGN_CHANGE
     assert ev.r == traj.r[-1]
     assert np.array_equal(np.array(ev.y), traj.y[-1])
     # a non-terminal v-sign event sits on v = 0
-    traj = integrate(radial_flow, start, P, TOL, [NODE], r_end=5.0, g=v_sign)
+    traj = solve(RADIAL, (r0, 5.0), y0, detectors=[NODE], g=v_sign, **KW)
     ev = traj.events_of(EventKind.V_SIGN_CHANGE)[0]
     assert len(ev.y) == 2
     assert abs(ev.y[1]) <= 1e-9
 
 
 def test_run_to_r_end_completes_without_event():
-    traj = integrate(autonomous_flow, (0.0, (0.1, 0.1)), P, TOL, r_end=5.0)
+    traj = solve(autonomous_flow(P), (0.0, 5.0), (0.1, 0.1), **KW)
     assert traj.status == "completed" and traj.events == ()
     assert traj.r[-1] == 5.0  # the last step lands exactly on r_end
 
@@ -147,7 +142,7 @@ def test_bad_span_rejected():
     with pytest.raises(ValueError):
         solve(lambda r, y: (0.0,), (1.0, 1.0), (0.0,), rel=1e-8, abs_tol=1e-8)
     with pytest.raises(ValueError):
-        integrate(radial_flow, (0.0, (0.0, 1.0)), P, TOL)
+        solve(RADIAL, (0.0, TOL.rmax), (0.0, 1.0), **KW)
 
 
 def test_step_underflow_carries_partial():
@@ -181,9 +176,9 @@ def test_non_finite_run_raises(f, y0):
 def test_dense_output_consistency():
     # sampling through r_eval must agree with the accepted-step solution
     y0 = taylor_start(1.1, P, 1e-6)
-    full = integrate(radial_flow, (1e-6, y0), P, TOL, r_end=8.0)
+    full = solve(RADIAL, (1e-6, 8.0), y0, **KW)
     grid = full.r[10:-10:5]
-    sampled = integrate(radial_flow, (1e-6, y0), P, TOL, r_end=8.0, r_eval=grid)
+    sampled = solve(RADIAL, (1e-6, 8.0), y0, r_eval=grid, **KW)
     err = np.max(np.abs(sampled.y - full.y[10:-10:5]))
     assert err < 1e-12  # same accepted points, no interpolation involved
 
@@ -225,7 +220,10 @@ def _reference_step(f, r, y, k1, h, r_new, rel, abs_tol):
     for yi, yn, a, c, d, e, g, s in zip(y, y_new, k1, k3, k4, k5, k6, k7):
         sc = abs_tol + rel * max(abs(yi), abs(yn))
         e_i = h * (I._E1 * a + I._E3 * c + I._E4 * d + I._E5 * e + I._E6 * g + I._E7 * s)
-        err += (e_i / sc) ** 2
+        try:
+            err += (e_i / sc) ** 2
+        except OverflowError:  # a square past the float range rejects the step
+            err = math.inf
     return y_new, k7, math.sqrt(err / len(y))
 
 
@@ -341,7 +339,6 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     from diracshoot.phaseflow import attraction_report
     from diracshoot.shooting import _events
 
-    kw = dict(rel=TOL.rel, abs_tol=TOL.abs)
     runs = []  # (f, r_span, y0, keywords of solve)
     # shooting trials A(0), nodal (A(1)), I-candidate, undecided at a
     # horizon, and one stopped at its first node (the once certificate fires
@@ -373,8 +370,8 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     lam = 2.0
     r0 = 1e-6 / lam**2
     y0 = taylor_start(lam, P, r0)
-    steps = solve(RADIAL, (r0, 10.0), y0, **kw).r
-    r_star = solve(RADIAL, (r0, 10.0), y0, detectors=[STOP], g=v_sign, **kw).events[-1].r
+    steps = solve(RADIAL, (r0, 10.0), y0, **KW).r
+    r_star = solve(RADIAL, (r0, 10.0), y0, detectors=[STOP], g=v_sign, **KW).events[-1].r
     grid = np.unique(np.concatenate([steps[:60:4], [r_star], np.linspace(r0, 10.0, 301)]))
     runs.append((RADIAL, (r0, 10.0), y0, dict(r_eval=grid)))
     i_grid_stop = len(runs)
@@ -409,9 +406,9 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
 
     got = []
     for f, span, y0, ev in runs:
-        got.append(solve(f, span, y0, **ev, **kw))
-        _assert_same_run(got[-1], solve(lambda r, y: f(r, y), span, y0, **ev, **kw))
-        _assert_same_run(got[-1], _reference_solve(f, span, y0, **ev, **kw))
+        got.append(solve(f, span, y0, **ev, **KW))
+        _assert_same_run(got[-1], solve(lambda r, y: f(r, y), span, y0, **ev, **KW))
+        _assert_same_run(got[-1], _reference_solve(f, span, y0, **ev, **KW))
         if "r_eval" in ev and got[-1].status == "completed":
             assert len(got[-1]) == len(ev["r_eval"])
     assert [t.status for t in got[trials]] == [
@@ -456,7 +453,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
         (rotation, 0.0, (1.0, 0.0), [(3.15, None), (30.0, None)], True),
         (*rescaled, [(2e-6, np.linspace(TOL.r0, 2e-6, 1024)), (10.0, None)], False),
     ]
-    ev = dict(detectors=[NODE], g=v_sign, **kw)
+    ev = dict(detectors=[NODE], g=v_sign, **KW)
     for f, r0, y0, legs, shared in forks:
         refs = [_reference_solve(f, (r0, end), y0, r_eval=grid, **ev) for end, grid in legs]
         for called in (False, True):
@@ -564,6 +561,27 @@ def test_failures_match_the_reference_solve(monkeypatch):
     assert partial.stats["naccpt"] + partial.stats["nrejct"] == 120
     assert partial.nodes_before() == 1
 
+
+
+def test_overflowing_error_norm_rejects_the_step(monkeypatch):
+    # near r = 5.1e30 the rescaled run at eps = 1e-100 tries steps whose
+    # stages blow up: a term of the error norm is finite but its square is
+    # past the float range, where ** raises, and the step is rejected as one
+    # with a NaN norm is; accepted steps then alternate with such rejected
+    # ones five times their size until the step budget runs out
+    from diracshoot import integrator as I
+    from diracshoot.asymptotics import integrate_rescaled
+
+    monkeypatch.setattr(I, "_MAX_STEPS", 1000)
+    eps = 1e-100
+    span, y0 = (TOL.r0, 1.0 / eps), taylor_start(1.0, P, TOL.r0, eps)
+    with pytest.raises(IntegrationError, match="step budget exhausted") as exc:
+        integrate_rescaled(eps, P, TOL)
+    with pytest.raises(IntegrationError) as ref:
+        _reference_solve(radial_flow(P, eps), span, y0, detectors=[NODE], g=v_sign, **KW)
+    assert str(exc.value) == str(ref.value)
+    _assert_same_run(exc.value.partial, ref.value.partial)
+    assert exc.value.partial.r[-1] > 5e30 and exc.value.partial.stats["nrejct"] > 300
 
 def test_stats_count_every_rhs_call(gs):
     # a counting wrapper around f is how a caller measures the work of solve;

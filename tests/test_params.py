@@ -38,6 +38,16 @@ def test_tolerances_resolution():
         Tolerances(delta=0.0624, rmax=30.0).resolved(Params(1.0, 0.9))
 
 
+@pytest.mark.parametrize("m, omega", [(1e160, 5e159), (1e-160, 5e-161)], ids=["overflow", "underflow"])
+def test_gap_whose_square_leaves_the_float_range_is_rejected(m, omega):
+    # (m - omega)^2 overflows past 1.3e154; below 2e-158 the default delta
+    # 1e-8 (m - omega)^2 rounds to 0
+    with pytest.raises(ValueError, match=r"m - omega = 5e[+-]\d+ must lie in \(1e-150, 1e150\)"):
+        Tolerances().resolved(Params(m, omega))
+    with pytest.raises(ValueError, match="m - omega"):
+        Tolerances(delta=1e-9, rmax=30.0).resolved(Params(m, omega))
+
+
 def test_tolerances_validation():
     with pytest.raises(ValueError):
         Tolerances(rel=0.0)

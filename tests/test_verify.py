@@ -114,16 +114,19 @@ def test_remainder_checks_share_one_integration_per_eps(monkeypatch):
 def test_suite_integrates_each_radial_datum_once(monkeypatch):
     # energy_monotone and confinement share the run of lambda = 0.5 to the
     # horizon, sign_symmetry and rate_identities that of lambda = 1.3 to r = 20
-    real = verify.integrate
+    from diracshoot import Params, Tolerances
+
+    real = verify.solve
     runs = []
 
-    def counted(flow, start, p, tol, *args, **kwargs):
-        runs.append((flow.__name__, start, kwargs.get("r_end")))
-        return real(flow, start, p, tol, *args, **kwargs)
+    def counted(f, r_span, y0, **kwargs):
+        runs.append((tuple(r_span), tuple(y0)))
+        return real(f, r_span, y0, **kwargs)
 
-    monkeypatch.setattr(verify, "integrate", counted)
+    monkeypatch.setattr(verify, "solve", counted)
     assert all(r.passed for r in verify.run_suite())
     # the two shared runs came to 15 integrations before; 6 data run to the
-    # horizon, 2 to r = 20
+    # horizon, 2 to r = 20 (the autonomous run ends at r = 50)
+    horizon = Tolerances().resolved(Params()).rmax
     assert len(runs) == len(set(runs)) == 13
-    assert sum(1 for name, _, r_end in runs if name == "radial_flow" and r_end in (None, 20.0)) == 8
+    assert sum(1 for (_, end), _ in runs if end in (horizon, 20.0)) == 8
