@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import enum
 import json
 import math
 import sys
@@ -156,10 +155,6 @@ def _jsonable(x):
         if x.dtype.kind == "f" and not np.isnan(x).any():
             return values  # no NaN to map to None
         return [_jsonable(v) for v in values]
-    if isinstance(x, enum.Enum):
-        return x.value
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
     if isinstance(x, float) and math.isnan(x):
         return None
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
@@ -182,8 +177,8 @@ def _fmt17(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
     return format(float(x), ".17g")
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import keyword
 import math
 import re
 import struct
@@ -283,12 +284,12 @@ def formula(src: str, *consts):
     """The function f(r, s) that src defines as def f(x, s, *names), with
     consts bound to the names: a flow returning the derivative tuple, or an
     event function returning the event values.  src is plain arithmetic: the
-    radius x (run uses r), the state s unpacked first, one return.  solve
-    writes f.formula = (src, consts) into run, a flow's into each stage and
-    an event function's into the sign screen, with the constants as run's
-    arguments, so the inlined f is bitwise the called one; the lines that
-    raise check the arguments, and run leaves them out as it starts where
-    solve called f."""
+    radius x, the state s unpacked first, one return, under any names.
+    solve writes f.formula = (src, consts) into run under names of its own, a
+    flow's into each stage and an event function's into the sign screen,
+    with the constants as run's arguments, so the inlined f is bitwise the
+    called one; the lines that raise check the arguments, and run leaves
+    them out as it starts where solve called f."""
     fn = _definition(src)
     f = types.FunctionType(fn.__code__, fn.__globals__, "f", consts)
     f.formula = src, consts
@@ -299,34 +300,27 @@ def formula(src: str, *consts):
 v_sign = formula("def f(x, s):\n    u, v = s\n    return v,\n")
 
 
-def _words(text: str) -> set:
-    """The names in text, with the # of an indexed stem x# kept."""
-    return set(text.translate(dict.fromkeys(map(ord, "()[]{}=+-*/<>.,:;|?!%'\"\n"), " ")).split())
-
-
 @functools.cache
 def _dp54(n: int, k: int, flow: str | None, events: str | None):
     """(run, refine) for n components and k event values, refine None for
     k = 0.  The formula of a flow replaces each call [x#] = f(radius,
     ([arguments])) and that of an event function each call [q$] = g(...),
     and their constants follow g among the arguments, the event function's
-    alone in refine's.  A name of either formula that is also a name of
-    _DP54_SRC or _REFINE_SRC, or one of their indexed names, would clobber
-    the loop's value, as would a constant of one formula that the other one
-    assigns, so it raises ValueError."""
-    src = _DP54_SRC + _REFINE_SRC
-    # the loop's names outside its comments; a stem x# takes x0, x1, ...
-    taken = _words(re.sub(r"(^|\s)#.*", "", src, flags=re.M).replace("$", "#"))
-    src = src if k else _DP54_SRC
-    names, consts, params = [], [], {"f": "", "g": ""}
+    alone in refine's.  Each name a formula binds or reads takes the suffix
+    _f in a flow and _g in an event function, which no name of the loop
+    ends in, so the formulas' names are their own."""
+    src = _DP54_SRC + _REFINE_SRC if k else _DP54_SRC
+    params = {"f": "", "g": ""}
     for callee, text in (("f", flow), ("g", events)):
         if text is None:
             continue
+        # each name but keywords and called ones (abs, the head's f) takes the
+        # suffix; the exponent of a float such as 1.e5 is no name
+        text = re.sub(r"(?<![\w.])[A-Za-z_]\w*(?![\w(])",
+                      lambda m: m[0] if keyword.iskeyword(m[0]) else f"{m[0]}_{callee}", text)
         head, unpack, *body, ret = [x.strip() for x in text.strip().splitlines() if " raise " not in x]
         radius, state, *own = head.removeprefix("def f(").removesuffix("):").split(", ")
         ret = ret.removeprefix("return ")
-        names.append({radius, state, *own, *_words(" ".join(x.split("=")[0] for x in [unpack, *body]))})
-        consts.append(set(own))
         params[callee] = "".join(c + ", " for c in own)
         lines = [f"{radius} = \\4", unpack.removesuffix(state) + "(\\5)", *body, f"[\\2\\3] = {ret}"]
         stage = "".join(r"\1" + x + "\n" for x in lines)
@@ -334,12 +328,6 @@ def _dp54(n: int, k: int, flow: str | None, events: str | None):
         src = re.sub(call, stage, src, flags=re.M)
     src = src.replace("def run(f, g, ", "def run(f, g, " + params["f"] + params["g"])
     src = src.replace("def refine(g, ", "def refine(g, " + params["g"])
-    mine = set().union(*names)
-    indexed = {x for x in mine if x[-1].isdigit() and x.rstrip("0123456789") + "#" in taken}
-    crossed = consts[0] & names[1] | consts[1] & names[0] if len(names) == 2 else set()
-    clash = sorted(mine & taken | indexed | crossed)
-    if clash:
-        raise ValueError(f"formula names {clash} are also names of the loop or of the other formula")
     ns = _compile(src, n, k)
     return ns["run"], ns.get("refine")
 
@@ -419,6 +407,12 @@ def solve(
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
         raise ValueError(f"need r_end > r_start, got {r_span}")
+    if not 0.0 < abs_tol < math.inf:
+        raise ValueError(f"abs_tol must be positive and finite, got {abs_tol}")
+    if not 0.0 <= rel < math.inf:
+        raise ValueError(f"rel must be nonnegative and finite, got {rel}")
+    if detectors and g is None:
+        raise ValueError("detectors need an event function g")
     y = tuple(float(c) for c in y0)
     r = r0
     k1 = f(r, y)
@@ -442,6 +436,8 @@ def solve(
     w = 1 + 2 * n
     active = list(detectors)
     g_prev = tuple(g(r, y)) if active else ()
+    if len(g_prev) != len(active):
+        raise ValueError(f"g must return one value per detector, {len(active)}, got {len(g_prev)}")
     events: list[Event] = []
 
     def build(status_str, cut=None) -> Trajectory:

@@ -243,8 +243,8 @@ def classify(
     the resolved tolerances it ran at: a search runs its trials far from
     lambda* at a looser one (see bisect), and its history shows which.
     """
-    if lam <= 0.0:
-        raise ValueError(f"datum must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"datum must be positive and finite, got {lam}")
     tol = tol.resolved(p)
     r0, y0 = radial_start(lam, p, tol)
     rmax = float(horizon) if horizon is not None else tol.rmax

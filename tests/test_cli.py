@@ -611,6 +611,37 @@ def test_jsonable_arrays():
     assert cli._jsonable(np.array([], dtype=float)) == []
 
 
+@pytest.mark.parametrize(
+    "run, cfg",
+    [
+        (cli.run_ground_state, RunConfig()),
+        # a capture at the series start, two full runs, a step-size underflow
+        # (IntegrationError) and a start energy past the float range
+        (cli.run_classify, RunConfig(lambdas=(0.5, 1.8, 3.0, 1e76, 1e80))),
+        (cli.run_asymptotics, RunConfig(epsilons=(0.2, 0.1))),
+        (cli.run_portrait, RunConfig(lambdas=(0.5, 2.0), resolution=32)),
+        (cli.run_verify, RunConfig()),
+    ],
+    ids=["ground-state", "classify", "asymptotics", "portrait", "verify"],
+)
+def test_envelopes_hold_only_json_types(run, cfg):
+    # _jsonable turns arrays, NaN and dataclasses into these; no command
+    # hands it an enum or a numpy scalar
+    seen = set()
+
+    def walk(x):
+        seen.add(type(x))
+        for v in [*x, *x.values()] if type(x) is dict else x if type(x) is list else ():
+            walk(v)
+
+    env = run(cfg)
+    walk(env)
+    assert seen <= {dict, list, str, int, float, bool, type(None)}
+    if run is cli.run_classify:
+        samples = [c["summary"]["samples"] for c in env["payload"]["classifications"]]
+        assert samples[0] == samples[3] == 1 and min(samples[1:3]) > 1 and samples[4] == 0
+
+
 def test_payload_records_keep_their_schema(monkeypatch):
     # library records are serialized whole, so a new field would change the
     # CLI schema; these key sets pin it

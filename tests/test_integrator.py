@@ -501,29 +501,35 @@ def test_formula_event_function_is_called_only_at_the_start():
     assert inlined.stats["nbisect"] > 0
 
 
-def test_formula_name_clashing_with_the_loop_raises():
-    # e1 is the second component of the loop's fifth stage, r its radius, c0
-    # the first of its third stage; an event formula that assigns the radial
-    # flow's constant a_minus would change the next step's derivatives
-    from diracshoot.integrator import formula
+def test_formula_names_are_private_to_the_loop():
+    # each name a formula binds or reads is suffixed in the compiled loop,
+    # so formulas may use the loop's names: e1 is the second component of
+    # its fifth stage, r its radius, h its step size and c0 the first
+    # component of its third stage, and an event function may assign the
+    # radial flow's constant a_minus.  Each runs bitwise as its called twin,
+    # the event functions through crossings that bisection refines
+    import re
 
+    from diracshoot.integrator import _DP54_SRC, _HERMITE_SRC, _REFINE_SRC
+
+    assert not re.findall(r"\w_[fg]\b", _DP54_SRC + _REFINE_SRC + _HERMITE_SRC)
     for src in (
         "def f(x, s, e1):\n    u, v = s\n    return e1 * v, -u\n",
         "def f(x, s, c):\n    u, v = s\n    r = c * x\n    return r * v, -u\n",
+        "def f(x, s, c):\n    u, v = s\n    h = c * x\n    return h * v, -u\n",
     ):
         f = formula(src, 0.5)
-        with pytest.raises(ValueError, match="also names of the loop"):
-            solve(f, (1.0, 2.0), (1.0, 0.0), rel=1e-8, abs_tol=1e-8)
+        run = solve(f, (1.0, 2.0), (1.0, 0.0), rel=1e-8, abs_tol=1e-8)
+        _assert_same_run(run, solve(lambda r, y: f(r, y), (1.0, 2.0), (1.0, 0.0), rel=1e-8, abs_tol=1e-8))
     kw = dict(rel=1e-8, abs_tol=1e-8, detectors=[NODE])
     r0, y0 = 1e-6, taylor_start(1.0, P, 1e-6)
-    for g in (
-        formula("def f(x, s, c0):\n    u, v = s\n    return v - c0,\n", 0.5),
-        formula("def f(x, s):\n    u, v = s\n    a_minus = v * v\n    return a_minus - 0.25,\n"),
+    for g in (  # v falls from 1 to 0.6 over the run
+        formula("def f(x, s, c0):\n    u, v = s\n    return v - c0,\n", 0.8),
+        formula("def f(x, s):\n    u, v = s\n    a_minus = v * v\n    return a_minus - 0.5,\n"),
     ):
-        with pytest.raises(ValueError, match="also names of the loop or of the other formula"):
-            solve(RADIAL, (r0, 2.0), y0, g=g, **kw)
-        # called, the same event function runs
-        assert solve(RADIAL, (r0, 2.0), y0, g=lambda r, y: g(r, y), **kw).status == "completed"
+        run = solve(RADIAL, (r0, 2.0), y0, g=g, **kw)
+        _assert_same_run(run, solve(RADIAL, (r0, 2.0), y0, g=lambda r, y: g(r, y), **kw))
+        assert len(run.events) == 1 and run.stats["nbisect"] > 0
 
 
 def test_failures_match_the_reference_solve(monkeypatch):
@@ -640,6 +646,29 @@ def _hex(a):
 def test_r_eval_rejected(r_eval, message):
     with pytest.raises(ValueError, match=message):
         solve(lambda r, y: (-y[0],), (0.25, 3.0), (1.0,), rel=1e-8, abs_tol=1e-8, r_eval=r_eval)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(detectors=[NODE]), "event function g"),
+        (dict(detectors=[NODE], g=lambda r, y: (y[1], y[0])), "one value per detector, 1, got 2"),
+        (dict(detectors=[NODE, STOP], g=v_sign), "one value per detector, 2, got 1"),
+        (dict(abs_tol=0.0), "abs_tol must be positive"),
+        (dict(abs_tol=-1e-8), "abs_tol must be positive"),
+        (dict(abs_tol=math.nan), "abs_tol must be positive"),
+        (dict(rel=-1e-8), "rel must be nonnegative"),
+        (dict(rel=math.nan), "rel must be nonnegative"),
+        (dict(rel=math.inf), "rel must be nonnegative"),
+    ],
+)
+def test_misuse_of_solve_is_rejected(kw, message):
+    # a ValueError that names the argument, before any step: not a TypeError
+    # in the loop's call, a ZeroDivisionError in the initial step size or a
+    # step-size underflow
+    kw = dict(rel=1e-8, abs_tol=1e-8) | kw
+    with pytest.raises(ValueError, match=message):
+        solve(lambda r, y: (-y[1], y[0]), (0.0, 3.0), (1.0, 0.0), **kw)
 
 
 def test_empty_r_eval_gives_empty_trajectory():

@@ -43,10 +43,11 @@ def test_certificate_check_frozen():
 
 
 def test_classify_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        classify(0.0, P, TOL)
-    with pytest.raises(ValueError):
-        classify(-2.0, P, TOL)
+    # NaN and inf are rejected here, not read as an overflowing start energy
+    # or failed in the series start
+    for lam in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="datum must be positive and finite"):
+            classify(lam, P, TOL)
 
 
 def test_classification_evidence_consistent():
