@@ -225,10 +225,8 @@ def run_classify(cfg: RunConfig) -> dict:
                 "H_event": c.evidence.get("H"),
                 "certificate": c.certificate,
                 "summary": c.summary,
-                "v_sign_changes": [
-                    e.r for e in (c.trajectory.events if c.trajectory else [])
-                    if e.kind == EventKind.V_SIGN_CHANGE
-                ],
+                "v_sign_changes": [e.r for e in c.trajectory.events_of(EventKind.V_SIGN_CHANGE)]
+                if c.trajectory else [],
             }
         )
     return _envelope("classify", cfg, {"classifications": out}, [])

@@ -111,10 +111,10 @@ def taylor_start(lam: float, p: Params, r0: float, eps: float = 1.0) -> State:
     with m and omega scaled by eps^2.  Valid while lambda^2 * r0 is small;
     callers shooting at large lambda should shrink r0 like 1/lambda^2.
     """
-    if lam <= 0.0:
-        raise ValueError(f"datum must be positive, got {lam}")
-    if r0 <= 0.0:
-        raise ValueError(f"start radius must be positive, got {r0}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"datum must be positive and finite, got {lam}")
+    if not 0.0 < r0 < math.inf:
+        raise ValueError(f"start radius must be positive and finite, got {r0}")
     e2 = eps * eps
     cu = lam * (lam * lam - e2 * (p.m - p.omega))
     u = 0.5 * r0 * cu

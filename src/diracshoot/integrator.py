@@ -12,15 +12,15 @@ recorded step ends.
 
 The adaptive loop, with a sign screen of the event values, the bisection
 that refines a crossing and the Hermite dense output are written once, in
-_DP54_SRC, _REFINE_SRC and _HERMITE_SRC, as per-component expressions over
-the tableau constants below; _dp54(n, k, flow, events) compiles the loop and
-the bisection in one exec per key, and _hermite(n) the dense output, as
-dataclasses builds __init__.  Loops over components or detectors in Python
-cost several times the arithmetic they perform; the expanded code keeps
-their operation order, so it is bitwise the loops.  A right-hand side or
-event function built by formula carries its source text: each stage
-evaluates the flow's formula in place of calling it, and the sign screen
-and each bisection point the event function's, bitwise the same way.
+_DP54_SRC (its stages, update and error sum from the pair's table _DP54),
+_REFINE_SRC and _HERMITE_SRC, as per-component expressions.  Their compilers
+_dp54(n, k, flow, events), for the loop and the bisection, and _hermite(n)
+exec them once per key, as dataclasses builds __init__.  Python loops over
+components or detectors cost several times their arithmetic; the expanded
+code keeps their operation order, so it is bitwise the loops.  A right-hand
+side or event function built by formula carries its source text: each stage
+evaluates the flow's formula in place of calling it, and the sign screen and
+each bisection point the event function's, bitwise the same way.
 
 With a deterministic step control, runs of one start to two ends take the
 same steps up to the one that would land on the nearer end (only that step
@@ -43,28 +43,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Dormand-Prince 5(4) tableau
-_C2, _C3, _C4, _C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-_A21 = 0.2
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-# error weights: 5th order minus embedded 4th order
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
+# Dormand-Prince 5(4) (Dormand & Prince 1980; Hairer, Norsett & Wanner, II.5):
+# (c, row of A) per stage after k0, the update's weights b, and the error
+# weights e (5th order minus embedded 4th order) over k0 ... k6, k6 the FSAL one
+_DP54 = (
+    (0.2, 0.2),
+    (0.3, 3.0 / 40.0, 9.0 / 40.0),
+    (0.8, 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (8.0 / 9.0, 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (1.0, 9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+    (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0),
 )
 
 _SAFETY = 0.9
@@ -167,37 +156,32 @@ class Trajectory:
 # (status, r, y, dy, h, naccpt, nrejct, p, q): "completed" at r_end, "event" after
 # a step over which some value changed sign from p to q, "paused" with pause set
 # where the step landing on r_end begins (h not yet cut to it, p the values
-# there), or a failure.  hermite
-# interpolates between two such rows, of floats or of NumPy columns.
+# there), or a failure; its stages k1# ... k5#, update n# and error terms are
+# written from _DP54.  hermite interpolates between two rows, of floats or arrays.
 _DP54_SRC = """
 def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, pause, [p$]):
     [y#] = y
-    [a#] = dy
+    [k0#] = dy
     [ay#] = [abs(y#)]
     while r < r_end:
         if naccpt + nrejct >= _MAX_STEPS:
-            return "step budget exhausted", r, ([y#]), ([a#]), h, naccpt, nrejct, (), ()
+            return "step budget exhausted", r, ([y#]), ([k0#]), h, naccpt, nrejct, (), ()
         last = h >= r_end - r
         if last:
             if pause:
-                return "paused", r, ([y#]), ([a#]), h, naccpt, nrejct, ([p$]), ()
+                return "paused", r, ([y#]), ([k0#]), h, naccpt, nrejct, ([p$]), ()
             h = r_end - r
         # relative to r, and negated so that a NaN step size (from a non-finite start) fails here
         if not h > 1e-14 * abs(r):
-            return "step size underflow", r, ([y#]), ([a#]), h, naccpt, nrejct, (), ()
+            return "step size underflow", r, ([y#]), ([k0#]), h, naccpt, nrejct, (), ()
         # land exactly on r_end so endpoint r_eval samples are never dropped
         r_new = r_end if last else r + h
-        [b#] = f(r + _C2 * h, ([y# + h * _A21 * a#]))
-        [c#] = f(r + _C3 * h, ([y# + h * (_A31 * a# + _A32 * b#)]))
-        [d#] = f(r + _C4 * h, ([y# + h * (_A41 * a# + _A42 * b# + _A43 * c#)]))
-        [e#] = f(r + _C5 * h, ([y# + h * (_A51 * a# + _A52 * b# + _A53 * c# + _A54 * d#)]))
-        [g#] = f(r + h, ([y# + h * (_A61 * a# + _A62 * b# + _A63 * c# + _A64 * d# + _A65 * e#)]))
-        [n#] = [y# + h * (_B1 * a# + _B3 * c# + _B4 * d# + _B5 * e# + _B6 * g#)]
-        [s#] = f(r_new, ([n#]))
+STAGES
+        [k6#] = f(r_new, ([n#]))
         [an#] = [abs(n#)]
         # the scale is max(ay#, an#), written out: ay# unless an# is larger
         try:
-            err = math.sqrt(([+(h * (_E1 * a# + _E3 * c# + _E4 * d# + _E5 * e# + _E6 * g# + _E7 * s#)
+            err = math.sqrt(([+(ERROR
                                 / (abs_tol + rel * (an# if an# > ay# else ay#))) ** 2]) / {n})
         except OverflowError:  # a square past the float range, where ** raises
             err = math.inf
@@ -208,17 +192,28 @@ def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, pause, [p
             continue
         naccpt += 1
         r = r_new
-        [y#][ay#][a#] = [n#][an#][s#]
-        nodes += (r, [n#][s#])
+        [y#][ay#][k0#] = [n#][an#][k6#]
+        nodes += (r, [n#][k6#])
         # err <= 1 here, so the factor is at least _SAFETY > _MIN_FACTOR
         fac = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** -0.2
         h *= fac if fac < _MAX_FACTOR else _MAX_FACTOR
 ?        [q$] = g(r, ([y#]))
 ?        if [|p$ > 0.0 >= q$ or p$ < 0.0 <= q$]:
-?            return "event", r, ([y#]), ([a#]), h, naccpt, nrejct, ([p$]), ([q$])
+?            return "event", r, ([y#]), ([k0#]), h, naccpt, nrejct, ([p$]), ([q$])
 ?        [p$] = [q$]
-    return "completed", r, ([y#]), ([a#]), h, naccpt, nrejct, (), ()
+    return "completed", r, ([y#]), ([k0#]), h, naccpt, nrejct, (), ()
 """
+
+
+def _weighted(weights) -> str:
+    """h times the stages k0#, k1#, ... weighted by weights, zeros left out."""
+    terms = [f"{w!r} * k{j}#" for j, w in enumerate(weights) if w]
+    return "h * " + (terms[0] if len(terms) == 1 else f"({' + '.join(terms)})")
+
+
+_DP54_SRC = _DP54_SRC.replace("ERROR", _weighted(_DP54[-1])).replace("STAGES\n", "".join(
+    f"        [k{i}#] = f(r + {'h' if c == 1.0 else f'{c!r} * h'}, ([y# + {_weighted(a)}]))\n"
+    for i, (c, *a) in enumerate(_DP54[:-2], 1)) + f"        [n#] = [y# + {_weighted(_DP54[-2])}]\n")
 
 _HERMITE_SRC = """
 def hermite(row0, row1, r):
@@ -267,8 +262,8 @@ def _compile(src: str, n: int, k: int = 0):
         return {"+": " + ", "|": " or "}[m[1]].join(terms) if m[1] else "".join(t + ", " for t in terms)
 
     src = re.sub(r"^\?(.*\n)", r"\1" if k else "", src.format(n=n), flags=re.M)
-    # the tableau and the step-size factors as literals
-    src = re.sub(r"\b_([ABCE]\d+|SAFETY|M[AI][XN]_FACTOR)\b", lambda m: repr(globals()[m[0]]), src)
+    # the step-size factors as literals
+    src = re.sub(r"\b_(SAFETY|M[AI][XN]_FACTOR)\b", lambda m: repr(globals()[m[0]]), src)
     # a bracket expands when it holds an index, so [i] stays a subscript
     exec(re.sub(r"\[([+|]?)([^]]*[#$][^]]*)\]", expand, src), globals(), ns := {})
     return ns

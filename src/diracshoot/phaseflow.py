@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import autonomous_flow, radial_flow, radial_start
-from .integrator import Detector, EventKind, Trajectory, solve, v_sign
+from .integrator import Trajectory, solve
 from .params import Params, Tolerances
 from .shooting import VERDICT_A, classify
 
@@ -120,9 +120,7 @@ def attraction_report(lam: float, p: Params, tol: Tolerances) -> AttractionRepor
 
     tol = cls.tol  # resolved, so its rmax is the horizon
     r0, y0 = radial_start(lam, p, tol)
-    nodes = [Detector(EventKind.V_SIGN_CHANGE)]
-    traj = solve(radial_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs,
-                 detectors=nodes, g=v_sign)
+    traj = solve(radial_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs)
 
     v0 = math.sqrt(p.gap)
     u_end, v_end = traj.final_state

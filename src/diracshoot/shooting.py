@@ -180,13 +180,6 @@ def _events(p: Params, tol: Tolerances, stop_at_first_node: bool):
 _flow = functools.lru_cache(maxsize=16)(radial_flow)
 
 
-def _certificate_from_events(traj: Trajectory, p: Params) -> Certificate | None:
-    fired = traj.events_of(EventKind.CERTIFICATE_FIRED)
-    if not fired:
-        return None
-    return _certificate(fired[0].r, fired[0].y, p)
-
-
 def _closest_approach_wronskian(traj: Trajectory, p: Params) -> float:
     """F = r (u K_v - v K_u) at the sample of least |u| + |v| (the closest
     approach that _summary reports); F changes sign with lambda - lambda*."""
@@ -278,14 +271,16 @@ def classify(
             lam, VERDICT_UNDECIDED, nodes, ev, summ, traj if keep_trajectory else None, tol=tol
         )
 
-    cert = _certificate_from_events(traj, p)
+    fired = traj.events_of(EventKind.CERTIFICATE_FIRED)
+    cert = _certificate(fired[0].r, fired[0].y, p) if fired else None
     wronskian = _closest_approach_wronskian(traj, p) if stop_at_first_node else None
     summ = _summary(traj, p)
+    # a terminal crossing is the run's last sample
+    evid = {"r": summ["r_end"], "H": summ["H_end"], "certificate": cert}
 
     decided = {EventKind.ENTERED_NEGATIVE_ENERGY: VERDICT_A, EventKind.NORM_BELOW_ETA: VERDICT_I}
     if traj.status != "completed":  # ended at a terminal event: capture, the eta tube or a node
         terminal = traj.events[-1]
-        evid = {"r": terminal.r, "H": hamiltonian(terminal.y, p), "certificate": cert}
         if terminal.kind in decided:
             k, verdict = traj.nodes_before(terminal.r), decided[terminal.kind]
         else:
@@ -293,7 +288,6 @@ def classify(
             evid["note"] = "stopped at first node"
     else:
         k = traj.nodes_before()
-        evid = {"r": summ["r_end"], "H": summ["H_end"], "certificate": cert}
         if float(traj.norm1[-1]) < tol.eta and summ["H_end"] >= -tol.delta:
             verdict = VERDICT_I
         else:

@@ -70,6 +70,8 @@ def test_rescaled_limit_is_bubble():
 def test_rescaled_rejects_bad_eps():
     with pytest.raises(ValueError):
         integrate_rescaled(1.5, P, TOL, r_end=1.0)
+    with pytest.raises(ValueError, match="massless limit needs an explicit r_end"):
+        integrate_rescaled(0.0, P, TOL)
 
 
 def _first_order_run(p, r_end, r_eval=None, rel=TOL.rel):

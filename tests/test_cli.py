@@ -53,6 +53,17 @@ def test_config_file_rejects_unknown_key(tmp_path):
         parse_config_file(str(cfgfile))
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [("m 1.0", "expected 'key = value', got 'm 1.0'"), ("m = one", "bad value for m: could not convert")],
+)
+def test_config_file_rejects_malformed_lines(tmp_path, line, message):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"omega = 0.5\n{line}\n")
+    with pytest.raises(ConfigError, match=f"bad.cfg:2: {message}"):
+        parse_config_file(str(cfgfile))
+
+
 def test_flag_overrides_config(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("omega = 0.25\nlambda = 0.5\n")
@@ -69,6 +80,10 @@ def test_exit_code_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["not-a-command"])
     assert exc.value.code == 1
+    capsys.readouterr()
+    for command, flag in [("classify", "--lambda"), ("asymptotics", "--epsilon")]:
+        assert cli.main([command]) == 1
+        assert capsys.readouterr().err == f"diracshoot: error: {command} needs at least one {flag}\n"
 
 
 def test_exit_code_computation_failure(monkeypatch, capsys):

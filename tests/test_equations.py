@@ -168,7 +168,9 @@ def test_taylor_start_datum_limit(lam):
 
 
 def test_taylor_start_domain():
-    with pytest.raises(ValueError):
-        taylor_start(-1.0, P, 1e-6)
-    with pytest.raises(ValueError):
-        taylor_start(1.0, P, 0.0)
+    # a non-finite datum or start radius returned nan or inf states
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="datum must be positive and finite"):
+            taylor_start(bad, P, 1e-6)
+        with pytest.raises(ValueError, match="start radius must be positive and finite"):
+            taylor_start(1.0, P, bad)

@@ -173,6 +173,15 @@ def test_non_finite_run_raises(f, y0):
         solve(f, (0.0, 3.0), y0, rel=1e-8, abs_tol=1e-8)
 
 
+def test_flat_start_stays_at_the_origin():
+    # y = f = 0 at the start: _initial_step's flat branch takes h = 1e-6, and
+    # each step's zero error norm grows it tenfold
+    traj = solve(autonomous_flow(P), (0.0, 1.0), (0.0, 0.0), **KW)
+    assert traj.r[1] == 1e-6 and np.allclose(np.diff(traj.r)[:-1], 1e-6 * 10.0 ** np.arange(6), rtol=1e-12)
+    assert traj.r[-1] == 1.0 and len(traj) == 8
+    assert not np.any(traj.y) and traj.stats["nrejct"] == 0
+
+
 def test_dense_output_consistency():
     # sampling through r_eval must agree with the accepted-step solution
     y0 = taylor_start(1.1, P, 1e-6)
@@ -183,43 +192,80 @@ def test_dense_output_consistency():
     assert err < 1e-12  # same accepted points, no interpolation involved
 
 
+# the Dormand-Prince 5(4) coefficients, written out here so that the
+# reference checks the loop's table instead of sharing it
+C2, C3, C4, C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
+A21 = 0.2
+A31, A32 = 3.0 / 40.0, 9.0 / 40.0
+A41, A42, A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+A51, A52, A53, A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
+A61, A62, A63, A64, A65 = (
+    9017.0 / 3168.0,
+    -355.0 / 33.0,
+    46732.0 / 5247.0,
+    49.0 / 176.0,
+    -5103.0 / 18656.0,
+)
+B1, B3, B4, B5, B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
+# error weights: 5th order minus embedded 4th order
+E1, E3, E4, E5, E6, E7 = (
+    71.0 / 57600.0,
+    -71.0 / 16695.0,
+    71.0 / 1920.0,
+    -17253.0 / 339200.0,
+    22.0 / 525.0,
+    -1.0 / 40.0,
+)
+
+
+def test_tableau_order_conditions():
+    # each stage row sums to its node, b sums to 1 and e to 0, and b meets
+    # the quadrature conditions of orders 2 and 3
+    from diracshoot import integrator as I
+
+    *stages, b, e = I._DP54
+    ulp = math.ulp(1.0)
+    for c, *a in stages:
+        assert abs(math.fsum(a) - c) <= 8 * ulp
+    c = [0.0] + [row[0] for row in stages]
+    assert len(b) == len(c) == 6 and len(e) == 7
+    assert abs(math.fsum(b) - 1.0) <= 4 * ulp and abs(math.fsum(e)) <= 4 * ulp
+    assert abs(math.fsum(bi * ci for bi, ci in zip(b, c)) - 0.5) <= 4 * ulp
+    assert abs(math.fsum(bi * ci * ci for bi, ci in zip(b, c)) - 1.0 / 3.0) <= 4 * ulp
+
+
 def _reference_step(f, r, y, k1, h, r_new, rel, abs_tol):
     """One DP5(4) step in the vector form, each stage a loop over the
     components; returns (y_new, k7, err) like the generated step."""
-    from diracshoot import integrator as I
-
-    k2 = f(r + I._C2 * h, tuple(yi + h * I._A21 * a for yi, a in zip(y, k1)))
-    k3 = f(r + I._C3 * h, tuple(yi + h * (I._A31 * a + I._A32 * b) for yi, a, b in zip(y, k1, k2)))
+    k2 = f(r + C2 * h, tuple(yi + h * A21 * a for yi, a in zip(y, k1)))
+    k3 = f(r + C3 * h, tuple(yi + h * (A31 * a + A32 * b) for yi, a, b in zip(y, k1, k2)))
     k4 = f(
-        r + I._C4 * h,
-        tuple(
-            yi + h * (I._A41 * a + I._A42 * b + I._A43 * c)
-            for yi, a, b, c in zip(y, k1, k2, k3)
-        ),
+        r + C4 * h,
+        tuple(yi + h * (A41 * a + A42 * b + A43 * c) for yi, a, b, c in zip(y, k1, k2, k3)),
     )
     k5 = f(
-        r + I._C5 * h,
+        r + C5 * h,
         tuple(
-            yi + h * (I._A51 * a + I._A52 * b + I._A53 * c + I._A54 * d)
+            yi + h * (A51 * a + A52 * b + A53 * c + A54 * d)
             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
         ),
     )
     k6 = f(
         r + h,
         tuple(
-            yi + h * (I._A61 * a + I._A62 * b + I._A63 * c + I._A64 * d + I._A65 * e)
+            yi + h * (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e)
             for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
         ),
     )
     y_new = tuple(
-        yi + h * (I._B1 * a + I._B3 * c + I._B4 * d + I._B5 * e + I._B6 * g)
+        yi + h * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * g)
         for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
     )
     k7 = f(r_new, y_new)
     err = 0.0
     for yi, yn, a, c, d, e, g, s in zip(y, y_new, k1, k3, k4, k5, k6, k7):
         sc = abs_tol + rel * max(abs(yi), abs(yn))
-        e_i = h * (I._E1 * a + I._E3 * c + I._E4 * d + I._E5 * e + I._E6 * g + I._E7 * s)
+        e_i = h * (E1 * a + E3 * c + E4 * d + E5 * e + E6 * g + E7 * s)
         try:
             err += (e_i / sc) ** 2
         except OverflowError:  # a square past the float range rejects the step
@@ -364,7 +410,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     # times on the spiral toward the equilibrium
     r0, y0 = radial_start(2.5, P, TOL)
     i_spiral = len(runs)
-    runs.append((RADIAL, (r0, TOL.rmax), y0, dict(detectors=[NODE], g=v_sign)))
+    runs.append((RADIAL, (r0, TOL.rmax), y0, {}))
     # an r_eval grid through r0, step ends, the terminal crossing, interior
     # points and r_end, with and without the terminal detector
     lam = 2.0

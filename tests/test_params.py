@@ -53,3 +53,5 @@ def test_tolerances_validation():
         Tolerances(rel=0.0)
     with pytest.raises(ValueError):
         Tolerances(rmax=-1.0)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        Tolerances(delta=0.0)

@@ -45,7 +45,8 @@ def test_minimum_level_degenerates_to_points():
 
 
 def test_below_minimum_is_empty():
-    assert level_set(-1.0, P).pieces == ()
+    ls = level_set(-1.0, P)
+    assert ls.pieces == () and ls.points.shape == (0, 2)
 
 
 def test_negative_level_two_ovals():
@@ -101,6 +102,11 @@ def test_stability_zero_horizon():
 def test_stability_rejects_bad_rho():
     with pytest.raises(ValueError):
         stability_compare(-1.0, (0.0, 1.0), 1.0, P, TOL)
+
+
+def test_stability_rejects_negative_horizon():
+    with pytest.raises(ValueError, match="T must be nonnegative"):
+        stability_compare(1e3, (0.0, 1.0), -1.0, P, TOL)
 
 
 def test_stability_from_equilibrium_is_small():

@@ -20,7 +20,7 @@ from diracshoot import (
     hamiltonian,
     universal_constant,
 )
-from diracshoot.shooting import _tail_basis
+from diracshoot.shooting import _tail_basis, extend_with_decay_tail
 
 P = Params(1.0, 0.5)
 TOL = Tolerances()
@@ -48,6 +48,15 @@ def test_classify_rejects_nonpositive():
     for lam in (0.0, -2.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="datum must be positive and finite"):
             classify(lam, P, TOL)
+
+
+def test_tiny_datum_completes_inside_the_eta_tube():
+    # |u| + |v| starts below eta, so no crossing into the tube fires: the
+    # run completes there and is an I-candidate without nodes
+    c = classify(1e-40, P, TOL)
+    assert (c.trajectory.status, c.trajectory.events) == ("completed", ())
+    assert (c.verdict, c.node_count) == ("I-candidate", 0)
+    assert c.evidence["r"] == c.summary["r_end"] == TOL.resolved(P).rmax
 
 
 def test_classification_evidence_consistent():
@@ -249,6 +258,22 @@ def test_decay_fit_domain_errors():
         decay_fit(traj, (1.0, 5.0))  # |u|+|v| = 0 in window
     with pytest.raises(ValueError):
         decay_fit(traj, (5.0, 1.0))  # reversed window
+    with pytest.raises(ValueError, match="fewer than two samples"):
+        decay_fit(traj, (1.01, 1.05))  # between two samples
+
+
+def test_tail_match_without_a_decay_window_uses_the_last_samples():
+    # |u| + |v| stays above 1e-2 up to the closest approach (the last
+    # sample), so the tail is matched on the last eleven samples alone: the
+    # decaying mode at amplitude 10 there, and at 20 before them
+    r = np.linspace(1.0, 5.0, 41)
+    bu, bv = _tail_basis(r, P)
+    amp = np.where(np.arange(41) >= 30, 10.0, 20.0)
+    traj = Trajectory(r, np.column_stack([amp * bu, amp * bv]), (), "completed")
+    assert traj.closest == 40 and traj.norm1.min() > 1e-2
+    profile, r_c, a = extend_with_decay_tail(traj, P, 10.0)
+    assert r_c == 5.0 and a == pytest.approx(10.0, rel=1e-14)
+    assert profile.r[-1] == 10.0 and len(profile) == 41 + 256
 
 
 def test_wronskian_sign_and_linearity(gs):
