@@ -28,6 +28,7 @@ import numpy as np
 from .equations import radial_flow, taylor_start
 from .integrator import Detector, EventKind, Trajectory, formula, solve, v_sign
 from .params import Params, Tolerances
+from .shooting import lsq_slope
 
 # samples: of the k1 log-law fit over its radius window (the radii and their
 # logs), of the remainder on (0, 1/eps), and of the distance to the bubble on [0, T]
@@ -211,10 +212,7 @@ def first_order_log_fit(p: Params) -> LogLawFit:
     closed form on r in [1e3, 1e6]; the exact law is k1 = -2(m + omega) ln r
     + b + O(ln^2 r / r^2) with b = (m + omega)(3 + 2 ln 2) + (m - omega)."""
     fo = integrate_first_order(p, _LOG_FIT_R)
-    # least squares in ln r about its mean
-    mean = _LOG_FIT_L.mean()
-    x = _LOG_FIT_L - mean
-    slope = (x @ fo.k1) / (x @ x)
+    slope, mean = lsq_slope(_LOG_FIT_L, fo.k1)
     intercept = fo.k1.mean() - slope * mean
     resid = fo.k1 - intercept - slope * _LOG_FIT_L
     return LogLawFit(
@@ -342,16 +340,8 @@ def integrate_remainder(
     grid = np.linspace(r0, r_end, _REMAINDER_N)
 
     y0 = (*_first_order_start(p, r0), 0.0, 0.25 * (p.m * p.m - p.omega * p.omega) * r0 * r0)
-    joint = solve(
-        _rhs_joint(eps, p),
-        (r0, r_end),
-        y0,
-        rel=tol.rel,
-        abs_tol=tol.abs,
-        r_eval=grid,
-    )
-    h1, k1 = joint.y[:, 0], joint.y[:, 1]
-    h2, k2 = joint.y[:, 2], joint.y[:, 3]
+    joint = solve(_rhs_joint(eps, p), (r0, r_end), y0, rel=tol.rel, abs_tol=tol.abs, r_eval=grid)
+    h1, k1, h2, k2 = joint.y.T
 
     sup_error = None
     if T is None:

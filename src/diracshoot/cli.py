@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -173,13 +174,11 @@ def _envelope(command: str, cfg: RunConfig, payload: dict, diagnostics: list[str
 
 
 def _fmt17(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    return format(float(x), ".17g")
+    if type(x) is float:
+        return format(x, ".17g")
+    if x is None or isinstance(x, bool):
+        return "" if x is None else "true" if x else "false"
+    return str(x) if isinstance(x, int) else format(float(x), ".17g")
 
 
 # --- commands ----------------------------------------------------------------
@@ -326,7 +325,7 @@ def _emit(x, pad: str, out: list) -> None:
         out.append("[\n" + inner + json.dumps(x)[1:-1].replace(", ", ",\n" + inner) + "\n" + pad + "]")
     elif isinstance(x, dict) and x:
         for i, k in enumerate(sorted(x)):
-            out.append(("," if i else "{") + "\n" + inner + json.dumps(k) + ": ")
+            out.append(("," if i else "{") + "\n" + inner + encode_basestring_ascii(k) + ": ")
             _emit(x[k], inner, out)
         out.append("\n" + pad + "}")
     elif isinstance(x, (list, tuple)) and x:
@@ -334,8 +333,12 @@ def _emit(x, pad: str, out: list) -> None:
             out.append(("," if i else "[") + "\n" + inner)
             _emit(v, inner, out)
         out.append("\n" + pad + "]")
+    elif type(x) is int or type(x) is float and math.isfinite(x):
+        out.append(repr(x))  # json.dumps's float.__repr__ and int.__repr__
+    elif x is None or type(x) is bool:
+        out.append("null" if x is None else "true" if x else "false")
     else:
-        out.append(json.dumps(x))  # a scalar, {} or []
+        out.append(json.dumps(x))  # a string, NaN, +-inf, {} or []
 
 
 def render_json(envelope: dict) -> str:
@@ -412,11 +415,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def write_output(envelope: dict, cfg: RunConfig) -> None:
-    if cfg.format == "json":
-        _write_text(cfg.out, render_json(envelope))
-        return
-    _write_text(cfg.out, render_csv(envelope))
-    if envelope["command"] == "portrait" and cfg.out is not None:
+    _write_text(cfg.out, render_json(envelope) if cfg.format == "json" else render_csv(envelope))
+    if cfg.format == "csv" and envelope["command"] == "portrait" and cfg.out is not None:
         base = Path(cfg.out)
         for i, tr in enumerate(envelope["payload"]["trajectories"]):
             text = _csv_text(CSV_HEADERS["ground-state"], _csv_lines_ruvh(tr))

@@ -367,7 +367,16 @@ def decay_fit(t: Trajectory, window: tuple[float, float]) -> float:
     if np.any(n1 <= 0.0):
         raise ValueError("window contains non-positive |u| + |v|")
     r = t.r[mask]
-    return float(np.polyfit(r, np.log(n1 * np.sqrt(r)), 1)[0])
+    y = np.log(n1 * np.sqrt(r))
+    return float(lsq_slope(r, y - y.mean())[0])
+
+
+def lsq_slope(x, y):
+    """(slope, mean of x) of the least-squares line of y on x: sum((x - mean) y)
+    / sum((x - mean)^2).  Centre y where its offset would swamp x - mean's rounding."""
+    mean = x.mean()
+    d = x - mean
+    return (d @ y) / (d @ d), mean
 
 
 def _bessel_k01(x):
@@ -388,10 +397,12 @@ def _bessel_k01(x):
     t_end = 2.0 * math.asinh(math.sqrt(22.5 / lo)) + 2.0
     size = math.ceil(t_end / h) + 1
     m2s2, ch = _k01_nodes(h, 1 << (size - 1).bit_length())
-    e = np.exp(x * m2s2[:size] if scalar else np.multiply.outer(x, m2s2[:size]))
+    e = x * m2s2[:size] if scalar else np.multiply.outer(x, m2s2[:size])
+    np.exp(e, out=e)  # one (points x nodes) buffer, reused in place
     e.T[0] *= 0.5
     scale = h * np.exp(-x)
-    return scale * np.add.reduce(e, -1), scale * np.add.reduce(e * ch[:size], -1)
+    k0 = scale * np.add.reduce(e, -1)
+    return k0, scale * np.add.reduce(np.multiply(e, ch[:size], out=e), -1)
 
 
 @functools.lru_cache(maxsize=32)

@@ -175,9 +175,8 @@ def check_classification_evidence(p, tol):
         if c.verdict == VERDICT_A:
             if not c.evidence["H"] < -tol_r.delta:
                 return False, f"H evidence fails at {lam}"
-            if c.trajectory is not None:
-                if c.trajectory.nodes_before(c.evidence["r"]) != c.node_count:
-                    return False, f"node count mismatch at {lam}"
+            if c.trajectory is not None and c.trajectory.nodes_before(c.evidence["r"]) != c.node_count:
+                return False, f"node count mismatch at {lam}"
     return True, "A-verdicts consistent"
 
 
@@ -200,6 +199,11 @@ def check_certificate_soundness(p, tol):
 
 # shared by the checks; keyed on the whole (frozen) Params and Tolerances
 _ground_state_cached = functools.cache(ground_state)
+
+
+def _union(*grids) -> np.ndarray:
+    """np.union1d of the grids, sorted without repeats, minus its numpy.ma import."""
+    return np.array(sorted(set(np.concatenate(grids).tolist())))
 
 
 @_check("shooting")
@@ -226,7 +230,7 @@ def check_decay_bound(p, tol):
     logn = np.log(np.maximum(t.norm1, 1e-300))
     worst = -np.inf
     a, b = gs.anchor_r, tol_r.rmax
-    for r in np.union1d(np.linspace(1.05 * a, b, 24), np.linspace(1.2 * a, b, 16)):
+    for r in _union(np.linspace(1.05 * a, b, 24), np.linspace(1.2 * a, b, 16)):
         if r / 2.0 < t.r[0] or r > t.r[-1]:
             continue
         n_r = math.exp(np.interp(r, t.r, logn))
@@ -252,7 +256,7 @@ def check_bisection_bracketing(p, tol):
 def check_rescaling_commutation(p, tol):
     worst = 0.0
     spans = ((0.05, 160), (0.05, 120), (0.02, 250))
-    grid = functools.reduce(np.union1d, [np.linspace(r, 5.0, n) for r, n in spans])
+    grid = _union(*[np.linspace(r, 5.0, n) for r, n in spans])
     for eps in (0.5, 0.1):
         resc = asymptotics.integrate_rescaled(eps, p, tol, r_end=5.0, r_eval=grid)
         r0, y0 = radial_start(1.0 / eps, p, tol)
@@ -268,7 +272,7 @@ def check_rescaling_commutation(p, tol):
 
 @_check("asymptotics")
 def check_bubble_exactness(p, tol):
-    grid = functools.reduce(np.union1d, (np.geomspace(1e-3, 1e6, n) for n in (400, 701, 901)))
+    grid = _union(*(np.geomspace(1e-3, 1e6, n) for n in (400, 701, 901)))
     res = asymptotics.bubble_residual(grid)
     return res < 1e-12, f"residual {res:.3e}"
 

@@ -339,36 +339,17 @@ def test_verify_loose_tolerance_still_passes_monotonicity():
     assert res.passed
 
 
-_SCIPY_PROBE = """
-import contextlib, io, json, sys
-sys.modules["scipy"] = None  # any scipy import now raises ImportError
-from diracshoot import cli
-
-codes = {}
-for argv in (
-    ["classify", "--lambda", "0.5"],
-    ["ground-state"],
-    ["asymptotics", "--epsilon", "0.5"],
-    ["portrait", "--lambda", "0.5", "--resolution", "16"],
-    ["verify"],
-):
-    with contextlib.redirect_stdout(io.StringIO()):
-        codes[argv[0]] = cli.main(argv)
-loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None)
-print(json.dumps({"codes": codes, "loaded": loaded}))
-"""
-
-
 def test_no_command_loads_scipy():
-    # the runtime needs numpy alone: with scipy made unimportable, all five
-    # README commands still succeed and no scipy module gets loaded
+    # the runtime needs numpy alone: with scipy made unimportable and numpy's
+    # least-squares routines (LAPACK) raising, all five README commands still
+    # succeed, and no scipy or numpy.ma module gets loaded
     import subprocess
     import sys
+    from pathlib import Path
 
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
+    probe = Path(__file__).with_name("runtime_probe.py")
+    proc = subprocess.run([sys.executable, str(probe)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     seen = json.loads(proc.stdout)
     assert seen["codes"] == dict.fromkeys(
         ("classify", "ground-state", "asymptotics", "portrait", "verify"), 0
