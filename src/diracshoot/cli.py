@@ -437,7 +437,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--omega", type=float, default=None, help="frequency, 0 < omega < m")
     sp.add_argument("--tol-rel", type=float, default=None, dest="tol_rel")
     sp.add_argument("--tol-abs", type=float, default=None, dest="tol_abs")
-    sp.add_argument("--r0", type=float, default=None, help="series start radius")
+    sp.add_argument("--r0", type=float, default=None, help="start radius of the asymptotics runs")
     sp.add_argument("--eta", type=float, default=None, help="origin-capture threshold")
     sp.add_argument("--delta", type=float, default=None, help="negative-energy threshold")
     sp.add_argument("--rmax", type=float, default=None, help="integration horizon")

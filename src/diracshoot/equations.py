@@ -19,6 +19,7 @@ event formulas splice into theirs.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .integrator import formula
@@ -108,8 +109,7 @@ def taylor_start(lam: float, p: Params, r0: float, eps: float = 1.0) -> State:
         v(r0) = lambda - (r0^2/4) lambda (lambda^2 - (m-omega))
                                          (lambda^2 + m + omega) + O(r0^4)
 
-    with m and omega scaled by eps^2.  Valid while lambda^2 * r0 is small;
-    callers shooting at large lambda should shrink r0 like 1/lambda^2.
+    with m and omega scaled by eps^2, valid while lambda^2 r0 is small.
     """
     if not 0.0 < lam < math.inf:
         raise ValueError(f"datum must be positive and finite, got {lam}")
@@ -122,11 +122,37 @@ def taylor_start(lam: float, p: Params, r0: float, eps: float = 1.0) -> State:
     return u, v
 
 
-def radial_start(lam: float, p: Params, tol: Tolerances) -> tuple[float, State]:
-    """Start (r0, (u, v)) of the radial flow for the datum v(0) = lambda.
+# (2k + 2) a_k = sum_j q_j b_(k-j) - am b_k, (2k + 2) b_(k+1) = -sum_j q_j a_(k-j) - ap a_k give
+# the series u = sum a_k r^(2k+1), v = sum b_k r^(2k), q = u^2 + v^2 = sum q_k r^(2k) of the radial
+# system, (am, ap) = (m - omega, m + omega) (Jorba & Zou, Exp. Math. 14, 2005); series runs it to
+# order _N in straight lines and sums it where (|a_N| + |b_N|) r^(2N) falls to small, or at cap
+_N = 12
 
-    The radius tol.r0 / max(1, lambda^2) keeps lambda^2 r0 small, where the
-    series start is valid.
-    """
-    r0 = tol.r0 / max(1.0, lam * lam)
-    return r0, taylor_start(lam, p, r0)
+
+@functools.cache
+def _series():
+    dot = lambda x, y, k: " + ".join(f"{x}{j} * {y}{k - j}" for j in range(k + 1))  # noqa: E731
+    lines = ["def series(b0, am, ap, small, cap):"]
+    for k in range(_N + 1):
+        lines += [f"q{k} = {dot('b', 'b', k)}" + (f" + {dot('a', 'a', k - 1)}" if k else ""),
+                  f"a{k} = ({dot('q', 'b', k)} - am * b{k}) / {2 * k + 2}.0",
+                  f"b{k + 1} = -({dot('q', 'a', k)} + ap * a{k}) / {2 * k + 2}.0"]
+    lines[-1] = f"last = abs(a{_N}) + abs(b{_N})"  # in place of b_(N+1)
+    a, b = (functools.reduce(lambda e, k: f"{c}{k} + x * ({e})", range(_N)[::-1], f"{c}{_N}") for c in "ab")
+    lines += [f"r = cap if last * cap ** {2 * _N} <= small else (small / last) ** {1 / (2 * _N)!r}",
+              "x = r * r", f"return r, r * ({a}), {b}"]
+    exec("\n    ".join(lines), ns := {})
+    return ns["series"]
+
+
+def series_start(lam: float, p: Params, tol: Tolerances) -> tuple[float, State]:
+    """Start (r_s, (u, v)) of the radial flow for the datum v(0) = lambda: the series in
+    the frame R = s^2 r, s^2 = lambda^2 + m + omega, where (u, v) = s (U, V) with m and omega
+    scaled by 1/s^2 has coefficients of order one, summed where its last terms fall to 0.1
+    (tol.rel lambda + tol.abs), at most at R = 2 (the bubble's poles: R = 2i) and rmax / 2."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"datum must be positive and finite, got {lam}")
+    s2 = lam * lam + p.m + p.omega
+    s, cap = math.sqrt(s2), min(2.0, 0.5 * tol.resolved(p).rmax * s2)
+    r, u, v = _series()(lam / s, p.gap / s2, (p.m + p.omega) / s2, 0.1 * (tol.rel * lam + tol.abs) / s, cap)
+    return r / s2, (s * u, s * v)

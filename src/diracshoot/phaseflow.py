@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import autonomous_flow, radial_flow, radial_start
+from .equations import autonomous_flow, radial_flow, series_start
 from .integrator import Trajectory, solve
 from .params import Params, Tolerances
 from .shooting import VERDICT_A, classify
@@ -119,7 +119,7 @@ def attraction_report(lam: float, p: Params, tol: Tolerances) -> AttractionRepor
     entered_at = cls.evidence["r"]
 
     tol = cls.tol  # resolved, so its rmax is the horizon
-    r0, y0 = radial_start(lam, p, tol)
+    r0, y0 = series_start(lam, p, tol)
     traj = solve(radial_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs)
 
     v0 = math.sqrt(p.gap)

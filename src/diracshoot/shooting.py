@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equations import ENERGY, energy_constants, hamiltonian, radial_flow, radial_start
+from .equations import ENERGY, energy_constants, hamiltonian, radial_flow, series_start
 from .integrator import Detector, Event, EventKind, IntegrationError, Trajectory, formula, solve
 from .params import Params, Tolerances
 
@@ -239,13 +239,12 @@ def classify(
     if not 0.0 < lam < math.inf:
         raise ValueError(f"datum must be positive and finite, got {lam}")
     tol = tol.resolved(p)
-    r0, y0 = radial_start(lam, p, tol)
+    r0, y0 = series_start(lam, p, tol)
     rmax = float(horizon) if horizon is not None else tol.rmax
 
     H0 = hamiltonian(y0, p)
     if not math.isfinite(H0):
-        # from lambda ~ 1.2e77 the start's energy overflows, from ~1e103 the
-        # series start itself; no step is taken and no sample recorded
+        # from lambda ~ 1.2e77 the start's energy overflows; no step is taken and no sample recorded
         nan = float("nan")
         note = f"float overflow at the series start: H = {H0}"
         evid = {"r": nan, "H": nan, "certificate": None, "note": note}
@@ -256,8 +255,8 @@ def classify(
         ev = Event(EventKind.ENTERED_NEGATIVE_ENERGY, r0, y0)
         traj = Trajectory(np.array([r0]), np.array([y0]), (ev,), "event:entered_negative_energy")
         evid, summ = {"r": r0, "H": H0, "certificate": None}, _summary(traj, p)
-        traj = traj if keep_trajectory else None
-        return Classification(lam, VERDICT_A, 0, evid, summ, traj, tol=tol)
+        wronskian = _closest_approach_wronskian(traj, p) if stop_at_first_node else None
+        return Classification(lam, VERDICT_A, 0, evid, summ, traj if keep_trajectory else None, wronskian, tol)
 
     g, dets = _events(p, tol, stop_at_first_node)
     try:

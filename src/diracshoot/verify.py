@@ -22,7 +22,7 @@ from .equations import (
     hamiltonian_rate,
     r2h_rate,
     radial_flow,
-    radial_start,
+    series_start,
     taylor_start,
 )
 from .integrator import solve
@@ -72,7 +72,7 @@ def _check(module: str):
 @functools.cache
 def _radial_trajectory(lam, p, tol, r_end=None):
     # a datum run to one end (default the horizon) is shared by the radial-core checks
-    r0, y0 = radial_start(lam, p, tol)
+    r0, y0 = series_start(lam, p, tol)
     end = tol.rmax if r_end is None else r_end
     return solve(radial_flow(p), (r0, end), y0, rel=tol.rel, abs_tol=tol.abs)
 
@@ -104,7 +104,7 @@ def check_confinement(p, tol):
 
 @_check("radial-core")
 def check_sign_symmetry(p, tol):
-    r0, y0 = radial_start(1.3, p, tol)
+    r0, y0 = series_start(1.3, p, tol)
     a = _radial_trajectory(1.3, p, tol, r_end=20.0)
     b = solve(radial_flow(p), (r0, 20.0), (-y0[0], -y0[1]), rel=tol.rel, abs_tol=tol.abs)
     # the flow is odd and every operation of a step commutes with negation,
@@ -259,8 +259,8 @@ def check_rescaling_commutation(p, tol):
     grid = _union(*[np.linspace(r, 5.0, n) for r, n in spans])
     for eps in (0.5, 0.1):
         resc = asymptotics.integrate_rescaled(eps, p, tol, r_end=5.0, r_eval=grid)
-        r0, y0 = radial_start(1.0 / eps, p, tol)
-        rad = solve(radial_flow(p), (r0, eps * eps * 5.0 * 1.01), y0,
+        r0 = tol.r0 * eps * eps  # where the rescaled run starts, at R = tol.r0
+        rad = solve(radial_flow(p), (r0, eps * eps * 5.0 * 1.01), taylor_start(1.0 / eps, p, r0),
                     rel=tol.rel, abs_tol=tol.abs, r_eval=eps * eps * grid)
         d = np.max(
             np.abs(eps * rad.y[:, 0] - resc.y[:, 0]) + np.abs(eps * rad.y[:, 1] - resc.y[:, 1])

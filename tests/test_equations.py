@@ -174,3 +174,19 @@ def test_taylor_start_domain():
             taylor_start(bad, P, 1e-6)
         with pytest.raises(ValueError, match="start radius must be positive and finite"):
             taylor_start(1.0, P, bad)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.8, 1e4])
+def test_series_start_matches_a_tight_run_from_the_origin(lam):
+    # the series' state at its radius r_s against a run at rel = abs = 1e-14
+    # from the second-order start at 1e-9 / max(1, lambda^2), within ten
+    # times the default tolerance
+    from diracshoot import Tolerances, solve
+    from diracshoot.equations import series_start
+
+    tol = Tolerances()
+    r_s, y_s = series_start(lam, P, tol)
+    r0 = 1e-9 / max(1.0, lam * lam)
+    tight = solve(radial_flow(P), (r0, r_s), taylor_start(lam, P, r0), rel=1e-14, abs_tol=1e-14)
+    for got, want in zip(y_s, tight.final_state):
+        assert abs(got - want) <= 10.0 * (tol.abs + tol.rel * abs(want))

@@ -381,26 +381,29 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     # event function built by formula, solve of a plain callable around f,
     # which inlines g alone, and the reference, which calls both
     from diracshoot.asymptotics import _first_order_start, _rhs_first_order, _rhs_joint
-    from diracshoot.equations import radial_start
+    from diracshoot.equations import series_start
     from diracshoot.phaseflow import attraction_report
     from diracshoot.shooting import _events
 
     runs = []  # (f, r_span, y0, keywords of solve)
     # shooting trials A(0), nodal (A(1)), I-candidate, undecided at a
     # horizon, and one stopped at its first node (the once certificate fires
-    # in the first four); each has rejected steps
-    lam_star = 1.8078961486370915  # the ground state's datum at P, TOL
+    # in the first four); each has rejected steps.  The I-candidate is the
+    # connection at (1, 0.99): the ones at P take no rejected step
+    lam_star = 1.8078961488783114  # the ground state's datum at P, TOL
+    p99 = Params(1.0, 0.99)
+    tol99 = Tolerances().resolved(p99)
     trials = slice(len(runs), len(runs) + 5)
-    for lam, stop, horizon in [
-        (lam_star - 7e-12, False, TOL.rmax),
-        (lam_star + 3e-12, False, TOL.rmax),
-        (lam_star, False, TOL.rmax),
-        (lam_star, False, 15.0),
-        (2.5, True, TOL.rmax),
+    for lam, p, tol, stop, horizon in [
+        (lam_star - 7e-12, P, TOL, False, TOL.rmax),
+        (lam_star + 3e-12, P, TOL, False, TOL.rmax),
+        (0.22115975241011132, p99, tol99, False, tol99.rmax),  # its ground state's datum
+        (lam_star - 7e-12, P, TOL, False, 20.0),
+        (8.0, P, TOL, True, TOL.rmax),
     ]:
-        r0, y0 = radial_start(lam, P, TOL)
-        g, dets = _events(P, TOL, stop)
-        runs.append((RADIAL, (r0, horizon), y0, dict(detectors=dets, g=g)))
+        r0, y0 = series_start(lam, p, tol)
+        g, dets = _events(p, tol, stop)
+        runs.append((radial_flow(p), (r0, horizon), y0, dict(detectors=dets, g=g)))
     # the rescaled run with a v-sign detector at eps = 0.05, 0.2 and the
     # eps = 0 bubble limit
     for eps in (0.05, 0.2, 0.0):
@@ -408,7 +411,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
         runs.append((radial_flow(P, eps), span, y0, dict(detectors=[NODE], g=v_sign)))
     # attraction_report's run to the horizon, where u crosses zero many
     # times on the spiral toward the equilibrium
-    r0, y0 = radial_start(2.5, P, TOL)
+    r0, y0 = series_start(2.5, P, TOL)
     i_spiral = len(runs)
     runs.append((RADIAL, (r0, TOL.rmax), y0, {}))
     # an r_eval grid through r0, step ends, the terminal crossing, interior
@@ -523,7 +526,7 @@ def test_formula_event_function_is_called_only_at_the_start():
     # certificate are not terminal and whose capture is; the run is bitwise
     # that of the called wrapper, which counts each accepted step and each
     # bisection point
-    from diracshoot.equations import radial_start
+    from diracshoot.equations import series_start
     from diracshoot.shooting import _events
 
     g, dets = _events(P, TOL, False)
@@ -535,7 +538,7 @@ def test_formula_event_function_is_called_only_at_the_start():
         return g(r, y)
 
     counted.formula = g.formula
-    r0, y0 = radial_start(1.8078961486370915 + 3e-12, P, TOL)
+    r0, y0 = series_start(1.8078961488783114 + 3e-12, P, TOL)
     kw = dict(rel=TOL.rel, abs_tol=TOL.abs, detectors=dets)
     inlined = solve(RADIAL, (r0, TOL.rmax), y0, g=counted, **kw)
     assert calls == 1
@@ -584,7 +587,7 @@ def test_failures_match_the_reference_solve(monkeypatch):
     # after the first node of a nodal trial: the same message and the same
     # partial run, which keeps the samples up to its last accepted step
     from diracshoot import integrator as I
-    from diracshoot.equations import radial_start
+    from diracshoot.equations import series_start
     from diracshoot.shooting import _events
 
     def blowup(r, y):
@@ -605,12 +608,12 @@ def test_failures_match_the_reference_solve(monkeypatch):
     partial = same_failure(blowup, (0.0, 2.0), (1.0,), "step size underflow", r_eval=grid, **blow)
     assert len(partial) == 20 and partial.r[-1] == grid[19]
 
-    monkeypatch.setattr(I, "_MAX_STEPS", 120)
-    r0, y0 = radial_start(2.5, P, TOL)
+    monkeypatch.setattr(I, "_MAX_STEPS", 90)  # of the trial's 104 steps, its first node in the 78th
+    r0, y0 = series_start(2.5, P, TOL)
     g, dets = _events(P, TOL, False)
     kw = dict(detectors=dets, g=g, rel=TOL.rel, abs_tol=TOL.abs)
     partial = same_failure(RADIAL, (r0, TOL.rmax), y0, "step budget exhausted", **kw)
-    assert partial.stats["naccpt"] + partial.stats["nrejct"] == 120
+    assert partial.stats["naccpt"] + partial.stats["nrejct"] == 90
     assert partial.nodes_before() == 1
 
 

@@ -92,7 +92,7 @@ def test_attraction_report_nodal_datum_lands_on_lower_lobe():
 
 def test_attraction_report_requires_captured_datum():
     with pytest.raises(ValueError):
-        attraction_report(1.8078961486370915, P, TOL)  # near-connection datum
+        attraction_report(1.8078961488783114, P, TOL)  # near-connection datum
 
 
 def test_stability_zero_horizon():

@@ -1,5 +1,6 @@
 import math
 
+import collocation
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,16 +146,17 @@ def test_bisect_history_sides_consistent(gs):
     assert abs(gs.lambda_star - max(free)) <= max(gs.bracket_width, 1e-12)
 
 
-def test_undecided_trial_is_retried_on_a_doubled_horizon(gs):
-    # at rmax = 20 one trial datum is still undecided at the horizon; bisect
-    # classifies it again to 40, where it reaches the eta tube, and the
-    # search ends where the default one does
-    short = ground_state(P, Tolerances(rmax=20.0))
+def test_undecided_trial_is_retried_on_a_doubled_horizon():
+    # at (1, 0.4) and rmax = 18 one trial datum is still undecided at the
+    # horizon; bisect classifies it again to 36, where it reaches the eta
+    # tube, and the search ends where the default one does
+    p = Params(1.0, 0.4)
+    short = ground_state(p, Tolerances(rmax=18.0))
     lams = [c.lam for c in short.history]
     retried = [c.verdict for c in short.history if lams.count(c.lam) == 2]
     assert retried == ["undecided", "I-candidate"]
     assert short.converged and short.node_count == 0
-    assert short.lambda_star == pytest.approx(gs.lambda_star, rel=1e-10)
+    assert short.lambda_star == pytest.approx(ground_state(p, TOL).lambda_star, rel=1e-10)
 
 
 def test_ground_state_profile_localized(gs):
@@ -374,10 +376,11 @@ def test_search_closes_the_bracket_to_its_target(searched):
 
 
 def test_bracket_closes_after_a_second_connection():
-    # at omega/m = 0.999 the eta tube is wider than the target: the closing
-    # trial at lo + target/2 connects too, and midpoints close the rest (the
-    # search that stopped there reported 6.45e-10 against 6.98e-13)
-    gs = ground_state(Params(1.0, 0.999), TOL)
+    # at omega/m = 0.9999 the eta tube is wider than the target: the closing
+    # trial at lo + target/2 connects too, and midpoints close the rest (a
+    # search that stopped on such a second connection at 0.999 reported
+    # 6.45e-10 against 6.98e-13)
+    gs = ground_state(Params(1.0, 0.9999), TOL)
     assert sum(c.verdict == "I-candidate" for c in gs.history) >= 2
     assert gs.bracket_width <= 0.1 * TOL.rel * gs.lambda_star
     assert gs.converged and gs.node_count == 0
@@ -410,7 +413,7 @@ def test_no_trial_runs_loose_at_or_above_the_floor(rel):
 
 
 @pytest.mark.parametrize(
-    "mw, lam", [((1.0, 0.999), 0.06978687625), ((4.0, 1.0), None)], ids=["1-0.999", "4-1"]
+    "mw, lam", [((1.0, 0.999), 0.06978858036), ((4.0, 1.0), None)], ids=["1-0.999", "4-1"]
 )
 def test_loose_floor_keeps_the_search_at_rel_1e_6(mw, lam):
     # with the loose trials at 1e3 tol.rel instead of max(tol.rel, 1e-7),
@@ -482,11 +485,14 @@ def test_every_shooting_trial_carries_signed_wronskian(searched):
     # F at the closest approach is negative for node-free captured data and
     # positive for nodal ones, which lets the secant step from the first
     # bracket.
-    # Every searched datum is >= sqrt(2(m - omega)), where H(0, v) >= 0, so
-    # none starts inside {H < -delta} and each one is integrated
+    # The first datum sqrt(2(m - omega)) has H(0, v) = 0, and its series
+    # start lies inside {H < -delta}: it takes no step, and F is read at its
+    # start.  Every later datum is larger, where H(0, v) > 0, and integrated
     _, gs = searched
+    first, *later = gs.history
+    assert (first.verdict, first.summary["samples"]) == ("A", 1)
+    assert all(c.summary["samples"] > 1 for c in later)
     for c in gs.history:
-        assert c.summary["samples"] > 1
         if c.verdict == "I-candidate":
             # a connection: F is at the integration error, either sign
             assert c.wronskian is not None
@@ -560,15 +566,26 @@ def test_profile_candidates_are_the_search_trials_cut_at_their_first_node(monkey
         assert repr(c.summary) == repr(fresh.summary) == repr(whole.summary)
 
 
-def test_lambda_star_matches_the_taylor_oracle():
-    # oracle: a 40-digit mpmath Taylor integrator (Cauchy products for the
-    # cubic terms, series division for u/r, a Frobenius start at r = 0; the
-    # verdict is whichever of v < 0 and H < 0 comes first) bisected on the
-    # datum.  Its runs at step and order (h, N) = (0.125, 40) and (0.0625,
-    # 30) agree on all 19 digits of lambda*(1, 0.5) below.  The search at the
-    # default tolerance is 7.6e-11 below it, relative
+def test_lambda_star_matches_the_collocation_oracle():
+    # oracle: Chebyshev collocation of the radial problem (tests/collocation.py),
+    # 1.807896148773706 here, within 2e-15 of the 40-digit Taylor
+    # integrator's 1.807896148773709416.  The search at the default tolerance
+    # is 5.8e-11 above it, relative
     lam = ground_state(P, TOL).lambda_star
-    assert abs(lam / 1.807896148773709416 - 1.0) < 1e-10
+    assert abs(lam / collocation.lambda_coll(1.0, 0.5) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("omega", [0.5, 0.1, 0.99])
+def test_lambda_star_at_rel_1e_13_matches_the_collocation_oracle(omega):
+    # -1.8e-14, -9.5e-14 and +4.1e-12 relative
+    tol = Tolerances(rel=1e-13, abs=1e-13)
+    lam = ground_state(Params(1.0, omega), tol).lambda_star
+    assert abs(lam / collocation.lambda_coll(1.0, omega) - 1.0) < 1e-11
+
+
+def test_collocation_townes_profile_matches_its_known_q0():
+    # Q'' + Q'/r - Q + Q^3 = 0, the NLS limit omega -> m of the radial system
+    assert abs(collocation.townes_q0() / 2.2062008646507 - 1.0) < 1e-13
 
 
 def test_loose_lambda_tol_ends_while_bisecting():
