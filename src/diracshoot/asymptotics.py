@@ -20,7 +20,6 @@ source-term algebra.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,50 +65,25 @@ def bubble_residual(grid) -> float:
     return float(np.max(res_u + res_v))
 
 
-def integrate_rescaled(
-    eps: float,
-    p: Params,
-    tol: Tolerances,
-    r_end: float | None = None,
-    r_eval=None,
-    also=None,
-) -> Trajectory | tuple[Trajectory, Trajectory]:
+def integrate_rescaled(eps: float, p: Params, tol: Tolerances, r_end: float | None = None) -> Trajectory:
     """Integrate the rescaled system radial_flow(p, eps) from (0, 1) up to
     r_end (default 1/eps), recording the sign changes of V as V_SIGN_CHANGE
     events (a detector leaves the steps as they are).  Its energy
     hamiltonian((U, V), p, eps) is non-increasing along the flow and bounded
-    by its datum value <= 1.
-
-    also = (r_other, r_eval_other) returns the pair of this run and the run
-    to r_other sampled at r_eval_other from one integration: the run to the
-    nearer end goes first, and the other one continues from its last step
-    (see solve's fork)."""
+    by its datum value <= 1."""
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"need 0 <= eps < 1, got {eps}")
     if r_end is None and eps == 0.0:
         raise ValueError("the massless limit needs an explicit r_end")
     end = float(r_end) if r_end is not None else 1.0 / eps
-    run = functools.partial(
-        solve,
-        radial_flow(p, eps),
-        y0=taylor_start(1.0, p, tol.r0, eps),
-        rel=tol.rel,
-        abs_tol=tol.abs,
-        detectors=_NODES,
-        g=v_sign,
-    )
-    if also is None:
-        return run((tol.r0, end), r_eval=r_eval)
-    fork, this = [], (end, r_eval)
-    near, far = sorted([this, (float(also[0]), also[1])], key=lambda leg: leg[0])
-    runs = tuple(run((tol.r0, e), r_eval=grid, fork=fork) for e, grid in (near, far))
-    return runs if near is this else runs[::-1]
+    flow, y0 = radial_flow(p, eps), taylor_start(1.0, p, tol.r0, eps)
+    return solve(flow, (tol.r0, end), y0, rel=tol.rel, abs_tol=tol.abs, detectors=_NODES, g=v_sign)
 
 
-def node_radius(traj: Trajectory) -> float | None:
-    """First zero of V on a rescaled run, or None."""
-    hits = traj.events_of(EventKind.V_SIGN_CHANGE)
-    return float(hits[0].r) if hits else None
+def node_radius(traj: Trajectory, r: float) -> float | None:
+    """First zero of V up to radius r on a rescaled run, or None."""
+    hits = [e.r for e in traj.events_of(EventKind.V_SIGN_CHANGE) if e.r <= r]
+    return float(hits[0]) if hits else None
 
 
 # --- first-order perturbation ----------------------------------------------
@@ -227,8 +201,8 @@ def first_order_log_fit(p: Params) -> LogLawFit:
 # --- remainder --------------------------------------------------------------
 
 # rel_discrepancy below which the two remainder routes agree (verify checks it
-# at eps = 0.2); at or above it the Hermite error of the rescaled samples over
-# eps^4 (see PerturbationRecord) keeps the crosscheck from resolving the remainder.
+# at eps = 0.2); at or above it the rescaled run's step-end error over eps^4
+# (see PerturbationRecord) keeps the crosscheck from resolving the remainder.
 CROSSCHECK_REL_BOUND = 1e-4
 
 
@@ -256,19 +230,22 @@ class PerturbationRecord:
     route, the expansion defect of the rescaled solution over eps^4.
     threshold_ok records |h2|+|k2| < eps^(-3/2) with breach_r the first
     violation radius (None when respected), node_radius the first zero of V
-    in the rescaled run (None when V stays positive).  sup_error is the
-    sup of |U - U0| + |V - V0| on [0, T], the rescaled run's distance to the
-    bubble that convergence_study compares across eps (both None without T).
+    up to 1/eps in the rescaled run (None when V stays positive).  sup_error
+    is the sup of |U - U0| + |V - V0| on [0, T], the rescaled run's distance
+    to the bubble that convergence_study compares across eps (both None
+    without T).
 
     sup_norm grows like mu^2/eps (ln(1/eps) - a), a = 2 + ln 2 +
     (m - omega)/(2(m + omega)), below the bound
     mu^2 ln(1/eps)/eps of remainder_bound_constant for small eps (near
     omega/m = 1 the ln^3 growth of k2 can exceed it at moderate eps).  The
-    subtraction route divides the cubic-Hermite error of the rescaled samples
-    between step ends (2.3e-8 at eps = 0.2, 1.2e-10 at the step ends) by
-    eps^4, so it resolves the remainder only while that is far below sup_norm:
-    rel_discrepancy is 1.1e-5 at eps = 0.2 and reaches CROSSCHECK_REL_BOUND
-    near eps = 0.1 at the default tolerance (5.9e-4 at 0.05, 2e-2 at 0.0125).
+    subtraction route divides the rescaled run's error by eps^4, so it is
+    taken at that run's step ends up to 1/eps (1.2e-10 off at eps = 0.2,
+    against 2.3e-8 for its cubic Hermite samples between them), with h1 and
+    k1 in closed form and the joint run's (h2, k2) sampled there.  At the
+    default tolerance and (1, 0.5), rel_discrepancy is 6.0e-8, 3.3e-7 and
+    1.4e-6 at eps = 0.2, 0.1 and 0.05 and 4.4e-5 at 0.0125 (6.8e-5 at
+    omega = 0.9), and it reaches CROSSCHECK_REL_BOUND near eps = 0.01.
     """
 
     epsilon: float
@@ -327,11 +304,9 @@ def integrate_remainder(
 
     The joint flow gives (h2, k2) at any eps, with sup |h2|+|k2| growing like
     mu^2/eps (ln(1/eps) - a) (see remainder_bound_constant); the subtraction
-    route is an independent check only for eps >~ 0.05 at the default
-    tolerance, as its error is the rescaled samples' Hermite error / eps^4.
-    The rescaled flow is integrated once, to max(1/eps, T): the runs to 1/eps
-    and to T share their steps up to the nearer end, and each is bitwise a
-    run of its own.
+    route checks it at the rescaled run's step ends up to 1/eps, with h1 and
+    k1 in closed form.  The rescaled flow is integrated once, to
+    max(1/eps, T), and that run serves both horizons.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
@@ -340,24 +315,28 @@ def integrate_remainder(
     grid = np.linspace(r0, r_end, _REMAINDER_N)
 
     y0 = (*_first_order_start(p, r0), 0.0, 0.25 * (p.m * p.m - p.omega * p.omega) * r0 * r0)
-    joint = solve(_rhs_joint(eps, p), (r0, r_end), y0, rel=tol.rel, abs_tol=tol.abs, r_eval=grid)
-    h1, k1, h2, k2 = joint.y.T
+    joint = solve(_rhs_joint(eps, p), (r0, r_end), y0, rel=tol.rel, abs_tol=tol.abs)
+    h1, k1, h2, k2 = joint.sample(grid).y.T
+    resc = integrate_rescaled(eps, p, tol, r_end if T is None else max(r_end, float(T)))
 
     sup_error = None
-    if T is None:
-        resc = integrate_rescaled(eps, p, tol, r_eval=grid)
-    else:
+    if T is not None:
         grid_T = np.linspace(r0, float(T), _CONVERGENCE_N)
-        resc, to_T = integrate_rescaled(eps, p, tol, r_eval=grid, also=(T, grid_T))
         u0, v0 = bubble(grid_T)
-        sup_error = float(np.max(np.abs(to_T.y[:, 0] - u0) + np.abs(to_T.y[:, 1] - v0)))
-    u0, v0 = bubble(grid)
+        to_T = resc.sample(grid_T).y
+        sup_error = float(np.max(np.abs(to_T[:, 0] - u0) + np.abs(to_T[:, 1] - v0)))
+    # the subtraction route at the rescaled run's step ends up to 1/eps
+    at = resc.r <= r_end
+    ends, (U, V) = resc.r[at], resc.y[at].T
+    u0, v0 = bubble(ends)
+    fo = integrate_first_order(p, ends)
+    h2_ends, k2_ends = joint.sample(ends).y[:, 2:].T
     e2 = eps * eps
     e4 = e2 * e2
-    h2_sub = (resc.y[:, 0] - u0 - e2 * h1) / e4
-    k2_sub = (resc.y[:, 1] - v0 - e2 * k1) / e4
+    h2_sub = (U - u0 - e2 * fo.h1) / e4
+    k2_sub = (V - v0 - e2 * fo.k1) / e4
 
-    diff = np.maximum(np.abs(h2 - h2_sub), np.abs(k2 - k2_sub))
+    diff = np.maximum(np.abs(h2_ends - h2_sub), np.abs(k2_ends - k2_sub))
     norm1 = np.abs(h2) + np.abs(k2)
     sup = float(np.max(norm1))
     threshold = eps ** -1.5
@@ -375,7 +354,7 @@ def integrate_remainder(
         threshold=threshold,
         threshold_ok=len(breaches) == 0,
         breach_r=float(grid[breaches[0]]) if len(breaches) else None,
-        node_radius=node_radius(resc),
+        node_radius=node_radius(resc, r_end),
         T=None if T is None else float(T),
         sup_error=sup_error,
     )

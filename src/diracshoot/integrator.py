@@ -6,9 +6,9 @@ many thousands of times during a shooting run, so the per-step overhead
 matters).  Events are located by sign bracketing over each accepted step
 and refined by bisection on the cubic Hermite dense output (Hairer, Norsett
 & Wanner, Solving ODEs I, II.6); an event records the interpolated state at
-its crossing, from which callers compute any value there.  r_eval samples
-are interpolated with the same polynomial, in one array pass over the
-recorded step ends.
+its crossing, from which callers compute any value there.  A trajectory
+keeps the step table of its run, and Trajectory.sample interpolates it at
+any radii with the same polynomial, in one array pass.
 
 The adaptive loop, with a sign screen of the event values, the bisection
 that refines a crossing and the Hermite dense output are written once, in
@@ -21,12 +21,6 @@ code keeps their operation order, so it is bitwise the loops.  A right-hand
 side or event function built by formula carries its source text: each stage
 evaluates the flow's formula in place of calling it, and the sign screen and
 each bisection point the event function's, bitwise the same way.
-
-With a deterministic step control, runs of one start to two ends take the
-same steps up to the one that would land on the nearer end (only that step
-is cut to an end).  solve's fork pauses a run where that step begins, in
-the loop's branch that cuts it, and a second solve continues from there to
-its own end; each is bitwise its fresh run.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ import math
 import re
 import struct
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,14 +101,17 @@ class Trajectory:
     sample; its first two columns are the (u, v) plane for the 2-dimensional
     flows.  stats holds solve's counters in the DOPRI5 names: nfev
     (right-hand side evaluations), naccpt and nrejct (accepted and rejected
-    steps), and nbisect (event function evaluations that refine crossings);
-    it is empty for paths assembled outside solve."""
+    steps), and nbisect (event function evaluations that refine crossings).
+    table holds solve's step ends as rows (r, y, dy/dr), uncut at a terminal
+    crossing, which sample interpolates.  stats and table are empty for
+    paths assembled outside solve."""
 
     r: np.ndarray
     y: np.ndarray
     events: tuple[Event, ...]
     status: str  # "completed" or "event:<kind>"
     stats: dict = field(default_factory=dict)
+    table: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.r)
@@ -148,18 +145,42 @@ class Trajectory:
         """Number of recorded sign changes of v strictly before radius r."""
         return sum(1 for e in self.events if e.kind == EventKind.V_SIGN_CHANGE and e.r < r)
 
+    def sample(self, grid) -> Trajectory:
+        """This run at the 1-D, strictly increasing grid, from its step
+        table: a point equal to a sample takes the state there, any other
+        the Hermite value on the step ending beyond it (the polynomial that
+        refines events, in one array pass).  The grid lies within the run's
+        r_span; points past the last sample of a run that stopped early, at
+        a terminal crossing or a failure, are left out."""
+        if self.table is None:
+            raise ValueError("only a run of solve has a step table to sample")
+        grid = np.array(grid, dtype=float)
+        if grid.ndim != 1:
+            raise ValueError(f"grid must be one-dimensional, got shape {grid.shape}")
+        if not np.all(grid[1:] > grid[:-1]):
+            raise ValueError("grid must be strictly increasing")
+        r = self.r
+        if grid.size and not (grid[0] >= r[0] and (grid[-1] <= r[-1] or self.status != "completed")):
+            raise ValueError("grid must lie within r_span of the run")
+        pts = grid[: np.searchsorted(grid, r[-1], "right")]
+        j = np.searchsorted(r, pts)
+        inner = pts != r[j]
+        y = self.y[j]
+        j = j[inner]
+        y[inner] = np.transpose(_hermite(y.shape[1])(self.table[j - 1].T, self.table[j].T, pts[inner]))
+        return replace(self, r=pts, y=y)
+
 
 # [expr] expands to "expr_0, expr_1, ..., ", [+expr] to "expr_0 + expr_1 + ..." and
 # [|expr] to "expr_0 or expr_1 or ...", with # the state component index or $ the
 # event value index; lines starting with ? (the sign screen) are kept for k > 0.
 # run appends each accepted r, y and f = dy/dr to the flat list nodes and returns
 # (status, r, y, dy, h, naccpt, nrejct, p, q): "completed" at r_end, "event" after
-# a step over which some value changed sign from p to q, "paused" with pause set
-# where the step landing on r_end begins (h not yet cut to it, p the values
-# there), or a failure; its stages k1# ... k5#, update n# and error terms are
-# written from _DP54.  hermite interpolates between two rows, of floats or arrays.
+# a step over which some value changed sign from p to q, or a failure; its stages
+# k1# ... k5#, update n# and error terms are written from _DP54.  hermite
+# interpolates between two rows, of floats or arrays.
 _DP54_SRC = """
-def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, pause, [p$]):
+def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
     [y#] = y
     [k0#] = dy
     [ay#] = [abs(y#)]
@@ -168,13 +189,11 @@ def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, pause, [p
             return "step budget exhausted", r, ([y#]), ([k0#]), h, naccpt, nrejct, (), ()
         last = h >= r_end - r
         if last:
-            if pause:
-                return "paused", r, ([y#]), ([k0#]), h, naccpt, nrejct, ([p$]), ()
             h = r_end - r
         # relative to r, and negated so that a NaN step size (from a non-finite start) fails here
         if not h > 1e-14 * abs(r):
             return "step size underflow", r, ([y#]), ([k0#]), h, naccpt, nrejct, (), ()
-        # land exactly on r_end so endpoint r_eval samples are never dropped
+        # land exactly on r_end, so that a sample there takes the step end
         r_new = r_end if last else r + h
 STAGES
         [k6#] = f(r_new, ([n#]))
@@ -370,8 +389,6 @@ def solve(
     abs_tol: float,
     detectors: Sequence[Detector] = (),
     g: Callable[[float, tuple], tuple] | None = None,
-    r_eval: Sequence[float] | None = None,
-    fork: list | None = None,
 ) -> Trajectory:
     """Integrate y' = f(r, y) over r_span with event detection.
 
@@ -379,25 +396,14 @@ def solve(
     called at the start and evaluated per accepted step and per bisection
     point of a crossing, where the loop's sign screen and the bisection
     inline the source text of a g built by formula.  Samples are recorded at
-    every accepted step, or exactly at the 1-D, strictly increasing r_eval
-    within r_span when given: a point equal to a step end takes the state
-    there, any other is interpolated in one pass from the recorded step ends
-    with the Hermite polynomial that refines events.  A terminal event
-    truncates the trajectory at the refined crossing; otherwise the run ends
-    at r_span[1] with status "completed".  The right-hand side is evaluated
+    every accepted step, and the trajectory keeps the step table that its
+    sample method interpolates at any radii.  A terminal event truncates the
+    samples at the refined crossing; otherwise the run ends at r_span[1]
+    with status "completed".  The right-hand side is evaluated
     2 + 6 (naccpt + nrejct) times: at the start, for the initial step size
     and six times per step, each a call of f unless f was built by formula,
     whose source text the loop's stages inline.  stats also counts in
     nbisect the evaluations of g that refine the crossings.
-
-    fork lets two runs of the same f, y0, tolerances, detectors and g to
-    different ends share their steps: a fresh run to either end takes the
-    same steps up to the one that would land on the nearer end, as only
-    that step is cut to an end.  Passed an empty list, the run pauses where
-    its step landing on r_end begins and leaves its state in the list; a
-    run passed that state takes it out and continues from it when its own
-    first step size is the same and its r_end no nearer, and otherwise
-    starts afresh.  Either run is bitwise the fresh one, stats included.
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
@@ -415,16 +421,6 @@ def solve(
     flow, consts = getattr(f, "formula", (None, ()))
     events, g_consts = getattr(g, "formula", (None, ())) if detectors else (None, ())
     (run, refine), hermite = _dp54(n, len(detectors), flow, events), _hermite(n)
-
-    grid = None
-    if r_eval is not None:
-        grid = np.array(r_eval, dtype=float)
-        if grid.ndim != 1:
-            raise ValueError(f"r_eval must be one-dimensional, got shape {grid.shape}")
-        if not np.all(grid[1:] > grid[:-1]):
-            raise ValueError("r_eval must be strictly increasing")
-        if grid.size and not (grid[0] >= r0 and grid[-1] <= r_end):
-            raise ValueError("r_eval must lie within r_span")
 
     # the accepted (r, y, f) as rows of 1 + 2n floats; step j runs from row j-1 to row j
     nodes = [r, *y, *k1]
@@ -444,37 +440,14 @@ def solve(
         rarr, arr = table[:, 0].copy(), table[:, 1 : n + 1].copy()
         if cut:
             rarr[-1], arr[-1] = cut
-        if grid is not None:
-            # each grid point up to the last sample lies on the first step
-            # ending at or beyond it: equal to that end it takes the sample
-            # there, otherwise the step's Hermite value
-            pts = grid[: np.searchsorted(grid, rarr[-1], "right")]
-            j = np.searchsorted(rarr, pts)
-            inner = pts != rarr[j]
-            rarr, arr = pts, arr[j]
-            j = j[inner]
-            arr[inner] = np.transpose(hermite(table[j - 1].T, table[j].T, pts[inner]))
         stats = dict(nfev=2 + 6 * (naccpt + nrejct), naccpt=naccpt, nrejct=nrejct, nbisect=nbisect)
-        return Trajectory(rarr, arr, tuple(events), status_str, stats)
+        return Trajectory(rarr, arr, tuple(events), status_str, stats, table)
 
     h, naccpt, nrejct, nbisect = _initial_step(f, r, y, k1, r_end, rel, abs_tol), 0, 0, 0
-    # what fixes the steps up to the first one that lands on an end
-    start = (r, y, h, rel, abs_tol, tuple(detectors), g, flow, consts)
-    pause = fork == []
-    if fork:
-        (begun, near), state = fork.pop()
-        if begun == start and near <= r_end:
-            r, y, k1, h, naccpt, nrejct, nbisect, g_prev, nodes, events, active = state
     while True:
         status, r, y, k1, h, naccpt, nrejct, g0, g1 = run(
-            f, g, *consts, *g_consts, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, pause, *g_prev
+            f, g, *consts, *g_consts, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, *g_prev
         )
-        if status == "paused":
-            state = (r, y, k1, h, naccpt, nrejct, nbisect, g0,
-                     nodes.copy(), events.copy(), active.copy())
-            fork.append(((start, r_end), state))
-            pause, g_prev = False, g0
-            continue
         if status == "completed":
             return build("completed")
         if status != "event":

@@ -162,8 +162,8 @@ def stability_compare(
     if T == 0.0:
         return 0.0
     grid = np.linspace(0.0, float(T), _STABILITY_N)
-    kw = dict(rel=tol.rel, abs_tol=tol.abs, r_eval=grid)
-    auto = solve(autonomous_flow(p), (0.0, T), start, **kw)
+    kw = dict(rel=tol.rel, abs_tol=tol.abs)
+    auto = solve(autonomous_flow(p), (0.0, T), start, **kw).sample(grid)
     f = radial_flow(p)
-    shift = solve(lambda r, s: f(r + rho, s), (0.0, T), start, **kw)
+    shift = solve(lambda r, s: f(r + rho, s), (0.0, T), start, **kw).sample(grid)
     return float(np.max(np.abs(auto.y[:, 0] - shift.y[:, 0]) + np.abs(auto.y[:, 1] - shift.y[:, 1])))

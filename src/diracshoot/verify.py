@@ -258,10 +258,10 @@ def check_rescaling_commutation(p, tol):
     spans = ((0.05, 160), (0.05, 120), (0.02, 250))
     grid = _union(*[np.linspace(r, 5.0, n) for r, n in spans])
     for eps in (0.5, 0.1):
-        resc = asymptotics.integrate_rescaled(eps, p, tol, r_end=5.0, r_eval=grid)
+        resc = asymptotics.integrate_rescaled(eps, p, tol, r_end=5.0).sample(grid)
         r0 = tol.r0 * eps * eps  # where the rescaled run starts, at R = tol.r0
         rad = solve(radial_flow(p), (r0, eps * eps * 5.0 * 1.01), taylor_start(1.0 / eps, p, r0),
-                    rel=tol.rel, abs_tol=tol.abs, r_eval=eps * eps * grid)
+                    rel=tol.rel, abs_tol=tol.abs).sample(eps * eps * grid)
         d = np.max(
             np.abs(eps * rad.y[:, 0] - resc.y[:, 0]) + np.abs(eps * rad.y[:, 1] - resc.y[:, 1])
         )

@@ -75,9 +75,8 @@ def test_rescaled_rejects_bad_eps():
 
 
 def _first_order_run(p, r_end, r_eval=None, rel=TOL.rel):
-    return solve(
-        _rhs_first_order(p), (TOL.r0, r_end), _first_order_start(p, TOL.r0), rel=rel, abs_tol=rel, r_eval=r_eval
-    )
+    run = solve(_rhs_first_order(p), (TOL.r0, r_end), _first_order_start(p, TOL.r0), rel=rel, abs_tol=rel)
+    return run if r_eval is None else run.sample(r_eval)
 
 
 def test_first_order_initial_conditions():
@@ -207,7 +206,7 @@ def test_joint_flow_first_order_columns_match_the_closed_form(eps):
     err = np.abs(t.y[:, 0] - fo.h1) + np.abs(t.y[:, 1] - fo.k1)
     sup = np.max(np.abs(fo.h1) + np.abs(fo.k1))
     assert np.max(err) <= 1e-9 * sup  # at most 6.3e-11 * sup measured at the step ends
-    # the r_eval samples between the step ends are off by 1.8e-8, about 300x the
+    # the grid samples between the step ends are off by 1.8e-8, about 300x the
     # step-end error: the cubic Hermite of ROADMAP item 9; this guards against worse
     rec = integrate_remainder(eps, P, TOL)
     fo = integrate_first_order(P, rec.r)
@@ -272,6 +271,14 @@ def test_node_radius_regimes():
     assert integrate_remainder(0.05, P, TOL).node_radius is None
     R = integrate_remainder(0.02, P, TOL).node_radius
     assert R is not None and R < 50.0
+
+
+def test_node_radius_reads_only_zeros_up_to_one_over_eps():
+    # the run to T = 10 passes V's first zero at R = 8.71, beyond 1/eps = 3.33
+    rec = integrate_remainder(0.3, P, TOL, T=10.0)
+    assert rec.node_radius is None
+    zeros = integrate_rescaled(0.3, P, TOL, r_end=10.0).events_of(EventKind.V_SIGN_CHANGE)
+    assert [round(e.r, 2) for e in zeros] == [8.71]
 
 
 def test_node_radius_consistent_with_radial_flow():

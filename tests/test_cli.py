@@ -181,56 +181,47 @@ def test_asymptotics_bound_is_the_derived_law(tmp_path):
     assert verdict[0.05] == alone["payload"]["remainders"][0]["bound_ok"]
 
 
-def test_asymptotics_flags_unresolved_crosscheck():
-    # the subtraction route carries the Hermite error of the rescaled samples
-    # divided by eps^4, so below eps ~ 0.1 its crosscheck no longer resolves
-    # the remainder and the run says so
+def test_asymptotics_resolves_the_crosscheck():
+    # the subtraction route is taken at the rescaled run's step ends, whose
+    # error over eps^4 stays well below the remainder: the README example
+    # prints no diagnostic, and eps = 0.0125 resolves at omega = 0.5 and 0.9
+    # (4.4e-5 and 6.8e-5 against 2.0e-2 and 3.1e-2 from grid samples)
     from diracshoot.asymptotics import CROSSCHECK_REL_BOUND
 
     env = cli.run_asymptotics(RunConfig(epsilons=(0.2, 0.1, 0.05)))
-    rel = {r["epsilon"]: r["crosscheck_rel"] for r in env["payload"]["remainders"]}
-    assert rel[0.2] < CROSSCHECK_REL_BOUND <= rel[0.1] < rel[0.05]
-    flagged = [d for d in env["diagnostics"] if d.startswith("crosscheck unresolved")]
-    assert flagged == [
-        f"crosscheck unresolved at eps={eps:g}: rel {rel[eps]:.2e} >= 1e-04" for eps in (0.1, 0.05)
-    ]
-    assert not any(d.startswith("remainder bound exceeded") for d in env["diagnostics"])
+    assert env["diagnostics"] == []
+    assert max(r["crosscheck_rel"] for r in env["payload"]["remainders"]) < 1e-5
+    for omega in (0.5, 0.9):
+        env = cli.run_asymptotics(RunConfig(omega=omega, epsilons=(0.0125,)))
+        (rec,) = env["payload"]["remainders"]
+        assert rec["crosscheck_rel"] < CROSSCHECK_REL_BOUND
+        assert not any(d.startswith("crosscheck unresolved") for d in env["diagnostics"])
 
 
 def test_asymptotics_integrates_the_rescaled_flow_once_per_epsilon(monkeypatch):
-    # per eps one integration to max(1/eps, T): the run to 1/eps (the
-    # remainder's subtraction route and the node radius) and the run on
-    # [r0, T] (the distance to the bubble) share their steps up to the nearer
-    # end, so the solve calls after the first take only their own steps
+    # per eps one joint solve to 1/eps and one rescaled solve to
+    # max(1/eps, T): that run serves the remainder's subtraction route and
+    # the node radius up to 1/eps and the distance to the bubble on [r0, T];
+    # the log-law fit reads the closed form and integrates nothing
     from diracshoot import asymptotics
 
     real_rescaled, real_solve = asymptotics.integrate_rescaled, asymptotics.solve
-    calls, steps = [], []
+    calls, runs = [], []
 
     def counted(eps, *args, **kwargs):
         calls.append(eps)
         return real_rescaled(eps, *args, **kwargs)
 
-    def counted_solve(f, *args, **kwargs):
-        rhs = []  # a plain wrapper, as the benchmark's tracer counts f calls
-        traj = real_solve(lambda r, y: rhs.append(r) or f(r, y), *args, **kwargs)
-        steps.append((len(rhs), traj.stats["nfev"]))
-        return traj
+    def counted_solve(f, r_span, y0, **kwargs):
+        runs.append((len(y0), r_span[1]))
+        return real_solve(f, r_span, y0, **kwargs)
 
     monkeypatch.setattr(asymptotics, "integrate_rescaled", counted)
     monkeypatch.setattr(asymptotics, "solve", counted_solve)
     eps = (0.2, 0.1, 0.05)  # 1/eps below, at and beyond T = 10
     cli.run_asymptotics(RunConfig(epsilons=eps))
     assert calls == list(eps)
-    # per eps (f calls, nfev) of the joint flow, of the rescaled run to the
-    # nearer end and of the one to the farther end, which evaluates f at its
-    # start and on its steps past the shared ones: all of the nearer run's
-    # steps but its landing one; the log-law fit reads the closed form and
-    # integrates nothing
-    assert len(steps) == 3 * len(eps)
-    for joint, near, far in zip(*[iter(steps)] * 3):
-        assert joint[0] == joint[1] and near[0] == near[1]
-        assert far[0] == 2 + far[1] - (near[1] - 6)
+    assert runs == [run for e in eps for run in ((4, 1.0 / e), (2, max(1.0 / e, 10.0)))]
 
 
 def test_asymptotics_and_verify_csv(tmp_path, monkeypatch):

@@ -39,7 +39,7 @@ def test_matches_scipy_on_radial():
         dense_output=True,
     )
     grid = np.linspace(0.5, 29.5, 200)
-    traj = solve(RADIAL, (1e-6, 30.0), y0, r_eval=grid, **KW)
+    traj = solve(RADIAL, (1e-6, 30.0), y0, **KW).sample(grid)
     ref_vals = ref.sol(grid)
     err = np.max(np.abs(traj.y[:, 0] - ref_vals[0]) + np.abs(traj.y[:, 1] - ref_vals[1]))
     assert err < 1e-6
@@ -87,15 +87,15 @@ def test_shifted_approaches_autonomous():
     # (0, 1) sits on the separatrix, which amplifies the O(1/rho)
     # perturbation by roughly e^(mu T) ~ 6e3 over T = 10
     grid = np.linspace(0.0, 10.0, 200)
-    auto = solve(autonomous_flow(P), (0.0, 10.0), (0.0, 1.0), r_eval=grid, **KW)
-    sh = solve(lambda r, s: RADIAL(r + 1e6, s), (0.0, 10.0), (0.0, 1.0), r_eval=grid, **KW)
+    auto = solve(autonomous_flow(P), (0.0, 10.0), (0.0, 1.0), **KW).sample(grid)
+    sh = solve(lambda r, s: RADIAL(r + 1e6, s), (0.0, 10.0), (0.0, 1.0), **KW).sample(grid)
     dev = np.max(np.abs(auto.y - sh.y))
     assert dev < 1e-3
 
 
 def test_r_eval_sampling_and_monotonicity():
     grid = [0.5, 1.0, 2.0, 5.0]
-    traj = solve(RADIAL, (1e-6, 10.0), taylor_start(1.0, P, 1e-6), r_eval=grid, **KW)
+    traj = solve(RADIAL, (1e-6, 10.0), taylor_start(1.0, P, 1e-6), **KW).sample(grid)
     assert np.allclose(traj.r, grid)
     assert np.all(np.diff(traj.r) > 0)
 
@@ -183,11 +183,11 @@ def test_flat_start_stays_at_the_origin():
 
 
 def test_dense_output_consistency():
-    # sampling through r_eval must agree with the accepted-step solution
+    # sampling at step ends must agree with the accepted-step solution
     y0 = taylor_start(1.1, P, 1e-6)
     full = solve(RADIAL, (1e-6, 8.0), y0, **KW)
     grid = full.r[10:-10:5]
-    sampled = solve(RADIAL, (1e-6, 8.0), y0, r_eval=grid, **KW)
+    sampled = full.sample(grid)
     err = np.max(np.abs(sampled.y - full.y[10:-10:5]))
     assert err < 1e-12  # same accepted points, no interpolation involved
 
@@ -364,6 +364,13 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
     return build("completed")
 
 
+def _solve(f, r_span, y0, r_eval=None, **kw):
+    """solve, and its run sampled at r_eval when given: what _reference_solve
+    returns for the same arguments."""
+    traj = solve(f, r_span, y0, **kw)
+    return traj if r_eval is None else traj.sample(r_eval)
+
+
 def _assert_same_run(traj, ref):
     assert _hex(traj.r) == _hex(ref.r) and _hex(traj.y) == _hex(ref.y)
     assert (traj.status, traj.stats) == (ref.status, ref.stats)
@@ -379,7 +386,8 @@ def _rotation_events(r, y):
 def test_compiled_loop_is_bitwise_the_reference_solve():
     # each run three ways: solve(f), which inlines the text of a flow or an
     # event function built by formula, solve of a plain callable around f,
-    # which inlines g alone, and the reference, which calls both
+    # which inlines g alone, and the reference, which calls both; a run given
+    # r_eval is sampled there after solve
     from diracshoot.asymptotics import _first_order_start, _rhs_first_order, _rhs_joint
     from diracshoot.equations import series_start
     from diracshoot.phaseflow import attraction_report
@@ -414,8 +422,8 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     r0, y0 = series_start(2.5, P, TOL)
     i_spiral = len(runs)
     runs.append((RADIAL, (r0, TOL.rmax), y0, {}))
-    # an r_eval grid through r0, step ends, the terminal crossing, interior
-    # points and r_end, with and without the terminal detector
+    # a grid through r0, step ends, the terminal crossing, interior points
+    # and r_end, with and without the terminal detector
     lam = 2.0
     r0 = 1e-6 / lam**2
     y0 = taylor_start(lam, P, r0)
@@ -455,8 +463,8 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
 
     got = []
     for f, span, y0, ev in runs:
-        got.append(solve(f, span, y0, **ev, **KW))
-        _assert_same_run(got[-1], solve(lambda r, y: f(r, y), span, y0, **ev, **KW))
+        got.append(_solve(f, span, y0, **ev, **KW))
+        _assert_same_run(got[-1], _solve(lambda r, y: f(r, y), span, y0, **ev, **KW))
         _assert_same_run(got[-1], _reference_solve(f, span, y0, **ev, **KW))
         if "r_eval" in ev and got[-1].status == "completed":
             assert len(got[-1]) == len(ev["r_eval"])
@@ -481,42 +489,6 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     assert len(got[i_once].events_of(EventKind.V_SIGN_CHANGE)) == 1
     assert len(got[i_once].events_of(EventKind.CERTIFICATE_FIRED)) == 5
     assert [e.r for t in got[zeros] for e in t.events_of(EventKind.V_SIGN_CHANGE)] == [3.0, 3.0]
-
-    # forked pairs: the second run of each continues from where the first
-    # one's step landing on its end began, when its own end lies beyond
-    # (before), at or short of (after) that fork, on a formula rotation with
-    # v-sign changes in the shared steps and in each branch, and on the
-    # rescaled flow forked inside its first step (a horizon T = 2e-6), where
-    # the first step sizes differ and the second run starts afresh; each on
-    # the formula path and on the called path, whose f calls show the steps
-    # the second run shares
-    rotation = formula("def f(x, s):\n    u, v = s\n    return -v, u\n")
-    a = 12.47  # the step landing on a holds the zero of v at 12.4667
-    rescaled = (radial_flow(P, 0.1), TOL.r0, taylor_start(1.0, P, TOL.r0, 0.1))
-    forks = [  # (f, r0, y0, [(end, r_eval) per run], whether the second shares steps)
-        (rotation, 0.0, (1.0, 0.1), [(e, np.linspace(0.0, e, 97)) for e in (a, 30.0)], True),
-        (rotation, 0.0, (1.0, 0.1), [(a, None), (a, None)], True),
-        (rotation, 0.0, (1.0, 0.1), [(30.0, None), (a, None)], False),
-        # v starts at 0.0 and first changes sign in the step landing on 3.15:
-        # that step needs the value of v where the first run paused
-        (rotation, 0.0, (1.0, 0.0), [(3.15, None), (30.0, None)], True),
-        (*rescaled, [(2e-6, np.linspace(TOL.r0, 2e-6, 1024)), (10.0, None)], False),
-    ]
-    ev = dict(detectors=[NODE], g=v_sign, **KW)
-    for f, r0, y0, legs, shared in forks:
-        refs = [_reference_solve(f, (r0, end), y0, r_eval=grid, **ev) for end, grid in legs]
-        for called in (False, True):
-            fork, calls = [], []
-            fn = (lambda r, y: calls.append(r) or f(r, y)) if called else f
-            for (end, grid), ref in zip(legs, refs):
-                calls.clear()
-                _assert_same_run(solve(fn, (r0, end), y0, r_eval=grid, fork=fork, **ev), ref)
-            assert fork == []
-            assert not called or (len(calls) < ref.stats["nfev"]) == shared
-    near, far = [_reference_solve(rotation, (0.0, end), (1.0, 0.1), **ev) for end in (a, 30.0)]
-    r_fork = near.r[-2]
-    for t, lo, hi in [(near, 0.0, r_fork), (near, r_fork, a), (far, a, 30.0)]:
-        assert any(lo < e.r <= hi for e in t.events)
 
 
 def test_formula_event_function_is_called_only_at_the_start():
@@ -583,9 +555,9 @@ def test_formula_names_are_private_to_the_loop():
 
 def test_failures_match_the_reference_solve(monkeypatch):
     # step-size underflow in the finite-time blow-up of y' = y^2, sampled at
-    # every step end or at an r_eval grid, and a step budget that runs out
-    # after the first node of a nodal trial: the same message and the same
-    # partial run, which keeps the samples up to its last accepted step
+    # every step end or at a grid, and a step budget that runs out after the
+    # first node of a nodal trial: the same message and the same partial run,
+    # which keeps the samples up to its last accepted step
     from diracshoot import integrator as I
     from diracshoot.equations import series_start
     from diracshoot.shooting import _events
@@ -593,14 +565,15 @@ def test_failures_match_the_reference_solve(monkeypatch):
     def blowup(r, y):
         return (y[0] * y[0],)
 
-    def same_failure(f, span, y_start, message, **kw):
+    def same_failure(f, span, y_start, message, r_eval=None, **kw):
         with pytest.raises(IntegrationError, match=message) as exc:
             solve(f, span, y_start, **kw)
         with pytest.raises(IntegrationError) as ref:
-            _reference_solve(f, span, y_start, **kw)
+            _reference_solve(f, span, y_start, r_eval=r_eval, **kw)
         assert str(exc.value) == str(ref.value)
-        _assert_same_run(exc.value.partial, ref.value.partial)
-        return exc.value.partial
+        partial = exc.value.partial if r_eval is None else exc.value.partial.sample(r_eval)
+        _assert_same_run(partial, ref.value.partial)
+        return partial
 
     blow = dict(rel=1e-10, abs_tol=1e-10)
     same_failure(blowup, (0.0, 2.0), (1.0,), "step size underflow", **blow)
@@ -658,8 +631,7 @@ def test_stats_count_every_rhs_call(gs):
     lam = 2.0
     r0 = 1e-6 / lam**2
     y0 = taylor_start(lam, P, r0)
-    grid = np.linspace(0.5, 9.5, 50)
-    for kw in (dict(), dict(r_eval=grid, detectors=[STOP], g=v_sign)):
+    for kw in (dict(), dict(detectors=[STOP], g=v_sign)):
         plain = solve(RADIAL, (r0, 10.0), y0, rel=TOL.rel, abs_tol=TOL.abs, **kw)
         calls = 0
         wrapped = solve(counted, (r0, 10.0), y0, rel=TOL.rel, abs_tol=TOL.abs, **kw)
@@ -673,7 +645,9 @@ def test_stats_count_every_rhs_call(gs):
         assert calls == 2 and inlined.stats == plain.stats
         if not kw:
             assert wrapped.stats["naccpt"] == len(wrapped) - 1 and wrapped.stats["nrejct"] > 0
-    assert gs.profile.stats == {}  # assembled outside solve
+    assert gs.profile.stats == {} and gs.profile.table is None  # assembled outside solve
+    with pytest.raises(ValueError, match="step table"):
+        gs.profile.sample([1.0])
 
 
 def _hex(a):
@@ -693,8 +667,9 @@ def _hex(a):
     ],
 )
 def test_r_eval_rejected(r_eval, message):
+    run = solve(lambda r, y: (-y[0],), (0.25, 3.0), (1.0,), rel=1e-8, abs_tol=1e-8)
     with pytest.raises(ValueError, match=message):
-        solve(lambda r, y: (-y[0],), (0.25, 3.0), (1.0,), rel=1e-8, abs_tol=1e-8, r_eval=r_eval)
+        run.sample(r_eval)
 
 
 @pytest.mark.parametrize(
@@ -721,9 +696,31 @@ def test_misuse_of_solve_is_rejected(kw, message):
 
 
 def test_empty_r_eval_gives_empty_trajectory():
-    traj = solve(lambda r, y: (-y[1], y[0]), (0.0, 3.0), (1.0, 0.0), rel=1e-8, abs_tol=1e-8, r_eval=[])
+    run = solve(lambda r, y: (-y[1], y[0]), (0.0, 3.0), (1.0, 0.0), rel=1e-8, abs_tol=1e-8)
+    traj = run.sample([])
     assert traj.status == "completed" and len(traj) == 0
     assert traj.y.shape == (0, 2)
+
+
+def test_sample_of_a_terminal_run_ends_at_the_crossing():
+    # the step table keeps the step that holds the crossing uncut: a point at
+    # the crossing takes the event's state y*, one before it the Hermite value
+    # on that step, and the points past it are left out; a grid before the
+    # start is still refused
+    from diracshoot.integrator import _hermite
+
+    lam = 2.0
+    r0 = 1e-6 / lam**2
+    run = solve(RADIAL, (r0, 10.0), taylor_start(lam, P, r0), detectors=[STOP], g=v_sign, **KW)
+    star = run.events[-1]
+    assert run.status == "event:v_sign_change" and run.r[-1] == star.r < run.table[-1, 0]
+    inside = 0.5 * (run.r[-2] + star.r)
+    traj = run.sample([r0, inside, star.r, run.table[-1, 0], 10.0])
+    assert list(traj.r) == [r0, inside, star.r]
+    assert tuple(traj.y[-1].tolist()) == star.y and traj.events == run.events
+    assert tuple(traj.y[1].tolist()) == _hermite(2)(run.table[-2], run.table[-1], inside)
+    with pytest.raises(ValueError, match="within r_span"):
+        run.sample([0.0, 1.0])
 
 
 def test_crossing_is_refined_far_below_unit_radius():
