@@ -25,7 +25,7 @@ from .equations import (
     hamiltonian_rate,
     r2h_rate,
     radial_flow,
-    taylor_start,
+    series_start,
 )
 from .integrator import (
     Detector,
@@ -53,7 +53,6 @@ from .shooting import (
     GroundState,
     bisect,
     bracket_search,
-    certificate_check,
     classify,
     decay_fit,
     extend_with_decay_tail,

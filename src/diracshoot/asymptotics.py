@@ -24,18 +24,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import radial_flow, taylor_start
+from .equations import radial_flow, series_start
 from .integrator import Detector, EventKind, Trajectory, formula, solve, v_sign
 from .params import Params, Tolerances
 from .shooting import lsq_slope
 
 # samples: of the k1 log-law fit over its radius window (the radii and their
-# logs), of the remainder on (0, 1/eps), and of the distance to the bubble on [0, T]
+# logs), of the remainder on (0, 1/eps), and of the distance to the bubble up to T
 _LOG_FIT_WINDOW = (1e3, 1e6)
 _LOG_FIT_R = np.geomspace(*_LOG_FIT_WINDOW, 200)
 _LOG_FIT_L = np.log(_LOG_FIT_R)
 _REMAINDER_N = 800
 _CONVERGENCE_N = 1024
+# the start of the joint remainder flow, whose 4-D system has no series here
+_JOINT_R0 = 1e-6
 # the detector of every rescaled run, with g = v_sign
 _NODES = (Detector(EventKind.V_SIGN_CHANGE),)
 
@@ -65,10 +67,14 @@ def bubble_residual(grid) -> float:
     return float(np.max(res_u + res_v))
 
 
-def integrate_rescaled(eps: float, p: Params, tol: Tolerances, r_end: float | None = None) -> Trajectory:
+def integrate_rescaled(
+    eps: float, p: Params, tol: Tolerances, r_end: float | None = None, horizon: float | None = None
+) -> Trajectory:
     """Integrate the rescaled system radial_flow(p, eps) from (0, 1) up to
     r_end (default 1/eps), recording the sign changes of V as V_SIGN_CHANGE
-    events (a detector leaves the steps as they are).  Its energy
+    events (a detector leaves the steps as they are).  It starts from
+    series_start(1, p, tol, eps, horizon), below half the horizon (default
+    r_end), the nearest radius a caller samples.  Its energy
     hamiltonian((U, V), p, eps) is non-increasing along the flow and bounded
     by its datum value <= 1."""
     if not 0.0 <= eps < 1.0:
@@ -76,8 +82,8 @@ def integrate_rescaled(eps: float, p: Params, tol: Tolerances, r_end: float | No
     if r_end is None and eps == 0.0:
         raise ValueError("the massless limit needs an explicit r_end")
     end = float(r_end) if r_end is not None else 1.0 / eps
-    flow, y0 = radial_flow(p, eps), taylor_start(1.0, p, tol.r0, eps)
-    return solve(flow, (tol.r0, end), y0, rel=tol.rel, abs_tol=tol.abs, detectors=_NODES, g=v_sign)
+    r0, y0 = series_start(1.0, p, tol, eps, end if horizon is None else horizon)
+    return solve(radial_flow(p, eps), (r0, end), y0, rel=tol.rel, abs_tol=tol.abs, detectors=_NODES, g=v_sign)
 
 
 def node_radius(traj: Trajectory, r: float) -> float | None:
@@ -124,13 +130,6 @@ _FIRST_ORDER_LINES = """
     cv = 3.0 * u * u + v * v
     dh1 = -gm * v + uv * h1 + cu * k1 - h1 / x
     dk1 = -gp * u - uv * k1 - cv * h1"""
-
-_FIRST_ORDER = f"def f(x, s, gm, gp):\n    h1, k1 = s{_FIRST_ORDER_LINES}\n    return dh1, dk1\n"
-
-
-def _rhs_first_order(p: Params):
-    return formula(_FIRST_ORDER, p.gap, p.m + p.omega)
-
 
 def _first_order_start(p: Params, r0: float) -> tuple[float, float]:
     # series matching at the singular origin: h1 = -(m-omega) r/2 + O(r^3),
@@ -231,9 +230,9 @@ class PerturbationRecord:
     threshold_ok records |h2|+|k2| < eps^(-3/2) with breach_r the first
     violation radius (None when respected), node_radius the first zero of V
     up to 1/eps in the rescaled run (None when V stays positive).  sup_error
-    is the sup of |U - U0| + |V - V0| on [0, T], the rescaled run's distance
-    to the bubble that convergence_study compares across eps (both None
-    without T).
+    is the sup of |U - U0| + |V - V0| on [r_s, T], from the rescaled run's
+    series start r_s, its distance to the bubble that convergence_study
+    compares across eps (both None without T).
 
     sup_norm grows like mu^2/eps (ln(1/eps) - a), a = 2 + ln 2 +
     (m - omega)/(2(m + omega)), below the bound
@@ -306,22 +305,24 @@ def integrate_remainder(
     mu^2/eps (ln(1/eps) - a) (see remainder_bound_constant); the subtraction
     route checks it at the rescaled run's step ends up to 1/eps, with h1 and
     k1 in closed form.  The rescaled flow is integrated once, to
-    max(1/eps, T), and that run serves both horizons.
+    max(1/eps, T) from a series start below half of min(1/eps, T), and that
+    run serves both horizons.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
-    r0 = tol.r0
+    r0 = _JOINT_R0
     r_end = 1.0 / eps
     grid = np.linspace(r0, r_end, _REMAINDER_N)
 
     y0 = (*_first_order_start(p, r0), 0.0, 0.25 * (p.m * p.m - p.omega * p.omega) * r0 * r0)
     joint = solve(_rhs_joint(eps, p), (r0, r_end), y0, rel=tol.rel, abs_tol=tol.abs)
     h1, k1, h2, k2 = joint.sample(grid).y.T
-    resc = integrate_rescaled(eps, p, tol, r_end if T is None else max(r_end, float(T)))
+    ends = (r_end,) if T is None else (r_end, float(T))
+    resc = integrate_rescaled(eps, p, tol, max(ends), min(ends))
 
     sup_error = None
     if T is not None:
-        grid_T = np.linspace(r0, float(T), _CONVERGENCE_N)
+        grid_T = np.linspace(resc.r[0], float(T), _CONVERGENCE_N)
         u0, v0 = bubble(grid_T)
         to_T = resc.sample(grid_T).y
         sup_error = float(np.max(np.abs(to_T[:, 0] - u0) + np.abs(to_T[:, 1] - v0)))

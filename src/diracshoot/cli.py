@@ -52,7 +52,6 @@ class RunConfig:
     omega: float = Params.omega
     tol_rel: float = Tolerances.rel
     tol_abs: float = Tolerances.abs
-    r0: float = Tolerances.r0
     eta: float = Tolerances.eta
     delta: float | None = None
     rmax: float | None = None
@@ -76,10 +75,8 @@ class RunConfig:
             self.tolerances().resolved(self.params())
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        if not self.T > self.r0:
-            raise ConfigError(f"T must exceed r0 = {self.r0:g}, got {self.T:g}")
-        if self.rmax is not None and not self.rmax > self.r0:
-            raise ConfigError(f"rmax must exceed r0 = {self.r0:g}, got {self.rmax:g}")
+        if not self.T > 0:
+            raise ConfigError(f"T must be positive, got {self.T:g}")
         if not self.resolution >= 2:
             raise ConfigError(f"resolution must be at least 2, got {self.resolution}")
         if self.format not in ("json", "csv"):
@@ -95,14 +92,7 @@ class RunConfig:
         return Params(self.m, self.omega)
 
     def tolerances(self) -> Tolerances:
-        return Tolerances(
-            rel=self.tol_rel,
-            abs=self.tol_abs,
-            r0=self.r0,
-            eta=self.eta,
-            delta=self.delta,
-            rmax=self.rmax,
-        )
+        return Tolerances(rel=self.tol_rel, abs=self.tol_abs, eta=self.eta, delta=self.delta, rmax=self.rmax)
 
     def echo(self) -> dict:
         # the fields are finite floats, ints, strings, None and float tuples
@@ -437,7 +427,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--omega", type=float, default=None, help="frequency, 0 < omega < m")
     sp.add_argument("--tol-rel", type=float, default=None, dest="tol_rel")
     sp.add_argument("--tol-abs", type=float, default=None, dest="tol_abs")
-    sp.add_argument("--r0", type=float, default=None, help="start radius of the asymptotics runs")
     sp.add_argument("--eta", type=float, default=None, help="origin-capture threshold")
     sp.add_argument("--delta", type=float, default=None, help="negative-energy threshold")
     sp.add_argument("--rmax", type=float, default=None, help="integration horizon")

@@ -5,13 +5,14 @@ The radial system for (u, v) with datum v(0) = lambda reads
     u' + u / r = (u^2 + v^2) v - (m - omega) v
     v'         = -(u^2 + v^2) u - (m + omega) u
 
-and is singular at r = 0.  Dropping the 1/r term gives the autonomous
-Hamiltonian system whose energy H confines every trajectory.  flow(p)
-returns the right-hand side f(r, s) with p's constants bound, which
+and is singular at r = 0, so every run starts from its power series there
+(series_start).  Dropping the 1/r term gives the autonomous Hamiltonian
+system whose energy H confines every trajectory.  radial_flow(p) returns
+the right-hand side f(r, s) with p's constants bound, which
 integrator.solve integrates; radial_flow(p)(r, s) evaluates it at one point.
 The blow-up rescaling (U, V)(r) = eps (u, v)(eps^2 r) gives back the same
 system with m and omega scaled by eps^2, so radial_flow, hamiltonian and
-taylor_start take eps (default 1) for it.  radial_flow is built by
+series_start take eps (default 1) for it.  radial_flow is built by
 integrator.formula, so solve writes its formula into the compiled loop;
 the energy is the text ENERGY, which hamiltonian evaluates and the shooting
 event formulas splice into theirs.
@@ -100,28 +101,6 @@ def equilibria(p: Params) -> list[tuple[State, float]]:
     return [(pt, hamiltonian(pt, p)) for pt in pts]
 
 
-def taylor_start(lam: float, p: Params, r0: float, eps: float = 1.0) -> State:
-    """Second-order series start (u(r0), v(r0)) for the datum v(0) = lambda.
-
-    Matched against the integral form of the radial system:
-
-        u(r0) = (r0/2) lambda (lambda^2 - (m-omega)) + O(r0^3)
-        v(r0) = lambda - (r0^2/4) lambda (lambda^2 - (m-omega))
-                                         (lambda^2 + m + omega) + O(r0^4)
-
-    with m and omega scaled by eps^2, valid while lambda^2 r0 is small.
-    """
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"datum must be positive and finite, got {lam}")
-    if not 0.0 < r0 < math.inf:
-        raise ValueError(f"start radius must be positive and finite, got {r0}")
-    e2 = eps * eps
-    cu = lam * (lam * lam - e2 * (p.m - p.omega))
-    u = 0.5 * r0 * cu
-    v = lam - 0.25 * r0 * r0 * cu * (lam * lam + e2 * (p.m + p.omega))
-    return u, v
-
-
 # (2k + 2) a_k = sum_j q_j b_(k-j) - am b_k, (2k + 2) b_(k+1) = -sum_j q_j a_(k-j) - ap a_k give
 # the series u = sum a_k r^(2k+1), v = sum b_k r^(2k), q = u^2 + v^2 = sum q_k r^(2k) of the radial
 # system, (am, ap) = (m - omega, m + omega) (Jorba & Zou, Exp. Math. 14, 2005); series runs it to
@@ -145,14 +124,19 @@ def _series():
     return ns["series"]
 
 
-def series_start(lam: float, p: Params, tol: Tolerances) -> tuple[float, State]:
-    """Start (r_s, (u, v)) of the radial flow for the datum v(0) = lambda: the series in
-    the frame R = s^2 r, s^2 = lambda^2 + m + omega, where (u, v) = s (U, V) with m and omega
-    scaled by 1/s^2 has coefficients of order one, summed where its last terms fall to 0.1
-    (tol.rel lambda + tol.abs), at most at R = 2 (the bubble's poles: R = 2i) and rmax / 2."""
+def series_start(
+    lam: float, p: Params, tol: Tolerances, eps: float = 1.0, horizon: float | None = None
+) -> tuple[float, State]:
+    """Start (r_s, (u, v)) of the radial flow for the datum v(0) = lambda, with m and omega
+    scaled by eps^2: the series in the frame R = s^2 r, s^2 = lambda^2 + m + omega, where
+    (u, v) = s (U, V) with m and omega scaled by 1/s^2 has coefficients of order one, summed
+    where its last terms fall to 0.1 (tol.rel lambda + tol.abs), at most at R = 2 (the
+    bubble's poles: R = 2i) and at half the horizon (default tol's resolved rmax)."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"datum must be positive and finite, got {lam}")
-    s2 = lam * lam + p.m + p.omega
-    s, cap = math.sqrt(s2), min(2.0, 0.5 * tol.resolved(p).rmax * s2)
-    r, u, v = _series()(lam / s, p.gap / s2, (p.m + p.omega) / s2, 0.1 * (tol.rel * lam + tol.abs) / s, cap)
+    m, w = eps * eps * p.m, eps * eps * p.omega
+    s2 = lam * lam + m + w
+    horizon = tol.resolved(p).rmax if horizon is None else horizon
+    s, cap = math.sqrt(s2), min(2.0, 0.5 * horizon * s2)
+    r, u, v = _series()(lam / s, (m - w) / s2, (m + w) / s2, 0.1 * (tol.rel * lam + tol.abs) / s, cap)
     return r / s2, (s * u, s * v)

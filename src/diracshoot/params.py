@@ -36,13 +36,12 @@ class Tolerances:
 
     rel: float = 1e-10
     abs: float = 1e-10
-    r0: float = 1e-6
     eta: float = 1e-8
     delta: float | None = None
     rmax: float | None = None
 
     def __post_init__(self):
-        for name in ("rel", "abs", "r0", "eta"):
+        for name in ("rel", "abs", "eta"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.delta is not None and not self.delta > 0:

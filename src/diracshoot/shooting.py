@@ -126,16 +126,6 @@ def _certificate(r: float, s: tuple[float, float], p: Params) -> Certificate:
     return Certificate(r, hamiltonian(s, p), u * v, v * v, universal_constant(p))
 
 
-def certificate_check(r: float, s: tuple[float, float], p: Params) -> Certificate | None:
-    """Evaluate the capture certificate at a single point (empty for r <= 1)."""
-    if r <= 1.0:
-        return None
-    c = _certificate(r, s, p)
-    if c.H_at_R < c.C0 / r and c.uv_product > 0.0 and c.v_squared < 2.0 * p.gap:
-        return c
-    return None
-
-
 # event values of a shooting trial, with H the energy text of equations:
 # v, H + delta and |u| + |v| - eta
 _TRIAL = f"""
@@ -485,7 +475,7 @@ def _regula_falsi(lo, hi, f_lo, f_hi):
     opposite sign, else the midpoint."""
     if f_lo is None or f_hi is None or not f_lo * f_hi < 0.0:
         return 0.5 * (lo + hi)
-    return lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    return _secant((hi, f_hi), (lo, f_lo))
 
 
 def bisect(

@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+from reference import R0, taylor_start
 
 from diracshoot import (
     Params,
@@ -23,7 +24,6 @@ from diracshoot import (
     radial_flow,
     stability_compare,
     solve,
-    taylor_start,
     verify,
 )
 from diracshoot.cli import RunConfig, run_ground_state
@@ -112,7 +112,7 @@ def test_criterion_05_energy_monotonicity():
     worst = -np.inf
     for p, lam in _random_parameter_sample():
         tol = Tolerances(rmax=40.0).resolved(p)
-        r0 = tol.r0 / max(1.0, lam * lam)
+        r0 = R0 / max(1.0, lam * lam)
         traj = solve(radial_flow(p), (r0, 40.0), taylor_start(lam, p, r0), rel=tol.rel, abs_tol=tol.abs)
         if len(traj) > 1:
             worst = max(worst, float(np.diff(hamiltonian((traj.u, traj.v), p)).max()))

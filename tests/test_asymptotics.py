@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import R0, rhs_first_order
 
 from diracshoot import (
     Params,
@@ -18,12 +19,12 @@ from diracshoot import (
     integrate_remainder,
     integrate_rescaled,
     radial_flow,
+    series_start,
     solve,
 )
 from diracshoot.asymptotics import (
     _first_order_start,
     _li2_neg,
-    _rhs_first_order,
     _rhs_joint,
     remainder_bound_constant,
 )
@@ -67,6 +68,19 @@ def test_rescaled_limit_is_bubble():
     assert np.max(np.abs(t.y[:, 0] - u0) + np.abs(t.y[:, 1] - v0)) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "eps, r_end, horizon", [(0.2, 10.0, 5.0), (0.2, 5.0, 0.1), (0.05, 20.0, None), (0.0, 20.0, None)]
+)
+def test_rescaled_run_starts_from_the_series(eps, r_end, horizon):
+    # the start is the series of the rescaled system below half the nearest
+    # radius a caller samples (default r_end): at r = 0.68 for eps = 0.2, and
+    # at T / 2 for T = 0.1
+    t = integrate_rescaled(eps, P, TOL, r_end, horizon)
+    r_s, y_s = series_start(1.0, P, TOL, eps, r_end if horizon is None else horizon)
+    assert (t.r[0], tuple(t.y[0])) == (r_s, y_s)
+    assert r_s <= 0.5 * (r_end if horizon is None else horizon) and t.r[-1] == r_end
+
+
 def test_rescaled_rejects_bad_eps():
     with pytest.raises(ValueError):
         integrate_rescaled(1.5, P, TOL, r_end=1.0)
@@ -75,7 +89,7 @@ def test_rescaled_rejects_bad_eps():
 
 
 def _first_order_run(p, r_end, r_eval=None, rel=TOL.rel):
-    run = solve(_rhs_first_order(p), (TOL.r0, r_end), _first_order_start(p, TOL.r0), rel=rel, abs_tol=rel)
+    run = solve(rhs_first_order(p), (R0, r_end), _first_order_start(p, R0), rel=rel, abs_tol=rel)
     return run if r_eval is None else run.sample(r_eval)
 
 
@@ -201,7 +215,7 @@ def _joint_start(p, r0):
 
 @pytest.mark.parametrize("eps", [0.2, 0.05])
 def test_joint_flow_first_order_columns_match_the_closed_form(eps):
-    t = solve(_rhs_joint(eps, P), (TOL.r0, 1.0 / eps), _joint_start(P, TOL.r0), rel=TOL.rel, abs_tol=TOL.abs)
+    t = solve(_rhs_joint(eps, P), (R0, 1.0 / eps), _joint_start(P, R0), rel=TOL.rel, abs_tol=TOL.abs)
     fo = integrate_first_order(P, t.r)
     err = np.abs(t.y[:, 0] - fo.h1) + np.abs(t.y[:, 1] - fo.k1)
     sup = np.max(np.abs(fo.h1) + np.abs(fo.k1))
@@ -219,7 +233,7 @@ def test_remainder_offset_is_exact(mw):
     # (see remainder_bound_constant); 1.8e-7 to 9.7e-7 measured at r = 1e6
     p = Params(*mw)
     eps = 1e-6
-    t = solve(_rhs_joint(eps, p), (TOL.r0, 1.0 / eps), _joint_start(p, TOL.r0), rel=TOL.rel, abs_tol=TOL.abs)
+    t = solve(_rhs_joint(eps, p), (R0, 1.0 / eps), _joint_start(p, R0), rel=TOL.rel, abs_tol=TOL.abs)
     r, h2 = t.r[-1], t.y[-1, 2]
     a = 2.0 + math.log(2.0) + p.gap / (2.0 * (p.m + p.omega))
     assert abs(h2 / r - remainder_bound_constant(p) * (math.log(r) - a)) < 2e-6
@@ -305,8 +319,6 @@ def test_perturbation_flows_are_the_pointwise_formulas_bitwise(r, y, eps):
     # the formulas compute 2uv, u^2 + 3v^2 and 3u^2 + v^2 once and share the
     # bubble between the first-order and remainder lines; every product and
     # sum keeps the operand order of the expressions written out in full
-    from diracshoot.asymptotics import _rhs_first_order, _rhs_joint
-
     gm, gp, e2 = P.gap, P.m + P.omega, eps * eps
     h1, k1, h2, k2 = y
     d = 4.0 + r * r
@@ -323,7 +335,7 @@ def test_perturbation_flows_are_the_pointwise_formulas_bitwise(r, y, eps):
     def bits(t):
         return [x.hex() for x in t]
 
-    assert bits(_rhs_first_order(P)(r, (h1, k1))) == bits((dh1, dk1))
+    assert bits(rhs_first_order(P)(r, (h1, k1))) == bits((dh1, dk1))
     assert bits(_rhs_joint(eps, P)(r, y)) == bits((dh1, dk1, dh2, dk2))
 
 
@@ -336,10 +348,8 @@ def test_remainder_sources_exact_in_high_precision():
 
     import mpmath
 
-    from diracshoot.asymptotics import _rhs_first_order, _rhs_joint
-
     rng = random.Random(2017)
-    first, bubble_flow = _rhs_first_order(P), radial_flow(P, 0.0)
+    first, bubble_flow = rhs_first_order(P), radial_flow(P, 0.0)
     with mpmath.workdps(50):
         for eps in (0.5, 0.25, 0.125):
             e2 = mpmath.mpf(eps) ** 2

@@ -25,8 +25,6 @@ def test_runconfig_validation():
         RunConfig(T=0.0)
     with pytest.raises(ConfigError):
         RunConfig(resolution=1)
-    with pytest.raises(ConfigError):
-        RunConfig(rmax=1e-6)  # at the series start radius r0 no step is left
 
 
 def test_config_file_parsing(tmp_path):
@@ -198,10 +196,20 @@ def test_asymptotics_resolves_the_crosscheck():
         assert not any(d.startswith("crosscheck unresolved") for d in env["diagnostics"])
 
 
+def test_asymptotics_at_a_short_horizon_T(tmp_path):
+    # at T = 0.1 the rescaled run starts below T / 2, not at r = 0.68 where
+    # it starts for 1/eps, so its distance to the bubble has samples up to T
+    out = tmp_path / "asym.json"
+    assert cli.main(["asymptotics", "--epsilon", "0.2", "--epsilon", "0.1", "--T", "0.1", "--out", str(out)]) == 0
+    env = json.loads(out.read_text())
+    errs = env["payload"]["study"]["sup_errors"]
+    assert env["diagnostics"] == [] and all(0.0 < e < 1e-2 for e in errs)
+
+
 def test_asymptotics_integrates_the_rescaled_flow_once_per_epsilon(monkeypatch):
     # per eps one joint solve to 1/eps and one rescaled solve to
     # max(1/eps, T): that run serves the remainder's subtraction route and
-    # the node radius up to 1/eps and the distance to the bubble on [r0, T];
+    # the node radius up to 1/eps and the distance to the bubble up to T;
     # the log-law fit reads the closed form and integrates nothing
     from diracshoot import asymptotics
 
@@ -361,7 +369,7 @@ def test_readme_python_blocks_run_as_documented():
         exec(block, ns)
     printed = dict(re.findall(r"^(radial\.stats|gs\.lambda_star) +# (\{.*?\}|[\d.]+)", readme, re.M))
     assert printed == {
-        "radial.stats": "{'nfev': 2564, 'naccpt': 427, 'nrejct': 0, 'nbisect': 0}",
+        "radial.stats": "{'nfev': 2444, 'naccpt': 407, 'nrejct': 0, 'nbisect': 0}",
         "gs.lambda_star": "1.807896148878",
     }
     assert ns["radial"].stats == ast.literal_eval(printed["radial.stats"])
@@ -393,12 +401,12 @@ def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, di
     "argv",
     [
         ["classify", "--lambda", "1", "--tol-rel", "-1"],
-        ["classify", "--lambda", "1", "--r0", "0"],
+        ["classify", "--lambda", "1", "--r0", "1e-6"],  # no such flag
         ["ground-state", "--rmax", "-5"],
         ["asymptotics", "--epsilon", "0.2", "--T", "-1"],
+        ["asymptotics", "--epsilon", "0.2", "--T", "0"],
         ["portrait", "--resolution", "-3"],
         ["portrait", "--resolution", "0"],
-        ["classify", "--lambda", "1", "--rmax", "1e-9"],
         ["ground-state", "--lambda-tol", "nan"],
         ["ground-state", "--lambda-tol=-1e-9"],
         ["ground-state", "--rmax", "inf"],
@@ -418,9 +426,9 @@ def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, di
     ],
 )
 def test_invalid_settings_are_usage_errors(argv, capsys):
-    # each fails in RunConfig before any computation, so it runs in-process;
-    # test_module_entry_point covers python -m
-    assert cli.main(argv) == 1
+    # each fails in RunConfig, or in argparse, before any computation, so it
+    # runs in-process; test_module_entry_point covers python -m
+    assert _exit_code(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert "Traceback" not in err
@@ -448,7 +456,7 @@ def test_unwritable_output_path_fails_before_the_computation(tmp_path, monkeypat
 
 
 def test_error_norm_past_the_float_range_is_a_computation_failure(monkeypatch, capsys):
-    # at eps = 1e-31 the rescaled run's error norm overflows near r = 5.1e30
+    # at eps = 1e-31 the rescaled run's error norm overflows near r = 1.27e29
     # (see test_integrator); the run ends on its step budget, which a lower
     # budget reaches sooner, once the joint flow (1,677 steps) has completed
     from diracshoot import integrator
@@ -457,7 +465,7 @@ def test_error_norm_past_the_float_range_is_a_computation_failure(monkeypatch, c
     assert cli.main(["asymptotics", "--epsilon", "1e-31"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
-    assert err.startswith("diracshoot: computation failed: step budget exhausted at r=5.1")
+    assert err.startswith("diracshoot: computation failed: step budget exhausted at r=1.27")
 
 
 def test_portrait_of_a_datum_that_is_not_captured_is_a_computation_failure():
@@ -479,6 +487,27 @@ def test_horizon_too_short_to_classify_is_blamed_on_the_horizon():
     msg = _assert_one_line_failure(["ground-state", "--rmax", "1e-5"], 2, "diracshoot: computation failed: ")
     assert "horizon rmax = 1e-05" in msg
     assert "no sign change" not in msg
+
+
+def test_tiny_horizon_is_no_usage_error(capsys):
+    # no start radius bounds the horizon from below: the series start caps at
+    # rmax / 2, so classify reports the datum undecided at the horizon, and the
+    # search fails on its node-free first datum
+    assert RunConfig(rmax=1e-6).rmax == 1e-6
+    assert cli.main(["classify", "--lambda", "1", "--rmax", "1e-9"]) == 0
+    (c,) = json.loads(capsys.readouterr().out)["payload"]["classifications"]
+    assert (c["verdict"], c["node_count"], c["r_event"]) == ("undecided", 0, 1e-9)
+    msg = _assert_one_line_failure(["ground-state", "--rmax", "1e-9"], 2, "diracshoot: computation failed: ")
+    assert "horizon is too short" in msg
+
+
+def test_r0_is_no_config_file_key(tmp_path, capsys):
+    # the runs start from their series, so r0 is no key, as it is no flag
+    cfgfile = tmp_path / "r0.cfg"
+    cfgfile.write_text("r0 = 1e-6\n")
+    assert cli.main(["classify", "--lambda", "1", "--config", str(cfgfile)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"diracshoot: error: {cfgfile}:1: unknown key 'r0'\n"
 
 
 @pytest.mark.parametrize("lam", ["1e5", "1e8", "1e60", "1e70"])
@@ -521,6 +550,14 @@ def test_huge_datum_is_undecided(lam):
     assert (c["verdict"], c["node_count"]) == ("undecided", 0)
     note = classify(float(lam), Params(), Tolerances()).evidence["note"]
     assert note.startswith("float overflow")
+
+
+def _exit_code(argv):
+    """cli.main's return value, or the code argparse exits with."""
+    try:
+        return cli.main(argv)
+    except SystemExit as stop:
+        return stop.code
 
 
 def _assert_one_line_failure(argv, code, prefix):

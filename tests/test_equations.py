@@ -3,16 +3,19 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import taylor_start
 
 from diracshoot import (
     Params,
+    Tolerances,
     autonomous_flow,
     equilibria,
     hamiltonian,
     hamiltonian_rate,
     r2h_rate,
     radial_flow,
-    taylor_start,
+    series_start,
+    solve,
 )
 
 P = Params(1.0, 0.5)
@@ -127,7 +130,8 @@ def test_bound_flows_are_the_pointwise_formulas_bitwise(p, s, r, eps):
     lam, tiny = 1.0 + abs(u), 1e-300
     assert bits(radial_flow(p, 1.0)(r, s)) == bits(radial)
     assert hamiltonian(s, p, 1.0).hex() == hamiltonian(s, p).hex()
-    assert bits(taylor_start(lam, p, r, 1.0)) == bits(taylor_start(lam, p, r))
+    (r_1, y_1), (r_s, y_s) = series_start(lam, p, Tolerances(), 1.0), series_start(lam, p, Tolerances())
+    assert r_1.hex() == r_s.hex() and bits(y_1) == bits(y_s)
     e2, unscaled = eps * eps, (u / eps, v / eps)
     fu, fv = radial_flow(p, eps)(r, s)
     gu, gv = radial_flow(p)(e2 * r, unscaled)
@@ -181,9 +185,6 @@ def test_series_start_matches_a_tight_run_from_the_origin(lam):
     # the series' state at its radius r_s against a run at rel = abs = 1e-14
     # from the second-order start at 1e-9 / max(1, lambda^2), within ten
     # times the default tolerance
-    from diracshoot import Tolerances, solve
-    from diracshoot.equations import series_start
-
     tol = Tolerances()
     r_s, y_s = series_start(lam, P, tol)
     r0 = 1e-9 / max(1.0, lam * lam)

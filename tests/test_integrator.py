@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import R0, rhs_first_order, taylor_start
 from scipy.integrate import solve_ivp
 
 from diracshoot import (
@@ -13,8 +14,8 @@ from diracshoot import (
     autonomous_flow,
     hamiltonian,
     radial_flow,
+    series_start,
     solve,
-    taylor_start,
 )
 from diracshoot.integrator import formula, v_sign
 
@@ -388,8 +389,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     # event function built by formula, solve of a plain callable around f,
     # which inlines g alone, and the reference, which calls both; a run given
     # r_eval is sampled there after solve
-    from diracshoot.asymptotics import _first_order_start, _rhs_first_order, _rhs_joint
-    from diracshoot.equations import series_start
+    from diracshoot.asymptotics import _first_order_start, _rhs_joint
     from diracshoot.phaseflow import attraction_report
     from diracshoot.shooting import _events
 
@@ -413,10 +413,11 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
         g, dets = _events(p, tol, stop)
         runs.append((radial_flow(p), (r0, horizon), y0, dict(detectors=dets, g=g)))
     # the rescaled run with a v-sign detector at eps = 0.05, 0.2 and the
-    # eps = 0 bubble limit
+    # eps = 0 bubble limit, from its series start
     for eps in (0.05, 0.2, 0.0):
-        span, y0 = (TOL.r0, 1.0 / eps if eps else 20.0), taylor_start(1.0, P, TOL.r0, eps)
-        runs.append((radial_flow(P, eps), span, y0, dict(detectors=[NODE], g=v_sign)))
+        end = 1.0 / eps if eps else 20.0
+        r0, y0 = series_start(1.0, P, TOL, eps, end)
+        runs.append((radial_flow(P, eps), (r0, end), y0, dict(detectors=[NODE], g=v_sign)))
     # attraction_report's run to the horizon, where u crosses zero many
     # times on the spiral toward the equilibrium
     r0, y0 = series_start(2.5, P, TOL)
@@ -435,20 +436,20 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     runs.append((RADIAL, (r0, 10.0), y0, dict(r_eval=grid, detectors=[STOP], g=v_sign)))
     # the first-order flow over the log-law window and the 4-D joint
     # remainder flow on (0, 1/eps), sampled as asymptotics samples them
-    start2 = _first_order_start(P, TOL.r0)
-    start4 = (*start2, 0.0, 0.25 * (P.m**2 - P.omega**2) * TOL.r0**2)
-    runs.append((_rhs_first_order(P), (TOL.r0, 1e6), start2, dict(r_eval=np.geomspace(1e3, 1e6, 200))))
+    start2 = _first_order_start(P, R0)
+    start4 = (*start2, 0.0, 0.25 * (P.m**2 - P.omega**2) * R0**2)
+    runs.append((rhs_first_order(P), (R0, 1e6), start2, dict(r_eval=np.geomspace(1e3, 1e6, 200))))
     for eps in (0.3, 0.2, 0.1, 0.02):
-        grid4 = np.linspace(TOL.r0, 1.0 / eps, 800)
-        runs.append((_rhs_joint(eps, P), (TOL.r0, 1.0 / eps), start4, dict(r_eval=grid4)))
+        grid4 = np.linspace(R0, 1.0 / eps, 800)
+        runs.append((_rhs_joint(eps, P), (R0, 1.0 / eps), start4, dict(r_eval=grid4)))
     # the joint flow with rejected steps from a large remainder at r0, and
     # with samples up to a terminal event where h1 falls below -0.5 (past
     # r = 1), so that the cut step is interpolated
     i_joint_rej = len(runs)
-    runs.append((_rhs_joint(0.5, P), (TOL.r0, 2.0), (0.0, 0.0, 1.0, 1.0), {}))
-    stop4 = dict(detectors=[STOP], g=lambda r, y: (y[0] + 0.5,), r_eval=np.linspace(TOL.r0, 5.0, 800))
+    runs.append((_rhs_joint(0.5, P), (R0, 2.0), (0.0, 0.0, 1.0, 1.0), {}))
+    stop4 = dict(detectors=[STOP], g=lambda r, y: (y[0] + 0.5,), r_eval=np.linspace(R0, 5.0, 800))
     i_joint_stop = len(runs)
-    runs.append((_rhs_joint(0.1, P), (TOL.r0, 5.0), start4, stop4))
+    runs.append((_rhs_joint(0.1, P), (R0, 5.0), start4, stop4))
     # a once detector whose value keeps changing sign after it fired, next
     # to one that fires on upward crossings only
     once = [Detector(EventKind.V_SIGN_CHANGE, once=True), Detector(EventKind.CERTIFICATE_FIRED, 1)]
@@ -498,7 +499,6 @@ def test_formula_event_function_is_called_only_at_the_start():
     # certificate are not terminal and whose capture is; the run is bitwise
     # that of the called wrapper, which counts each accepted step and each
     # bisection point
-    from diracshoot.equations import series_start
     from diracshoot.shooting import _events
 
     g, dets = _events(P, TOL, False)
@@ -559,7 +559,6 @@ def test_failures_match_the_reference_solve(monkeypatch):
     # first node of a nodal trial: the same message and the same partial run,
     # which keeps the samples up to its last accepted step
     from diracshoot import integrator as I
-    from diracshoot.equations import series_start
     from diracshoot.shooting import _events
 
     def blowup(r, y):
@@ -592,7 +591,7 @@ def test_failures_match_the_reference_solve(monkeypatch):
 
 
 def test_overflowing_error_norm_rejects_the_step(monkeypatch):
-    # near r = 5.1e30 the rescaled run at eps = 1e-100 tries steps whose
+    # near r = 1.27e29 the rescaled run at eps = 1e-100 tries steps whose
     # stages blow up: a term of the error norm is finite but its square is
     # past the float range, where ** raises, and the step is rejected as one
     # with a NaN norm is; accepted steps then alternate with such rejected
@@ -602,14 +601,14 @@ def test_overflowing_error_norm_rejects_the_step(monkeypatch):
 
     monkeypatch.setattr(I, "_MAX_STEPS", 1000)
     eps = 1e-100
-    span, y0 = (TOL.r0, 1.0 / eps), taylor_start(1.0, P, TOL.r0, eps)
+    r0, y0 = series_start(1.0, P, TOL, eps, 1.0 / eps)
     with pytest.raises(IntegrationError, match="step budget exhausted") as exc:
         integrate_rescaled(eps, P, TOL)
     with pytest.raises(IntegrationError) as ref:
-        _reference_solve(radial_flow(P, eps), span, y0, detectors=[NODE], g=v_sign, **KW)
+        _reference_solve(radial_flow(P, eps), (r0, 1.0 / eps), y0, detectors=[NODE], g=v_sign, **KW)
     assert str(exc.value) == str(ref.value)
     _assert_same_run(exc.value.partial, ref.value.partial)
-    assert exc.value.partial.r[-1] > 5e30 and exc.value.partial.stats["nrejct"] > 300
+    assert exc.value.partial.r[-1] > 1.2e29 and exc.value.partial.stats["nrejct"] > 300
 
 def test_stats_count_every_rhs_call(gs):
     # a counting wrapper around f is how a caller measures the work of solve;

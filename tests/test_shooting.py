@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import certificate_check
 
 from diracshoot import (
     Bracket,
@@ -14,7 +15,6 @@ from diracshoot import (
     Trajectory,
     bisect,
     bracket_search,
-    certificate_check,
     classify,
     decay_fit,
     ground_state,

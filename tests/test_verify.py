@@ -125,8 +125,45 @@ def test_suite_integrates_each_radial_datum_once(monkeypatch):
 
     monkeypatch.setattr(verify, "solve", counted)
     assert all(r.passed for r in verify.run_suite())
-    # the two shared runs came to 15 integrations before; 6 data run to the
-    # horizon, 2 to r = 20 (the autonomous run ends at r = 50)
+    # the two shared runs came to 16 integrations before; 6 data run to the
+    # horizon, 2 to r = 20 (the autonomous run ends at r = 50, series_consistency
+    # runs 3 short spans)
     horizon = Tolerances().resolved(Params()).rmax
-    assert len(runs) == len(set(runs)) == 13
+    assert len(runs) == len(set(runs)) == 14
     assert sum(1 for (_, end), _ in runs if end in (horizon, 20.0)) == 8
+
+
+def test_taylor_consistency_catches_a_perturbed_series_start(monkeypatch):
+    # v of the start at the default tolerance moved by 1e-9, ten times the
+    # accuracy rel lambda + abs at lambda = 0.5; the tight start is left as it is
+    real = verify.series_start
+
+    def perturbed(lam, p, tol):
+        r, (u, v) = real(lam, p, tol)
+        return r, (u, v + 1e-9 if tol.rel > 1e-14 else v)
+
+    monkeypatch.setattr(verify, "series_start", perturbed)
+    p, tol = verify.Params(), verify.Tolerances()
+    assert verify.check_taylor_consistency(p, tol.resolved(p)).passed is False
+
+
+def test_suite_integrates_each_rescaled_run_once(monkeypatch):
+    # the checks read one cached run per (eps, r_end), the run to 1/0.1 = 10
+    # serving both rescaling_commutation and rescaled_energy; the remainder
+    # integrates its own run per eps, as asymptotics does
+    import sys
+
+    from diracshoot import asymptotics
+
+    real = asymptotics.integrate_rescaled
+    calls = {"diracshoot.verify": [], "diracshoot.asymptotics": []}
+
+    def counted(eps, p, tol, r_end=None, horizon=None):
+        calls[sys._getframe(1).f_globals["__name__"]].append((eps, r_end))
+        return real(eps, p, tol, r_end, horizon)
+
+    monkeypatch.setattr(asymptotics, "integrate_rescaled", counted)
+    verify.run_suite()
+    checks, remainder = calls["diracshoot.verify"], calls["diracshoot.asymptotics"]
+    assert sorted(checks) == [(0.0, 20.0), (0.1, 10.0), (0.3, 1.0 / 0.3), (0.5, 5.0)]
+    assert sorted(remainder) == [(0.05, 20.0), (0.1, 10.0), (0.2, 5.0)]
