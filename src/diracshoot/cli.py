@@ -57,7 +57,6 @@ class RunConfig:
     rmax: float | None = None
     lambdas: tuple[float, ...] = ()
     epsilons: tuple[float, ...] = ()
-    lambda_tol: float = 0.0
     T: float = 10.0
     level: float = 0.0
     resolution: int = 512
@@ -81,8 +80,6 @@ class RunConfig:
             raise ConfigError(f"resolution must be at least 2, got {self.resolution}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
-        if not self.lambda_tol >= 0:
-            raise ConfigError(f"lambda_tol must be nonnegative, got {self.lambda_tol:g}")
         if not all(lam > 0 and math.isfinite(lam * lam) for lam in self.lambdas):
             raise ConfigError("every lambda must be positive, with a finite square")
         if any(not 0.0 < e < 1.0 for e in self.epsilons):
@@ -176,7 +173,7 @@ def _fmt17(x) -> str:
 
 def run_ground_state(cfg: RunConfig) -> dict:
     p, tol = cfg.params(), cfg.tolerances()
-    gs = shooting.ground_state(p, tol, lambda_tol=cfg.lambda_tol)
+    gs = shooting.ground_state(p, tol)
     diags = []
     if not gs.converged:
         diags.append("bisection did not reach a node-free connection; best candidate reported")
@@ -441,14 +438,6 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("ground-state", help="locate the node-free localized solution")
     _add_common(sp)
-    sp.add_argument(
-        "--lambda-tol",
-        type=float,
-        default=None,
-        dest="lambda_tol",
-        help="stop once the lambda* bracket is this narrow (default 0: the "
-        "width 0.1 * rel * lambda* that the tolerance supports)",
-    )
 
     sp = sub.add_parser("classify", help="classify initial data")
     _add_common(sp)

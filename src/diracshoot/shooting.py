@@ -35,8 +35,8 @@ from .params import Params, Tolerances
 # the search stops at its width target (or at one ulp when that is finer)
 # long before this; the cap only guards the loop
 _MAX_BISECT_ITER = 200
-# the search stops once hi - lo <= max(lambda_tol, _STOP_REL * tol.rel * hi),
-# the accuracy in lambda* that the integration tolerance supports
+# the search stops once hi - lo <= _STOP_REL * tol.rel * hi, the accuracy in
+# lambda* that the integration tolerance supports
 _STOP_REL = 0.1
 # samples of the matched decay tail between the anchor and the horizon
 _N_TAIL = 256
@@ -478,33 +478,27 @@ def _regula_falsi(lo, hi, f_lo, f_hi):
     return _secant((hi, f_hi), (lo, f_lo))
 
 
-def bisect(
-    bracket: Bracket,
-    p: Params,
-    tol: Tolerances,
-    lambda_tol: float = 0.0,
-) -> GroundState:
+def bisect(bracket: Bracket, p: Params, tol: Tolerances) -> GroundState:
     """Narrow the bracket on the node count: node-free data move the lower
     endpoint, any datum with a sign change moves the upper one.
 
     Each trial datum is the root of the secant of the shooting function F
     through the two latest trials (Dekker 1969), the first through the
     bracket's ends with the F their trials recorded (bracket_search's last
-    two).  Where that root leaves (lo, hi), the trial is the regula falsi
-    root of F on the bracket, or the midpoint where the ends carry no F of
-    opposite signs.  After n_max = ceil(log2(w0 / target0)) + 1 trials,
-    bisection's count for the initial bracket, every trial is the midpoint,
-    so no search takes more than 2 n_max trials.  The loop stops when
-    hi - lo <= target = max(lambda_tol, 0.1 tol.rel hi), or at one ulp if
-    that is finer.  A node-free trial that reaches the eta tube (a
-    connection) is the lower end like any node-free one, and a closing
-    trial at min(lo + target/2, (lo + hi)/2) follows; where the eta tube is
-    wider than the target it connects too, and midpoints close the rest.
-    The profile is the last connection, else the candidate of least closest
-    approach among the trials at lo and hi and the regula falsi root of F on
-    the final bracket (one more trial), each cut at its first sign change
-    of v; truncated there, it is continued with the matched decay tail.  So
-    a search runs no full-horizon integration.
+    two).  Where there is no root (a trial without F, or two equal F) or it
+    leaves (lo, hi), the trial is the midpoint.  After n_max =
+    ceil(log2(w0 / target0)) + 1 trials, bisection's count for the initial
+    bracket, every trial is the midpoint, so no search takes more than
+    2 n_max trials.  The loop stops when hi - lo <= target = 0.1 tol.rel hi,
+    or at one ulp if that is finer.  A node-free trial that reaches the eta
+    tube (a connection) is the lower end like any node-free one, and a
+    closing trial at min(lo + target/2, (lo + hi)/2) follows; where the eta
+    tube is wider than the target it connects too, and midpoints close the
+    rest.  The profile is the last connection, else the candidate of least
+    closest approach among the trials at lo and hi and the regula falsi root
+    of F on the final bracket (one more trial), each cut at its first sign
+    change of v; truncated there, it is continued with the matched decay
+    tail.  So a search runs no full-horizon integration.
 
     A trajectory's side is settled where it passes the saddle at the
     origin, so a trial far from it cannot change sides through an error
@@ -529,23 +523,20 @@ def bisect(
     history = list(bracket.history)
     converged = True
     connection = None  # datum whose trajectory reached the eta tube
-    target0 = max(lambda_tol, _STOP_REL * tol.rel * hi)
-    n_max = math.ceil(math.log2(max((hi - lo) / target0, 1.0))) + 1
+    n_max = math.ceil(math.log2(max((hi - lo) / (_STOP_REL * tol.rel * hi), 1.0))) + 1
 
     closing = False
     for j in range(_MAX_BISECT_ITER):
-        target = max(lambda_tol, _STOP_REL * tol.rel * hi)
+        target = _STOP_REL * tol.rel * hi
         if hi - lo <= target:
             break
         if connection is not None:
             lam = 0.5 * (lo + hi) if closing else min(lo + 0.5 * target, 0.5 * (lo + hi))
             closing = True
-        elif j < n_max:
-            lam = _secant(*latest)
-            if lam is None or not lo < lam < hi:
-                lam = _regula_falsi(lo, hi, f_lo, f_hi)
         else:
-            lam = 0.5 * (lo + hi)
+            lam = _secant(*latest) if j < n_max else None
+            if lam is None or not lo < lam < hi:
+                lam = 0.5 * (lo + hi)
         if not lo < lam < hi:
             break
         c = trials[lam] = _trial(lam, p, tol, history)
@@ -592,6 +583,6 @@ def bisect(
     )
 
 
-def ground_state(p: Params, tol: Tolerances, lambda_tol: float = 0.0) -> GroundState:
+def ground_state(p: Params, tol: Tolerances) -> GroundState:
     """Full pipeline: bracket the transition, bisect, assemble the profile."""
-    return bisect(bracket_search(p, tol), p, tol, lambda_tol=lambda_tol)
+    return bisect(bracket_search(p, tol), p, tol)

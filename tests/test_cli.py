@@ -407,8 +407,7 @@ def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, di
         ["asymptotics", "--epsilon", "0.2", "--T", "0"],
         ["portrait", "--resolution", "-3"],
         ["portrait", "--resolution", "0"],
-        ["ground-state", "--lambda-tol", "nan"],
-        ["ground-state", "--lambda-tol=-1e-9"],
+        ["ground-state", "--lambda-tol", "1e-3"],  # no such flag
         ["ground-state", "--rmax", "inf"],
         ["asymptotics", "--epsilon", "0.2", "--T", "inf"],
         ["classify", "--lambda", "inf"],
@@ -501,13 +500,22 @@ def test_tiny_horizon_is_no_usage_error(capsys):
     assert "horizon is too short" in msg
 
 
-def test_r0_is_no_config_file_key(tmp_path, capsys):
-    # the runs start from their series, so r0 is no key, as it is no flag
-    cfgfile = tmp_path / "r0.cfg"
-    cfgfile.write_text("r0 = 1e-6\n")
-    assert cli.main(["classify", "--lambda", "1", "--config", str(cfgfile)]) == 1
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        # the runs start from their series, so r0 is no key, as it is no flag
+        (["classify", "--lambda", "1"], "r0"),
+        # the search stops at the width its tolerance supports
+        (["ground-state"], "lambda_tol"),
+    ],
+    ids=["r0", "lambda_tol"],
+)
+def test_removed_settings_are_no_config_file_keys(tmp_path, capsys, argv, key):
+    cfgfile = tmp_path / f"{key}.cfg"
+    cfgfile.write_text(f"{key} = 1e-3\n")
+    assert cli.main([*argv, "--config", str(cfgfile)]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == f"diracshoot: error: {cfgfile}:1: unknown key 'r0'\n"
+    assert out == "" and err == f"diracshoot: error: {cfgfile}:1: unknown key {key!r}\n"
 
 
 @pytest.mark.parametrize("lam", ["1e5", "1e8", "1e60", "1e70"])

@@ -368,9 +368,9 @@ def test_decay_slope_reads_minus_mu(searched):
 
 def test_search_closes_the_bracket_to_its_target(searched):
     # a connection is the lower end and one closing trial the upper one, so
-    # the width meets the target (lambda_tol = 0 here) there too; at
-    # (1, 0.99) a search that stopped on its connection inside the bracket
-    # reported 8.6e-8 against a target of 2.2e-12
+    # the width meets the target there too; at (1, 0.99) a search that
+    # stopped on its connection inside the bracket reported 8.6e-8 against a
+    # target of 2.2e-12
     _, gs = searched
     assert gs.bracket_width <= 0.1 * TOL.rel * gs.lambda_star
 
@@ -481,6 +481,36 @@ def test_useless_wronskian_falls_back_to_midpoints(monkeypatch):
     assert gs2.node_count == 0 and gs2.converged
 
 
+def test_search_replays_inside_its_bracket():
+    # replaying the verdicts at the default target: every trial lies strictly
+    # inside the bracket of its time, within the n_max secant steps that
+    # bisect allows before it falls back to midpoints, and the bracket they
+    # leave is the reported one
+    b = bracket_search(P, TOL)
+    gs2 = bisect(b, P, TOL)
+    lo, hi = b.lo, b.hi
+    trials = gs2.history[len(b.history):]
+    n_max = math.ceil(math.log2((hi - lo) / (0.1 * TOL.rel * hi))) + 1
+    assert 0 < len(trials) <= n_max
+    for c in trials:
+        assert lo < c.lam < hi
+        if c.node_count >= 1:
+            hi = c.lam
+        else:
+            lo = c.lam
+    assert hi - lo == gs2.bracket_width <= 0.1 * TOL.rel * hi
+    a0 = [c.lam for c in gs2.history if c.verdict == "A" and c.node_count == 0]
+    nodal = [c.lam for c in gs2.history if c.node_count >= 1]
+    assert max(a0) < min(nodal)
+
+
+def test_ends_without_wronskian_take_the_midpoint_first():
+    # a bracket whose ends carry no trial, so no F: no secant, the midpoint
+    gs2 = bisect(Bracket(1.0, 2.5, ()), P, TOL)
+    assert gs2.history[0].lam == 1.75
+    assert gs2.node_count == 0 and gs2.converged
+
+
 def test_every_shooting_trial_carries_signed_wronskian(searched):
     # F at the closest approach is negative for node-free captured data and
     # positive for nodal ones, which lets the secant step from the first
@@ -586,29 +616,6 @@ def test_lambda_star_at_rel_1e_13_matches_the_collocation_oracle(omega):
 def test_collocation_townes_profile_matches_its_known_q0():
     # Q'' + Q'/r - Q + Q^3 = 0, the NLS limit omega -> m of the radial system
     assert abs(collocation.townes_q0() / 2.2062008646507 - 1.0) < 1e-13
-
-
-def test_loose_lambda_tol_ends_while_bisecting():
-    b = bracket_search(P, TOL)
-    gs_loose = bisect(b, P, TOL, lambda_tol=1e-3)
-    assert gs_loose.bracket_width <= 1e-3
-    # replaying the verdicts: every trial lies strictly inside the bracket
-    # of its time, within the n_max secant steps that bisect allows before
-    # it falls back to midpoints
-    lo, hi = b.lo, b.hi
-    trials = gs_loose.history[len(b.history):]
-    n_max = math.ceil(math.log2((hi - lo) / 1e-3)) + 1
-    assert 0 < len(trials) <= n_max
-    for c in trials:
-        assert lo < c.lam < hi
-        if c.node_count >= 1:
-            hi = c.lam
-        else:
-            lo = c.lam
-    assert hi - lo == gs_loose.bracket_width
-    a0 = [c.lam for c in gs_loose.history if c.verdict == "A" and c.node_count == 0]
-    nodal = [c.lam for c in gs_loose.history if c.node_count >= 1]
-    assert max(a0) < min(nodal)
 
 
 @given(st.floats(0.5, 4.0), st.floats(0.05, 0.95))

@@ -147,6 +147,33 @@ def test_taylor_consistency_catches_a_perturbed_series_start(monkeypatch):
     assert verify.check_taylor_consistency(p, tol.resolved(p)).passed is False
 
 
+def test_taylor_consistency_integrates_at_rel_1e_15(monkeypatch):
+    # the tight series sums to tol / 1e4, so at rel = abs = 1e-15 every datum
+    # starts nearer the origin than the start at tol and is integrated to it
+    # (when it summed to min(tol, 1e-14), it was the start at tol, with a
+    # defect of 0); the check passes, and fails on a perturbed start
+    p = verify.Params()
+    tol = verify.Tolerances(rel=1e-15, abs=1e-15).resolved(p)
+    real_solve, real_start = verify.solve, verify.series_start
+    runs = []
+
+    def counted(f, r_span, y0, **kwargs):
+        runs.append(r_span)
+        return real_solve(f, r_span, y0, **kwargs)
+
+    monkeypatch.setattr(verify, "solve", counted)
+    assert verify.check_taylor_consistency(p, tol).passed
+    assert len(runs) == 3 and all(r_t < r_s for r_t, r_s in runs)
+
+    def perturbed(lam, p, tol):
+        # v of the start at tol moved by ten times rel lambda + abs
+        r, (u, v) = real_start(lam, p, tol)
+        return r, (u, v + 10.0 * (tol.rel * lam + tol.abs) if tol.rel == 1e-15 else v)
+
+    monkeypatch.setattr(verify, "series_start", perturbed)
+    assert verify.check_taylor_consistency(p, tol).passed is False
+
+
 def test_suite_integrates_each_rescaled_run_once(monkeypatch):
     # the checks read one cached run per (eps, r_end), the run to 1/0.1 = 10
     # serving both rescaling_commutation and rescaled_energy; the remainder
