@@ -52,8 +52,6 @@ class RunConfig:
     omega: float = Params.omega
     tol_rel: float = Tolerances.rel
     tol_abs: float = Tolerances.abs
-    eta: float = Tolerances.eta
-    delta: float | None = None
     rmax: float | None = None
     lambdas: tuple[float, ...] = ()
     epsilons: tuple[float, ...] = ()
@@ -89,7 +87,7 @@ class RunConfig:
         return Params(self.m, self.omega)
 
     def tolerances(self) -> Tolerances:
-        return Tolerances(rel=self.tol_rel, abs=self.tol_abs, eta=self.eta, delta=self.delta, rmax=self.rmax)
+        return Tolerances(rel=self.tol_rel, abs=self.tol_abs, rmax=self.rmax)
 
     def echo(self) -> dict:
         # the fields are finite floats, ints, strings, None and float tuples
@@ -424,8 +422,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--omega", type=float, default=None, help="frequency, 0 < omega < m")
     sp.add_argument("--tol-rel", type=float, default=None, dest="tol_rel")
     sp.add_argument("--tol-abs", type=float, default=None, dest="tol_abs")
-    sp.add_argument("--eta", type=float, default=None, help="origin-capture threshold")
-    sp.add_argument("--delta", type=float, default=None, help="negative-energy threshold")
     sp.add_argument("--rmax", type=float, default=None, help="integration horizon")
     sp.add_argument("--format", choices=("json", "csv"), default=None)
     sp.add_argument("--out", type=str, default=None, help="output path (default stdout)")

@@ -46,6 +46,18 @@ _MAX_FACTOR = 1e6
 _LOOSE_TOL = 1e-7
 _DECIDE_REL = 1e-3
 _NEAR_REL = 1e-2
+# the verdict thresholds: the origin's eta tube |u| + |v| < ETA, the capture
+# region {H < -capture_depth}, and the bound on |u| + |v| of the linear
+# regime, in which the decay tail is matched and fitted
+ETA = 1e-8
+_LINEAR = 1e-2
+
+
+def capture_depth(p: Params) -> float:
+    """delta = 1e-8 (m - omega)^2 keeps the capture test {H < -delta} away
+    from the separatrix {H = 0}."""
+    return 1e-8 * p.gap ** 2
+
 
 VERDICT_A = "A"
 VERDICT_I = "I-candidate"
@@ -148,13 +160,12 @@ def f(x, s, hm, hw, delta, eta, gap2, cap):
 
 
 @functools.lru_cache(maxsize=16)
-def _events(p: Params, tol: Tolerances, stop_at_first_node: bool):
+def _events(p: Params, stop_at_first_node: bool):
     """(g, detectors) of a shooting trial, which stops at its first node, or
-    of a full-horizon run, at resolved tolerances; built once per key, as a
-    search runs many trials of one key.  Only the latter screens the capture
-    certificate: it bounds the sign changes after its radius, which a trial
-    never reaches."""
-    consts = (*energy_constants(p), tol.delta, tol.eta)
+    of a full-horizon run; built once per key, as a search runs many trials
+    of one key.  Only the latter screens the capture certificate: it bounds
+    the sign changes after its radius, which a trial never reaches."""
+    consts = (*energy_constants(p), capture_depth(p), ETA)
     dets = (
         Detector(EventKind.V_SIGN_CHANGE, terminal=stop_at_first_node),
         Detector(EventKind.ENTERED_NEGATIVE_ENERGY, direction=-1, terminal=True),
@@ -213,24 +224,24 @@ def classify(
 ) -> Classification:
     """Classify one initial datum by integrating its radial trajectory.
 
-    Counts sign changes of v; stops at the first entry into {H < -delta}
-    (verdict A(k)) or at the first drop of |u| + |v| below eta while the
-    energy is still above -delta (verdict I-candidate(k)).  A trajectory
-    that reaches the horizon undecided is reported as such.  With
-    stop_at_first_node (a search trial) the run ends at the first sign
-    change of v and also records the shooting function F at its closest
-    approach to the origin (see _closest_approach_wronskian); it does not
-    screen the capture certificate, so its certificate is None.  The steps
-    do not depend on the events screened, so a trial takes the steps of the
-    full-horizon run up to its terminal event.  The classification records
-    the resolved tolerances it ran at: a search runs its trials far from
-    lambda* at a looser one (see bisect), and its history shows which.
+    Counts sign changes of v; stops at the first entry into {H < -delta},
+    delta = capture_depth(p) (verdict A(k)), or at the first drop of |u| +
+    |v| below ETA while the energy is still above -delta (verdict
+    I-candidate(k)).  A trajectory that reaches the horizon undecided is
+    reported as such.  With stop_at_first_node (a search trial) the run
+    ends at the first sign change of v and also records the shooting
+    function F at its closest approach to the origin (see
+    _closest_approach_wronskian); it does not screen the capture
+    certificate, so its certificate is None.  The steps do not depend on the
+    events screened, so a trial takes the steps of the full-horizon run up
+    to its terminal event.  The classification records the resolved
+    tolerances it ran at: a search runs its trials far from lambda* at a
+    looser one (see bisect), and its history shows which.
     """
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"datum must be positive and finite, got {lam}")
     tol = tol.resolved(p)
     r0, y0 = series_start(lam, p, tol)
     rmax = float(horizon) if horizon is not None else tol.rmax
+    delta = capture_depth(p)
 
     H0 = hamiltonian(y0, p)
     if not math.isfinite(H0):
@@ -240,7 +251,7 @@ def classify(
         evid = {"r": nan, "H": nan, "certificate": None, "note": note}
         summ = {"r_end": nan, "H_end": nan, "min_norm1": nan, "r_at_min": nan, "samples": 0}
         return Classification(lam, VERDICT_UNDECIDED, 0, evid, summ, None, tol=tol)
-    if H0 < -tol.delta:
+    if H0 < -delta:
         # the datum starts inside the capture region and H only decreases
         ev = Event(EventKind.ENTERED_NEGATIVE_ENERGY, r0, y0)
         traj = Trajectory(np.array([r0]), np.array([y0]), (ev,), "event:entered_negative_energy")
@@ -248,7 +259,7 @@ def classify(
         wronskian = _closest_approach_wronskian(traj, p) if stop_at_first_node else None
         return Classification(lam, VERDICT_A, 0, evid, summ, traj if keep_trajectory else None, wronskian, tol)
 
-    g, dets = _events(p, tol, stop_at_first_node)
+    g, dets = _events(p, stop_at_first_node)
     try:
         traj = solve(_flow(p), (r0, rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g)
     except IntegrationError as err:
@@ -277,7 +288,7 @@ def classify(
             evid["note"] = "stopped at first node"
     else:
         k = traj.nodes_before()
-        if float(traj.norm1[-1]) < tol.eta and summ["H_end"] >= -tol.delta:
+        if float(traj.norm1[-1]) < ETA and summ["H_end"] >= -delta:
             verdict = VERDICT_I
         else:
             verdict = VERDICT_UNDECIDED
@@ -430,7 +441,7 @@ def extend_with_decay_tail(
     i_c = max(traj.closest, 1)
     r_c = float(traj.r[i_c])
 
-    window = (n1[: i_c + 1] <= 1e-2) & (traj.r[: i_c + 1] >= 0.5 * r_c)
+    window = (n1[: i_c + 1] <= _LINEAR) & (traj.r[: i_c + 1] >= 0.5 * r_c)
     idx = np.nonzero(window)[0]
     if len(idx) < 2:
         idx = np.arange(max(0, i_c - 10), i_c + 1)
@@ -451,9 +462,9 @@ def extend_with_decay_tail(
     return profile, r_c, amp
 
 
-def _decay_window(profile: Trajectory, anchor_r: float, tol: Tolerances) -> tuple[float, float]:
-    """Last decade of radius with eta < |u|+|v| < 1e-2 before the anchor."""
-    mask = (profile.r <= anchor_r) & (profile.norm1 < 1e-2) & (profile.norm1 > tol.eta)
+def _decay_window(profile: Trajectory, anchor_r: float) -> tuple[float, float]:
+    """Last decade of radius with ETA < |u|+|v| < _LINEAR before the anchor."""
+    mask = (profile.r <= anchor_r) & (profile.norm1 < _LINEAR) & (profile.norm1 > ETA)
     rs = profile.r[mask]
     if len(rs) < 2:
         raise DecayWindowError("no usable decay window before the anchor")
@@ -568,7 +579,7 @@ def bisect(bracket: Bracket, p: Params, tol: Tolerances) -> GroundState:
 
     profile, anchor_r, _amp = extend_with_decay_tail(best.trajectory, p, tol.rmax)
     node_count = profile.nodes_before()
-    slope = decay_fit(profile, _decay_window(profile, anchor_r, tol))
+    slope = decay_fit(profile, _decay_window(profile, anchor_r))
 
     return GroundState(
         lambda_star=best.lam,

@@ -27,7 +27,7 @@ from .equations import (
 from .integrator import solve
 from .params import Params, Tolerances
 from .phaseflow import attraction_report, level_set, stability_compare
-from .shooting import VERDICT_A, classify, ground_state
+from .shooting import VERDICT_A, capture_depth, classify, ground_state
 
 
 @dataclass(frozen=True)
@@ -172,11 +172,10 @@ def check_equilibria(p, tol):
 
 @_check("shooting")
 def check_classification_evidence(p, tol):
-    tol_r = tol.resolved(p)
     for lam in (0.5, 1.0, 2.0):
         c = classify(lam, p, tol)
         if c.verdict == VERDICT_A:
-            if not c.evidence["H"] < -tol_r.delta:
+            if not c.evidence["H"] < -capture_depth(p):
                 return False, f"H evidence fails at {lam}"
             if c.trajectory is not None and c.trajectory.nodes_before(c.evidence["r"]) != c.node_count:
                 return False, f"node count mismatch at {lam}"
@@ -372,7 +371,7 @@ def check_attraction(p, tol):
         after = t.r >= rep.entered_at
         H = hamiltonian((t.u[after], t.v[after]), p)
         H_end = float(H[-1])
-        in_window = -p.gap ** 2 / 4.0 - tol_r.abs <= H_end <= -tol_r.delta
+        in_window = -p.gap ** 2 / 4.0 - tol_r.abs <= H_end <= -capture_depth(p)
         if _worst_rise(H, tol_r) > 0.0 or not in_window or rep.u_sign_alternations < 2:
             return False, f"lambda={lam} violates spiral window"
     return True, "energy window and spiral alternations hold"

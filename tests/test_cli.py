@@ -416,9 +416,8 @@ def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, di
         ["classify", "--lambda", "1", "--m", "inf"],
         ["portrait", "--level", "nan", "--lambda", "0.5"],
         ["portrait", "--level=-inf"],
-        # at or past the energy well's depth (m - omega)^2/4 = 0.0625
-        ["ground-state", "--delta", "0.0625"],
-        ["classify", "--lambda", "1", "--delta", "0.07"],
+        ["ground-state", "--eta", "1e-8"],  # no such flag
+        ["classify", "--lambda", "1", "--delta", "1e-9"],  # no such flag
         # (m - omega)^2 overflows, or 1e-8 of it underflows to 0
         ["ground-state", "--m", "1e160", "--omega", "5e159"],
         ["ground-state", "--m", "1e-160", "--omega", "5e-161"],
@@ -507,8 +506,11 @@ def test_tiny_horizon_is_no_usage_error(capsys):
         (["classify", "--lambda", "1"], "r0"),
         # the search stops at the width its tolerance supports
         (["ground-state"], "lambda_tol"),
+        # the capture thresholds are the classifier's, fixed in shooting
+        (["classify", "--lambda", "1"], "eta"),
+        (["ground-state"], "delta"),
     ],
-    ids=["r0", "lambda_tol"],
+    ids=["r0", "lambda_tol", "eta", "delta"],
 )
 def test_removed_settings_are_no_config_file_keys(tmp_path, capsys, argv, key):
     cfgfile = tmp_path / f"{key}.cfg"

@@ -18,6 +18,7 @@ from diracshoot import (
     solve,
 )
 from diracshoot.integrator import formula, v_sign
+from diracshoot.shooting import capture_depth
 
 P = Params(1.0, 0.5)
 TOL = Tolerances().resolved(P)
@@ -108,11 +109,11 @@ def test_strictly_increasing_r():
 
 def test_terminal_event_truncates():
     det = [Detector(EventKind.ENTERED_NEGATIVE_ENERGY, direction=-1, terminal=True)]
-    g = lambda r, y: (hamiltonian(y, P) + TOL.delta,)  # noqa: E731
+    g = lambda r, y: (hamiltonian(y, P) + capture_depth(P),)  # noqa: E731
     traj = solve(RADIAL, (1e-6, TOL.rmax), taylor_start(1.0, P, 1e-6), detectors=det, g=g, **KW)
     assert traj.status == "event:entered_negative_energy"
     ev = traj.events[-1]
-    assert hamiltonian(ev.y, P) <= -TOL.delta  # crossed-side reporting
+    assert hamiltonian(ev.y, P) <= -capture_depth(P)  # crossed-side reporting
     assert traj.r[-1] == pytest.approx(ev.r)
 
 
@@ -410,7 +411,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
         (8.0, P, TOL, True, TOL.rmax),
     ]:
         r0, y0 = series_start(lam, p, tol)
-        g, dets = _events(p, tol, stop)
+        g, dets = _events(p, stop)
         runs.append((radial_flow(p), (r0, horizon), y0, dict(detectors=dets, g=g)))
     # the rescaled run with a v-sign detector at eps = 0.05, 0.2 and the
     # eps = 0 bubble limit, from its series start
@@ -501,7 +502,7 @@ def test_formula_event_function_is_called_only_at_the_start():
     # bisection point
     from diracshoot.shooting import _events
 
-    g, dets = _events(P, TOL, False)
+    g, dets = _events(P, False)
     calls = 0
 
     def counted(r, y):
@@ -582,7 +583,7 @@ def test_failures_match_the_reference_solve(monkeypatch):
 
     monkeypatch.setattr(I, "_MAX_STEPS", 90)  # of the trial's 104 steps, its first node in the 78th
     r0, y0 = series_start(2.5, P, TOL)
-    g, dets = _events(P, TOL, False)
+    g, dets = _events(P, False)
     kw = dict(detectors=dets, g=g, rel=TOL.rel, abs_tol=TOL.abs)
     partial = same_failure(RADIAL, (r0, TOL.rmax), y0, "step budget exhausted", **kw)
     assert partial.stats["naccpt"] + partial.stats["nrejct"] == 90
