@@ -10,7 +10,8 @@ yields a signed shooting function, the Wronskian F = r (u K_v - v K_u)
 against the decaying Bessel mode, read at its closest approach to the
 origin: it is conserved by the linearized flow and close to linear in
 lambda - lambda* across the whole bracket, so each trial datum is a secant
-step on F from the first bracket on.
+step on F from the first bracket on.  One settled trial, a connection to the
+origin or a converged secant root, ends the search and gives the profile.
 
 Shooting into a saddle point cannot hold the connection forever: the best
 double-precision trajectory leaves the origin again after its closest
@@ -481,14 +482,6 @@ def _secant(a, b):
     return x1 - f1 * (x1 - x0) / (f1 - f0)
 
 
-def _regula_falsi(lo, hi, f_lo, f_hi):
-    """Root of the secant of F through both ends when they carry values of
-    opposite sign, else the midpoint."""
-    if f_lo is None or f_hi is None or not f_lo * f_hi < 0.0:
-        return 0.5 * (lo + hi)
-    return _secant((hi, f_hi), (lo, f_lo))
-
-
 def bisect(bracket: Bracket, p: Params, tol: Tolerances) -> GroundState:
     """Narrow the bracket on the node count: node-free data move the lower
     endpoint, any datum with a sign change moves the upper one.
@@ -501,15 +494,17 @@ def bisect(bracket: Bracket, p: Params, tol: Tolerances) -> GroundState:
     ceil(log2(w0 / target0)) + 1 trials, bisection's count for the initial
     bracket, every trial is the midpoint, so no search takes more than
     2 n_max trials.  The loop stops when hi - lo <= target = 0.1 tol.rel hi,
-    or at one ulp if that is finer.  A node-free trial that reaches the eta
-    tube (a connection) is the lower end like any node-free one, and a
-    closing trial at min(lo + target/2, (lo + hi)/2) follows; where the eta
+    or at one ulp if that is finer.  One settled trial ends the search: the
+    last connection (a node-free trial that reached the eta tube) or a
+    secant root within target of the trial before it, whose trial still
+    runs.  It becomes an end like any trial, and one closing trial target/2
+    across from that end, clamped to the midpoint, follows; where the eta
     tube is wider than the target it connects too, and midpoints close the
-    rest.  The profile is the last connection, else the candidate of least
-    closest approach among the trials at lo and hi and the regula falsi root
-    of F on the final bracket (one more trial), each cut at its first sign
-    change of v; truncated there, it is continued with the matched decay
-    tail.  So a search runs no full-horizon integration.
+    rest.  The profile is the settled trial, cut at its first sign change of
+    v and continued beyond its closest approach with the matched decay tail.
+    A search whose secant never converges (the trials carry no F, or the
+    n_max midpoints override a useless one) takes the better of its final
+    ends instead.  So a search runs no full-horizon integration.
 
     A trajectory's side is settled where it passes the saddle at the
     origin, so a trial far from it cannot change sides through an error
@@ -519,7 +514,7 @@ def bisect(bracket: Bracket, p: Params, tol: Tolerances) -> GroundState:
     with min |u| + |v| >= _DECIDE_REL lambda = 1e-3 lambda; any other runs
     again at tol, and only that run enters the history.  Once a trial came
     within _NEAR_REL lambda = 1e-2 lambda of the origin, every later one
-    runs at tol, so the connection, the closing trials and the candidates
+    runs at tol, so a connection, the closing trials and the candidates
     (a loose one runs again) are runs at tol.  At a loose 1e3 tol.rel
     instead of the floor, trials of (4, 1) at rel = 1e-6 came out node-free
     2e-2 lambda from the origin where the runs at tol have a node.
@@ -527,13 +522,12 @@ def bisect(bracket: Bracket, p: Params, tol: Tolerances) -> GroundState:
     tol = tol.resolved(p)
     lo, hi = bracket.lo, bracket.hi
     # every trial at the default horizon by datum (not the doubled-horizon
-    # retries); the ends' trials carry their F
+    # retries), and the (datum, F) of the two latest, first the ends'
     trials = {c.lam: c for c in bracket.history}
-    f_lo, f_hi = (trials[x].wronskian if x in trials else None for x in (lo, hi))
-    latest = [(lo, f_lo), (hi, f_hi)]  # the two latest trials' (datum, F)
+    latest = [(x, trials[x].wronskian if x in trials else None) for x in (lo, hi)]
     history = list(bracket.history)
     converged = True
-    connection = None  # datum whose trajectory reached the eta tube
+    settled = None  # the datum whose trial ends the search
     n_max = math.ceil(math.log2(max((hi - lo) / (_STOP_REL * tol.rel * hi), 1.0))) + 1
 
     closing = False
@@ -541,13 +535,19 @@ def bisect(bracket: Bracket, p: Params, tol: Tolerances) -> GroundState:
         target = _STOP_REL * tol.rel * hi
         if hi - lo <= target:
             break
-        if connection is not None:
-            lam = 0.5 * (lo + hi) if closing else min(lo + 0.5 * target, 0.5 * (lo + hi))
-            closing = True
-        else:
+        mid = 0.5 * (lo + hi)
+        if settled is None:
             lam = _secant(*latest) if j < n_max else None
             if lam is None or not lo < lam < hi:
-                lam = 0.5 * (lo + hi)
+                lam = mid
+            elif abs(lam - latest[-1][0]) <= target:
+                settled = lam  # a converged secant root
+        elif not closing:
+            # across from the end that the settled trial became
+            lam = max(hi - 0.5 * target, mid) if settled == hi else min(lo + 0.5 * target, mid)
+            closing = True
+        else:
+            lam = mid
         if not lo < lam < hi:
             break
         c = trials[lam] = _trial(lam, p, tol, history)
@@ -557,19 +557,17 @@ def bisect(bracket: Bracket, p: Params, tol: Tolerances) -> GroundState:
             c = classify(lam, p, tol, stop_at_first_node=True, horizon=2.0 * tol.rmax)
             history.append(c)
         if c.verdict == VERDICT_I:
-            connection = lam
+            settled = lam
         latest = [latest[-1], (lam, c.wronskian)]
         if c.node_count >= 1:
-            hi, f_hi = lam, c.wronskian
+            hi = lam
         else:
             converged = converged and c.verdict != VERDICT_UNDECIDED
-            lo, f_lo = lam, c.wronskian
+            lo = lam
 
-    # the root's trial decides no side, so it stays out of the history;
     # every candidate is a run at tol
-    probes = {lo, hi, _regula_falsi(lo, hi, f_lo, f_hi)} if connection is None else {connection}
     candidates = []
-    for x in sorted(probes):
+    for x in [lo, hi] if settled is None else [settled]:
         c = trials.get(x)
         if c is None or c.tol != tol:
             c = classify(x, p, tol, stop_at_first_node=True)

@@ -399,7 +399,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     # horizon, and one stopped at its first node (the once certificate fires
     # in the first four); each has rejected steps.  The I-candidate is the
     # connection at (1, 0.99): the ones at P take no rejected step
-    lam_star = 1.8078961488783114  # the ground state's datum at P, TOL
+    lam_star = 1.8078961488783114  # a datum at P, TOL whose trial connects
     p99 = Params(1.0, 0.99)
     tol99 = Tolerances().resolved(p99)
     trials = slice(len(runs), len(runs) + 5)
