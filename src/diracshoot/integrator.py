@@ -83,7 +83,6 @@ class Detector:
     kind: EventKind
     direction: int = 0
     terminal: bool = False
-    once: bool = False
 
 
 class IntegrationError(RuntimeError):
@@ -425,10 +424,9 @@ def solve(
     # the accepted (r, y, f) as rows of 1 + 2n floats; step j runs from row j-1 to row j
     nodes = [r, *y, *k1]
     w = 1 + 2 * n
-    active = list(detectors)
-    g_prev = tuple(g(r, y)) if active else ()
-    if len(g_prev) != len(active):
-        raise ValueError(f"g must return one value per detector, {len(active)}, got {len(g_prev)}")
+    g_prev = tuple(g(r, y)) if detectors else ()
+    if len(g_prev) != len(detectors):
+        raise ValueError(f"g must return one value per detector, {len(detectors)}, got {len(g_prev)}")
     events: list[Event] = []
 
     def build(status_str, cut=None) -> Trajectory:
@@ -455,14 +453,12 @@ def solve(
         # some value changed sign over the step between the last two rows
         a, b = nodes[-2 * w : -w], nodes[-w:]
         fired: list[tuple[float, Detector]] = []
-        for i, det in enumerate(active):
-            if det is None or not _crossed(g0[i], g1[i], det.direction):
+        for i, det in enumerate(detectors):
+            if not _crossed(g0[i], g1[i], det.direction):
                 continue
             r_star, count = refine(g, *g_consts, a, b, i, det.direction, g0[i], abs_tol)
             nbisect += count
             fired.append((r_star, det))
-            if det.once:
-                active[i] = None
         for r_star, det in sorted(fired, key=lambda t: t[0]):
             y_star = hermite(a, b, r_star)
             events.append(Event(det.kind, r_star, y_star))

@@ -48,8 +48,8 @@ _LOOSE_TOL = 1e-7
 _DECIDE_REL = 1e-3
 _NEAR_REL = 1e-2
 # the verdict thresholds: the origin's eta tube |u| + |v| < ETA, the capture
-# region {H < -capture_depth}, and the bound on |u| + |v| of the linear
-# regime, in which the decay tail is matched and fitted
+# region {H < -capture_depth}, and the linear regime |u| + |v| <= _LINEAR a,
+# a = sqrt(2 (m - omega)), where u^2 + v^2 is at most 2e-4 of the gap
 ETA = 1e-8
 _LINEAR = 1e-2
 
@@ -174,7 +174,7 @@ def _events(p: Params, stop_at_first_node: bool):
     )
     if stop_at_first_node:
         return formula(_TRIAL, *consts), dets
-    certificate = Detector(EventKind.CERTIFICATE_FIRED, direction=1, once=True)
+    certificate = Detector(EventKind.CERTIFICATE_FIRED, direction=1)
     return formula(_FULL, *consts, 2.0 * p.gap, universal_constant(p)), (*dets, certificate)
 
 
@@ -428,26 +428,40 @@ def _tail_basis(r, p: Params):
     return mu * k1 / (p.m + p.omega), k0
 
 
+def _decay_window(t: Trajectory, anchor_r: float, p: Params) -> tuple[float, float]:
+    """Radii of the samples up to the anchor with sqrt(L g) <= |u| + |v| <= L:
+    L = _LINEAR a bounds the linear regime, and g = min max(1, (m + omega)/(2 mu))
+    the growing mode at the anchor, where |u| + |v| = min; near a zero of v, min
+    = |u| is 2 mu/(m + omega) of it.  There the growing share is below g/L.  A
+    coarser run takes the last sample above L and the first below."""
+    lin = _LINEAR * math.sqrt(2.0 * p.gap)
+    head = t.norm1[: np.searchsorted(t.r, anchor_r, side="right")]
+    linear = head <= lin
+    if int(linear.sum()) < 2:
+        raise DecayWindowError("fewer than two linear samples before the anchor")
+    grow = float(head[-1]) * max(1.0, math.sqrt((p.m + p.omega) / (4.0 * p.gap)))
+    clean = linear & (head >= math.sqrt(lin * grow))
+    k = max(int(np.argmax(linear)), 1)
+    rs = t.r[: len(head)][clean] if int(clean.sum()) >= 2 else t.r[k - 1 : k + 1]
+    return float(rs[0]), float(rs[-1])
+
+
 def extend_with_decay_tail(
     traj: Trajectory, p: Params, r_end: float
 ) -> tuple[Trajectory, float, float]:
     """Truncate a near-connection trajectory at its closest approach to the
     origin and continue it with the matched decaying tail up to r_end.
 
-    Returns (profile, anchor_r, tail_amplitude).  The tail is matched by
-    least squares against the last reliable decade of the numerical decay;
-    an anchor at r_end leaves no room for it, and the profile ends there.
+    Returns (profile, anchor_r, tail_amplitude).  The tail is matched by least
+    squares on _decay_window, where decay_fit reads the slope; an anchor at
+    r_end leaves no room for it, and the profile ends there.
     """
-    n1 = traj.norm1
     i_c = max(traj.closest, 1)
     r_c = float(traj.r[i_c])
-
-    window = (n1[: i_c + 1] <= _LINEAR) & (traj.r[: i_c + 1] >= 0.5 * r_c)
-    idx = np.nonzero(window)[0]
-    if len(idx) < 2:
-        idx = np.arange(max(0, i_c - 10), i_c + 1)
-    bu, bv = _tail_basis(traj.r[idx], p)
-    num = float(np.dot(traj.u[idx], bu) + np.dot(traj.v[idx], bv))
+    r_a, r_b = _decay_window(traj, r_c, p)
+    fit = (traj.r >= r_a) & (traj.r <= r_b)
+    bu, bv = _tail_basis(traj.r[fit], p)
+    num = float(np.dot(traj.u[fit], bu) + np.dot(traj.v[fit], bv))
     den = float(np.dot(bu, bu) + np.dot(bv, bv))
     amp = num / den
 
@@ -461,16 +475,6 @@ def extend_with_decay_tail(
         "completed",
     )
     return profile, r_c, amp
-
-
-def _decay_window(profile: Trajectory, anchor_r: float) -> tuple[float, float]:
-    """Last decade of radius with ETA < |u|+|v| < _LINEAR before the anchor."""
-    mask = (profile.r <= anchor_r) & (profile.norm1 < _LINEAR) & (profile.norm1 > ETA)
-    rs = profile.r[mask]
-    if len(rs) < 2:
-        raise DecayWindowError("no usable decay window before the anchor")
-    r_a = max(float(rs[0]), anchor_r / 10.0)
-    return (r_a, anchor_r)
 
 
 def _secant(a, b):
@@ -577,7 +581,8 @@ def bisect(bracket: Bracket, p: Params, tol: Tolerances) -> GroundState:
 
     profile, anchor_r, _amp = extend_with_decay_tail(best.trajectory, p, tol.rmax)
     node_count = profile.nodes_before()
-    slope = decay_fit(profile, _decay_window(profile, anchor_r))
+    # the tail match's window again (its signature is public): the profile is the run there
+    slope = decay_fit(profile, _decay_window(profile, anchor_r, p))
 
     return GroundState(
         lambda_star=best.lam,

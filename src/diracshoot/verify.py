@@ -69,11 +69,16 @@ def _check(module: str):
 
 
 @functools.cache
-def _radial_trajectory(lam, p, tol, r_end=None):
-    # a datum run to one end (default the horizon) is shared by the radial-core checks
+def _shared(fn, *args):
+    """fn(*args), computed once per run_suite and shared by the checks.  The
+    callers read fn from its module at each call, so a wrapper bound there
+    (as the benchmark's tracer binds) still runs."""
+    return fn(*args)
+
+
+def _radial_run(lam, p, tol, r_end):
     r0, y0 = series_start(lam, p, tol)
-    end = tol.rmax if r_end is None else r_end
-    return solve(radial_flow(p), (r0, end), y0, rel=tol.rel, abs_tol=tol.abs)
+    return solve(radial_flow(p), (r0, r_end), y0, rel=tol.rel, abs_tol=tol.abs)
 
 
 def _worst_rise(H, tol) -> float:
@@ -86,7 +91,7 @@ def _worst_rise(H, tol) -> float:
 def check_energy_monotone(p, tol):
     worst = -np.inf
     for lam in (0.5, 1.0, 1.8, 2.5):
-        t = _radial_trajectory(lam, p, tol)
+        t = _shared(_radial_run, lam, p, tol, tol.rmax)
         worst = max(worst, _worst_rise(hamiltonian((t.u, t.v), p), tol))
     return worst <= 0.0, f"worst scaled rise {worst:.3e}"
 
@@ -95,7 +100,7 @@ def check_energy_monotone(p, tol):
 def check_confinement(p, tol):
     worst = -np.inf
     for lam in (0.5, 1.3, 2.2):
-        t = _radial_trajectory(lam, p, tol)
+        t = _shared(_radial_run, lam, p, tol, tol.rmax)
         cap = hamiltonian((0.0, lam), p) + tol.abs
         worst = max(worst, float((hamiltonian((t.u, t.v), p) - cap).max()))
     return worst <= 0.0, f"worst excess {worst:.3e}"
@@ -104,7 +109,7 @@ def check_confinement(p, tol):
 @_check("radial-core")
 def check_sign_symmetry(p, tol):
     r0, y0 = series_start(1.3, p, tol)
-    a = _radial_trajectory(1.3, p, tol, r_end=20.0)
+    a = _shared(_radial_run, 1.3, p, tol, 20.0)
     b = solve(radial_flow(p), (r0, 20.0), (-y0[0], -y0[1]), rel=tol.rel, abs_tol=tol.abs)
     # the flow is odd and every operation of a step commutes with negation,
     # so the mirrored run is the exact negative of the first
@@ -115,7 +120,7 @@ def check_sign_symmetry(p, tol):
 @_check("radial-core")
 def check_rate_identities(p, tol):
     # finite differences of H and r^2 H against the trapezoid of their rates
-    t = _radial_trajectory(1.3, p, tol, r_end=20.0)
+    t = _shared(_radial_run, 1.3, p, tol, 20.0)
     r, h, states = t.r, np.diff(t.r), list(zip(t.r, zip(t.u, t.v)))
     H = hamiltonian((t.u, t.v), p)
     worst = -np.inf
@@ -199,10 +204,6 @@ def check_certificate_soundness(p, tol):
     return True, f"{checked} fired certificates sound"
 
 
-# shared by the checks; keyed on the whole (frozen) Params and Tolerances
-_ground_state_cached = functools.cache(ground_state)
-
-
 def _union(*grids) -> np.ndarray:
     """np.union1d of the grids, sorted without repeats, minus its numpy.ma import."""
     return np.array(sorted(set(np.concatenate(grids).tolist())))
@@ -213,7 +214,7 @@ def check_ground_state_residual(p, tol):
     # up to anchor_r the profile is the integrated trajectory; beyond it the
     # Bessel pair solves the linear part exactly, so the residual of the
     # radial system there is the neglected cubic term (u^2 + v^2)(v, -u)
-    gs = _ground_state_cached(p, tol)
+    gs = _shared(ground_state, p, tol)
     t = gs.profile
     tail = t.r > gs.anchor_r
     u, v = t.u[tail], t.v[tail]
@@ -227,7 +228,7 @@ def check_ground_state_residual(p, tol):
 @_check("shooting")
 def check_decay_bound(p, tol):
     tol_r = tol.resolved(p)
-    gs = _ground_state_cached(p, tol)
+    gs = _shared(ground_state, p, tol)
     t = gs.profile
     logn = np.log(np.maximum(t.norm1, 1e-300))
     worst = -np.inf
@@ -243,7 +244,7 @@ def check_decay_bound(p, tol):
 
 @_check("shooting")
 def check_bisection_bracketing(p, tol):
-    gs = _ground_state_cached(p, tol)
+    gs = _shared(ground_state, p, tol)
     # 1e-9 is well above the search's stop width (0.1 tol.rel lambda*)
     below = classify(gs.lambda_star - 1e-9, p, tol)
     above = classify(gs.lambda_star + 1e-9, p, tol)
@@ -254,20 +255,14 @@ def check_bisection_bracketing(p, tol):
     )
 
 
-@functools.cache
-def _rescaled_cached(eps, p, tol, r_end):
-    # shared by the rescaled checks, read through the module attribute like
-    # _remainder_cached's; the run to 1/0.1 = 10 serves both
-    return asymptotics.integrate_rescaled(eps, p, tol, r_end)
-
-
 @_check("asymptotics")
 def check_rescaling_commutation(p, tol):
     worst = 0.0
     spans = ((0.05, 160), (0.05, 120), (0.02, 250))
     grid = _union(*[np.linspace(r, 5.0, n) for r, n in spans])
     for eps in (0.5, 0.1):
-        resc = _rescaled_cached(eps, p, tol, max(5.0, 1.0 / eps))
+        # the run to 1/0.1 = 10 is rescaled_energy's too
+        resc = _shared(asymptotics.integrate_rescaled, eps, p, tol, max(5.0, 1.0 / eps))
         r_s, y_s = series_start(1.0 / eps, p, tol)
         rad = solve(radial_flow(p), (r_s, eps * eps * 5.0 * 1.01), y_s, rel=tol.rel, abs_tol=tol.abs)
         # the grid above both starts, the radial one at R = r_s / eps^2
@@ -299,7 +294,7 @@ def check_bubble_limit_agreement(p, tol):
 @_check("asymptotics")
 def check_rescaled_energy(p, tol):
     for eps in (0.3, 0.1):
-        t = _rescaled_cached(eps, p, tol, 1.0 / eps)
+        t = _shared(asymptotics.integrate_rescaled, eps, p, tol, 1.0 / eps)
         H = hamiltonian((t.u, t.v), p, eps)
         if not float(H[0]) <= 1.0:
             return False, "datum energy above 1"
@@ -314,7 +309,7 @@ def check_first_order_log_law(p, tol):
     # those samples lie between step ends, where the cubic Hermite error
     # scales like the tolerance to the 4/5 (0.6-4.5 x this scale measured)
     fit = asymptotics.first_order_log_fit(p)
-    rec = _remainder_cached(0.2, p, tol)
+    rec = _shared(asymptotics.integrate_remainder, 0.2, p, tol)
     fo = asymptotics.integrate_first_order(p, rec.r)
     dev = float(np.max(np.abs(fo.h1 - rec.h1) + np.abs(fo.k1 - rec.k1)))
     bound = 20.0 * (tol.abs + tol.rel * float(np.max(np.abs(fo.h1) + np.abs(fo.k1)))) ** 0.8
@@ -323,16 +318,9 @@ def check_first_order_log_law(p, tol):
     return ok, f"{detail}, joint flow off by {dev:.2e} <= {bound:.2e}"
 
 
-@functools.cache
-def _remainder_cached(eps, p, tol):
-    # shared by the two remainder checks; the module attribute is read on each
-    # miss, so a wrapper bound there (as the benchmark's tracer binds) still runs
-    return asymptotics.integrate_remainder(eps, p, tol)
-
-
 @_check("asymptotics")
 def check_remainder_crosscheck(p, tol):
-    rec = _remainder_cached(0.2, p, tol)
+    rec = _shared(asymptotics.integrate_remainder, 0.2, p, tol)
     ok = rec.rel_discrepancy < asymptotics.CROSSCHECK_REL_BOUND
     return ok, f"relative discrepancy {rec.rel_discrepancy:.2e}"
 
@@ -340,7 +328,7 @@ def check_remainder_crosscheck(p, tol):
 @_check("asymptotics")
 def check_remainder_threshold(p, tol):
     for eps in (0.2, 0.1, 0.05):
-        rec = _remainder_cached(eps, p, tol)
+        rec = _shared(asymptotics.integrate_remainder, eps, p, tol)
         if not rec.threshold_ok:
             return False, f"eps={eps} breached eps^-3/2 at r={rec.breach_r}"
     return True, "sup below eps^-3/2 throughout"
@@ -413,8 +401,5 @@ def run_suite(p: Params | None = None, tol: Tolerances | None = None) -> list[Ch
     p = p or Params()
     tol = (tol or Tolerances()).resolved(p)
     # the shared results live for one run: a later run checks the code as it is then
-    _ground_state_cached.cache_clear()
-    _remainder_cached.cache_clear()
-    _radial_trajectory.cache_clear()
-    _rescaled_cached.cache_clear()
+    _shared.cache_clear()
     return [check(p, tol) for check in ALL_CHECKS]

@@ -295,8 +295,7 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
     k1 = f(r, y)
     hermite = I._hermite(len(y))
     nodes = [(r, y, k1)]
-    active = list(detectors)
-    g_prev = [g(r, y)[i] for i in range(len(active))]
+    g_prev = [g(r, y)[i] for i in range(len(detectors))]
     events = []
     naccpt, nrejct, nbisect = 0, 0, 0
 
@@ -330,9 +329,7 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
             continue
         naccpt += 1
         fired = []
-        for i, det in enumerate(active):
-            if det is None:
-                continue
+        for i, det in enumerate(detectors):
             g0 = g_prev[i]
             g1 = g_prev[i] = g(r_new, y_new)[i]
             if (g0 > 0.0 >= g1 or g0 < 0.0 <= g1) and I._crossed(g0, g1, det.direction):
@@ -350,8 +347,6 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
                     else:
                         lo_r, g_lo = mid, g_mid
                 fired.append((hi_r, det))
-                if det.once:
-                    active[i] = None
         fired.sort(key=lambda t: t[0])
         for r_star, det in fired:
             y_star = hermite(_row(r, y, k1), _row(r_new, y_new, k7), r_star)
@@ -396,8 +391,8 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
 
     runs = []  # (f, r_span, y0, keywords of solve)
     # shooting trials A(0), nodal (A(1)), I-candidate, undecided at a
-    # horizon, and one stopped at its first node (the once certificate fires
-    # in the first four); each has rejected steps.  The I-candidate is the
+    # horizon, and one stopped at its first node (the certificate fires in
+    # the first four); each has rejected steps.  The I-candidate is the
     # connection at (1, 0.99): the ones at P take no rejected step
     lam_star = 1.8078961488783114  # a datum at P, TOL whose trial connects
     p99 = Params(1.0, 0.99)
@@ -451,11 +446,11 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     stop4 = dict(detectors=[STOP], g=lambda r, y: (y[0] + 0.5,), r_eval=np.linspace(R0, 5.0, 800))
     i_joint_stop = len(runs)
     runs.append((_rhs_joint(0.1, P), (R0, 5.0), start4, stop4))
-    # a once detector whose value keeps changing sign after it fired, next
-    # to one that fires on upward crossings only
-    once = [Detector(EventKind.V_SIGN_CHANGE, once=True), Detector(EventKind.CERTIFICATE_FIRED, 1)]
-    i_once = len(runs)
-    runs.append((_rotation, (0.0, 30.0), (1.0, 0.1), dict(detectors=once, g=_rotation_events)))
+    # a detector that fires on every sign change next to one that fires on
+    # upward crossings only
+    both = [Detector(EventKind.V_SIGN_CHANGE), Detector(EventKind.CERTIFICATE_FIRED, 1)]
+    i_both = len(runs)
+    runs.append((_rotation, (0.0, 30.0), (1.0, 0.1), dict(detectors=both, g=_rotation_events)))
     # a value that reaches exactly 0.0 from either side where the last step
     # lands on r_end
     zeros = slice(len(runs), len(runs) + 2)
@@ -488,8 +483,8 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     assert got[i_joint_rej].y.shape[1] == 4 and got[i_joint_rej].stats["nrejct"] == 3
     stopped = got[i_joint_stop]
     assert stopped.status == "event:v_sign_change" and 1.0 < stopped.r[-1] < 5.0
-    assert len(got[i_once].events_of(EventKind.V_SIGN_CHANGE)) == 1
-    assert len(got[i_once].events_of(EventKind.CERTIFICATE_FIRED)) == 5
+    assert len(got[i_both].events_of(EventKind.V_SIGN_CHANGE)) == 9
+    assert len(got[i_both].events_of(EventKind.CERTIFICATE_FIRED)) == 5
     assert [e.r for t in got[zeros] for e in t.events_of(EventKind.V_SIGN_CHANGE)] == [3.0, 3.0]
 
 

@@ -9,6 +9,7 @@ from reference import certificate_check
 
 from diracshoot import (
     Bracket,
+    DecayWindowError,
     EventKind,
     Params,
     Tolerances,
@@ -21,7 +22,7 @@ from diracshoot import (
     hamiltonian,
     universal_constant,
 )
-from diracshoot.shooting import _tail_basis, extend_with_decay_tail
+from diracshoot.shooting import _decay_window, _tail_basis, extend_with_decay_tail
 
 P = Params(1.0, 0.5)
 TOL = Tolerances()
@@ -301,18 +302,37 @@ def test_decay_fit_domain_errors():
         decay_fit(traj, (1.01, 1.05))  # between two samples
 
 
-def test_tail_match_without_a_decay_window_uses_the_last_samples():
-    # |u| + |v| stays above 1e-2 up to the closest approach (the last
-    # sample), so the tail is matched on the last eleven samples alone: the
-    # decaying mode at amplitude 10 there, and at 20 before them
+def test_tail_match_without_linear_samples_raises():
+    # |u| + |v| stays above the linear bound (1e-2 at P) up to the closest
+    # approach (the last sample): there is no decay window to match the tail on
     r = np.linspace(1.0, 5.0, 41)
     bu, bv = _tail_basis(r, P)
-    amp = np.where(np.arange(41) >= 30, 10.0, 20.0)
-    traj = Trajectory(r, np.column_stack([amp * bu, amp * bv]), (), "completed")
+    traj = Trajectory(r, np.column_stack([10.0 * bu, 10.0 * bv]), (), "completed")
     assert traj.closest == 40 and traj.norm1.min() > 1e-2
-    profile, r_c, a = extend_with_decay_tail(traj, P, 10.0)
-    assert r_c == 5.0 and a == pytest.approx(10.0, rel=1e-14)
-    assert profile.r[-1] == 10.0 and len(profile) == 41 + 256
+    with pytest.raises(DecayWindowError):
+        extend_with_decay_tail(traj, P, 10.0)
+
+
+def test_tail_match_reads_the_decaying_amplitude_past_a_growing_mode():
+    # an exact solution of the linearized system, A times the decaying pair
+    # plus B times the growing one (-mu I1(mu r)/(m + omega), I0(mu r)), whose
+    # closest approach lies inside the samples (near r = 15.3): the window
+    # ends where the growing share is below 1e-6, so the match reads A within
+    # 1.4e-11; the last half of the radius before the closest approach read it
+    # 9.0e-6 off
+    from scipy.special import i0, i1
+
+    A, B = 1e-3, 1e-14
+    mu = math.sqrt(P.m * P.m - P.omega * P.omega)
+    r = np.linspace(0.5, 30.0, 300)
+    bu, bv = _tail_basis(r, P)
+    u = A * bu - B * mu * i1(mu * r) / (P.m + P.omega)
+    v = A * bv + B * i0(mu * r)
+    traj = Trajectory(r, np.column_stack([u, v]), (), "completed")
+    assert 0 < traj.closest < len(r) - 1
+    _, r_c, amp = extend_with_decay_tail(traj, P, 40.0)
+    assert r_c == r[traj.closest]
+    assert abs(amp / A - 1.0) <= 1e-9
 
 
 def test_wronskian_sign_and_linearity(gs):
@@ -360,10 +380,11 @@ def test_search_needs_few_classifications(searched):
 
 def test_decay_slope_reads_minus_mu(searched):
     # the fit of log((|u| + |v|) sqrt(r)) reads the K0(mu r) tail's rate
-    # (off by 1.5% at worst here, at (1, 0.99))
+    # (off by 0.29% at worst here); a window that reached into the closest
+    # approach read (1, 0.99) 1.3% off
     p, gs = searched
     mu = math.sqrt(p.m * p.m - p.omega * p.omega)
-    assert abs(gs.decay_slope + mu) <= 0.03 * mu
+    assert abs(gs.decay_slope + mu) <= 0.01 * mu
 
 
 @pytest.mark.parametrize(
@@ -372,15 +393,39 @@ def test_decay_slope_reads_minus_mu(searched):
     ids=lambda mw: f"{mw[0]}-{mw[1]}",
 )
 def test_decay_slope_reads_minus_mu_at_rel_1e_6(mw):
-    # the settled trial's profile reads mu within 1.6% here (at worst, at
-    # (2.3, 0.7)).  When the profile was the candidate of least closest
-    # approach, which passed 3e-7 from the origin against 1e-6 to 1e-5 now,
-    # it was off by 7% to 23%
+    # the decay window ends where the growing mode's share is small, so a
+    # closest approach far from the origin does not bend the fit: within 0.32%
+    # of mu at rel = abs = 1e-6 and 1.6% at 1e-4 here (at worst).  A window
+    # that reached into the closest approach was 1.6% off at 1e-6 and 4.0% to
+    # 13% off at 1e-4
     p = Params(*mw)
-    gs = ground_state(p, Tolerances(rel=1e-6, abs=1e-6))
     mu = math.sqrt(p.m * p.m - p.omega * p.omega)
-    assert abs(gs.decay_slope + mu) <= 0.03 * mu
+    for rel, bound in ((1e-6, 0.01), (1e-4, 0.03)):
+        gs = ground_state(p, Tolerances(rel=rel, abs=rel))
+        assert abs(gs.decay_slope + mu) <= bound * mu
 
+
+
+@pytest.mark.parametrize("mw", [(1.0, 0.99999), (1e-5, 5e-6)], ids=lambda mw: f"{mw[0]}-{mw[1]}")
+def test_decay_window_stays_in_the_tail_where_lambda_star_is_below_1e_2(mw):
+    # lambda* is 7.0e-3 and 5.7e-3 here.  A linear bound of a bare 1e-2 took
+    # the whole core for linear: its window began at the first sample, the
+    # slope read mu 28% and 8.4% off and the tail missed the run by 77% and
+    # 53% on it.  Scaled by sqrt(2 (m - omega)), the slope is within 0.36% and
+    # the tail within 4.6e-5 of the run on the window that matched it
+    p = Params(*mw)
+    gs = ground_state(p, Tolerances())
+    mu = math.sqrt(p.m * p.m - p.omega * p.omega)
+    assert gs.converged and gs.lambda_star < 1e-2
+    assert abs(gs.decay_slope + mu) <= 0.01 * mu
+    t = gs.profile
+    i = int(np.searchsorted(t.r, gs.anchor_r))  # the anchor; the tail follows
+    amp = t.v[i + 1] / _tail_basis(float(t.r[i + 1]), p)[1]
+    r_a, r_b = _decay_window(t, gs.anchor_r, p)
+    assert t.r[0] < r_a < r_b < gs.anchor_r
+    fit = (t.r >= r_a) & (t.r <= r_b)
+    bu, bv = _tail_basis(t.r[fit], p)
+    assert np.max(np.abs(amp * (np.abs(bu) + np.abs(bv)) / t.norm1[fit] - 1.0)) <= 1e-3
 
 def test_search_closes_the_bracket_to_its_target(searched):
     # the settled trial, and where it leaves the bracket wide the closing

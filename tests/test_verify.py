@@ -79,11 +79,11 @@ def test_suite_caches_live_for_one_run(monkeypatch):
 
 
 def test_ground_state_cache_keys_on_all_tolerances():
-    from diracshoot import Params, Tolerances
+    from diracshoot import Params, Tolerances, ground_state
 
     p = Params(1.0, 0.5)
-    a = verify._ground_state_cached(p, Tolerances(rmax=80.0))
-    b = verify._ground_state_cached(p, Tolerances(rmax=60.0))
+    a = verify._shared(ground_state, p, Tolerances(rmax=80.0))
+    b = verify._shared(ground_state, p, Tolerances(rmax=60.0))
     assert a is not b
     assert a.profile.r[-1] == 80.0
     assert b.profile.r[-1] == 60.0
@@ -102,12 +102,12 @@ def test_remainder_checks_share_one_integration_per_eps(monkeypatch):
     monkeypatch.setattr(asymptotics, "integrate_remainder", counted)
     p = Params()
     tol = Tolerances().resolved(p)
-    verify._remainder_cached.cache_clear()
+    verify._shared.cache_clear()
     try:
         assert verify.check_remainder_crosscheck(p, tol).passed
         assert verify.check_remainder_threshold(p, tol).passed
     finally:
-        verify._remainder_cached.cache_clear()
+        verify._shared.cache_clear()
     assert calls == [0.2, 0.1, 0.05]
 
 
