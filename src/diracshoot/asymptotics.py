@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import radial_flow, series_start
+from .equations import radial_flow, series_polynomials, series_start
 from .integrator import Detector, EventKind, Trajectory, formula, solve, v_sign
 from .params import Params, Tolerances
 from .shooting import lsq_slope
@@ -36,8 +36,7 @@ _LOG_FIT_R = np.geomspace(*_LOG_FIT_WINDOW, 200)
 _LOG_FIT_L = np.log(_LOG_FIT_R)
 _REMAINDER_N = 800
 _CONVERGENCE_N = 1024
-# the start of the joint remainder flow, whose 4-D system has no series here
-_JOINT_R0 = 1e-6
+_JOINT_N = 20  # the order of the joint remainder flow's series start
 # the detector of every rescaled run, with g = v_sign
 _NODES = (Detector(EventKind.V_SIGN_CHANGE),)
 
@@ -131,24 +130,22 @@ _FIRST_ORDER_LINES = """
     dh1 = -gm * v + uv * h1 + cu * k1 - h1 / x
     dk1 = -gp * u - uv * k1 - cv * h1"""
 
-def _first_order_start(p: Params, r0: float) -> tuple[float, float]:
-    # series matching at the singular origin: h1 = -(m-omega) r/2 + O(r^3),
-    # k1 = -omega r^2/2 + O(r^4)
-    return -0.5 * p.gap * r0, -0.5 * p.omega * r0 * r0
+# Li2(-x) = -Li2(y) - w^2/2 with y = x/(1 + x) and w = ln(1 + x) = -ln(1 - y) <= ln 2 (Landen),
+# after Li2(-x) = -pi^2/6 - ln^2(x)/2 - Li2(-1/x) for x > 1 (inversion; Lewin, Polylogarithms,
+# 1981), and Li2(y) = w - w^2/4 + sum_k B_2k w^(2k+1)/(2k+1)! ('t Hooft & Veltman, Nucl. Phys.
+# B 153, 1979), whose terms B_2 ... B_16 reach 4e-16 at w = ln 2; _LI2_B is B_2k/(2k+1)!, k = 8 ... 1
+_LI2_B = (-3617 / 181400588328960000, 1 / 1120863744000, -691 / 16999766784000, 1 / 526901760,
+          -1 / 10886400, 1 / 211680, -1 / 3600, 1 / 36)
 
 
-# Li2(-x) = -Li2(y) - ln^2(1 + x)/2, y = x/(1 + x) <= 1/2 (Landen), after Li2(-x) =
-# -pi^2/6 - ln^2(x)/2 - Li2(-1/x) for x > 1 (inversion; Lewin, Polylogarithms, 1981);
-# sum y^k/k^2 runs to y^k < 1e-16 at the largest y, 54 terms at y = 1/2
 def _li2_neg(x):
     """The dilogarithm Li2(-x) for x > 0, elementwise."""
     inv = x > 1.0
-    z = np.where(inv, 1.0 / x, x)
-    y = z / (1.0 + z)
-    s = 0.0
-    for k in range(int(-36.9 / np.log(y.max())) + 1, 0, -1):
-        s = s * y + 1.0 / (k * k)
-    li = -s * y - 0.5 * np.log1p(z) ** 2
+    w = np.log1p(np.where(inv, 1.0 / x, x))
+    t, s = w * w, 0.0
+    for c in _LI2_B:
+        s = (s + c) * t
+    li = -w - 0.25 * t - w * s
     return np.where(inv, -np.pi ** 2 / 6.0 - 0.5 * np.log(x) ** 2 - li, li)
 
 
@@ -241,10 +238,10 @@ class PerturbationRecord:
     subtraction route divides the rescaled run's error by eps^4, so it is
     taken at that run's step ends up to 1/eps (1.2e-10 off at eps = 0.2,
     against 2.3e-8 for its cubic Hermite samples between them), with h1 and
-    k1 in closed form and the joint run's (h2, k2) sampled there.  At the
-    default tolerance and (1, 0.5), rel_discrepancy is 6.0e-8, 3.3e-7 and
-    1.4e-6 at eps = 0.2, 0.1 and 0.05 and 4.4e-5 at 0.0125 (6.8e-5 at
-    omega = 0.9), and it reaches CROSSCHECK_REL_BOUND near eps = 0.01.
+    k1 in closed form and the joint flow's (h2, k2) there.  At the
+    default tolerance and (1, 0.5), rel_discrepancy is 5.9e-8, 3.5e-7 and
+    1.5e-6 at eps = 0.2, 0.1 and 0.05 and 4.7e-5 at 0.0125 (7.4e-5 at
+    omega = 0.9), and it reaches CROSSCHECK_REL_BOUND near eps = 0.009.
     """
 
     epsilon: float
@@ -295,6 +292,28 @@ def _rhs_joint(eps: float, p: Params):
     return formula(_JOINT, p.gap, p.m + p.omega, eps * eps)
 
 
+def _joint_series(eps: float, p: Params, tol: Tolerances) -> tuple[np.ndarray, float]:
+    """Rows k of c_k in r sum c_k r^(2k) (h1, h2) and sum c_k r^(2k) (k1, k2), columns (h1, k1,
+    h2, k2), and the radius where the joint run starts from them: where the last terms fall to
+    0.1 (rel + abs), at most at r = 2 (the bubble's poles: r = 2i) and at half of 1/eps.  The
+    coefficients of U = U0 + e h1 + e^2 h2 (e = eps^2) are polynomials in e (series_polynomials):
+    (h1, k1) is their e^1 column and (h2, k2) sums e^(j - 2) column j >= 2, so nothing cancels."""
+    c = series_polynomials(p.gap, p.m + p.omega, _JOINT_N)
+    coef = np.hstack([c[:, :, 1], (c[:, :, 2:] * (eps * eps) ** np.arange(c.shape[2] - 2)).sum(axis=2)])
+    last, small, cap = np.abs(coef[-1]).sum(), 0.1 * (tol.rel + tol.abs), min(2.0, 0.5 / eps)
+    r0 = cap if last * cap ** (2 * _JOINT_N) <= small else (small / last) ** (1 / (2 * _JOINT_N))
+    return coef, float(r0)
+
+
+def _sum_joint(coef: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The series of _joint_series at the radii r, by Horner in r^2, one row per radius."""
+    s, x = coef[-1], (r * r)[:, None]
+    for c in coef[-2::-1]:
+        s = s * x + c
+    s[:, ::2] *= r[:, None]
+    return s
+
+
 def integrate_remainder(
     eps: float, p: Params, tol: Tolerances, T: float | None = None
 ) -> PerturbationRecord:
@@ -304,19 +323,21 @@ def integrate_remainder(
     The joint flow gives (h2, k2) at any eps, with sup |h2|+|k2| growing like
     mu^2/eps (ln(1/eps) - a) (see remainder_bound_constant); the subtraction
     route checks it at the rescaled run's step ends up to 1/eps, with h1 and
-    k1 in closed form.  The rescaled flow is integrated once, to
-    max(1/eps, T) from a series start below half of min(1/eps, T), and that
-    run serves both horizons.
+    k1 in closed form.  The joint run starts from its series (_joint_series),
+    near r = 0.9 at the default tolerance, and radii below take the series'
+    values.  The rescaled flow is integrated once, after it, to max(1/eps, T)
+    from a series start below half of min(1/eps, T), for both horizons.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
-    r0 = _JOINT_R0
     r_end = 1.0 / eps
-    grid = np.linspace(r0, r_end, _REMAINDER_N)
+    grid = np.linspace(1e-6, r_end, _REMAINDER_N)
 
-    y0 = (*_first_order_start(p, r0), 0.0, 0.25 * (p.m * p.m - p.omega * p.omega) * r0 * r0)
-    joint = solve(_rhs_joint(eps, p), (r0, r_end), y0, rel=tol.rel, abs_tol=tol.abs)
-    h1, k1, h2, k2 = joint.sample(grid).y.T
+    coef, r0 = _joint_series(eps, p, tol)
+    n = np.searchsorted(grid, r0)
+    head = _sum_joint(coef, np.append(grid[:n], r0))  # the grid points below the start, then the start
+    joint = solve(_rhs_joint(eps, p), (r0, r_end), tuple(head[-1]), rel=tol.rel, abs_tol=tol.abs)
+    h1, k1, h2, k2 = np.concatenate([head[:-1], joint.sample(grid[n:]).y]).T
     ends = (r_end,) if T is None else (r_end, float(T))
     resc = integrate_rescaled(eps, p, tol, max(ends), min(ends))
 
@@ -331,7 +352,8 @@ def integrate_remainder(
     ends, (U, V) = resc.r[at], resc.y[at].T
     u0, v0 = bubble(ends)
     fo = integrate_first_order(p, ends)
-    h2_ends, k2_ends = joint.sample(ends).y[:, 2:].T
+    n = np.searchsorted(ends, r0)
+    h2_ends, k2_ends = np.concatenate([_sum_joint(coef, ends[:n]), joint.sample(ends[n:]).y])[:, 2:].T
     e2 = eps * eps
     e4 = e2 * e2
     h2_sub = (U - u0 - e2 * fo.h1) / e4

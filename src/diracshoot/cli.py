@@ -144,7 +144,7 @@ def _jsonable(x):
     if isinstance(x, float) and math.isnan(x):
         return None
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return _jsonable(dataclasses.asdict(x))
+        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     return x
 
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 from .integrator import formula
 from .params import Params, Tolerances
 
@@ -140,3 +142,19 @@ def series_start(
     s, cap = math.sqrt(s2), min(2.0, 0.5 * horizon * s2)
     r, u, v = _series()(lam / s, (m - w) / s2, (m + w) / s2, 0.1 * (tol.rel * lam + tol.abs) / s, cap)
     return r / s2, (s * u, s * v)
+
+
+@functools.lru_cache(maxsize=16)
+def series_polynomials(gm: float, gp: float, n: int) -> np.ndarray:
+    """_series' a_k, b_k (k <= n) for the datum v(0) = 1 and (am, ap) = e (gm, gp), as polynomials
+    in e: out[k, 0] and out[k, 1] hold their coefficients of e^0 ... e^(2n + 1), and conv(x, y)
+    multiplies series, sum_j x_j y_(K-j) with K + 1 = len(x) = len(y).  Read-only (cached)."""
+    conv = lambda x, y: sum(map(np.convolve, x, y[::-1]))  # noqa: E731
+    a, b, q, out = [], [np.ones(1)], [], np.zeros((n + 1, 2, 2 * n + 2))
+    for k in range(n + 1):
+        q.append(conv(b, b) + conv(a, a))
+        a.append((np.append(conv(q, b), 0.0) - np.convolve(b[k], (0.0, gm))) / (2 * k + 2))
+        b.append(-(np.append(conv(q, a), 0.0) + np.convolve(a[k], (0.0, gp))) / (2 * k + 2))
+        out[k, 0, : 2 * k + 2], out[k, 1, : 2 * k + 1] = a[k], b[k]
+    out.flags.writeable = False
+    return out

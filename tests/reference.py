@@ -1,18 +1,20 @@
 """Reference code that the tests compare the package against (a helper, not a
-test file): the second-order series start at the origin, the first-order
-flow that the closed form of integrate_first_order solves, and the capture
-certificate evaluated at one point.
+test file): the second-order series starts at the origin of the radial and
+the first-order flows, the first-order flow that the closed form of
+integrate_first_order solves, and the capture certificate evaluated at one
+point.
 
-R0 is the start radius of the reference runs, the joint remainder flow's.
+R0 is the start radius of the reference runs of the first-order and joint
+remainder flows.
 """
 
 import math
 
 from diracshoot import Certificate, Params, hamiltonian, universal_constant
-from diracshoot.asymptotics import _FIRST_ORDER_LINES, _JOINT_R0
+from diracshoot.asymptotics import _FIRST_ORDER_LINES
 from diracshoot.integrator import formula
 
-R0 = _JOINT_R0
+R0 = 1e-6
 
 
 def taylor_start(lam: float, p: Params, r0: float, eps: float = 1.0):
@@ -35,6 +37,12 @@ def taylor_start(lam: float, p: Params, r0: float, eps: float = 1.0):
     u = 0.5 * r0 * cu
     v = lam - 0.25 * r0 * r0 * cu * (lam * lam + e2 * (p.m + p.omega))
     return u, v
+
+
+def first_order_start(p: Params, r0: float) -> tuple[float, float]:
+    """Second-order series start (h1(r0), k1(r0)) of the first-order flow at the
+    singular origin: h1 = -(m-omega) r/2 + O(r^3), k1 = -omega r^2/2 + O(r^4)."""
+    return -0.5 * p.gap * r0, -0.5 * p.omega * r0 * r0
 
 
 # the first-order flow (h1, k1)' in the lines that the joint remainder flow shares

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import R0, rhs_first_order
+from reference import R0, first_order_start, rhs_first_order
 
 from diracshoot import (
     Params,
@@ -23,9 +23,10 @@ from diracshoot import (
     solve,
 )
 from diracshoot.asymptotics import (
-    _first_order_start,
+    _joint_series,
     _li2_neg,
     _rhs_joint,
+    _sum_joint,
     remainder_bound_constant,
 )
 from diracshoot.integrator import EventKind
@@ -89,7 +90,7 @@ def test_rescaled_rejects_bad_eps():
 
 
 def _first_order_run(p, r_end, r_eval=None, rel=TOL.rel):
-    run = solve(rhs_first_order(p), (R0, r_end), _first_order_start(p, R0), rel=rel, abs_tol=rel)
+    run = solve(rhs_first_order(p), (R0, r_end), first_order_start(p, R0), rel=rel, abs_tol=rel)
     return run if r_eval is None else run.sample(r_eval)
 
 
@@ -120,10 +121,11 @@ def test_first_order_log_fit():
 def test_li2_neg_matches_mpmath():
     import mpmath
 
-    x = np.geomspace(1e-14, 1e14, 300)
+    # x = 1 has the largest w = ln(1 + x) of the Bernoulli series
+    x = np.append(np.geomspace(1e-14, 1e14, 300), 1.0)
     got = _li2_neg(x)
     want = np.array([float(mpmath.polylog(2, -mpmath.mpf(float(v)))) for v in x])
-    assert np.max(np.abs(got - want) / np.abs(want)) <= 5e-16  # 4.0e-16 measured
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 5e-16  # 3.7e-16 measured
 
 
 def _closed_form_mp(p, r):
@@ -183,7 +185,7 @@ def test_first_order_closed_form_solves_the_system_to_20_digits():
 def test_first_order_closed_form_matches_the_series_start():
     for r in (1e-4, 1e-3, 1e-2):
         fo = integrate_first_order(P, r)
-        h, k = _first_order_start(P, r)
+        h, k = first_order_start(P, r)
         assert abs(fo.h1 - h) + abs(fo.k1 - k) <= 0.25 * r**3  # 0.219 r^3 measured
 
 
@@ -210,7 +212,7 @@ def test_integrate_first_order_rejects_nonpositive_radii():
 
 
 def _joint_start(p, r0):
-    return (*_first_order_start(p, r0), 0.0, 0.25 * (p.m * p.m - p.omega * p.omega) * r0 * r0)
+    return (*first_order_start(p, r0), 0.0, 0.25 * (p.m * p.m - p.omega * p.omega) * r0 * r0)
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.05])
@@ -237,6 +239,37 @@ def test_remainder_offset_is_exact(mw):
     r, h2 = t.r[-1], t.y[-1, 2]
     a = 2.0 + math.log(2.0) + p.gap / (2.0 * (p.m + p.omega))
     assert abs(h2 / r - remainder_bound_constant(p) * (math.log(r) - a)) < 2e-6
+
+
+@pytest.mark.parametrize("mw", [(1.0, 0.5), (2.0, 0.6), (1.0, 0.9), (1.0, 0.1)])
+@pytest.mark.parametrize("eps", [0.3, 0.05, 1e-6])
+def test_joint_series_start_holds_both_recurrences(mw, eps):
+    # the joint run starts from its series near r = 0.9 (0.85 to 0.92
+    # measured), where the e^1 part is the closed form (h1, k1) to 2.7e-13,
+    # and U0 + e h1 + e^2 h2 with e = eps^2 is the rescaled series of
+    # series_start at its radius to 2.1e-12, within the start's target
+    # 0.1 (rel + abs) = 2e-11
+    p = Params(*mw)
+    coef, r0 = _joint_series(eps, p, TOL)
+    assert r0 >= 0.8
+    h1, k1 = _sum_joint(coef, np.array([r0]))[0, :2]
+    fo = integrate_first_order(p, r0)
+    assert abs(h1 - fo.h1) + abs(k1 - fo.k1) <= 1e-12
+    r_s, (U, V) = series_start(1.0, p, TOL, eps)
+    h1, k1, h2, k2 = _sum_joint(coef, np.array([r_s]))[0]
+    (u0, v0), e = bubble(r_s), eps * eps
+    assert abs(u0 + e * (h1 + e * h2) - U) + abs(v0 + e * (k1 + e * k2) - V) <= 0.1 * (TOL.rel + TOL.abs)
+
+
+@pytest.mark.parametrize("eps, before", [(0.2, 6.7e-9), (0.05, 1.25e-10), (0.01, 1.15e-9)])
+def test_remainder_sup_norm_matches_a_tight_run(eps, before):
+    # against the joint flow from R0 at rel = abs = 1e-13 on the record's
+    # grid: 1.0e-9, 3.6e-11 and 7.0e-10 measured from the series start, no
+    # farther than the run from r = 1e-6 at the defaults was (before)
+    grid = np.linspace(R0, 1.0 / eps, 800)
+    tight = solve(_rhs_joint(eps, P), (R0, 1.0 / eps), _joint_start(P, R0), rel=1e-13, abs_tol=1e-13)
+    h2, k2 = tight.sample(grid).y[:, 2:].T
+    assert abs(integrate_remainder(eps, P, TOL).sup_norm - np.max(np.abs(h2) + np.abs(k2))) <= before
 
 
 def test_remainder_initial_conditions_and_crosscheck():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from diracshoot import (
     series_start,
     solve,
 )
+from diracshoot.equations import series_polynomials
 
 P = Params(1.0, 0.5)
 
@@ -191,3 +193,13 @@ def test_series_start_matches_a_tight_run_from_the_origin(lam):
     tight = solve(radial_flow(P), (r0, r_s), taylor_start(lam, P, r0), rel=1e-14, abs_tol=1e-14)
     for got, want in zip(y_s, tight.final_state):
         assert abs(got - want) <= 10.0 * (tol.abs + tol.rel * abs(want))
+
+
+def test_series_polynomials_start_from_the_bubble():
+    # the e^0 column is the massless series of the bubble U0 = 2r/(4 + r^2),
+    # V0 = 4/(4 + r^2) at every (m, omega): a_k = (-1/4)^k / 2 and
+    # b_k = (-1/4)^k, exactly
+    k = np.arange(21)
+    for gm, gp in [(0.5, 1.5), (1.4, 2.6), (0.1, 1.9), (0.9, 1.1)]:
+        c = series_polynomials(gm, gp, 20)
+        assert np.array_equal(c[:, 0, 0], 0.5 * (-0.25) ** k) and np.array_equal(c[:, 1, 0], (-0.25) ** k)

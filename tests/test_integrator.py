@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import R0, rhs_first_order, taylor_start
+from reference import R0, first_order_start, rhs_first_order, taylor_start
 from scipy.integrate import solve_ivp
 
 from diracshoot import (
@@ -385,7 +385,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     # event function built by formula, solve of a plain callable around f,
     # which inlines g alone, and the reference, which calls both; a run given
     # r_eval is sampled there after solve
-    from diracshoot.asymptotics import _first_order_start, _rhs_joint
+    from diracshoot.asymptotics import _rhs_joint
     from diracshoot.phaseflow import attraction_report
     from diracshoot.shooting import _events
 
@@ -432,7 +432,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     runs.append((RADIAL, (r0, 10.0), y0, dict(r_eval=grid, detectors=[STOP], g=v_sign)))
     # the first-order flow over the log-law window and the 4-D joint
     # remainder flow on (0, 1/eps), sampled as asymptotics samples them
-    start2 = _first_order_start(P, R0)
+    start2 = first_order_start(P, R0)
     start4 = (*start2, 0.0, 0.25 * (P.m**2 - P.omega**2) * R0**2)
     runs.append((rhs_first_order(P), (R0, 1e6), start2, dict(r_eval=np.geomspace(1e3, 1e6, 200))))
     for eps in (0.3, 0.2, 0.1, 0.02):
