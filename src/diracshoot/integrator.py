@@ -60,7 +60,6 @@ class EventKind(str, enum.Enum):
     V_SIGN_CHANGE = "v_sign_change"
     ENTERED_NEGATIVE_ENERGY = "entered_negative_energy"
     NORM_BELOW_ETA = "norm_below_eta"
-    CERTIFICATE_FIRED = "certificate_fired"
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ class Detector:
 class IntegrationError(RuntimeError):
     """Step-size underflow or no step budget left; carries the run so far."""
 
-    def __init__(self, message: str, partial: "Trajectory | None" = None):
+    def __init__(self, message: str, partial: "Trajectory"):
         super().__init__(message)
         self.partial = partial
 

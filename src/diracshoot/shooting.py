@@ -95,7 +95,7 @@ class Classification:
     summary: dict
     trajectory: Trajectory | None = None
     # shooting function F = r (u K_v - v K_u) read at the trajectory's
-    # closest approach; only integrated stop_at_first_node runs record it
+    # closest approach; only stop_at_first_node runs record it
     wronskian: float | None = None
     tol: Tolerances | None = None  # the resolved tolerances of the run
 
@@ -134,12 +134,17 @@ def universal_constant(p: Params) -> float:
     return p.gap ** 2 / (4.0 * (3.0 * p.m - p.omega))
 
 
-def _certificate(r: float, s: tuple[float, float], p: Params) -> Certificate:
-    u, v = s
-    return Certificate(r, hamiltonian(s, p), u * v, v * v, universal_constant(p))
+def _certificate(traj: Trajectory, p: Params) -> Certificate | None:
+    """The capture certificate at the first sample past r = 1 with H < C0/r,
+    u v > 0 and v^2 < 2(m - omega), or None where no sample holds it."""
+    r, u, v = traj.r, traj.u, traj.v
+    H, uv, v2, c0 = hamiltonian((u, v), p), u * v, v * v, universal_constant(p)
+    holds = (r > 1.0) & (H < c0 / r) & (uv > 0.0) & (v2 < 2.0 * p.gap)
+    i = int(np.argmax(holds))
+    return Certificate(float(r[i]), float(H[i]), float(uv[i]), float(v2[i]), c0) if holds[i] else None
 
 
-# event values of a shooting trial, with H the energy text of equations:
+# event values of a classification, with H the energy text of equations:
 # v, H + delta and |u| + |v| - eta
 _TRIAL = f"""
 def f(x, s, hm, hw, delta, eta):
@@ -147,35 +152,20 @@ def f(x, s, hm, hw, delta, eta):
     q = u * u + v * v
     return v, {ENERGY} + delta, abs(u) + abs(v) - eta
 """
-# a full-horizon run also screens the capture certificate: min(C0/r - H, u v,
-# 2(m - omega) - v^2), the first least or NaN, past r = 1
-_FULL = f"""
-def f(x, s, hm, hw, delta, eta, gap2, cap):
-    u, v = s
-    q = u * u + v * v
-    H = {ENERGY}
-    a, b, c = cap / x - H, u * v, gap2 - v * v
-    b = b if b < a else a
-    return v, H + delta, abs(u) + abs(v) - eta, -1.0 if x <= 1.0 else c if c < b else b
-"""
 
 
 @functools.lru_cache(maxsize=16)
 def _events(p: Params, stop_at_first_node: bool):
     """(g, detectors) of a shooting trial, which stops at its first node, or
     of a full-horizon run; built once per key, as a search runs many trials
-    of one key.  Only the latter screens the capture certificate: it bounds
-    the sign changes after its radius, which a trial never reaches."""
-    consts = (*energy_constants(p), capture_depth(p), ETA)
+    of one key.  Both screen the same event values, so both compile one
+    loop; only the trial's sign change of v is terminal."""
     dets = (
         Detector(EventKind.V_SIGN_CHANGE, terminal=stop_at_first_node),
         Detector(EventKind.ENTERED_NEGATIVE_ENERGY, direction=-1, terminal=True),
         Detector(EventKind.NORM_BELOW_ETA, direction=-1, terminal=True),
     )
-    if stop_at_first_node:
-        return formula(_TRIAL, *consts), dets
-    certificate = Detector(EventKind.CERTIFICATE_FIRED, direction=1)
-    return formula(_FULL, *consts, 2.0 * p.gap, universal_constant(p)), (*dets, certificate)
+    return formula(_TRIAL, *energy_constants(p), capture_depth(p), ETA), dets
 
 
 # the radial flow of p, bound once per search like _events
@@ -232,12 +222,13 @@ def classify(
     reported as such.  With stop_at_first_node (a search trial) the run
     ends at the first sign change of v and also records the shooting
     function F at its closest approach to the origin (see
-    _closest_approach_wronskian); it does not screen the capture
-    certificate, so its certificate is None.  The steps do not depend on the
-    events screened, so a trial takes the steps of the full-horizon run up
-    to its terminal event.  The classification records the resolved
-    tolerances it ran at: a search runs its trials far from lambda* at a
-    looser one (see bisect), and its history shows which.
+    _closest_approach_wronskian); its certificate is None.  A full-horizon
+    run reads the capture certificate at its first sample that holds it
+    (see _certificate).  Both screen the same events, so a trial takes the
+    steps of the full-horizon run up to its terminal event.  The
+    classification records the resolved tolerances it ran at: a search runs
+    its trials far from lambda* at a looser one (see bisect), and its
+    history shows which.
     """
     tol = tol.resolved(p)
     r0, y0 = series_start(lam, p, tol)
@@ -266,14 +257,10 @@ def classify(
     except IntegrationError as err:
         traj = err.partial
         ev = {"r": float("nan"), "H": float("nan"), "certificate": None, "note": str(err)}
-        summ = _summary(traj, p) if traj is not None and len(traj) else {}
-        nodes = traj.nodes_before() if traj is not None else 0
-        return Classification(
-            lam, VERDICT_UNDECIDED, nodes, ev, summ, traj if keep_trajectory else None, tol=tol
-        )
+        summ, kept = _summary(traj, p), traj if keep_trajectory else None
+        return Classification(lam, VERDICT_UNDECIDED, traj.nodes_before(), ev, summ, kept, tol=tol)
 
-    fired = traj.events_of(EventKind.CERTIFICATE_FIRED)
-    cert = _certificate(fired[0].r, fired[0].y, p) if fired else None
+    cert = None if stop_at_first_node else _certificate(traj, p)
     wronskian = _closest_approach_wronskian(traj, p) if stop_at_first_node else None
     summ = _summary(traj, p)
     # a terminal crossing is the run's last sample

@@ -352,15 +352,14 @@ def check_levelset_residual(p, tol):
 
 @_check("phaseflow")
 def check_attraction(p, tol):
-    tol_r = tol.resolved(p)
     for lam in (0.5, 2.0):
         rep = attraction_report(lam, p, tol)
         t = rep.trajectory
         after = t.r >= rep.entered_at
         H = hamiltonian((t.u[after], t.v[after]), p)
         H_end = float(H[-1])
-        in_window = -p.gap ** 2 / 4.0 - tol_r.abs <= H_end <= -capture_depth(p)
-        if _worst_rise(H, tol_r) > 0.0 or not in_window or rep.u_sign_alternations < 2:
+        in_window = -p.gap ** 2 / 4.0 - tol.abs <= H_end <= -capture_depth(p)
+        if _worst_rise(H, tol) > 0.0 or not in_window or rep.u_sign_alternations < 2:
             return False, f"lambda={lam} violates spiral window"
     return True, "energy window and spiral alternations hold"
 

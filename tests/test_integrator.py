@@ -152,7 +152,7 @@ def test_step_underflow_carries_partial():
     with pytest.raises(IntegrationError) as exc:
         solve(lambda r, y: (y[0] * y[0],), (0.0, 2.0), (1.0,), rel=1e-10, abs_tol=1e-10)
     partial = exc.value.partial
-    assert partial is not None and len(partial) > 10
+    assert len(partial) > 10
     assert partial.r[-1] < 2.0
 
 
@@ -391,8 +391,8 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
 
     runs = []  # (f, r_span, y0, keywords of solve)
     # shooting trials A(0), nodal (A(1)), I-candidate, undecided at a
-    # horizon, and one stopped at its first node (the certificate fires in
-    # the first four); each has rejected steps.  The I-candidate is the
+    # horizon, and one stopped at its first node (the first four are
+    # full-horizon runs); each has rejected steps.  The I-candidate is the
     # connection at (1, 0.99): the ones at P take no rejected step
     lam_star = 1.8078961488783114  # a datum at P, TOL whose trial connects
     p99 = Params(1.0, 0.99)
@@ -448,7 +448,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     runs.append((_rhs_joint(0.1, P), (R0, 5.0), start4, stop4))
     # a detector that fires on every sign change next to one that fires on
     # upward crossings only
-    both = [Detector(EventKind.V_SIGN_CHANGE), Detector(EventKind.CERTIFICATE_FIRED, 1)]
+    both = [Detector(EventKind.V_SIGN_CHANGE), Detector(EventKind.NORM_BELOW_ETA, 1)]
     i_both = len(runs)
     runs.append((_rotation, (0.0, 30.0), (1.0, 0.1), dict(detectors=both, g=_rotation_events)))
     # a value that reaches exactly 0.0 from either side where the last step
@@ -484,17 +484,16 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     stopped = got[i_joint_stop]
     assert stopped.status == "event:v_sign_change" and 1.0 < stopped.r[-1] < 5.0
     assert len(got[i_both].events_of(EventKind.V_SIGN_CHANGE)) == 9
-    assert len(got[i_both].events_of(EventKind.CERTIFICATE_FIRED)) == 5
+    assert len(got[i_both].events_of(EventKind.NORM_BELOW_ETA)) == 5
     assert [e.r for t in got[zeros] for e in t.events_of(EventKind.V_SIGN_CHANGE)] == [3.0, 3.0]
 
 
 def test_formula_event_function_is_called_only_at_the_start():
     # the sign screen and the bisection both inline a g built by formula, so
     # a counting wrapper that keeps the formula is called once per run, at
-    # the start, on a nodal full-horizon trial whose v-sign change and
-    # certificate are not terminal and whose capture is; the run is bitwise
-    # that of the called wrapper, which counts each accepted step and each
-    # bisection point
+    # the start, on a nodal full-horizon run whose v-sign change is not
+    # terminal and whose capture is; the run is bitwise that of the called
+    # wrapper, which counts each accepted step and each bisection point
     from diracshoot.shooting import _events
 
     g, dets = _events(P, False)

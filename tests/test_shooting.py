@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import collocation
 import numpy as np
@@ -22,7 +23,7 @@ from diracshoot import (
     hamiltonian,
     universal_constant,
 )
-from diracshoot.shooting import _decay_window, _tail_basis, extend_with_decay_tail
+from diracshoot.shooting import _decay_window, _events, _tail_basis, extend_with_decay_tail
 
 P = Params(1.0, 0.5)
 TOL = Tolerances()
@@ -78,17 +79,41 @@ def test_certificate_fires_on_near_connection():
     assert cert.v_squared < 2.0 * P.gap
 
 
-def test_fired_certificate_is_certificate_check_at_its_event():
-    # one constructor: the event's state gives the classification's certificate
+def test_certificate_is_certificate_check_at_its_first_sample():
+    # the classification's certificate is the single-point check at the
+    # first sample of the run where that check holds, and it holds at no
+    # earlier sample
     fired = 0
     for lam in (1.5, 1.7, 1.8, 1.8078, 1.81):
         c = classify(lam, P, TOL)
-        for ev in c.trajectory.events_of(EventKind.CERTIFICATE_FIRED):
-            cert = certificate_check(ev.r, ev.y, P)
-            if cert is not None:
-                fired += 1
-                assert cert == c.certificate
-    assert fired > 0
+        t = c.trajectory
+        checks = [certificate_check(float(r), tuple(y.tolist()), P) for r, y in zip(t.r, t.y)]
+        first = next((cert for cert in checks if cert is not None), None)
+        assert c.certificate == first
+        fired += first is not None
+    assert fired == 5
+
+
+@pytest.mark.parametrize("rel", [1e-6, 1e-10, 1e-13])
+def test_certificate_holds_with_a_margin(rel):
+    # read at a sample, each of the certificate's strict inequalities holds
+    # by far more than the tolerance; read at a refined crossing of the
+    # least of them, the worst margins were 2.5e-7, 7.8e-13 and 2.0e-14
+    # of 1 + |H|
+    tol = Tolerances(rel=rel, abs=rel)
+    for lam in (1.5, 1.7, 1.8, 1.8078, 1.81):
+        cert = classify(lam, P, tol).certificate
+        assert cert is not None
+        gaps = (cert.C0 / cert.R - cert.H_at_R, cert.uv_product, 2.0 * P.gap - cert.v_squared)
+        assert min(gaps) / (1.0 + abs(cert.H_at_R)) > 100.0 * rel
+
+
+def test_trial_and_full_horizon_run_compile_one_loop():
+    # the two event functions of one Params carry the same formula, so solve
+    # compiles one loop for both; only the sign change's terminal flag differs
+    (g_trial, trial), (g_full, full) = _events(P, True), _events(P, False)
+    assert g_trial.formula == g_full.formula
+    assert trial[0] == replace(full[0], terminal=True) and trial[1:] == full[1:]
 
 
 def test_capture_region_start_logs_the_start_state():
@@ -635,8 +660,8 @@ def test_profile_candidates_are_the_search_trials_cut_at_their_first_node(monkey
     # bracket (1, 2.5) carries no F at its ends, and its own trials settle
     # it; under a sign-only F the midpoints override the secant, the search
     # never settles, and the candidates are the two ends.  The steps do not
-    # depend on the events screened, so cut at its first node a trial is
-    # the full-horizon run cut there, up to that run's certificate
+    # depend on the terminal flags, so cut at its first node a trial is the
+    # full-horizon run cut there, events included
     from diracshoot import shooting
 
     real, cut = shooting.classify, shooting._before_first_node
@@ -672,7 +697,7 @@ def test_profile_candidates_are_the_search_trials_cut_at_their_first_node(monkey
     assert all(c.lam in searched for c in calls)
     assert gs.lambda_star in searched
     for c in calls:
-        assert c.certificate is None and not c.trajectory.events_of(EventKind.CERTIFICATE_FIRED)
+        assert c.certificate is None
     if case == "no-F-ends-sign-only":
         lo, hi = (c.lam for c in candidates)
         assert hi - lo == gs.bracket_width and gs.lambda_star in (lo, hi)
@@ -686,8 +711,7 @@ def test_profile_candidates_are_the_search_trials_cut_at_their_first_node(monkey
             assert a.shape == b.shape == w.shape
             assert a.tobytes() == b.tobytes() == w.tobytes()
         assert _event_bytes(c.trajectory.events) == _event_bytes(fresh.trajectory.events)
-        kept = [e for e in whole.trajectory.events if e.kind != EventKind.CERTIFICATE_FIRED]
-        assert _event_bytes(c.trajectory.events) == _event_bytes(kept)
+        assert _event_bytes(c.trajectory.events) == _event_bytes(whole.trajectory.events)
         assert c.trajectory.nodes_before() == 0
         assert repr(c.summary) == repr(fresh.summary) == repr(whole.summary)
 
