@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 
@@ -20,18 +21,23 @@ class Params:
 
     @property
     def gap(self) -> float:
-        """Spectral gap m - omega that sets the decay scale."""
+        """Spectral gap m - omega, which sets the energy scale."""
         return self.m - self.omega
+
+    @property
+    def mu(self) -> float:
+        """Decay rate mu = sqrt(m^2 - omega^2) of the Bessel tail K(mu r)."""
+        return math.sqrt(self.m * self.m - self.omega * self.omega)
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """Integrator tolerances and horizon.
 
-    rmax defaults to None and is derived from the parameters: rmax =
-    40 / (m - omega) puts the horizon deep into the exponential tail.  The
-    classifier's capture thresholds are no tolerances: shooting fixes them
-    (ETA and capture_depth).
+    rmax defaults to None and is derived from the parameters: rmax = 40 / mu
+    is forty decay lengths of the tail e^(-mu r)/sqrt(r).  The classifier's
+    capture thresholds are no tolerances: shooting fixes them (ETA and
+    capture_depth).
     """
 
     rel: float = 1e-10
@@ -49,12 +55,14 @@ class Tolerances:
         """Fill in the parameter-dependent default of rmax.
 
         An m - omega whose square, or 1e-8 of it (the capture depth),
-        leaves the float range raises.  An instance with rmax set comes back
-        as it is.
+        leaves the float range raises, and so does an m^2 - omega^2 that is
+        not a positive finite float.  An instance with rmax set comes back.
         """
         if not 1e-150 < p.gap < 1e150:
             raise ValueError(f"m - omega = {p.gap:g} must lie in (1e-150, 1e150), where the "
                              f"capture depth 1e-8 (m - omega)^2 is a positive finite float")
+        if not 0.0 < p.mu < math.inf:
+            raise ValueError(f"m^2 - omega^2 at m = {p.m:g}, omega = {p.omega:g} is not a positive finite float")
         if self.rmax is not None:
             return self
-        return replace(self, rmax=40.0 / p.gap)
+        return replace(self, rmax=40.0 / p.mu)

@@ -210,7 +210,6 @@ def classify(
     tol: Tolerances,
     *,
     stop_at_first_node: bool = False,
-    horizon: float | None = None,
     keep_trajectory: bool = True,
 ) -> Classification:
     """Classify one initial datum by integrating its radial trajectory.
@@ -218,10 +217,10 @@ def classify(
     Counts sign changes of v; stops at the first entry into {H < -delta},
     delta = capture_depth(p) (verdict A(k)), or at the first drop of |u| +
     |v| below ETA while the energy is still above -delta (verdict
-    I-candidate(k)).  A trajectory that reaches the horizon undecided is
-    reported as such.  With stop_at_first_node (a search trial) the run
-    ends at the first sign change of v and also records the shooting
-    function F at its closest approach to the origin (see
+    I-candidate(k)).  A trajectory that reaches the horizon tol.rmax
+    undecided is reported as such.  With stop_at_first_node (a search
+    trial) the run ends at the first sign change of v and also records the
+    shooting function F at its closest approach to the origin (see
     _closest_approach_wronskian); its certificate is None.  A full-horizon
     run reads the capture certificate at its first sample that holds it
     (see _certificate).  Both screen the same events, so a trial takes the
@@ -232,7 +231,6 @@ def classify(
     """
     tol = tol.resolved(p)
     r0, y0 = series_start(lam, p, tol)
-    rmax = float(horizon) if horizon is not None else tol.rmax
     delta = capture_depth(p)
 
     H0 = hamiltonian(y0, p)
@@ -253,7 +251,7 @@ def classify(
 
     g, dets = _events(p, stop_at_first_node)
     try:
-        traj = solve(_flow(p), (r0, rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g)
+        traj = solve(_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g)
     except IntegrationError as err:
         traj = err.partial
         ev = {"r": float("nan"), "H": float("nan"), "certificate": None, "note": str(err)}
@@ -406,11 +404,11 @@ def _k01_nodes(h: float, size: int) -> tuple[np.ndarray, np.ndarray]:
 def _tail_basis(r, p: Params):
     """Decaying solution of the linearized radial system.
 
-    (u, v) = (mu K1(mu r)/(m+omega), K0(mu r)) with mu = sqrt(m^2 - omega^2)
+    (u, v) = (mu K1(mu r)/(m+omega), K0(mu r)) with mu = Params.mu
     solves u' + u/r = -(m-omega) v, v' = -(m+omega) u exactly.  The modified
     Bessel pair comes from _bessel_k01, so no path needs more than numpy.
     """
-    mu = math.sqrt(p.m * p.m - p.omega * p.omega)
+    mu = p.mu
     k0, k1 = _bessel_k01(mu * (r if isinstance(r, float) else np.asarray(r, dtype=float)))
     return mu * k1 / (p.m + p.omega), k0
 
@@ -495,7 +493,8 @@ def bisect(bracket: Bracket, p: Params, tol: Tolerances) -> GroundState:
     v and continued beyond its closest approach with the matched decay tail.
     A search whose secant never converges (the trials carry no F, or the
     n_max midpoints override a useless one) takes the better of its final
-    ends instead.  So a search runs no full-horizon integration.
+    ends instead.  So a search runs no full-horizon integration and none past
+    tol.rmax: a node-free trial undecided there is a lower end, not converged.
 
     A trajectory's side is settled where it passes the saddle at the
     origin, so a trial far from it cannot change sides through an error
@@ -512,8 +511,7 @@ def bisect(bracket: Bracket, p: Params, tol: Tolerances) -> GroundState:
     """
     tol = tol.resolved(p)
     lo, hi = bracket.lo, bracket.hi
-    # every trial at the default horizon by datum (not the doubled-horizon
-    # retries), and the (datum, F) of the two latest, first the ends'
+    # every trial by datum, and the (datum, F) of the two latest, first the ends'
     trials = {c.lam: c for c in bracket.history}
     latest = [(x, trials[x].wronskian if x in trials else None) for x in (lo, hi)]
     history = list(bracket.history)
@@ -542,11 +540,6 @@ def bisect(bracket: Bracket, p: Params, tol: Tolerances) -> GroundState:
         if not lo < lam < hi:
             break
         c = trials[lam] = _trial(lam, p, tol, history)
-        if c.verdict == VERDICT_UNDECIDED and c.node_count == 0:
-            # undecided without a node: retry once on a doubled horizon,
-            # then count as a lower point while the energy stayed positive
-            c = classify(lam, p, tol, stop_at_first_node=True, horizon=2.0 * tol.rmax)
-            history.append(c)
         if c.verdict == VERDICT_I:
             settled = lam
         latest = [latest[-1], (lam, c.wronskian)]

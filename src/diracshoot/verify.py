@@ -227,12 +227,11 @@ def check_ground_state_residual(p, tol):
 
 @_check("shooting")
 def check_decay_bound(p, tol):
-    tol_r = tol.resolved(p)
     gs = _shared(ground_state, p, tol)
     t = gs.profile
     logn = np.log(np.maximum(t.norm1, 1e-300))
     worst = -np.inf
-    a, b = gs.anchor_r, tol_r.rmax
+    a, b = gs.anchor_r, tol.rmax
     for r in _union(np.linspace(1.05 * a, b, 24), np.linspace(1.2 * a, b, 16)):
         if r / 2.0 < t.r[0] or r > t.r[-1]:
             continue

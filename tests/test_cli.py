@@ -421,6 +421,8 @@ def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, di
         # (m - omega)^2 overflows, or 1e-8 of it underflows to 0
         ["ground-state", "--m", "1e160", "--omega", "5e159"],
         ["ground-state", "--m", "1e-160", "--omega", "5e-161"],
+        # m - omega = 1e149 is in range, but m^2 - omega^2 overflows to nan
+        ["ground-state", "--m", "1e155", "--omega", str(1e155 - 1e149)],
     ],
 )
 def test_invalid_settings_are_usage_errors(argv, capsys):

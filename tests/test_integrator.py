@@ -414,11 +414,12 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
         end = 1.0 / eps if eps else 20.0
         r0, y0 = series_start(1.0, P, TOL, eps, end)
         runs.append((radial_flow(P, eps), (r0, end), y0, dict(detectors=[NODE], g=v_sign)))
-    # attraction_report's run to the horizon, where u crosses zero many
-    # times on the spiral toward the equilibrium
-    r0, y0 = series_start(2.5, P, TOL)
+    # attraction_report's run to a horizon of 80, where u crosses zero many
+    # times on the spiral toward the equilibrium (19 times to the default 40/mu)
+    tol80 = Tolerances(rmax=80.0)
+    r0, y0 = series_start(2.5, P, tol80)
     i_spiral = len(runs)
-    runs.append((RADIAL, (r0, TOL.rmax), y0, {}))
+    runs.append((RADIAL, (r0, tol80.rmax), y0, {}))
     # a grid through r0, step ends, the terminal crossing, interior points
     # and r_end, with and without the terminal detector
     lam = 2.0
@@ -474,7 +475,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     ]
     assert [t.nodes_before() for t in got[trials]] == [0, 1, 0, 0, 1]
     assert all(t.stats["nrejct"] > 0 for t in got[trials])
-    report = attraction_report(2.5, P, TOL)
+    report = attraction_report(2.5, P, tol80)
     _assert_same_run(report.trajectory, got[i_spiral])
     assert report.u_sign_alternations > 30
     stopped = got[i_grid_stop]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from diracshoot import Params, Tolerances
@@ -23,7 +25,9 @@ def test_gap():
 def test_tolerances_resolution():
     p = Params(1.0, 0.5)
     t = Tolerances().resolved(p)
-    assert t.rmax == pytest.approx(80.0)
+    # forty decay lengths 1/mu, mu = sqrt(m^2 - omega^2)
+    assert p.mu == math.sqrt(0.75)
+    assert t.rmax == 40.0 / p.mu == 46.188021535170066
     # an explicit horizon wins over the derived default
     t2 = Tolerances(rmax=30.0).resolved(p)
     assert t2.rmax == 30.0
@@ -50,6 +54,15 @@ def test_gap_whose_square_leaves_the_float_range_is_rejected(m, omega):
         Tolerances().resolved(Params(m, omega))
     with pytest.raises(ValueError, match="m - omega"):
         Tolerances(rmax=30.0).resolved(Params(m, omega))
+
+
+def test_mu_whose_square_is_not_a_positive_finite_float_is_rejected():
+    # m - omega = 1e149 lies in range, but m^2 and omega^2 overflow to inf,
+    # so m^2 - omega^2 is nan; the check comes before an explicit rmax returns
+    p = Params(1e155, 1e155 - 1e149)
+    for tol in (Tolerances(), Tolerances(rmax=30.0)):
+        with pytest.raises(ValueError, match=r"m\^2 - omega\^2 at m = 1e\+155, .* is not a positive finite float"):
+            tol.resolved(p)
 
 
 def test_tolerances_validation():

@@ -172,17 +172,31 @@ def test_bisect_history_sides_consistent(gs):
     assert abs(gs.lambda_star - max(free)) <= max(gs.bracket_width, 1e-12)
 
 
-def test_undecided_trial_is_retried_on_a_doubled_horizon():
+def test_undecided_trial_keeps_to_the_horizon_it_is_given():
     # at (1, 0.4) and rmax = 18 one trial datum is still undecided at the
-    # horizon; bisect classifies it again to 36, where it reaches the eta
-    # tube, and the search ends where the default one does
+    # horizon; no trial runs past it, the trial counts as a lower end, so
+    # the search reports no convergence, yet ends where the default one does
+    from diracshoot.cli import RunConfig, run_ground_state
+
     p = Params(1.0, 0.4)
     short = ground_state(p, Tolerances(rmax=18.0))
-    lams = [c.lam for c in short.history]
-    retried = [c.verdict for c in short.history if lams.count(c.lam) == 2]
-    assert retried == ["undecided", "I-candidate"]
-    assert short.converged and short.node_count == 0
-    assert short.lambda_star == pytest.approx(ground_state(p, TOL).lambda_star, rel=1e-10)
+    assert all(c.summary["r_end"] <= 18.0 for c in short.history)
+    assert "undecided" in [c.verdict for c in short.history if c.node_count == 0]
+    assert short.lambda_star == ground_state(p, TOL).lambda_star
+    assert not short.converged and short.node_count == 0
+    env = run_ground_state(RunConfig(omega=0.4, rmax=18.0))
+    assert "bisection did not reach a node-free connection; best candidate reported" in env["diagnostics"]
+
+
+@pytest.mark.parametrize("omega", [0.999, 0.9999, 0.99999], ids=str)
+def test_default_tail_has_no_zero_row(omega):
+    # the default horizon is forty decay lengths 1/mu, so the matched Bessel
+    # tail falls by about e^-25 past its anchor and stays a normal float; a
+    # horizon of 40/(m - omega) underflows most tail rows to exact zeros here
+    prof = ground_state(Params(1.0, omega), TOL).profile
+    assert not np.any((prof.u == 0.0) & (prof.v == 0.0))
+    assert prof.norm1[-1] < 1e-12
+    assert prof.r[-1] == 40.0 / Params(1.0, omega).mu
 
 
 def test_ground_state_profile_localized(gs):
