@@ -63,6 +63,8 @@ def capture_depth(p: Params) -> float:
 VERDICT_A = "A"
 VERDICT_I = "I-candidate"
 VERDICT_UNDECIDED = "undecided"
+# the verdict of each deciding terminal event of a classification run
+_DECIDED = {EventKind.ENTERED_NEGATIVE_ENERGY: VERDICT_A, EventKind.NORM_BELOW_ETA: VERDICT_I}
 
 
 class BracketError(RuntimeError):
@@ -214,25 +216,25 @@ def classify(
 ) -> Classification:
     """Classify one initial datum by integrating its radial trajectory.
 
-    Counts sign changes of v; stops at the first entry into {H < -delta},
-    delta = capture_depth(p) (verdict A(k)), or at the first drop of |u| +
-    |v| below ETA while the energy is still above -delta (verdict
-    I-candidate(k)).  A trajectory that reaches the horizon tol.rmax
-    undecided is reported as such.  With stop_at_first_node (a search
-    trial) the run ends at the first sign change of v and also records the
-    shooting function F at its closest approach to the origin (see
-    _closest_approach_wronskian); its certificate is None.  A full-horizon
-    run reads the capture certificate at its first sample that holds it
-    (see _certificate).  Both screen the same events, so a trial takes the
-    steps of the full-horizon run up to its terminal event.  The
-    classification records the resolved tolerances it ran at: a search runs
-    its trials far from lambda* at a looser one (see bisect), and its
-    history shows which.
+    The run counts sign changes of v and stops at the first entry into
+    {H < -delta}, delta = capture_depth(p), or at the first drop of |u| + |v|
+    below ETA.  The verdict is that terminal event's: capture gives A(k),
+    the eta tube I-candidate(k), with k the run's sign changes of v.  A run
+    without a deciding event, one that reaches the horizon tol.rmax or a
+    trial that stops at its first node, is undecided.  A datum that starts
+    inside {H < -delta} is a one-sample run that ends on its capture there.
+    With stop_at_first_node (a search trial) the run ends at the first sign
+    change of v and also records the shooting function F at its closest
+    approach to the origin (see _closest_approach_wronskian); its
+    certificate is None.  A full-horizon run reads the capture certificate
+    at its first sample that holds it (see _certificate).  Both screen the
+    same events, so a trial takes the steps of the full-horizon run up to
+    its terminal event.  The classification records the resolved tolerances
+    it ran at: a search runs its trials far from lambda* at a looser one
+    (see bisect), and its history shows which.
     """
     tol = tol.resolved(p)
     r0, y0 = series_start(lam, p, tol)
-    delta = capture_depth(p)
-
     H0 = hamiltonian(y0, p)
     if not math.isfinite(H0):
         # from lambda ~ 1.2e77 the start's energy overflows; no step is taken and no sample recorded
@@ -241,47 +243,35 @@ def classify(
         evid = {"r": nan, "H": nan, "certificate": None, "note": note}
         summ = {"r_end": nan, "H_end": nan, "min_norm1": nan, "r_at_min": nan, "samples": 0}
         return Classification(lam, VERDICT_UNDECIDED, 0, evid, summ, None, tol=tol)
-    if H0 < -delta:
-        # the datum starts inside the capture region and H only decreases
+    if H0 < -capture_depth(p):
+        # the datum starts inside the capture region and H only decreases:
+        # a one-sample run that ends on its capture at the start
         ev = Event(EventKind.ENTERED_NEGATIVE_ENERGY, r0, y0)
         traj = Trajectory(np.array([r0]), np.array([y0]), (ev,), "event:entered_negative_energy")
-        evid, summ = {"r": r0, "H": H0, "certificate": None}, _summary(traj, p)
-        wronskian = _closest_approach_wronskian(traj, p) if stop_at_first_node else None
-        return Classification(lam, VERDICT_A, 0, evid, summ, traj if keep_trajectory else None, wronskian, tol)
-
-    g, dets = _events(p, stop_at_first_node)
-    try:
-        traj = solve(_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g)
-    except IntegrationError as err:
-        traj = err.partial
-        ev = {"r": float("nan"), "H": float("nan"), "certificate": None, "note": str(err)}
-        summ, kept = _summary(traj, p), traj if keep_trajectory else None
-        return Classification(lam, VERDICT_UNDECIDED, traj.nodes_before(), ev, summ, kept, tol=tol)
+    else:
+        g, dets = _events(p, stop_at_first_node)
+        try:
+            traj = solve(_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g)
+        except IntegrationError as err:
+            traj = err.partial
+            ev = {"r": float("nan"), "H": float("nan"), "certificate": None, "note": str(err)}
+            summ, kept = _summary(traj, p), traj if keep_trajectory else None
+            return Classification(lam, VERDICT_UNDECIDED, traj.nodes_before(), ev, summ, kept, tol=tol)
 
     cert = None if stop_at_first_node else _certificate(traj, p)
     wronskian = _closest_approach_wronskian(traj, p) if stop_at_first_node else None
     summ = _summary(traj, p)
     # a terminal crossing is the run's last sample
     evid = {"r": summ["r_end"], "H": summ["H_end"], "certificate": cert}
+    # the verdict is the terminal event's; a run that stops at its first node
+    # or reaches the horizon has no deciding event and is undecided
+    terminal = traj.events[-1].kind if traj.status != "completed" else None
+    verdict = _DECIDED.get(terminal, VERDICT_UNDECIDED)
+    if verdict == VERDICT_UNDECIDED:
+        evid["note"] = "horizon reached" if terminal is None else "stopped at first node"
 
-    decided = {EventKind.ENTERED_NEGATIVE_ENERGY: VERDICT_A, EventKind.NORM_BELOW_ETA: VERDICT_I}
-    if traj.status != "completed":  # ended at a terminal event: capture, the eta tube or a node
-        terminal = traj.events[-1]
-        if terminal.kind in decided:
-            k, verdict = traj.nodes_before(terminal.r), decided[terminal.kind]
-        else:
-            k, verdict = 1, VERDICT_UNDECIDED
-            evid["note"] = "stopped at first node"
-    else:
-        k = traj.nodes_before()
-        if float(traj.norm1[-1]) < ETA and summ["H_end"] >= -delta:
-            verdict = VERDICT_I
-        else:
-            verdict = VERDICT_UNDECIDED
-            evid["note"] = "horizon reached"
-
-    traj = traj if keep_trajectory else None
-    return Classification(lam, verdict, k, evid, summ, traj, wronskian, tol)
+    kept = traj if keep_trajectory else None
+    return Classification(lam, verdict, traj.nodes_before(), evid, summ, kept, wronskian, tol)
 
 
 @functools.lru_cache(maxsize=16)

@@ -196,10 +196,9 @@ def check_certificate_soundness(p, tol):
         if cert is None or c.trajectory is None:
             continue
         checked += 1
-        k_before = c.trajectory.nodes_before(cert.R)
-        total = c.trajectory.nodes_before()
-        entered = c.verdict == VERDICT_A
-        if not (total <= k_before + 1 or entered):
+        # a captured run stops at its capture, and v keeps its sign inside
+        # {H < 0} since H(u, 0) >= 0, so its count holds every node it will have
+        if c.trajectory.nodes_before() > c.trajectory.nodes_before(cert.R) + 1:
             return False, f"violated at lambda={lam}"
     return True, f"{checked} fired certificates sound"
 

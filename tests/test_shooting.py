@@ -55,11 +55,32 @@ def test_classify_rejects_nonpositive():
 
 def test_tiny_datum_completes_inside_the_eta_tube():
     # |u| + |v| starts below eta, so no crossing into the tube fires: the
-    # run completes there and is an I-candidate without nodes
+    # run completes without a deciding event and is undecided without nodes,
+    # although it ends inside the tube
     c = classify(1e-40, P, TOL)
     assert (c.trajectory.status, c.trajectory.events) == ("completed", ())
-    assert (c.verdict, c.node_count) == ("I-candidate", 0)
+    assert (c.verdict, c.node_count) == ("undecided", 0)
+    assert c.evidence["note"] == "horizon reached"
     assert c.evidence["r"] == c.summary["r_end"] == TOL.resolved(P).rmax
+    # a datum that leaves the tube in time is captured before the horizon
+    c = classify(1e-15, P, TOL)
+    assert (c.verdict, c.node_count) == ("A", 0)
+    assert c.trajectory.status == "event:entered_negative_energy"
+    assert c.evidence["r"] < TOL.resolved(P).rmax
+
+
+@pytest.mark.parametrize("lam", [0.55, 0.6, 0.65, 0.7])
+def test_start_captured_datum_reads_its_certificate_at_its_start(lam):
+    # at (0.5, 0.25) these data start inside {H < -delta} past r = 1 with
+    # u v > 0: the full-horizon run is one sample, whose certificate is the
+    # single-point check there; a trial records none
+    p = Params(0.5, 0.25)
+    c = classify(lam, p, TOL)
+    (r,), (y,) = c.trajectory.r, c.trajectory.y
+    assert (c.verdict, c.node_count, c.evidence["r"]) == ("A", 0, r)
+    assert c.certificate is not None
+    assert c.certificate == certificate_check(c.evidence["r"], tuple(y.tolist()), p)
+    assert classify(lam, p, TOL, stop_at_first_node=True).certificate is None
 
 
 def test_classification_evidence_consistent():

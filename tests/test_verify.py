@@ -66,6 +66,27 @@ def test_corrupted_bubble_is_caught(monkeypatch):
     assert "bubble_limit_agreement" in names
 
 
+def test_certificate_soundness_counts_the_nodes_of_a_captured_run(monkeypatch):
+    # a captured datum with two sign changes of v past its certificate's R
+    # has one more than the certificate allows, whatever its verdict
+    from dataclasses import replace
+
+    from diracshoot import Event, EventKind
+
+    real = verify.classify
+
+    def two_late_nodes(lam, p, tol, **kw):
+        c = real(lam, p, tol, **kw)
+        t, R = c.trajectory, c.certificate.R
+        late = tuple(Event(EventKind.V_SIGN_CHANGE, R + d, (0.0, 0.0)) for d in (1e-3, 2e-3))
+        assert c.verdict == "A"
+        return replace(c, trajectory=replace(t, events=t.events[:-1] + late + t.events[-1:]))
+
+    monkeypatch.setattr(verify, "classify", two_late_nodes)
+    r = verify.check_certificate_soundness(verify.Params(), verify.Tolerances())
+    assert (r.passed, r.detail) == (False, "violated at lambda=1.5")
+
+
 def test_suite_caches_live_for_one_run(monkeypatch):
     # a second run recomputes the shared ground state and remainders, so it
     # sees a bubble corrupted after the first run
