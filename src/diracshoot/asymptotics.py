@@ -209,10 +209,11 @@ def remainder_bound_constant(p: Params) -> float:
     O(ln^2 r / r), and k1 = -2(m + omega) ln r + b + o(1) with
     b = (m + omega)(3 + 2 ln 2) + (m - omega) (integrate_first_order), so
     h2 = mu^2 r (ln r - a) + o(r) with a = 2 + ln 2 + (m - omega)/(2(m + omega))
-    (2.8598 at (1, 0.5)), while k2 grows only like ln^3 r.  Hence
-    sup |h2|+|k2| on (0, 1/eps) is mu^2/eps (ln(1/eps) - a) to leading
-    order: it stays below mu^2 ln(1/eps)/eps for small eps and approaches it
-    from below, so mu^2 is the smallest eps-independent constant in that bound.
+    (2.8598 at (1, 0.5)), and sup |h2| on (0, 1/eps) is mu^2/eps (ln(1/eps)
+    - a) to leading order, below mu^2 ln(1/eps)/eps.  k2's law is not
+    derived; measured, it does not grow like ln^3 r, and from omega/m = 0.9
+    on, where mu^2 is small, sup |h2|+|k2| passes the bound, 57 times at
+    (1, 0.999) and eps = 0.003 (ROADMAP.md, item 19).
     """
     return p.m * p.m - p.omega * p.omega
 
@@ -231,10 +232,9 @@ class PerturbationRecord:
     series start r_s, its distance to the bubble that convergence_study
     compares across eps (both None without T).
 
-    sup_norm grows like mu^2/eps (ln(1/eps) - a), a = 2 + ln 2 +
-    (m - omega)/(2(m + omega)), below the bound
-    mu^2 ln(1/eps)/eps of remainder_bound_constant for small eps (near
-    omega/m = 1 the ln^3 growth of k2 can exceed it at moderate eps).  The
+    At omega/m = 0.5, sup_norm stays below the bound mu^2 ln(1/eps)/eps of
+    remainder_bound_constant; from omega/m = 0.9 on it passes the bound at
+    every eps measured, 0.1 to 0.003 (ROADMAP.md, item 19).  The
     subtraction route divides the rescaled run's error by eps^4, so it is
     taken at that run's step ends up to 1/eps (1.2e-10 off at eps = 0.2,
     against 2.3e-8 for its cubic Hermite samples between them), with h1 and

@@ -373,7 +373,7 @@ def _csv_lines_portrait(payload) -> list[str]:
 
 def _csv_lines_verify(payload) -> list[str]:
     return [
-        _csv_row(c["name"], c["module"], c["passed"], '"' + c["detail"] + '"')
+        _csv_row(c["name"], c["module"], c["passed"], '"' + c["detail"].replace('"', '""') + '"')
         for c in payload["checks"]
     ]
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import autonomous_flow, radial_flow, series_start
+from .equations import autonomous_flow, equilibria, radial_flow, series_start
 from .integrator import Trajectory, solve
 from .params import Params, Tolerances
 from .shooting import VERDICT_A, classify
@@ -79,8 +79,7 @@ def level_set(level: float, p: Params, resolution: int = 512) -> LevelSet:
     if level < h_min - 1e-12:
         return LevelSet(level, ())
     if level <= h_min + 1e-12:
-        v0 = math.sqrt(a)
-        return LevelSet(level, (np.array([[0.0, v0]]), np.array([[0.0, -v0]])))
+        return LevelSet(level, tuple(np.array([pt]) for pt, _H in equilibria(p)[1:]))
 
     root = math.sqrt(a * a + 4.0 * level)
     v_hi = math.sqrt(a + root)
@@ -122,11 +121,10 @@ def attraction_report(lam: float, p: Params, tol: Tolerances) -> AttractionRepor
     r0, y0 = series_start(lam, p, tol)
     traj = solve(radial_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs)
 
-    v0 = math.sqrt(p.gap)
     u_end, v_end = traj.final_state
-    d_plus = math.hypot(u_end, v_end - v0)
-    d_minus = math.hypot(u_end, v_end + v0)
-    nearest = (0.0, v0) if d_plus <= d_minus else (0.0, -v0)
+    # the nearer well (0, +-sqrt(m - omega)); min keeps the first, the upper, on a tie
+    wells = [(math.hypot(u_end - u, v_end - v), (u, v)) for (u, v), _H in equilibria(p)[1:]]
+    distance, nearest = min(wells, key=lambda w: w[0])
 
     mask = traj.r >= entered_at
     signs = np.sign(traj.u[mask])
@@ -136,7 +134,7 @@ def attraction_report(lam: float, p: Params, tol: Tolerances) -> AttractionRepor
     return AttractionReport(
         lam=lam,
         entered_at=float(entered_at),
-        terminal_distance=float(min(d_plus, d_minus)),
+        terminal_distance=float(distance),
         nearest_equilibrium=nearest,
         u_sign_alternations=alternations,
         trajectory=traj,

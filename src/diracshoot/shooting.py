@@ -196,13 +196,12 @@ def _summary(traj: Trajectory, p: Params) -> dict:
 
 
 def _before_first_node(c: Classification, p: Params) -> Classification:
-    """c with samples and events strictly before its first sign change of v."""
+    """The trial c with samples and events strictly before its first sign
+    change of v: a trial that has one ends there, on its last sample."""
     t = c.trajectory
-    i = next((k for k, e in enumerate(t.events) if e.kind == EventKind.V_SIGN_CHANGE), None)
-    if i is None:
+    if t.status != f"event:{EventKind.V_SIGN_CHANGE.value}":
         return c
-    n = int(np.searchsorted(t.r, t.events[i].r))
-    cut = replace(t, r=t.r[:n], y=t.y[:n], events=t.events[:i])
+    cut = replace(t, r=t.r[:-1], y=t.y[:-1], events=t.events[:-1])
     return replace(c, trajectory=cut, summary=_summary(cut, p))
 
 
@@ -220,8 +219,8 @@ def classify(
     {H < -delta}, delta = capture_depth(p), or at the first drop of |u| + |v|
     below ETA.  The verdict is that terminal event's: capture gives A(k),
     the eta tube I-candidate(k), with k the run's sign changes of v.  A run
-    without a deciding event, one that reaches the horizon tol.rmax or a
-    trial that stops at its first node, is undecided.  A datum that starts
+    without one is undecided: it reaches the horizon tol.rmax, stops at its
+    first node (a trial) or fails, and its note says which.  A datum that starts
     inside {H < -delta} is a one-sample run that ends on its capture there.
     With stop_at_first_node (a search trial) the run ends at the first sign
     change of v and also records the shooting function F at its closest
@@ -243,6 +242,7 @@ def classify(
         evid = {"r": nan, "H": nan, "certificate": None, "note": note}
         summ = {"r_end": nan, "H_end": nan, "min_norm1": nan, "r_at_min": nan, "samples": 0}
         return Classification(lam, VERDICT_UNDECIDED, 0, evid, summ, None, tol=tol)
+    failure = None
     if H0 < -capture_depth(p):
         # the datum starts inside the capture region and H only decreases:
         # a one-sample run that ends on its capture at the start
@@ -253,22 +253,19 @@ def classify(
         try:
             traj = solve(_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g)
         except IntegrationError as err:
-            traj = err.partial
-            ev = {"r": float("nan"), "H": float("nan"), "certificate": None, "note": str(err)}
-            summ, kept = _summary(traj, p), traj if keep_trajectory else None
-            return Classification(lam, VERDICT_UNDECIDED, traj.nodes_before(), ev, summ, kept, tol=tol)
+            traj, failure = err.partial, str(err)
 
     cert = None if stop_at_first_node else _certificate(traj, p)
     wronskian = _closest_approach_wronskian(traj, p) if stop_at_first_node else None
     summ = _summary(traj, p)
-    # a terminal crossing is the run's last sample
+    # the evidence is the run's last sample: a terminal crossing, the horizon or where it failed
     evid = {"r": summ["r_end"], "H": summ["H_end"], "certificate": cert}
-    # the verdict is the terminal event's; a run that stops at its first node
-    # or reaches the horizon has no deciding event and is undecided
-    terminal = traj.events[-1].kind if traj.status != "completed" else None
+    # the verdict is the terminal event's; a run that stops at its first node,
+    # reaches the horizon or fails has no deciding event and is undecided
+    terminal = traj.events[-1].kind if traj.status.startswith("event") else None
     verdict = _DECIDED.get(terminal, VERDICT_UNDECIDED)
     if verdict == VERDICT_UNDECIDED:
-        evid["note"] = "horizon reached" if terminal is None else "stopped at first node"
+        evid["note"] = failure or ("horizon reached" if terminal is None else "stopped at first node")
 
     kept = traj if keep_trajectory else None
     return Classification(lam, verdict, traj.nodes_before(), evid, summ, kept, wronskian, tol)

@@ -108,9 +108,8 @@ def check_confinement(p, tol):
 
 @_check("radial-core")
 def check_sign_symmetry(p, tol):
-    r0, y0 = series_start(1.3, p, tol)
     a = _shared(_radial_run, 1.3, p, tol, 20.0)
-    b = solve(radial_flow(p), (r0, 20.0), (-y0[0], -y0[1]), rel=tol.rel, abs_tol=tol.abs)
+    b = solve(radial_flow(p), (a.r[0], 20.0), -a.y[0], rel=tol.rel, abs_tol=tol.abs)
     # the flow is odd and every operation of a step commutes with negation,
     # so the mirrored run is the exact negative of the first
     d = float(np.max(np.abs(a.y + b.y)))
@@ -376,7 +375,7 @@ def check_stability_monotone(p, tol):
 def check_envelope_determinism(p, tol):
     from . import cli
 
-    cfg = cli.RunConfig(m=p.m, omega=p.omega, lambdas=(0.5, 1.0))
+    cfg = cli.RunConfig(m=p.m, omega=p.omega, lambdas=(0.5, 2.0))
     a = cli.render_json(cli.run_classify(cfg))
     b = cli.render_json(cli.run_classify(cfg))
     return a == b, f"{len(a)} bytes reproduced"

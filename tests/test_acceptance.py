@@ -149,8 +149,8 @@ def test_criterion_09_first_order_log_law():
 
 def test_criterion_10_remainder_oracles_and_bound():
     # The h2 source -(m - omega) k1 with k1 ~ -2(m + omega) ln r gives
-    # h2 = mu^2 r (ln r - a) + o(r), mu^2 = m^2 - omega^2, while k2 is only
-    # O(ln^3 r).  So sup |h2|+|k2| on (0, 1/eps) is mu^2/eps (ln(1/eps) - a)
+    # h2 = mu^2 r (ln r - a) + o(r), mu^2 = m^2 - omega^2, which leads at
+    # (1, 0.5).  So sup |h2|+|k2| on (0, 1/eps) is mu^2/eps (ln(1/eps) - a)
     # to leading order and climbs towards the bound mu^2 ln(1/eps)/eps from
     # below; no constant fitted at one eps bounds the smaller ones.
     t0 = time.perf_counter()

@@ -286,6 +286,26 @@ def test_asymptotics_and_verify_csv(tmp_path, monkeypatch):
     assert len(rows) == len(checks) and "," in results[1]["detail"]
 
 
+def test_verify_csv_doubles_the_quotes_inside_a_detail(monkeypatch):
+    # a check that raises has its error's repr as its detail; a '"' in it is
+    # doubled inside the quoted field (RFC 4180), so csv.reader reads it whole
+    import csv
+
+    from diracshoot import verify as verify_mod
+
+    monkeypatch.setattr(verify_mod, "ALL_CHECKS", [verify_mod.check_equilibria])
+
+    @verify_mod._check("radial-core")
+    def check_bad(p, tol):
+        raise ValueError("can't")
+
+    env = cli.run_verify(RunConfig(format="csv"))
+    header, *rows = csv.reader(cli.render_csv(env).splitlines())
+    assert ",".join(header) == cli.CSV_HEADERS["verify"]
+    assert rows == [[c["name"], c["module"], str(c["passed"]).lower(), c["detail"]] for c in env["payload"]["checks"]]
+    assert rows[1] == ["bad", "radial-core", "false", 'raised ValueError("can\'t")']
+
+
 @pytest.mark.parametrize("rmax", [10.0, 20.0])
 def test_profile_anchored_at_the_horizon_ends_there(rmax):
     # the closest approach lies at the horizon: no tail samples repeat r = rmax,

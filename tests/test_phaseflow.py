@@ -9,6 +9,7 @@ from diracshoot import (
     Params,
     Tolerances,
     attraction_report,
+    equilibria,
     hamiltonian,
     level_set,
     stability_compare,
@@ -88,6 +89,17 @@ def test_attraction_report_nodal_datum_lands_on_lower_lobe():
     rep = attraction_report(2.0, P, TOL)
     assert rep.nearest_equilibrium[1] == pytest.approx(-math.sqrt(P.gap))
     assert rep.terminal_distance < 0.1
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_attraction_report_lands_on_the_nearest_well_of_equilibria(lam):
+    # the wells are equilibria's last two points, the upper one first
+    rep = attraction_report(lam, P, TOL)
+    u, v = rep.trajectory.final_state
+    dist = {pt: math.hypot(u - pt[0], v - pt[1]) for pt, _H in equilibria(P)[1:]}
+    nearest = min(dist, key=dist.get)
+    assert rep.nearest_equilibrium == nearest
+    assert rep.terminal_distance == dist[nearest]
 
 
 def test_attraction_report_requires_captured_datum():

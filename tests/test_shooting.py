@@ -69,6 +69,17 @@ def test_tiny_datum_completes_inside_the_eta_tube():
     assert c.evidence["r"] < TOL.resolved(P).rmax
 
 
+def test_failed_run_is_undecided_at_its_last_sample():
+    # at 1e76 the step size underflows at the series start: the failed run
+    # goes through the same verdict table as every run, undecided with the
+    # failure as its note, and its evidence is its last sample
+    c = classify(1e76, P, TOL)
+    assert (c.trajectory.status, c.verdict, c.node_count) == ("failed", "undecided", 0)
+    assert c.evidence["note"].startswith("step size underflow")
+    assert (c.evidence["r"], c.evidence["H"]) == (c.summary["r_end"], c.summary["H_end"])
+    assert math.isfinite(c.evidence["r"]) and c.certificate is None
+
+
 @pytest.mark.parametrize("lam", [0.55, 0.6, 0.65, 0.7])
 def test_start_captured_datum_reads_its_certificate_at_its_start(lam):
     # at (0.5, 0.25) these data start inside {H < -delta} past r = 1 with
@@ -683,6 +694,20 @@ def _event_bytes(events):
     return [(e.kind, *(float(x).hex() for x in (e.r, *e.y))) for e in events]
 
 
+def _cut_at_first_node(c, p):
+    """The full-horizon run c with its samples and events strictly before its
+    first sign change of v, or c where v keeps its sign."""
+    from diracshoot import shooting
+
+    t = c.trajectory
+    i = next((k for k, e in enumerate(t.events) if e.kind == EventKind.V_SIGN_CHANGE), None)
+    if i is None:
+        return c
+    n = int(np.searchsorted(t.r, t.events[i].r))
+    cut = replace(t, r=t.r[:n], y=t.y[:n], events=t.events[:i])
+    return replace(c, trajectory=cut, summary=shooting._summary(cut, p))
+
+
 @pytest.mark.parametrize(
     "case",
     [*SEARCH_POINTS, "no-F-ends", "no-F-ends-sign-only"],
@@ -695,8 +720,9 @@ def test_profile_candidates_are_the_search_trials_cut_at_their_first_node(monkey
     # bracket (1, 2.5) carries no F at its ends, and its own trials settle
     # it; under a sign-only F the midpoints override the secant, the search
     # never settles, and the candidates are the two ends.  The steps do not
-    # depend on the terminal flags, so cut at its first node a trial is the
-    # full-horizon run cut there, events included
+    # depend on the terminal flags, so a trial cut at its first node is the
+    # full-horizon run cut there, events included; _before_first_node cuts
+    # trials alone, so the full-horizon run is cut here
     from diracshoot import shooting
 
     real, cut = shooting.classify, shooting._before_first_node
@@ -740,7 +766,7 @@ def test_profile_candidates_are_the_search_trials_cut_at_their_first_node(monkey
         assert [c.lam for c in candidates] == [gs.lambda_star]
     for c in candidates:
         fresh = cut(real(c.lam, p, TOL, stop_at_first_node=True), p)
-        whole = cut(real(c.lam, p, TOL), p)
+        whole = _cut_at_first_node(real(c.lam, p, TOL), p)
         for name in ("r", "y"):
             a, b, w = (getattr(x.trajectory, name) for x in (c, fresh, whole))
             assert a.shape == b.shape == w.shape

@@ -87,6 +87,24 @@ def test_certificate_soundness_counts_the_nodes_of_a_captured_run(monkeypatch):
     assert (r.passed, r.detail) == (False, "violated at lambda=1.5")
 
 
+def test_envelope_determinism_renders_an_integrated_run(monkeypatch):
+    # lambda = 0.5 starts inside {H < -delta}, a one-sample run with empty
+    # stats; the check also renders an integrated run, 2.0 of A(1)
+    from diracshoot import cli
+
+    real, envelopes = cli.run_classify, []
+
+    def kept(cfg):
+        envelopes.append(real(cfg))
+        return envelopes[-1]
+
+    monkeypatch.setattr(cli, "run_classify", kept)
+    assert verify.check_envelope_determinism(verify.Params(), verify.Tolerances()).passed
+    assert len(envelopes) == 2
+    samples = [c["summary"]["samples"] for c in envelopes[0]["payload"]["classifications"]]
+    assert max(samples) > 1
+
+
 def test_suite_caches_live_for_one_run(monkeypatch):
     # a second run recomputes the shared ground state and remainders, so it
     # sees a bubble corrupted after the first run
