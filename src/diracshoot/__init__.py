@@ -55,8 +55,10 @@ from .shooting import (
     bracket_search,
     classify,
     decay_fit,
+    decide,
     extend_with_decay_tail,
     ground_state,
+    horizon_run,
     universal_constant,
 )
 

@@ -265,7 +265,7 @@ def run_portrait(cfg: RunConfig) -> dict:
     ls = phaseflow.level_set(cfg.level, p, resolution=cfg.resolution)
     trajectories = []
     for lam in cfg.lambdas:
-        rep = phaseflow.attraction_report(lam, p, tol)
+        rep = phaseflow.attraction_report(lam, shooting.horizon_run(lam, p, tol), p)
         t = rep.trajectory
         trajectories.append(
             {

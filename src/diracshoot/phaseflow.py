@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import autonomous_flow, equilibria, radial_flow, series_start
+from .equations import autonomous_flow, equilibria, radial_flow
 from .integrator import Trajectory, solve
 from .params import Params, Tolerances
-from .shooting import VERDICT_A, classify
+from .shooting import VERDICT_A, decide
 
 # samples of the deviation between the shifted and autonomous flows on [0, T]
 _STABILITY_N = 512
@@ -102,25 +102,18 @@ def level_set(level: float, p: Params, resolution: int = 512) -> LevelSet:
     return LevelSet(level, tuple(pieces))
 
 
-def attraction_report(lam: float, p: Params, tol: Tolerances) -> AttractionReport:
-    """Follow a captured datum to the horizon and report where it lands.
+def attraction_report(lam: float, traj: Trajectory, p: Params) -> AttractionReport:
+    """Report where the horizon run traj of the captured datum lam lands.
 
-    The datum must classify as captured (verdict A); the trajectory is then
-    re-integrated without the terminal energy event so the spiral toward
-    (0, +-sqrt(m-omega)) is visible.  Spiraling is quantified by the number
-    of sign alternations of u after entering {H < -delta}.
+    traj is shooting.horizon_run(lam, p, tol), which goes on past the capture
+    to show the spiral toward (0, +-sqrt(m-omega)); its sign alternations of
+    u after entering {H < -delta} quantify the spiraling.
     """
-    cls = classify(lam, p, tol)
-    if cls.verdict != VERDICT_A:
+    verdict, entered_at = decide(traj, p)
+    if verdict != VERDICT_A:
         raise NotCapturedError(
-            f"attraction_report needs a captured datum, got {cls.verdict}({cls.node_count})"
+            f"attraction_report needs a captured datum, got {verdict}({traj.nodes_before(entered_at)})"
         )
-    entered_at = cls.evidence["r"]
-
-    tol = cls.tol  # resolved, so its rmax is the horizon
-    r0, y0 = series_start(lam, p, tol)
-    traj = solve(radial_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs)
-
     u_end, v_end = traj.final_state
     # the nearer well (0, +-sqrt(m - omega)); min keeps the first, the upper, on a tie
     wells = [(math.hypot(u_end - u, v_end - v), (u, v)) for (u, v), _H in equilibria(p)[1:]]
@@ -142,9 +135,10 @@ def attraction_report(lam: float, p: Params, tol: Tolerances) -> AttractionRepor
 
 
 def stability_compare(
-    rho: float, start: tuple[float, float], T: float, p: Params, tol: Tolerances
-) -> float:
-    """Sup-norm deviation between the shifted and autonomous flows on [0, T].
+    rhos, start: tuple[float, float], T: float, p: Params, tol: Tolerances
+) -> list[float]:
+    """Sup-norm deviation between the shifted and autonomous flows on [0, T],
+    one per shift rho in rhos; the autonomous flow runs once for all.
 
     The shifted system carries the singular term as u/(r + rho); its flow
     approaches the autonomous one at rate O(1/rho) on bounded intervals.
@@ -153,15 +147,15 @@ def stability_compare(
     1.04e-7 and from rho = 1e12 its step size underflows, while this form
     holds up to rho = 1e17.
     """
-    if rho <= 0.0:
+    if not all(rho > 0.0 for rho in rhos):
         raise ValueError("rho must be positive")
     if T < 0.0:
         raise ValueError("T must be nonnegative")
     if T == 0.0:
-        return 0.0
+        return [0.0 for _ in rhos]
     grid = np.linspace(0.0, float(T), _STABILITY_N)
     kw = dict(rel=tol.rel, abs_tol=tol.abs)
-    auto = solve(autonomous_flow(p), (0.0, T), start, **kw).sample(grid)
+    auto = solve(autonomous_flow(p), (0.0, T), start, **kw).sample(grid).y
     f = radial_flow(p)
-    shift = solve(lambda r, s: f(r + rho, s), (0.0, T), start, **kw).sample(grid)
-    return float(np.max(np.abs(auto.y[:, 0] - shift.y[:, 0]) + np.abs(auto.y[:, 1] - shift.y[:, 1])))
+    runs = (solve(lambda r, s: f(r + rho, s), (0.0, T), start, **kw) for rho in rhos)
+    return [float(np.max(np.abs(auto - t.sample(grid).y).sum(axis=1))) for t in runs]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .equations import ENERGY, energy_constants, hamiltonian, radial_flow, series_start
-from .integrator import Detector, Event, EventKind, IntegrationError, Trajectory, formula, solve
+from .integrator import Detector, EventKind, IntegrationError, Trajectory, formula, solve
 from .params import Params, Tolerances
 
 # the search stops at its width target (or at one ulp when that is finer)
@@ -63,7 +63,7 @@ def capture_depth(p: Params) -> float:
 VERDICT_A = "A"
 VERDICT_I = "I-candidate"
 VERDICT_UNDECIDED = "undecided"
-# the verdict of each deciding terminal event of a classification run
+# the verdict of each deciding event of a radial run (see decide)
 _DECIDED = {EventKind.ENTERED_NEGATIVE_ENERGY: VERDICT_A, EventKind.NORM_BELOW_ETA: VERDICT_I}
 
 
@@ -157,15 +157,15 @@ def f(x, s, hm, hw, delta, eta):
 
 
 @functools.lru_cache(maxsize=16)
-def _events(p: Params, stop_at_first_node: bool):
-    """(g, detectors) of a shooting trial, which stops at its first node, or
-    of a full-horizon run; built once per key, as a search runs many trials
-    of one key.  Both screen the same event values, so both compile one
-    loop; only the trial's sign change of v is terminal."""
+def _events(p: Params, stop_at_first_node: bool, stop_at_verdict: bool = True):
+    """(g, detectors) of a shooting trial, which stops at its first node, of
+    a classification, which stops at its verdict, or of a horizon run; built
+    once per key, as a search runs many trials of one key.  All screen the
+    same event values, so all compile one loop; only the terminal flags differ."""
     dets = (
         Detector(EventKind.V_SIGN_CHANGE, terminal=stop_at_first_node),
-        Detector(EventKind.ENTERED_NEGATIVE_ENERGY, direction=-1, terminal=True),
-        Detector(EventKind.NORM_BELOW_ETA, direction=-1, terminal=True),
+        Detector(EventKind.ENTERED_NEGATIVE_ENERGY, direction=-1, terminal=stop_at_verdict),
+        Detector(EventKind.NORM_BELOW_ETA, direction=-1, terminal=stop_at_verdict),
     )
     return formula(_TRIAL, *energy_constants(p), capture_depth(p), ETA), dets
 
@@ -205,6 +205,27 @@ def _before_first_node(c: Classification, p: Params) -> Classification:
     return replace(c, trajectory=cut, summary=_summary(cut, p))
 
 
+def decide(traj: Trajectory, p: Params) -> tuple[str, float]:
+    """(verdict, r) of a radial run, the one rule for every run: A at a start
+    inside {H < -capture_depth(p)}, else the first deciding event's verdict
+    at its crossing, else undecided at the last sample."""
+    if hamiltonian(tuple(traj.y[0, :2].tolist()), p) < -capture_depth(p):
+        return VERDICT_A, float(traj.r[0])
+    e = next((e for e in traj.events if e.kind in _DECIDED), None)
+    return (_DECIDED[e.kind], e.r) if e else (VERDICT_UNDECIDED, float(traj.r[-1]))
+
+
+def horizon_run(lam: float, p: Params, tol: Tolerances) -> Trajectory:
+    """The run of lam from its series start to tol.rmax, also from a start in
+    the capture region.  It screens classify's events with none terminal, and
+    the steps do not depend on the events screened, so up to its deciding
+    event it is classify's run step for step.  A failure raises IntegrationError."""
+    tol = tol.resolved(p)
+    r0, y0 = series_start(lam, p, tol)
+    g, dets = _events(p, False, False)
+    return solve(_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g)
+
+
 def classify(
     lam: float,
     p: Params,
@@ -215,22 +236,18 @@ def classify(
 ) -> Classification:
     """Classify one initial datum by integrating its radial trajectory.
 
-    The run counts sign changes of v and stops at the first entry into
-    {H < -delta}, delta = capture_depth(p), or at the first drop of |u| + |v|
-    below ETA.  The verdict is that terminal event's: capture gives A(k),
-    the eta tube I-candidate(k), with k the run's sign changes of v.  A run
-    without one is undecided: it reaches the horizon tol.rmax, stops at its
-    first node (a trial) or fails, and its note says which.  A datum that starts
-    inside {H < -delta} is a one-sample run that ends on its capture there.
-    With stop_at_first_node (a search trial) the run ends at the first sign
-    change of v and also records the shooting function F at its closest
-    approach to the origin (see _closest_approach_wronskian); its
-    certificate is None.  A full-horizon run reads the capture certificate
-    at its first sample that holds it (see _certificate).  Both screen the
-    same events, so a trial takes the steps of the full-horizon run up to
-    its terminal event.  The classification records the resolved tolerances
-    it ran at: a search runs its trials far from lambda* at a looser one
-    (see bisect), and its history shows which.
+    The run counts sign changes of v and stops at its first deciding event:
+    an entry into {H < -capture_depth(p)} or a drop of |u| + |v| below ETA.
+    decide reads the verdict, A(k) or I-candidate(k) with k the run's sign
+    changes of v, or undecided where the run reaches the horizon tol.rmax,
+    stops at its first node (a trial) or fails; its note says which.  With
+    stop_at_first_node (a search trial) the run ends at the first sign
+    change of v and records the shooting function F at its closest approach
+    to the origin (see _closest_approach_wronskian); its certificate is None.
+    A full-horizon run reads the capture certificate at its first sample that
+    holds it (see _certificate).  A classification records the resolved
+    tolerances it ran at: a search runs its trials far from lambda* at a
+    looser one (see bisect), and its history shows which.
     """
     tol = tol.resolved(p)
     r0, y0 = series_start(lam, p, tol)
@@ -244,10 +261,8 @@ def classify(
         return Classification(lam, VERDICT_UNDECIDED, 0, evid, summ, None, tol=tol)
     failure = None
     if H0 < -capture_depth(p):
-        # the datum starts inside the capture region and H only decreases:
-        # a one-sample run that ends on its capture at the start
-        ev = Event(EventKind.ENTERED_NEGATIVE_ENERGY, r0, y0)
-        traj = Trajectory(np.array([r0]), np.array([y0]), (ev,), "event:entered_negative_energy")
+        # the datum starts inside the capture region, where H only decreases: a one-sample run
+        traj = Trajectory(np.array([r0]), np.array([y0]), (), "completed")
     else:
         g, dets = _events(p, stop_at_first_node)
         try:
@@ -258,14 +273,11 @@ def classify(
     cert = None if stop_at_first_node else _certificate(traj, p)
     wronskian = _closest_approach_wronskian(traj, p) if stop_at_first_node else None
     summ = _summary(traj, p)
-    # the evidence is the run's last sample: a terminal crossing, the horizon or where it failed
-    evid = {"r": summ["r_end"], "H": summ["H_end"], "certificate": cert}
-    # the verdict is the terminal event's; a run that stops at its first node,
-    # reaches the horizon or fails has no deciding event and is undecided
-    terminal = traj.events[-1].kind if traj.status.startswith("event") else None
-    verdict = _DECIDED.get(terminal, VERDICT_UNDECIDED)
+    verdict, r = decide(traj, p)
+    # the run ends where it is decided, so the evidence is its last sample
+    evid = {"r": r, "H": summ["H_end"], "certificate": cert}
     if verdict == VERDICT_UNDECIDED:
-        evid["note"] = failure or ("horizon reached" if terminal is None else "stopped at first node")
+        evid["note"] = failure or ("horizon reached" if traj.status == "completed" else "stopped at first node")
 
     kept = traj if keep_trajectory else None
     return Classification(lam, verdict, traj.nodes_before(), evid, summ, kept, wronskian, tol)

@@ -27,7 +27,7 @@ from .equations import (
 from .integrator import solve
 from .params import Params, Tolerances
 from .phaseflow import attraction_report, level_set, stability_compare
-from .shooting import VERDICT_A, capture_depth, classify, ground_state
+from .shooting import VERDICT_A, capture_depth, classify, ground_state, horizon_run
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,6 @@ def _shared(fn, *args):
     return fn(*args)
 
 
-def _radial_run(lam, p, tol, r_end):
-    r0, y0 = series_start(lam, p, tol)
-    return solve(radial_flow(p), (r0, r_end), y0, rel=tol.rel, abs_tol=tol.abs)
-
-
 def _worst_rise(H, tol) -> float:
     """Largest step rise of the energies H along a run beyond 10 rel (1 + |H|);
     at most 0 when H is non-increasing to within the tolerance."""
@@ -91,7 +86,7 @@ def _worst_rise(H, tol) -> float:
 def check_energy_monotone(p, tol):
     worst = -np.inf
     for lam in (0.5, 1.0, 1.8, 2.5):
-        t = _shared(_radial_run, lam, p, tol, tol.rmax)
+        t = _shared(horizon_run, lam, p, tol)
         worst = max(worst, _worst_rise(hamiltonian((t.u, t.v), p), tol))
     return worst <= 0.0, f"worst scaled rise {worst:.3e}"
 
@@ -100,7 +95,7 @@ def check_energy_monotone(p, tol):
 def check_confinement(p, tol):
     worst = -np.inf
     for lam in (0.5, 1.3, 2.2):
-        t = _shared(_radial_run, lam, p, tol, tol.rmax)
+        t = _shared(horizon_run, lam, p, tol)
         cap = hamiltonian((0.0, lam), p) + tol.abs
         worst = max(worst, float((hamiltonian((t.u, t.v), p) - cap).max()))
     return worst <= 0.0, f"worst excess {worst:.3e}"
@@ -108,7 +103,7 @@ def check_confinement(p, tol):
 
 @_check("radial-core")
 def check_sign_symmetry(p, tol):
-    a = _shared(_radial_run, 1.3, p, tol, 20.0)
+    a = _shared(horizon_run, 1.3, p, replace(tol, rmax=20.0))
     b = solve(radial_flow(p), (a.r[0], 20.0), -a.y[0], rel=tol.rel, abs_tol=tol.abs)
     # the flow is odd and every operation of a step commutes with negation,
     # so the mirrored run is the exact negative of the first
@@ -119,7 +114,7 @@ def check_sign_symmetry(p, tol):
 @_check("radial-core")
 def check_rate_identities(p, tol):
     # finite differences of H and r^2 H against the trapezoid of their rates
-    t = _shared(_radial_run, 1.3, p, tol, 20.0)
+    t = _shared(horizon_run, 1.3, p, replace(tol, rmax=20.0))
     r, h, states = t.r, np.diff(t.r), list(zip(t.r, zip(t.u, t.v)))
     H = hamiltonian((t.u, t.v), p)
     worst = -np.inf
@@ -350,7 +345,7 @@ def check_levelset_residual(p, tol):
 @_check("phaseflow")
 def check_attraction(p, tol):
     for lam in (0.5, 2.0):
-        rep = attraction_report(lam, p, tol)
+        rep = attraction_report(lam, _shared(horizon_run, lam, p, tol), p)
         t = rep.trajectory
         after = t.r >= rep.entered_at
         H = hamiltonian((t.u[after], t.v[after]), p)
@@ -365,7 +360,7 @@ def check_attraction(p, tol):
 def check_stability_monotone(p, tol):
     # the deviation from the autonomous flow is first order in 1/rho: each
     # doubling of the shift halves it (a ratio in [1.5, 2.5]), so it never grows
-    devs = [stability_compare(rho, (0.0, 1.0), 10.0, p, tol) for rho in (1e3, 2e3, 4e3, 8e3)]
+    devs = stability_compare((1e3, 2e3, 4e3, 8e3), (0.0, 1.0), 10.0, p, tol)
     ratios = [a / b for a, b in zip(devs, devs[1:])]
     ok = all(1.5 <= r <= 2.5 for r in ratios)
     return ok, f"devs {', '.join(f'{d:.3e}' for d in devs)}; ratios {', '.join(f'{r:.3f}' for r in ratios)}"

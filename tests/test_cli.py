@@ -496,6 +496,13 @@ def test_portrait_of_a_datum_that_is_not_captured_is_a_computation_failure():
     assert "needs a captured datum" in msg
 
 
+def test_portrait_of_a_datum_whose_horizon_run_fails_is_a_computation_failure():
+    # at 1e76 the step size underflows at the series start: classify calls
+    # the datum undecided, and the portrait's horizon run raises that failure
+    msg = _assert_one_line_failure(["portrait", "--lambda", "1e76"], 2, "diracshoot: computation failed: ")
+    assert msg.startswith("diracshoot: computation failed: step size underflow at r=")
+
+
 def test_horizon_too_short_for_the_tail_is_a_computation_failure():
     # the search converges, but no decay window lies before the anchor
     _assert_one_line_failure(["ground-state", "--rmax", "1"], 2, "diracshoot: computation failed: ")

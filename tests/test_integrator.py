@@ -387,7 +387,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     # r_eval is sampled there after solve
     from diracshoot.asymptotics import _rhs_joint
     from diracshoot.phaseflow import attraction_report
-    from diracshoot.shooting import _events
+    from diracshoot.shooting import _events, horizon_run
 
     runs = []  # (f, r_span, y0, keywords of solve)
     # shooting trials A(0), nodal (A(1)), I-candidate, undecided at a
@@ -414,12 +414,15 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
         end = 1.0 / eps if eps else 20.0
         r0, y0 = series_start(1.0, P, TOL, eps, end)
         runs.append((radial_flow(P, eps), (r0, end), y0, dict(detectors=[NODE], g=v_sign)))
-    # attraction_report's run to a horizon of 80, where u crosses zero many
-    # times on the spiral toward the equilibrium (19 times to the default 40/mu)
+    # the horizon run of attraction_report to a horizon of 80, where u
+    # crosses zero many times on the spiral toward the equilibrium (19 times
+    # to the default 40/mu), screening the three shooting events past the
+    # capture with none terminal
     tol80 = Tolerances(rmax=80.0)
     r0, y0 = series_start(2.5, P, tol80)
+    g, dets = _events(P, False, False)
     i_spiral = len(runs)
-    runs.append((RADIAL, (r0, tol80.rmax), y0, {}))
+    runs.append((radial_flow(P), (r0, tol80.rmax), y0, dict(detectors=dets, g=g)))
     # a grid through r0, step ends, the terminal crossing, interior points
     # and r_end, with and without the terminal detector
     lam = 2.0
@@ -475,9 +478,11 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     ]
     assert [t.nodes_before() for t in got[trials]] == [0, 1, 0, 0, 1]
     assert all(t.stats["nrejct"] > 0 for t in got[trials])
-    report = attraction_report(2.5, P, tol80)
-    _assert_same_run(report.trajectory, got[i_spiral])
-    assert report.u_sign_alternations > 30
+    spiral = got[i_spiral]
+    assert not any(d.terminal for d in dets) and spiral.status == "completed"
+    assert EventKind.ENTERED_NEGATIVE_ENERGY in {e.kind for e in spiral.events}
+    _assert_same_run(horizon_run(2.5, P, tol80), spiral)
+    assert attraction_report(2.5, spiral, P).u_sign_alternations > 30
     stopped = got[i_grid_stop]
     assert stopped.status == "event:v_sign_change" and stopped.r[-1] == r_star < grid[-1]
     assert stopped.y.shape == (np.count_nonzero(grid <= r_star), 2)

@@ -11,6 +11,7 @@ from diracshoot import (
     attraction_report,
     equilibria,
     hamiltonian,
+    horizon_run,
     level_set,
     stability_compare,
 )
@@ -78,15 +79,19 @@ def test_levelset_residual_random_levels(level):
     assert _residual(level_set(level, P, resolution=128), P) < 1e-9
 
 
+def _report(lam):
+    return attraction_report(lam, horizon_run(lam, P, TOL), P)
+
+
 def test_attraction_report_small_datum():
-    rep = attraction_report(0.5, P, TOL)
+    rep = _report(0.5)
     assert rep.nearest_equilibrium[1] == pytest.approx(math.sqrt(P.gap))
     # the energy window and the spiral's alternations are verify's attraction
     assert rep.terminal_distance < 0.05  # slow 1/r energy drain of the spiral
 
 
 def test_attraction_report_nodal_datum_lands_on_lower_lobe():
-    rep = attraction_report(2.0, P, TOL)
+    rep = _report(2.0)
     assert rep.nearest_equilibrium[1] == pytest.approx(-math.sqrt(P.gap))
     assert rep.terminal_distance < 0.1
 
@@ -94,7 +99,7 @@ def test_attraction_report_nodal_datum_lands_on_lower_lobe():
 @pytest.mark.parametrize("lam", [0.5, 2.0])
 def test_attraction_report_lands_on_the_nearest_well_of_equilibria(lam):
     # the wells are equilibria's last two points, the upper one first
-    rep = attraction_report(lam, P, TOL)
+    rep = _report(lam)
     u, v = rep.trajectory.final_state
     dist = {pt: math.hypot(u - pt[0], v - pt[1]) for pt, _H in equilibria(P)[1:]}
     nearest = min(dist, key=dist.get)
@@ -103,27 +108,27 @@ def test_attraction_report_lands_on_the_nearest_well_of_equilibria(lam):
 
 
 def test_attraction_report_requires_captured_datum():
-    with pytest.raises(ValueError):
-        attraction_report(1.8078961488783114, P, TOL)  # near-connection datum
+    with pytest.raises(ValueError, match=r"got I-candidate\(0\)"):
+        _report(1.8078961488783114)  # near-connection datum
 
 
 def test_stability_zero_horizon():
-    assert stability_compare(1e3, (0.0, 1.0), 0.0, P, TOL) == 0.0
+    assert stability_compare((1e3, 2e3), (0.0, 1.0), 0.0, P, TOL) == [0.0, 0.0]
 
 
 def test_stability_rejects_bad_rho():
     with pytest.raises(ValueError):
-        stability_compare(-1.0, (0.0, 1.0), 1.0, P, TOL)
+        stability_compare((1e3, -1.0), (0.0, 1.0), 1.0, P, TOL)
 
 
 def test_stability_rejects_negative_horizon():
     with pytest.raises(ValueError, match="T must be nonnegative"):
-        stability_compare(1e3, (0.0, 1.0), -1.0, P, TOL)
+        stability_compare((1e3,), (0.0, 1.0), -1.0, P, TOL)
 
 
 def test_stability_from_equilibrium_is_small():
     v0 = math.sqrt(P.gap)
-    dev = stability_compare(1e4, (0.0, v0), 10.0, P, TOL)
+    (dev,) = stability_compare((1e4,), (0.0, v0), 10.0, P, TOL)
     assert dev < 1e-3  # u stays 0, the singular term never activates
 
 

@@ -18,9 +18,13 @@ from diracshoot import (
     bisect,
     bracket_search,
     classify,
+    IntegrationError,
     decay_fit,
+    decide,
     ground_state,
     hamiltonian,
+    horizon_run,
+    series_start,
     universal_constant,
 )
 from diracshoot.shooting import _decay_window, _events, _tail_basis, extend_with_decay_tail
@@ -149,11 +153,49 @@ def test_trial_and_full_horizon_run_compile_one_loop():
 
 
 def test_capture_region_start_logs_the_start_state():
+    # a datum that starts inside {H < -delta} is a one-sample run without
+    # events, which decide reads as captured at its start
     c = classify(0.5, P, TOL)
-    (ev,) = c.trajectory.events
-    assert ev.kind == EventKind.ENTERED_NEGATIVE_ENERGY
-    assert ev.y == tuple(c.trajectory.y[0])
-    assert c.evidence["H"] == hamiltonian(ev.y, P)
+    r0, y0 = series_start(0.5, P, TOL.resolved(P))
+    assert (len(c.trajectory), c.trajectory.events, c.verdict) == (1, (), "A")
+    assert c.evidence["r"] == r0
+    assert c.evidence["H"] == hamiltonian(y0, P)
+
+
+# per (m, omega): a start-captured datum, A(0), A(k >= 1) and 1e-20, which
+# is undecided; at (1, 0.99) also its ground state's datum, an I-candidate
+_ONE_RUN = {
+    (1.0, 0.5): (0.5, 1.3, 2.0, 1e-20),
+    (1.0, 0.1): (0.5, 2.0, 3.0, 1e-20),
+    (1.0, 0.9): (0.3, 0.6, 1.3, 1e-20),
+    (2.3, 0.7): (1.0, 3.0, 5.0, 1e-20),
+    (0.5, 0.25): (0.5, 1.0, 1.5, 1e-20),
+    (1.0, 0.99): (0.1, 0.2, 0.5, 0.22115975241011132, 1e-20),
+}
+
+
+@pytest.mark.parametrize(("m", "omega"), list(_ONE_RUN))
+def test_horizon_run_is_the_classification_run_continued(m, omega):
+    # up to its deciding event the horizon run takes classify's steps, so
+    # decide reads classify's verdict and radius off it, and classify's
+    # samples but a refined terminal crossing are the horizon run's first ones
+    p = Params(m, omega)
+    kinds = set()
+    for lam in _ONE_RUN[(m, omega)]:
+        c, t = classify(lam, p, TOL), horizon_run(lam, p, TOL)
+        assert decide(t, p) == (c.verdict, c.evidence["r"])
+        n = len(c.trajectory) - c.trajectory.status.startswith("event")
+        assert c.trajectory.r[:n].tobytes() == t.r[:n].tobytes()
+        assert c.trajectory.y[:n].tobytes() == t.y[:n].tobytes()
+        kinds.add((c.verdict, min(c.node_count, 1), len(c.trajectory) == 1))
+    assert {("A", 0, True), ("A", 0, False), ("A", 1, False), ("undecided", 0, False)} <= kinds
+    assert ("I-candidate", 0, False) in kinds or omega != 0.99
+
+
+def test_horizon_run_raises_where_classify_is_undecided_by_a_failure():
+    assert classify(1e76, P, TOL).verdict == "undecided"
+    with pytest.raises(IntegrationError, match="step size underflow"):
+        horizon_run(1e76, P, TOL)
 
 
 def test_bracket_search():

@@ -150,26 +150,54 @@ def test_remainder_checks_share_one_integration_per_eps(monkeypatch):
     assert calls == [0.2, 0.1, 0.05]
 
 
-def test_suite_integrates_each_radial_datum_once(monkeypatch):
-    # energy_monotone and confinement share the run of lambda = 0.5 to the
-    # horizon, sign_symmetry and rate_identities that of lambda = 1.3 to r = 20
-    from diracshoot import Params, Tolerances
+def _flow_key(f):
+    """A flow by its formula and constants, or by its code and the flows and
+    values its closure holds (the shifted flows of stability_compare)."""
+    if hasattr(f, "formula"):
+        return f.formula
+    cells = tuple(c.cell_contents for c in f.__closure__ or ())
+    return f.__code__, tuple(_flow_key(c) if callable(c) else c for c in cells)
 
-    real = verify.solve
+
+def test_suite_repeats_only_its_deliberate_runs(monkeypatch):
+    # every solve of the suite, keyed on its flow, span, start, tolerances
+    # and detectors: the radial checks and attraction share one horizon run
+    # per datum and stability_compare one autonomous run, so the only exact
+    # repeats are envelope_determinism's two classify(2.0) runs (classify(2.0)
+    # of classification_evidence is the first) and the rescaled eps = 0.1 run
+    # that integrate_remainder integrates again after rescaling_commutation
+    import sys
+
+    from diracshoot import Params, Tolerances, integrator, radial_flow, series_start
+    from diracshoot.shooting import _events
+
+    real = integrator.solve
     runs = []
 
-    def counted(f, r_span, y0, **kwargs):
-        runs.append((tuple(r_span), tuple(y0)))
-        return real(f, r_span, y0, **kwargs)
+    def counted(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None):
+        t = real(f, r_span, y0, rel=rel, abs_tol=abs_tol, detectors=detectors, g=g)
+        key = (_flow_key(f), tuple(map(float, r_span)), tuple(map(float, y0)), rel, abs_tol, tuple(detectors))
+        runs.append((key, t.stats["nfev"]))
+        return t
 
-    monkeypatch.setattr(verify, "solve", counted)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("diracshoot.") and getattr(mod, "solve", None) is real:
+            monkeypatch.setattr(mod, "solve", counted)
     assert all(r.passed for r in verify.run_suite())
-    # the two shared runs came to 16 integrations before; 6 data run to the
-    # horizon, 2 to r = 20 (the autonomous run ends at r = 50, series_consistency
-    # runs 3 short spans)
-    horizon = Tolerances().resolved(Params()).rmax
-    assert len(runs) == len(set(runs)) == 14
-    assert sum(1 for (_, end), _ in runs if end in (horizon, 20.0)) == 8
+
+    seen, repeats = set(), []
+    for key, nfev in runs:
+        if key in seen:
+            repeats.append((key, nfev))
+        seen.add(key)
+    p = Params()
+    tol = Tolerances().resolved(p)
+    r2, y2 = series_start(2.0, p, tol)
+    classify2 = (radial_flow(p).formula, (r2, tol.rmax), y2, tol.rel, tol.abs, _events(p, False)[1])
+    (rescaled, n_rescaled), *envelope = repeats
+    assert envelope == [(classify2, 632)] * 2
+    assert (rescaled[0], rescaled[1][1], n_rescaled) == (radial_flow(p, 0.1).formula, 10.0, 434)
+    assert sum(nfev for _, nfev in runs) <= 74396
 
 
 def test_taylor_consistency_catches_a_perturbed_series_start(monkeypatch):
