@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -499,11 +500,14 @@ def main(argv=None) -> int:
         print(f"diracshoot: computation failed: {err}", file=sys.stderr)
         return 2
 
-    write_output(envelope, cfg)
+    try:
+        write_output(envelope, cfg)
+        sys.stdout.flush()
+    except OSError as err:
+        if cfg.out is None:  # the unwritten buffer goes to devnull at the interpreter's final flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"diracshoot: error: output not written: {err}", file=sys.stderr)
+        return 1
     if args.command == "verify" and not envelope["payload"]["all_passed"]:
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -318,17 +319,88 @@ def test_profile_anchored_at_the_horizon_ends_there(rmax):
     assert len(rows) == len(r)
 
 
-def test_module_entry_point():
+def test_module_entry_point(capsys):
+    # python -m diracshoot writes the in-process cli.main's bytes and exits with its code
     import subprocess
     import sys
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "diracshoot", "classify", "--lambda", "0.5"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
+    argv = ["classify", "--lambda", "0.5"]
+    proc = subprocess.run([sys.executable, "-m", "diracshoot", *argv], capture_output=True)
+    assert (proc.returncode, proc.stdout) == (cli.main(argv), capsys.readouterr().out.encode())
     assert json.loads(proc.stdout)["command"] == "classify"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["classify", "--lambda", "0.5"], 0),
+        (["classify", "--lambda", "0.5", "--delta", "1e-9"], 1),  # argparse's SystemExit
+        (["portrait", "--lambda", "1e76"], 2),
+        (["verify"], 3),
+    ],
+    ids=["success", "usage", "computation", "verification"],
+)
+def test_process_entry_freezes_the_heap_once_after_the_output(argv, code, tmp_path, monkeypatch):
+    # the entry of python -m diracshoot and the console script: main's code,
+    # and one gc.freeze once the --out file is written; the freeze is recorded,
+    # not made, as it would exempt the test process's heap from collection
+    import gc
+
+    from diracshoot import asymptotics
+    from diracshoot.__main__ import run
+
+    out = tmp_path / "out.json"
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(out.exists()))
+    real = asymptotics.bubble
+    monkeypatch.setattr(asymptotics, "bubble", lambda r: (real(r)[0] * 1.001, real(r)[1]))  # trips verify
+    assert _exit_code([*argv, "--out", str(out)], run) == code
+    assert frozen == [code in (0, 3)]
+
+
+def test_in_process_main_freezes_nothing(tmp_path):
+    # cli.main leaves the heap to its caller: the tests, verify and the benchmark's shim
+    import gc
+
+    before = gc.get_freeze_count()
+    assert cli.main(["classify", "--lambda", "0.5", "--out", str(tmp_path / "c.json")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_output_write_is_one_line_error():
+    # the write fails after the computation: exit 1 and one stderr line, with
+    # no traceback, whether --out or stdout is full
+    import subprocess
+    import sys
+
+    argv = ["classify", "--lambda", "0.5"]
+    msg = _assert_one_line_failure([*argv, "--out", "/dev/full"], 1, "diracshoot: error: ")
+    assert msg == "diracshoot: error: output not written: [Errno 28] No space left on device"
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "diracshoot", *argv], stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 1 and proc.stderr.splitlines() == [msg]
+
+
+def test_closed_stdout_is_one_line_error():
+    # a reader that has gone (as in `| head`): the same one line, and the
+    # interpreter's final flush of the unwritten output goes to devnull
+    import subprocess
+    import sys
+
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "diracshoot", "classify", "--lambda", "0.5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["diracshoot: error: output not written: [Errno 32] Broken pipe"]
 
 
 def test_verify_command_passes():
@@ -591,10 +663,10 @@ def test_huge_datum_is_undecided(lam):
     assert note.startswith("float overflow")
 
 
-def _exit_code(argv):
-    """cli.main's return value, or the code argparse exits with."""
+def _exit_code(argv, entry=cli.main):
+    """The entry's return value, or the code argparse exits with."""
     try:
-        return cli.main(argv)
+        return entry(argv)
     except SystemExit as stop:
         return stop.code
 
