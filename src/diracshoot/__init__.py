@@ -5,8 +5,6 @@ analysis and remainder estimates exposed as testable operations."""
 import types
 
 from .asymptotics import (
-    EpsilonStudy,
-    FirstOrderSamples,
     LogLawFit,
     PerturbationRecord,
     bubble,
@@ -38,7 +36,6 @@ from .integrator import (
 from .params import Params, Tolerances
 from .phaseflow import (
     AttractionReport,
-    LevelSet,
     NotCapturedError,
     attraction_report,
     level_set,

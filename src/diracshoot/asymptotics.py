@@ -20,7 +20,7 @@ source-term algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,15 +94,7 @@ def node_radius(traj: Trajectory, r: float) -> float | None:
 # --- first-order perturbation ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class FirstOrderSamples:
-    r: np.ndarray
-    h1: np.ndarray  # correction to U
-    k1: np.ndarray  # correction to V
-
-
-@dataclass(frozen=True)
-class LogLawFit:
+class LogLawFit(NamedTuple):
     """Affine fit k1 ~ -c ln r + intercept of the log-growing component.
 
     The U-correction h1 stays bounded (and decays); the V-correction k1
@@ -149,9 +141,9 @@ def _li2_neg(x):
     return np.where(inv, -np.pi ** 2 / 6.0 - 0.5 * np.log(x) ** 2 - li, li)
 
 
-def integrate_first_order(p: Params, r) -> FirstOrderSamples:
+def integrate_first_order(p: Params, r) -> tuple[np.ndarray, np.ndarray]:
     """The first-order correction (h1, k1) with h1(0) = k1(0) = 0, in closed
-    form at the radii r > 0.
+    form at the radii r > 0: h1 corrects U and k1 corrects V.
 
     The homogeneous system has the bubble's scaling mode
     phi1 = (U0 + 2r U0', V0 + 2r V0') = (2r(12 - t), 4(4 - 3t))/D^2 and, by
@@ -174,22 +166,22 @@ def integrate_first_order(p: Params, r) -> FirstOrderSamples:
     c2 = 0.5 * (gp * Ls - a * (gm * (t - 4.0) + gp * (3.0 * t + 4.0)))
     # c1 phi1 + c2 phi2 = (c1 + 2L c2) phi1 + c2 (D/r) (-phi1_v, phi1_u)
     c, s = c1 + 2.0 * L * c2, c2 * d / r
-    return FirstOrderSamples(r, c * pu - s * pv, c * pv + s * pu)
+    return c * pu - s * pv, c * pv + s * pu
 
 
 def first_order_log_fit(p: Params) -> LogLawFit:
     """Fit the logarithmic growth law of the first-order V-correction to the
     closed form on r in [1e3, 1e6]; the exact law is k1 = -2(m + omega) ln r
     + b + O(ln^2 r / r^2) with b = (m + omega)(3 + 2 ln 2) + (m - omega)."""
-    fo = integrate_first_order(p, _LOG_FIT_R)
-    slope, mean = lsq_slope(_LOG_FIT_L, fo.k1)
-    intercept = fo.k1.mean() - slope * mean
-    resid = fo.k1 - intercept - slope * _LOG_FIT_L
+    h1, k1 = integrate_first_order(p, _LOG_FIT_R)
+    slope, mean = lsq_slope(_LOG_FIT_L, k1)
+    intercept = k1.mean() - slope * mean
+    resid = k1 - intercept - slope * _LOG_FIT_L
     return LogLawFit(
         c=float(-slope),
         intercept=float(intercept),
-        max_rel_residual=float(np.max(np.abs(resid)) / np.max(np.abs(fo.k1))),
-        h1_sup=float(np.max(np.abs(fo.h1))),
+        max_rel_residual=float(np.max(np.abs(resid)) / np.max(np.abs(k1))),
+        h1_sup=float(np.max(np.abs(h1))),
         window=_LOG_FIT_WINDOW,
     )
 
@@ -200,6 +192,11 @@ def first_order_log_fit(p: Params) -> LogLawFit:
 # at eps = 0.2); at or above it the rescaled run's step-end error over eps^4
 # (see PerturbationRecord) keeps the crosscheck from resolving the remainder.
 CROSSCHECK_REL_BOUND = 1e-4
+# the least T of integrate_remainder: its rescaled run starts below T/2, and
+# from T = 1e-154 on the square of that start leaves the normal float range
+# in the closed-form first-order correction (warnings at T = 1e-200, a
+# failed sample grid at 1e-320)
+T_MIN = 1e-150
 
 
 def remainder_bound_constant(p: Params) -> float:
@@ -218,8 +215,7 @@ def remainder_bound_constant(p: Params) -> float:
     return p.m * p.m - p.omega * p.omega
 
 
-@dataclass(frozen=True)
-class PerturbationRecord:
+class PerturbationRecord(NamedTuple):
     """Remainder (h2, k2) on (0, 1/eps) computed along two routes.
 
     h2/k2 come from integrating the exact remainder equations;
@@ -330,6 +326,8 @@ def integrate_remainder(
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
+    if T is not None and not T >= T_MIN:
+        raise ValueError(f"T must be at least {T_MIN:g}, got {T:g}")
     r_end = 1.0 / eps
     grid = np.linspace(1e-6, r_end, _REMAINDER_N)
 
@@ -351,13 +349,13 @@ def integrate_remainder(
     at = resc.r <= r_end
     ends, (U, V) = resc.r[at], resc.y[at].T
     u0, v0 = bubble(ends)
-    fo = integrate_first_order(p, ends)
+    h1_ends, k1_ends = integrate_first_order(p, ends)
     n = np.searchsorted(ends, r0)
     h2_ends, k2_ends = np.concatenate([_sum_joint(coef, ends[:n]), joint.sample(ends[n:]).y])[:, 2:].T
     e2 = eps * eps
     e4 = e2 * e2
-    h2_sub = (U - u0 - e2 * fo.h1) / e4
-    k2_sub = (V - v0 - e2 * fo.k1) / e4
+    h2_sub = (U - u0 - e2 * h1_ends) / e4
+    k2_sub = (V - v0 - e2 * k1_ends) / e4
 
     diff = np.maximum(np.abs(h2_ends - h2_sub), np.abs(k2_ends - k2_sub))
     norm1 = np.abs(h2) + np.abs(k2)
@@ -386,30 +384,25 @@ def integrate_remainder(
 # --- uniform convergence -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EpsilonStudy:
-    """Sup-norm distance to the bubble on [0, T] per eps, with consecutive
-    ratios (second-order rate gives ratios near 4 for eps halving) and the
-    first V-node radius per eps when one occurs before 1/eps, both as read
-    off each eps's remainder record."""
-
-    epsilons: tuple[float, ...]
-    sup_errors: tuple[float, ...]
-    ratios: tuple[float, ...]
-    node_radii: tuple[float | None, ...]
-    T: float
-
-
-def convergence_study(records, T: float) -> EpsilonStudy:
+def convergence_study(records, T: float) -> dict:
     """Rate of convergence of the rescaled flow to the bubble, assembled from
     the distances on [0, T] that the integrate_remainder records carry (a
-    sequence in strictly decreasing eps, each run with this T)."""
+    sequence in strictly decreasing eps, each run with this T).
+
+    The keys: epsilons, sup_errors (the sup-norm distance to the bubble on
+    [0, T] per eps), ratios (consecutive ones; a second-order rate gives
+    ratios near 4 for eps halving), node_radii (the first V-node radius per
+    eps when one occurs before 1/eps, else None) and T."""
     eps_list = [float(rec.epsilon) for rec in records]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("epsilons must be strictly decreasing")
     if any(rec.T != float(T) for rec in records):
         raise ValueError(f"every record needs its distance to the bubble on [0, {T:g}]")
     errs = [rec.sup_error for rec in records]
-    ratios = tuple(a / b for a, b in zip(errs, errs[1:]))
-    nodes = tuple(rec.node_radius for rec in records)
-    return EpsilonStudy(tuple(eps_list), tuple(errs), ratios, nodes, float(T))
+    return {
+        "epsilons": eps_list,
+        "sup_errors": errs,
+        "ratios": [a / b for a, b in zip(errs, errs[1:])],
+        "node_radii": [rec.node_radius for rec in records],
+        "T": float(T),
+    }

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -47,7 +46,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     m: float = Params.m
     omega: float = Params.omega
@@ -73,8 +72,8 @@ class RunConfig:
             self.tolerances().resolved(self.params())
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        if not self.T > 0:
-            raise ConfigError(f"T must be positive, got {self.T:g}")
+        if not self.T >= asymptotics.T_MIN:
+            raise ConfigError(f"T must be at least {asymptotics.T_MIN:g}, got {self.T:g}")
         if not self.resolution >= 2:
             raise ConfigError(f"resolution must be at least 2, got {self.resolution}")
         if self.format not in ("json", "csv"):
@@ -135,6 +134,8 @@ def parse_config_file(path: str) -> dict:
 def _jsonable(x):
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, tuple) and hasattr(x, "_asdict"):  # a record, an object and not an array
+        return _jsonable(x._asdict())
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
@@ -144,8 +145,6 @@ def _jsonable(x):
         return [_jsonable(v) for v in values]
     if isinstance(x, float) and math.isnan(x):
         return None
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {f.name: _jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
     return x
 
 
@@ -263,11 +262,11 @@ def run_asymptotics(cfg: RunConfig) -> dict:
 
 def run_portrait(cfg: RunConfig) -> dict:
     p, tol = cfg.params(), cfg.tolerances()
-    ls = phaseflow.level_set(cfg.level, p, resolution=cfg.resolution)
+    pieces = phaseflow.level_set(cfg.level, p, resolution=cfg.resolution)
     trajectories = []
     for lam in cfg.lambdas:
-        rep = phaseflow.attraction_report(lam, shooting.horizon_run(lam, p, tol), p)
-        t = rep.trajectory
+        t = shooting.horizon_run(lam, p, tol)
+        rep = phaseflow.attraction_report(t, p)
         trajectories.append(
             {
                 "lambda": lam,
@@ -283,7 +282,7 @@ def run_portrait(cfg: RunConfig) -> dict:
         )
     payload = {
         "level": cfg.level,
-        "level_set": {"pieces": [piece for piece in ls.pieces]},
+        "level_set": {"pieces": list(pieces)},
         "trajectories": trajectories,
     }
     return _envelope("portrait", cfg, payload, [])

@@ -33,7 +33,7 @@ import re
 import struct
 import types
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class EventKind(str, enum.Enum):
     NORM_BELOW_ETA = "norm_below_eta"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """An event of the given kind at its refined crossing r, with the state
     y there."""
 
@@ -72,8 +71,7 @@ class Event:
     y: tuple
 
 
-@dataclass(frozen=True)
-class Detector:
+class Detector(NamedTuple):
     """The event marked by a root of one value of solve's event function g.
     direction: -1 crossing into g <= 0, +1 crossing into g >= 0, 0 any
     sign change.  A crossing is logged as Event(kind, r, y); anything else

@@ -16,7 +16,7 @@ so the v-spans of the curve are closed-form too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,26 +33,11 @@ class NotCapturedError(ValueError):
     """attraction_report was given a datum that does not classify as captured."""
 
 
-@dataclass(frozen=True)
-class LevelSet:
-    level: float
-    pieces: tuple[np.ndarray, ...]  # each piece is an (n, 2) closed polyline
-
-    @property
-    def points(self) -> np.ndarray:
-        if not self.pieces:
-            return np.zeros((0, 2))
-        return np.vstack(self.pieces)
-
-
-@dataclass(frozen=True)
-class AttractionReport:
-    lam: float
+class AttractionReport(NamedTuple):
     entered_at: float
     terminal_distance: float
     nearest_equilibrium: tuple[float, float]
     u_sign_alternations: int
-    trajectory: Trajectory
 
 
 def _radial_q(level: float, v, p: Params):
@@ -62,8 +47,8 @@ def _radial_q(level: float, v, p: Params):
     return -mp + np.sqrt(mp * mp + 4.0 * (p.m * v * v + level))
 
 
-def level_set(level: float, p: Params, resolution: int = 512) -> LevelSet:
-    """Trace {H = level} as ordered closed polylines.
+def level_set(level: float, p: Params, resolution: int = 512) -> tuple[np.ndarray, ...]:
+    """Trace {H = level} as ordered closed polylines, each an (n, 2) array.
 
     The curve is parameterized by v: u = +-sqrt(q(v) - v^2) on the v-spans
     where the radicand is nonnegative, v^2 between the roots
@@ -77,9 +62,9 @@ def level_set(level: float, p: Params, resolution: int = 512) -> LevelSet:
     a = p.gap
     h_min = -(a ** 2) / 4.0
     if level < h_min - 1e-12:
-        return LevelSet(level, ())
+        return ()
     if level <= h_min + 1e-12:
-        return LevelSet(level, tuple(np.array([pt]) for pt, _H in equilibria(p)[1:]))
+        return tuple(np.array([pt]) for pt, _H in equilibria(p)[1:])
 
     root = math.sqrt(a * a + 4.0 * level)
     v_hi = math.sqrt(a + root)
@@ -99,11 +84,11 @@ def level_set(level: float, p: Params, resolution: int = 512) -> LevelSet:
         right = np.column_stack([us, vs])
         left = np.column_stack([-us[-2:0:-1], vs[-2:0:-1]])
         pieces.append(np.vstack([right, left, right[:1]]))
-    return LevelSet(level, tuple(pieces))
+    return tuple(pieces)
 
 
-def attraction_report(lam: float, traj: Trajectory, p: Params) -> AttractionReport:
-    """Report where the horizon run traj of the captured datum lam lands.
+def attraction_report(traj: Trajectory, p: Params) -> AttractionReport:
+    """Report where the horizon run traj of a captured datum lands.
 
     traj is shooting.horizon_run(lam, p, tol), which goes on past the capture
     to show the spiral toward (0, +-sqrt(m-omega)); its sign alternations of
@@ -125,12 +110,10 @@ def attraction_report(lam: float, traj: Trajectory, p: Params) -> AttractionRepo
     alternations = int(np.count_nonzero(np.diff(signs) != 0.0))
 
     return AttractionReport(
-        lam=lam,
         entered_at=float(entered_at),
         terminal_distance=float(distance),
         nearest_equilibrium=nearest,
         u_sign_alternations=alternations,
-        trajectory=traj,
     )
 
 

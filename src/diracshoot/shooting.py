@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +75,7 @@ class DecayWindowError(RuntimeError):
     """No decay window to fit before the anchor: the horizon is too short."""
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Fired capture certificate: at radius R the trajectory satisfies
     H < C0/R, u v > 0 and v^2 < 2(m - omega), which pins the datum to
     at most one further sign change."""
@@ -88,8 +87,7 @@ class Certificate:
     C0: float
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     lam: float
     verdict: str
     node_count: int
@@ -106,20 +104,13 @@ class Classification:
         return self.evidence.get("certificate")
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     lo: float
     hi: float
     history: tuple[Classification, ...]
 
-    def __post_init__(self):
-        # a degenerate bracket (lo == hi) is allowed and returned as-is
-        if not self.lo <= self.hi:
-            raise ValueError(f"need lo <= hi, got [{self.lo}, {self.hi}]")
 
-
-@dataclass(frozen=True)
-class GroundState:
+class GroundState(NamedTuple):
     lambda_star: float
     bracket_width: float
     profile: Trajectory
@@ -201,8 +192,8 @@ def _before_first_node(c: Classification, p: Params) -> Classification:
     t = c.trajectory
     if t.status != f"event:{EventKind.V_SIGN_CHANGE.value}":
         return c
-    cut = replace(t, r=t.r[:-1], y=t.y[:-1], events=t.events[:-1])
-    return replace(c, trajectory=cut, summary=_summary(cut, p))
+    cut = Trajectory(t.r[:-1], t.y[:-1], t.events[:-1], t.status, t.stats, t.table)
+    return c._replace(trajectory=cut, summary=_summary(cut, p))
 
 
 def decide(traj: Trajectory, p: Params) -> tuple[str, float]:
@@ -286,7 +277,7 @@ def classify(
 @functools.lru_cache(maxsize=16)
 def _loose(tol: Tolerances) -> Tolerances | None:
     """The loose tolerance of search trials at tol, None where it is tol."""
-    loose = replace(tol, rel=max(tol.rel, _LOOSE_TOL), abs=max(tol.abs, _LOOSE_TOL))
+    loose = Tolerances(max(tol.rel, _LOOSE_TOL), max(tol.abs, _LOOSE_TOL), tol.rmax)
     return None if loose == tol else loose
 
 
@@ -508,8 +499,11 @@ def bisect(bracket: Bracket, p: Params, tol: Tolerances) -> GroundState:
     instead of the floor, trials of (4, 1) at rel = 1e-6 came out node-free
     2e-2 lambda from the origin where the runs at tol have a node.
     """
-    tol = tol.resolved(p)
     lo, hi = bracket.lo, bracket.hi
+    # a degenerate bracket (lo == hi) is allowed and returned as-is
+    if not lo <= hi:
+        raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
+    tol = tol.resolved(p)
     # every trial by datum, and the (datum, F) of the two latest, first the ends'
     trials = {c.lam: c for c in bracket.history}
     latest = [(x, trials[x].wronskian if x in trials else None) for x in (lo, hi)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .phaseflow import attraction_report, level_set, stability_compare
 from .shooting import VERDICT_A, capture_depth, classify, ground_state, horizon_run
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     module: str
     passed: bool
@@ -103,7 +102,7 @@ def check_confinement(p, tol):
 
 @_check("radial-core")
 def check_sign_symmetry(p, tol):
-    a = _shared(horizon_run, 1.3, p, replace(tol, rmax=20.0))
+    a = _shared(horizon_run, 1.3, p, Tolerances(tol.rel, tol.abs, 20.0))
     b = solve(radial_flow(p), (a.r[0], 20.0), -a.y[0], rel=tol.rel, abs_tol=tol.abs)
     # the flow is odd and every operation of a step commutes with negation,
     # so the mirrored run is the exact negative of the first
@@ -114,7 +113,7 @@ def check_sign_symmetry(p, tol):
 @_check("radial-core")
 def check_rate_identities(p, tol):
     # finite differences of H and r^2 H against the trapezoid of their rates
-    t = _shared(horizon_run, 1.3, p, replace(tol, rmax=20.0))
+    t = _shared(horizon_run, 1.3, p, Tolerances(tol.rel, tol.abs, 20.0))
     r, h, states = t.r, np.diff(t.r), list(zip(t.r, zip(t.u, t.v)))
     H = hamiltonian((t.u, t.v), p)
     worst = -np.inf
@@ -144,7 +143,7 @@ def check_taylor_consistency(p, tol):
     # land on the start at tol to within the accuracy rel lambda + abs it sums
     # to.  The run is no tighter than 1e-16, near the float's resolution; at
     # rel = abs = 1e-16 so is the bound, and the check fails by 2 to 7 times
-    tight = replace(tol, rel=min(tol.rel / 1e4, 1e-14), abs=min(tol.abs / 1e4, 1e-14))
+    tight = Tolerances(min(tol.rel / 1e4, 1e-14), min(tol.abs / 1e4, 1e-14), tol.rmax)
     rel, abs_tol = max(tight.rel, 1e-16), max(tight.abs, 1e-16)
     defects = {}
     for lam in (0.5, 1.3, 1e4):
@@ -302,9 +301,9 @@ def check_first_order_log_law(p, tol):
     # scales like the tolerance to the 4/5 (0.6-4.5 x this scale measured)
     fit = asymptotics.first_order_log_fit(p)
     rec = _shared(asymptotics.integrate_remainder, 0.2, p, tol)
-    fo = asymptotics.integrate_first_order(p, rec.r)
-    dev = float(np.max(np.abs(fo.h1 - rec.h1) + np.abs(fo.k1 - rec.k1)))
-    bound = 20.0 * (tol.abs + tol.rel * float(np.max(np.abs(fo.h1) + np.abs(fo.k1)))) ** 0.8
+    h1, k1 = asymptotics.integrate_first_order(p, rec.r)
+    dev = float(np.max(np.abs(h1 - rec.h1) + np.abs(k1 - rec.k1)))
+    bound = 20.0 * (tol.abs + tol.rel * float(np.max(np.abs(h1) + np.abs(k1)))) ** 0.8
     ok = fit.c > 0.0 and fit.max_rel_residual < 0.1 and dev <= bound
     detail = f"c={fit.c:.4f}, rel residual {fit.max_rel_residual:.2e}"
     return ok, f"{detail}, joint flow off by {dev:.2e} <= {bound:.2e}"
@@ -331,11 +330,11 @@ def check_levelset_residual(p, tol):
     worst = 0.0
     nonempty = 0
     for level in (0.0, -p.gap ** 2 / 8.0, 0.2):
-        ls = level_set(level, p)
-        pts = ls.points
-        if len(pts) == 0:
+        pieces = level_set(level, p)
+        if not pieces:
             continue
         nonempty += 1
+        pts = np.vstack(pieces)
         H = hamiltonian((pts[:, 0], pts[:, 1]), p)
         worst = max(worst, float(np.max(np.abs(H - level))))
     ok = nonempty == 3 and worst < 1e-9
@@ -345,8 +344,8 @@ def check_levelset_residual(p, tol):
 @_check("phaseflow")
 def check_attraction(p, tol):
     for lam in (0.5, 2.0):
-        rep = attraction_report(lam, _shared(horizon_run, lam, p, tol), p)
-        t = rep.trajectory
+        t = _shared(horizon_run, lam, p, tol)
+        rep = attraction_report(t, p)
         after = t.r >= rep.entered_at
         H = hamiltonian((t.u[after], t.v[after]), p)
         H_end = float(H[-1])

@@ -135,11 +135,11 @@ def test_criterion_08_second_order_convergence():
     records = [integrate_remainder(eps, P, TOL, 10.0) for eps in (0.2, 0.1, 0.05, 0.025)]
     study = convergence_study(records, 10.0)
     elapsed = time.perf_counter() - t0
-    ok = all(3.0 <= r <= 5.0 for r in study.ratios) and elapsed < 30.0
+    ok = all(3.0 <= r <= 5.0 for r in study["ratios"]) and elapsed < 30.0
     _report(
         8,
         ok,
-        "ratios " + ", ".join(f"{r:.3f}" for r in study.ratios) + f", {elapsed:.1f}s",
+        "ratios " + ", ".join(f"{r:.3f}" for r in study["ratios"]) + f", {elapsed:.1f}s",
     )
 
 

@@ -23,6 +23,8 @@ from diracshoot import (
     solve,
 )
 from diracshoot.asymptotics import (
+    CROSSCHECK_REL_BOUND,
+    T_MIN,
     _joint_series,
     _li2_neg,
     _rhs_joint,
@@ -153,10 +155,10 @@ def test_first_order_closed_form_in_double_matches_60_digits(m):
 
     p = Params(m, 0.5 * m)
     r = np.geomspace(1e-8, 1e8, 41)
-    fo = integrate_first_order(p, r)
+    h1, k1 = integrate_first_order(p, r)
     with mpmath.workdps(60):
         want = np.array([[float(x) for x in _closed_form_mp(p, v)] for v in r])
-    err = np.abs(fo.h1 - want[:, 0]) + np.abs(fo.k1 - want[:, 1])
+    err = np.abs(h1 - want[:, 0]) + np.abs(k1 - want[:, 1])
     assert np.max(err / (np.abs(want[:, 0]) + np.abs(want[:, 1]))) <= 2e-15  # 1.1e-15 measured
 
 
@@ -184,14 +186,14 @@ def test_first_order_closed_form_solves_the_system_to_20_digits():
 
 def test_first_order_closed_form_matches_the_series_start():
     for r in (1e-4, 1e-3, 1e-2):
-        fo = integrate_first_order(P, r)
+        h1, k1 = integrate_first_order(P, r)
         h, k = first_order_start(P, r)
-        assert abs(fo.h1 - h) + abs(fo.k1 - k) <= 0.25 * r**3  # 0.219 r^3 measured
+        assert abs(h1 - h) + abs(k1 - k) <= 0.25 * r**3  # 0.219 r^3 measured
 
 
 def test_dp5_converges_to_the_first_order_closed_form():
     # k1 at r = 1e6 off by 2.7e-10, 2.9e-12 and 3.0e-14 (relative)
-    want = float(integrate_first_order(P, 1e6).k1)
+    want = float(integrate_first_order(P, 1e6)[1])
     for rel in (1e-10, 1e-12, 1e-14):
         got = _first_order_run(P, 1e6, rel=rel).y[-1, 1]
         assert abs(got - want) <= 5.0 * rel * abs(want)
@@ -203,7 +205,7 @@ def test_first_order_log_law_constants_are_exact():
     for p in (P, Params(2.0, 0.6), Params(1.0, 0.1), Params(1.0, 0.9)):
         gp, r = p.m + p.omega, 1e8
         b = gp * (3.0 + 2.0 * math.log(2.0)) + p.gap
-        assert abs(float(integrate_first_order(p, r).k1) + 2.0 * gp * math.log(r) - b) < 1e-11
+        assert abs(float(integrate_first_order(p, r)[1]) + 2.0 * gp * math.log(r) - b) < 1e-11
 
 
 def test_integrate_first_order_rejects_nonpositive_radii():
@@ -218,15 +220,15 @@ def _joint_start(p, r0):
 @pytest.mark.parametrize("eps", [0.2, 0.05])
 def test_joint_flow_first_order_columns_match_the_closed_form(eps):
     t = solve(_rhs_joint(eps, P), (R0, 1.0 / eps), _joint_start(P, R0), rel=TOL.rel, abs_tol=TOL.abs)
-    fo = integrate_first_order(P, t.r)
-    err = np.abs(t.y[:, 0] - fo.h1) + np.abs(t.y[:, 1] - fo.k1)
-    sup = np.max(np.abs(fo.h1) + np.abs(fo.k1))
+    h1, k1 = integrate_first_order(P, t.r)
+    err = np.abs(t.y[:, 0] - h1) + np.abs(t.y[:, 1] - k1)
+    sup = np.max(np.abs(h1) + np.abs(k1))
     assert np.max(err) <= 1e-9 * sup  # at most 6.3e-11 * sup measured at the step ends
     # the grid samples between the step ends are off by 1.8e-8, about 300x the
     # step-end error: the cubic Hermite of ROADMAP item 9; this guards against worse
     rec = integrate_remainder(eps, P, TOL)
-    fo = integrate_first_order(P, rec.r)
-    assert np.max(np.abs(rec.h1 - fo.h1) + np.abs(rec.k1 - fo.k1)) < 1e-7
+    h1, k1 = integrate_first_order(P, rec.r)
+    assert np.max(np.abs(rec.h1 - h1) + np.abs(rec.k1 - k1)) < 1e-7
 
 
 @pytest.mark.parametrize("mw", [(1.0, 0.5), (2.0, 0.6), (1.0, 0.1), (1.0, 0.9)])
@@ -253,8 +255,8 @@ def test_joint_series_start_holds_both_recurrences(mw, eps):
     coef, r0 = _joint_series(eps, p, TOL)
     assert r0 >= 0.8
     h1, k1 = _sum_joint(coef, np.array([r0]))[0, :2]
-    fo = integrate_first_order(p, r0)
-    assert abs(h1 - fo.h1) + abs(k1 - fo.k1) <= 1e-12
+    h1_closed, k1_closed = integrate_first_order(p, r0)
+    assert abs(h1 - h1_closed) + abs(k1 - k1_closed) <= 1e-12
     r_s, (U, V) = series_start(1.0, p, TOL, eps)
     h1, k1, h2, k2 = _sum_joint(coef, np.array([r_s]))[0]
     (u0, v0), e = bubble(r_s), eps * eps
@@ -284,6 +286,24 @@ def test_remainder_rejects_bad_eps():
         integrate_remainder(0.0, P, TOL)
 
 
+@pytest.mark.parametrize("eps", [0.5, 0.2, 0.05])
+def test_remainder_at_the_horizon_floor_is_clean(eps):
+    # the rescaled run starts below T/2; at T = T_MIN its square is still a
+    # normal float, so no step warns (pytest makes a RuntimeWarning an error)
+    # and the two routes agree (6.0e-8 at eps = 0.2, 5.9e-8 at T = 10)
+    rec = integrate_remainder(eps, P, TOL, T_MIN)
+    assert rec.T == T_MIN and 0.0 < rec.sup_error < T_MIN
+    assert rec.rel_discrepancy < CROSSCHECK_REL_BOUND
+
+
+@pytest.mark.parametrize("T", [T_MIN / 10.0, 1e-200, 1e-320, 0.0])
+def test_remainder_below_the_horizon_floor_is_refused(T):
+    # from T = 1e-154 the start's square leaves the normal range: numpy
+    # warned at 1e-200 and the sample grid failed at 1e-320
+    with pytest.raises(ValueError, match="T must be at least 1e-150"):
+        integrate_remainder(0.2, P, TOL, T)
+
+
 def _records(epsilons, T=10.0):
     return [integrate_remainder(eps, P, TOL, T) for eps in epsilons]
 
@@ -291,12 +311,12 @@ def _records(epsilons, T=10.0):
 def test_convergence_study_ratios():
     records = _records([0.2, 0.1, 0.05, 0.025])
     study = convergence_study(records, 10.0)
-    assert len(study.ratios) == 3
-    assert all(b < a for a, b in zip(study.sup_errors, study.sup_errors[1:]))
-    for ratio in study.ratios:
+    assert len(study["ratios"]) == 3
+    assert all(b < a for a, b in zip(study["sup_errors"], study["sup_errors"][1:]))
+    for ratio in study["ratios"]:
         assert 3.0 <= ratio <= 5.0
-    assert study.node_radii == tuple(rec.node_radius for rec in records)
-    assert study.sup_errors == tuple(rec.sup_error for rec in records)
+    assert study["node_radii"] == [rec.node_radius for rec in records]
+    assert study["sup_errors"] == [rec.sup_error for rec in records]
 
 
 def test_convergence_study_validation():

@@ -430,6 +430,53 @@ def test_verify_loose_tolerance_still_passes_monotonicity():
     assert res.passed
 
 
+_SPY_ON_DATACLASSES = """
+import dataclasses, json
+
+built, real = [], dataclasses._process_class
+
+
+def spy(cls, *args, **kwargs):
+    built.append(cls.__module__ + "." + cls.__qualname__)
+    return real(cls, *args, **kwargs)
+
+
+dataclasses._process_class = spy
+import diracshoot.cli
+
+print(json.dumps(built))
+"""
+
+
+def test_import_builds_four_dataclasses():
+    # building a dataclass cost 1-2 ms of the package import, a NamedTuple
+    # about a tenth of that; only the records that check their fields (Params,
+    # Tolerances, RunConfig) or cache a value (Trajectory) are dataclasses,
+    # counted in a fresh interpreter over the CLI's import
+    import dataclasses
+    import enum
+    import subprocess
+    import sys
+
+    import diracshoot
+
+    proc = subprocess.run([sys.executable, "-c", _SPY_ON_DATACLASSES], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    built = sorted(name for name in json.loads(proc.stdout) if name.startswith("diracshoot."))
+    assert built == [
+        "diracshoot.cli.RunConfig",
+        "diracshoot.integrator.Trajectory",
+        "diracshoot.params.Params",
+        "diracshoot.params.Tolerances",
+    ]
+    # every other record of the public names is a NamedTuple
+    classes = [getattr(diracshoot, name) for name in diracshoot.__all__]
+    records = [c for c in classes if isinstance(c, type) and not issubclass(c, (BaseException, enum.Enum))]
+    dataclass_records = {c.__name__ for c in records if dataclasses.is_dataclass(c)}
+    assert dataclass_records == {"Params", "Tolerances", "Trajectory"}
+    assert all(hasattr(c, "_fields") for c in records if c.__name__ not in dataclass_records)
+
+
 def test_no_command_loads_scipy():
     # the runtime needs numpy alone: with scipy made unimportable and numpy's
     # least-squares routines (LAPACK) raising, all five README commands still
@@ -497,6 +544,9 @@ def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, di
         ["ground-state", "--rmax", "-5"],
         ["asymptotics", "--epsilon", "0.2", "--T", "-1"],
         ["asymptotics", "--epsilon", "0.2", "--T", "0"],
+        # below asymptotics.T_MIN = 1e-150, where the rescaled run's start squares to a subnormal
+        ["asymptotics", "--epsilon", "0.2", "--T", "1e-320"],
+        ["asymptotics", "--epsilon", "0.5", "--epsilon", "0.25", "--T", "1e-200"],
         ["portrait", "--resolution", "-3"],
         ["portrait", "--resolution", "0"],
         ["ground-state", "--lambda-tol", "1e-3"],  # no such flag
@@ -745,6 +795,18 @@ def test_jsonable_arrays():
     assert cli._jsonable(np.array([], dtype=float)) == []
 
 
+def test_jsonable_records_are_objects():
+    # a NamedTuple record is a tuple, but its JSON is an object keyed by its
+    # fields, not an array; a plain tuple stays an array
+    from diracshoot import Certificate
+
+    cert = Certificate(2.5, -0.01, 0.2, 0.3, float("nan"))
+    assert cli._jsonable({"c": cert, "t": (1.0, 2.0)}) == {
+        "c": {"R": 2.5, "H_at_R": -0.01, "uv_product": 0.2, "v_squared": 0.3, "C0": None},
+        "t": [1.0, 2.0],
+    }
+
+
 @pytest.mark.parametrize(
     "run, cfg",
     [
@@ -759,7 +821,7 @@ def test_jsonable_arrays():
     ids=["ground-state", "classify", "asymptotics", "portrait", "verify"],
 )
 def test_envelopes_hold_only_json_types(run, cfg):
-    # _jsonable turns arrays, NaN and dataclasses into these; no command
+    # _jsonable turns arrays, NaN and NamedTuple records into these; no command
     # hands it an enum or a numpy scalar
     seen = set()
 
@@ -781,6 +843,8 @@ def test_payload_records_keep_their_schema(monkeypatch):
     # CLI schema; these key sets pin it
     from diracshoot import verify as verify_mod
 
+    (c,) = cli.run_classify(RunConfig(lambdas=(1.5,)))["payload"]["classifications"]
+    assert set(c["certificate"]) == {"R", "H_at_R", "uv_product", "v_squared", "C0"}
     env = cli.run_asymptotics(RunConfig(epsilons=(0.5,)))
     assert set(env["payload"]["study"]) == {"epsilons", "sup_errors", "ratios", "node_radii", "T"}
     assert set(env["payload"]["log_fit"]) == {

@@ -482,7 +482,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     assert not any(d.terminal for d in dets) and spiral.status == "completed"
     assert EventKind.ENTERED_NEGATIVE_ENERGY in {e.kind for e in spiral.events}
     _assert_same_run(horizon_run(2.5, P, tol80), spiral)
-    assert attraction_report(2.5, spiral, P).u_sign_alternations > 30
+    assert attraction_report(spiral, P).u_sign_alternations > 30
     stopped = got[i_grid_stop]
     assert stopped.status == "event:v_sign_change" and stopped.r[-1] == r_star < grid[-1]
     assert stopped.y.shape == (np.count_nonzero(grid <= r_star), 2)

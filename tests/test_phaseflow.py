@@ -20,18 +20,18 @@ P = Params(1.0, 0.5)
 TOL = Tolerances()
 
 
-def _residual(ls, p):
-    pts = ls.points
-    if len(pts) == 0:
+def _residual(level, p, **kw):
+    pieces = level_set(level, p, **kw)
+    if not pieces:
         return 0.0
-    H = np.array([hamiltonian((u, v), p) for u, v in pts])
-    return float(np.max(np.abs(H - ls.level)))
+    H = np.array([hamiltonian((u, v), p) for u, v in np.vstack(pieces)])
+    return float(np.max(np.abs(H - level)))
 
 
 def test_zero_level_contains_saddle_and_axis_crossings():
-    ls = level_set(0.0, P)
-    assert len(ls.pieces) == 2  # two lobes meeting at the origin
-    pts = ls.points
+    pieces = level_set(0.0, P)
+    assert len(pieces) == 2  # two lobes meeting at the origin
+    pts = np.vstack(pieces)
     assert np.min(np.hypot(pts[:, 0], pts[:, 1])) == 0.0
     vb = math.sqrt(2.0 * P.gap)
     assert np.min(np.hypot(pts[:, 0], pts[:, 1] - vb)) < 1e-12
@@ -39,28 +39,24 @@ def test_zero_level_contains_saddle_and_axis_crossings():
 
 
 def test_minimum_level_degenerates_to_points():
-    ls = level_set(-P.gap ** 2 / 4.0, P)
-    pts = sorted(tuple(map(float, q)) for piece in ls.pieces for q in piece)
+    pieces = level_set(-P.gap ** 2 / 4.0, P)
+    pts = sorted(tuple(map(float, q)) for piece in pieces for q in piece)
     v0 = math.sqrt(P.gap)
     assert pts[0] == pytest.approx((0.0, -v0))
     assert pts[-1] == pytest.approx((0.0, v0))
 
 
 def test_below_minimum_is_empty():
-    ls = level_set(-1.0, P)
-    assert ls.pieces == () and ls.points.shape == (0, 2)
+    assert level_set(-1.0, P) == ()
 
 
 def test_negative_level_two_ovals():
-    ls = level_set(-0.03, P)
-    assert len(ls.pieces) == 2
-    assert _residual(ls, P) < 1e-9
+    assert len(level_set(-0.03, P)) == 2
+    assert _residual(-0.03, P) < 1e-9
 
 
 def test_positive_level_single_curve():
-    ls = level_set(0.2, P)  # its residual is verify's levelset_residual
-    assert len(ls.pieces) == 1
-    piece = ls.pieces[0]
+    (piece,) = level_set(0.2, P)  # its residual is verify's levelset_residual
     assert np.allclose(piece[0], piece[-1])  # closed polyline
 
 
@@ -68,7 +64,7 @@ def test_positive_level_single_curve():
 def test_columnwise_energy_is_bitwise_the_per_point_calls(level):
     # verify's levelset_residual evaluates H once on the point columns; the
     # elementwise operations are the scalar ones, so the values are the same
-    pts = level_set(level, P).points
+    pts = np.vstack(level_set(level, P))
     per_point = np.array([hamiltonian((u, v), P) for u, v in pts])
     assert hamiltonian((pts[:, 0], pts[:, 1]), P).tobytes() == per_point.tobytes()
 
@@ -76,11 +72,11 @@ def test_columnwise_energy_is_bitwise_the_per_point_calls(level):
 @given(st.floats(-0.06, 2.0))
 @settings(max_examples=25, deadline=None)
 def test_levelset_residual_random_levels(level):
-    assert _residual(level_set(level, P, resolution=128), P) < 1e-9
+    assert _residual(level, P, resolution=128) < 1e-9
 
 
 def _report(lam):
-    return attraction_report(lam, horizon_run(lam, P, TOL), P)
+    return attraction_report(horizon_run(lam, P, TOL), P)
 
 
 def test_attraction_report_small_datum():
@@ -100,7 +96,7 @@ def test_attraction_report_nodal_datum_lands_on_lower_lobe():
 def test_attraction_report_lands_on_the_nearest_well_of_equilibria(lam):
     # the wells are equilibria's last two points, the upper one first
     rep = _report(lam)
-    u, v = rep.trajectory.final_state
+    u, v = horizon_run(lam, P, TOL).final_state
     dist = {pt: math.hypot(u - pt[0], v - pt[1]) for pt, _H in equilibria(P)[1:]}
     nearest = min(dist, key=dist.get)
     assert rep.nearest_equilibrium == nearest
@@ -136,12 +132,12 @@ def test_stability_from_equilibrium_is_small():
 def test_tiny_ovals_just_above_minimum(offset):
     # the span ends are closed-form roots, so ovals far smaller than any
     # scan spacing are still found
-    ls = level_set(-P.gap ** 2 / 4.0 + offset, P)
-    assert len(ls.pieces) == 2
-    assert _residual(ls, P) < 1e-12
+    level = -P.gap ** 2 / 4.0 + offset
+    assert len(level_set(level, P)) == 2
+    assert _residual(level, P) < 1e-12
 
 
 @pytest.mark.parametrize(("level", "n_pieces"), [(1e-10, 2), (1e-8, 1)])
 def test_pinch_rule_near_zero_level(level, n_pieces):
     # a curve with q(0) <= 1e-9 is split into two lobes at the saddle
-    assert len(level_set(level, P).pieces) == n_pieces
+    assert len(level_set(level, P)) == n_pieces

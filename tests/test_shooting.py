@@ -149,7 +149,7 @@ def test_trial_and_full_horizon_run_compile_one_loop():
     # compiles one loop for both; only the sign change's terminal flag differs
     (g_trial, trial), (g_full, full) = _events(P, True), _events(P, False)
     assert g_trial.formula == g_full.formula
-    assert trial[0] == replace(full[0], terminal=True) and trial[1:] == full[1:]
+    assert trial[0] == full[0]._replace(terminal=True) and trial[1:] == full[1:]
 
 
 def test_capture_region_start_logs_the_start_state():
@@ -207,8 +207,9 @@ def test_bracket_search():
 
 
 def test_bracket_requires_order():
-    with pytest.raises(ValueError):
-        Bracket(2.0, 1.0, ())
+    # bisect, the one reader of a bracket, refuses lo > hi
+    with pytest.raises(ValueError, match="need lo <= hi"):
+        bisect(Bracket(2.0, 1.0, ()), P, TOL)
 
 
 def test_bracket_search_failure_when_capped(monkeypatch):
@@ -747,7 +748,7 @@ def _cut_at_first_node(c, p):
         return c
     n = int(np.searchsorted(t.r, t.events[i].r))
     cut = replace(t, r=t.r[:n], y=t.y[:n], events=t.events[:i])
-    return replace(c, trajectory=cut, summary=shooting._summary(cut, p))
+    return c._replace(trajectory=cut, summary=shooting._summary(cut, p))
 
 
 @pytest.mark.parametrize(

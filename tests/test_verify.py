@@ -80,7 +80,7 @@ def test_certificate_soundness_counts_the_nodes_of_a_captured_run(monkeypatch):
         t, R = c.trajectory, c.certificate.R
         late = tuple(Event(EventKind.V_SIGN_CHANGE, R + d, (0.0, 0.0)) for d in (1e-3, 2e-3))
         assert c.verdict == "A"
-        return replace(c, trajectory=replace(t, events=t.events[:-1] + late + t.events[-1:]))
+        return c._replace(trajectory=replace(t, events=t.events[:-1] + late + t.events[-1:]))
 
     monkeypatch.setattr(verify, "classify", two_late_nodes)
     r = verify.check_certificate_soundness(verify.Params(), verify.Tolerances())
