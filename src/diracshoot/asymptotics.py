@@ -20,6 +20,7 @@ source-term algebra.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -222,17 +223,17 @@ class PerturbationRecord(NamedTuple):
     max_discrepancy / rel_discrepancy compare them with the subtraction
     route, the expansion defect of the rescaled solution over eps^4.
     threshold_ok records |h2|+|k2| < eps^(-3/2) with breach_r the first
-    violation radius (None when respected), node_radius the first zero of V
-    up to 1/eps in the rescaled run (None when V stays positive).  sup_error
-    is the sup of |U - U0| + |V - V0| on [r_s, T], from the rescaled run's
-    series start r_s, its distance to the bubble that convergence_study
-    compares across eps (both None without T).
+    violation radius (None when respected), bound_ok sup_norm <= bound_limit
+    = mu^2 ln(1/eps)/eps (see remainder_bound_constant), node_radius the
+    first zero of V up to 1/eps in the rescaled run (None when V stays
+    positive).  sup_error is the sup of |U - U0| + |V - V0| on [r_s, T],
+    from the rescaled run's series start r_s, its distance to the bubble
+    that convergence_study compares across eps (both None without T).
 
-    At omega/m = 0.5, sup_norm stays below the bound mu^2 ln(1/eps)/eps of
-    remainder_bound_constant; from omega/m = 0.9 on it passes the bound at
-    every eps measured, 0.1 to 0.003 (ROADMAP.md, item 19).  The
-    subtraction route divides the rescaled run's error by eps^4, so it is
-    taken at that run's step ends up to 1/eps (1.2e-10 off at eps = 0.2,
+    At omega/m = 0.5, sup_norm stays below bound_limit; from omega/m = 0.9
+    on it passes it at every eps measured, 0.1 to 0.003 (ROADMAP.md, item
+    19).  The subtraction route divides the rescaled run's error by eps^4,
+    so it is taken at that run's step ends up to 1/eps (1.2e-10 off at eps = 0.2,
     against 2.3e-8 for its cubic Hermite samples between them), with h1 and
     k1 in closed form and the joint flow's (h2, k2) there.  At the
     default tolerance and (1, 0.5), rel_discrepancy is 5.9e-8, 3.5e-7 and
@@ -251,6 +252,8 @@ class PerturbationRecord(NamedTuple):
     sup_norm: float
     threshold: float
     threshold_ok: bool
+    bound_limit: float
+    bound_ok: bool
     breach_r: float | None
     node_radius: float | None
     T: float | None = None
@@ -362,6 +365,7 @@ def integrate_remainder(
     sup = float(np.max(norm1))
     threshold = eps ** -1.5
     breaches = np.nonzero(norm1 >= threshold)[0]
+    bound_limit = remainder_bound_constant(p) * math.log(1.0 / eps) / eps
     return PerturbationRecord(
         epsilon=eps,
         r=grid,
@@ -374,6 +378,8 @@ def integrate_remainder(
         sup_norm=sup,
         threshold=threshold,
         threshold_ok=len(breaches) == 0,
+        bound_limit=bound_limit,
+        bound_ok=sup <= bound_limit,
         breach_r=float(grid[breaches[0]]) if len(breaches) else None,
         node_radius=node_radius(resc, r_end),
         T=None if T is None else float(T),

@@ -169,6 +169,11 @@ def _fmt17(x) -> str:
 # --- commands ----------------------------------------------------------------
 
 
+def _ruvh(t, p: Params) -> dict:
+    """The r, u, v, H table of a trajectory."""
+    return {"r": t.r, "u": t.u, "v": t.v, "H": hamiltonian((t.u, t.v), p)}
+
+
 def run_ground_state(cfg: RunConfig) -> dict:
     p, tol = cfg.params(), cfg.tolerances()
     gs = shooting.ground_state(p, tol)
@@ -177,21 +182,8 @@ def run_ground_state(cfg: RunConfig) -> dict:
         diags.append("bisection did not reach a node-free connection; best candidate reported")
     if gs.anchor_r == gs.profile.r[-1]:
         diags.append(f"closest approach at the horizon r={gs.anchor_r:g}: no decay tail; raise --rmax")
-    payload = {
-        "lambda_star": gs.lambda_star,
-        "bracket_width": gs.bracket_width,
-        "node_count": gs.node_count,
-        "decay_slope": gs.decay_slope,
-        "converged": gs.converged,
-        "anchor_r": gs.anchor_r,
-        "closest_approach": gs.closest_approach,
-        "profile": {
-            "r": gs.profile.r,
-            "u": gs.profile.u,
-            "v": gs.profile.v,
-            "H": hamiltonian((gs.profile.u, gs.profile.v), p),
-        },
-    }
+    payload = {**gs._asdict(), "profile": _ruvh(gs.profile, p)}
+    del payload["history"]
     return _envelope("ground-state", cfg, payload, diags)
 
 
@@ -205,8 +197,8 @@ def run_classify(cfg: RunConfig) -> dict:
                 "lambda": lam,
                 "verdict": c.verdict,
                 "node_count": c.node_count,
-                "r_event": c.evidence.get("r"),
-                "H_event": c.evidence.get("H"),
+                "r_event": c.summary["r_end"],
+                "H_event": c.summary["H_end"],
                 "certificate": c.certificate,
                 "summary": c.summary,
                 "v_sign_changes": [e.r for e in c.trajectory.events_of(EventKind.V_SIGN_CHANGE)]
@@ -226,15 +218,15 @@ def run_asymptotics(cfg: RunConfig) -> dict:
     records = [asymptotics.integrate_remainder(e, p, tol, cfg.T) for e in eps_sorted]
     study = asymptotics.convergence_study(records, cfg.T)
     fit = asymptotics.first_order_log_fit(p)
-    bound_c = asymptotics.remainder_bound_constant(p)
+    # the fields of each record that the command prints, and its rel_discrepancy as crosscheck_rel
+    keys = ("epsilon", "sup_norm", "threshold", "threshold_ok", "breach_r", "max_discrepancy",
+            "bound_limit", "bound_ok")
     remainders = []
     for rec in records:
-        limit = bound_c * math.log(1.0 / rec.epsilon) / rec.epsilon
-        ok = rec.sup_norm <= limit
-        if not ok:
+        if not rec.bound_ok:
             diags.append(
                 f"remainder bound exceeded at eps={rec.epsilon:g}: "
-                f"sup={rec.sup_norm:.6g} > {limit:.6g}"
+                f"sup={rec.sup_norm:.6g} > {rec.bound_limit:.6g}"
             )
         if not rec.threshold_ok:
             diags.append(f"remainder threshold eps^-3/2 breached at eps={rec.epsilon:g}")
@@ -243,19 +235,8 @@ def run_asymptotics(cfg: RunConfig) -> dict:
                 f"crosscheck unresolved at eps={rec.epsilon:g}: "
                 f"rel {rec.rel_discrepancy:.2e} >= {asymptotics.CROSSCHECK_REL_BOUND:.0e}"
             )
-        remainders.append(
-            {
-                "epsilon": rec.epsilon,
-                "sup_norm": rec.sup_norm,
-                "threshold": rec.threshold,
-                "threshold_ok": rec.threshold_ok,
-                "breach_r": rec.breach_r,
-                "max_discrepancy": rec.max_discrepancy,
-                "crosscheck_rel": rec.rel_discrepancy,
-                "bound_limit": limit,
-                "bound_ok": ok,
-            }
-        )
+        remainders.append({**{k: getattr(rec, k) for k in keys}, "crosscheck_rel": rec.rel_discrepancy})
+    bound_c = asymptotics.remainder_bound_constant(p)
     payload = {"study": study, "log_fit": fit, "bound_constant": bound_c, "remainders": remainders}
     return _envelope("asymptotics", cfg, payload, diags)
 
@@ -267,19 +248,7 @@ def run_portrait(cfg: RunConfig) -> dict:
     for lam in cfg.lambdas:
         t = shooting.horizon_run(lam, p, tol)
         rep = phaseflow.attraction_report(t, p)
-        trajectories.append(
-            {
-                "lambda": lam,
-                "entered_at": rep.entered_at,
-                "terminal_distance": rep.terminal_distance,
-                "nearest_equilibrium": rep.nearest_equilibrium,
-                "u_sign_alternations": rep.u_sign_alternations,
-                "r": t.r,
-                "u": t.u,
-                "v": t.v,
-                "H": hamiltonian((t.u, t.v), p),
-            }
-        )
+        trajectories.append({"lambda": lam, **rep._asdict(), **_ruvh(t, p)})
     payload = {
         "level": cfg.level,
         "level_set": {"pieces": list(pieces)},

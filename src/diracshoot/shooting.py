@@ -91,17 +91,16 @@ class Classification(NamedTuple):
     lam: float
     verdict: str
     node_count: int
-    evidence: dict
+    # the run stops where it is decided, so r_end and H_end (see _summary)
+    # are the radius and energy of its verdict
     summary: dict
+    certificate: Certificate | None = None
+    note: str | None = None  # why an undecided run stopped: the horizon, its first node or its failure
     trajectory: Trajectory | None = None
     # shooting function F = r (u K_v - v K_u) read at the trajectory's
     # closest approach; only stop_at_first_node runs record it
     wronskian: float | None = None
     tol: Tolerances | None = None  # the resolved tolerances of the run
-
-    @property
-    def certificate(self) -> Certificate | None:
-        return self.evidence.get("certificate")
 
 
 class Bracket(NamedTuple):
@@ -247,9 +246,8 @@ def classify(
         # from lambda ~ 1.2e77 the start's energy overflows; no step is taken and no sample recorded
         nan = float("nan")
         note = f"float overflow at the series start: H = {H0}"
-        evid = {"r": nan, "H": nan, "certificate": None, "note": note}
         summ = {"r_end": nan, "H_end": nan, "min_norm1": nan, "r_at_min": nan, "samples": 0}
-        return Classification(lam, VERDICT_UNDECIDED, 0, evid, summ, None, tol=tol)
+        return Classification(lam, VERDICT_UNDECIDED, 0, summ, None, note, tol=tol)
     failure = None
     if H0 < -capture_depth(p):
         # the datum starts inside the capture region, where H only decreases: a one-sample run
@@ -263,15 +261,13 @@ def classify(
 
     cert = None if stop_at_first_node else _certificate(traj, p)
     wronskian = _closest_approach_wronskian(traj, p) if stop_at_first_node else None
-    summ = _summary(traj, p)
-    verdict, r = decide(traj, p)
-    # the run ends where it is decided, so the evidence is its last sample
-    evid = {"r": r, "H": summ["H_end"], "certificate": cert}
+    verdict = decide(traj, p)[0]
+    note = None
     if verdict == VERDICT_UNDECIDED:
-        evid["note"] = failure or ("horizon reached" if traj.status == "completed" else "stopped at first node")
+        note = failure or ("horizon reached" if traj.status == "completed" else "stopped at first node")
 
     kept = traj if keep_trajectory else None
-    return Classification(lam, verdict, traj.nodes_before(), evid, summ, kept, wronskian, tol)
+    return Classification(lam, verdict, traj.nodes_before(), _summary(traj, p), cert, note, kept, wronskian, tol)
 
 
 @functools.lru_cache(maxsize=16)
@@ -361,18 +357,21 @@ def _bessel_k01(x):
     The trapezoid rule on K_nu(x) = e^-x int_0^inf exp(-2x sinh^2(t/2))
     cosh(nu t) dt, whose integrand is even and analytic in a strip, so the
     rule converges exponentially (Trefethen & Weideman, SIAM Rev. 56(3),
-    2014).  The largest x sets the step (the integrand narrows like
-    1/sqrt(x)); the smallest sets the range (the integrand falls below
-    e^-45 past sinh^2(t/2) = 22.5/x, plus 2 for the growth of cosh t).
-    Pairwise sums keep both within a few ulp on [1e-8, 700].  A float x
-    takes the operations of a 0-d array in fewer numpy calls.
+    2014).  The largest x up to 745, past which both are 0 in double, sets
+    the step (the integrand narrows like 1/sqrt(x)); the smallest sets the
+    range (the integrand falls below e^-45 past sinh^2(t/2) = 22.5/x, plus 2
+    for the growth of cosh t).  Pairwise sums keep both within a few ulp on
+    [1e-8, 700].  A float x takes the operations of a 0-d array in fewer
+    numpy calls.
     """
     scalar = isinstance(x, float)
     lo, hi = (x, x) if scalar else (float(x.min()), float(x.max()))
-    h = min(0.1, 0.7 / math.sqrt(hi))
+    h = min(0.1, 0.7 / math.sqrt(min(hi, 745.0)))
     t_end = 2.0 * math.asinh(math.sqrt(22.5 / lo)) + 2.0
     size = math.ceil(t_end / h) + 1
-    m2s2, ch = _k01_nodes(h, 1 << (size - 1).bit_length())
+    # a power of two, so a few tables serve all sizes, but not past t = 710,
+    # where sinh^2(t/2) and cosh t overflow
+    m2s2, ch = _k01_nodes(h, max(size, min(1 << (size - 1).bit_length(), int(710.0 / h))))
     e = x * m2s2[:size] if scalar else np.multiply.outer(x, m2s2[:size])
     np.exp(e, out=e)  # one (points x nodes) buffer, reused in place
     e.T[0] *= 0.5
@@ -383,8 +382,8 @@ def _bessel_k01(x):
 
 @functools.lru_cache(maxsize=32)
 def _k01_nodes(h: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only -2 sinh^2(t/2), cosh t at t = h * arange(size), a power of
-    two; -2 scales exactly, so x times the first is -2 x sinh^2(t/2)."""
+    """Read-only -2 sinh^2(t/2), cosh t at t = h * arange(size); -2 scales
+    exactly, so x times the first is -2 x sinh^2(t/2)."""
     t = h * np.arange(size)
     m2s2, ch = -2.0 * np.sinh(0.5 * t) ** 2, np.cosh(t)
     m2s2.flags.writeable = ch.flags.writeable = False
@@ -429,8 +428,11 @@ def extend_with_decay_tail(
 
     Returns (profile, anchor_r, tail_amplitude).  The tail is matched by least
     squares on _decay_window, where decay_fit reads the slope; an anchor at
-    r_end leaves no room for it, and the profile ends there.
+    r_end leaves no room for it, and the profile ends there.  A one-sample
+    run has no window and raises DecayWindowError.
     """
+    if len(traj) < 2:
+        raise DecayWindowError("a one-sample run has no decay window to match the tail on")
     i_c = max(traj.closest, 1)
     r_c = float(traj.r[i_c])
     r_a, r_b = _decay_window(traj, r_c, p)

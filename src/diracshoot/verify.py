@@ -173,9 +173,9 @@ def check_classification_evidence(p, tol):
     for lam in (0.5, 1.0, 2.0):
         c = classify(lam, p, tol)
         if c.verdict == VERDICT_A:
-            if not c.evidence["H"] < -capture_depth(p):
+            if not c.summary["H_end"] < -capture_depth(p):
                 return False, f"H evidence fails at {lam}"
-            if c.trajectory is not None and c.trajectory.nodes_before(c.evidence["r"]) != c.node_count:
+            if c.trajectory is not None and c.trajectory.nodes_before(c.summary["r_end"]) != c.node_count:
                 return False, f"node count mismatch at {lam}"
     return True, "A-verdicts consistent"
 

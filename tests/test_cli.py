@@ -180,6 +180,21 @@ def test_asymptotics_bound_is_the_derived_law(tmp_path):
     assert verdict[0.05] == alone["payload"]["remainders"][0]["bound_ok"]
 
 
+def test_asymptotics_bound_limit_is_the_law_of_the_record():
+    # bound_limit is mu^2 ln(1/eps)/eps bit for bit, computed in asymptotics;
+    # at (1, 0.9) sup |h2|+|k2| passes it at every eps (ROADMAP item 19), and
+    # the command says so once per eps
+    from diracshoot import Params, asymptotics
+
+    eps = (0.1, 0.05, 0.01)
+    env = cli.run_asymptotics(RunConfig(omega=0.9, epsilons=eps))
+    c = asymptotics.remainder_bound_constant(Params(1.0, 0.9))
+    rows = env["payload"]["remainders"]
+    assert [r["bound_limit"] for r in rows] == [c * math.log(1.0 / e) / e for e in eps]
+    assert [r["bound_ok"] for r in rows] == [False] * 3
+    assert sum(d.startswith("remainder bound exceeded") for d in env["diagnostics"]) == 3
+
+
 def test_asymptotics_resolves_the_crosscheck():
     # the subtraction route is taken at the rescaled run's step ends, whose
     # error over eps^4 stays well below the remainder: the README example
@@ -709,8 +724,27 @@ def test_huge_datum_is_undecided(lam):
 
     (c,) = json.loads(proc.stdout, parse_constant=reject)["payload"]["classifications"]
     assert (c["verdict"], c["node_count"]) == ("undecided", 0)
-    note = classify(float(lam), Params(), Tolerances()).evidence["note"]
+    note = classify(float(lam), Params(), Tolerances()).note
     assert note.startswith("float overflow")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--lambda", "1.5", "--lambda", "1e-20", "--lambda", "1e76", "--lambda", "1e80"],
+        ["--m", "0.5", "--omega", "0.25", "--lambda", "0.6"],
+    ],
+)
+def test_classify_event_is_the_summary_end(argv, tmp_path):
+    # a run stops where it is decided, so each row's r_event and H_event are
+    # its summary's r_end and H_end: a capture, a run undecided at the
+    # horizon (1e-20), a failed one (1e76), one without a step (1e80, both
+    # null) and one that starts captured, a single sample
+    out = tmp_path / "c.json"
+    assert cli.main(["classify", *argv, "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["payload"]["classifications"]
+    assert [(c["r_event"], c["H_event"]) for c in rows] == [(c["summary"]["r_end"], c["summary"]["H_end"]) for c in rows]
+    assert rows[-1]["summary"]["samples"] <= 1  # 1e80 takes no step, 0.6 starts captured
 
 
 def _exit_code(argv, entry=cli.main):

@@ -27,7 +27,7 @@ from diracshoot import (
     series_start,
     universal_constant,
 )
-from diracshoot.shooting import _decay_window, _events, _tail_basis, extend_with_decay_tail
+from diracshoot.shooting import BracketError, _decay_window, _events, _tail_basis, extend_with_decay_tail
 
 P = Params(1.0, 0.5)
 TOL = Tolerances()
@@ -64,24 +64,25 @@ def test_tiny_datum_completes_inside_the_eta_tube():
     c = classify(1e-40, P, TOL)
     assert (c.trajectory.status, c.trajectory.events) == ("completed", ())
     assert (c.verdict, c.node_count) == ("undecided", 0)
-    assert c.evidence["note"] == "horizon reached"
-    assert c.evidence["r"] == c.summary["r_end"] == TOL.resolved(P).rmax
+    assert c.note == "horizon reached"
+    assert c.summary["r_end"] == TOL.resolved(P).rmax
     # a datum that leaves the tube in time is captured before the horizon
     c = classify(1e-15, P, TOL)
     assert (c.verdict, c.node_count) == ("A", 0)
     assert c.trajectory.status == "event:entered_negative_energy"
-    assert c.evidence["r"] < TOL.resolved(P).rmax
+    assert c.summary["r_end"] < TOL.resolved(P).rmax
 
 
 def test_failed_run_is_undecided_at_its_last_sample():
     # at 1e76 the step size underflows at the series start: the failed run
     # goes through the same verdict table as every run, undecided with the
-    # failure as its note, and its evidence is its last sample
+    # failure as its note, and its summary's end is its last sample
     c = classify(1e76, P, TOL)
     assert (c.trajectory.status, c.verdict, c.node_count) == ("failed", "undecided", 0)
-    assert c.evidence["note"].startswith("step size underflow")
-    assert (c.evidence["r"], c.evidence["H"]) == (c.summary["r_end"], c.summary["H_end"])
-    assert math.isfinite(c.evidence["r"]) and c.certificate is None
+    assert c.note.startswith("step size underflow")
+    assert decide(c.trajectory, P) == ("undecided", c.summary["r_end"])
+    assert c.summary["H_end"] == hamiltonian(c.trajectory.final_state, P)
+    assert math.isfinite(c.summary["r_end"]) and c.certificate is None
 
 
 @pytest.mark.parametrize("lam", [0.55, 0.6, 0.65, 0.7])
@@ -92,9 +93,9 @@ def test_start_captured_datum_reads_its_certificate_at_its_start(lam):
     p = Params(0.5, 0.25)
     c = classify(lam, p, TOL)
     (r,), (y,) = c.trajectory.r, c.trajectory.y
-    assert (c.verdict, c.node_count, c.evidence["r"]) == ("A", 0, r)
+    assert (c.verdict, c.node_count, c.summary["r_end"]) == ("A", 0, r)
     assert c.certificate is not None
-    assert c.certificate == certificate_check(c.evidence["r"], tuple(y.tolist()), p)
+    assert c.certificate == certificate_check(c.summary["r_end"], tuple(y.tolist()), p)
     assert classify(lam, p, TOL, stop_at_first_node=True).certificate is None
 
 
@@ -158,8 +159,8 @@ def test_capture_region_start_logs_the_start_state():
     c = classify(0.5, P, TOL)
     r0, y0 = series_start(0.5, P, TOL.resolved(P))
     assert (len(c.trajectory), c.trajectory.events, c.verdict) == (1, (), "A")
-    assert c.evidence["r"] == r0
-    assert c.evidence["H"] == hamiltonian(y0, P)
+    assert c.summary["r_end"] == r0
+    assert c.summary["H_end"] == hamiltonian(y0, P)
 
 
 # per (m, omega): a start-captured datum, A(0), A(k >= 1) and 1e-20, which
@@ -183,7 +184,7 @@ def test_horizon_run_is_the_classification_run_continued(m, omega):
     kinds = set()
     for lam in _ONE_RUN[(m, omega)]:
         c, t = classify(lam, p, TOL), horizon_run(lam, p, TOL)
-        assert decide(t, p) == (c.verdict, c.evidence["r"])
+        assert decide(t, p) == (c.verdict, c.summary["r_end"])
         n = len(c.trajectory) - c.trajectory.status.startswith("event")
         assert c.trajectory.r[:n].tobytes() == t.r[:n].tobytes()
         assert c.trajectory.y[:n].tobytes() == t.y[:n].tobytes()
@@ -263,6 +264,34 @@ def test_undecided_trial_keeps_to_the_horizon_it_is_given():
     assert "bisection did not reach a node-free connection; best candidate reported" in env["diagnostics"]
 
 
+def test_huge_horizon_ends_the_default_profile_in_zeros(gs):
+    # K0 and K1 are 0 in double past x = 745, so the tail's quadrature step
+    # comes from its largest argument up to there: at rmax = 1e300 that step
+    # asked numpy for an array too large to allocate.  No trial reaches the
+    # horizon, so the search and the profile up to the anchor are the default
+    # ones, and the tail past it is exact zeros
+    far = ground_state(P, Tolerances(rmax=1e300))
+    assert (far.lambda_star, far.anchor_r, far.converged) == (gs.lambda_star, gs.anchor_r, True)
+    n = np.searchsorted(gs.profile.r, gs.anchor_r) + 1
+    assert far.profile.y[:n].tobytes() == gs.profile.y[:n].tobytes()
+    assert far.profile.r[-1] == 1e300 and not np.any(far.profile.y[n:])
+
+
+def test_one_sample_candidate_has_no_decay_window():
+    # at rel = abs = 1e-300 the best candidate is a run that fails at its
+    # series start, one sample with no decay window to match the tail on
+    with pytest.raises(DecayWindowError, match="one-sample run"):
+        ground_state(P, Tolerances(1e-300, 1e-300))
+
+
+def test_tiny_horizon_raises_without_overflow():
+    # at rmax = 1e-300 a trial's closest approach lies near r = 5e-301, where
+    # the Bessel quadrature's range reaches t = 700; its node table stops
+    # short of t = 710, where sinh^2(t/2) and cosh t overflow
+    with pytest.raises(BracketError, match="horizon is too short"):
+        ground_state(P, Tolerances(rmax=1e-300))
+
+
 @pytest.mark.parametrize("omega", [0.999, 0.9999, 0.99999], ids=str)
 def test_default_tail_has_no_zero_row(omega):
     # the default horizon is forty decay lengths 1/mu, so the matched Bessel
@@ -321,7 +350,7 @@ def test_tail_basis_matches_mpmath_bessel_pair(m, omega):
 def _bessel_k01_direct(x):
     """shooting._bessel_k01 with its nodes computed on every call."""
     x = np.asarray(x, dtype=float)
-    h = min(0.1, 0.7 / math.sqrt(float(x.max())))
+    h = min(0.1, 0.7 / math.sqrt(min(float(x.max()), 745.0)))
     t_end = 2.0 * math.asinh(math.sqrt(22.5 / float(x.min()))) + 2.0
     t = h * np.arange(math.ceil(t_end / h) + 1)
     e = np.exp(-2.0 * np.multiply.outer(x, np.sinh(0.5 * t) ** 2))
@@ -332,11 +361,11 @@ def _bessel_k01_direct(x):
 
 def test_bessel_node_cache_is_bitwise_the_direct_formula():
     # scalars across the range, repeated so that cached grids are reused,
-    # and arrays whose largest x sets a step below 0.1
+    # and arrays whose largest x sets a step below 0.1, one past 745
     from diracshoot.shooting import _bessel_k01, _k01_nodes
 
     scalars = [*np.geomspace(1e-8, 700.0, 97), *np.linspace(20.0, 40.0, 50)]
-    arrays = [np.linspace(1.0, 60.0, 40), np.geomspace(1e-3, 700.0, 30), np.array(_BESSEL_X)]
+    arrays = [np.linspace(1.0, 60.0, 40), np.geomspace(1e-3, 700.0, 30), np.array(_BESSEL_X), np.geomspace(26.0, 866.0, 20)]
     for x in [*scalars, *arrays, *scalars[::7]]:
         got, want = _bessel_k01(x), _bessel_k01_direct(x)
         assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in want]
