@@ -23,18 +23,15 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
+from . import _lazy as np
 from .equations import radial_flow, series_polynomials, series_start
 from .integrator import Detector, EventKind, Trajectory, formula, solve, v_sign
 from .params import Params, Tolerances
 from .shooting import lsq_slope
 
-# samples: of the k1 log-law fit over its radius window (the radii and their
-# logs), of the remainder on (0, 1/eps), and of the distance to the bubble up to T
+# the radius window of the k1 log-law fit, and samples: of the remainder on
+# (0, 1/eps) and of the distance to the bubble up to T
 _LOG_FIT_WINDOW = (1e3, 1e6)
-_LOG_FIT_R = np.geomspace(*_LOG_FIT_WINDOW, 200)
-_LOG_FIT_L = np.log(_LOG_FIT_R)
 _REMAINDER_N = 800
 _CONVERGENCE_N = 1024
 _JOINT_N = 20  # the order of the joint remainder flow's series start
@@ -174,10 +171,12 @@ def first_order_log_fit(p: Params) -> LogLawFit:
     """Fit the logarithmic growth law of the first-order V-correction to the
     closed form on r in [1e3, 1e6]; the exact law is k1 = -2(m + omega) ln r
     + b + O(ln^2 r / r^2) with b = (m + omega)(3 + 2 ln 2) + (m - omega)."""
-    h1, k1 = integrate_first_order(p, _LOG_FIT_R)
-    slope, mean = lsq_slope(_LOG_FIT_L, k1)
+    r = np.geomspace(*_LOG_FIT_WINDOW, 200)
+    log_r = np.log(r)
+    h1, k1 = integrate_first_order(p, r)
+    slope, mean = lsq_slope(log_r, k1)
     intercept = k1.mean() - slope * mean
-    resid = k1 - intercept - slope * _LOG_FIT_L
+    resid = k1 - intercept - slope * log_r
     return LogLawFit(
         c=float(-slope),
         intercept=float(intercept),

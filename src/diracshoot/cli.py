@@ -20,8 +20,6 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-import numpy as np
-
 from . import asymptotics, phaseflow, shooting, verify as verify_mod
 from .equations import hamiltonian
 from .integrator import EventKind, IntegrationError
@@ -132,19 +130,21 @@ def parse_config_file(path: str) -> dict:
 
 
 def _jsonable(x):
+    if isinstance(x, float):
+        return None if math.isnan(x) else x
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, tuple) and hasattr(x, "_asdict"):  # a record, an object and not an array
         return _jsonable(x._asdict())
     if isinstance(x, (list, tuple)):
+        try:
+            if not math.isnan(sum(x)):  # numbers, and no NaN among them, which the sum would be
+                return list(x)
+        except TypeError:  # not all numbers
+            pass
         return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        values = x.tolist()
-        if x.dtype.kind == "f" and not np.isnan(x).any():
-            return values  # no NaN to map to None
-        return [_jsonable(v) for v in values]
-    if isinstance(x, float) and math.isnan(x):
-        return None
+    if hasattr(x, "tolist"):  # a numpy array, whose list holds Python numbers
+        return _jsonable(x.tolist())
     return x
 
 
@@ -169,9 +169,9 @@ def _fmt17(x) -> str:
 # --- commands ----------------------------------------------------------------
 
 
-def _ruvh(t, p: Params) -> dict:
-    """The r, u, v, H table of a trajectory."""
-    return {"r": t.r, "u": t.u, "v": t.v, "H": hamiltonian((t.u, t.v), p)}
+def _ruvh(r, u, v, p: Params) -> dict:
+    """The r, u, v, H table of a trajectory's columns, arrays or lists of floats."""
+    return {"r": r, "u": u, "v": v, "H": hamiltonian((u, v), p)}
 
 
 def run_ground_state(cfg: RunConfig) -> dict:
@@ -182,7 +182,7 @@ def run_ground_state(cfg: RunConfig) -> dict:
         diags.append("bisection did not reach a node-free connection; best candidate reported")
     if gs.anchor_r == gs.profile.r[-1]:
         diags.append(f"closest approach at the horizon r={gs.anchor_r:g}: no decay tail; raise --rmax")
-    payload = {**gs._asdict(), "profile": _ruvh(gs.profile, p)}
+    payload = {**gs._asdict(), "profile": _ruvh(gs.profile.r, gs.profile.u, gs.profile.v, p)}
     del payload["history"]
     return _envelope("ground-state", cfg, payload, diags)
 
@@ -248,7 +248,7 @@ def run_portrait(cfg: RunConfig) -> dict:
     for lam in cfg.lambdas:
         t = shooting.horizon_run(lam, p, tol)
         rep = phaseflow.attraction_report(t, p)
-        trajectories.append({"lambda": lam, **rep._asdict(), **_ruvh(t, p)})
+        trajectories.append({"lambda": lam, **rep._asdict(), **_ruvh(*t.columns(), p)})
     payload = {
         "level": cfg.level,
         "level_set": {"pieces": list(pieces)},

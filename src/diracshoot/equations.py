@@ -23,8 +23,7 @@ from __future__ import annotations
 import functools
 import math
 
-import numpy as np
-
+from . import _lazy as np
 from .integrator import formula
 from .params import Params, Tolerances
 
@@ -71,8 +70,11 @@ def hamiltonian(s: State, p: Params, eps: float = 1.0) -> float:
     """Energy H(u, v) = (u^2+v^2)^2/4 + (m/2)(u^2-v^2) + (omega/2)(u^2+v^2),
     with m and omega scaled by eps^2: ENERGY at energy_constants(p, eps).
 
-    u and v may also be arrays, evaluated elementwise.
+    u and v may also be arrays, evaluated elementwise, or lists of floats,
+    evaluated per sample into a list.
     """
+    if isinstance(s[0], list):
+        return [hamiltonian(x, p, eps) for x in zip(*s)]
     return _energy(None, s, *energy_constants(p, eps))
 
 

@@ -35,7 +35,7 @@ import types
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
+from . import _lazy as np
 
 # Dormand-Prince 5(4) (Dormand & Prince 1980; Hairer, Norsett & Wanner, II.5):
 # (c, row of A) per stage after k0, the update's weights b, and the error
@@ -99,18 +99,46 @@ class Trajectory:
     (right-hand side evaluations), naccpt and nrejct (accepted and rejected
     steps), and nbisect (event function evaluations that refine crossings).
     table holds solve's step ends as rows (r, y, dy/dr), uncut at a terminal
-    crossing, which sample interpolates.  stats and table are empty for
-    paths assembled outside solve."""
+    crossing, which sample interpolates; stats and table are empty for paths
+    assembled outside solve.  solve's runs keep their samples as float
+    columns (see from_columns) until the first read of r, y or table."""
 
     r: np.ndarray
     y: np.ndarray
     events: tuple[Event, ...]
     status: str  # "completed" or "event:<kind>"
     stats: dict = field(default_factory=dict)
-    table: np.ndarray | None = None
+    # a factory leaves no class attribute, so a path of floats reaches __getattr__ for its table
+    table: np.ndarray | None = field(default_factory=lambda: None)
+
+    @classmethod
+    def from_columns(cls, columns, events, status, stats=None, steps=None) -> Trajectory:
+        """The path of the float columns (r, y_0, y_1, ...), its table the flat list steps of rows (r, y, dy/dr)."""
+        t = object.__new__(cls)
+        vars(t).update(events=tuple(events), status=status, stats=stats or {}, _floats=(columns, steps))
+        return t
+
+    def __getattr__(self, name):
+        if name not in ("r", "y", "table") or "_floats" not in vars(self):
+            raise AttributeError(name)
+        columns, steps = vars(self).pop("_floats")
+        if steps is None:
+            table, a = None, np.array(columns)
+        else:
+            # the step list as one buffer of C doubles, which numpy reads in place (twice as fast as
+            # np.fromiter); its first rows are the samples but the last, which a terminal crossing cuts
+            table = np.frombuffer(struct.pack(f"{len(steps)}d", *steps)).reshape(-1, 2 * len(columns) - 1)
+            a = table[: len(columns[0]), : len(columns)].T.copy()
+            a[:, -1] = [column[-1] for column in columns]
+        vars(self).update(r=a[0], y=a[1:].T, table=table)
+        return vars(self)[name]
+
+    def columns(self) -> tuple[list[float], ...]:
+        """The samples as float columns: the radii, then each component of y."""
+        return vars(self)["_floats"][0] if "_floats" in vars(self) else (self.r.tolist(), *self.y.T.tolist())
 
     def __len__(self) -> int:
-        return len(self.r)
+        return len(self.columns()[0])
 
     @property
     def u(self) -> np.ndarray:
@@ -127,12 +155,13 @@ class Trajectory:
     @functools.cached_property
     def closest(self) -> int:
         """Index of the sample of least |u| + |v|, the closest approach to
-        the origin; computed once per trajectory."""
-        return int(np.argmin(self.norm1))
+        the origin (the first of equal ones); computed once per trajectory."""
+        norm1 = [abs(u) + abs(v) for u, v in zip(*self.columns()[1:3])]
+        return norm1.index(min(norm1))
 
     @property
     def final_state(self) -> tuple[float, float]:
-        return tuple(self.y[-1, :2].tolist())
+        return tuple(column[-1] for column in self.columns()[1:3])
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind == kind]
@@ -429,14 +458,12 @@ def solve(
     def build(status_str, cut=None) -> Trajectory:
         # the samples are the nodes, the last one replaced by the terminal
         # crossing cut = (r_star, y_star) inside the last step
-        # one buffer of C doubles, which numpy reads in place (about twice
-        # as fast as np.fromiter over the list)
-        table = np.frombuffer(struct.pack(f"{len(nodes)}d", *nodes)).reshape(-1, w)
-        rarr, arr = table[:, 0].copy(), table[:, 1 : n + 1].copy()
+        columns = tuple(nodes[k::w] for k in range(n + 1))
         if cut:
-            rarr[-1], arr[-1] = cut
+            for column, x in zip(columns, (cut[0], *cut[1])):
+                column[-1] = x
         stats = dict(nfev=2 + 6 * (naccpt + nrejct), naccpt=naccpt, nrejct=nrejct, nbisect=nbisect)
-        return Trajectory(rarr, arr, tuple(events), status_str, stats, table)
+        return Trajectory.from_columns(columns, events, status_str, stats, nodes)
 
     h, naccpt, nrejct, nbisect = _initial_step(f, r, y, k1, r_end, rel, abs_tol), 0, 0, 0
     while True:

@@ -56,7 +56,9 @@ class Tolerances:
 
         An m - omega whose square, or 1e-8 of it (the capture depth),
         leaves the float range raises, and so does an m^2 - omega^2 that is
-        not a positive finite float.  An instance with rmax set comes back.
+        not a positive finite float, and so does an rmax below 1e-303 decay
+        lengths 1/mu, where the tail's Bessel quadrature and the series start
+        at rmax/2 leave the float range.  An instance with rmax set comes back.
         """
         if not 1e-150 < p.gap < 1e150:
             raise ValueError(f"m - omega = {p.gap:g} must lie in (1e-150, 1e150), where the "
@@ -64,5 +66,7 @@ class Tolerances:
         if not 0.0 < p.mu < math.inf:
             raise ValueError(f"m^2 - omega^2 at m = {p.m:g}, omega = {p.omega:g} is not a positive finite float")
         if self.rmax is not None:
+            if not p.mu * self.rmax >= 1e-303:
+                raise ValueError(f"rmax = {self.rmax:g} must be at least 1e-303 decay lengths 1/mu = {1e-303 / p.mu:g}")
             return self
         return replace(self, rmax=40.0 / p.mu)

@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
+from . import _lazy as np
 from .equations import autonomous_flow, equilibria, radial_flow
 from .integrator import Trajectory, solve
 from .params import Params, Tolerances
@@ -40,15 +39,16 @@ class AttractionReport(NamedTuple):
     u_sign_alternations: int
 
 
-def _radial_q(level: float, v, p: Params):
-    """Positive root q = u^2 + v^2 of H(u, v) = level at fixed v (scalar or
-    array); needs level >= -(m - omega)^2 / 4, where the radicand is positive."""
+def _radial_q(level: float, v: float, p: Params) -> float:
+    """Positive root q = u^2 + v^2 of H(u, v) = level at fixed v; needs
+    level >= -(m - omega)^2 / 4, where the radicand is positive."""
     mp = p.m + p.omega
-    return -mp + np.sqrt(mp * mp + 4.0 * (p.m * v * v + level))
+    return -mp + math.sqrt(mp * mp + 4.0 * (p.m * v * v + level))
 
 
-def level_set(level: float, p: Params, resolution: int = 512) -> tuple[np.ndarray, ...]:
-    """Trace {H = level} as ordered closed polylines, each an (n, 2) array.
+def level_set(level: float, p: Params, resolution: int = 512) -> tuple[list[tuple[float, float]], ...]:
+    """Trace {H = level} as ordered closed polylines, each a list of (u, v)
+    pairs.
 
     The curve is parameterized by v: u = +-sqrt(q(v) - v^2) on the v-spans
     where the radicand is nonnegative, v^2 between the roots
@@ -64,7 +64,7 @@ def level_set(level: float, p: Params, resolution: int = 512) -> tuple[np.ndarra
     if level < h_min - 1e-12:
         return ()
     if level <= h_min + 1e-12:
-        return tuple(np.array([pt]) for pt, _H in equilibria(p)[1:])
+        return tuple([pt] for pt, _H in equilibria(p)[1:])
 
     root = math.sqrt(a * a + 4.0 * level)
     v_hi = math.sqrt(a + root)
@@ -79,11 +79,11 @@ def level_set(level: float, p: Params, resolution: int = 512) -> tuple[np.ndarra
 
     pieces = []
     for va, vb in spans:
-        vs = np.linspace(va, vb, resolution)
-        us = np.sqrt(np.maximum(_radial_q(level, vs, p) - vs * vs, 0.0))
-        right = np.column_stack([us, vs])
-        left = np.column_stack([-us[-2:0:-1], vs[-2:0:-1]])
-        pieces.append(np.vstack([right, left, right[:1]]))
+        # np.linspace(va, vb, resolution), bitwise: i step + va, the end point exact
+        step = (vb - va) / (resolution - 1)
+        vs = [i * step + va for i in range(resolution - 1)] + [vb]
+        right = [(math.sqrt(max(_radial_q(level, v, p) - v * v, 0.0)), v) for v in vs]
+        pieces.append(right + [(-u, v) for u, v in right[-2:0:-1]] + right[:1])
     return tuple(pieces)
 
 
@@ -104,10 +104,9 @@ def attraction_report(traj: Trajectory, p: Params) -> AttractionReport:
     wells = [(math.hypot(u_end - u, v_end - v), (u, v)) for (u, v), _H in equilibria(p)[1:]]
     distance, nearest = min(wells, key=lambda w: w[0])
 
-    mask = traj.r >= entered_at
-    signs = np.sign(traj.u[mask])
-    signs = signs[signs != 0.0]
-    alternations = int(np.count_nonzero(np.diff(signs) != 0.0))
+    r, u, _v = traj.columns()
+    signs = [x > 0.0 for x, ri in zip(u, r) if ri >= entered_at and x != 0.0]
+    alternations = sum(a != b for a, b in zip(signs, signs[1:]))
 
     return AttractionReport(
         entered_at=float(entered_at),

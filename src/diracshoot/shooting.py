@@ -27,8 +27,7 @@ import functools
 import math
 from typing import NamedTuple
 
-import numpy as np
-
+from . import _lazy as np
 from .equations import ENERGY, energy_constants, hamiltonian, radial_flow, series_start
 from .integrator import Detector, EventKind, IntegrationError, Trajectory, formula, solve
 from .params import Params, Tolerances
@@ -129,11 +128,11 @@ def universal_constant(p: Params) -> float:
 def _certificate(traj: Trajectory, p: Params) -> Certificate | None:
     """The capture certificate at the first sample past r = 1 with H < C0/r,
     u v > 0 and v^2 < 2(m - omega), or None where no sample holds it."""
-    r, u, v = traj.r, traj.u, traj.v
-    H, uv, v2, c0 = hamiltonian((u, v), p), u * v, v * v, universal_constant(p)
-    holds = (r > 1.0) & (H < c0 / r) & (uv > 0.0) & (v2 < 2.0 * p.gap)
-    i = int(np.argmax(holds))
-    return Certificate(float(r[i]), float(H[i]), float(uv[i]), float(v2[i]), c0) if holds[i] else None
+    c0 = universal_constant(p)
+    for r, u, v in zip(*traj.columns()):
+        if r > 1.0 and u * v > 0.0 and v * v < 2.0 * p.gap and (H := hamiltonian((u, v), p)) < c0 / r:
+            return Certificate(r, H, u * v, v * v, c0)
+    return None
 
 
 # event values of a classification, with H the energy text of equations:
@@ -168,30 +167,30 @@ def _closest_approach_wronskian(traj: Trajectory, p: Params) -> float:
     """F = r (u K_v - v K_u) at the sample of least |u| + |v| (the closest
     approach that _summary reports); F changes sign with lambda - lambda*."""
     i = traj.closest
-    r, (u, v) = float(traj.r[i]), traj.y[i, :2].tolist()
+    r, u, v = (column[i] for column in traj.columns())
     bu, bv = _tail_basis(r, p)
     return r * (u * float(bv) - v * float(bu))
 
 
 def _summary(traj: Trajectory, p: Params) -> dict:
     i = traj.closest
-    u, v = traj.y[i, :2].tolist()
+    r, u, v = traj.columns()
     return {
-        "r_end": float(traj.r[-1]),
-        "H_end": hamiltonian(traj.final_state, p),
-        "min_norm1": abs(u) + abs(v),
-        "r_at_min": float(traj.r[i]),
-        "samples": len(traj),
+        "r_end": r[-1],
+        "H_end": hamiltonian((u[-1], v[-1]), p),
+        "min_norm1": abs(u[i]) + abs(v[i]),
+        "r_at_min": r[i],
+        "samples": len(r),
     }
 
 
 def _before_first_node(c: Classification, p: Params) -> Classification:
     """The trial c with samples and events strictly before its first sign
-    change of v: a trial that has one ends there, on its last sample."""
+    change of v, and no step table: a trial that has one ends on its last sample there."""
     t = c.trajectory
     if t.status != f"event:{EventKind.V_SIGN_CHANGE.value}":
         return c
-    cut = Trajectory(t.r[:-1], t.y[:-1], t.events[:-1], t.status, t.stats, t.table)
+    cut = Trajectory.from_columns(tuple(col[:-1] for col in t.columns()), t.events[:-1], t.status, t.stats)
     return c._replace(trajectory=cut, summary=_summary(cut, p))
 
 
@@ -199,10 +198,11 @@ def decide(traj: Trajectory, p: Params) -> tuple[str, float]:
     """(verdict, r) of a radial run, the one rule for every run: A at a start
     inside {H < -capture_depth(p)}, else the first deciding event's verdict
     at its crossing, else undecided at the last sample."""
-    if hamiltonian(tuple(traj.y[0, :2].tolist()), p) < -capture_depth(p):
-        return VERDICT_A, float(traj.r[0])
+    r, u, v = traj.columns()
+    if hamiltonian((u[0], v[0]), p) < -capture_depth(p):
+        return VERDICT_A, r[0]
     e = next((e for e in traj.events if e.kind in _DECIDED), None)
-    return (_DECIDED[e.kind], e.r) if e else (VERDICT_UNDECIDED, float(traj.r[-1]))
+    return (_DECIDED[e.kind], e.r) if e else (VERDICT_UNDECIDED, r[-1])
 
 
 def horizon_run(lam: float, p: Params, tol: Tolerances) -> Trajectory:
@@ -251,7 +251,7 @@ def classify(
     failure = None
     if H0 < -capture_depth(p):
         # the datum starts inside the capture region, where H only decreases: a one-sample run
-        traj = Trajectory(np.array([r0]), np.array([y0]), (), "completed")
+        traj = Trajectory.from_columns(([r0], [y0[0]], [y0[1]]), (), "completed")
     else:
         g, dets = _events(p, stop_at_first_node)
         try:

@@ -12,8 +12,7 @@ import functools
 import math
 from typing import NamedTuple
 
-import numpy as np
-
+from . import _lazy as np
 from . import asymptotics
 from .equations import (
     autonomous_flow,

@@ -492,6 +492,48 @@ def test_import_builds_four_dataclasses():
     assert all(hasattr(c, "_fields") for c in records if c.__name__ not in dataclass_records)
 
 
+_NUMPY_AT_FIRST_USE = """
+import contextlib, io, json, os, sys
+
+seen = {}
+import diracshoot
+seen["import diracshoot"] = "numpy" in sys.modules
+from diracshoot import cli
+seen["import diracshoot.cli"] = "numpy" in sys.modules
+os.chdir(sys.argv[1])
+for argv in (
+    # a start in the capture region, a node, a large datum, a failed run, an overflowing start
+    ["classify", "--lambda", "0.5", "--lambda", "2.0", "--lambda", "1e8", "--lambda", "1e76", "--lambda", "1e80"],
+    ["classify", "--lambda", "0.5", "--lambda", "2.0", "--format", "csv"],
+    ["portrait", "--lambda", "0.5", "--lambda", "2.0", "--level", "-0.03"],
+    ["portrait", "--lambda", "0.5", "--lambda", "2.0", "--format", "csv", "--out", "p.csv"],
+    ["ground-state"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen[" ".join(argv)] = [code, "numpy" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_only_the_array_commands_import_numpy(tmp_path):
+    # numpy is imported at its first use: the package import and the radial
+    # commands, classify and portrait (with the trajectory files of its CSV),
+    # never load it, in a fresh interpreter; ground-state does
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_AT_FIRST_USE, str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    *radial, (gs_code, gs_numpy) = seen.values()
+    assert radial == [False, False] + [[0, False]] * 4
+    assert (gs_code, gs_numpy) == (0, True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "p.csv.traj0.csv", "p.csv.traj1.csv"]
+
+
 def test_no_command_loads_scipy():
     # the runtime needs numpy alone: with scipy made unimportable and numpy's
     # least-squares routines (LAPACK) raising, all five README commands still
@@ -580,6 +622,15 @@ def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, di
         ["ground-state", "--m", "1e-160", "--omega", "5e-161"],
         # m - omega = 1e149 is in range, but m^2 - omega^2 overflows to nan
         ["ground-state", "--m", "1e155", "--omega", str(1e155 - 1e149)],
+        # horizons below 1e-303 decay lengths 1/mu: the Bessel quadrature's range
+        # overflowed (an OverflowError), and from 5e-324 on the series start sat at
+        # r = 0, where the radial flow raised (a ValueError); both were tracebacks
+        ["ground-state", "--rmax", "1e-310"],
+        ["ground-state", "--rmax", "5e-324"],
+        ["classify", "--lambda", "1", "--rmax", "5e-324"],
+        ["portrait", "--lambda", "0.5", "--rmax", "5e-324"],
+        # exit 0 after two lines of numpy's overflow warning from the certificate
+        ["classify", "--lambda", "1", "--rmax", "1e-310"],
     ],
 )
 def test_invalid_settings_are_usage_errors(argv, capsys):

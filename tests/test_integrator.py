@@ -723,6 +723,23 @@ def test_sample_of_a_terminal_run_ends_at_the_crossing():
         run.sample([0.0, 1.0])
 
 
+def test_run_builds_its_arrays_from_its_floats_at_the_first_read():
+    # a run of solve keeps its samples as float columns, which the radial
+    # commands read without numpy; the first read of r, y or table builds all
+    # three, the arrays hold the columns, the table the uncut step ends, and
+    # the floats go then
+    r0 = 1e-6 / 4.0
+    run = solve(RADIAL, (r0, 10.0), taylor_start(2.0, P, r0), detectors=[STOP], g=v_sign, **KW)
+    r, u, v = run.columns()
+    assert len(run) == len(r) > 2 and "r" not in vars(run)
+    assert run.final_state == (u[-1], v[-1]) and r[-1] == run.events[-1].r
+    assert run.closest == int(np.argmin(np.abs(u) + np.abs(v)))
+    table = run.table
+    assert run.r.tolist() == r and run.y.tolist() == [list(s) for s in zip(u, v)]
+    assert table[:-1, :3].tolist() == [list(s) for s in zip(r, u, v)][:-1] and table[-1, 0] > r[-1]
+    assert "_floats" not in vars(run) and run.columns() == (r, u, v)
+
+
 def test_crossing_is_refined_far_below_unit_radius():
     # the bisection stops at a width relative to the radius, so the first
     # node of a large datum (near 4e-11, 4e-15 and 4e-19) lands on v = 0

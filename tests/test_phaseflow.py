@@ -67,6 +67,22 @@ def test_columnwise_energy_is_bitwise_the_per_point_calls(level):
     pts = np.vstack(level_set(level, P))
     per_point = np.array([hamiltonian((u, v), P) for u, v in pts])
     assert hamiltonian((pts[:, 0], pts[:, 1]), P).tobytes() == per_point.tobytes()
+    # and so are the values of float lists, the portrait's r, u, v, H table
+    assert np.array(hamiltonian((pts[:, 0].tolist(), pts[:, 1].tolist()), P)).tobytes() == per_point.tobytes()
+
+
+@pytest.mark.parametrize(("level", "resolution"), [(0.0, 512), (-0.03, 16), (-P.gap ** 2 / 8.0, 33), (0.2, 2)])
+def test_level_set_pieces_are_the_numpy_columns(level, resolution):
+    # each piece climbs its v-span at np.linspace's points, bitwise, with u
+    # the numpy column of the root q(v), then comes back down on the mirror
+    # image u -> -u and closes on its first point
+    mp = P.m + P.omega
+    for piece in level_set(level, P, resolution):
+        right = piece[:resolution]
+        v = np.linspace(right[0][1], right[-1][1], resolution)
+        u = np.sqrt(np.maximum(-mp + np.sqrt(mp * mp + 4.0 * (P.m * v * v + level)) - v * v, 0.0))
+        assert right == list(zip(u.tolist(), v.tolist()))
+        assert piece[resolution:] == [(-a, b) for a, b in right[-2:0:-1]] + right[:1]
 
 
 @given(st.floats(-0.06, 2.0))
@@ -101,6 +117,16 @@ def test_attraction_report_lands_on_the_nearest_well_of_equilibria(lam):
     nearest = min(dist, key=dist.get)
     assert rep.nearest_equilibrium == nearest
     assert rep.terminal_distance == dist[nearest]
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0])
+def test_attraction_alternations_are_the_numpy_count(lam):
+    # the sign changes of u after the entry, zeros left out, as numpy counts them
+    t = horizon_run(lam, P, TOL)
+    rep = attraction_report(t, P)
+    signs = np.sign(t.u[t.r >= rep.entered_at])
+    signs = signs[signs != 0.0]
+    assert rep.u_sign_alternations == np.count_nonzero(np.diff(signs)) > 2
 
 
 def test_attraction_report_requires_captured_datum():

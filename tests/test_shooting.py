@@ -292,6 +292,18 @@ def test_tiny_horizon_raises_without_overflow():
         ground_state(P, Tolerances(rmax=1e-300))
 
 
+def test_shortest_horizon_raises_without_overflow():
+    # Tolerances accepts horizons from 1e-303 decay lengths 1/mu on: a trial
+    # starting at rmax/2 keeps the Bessel quadrature's range below t = 710,
+    # and a horizon below it (where the range overflows, and from 5e-324 on
+    # the series start rounds to r = 0) is refused before any run
+    with pytest.raises(BracketError, match="horizon is too short"):
+        ground_state(P, Tolerances(rmax=2e-303 / P.mu))
+    for rmax in (1e-303, 1e-310, 5e-324):
+        with pytest.raises(ValueError, match="decay lengths"):
+            ground_state(P, Tolerances(rmax=rmax))
+
+
 @pytest.mark.parametrize("omega", [0.999, 0.9999, 0.99999], ids=str)
 def test_default_tail_has_no_zero_row(omega):
     # the default horizon is forty decay lengths 1/mu, so the matched Bessel
