@@ -337,7 +337,7 @@ def integrate_remainder(
     n = np.searchsorted(grid, r0)
     head = _sum_joint(coef, np.append(grid[:n], r0))  # the grid points below the start, then the start
     joint = solve(_rhs_joint(eps, p), (r0, r_end), tuple(head[-1]), rel=tol.rel, abs_tol=tol.abs)
-    h1, k1, h2, k2 = np.concatenate([head[:-1], joint.sample(grid[n:]).y]).T
+    h1, k1, h2, k2 = np.concatenate([head[:-1], joint.sample(grid[n:])]).T
     ends = (r_end,) if T is None else (r_end, float(T))
     resc = integrate_rescaled(eps, p, tol, max(ends), min(ends))
 
@@ -345,7 +345,7 @@ def integrate_remainder(
     if T is not None:
         grid_T = np.linspace(resc.r[0], float(T), _CONVERGENCE_N)
         u0, v0 = bubble(grid_T)
-        to_T = resc.sample(grid_T).y
+        to_T = resc.sample(grid_T)
         sup_error = float(np.max(np.abs(to_T[:, 0] - u0) + np.abs(to_T[:, 1] - v0)))
     # the subtraction route at the rescaled run's step ends up to 1/eps
     at = resc.r <= r_end
@@ -353,7 +353,7 @@ def integrate_remainder(
     u0, v0 = bubble(ends)
     h1_ends, k1_ends = integrate_first_order(p, ends)
     n = np.searchsorted(ends, r0)
-    h2_ends, k2_ends = np.concatenate([_sum_joint(coef, ends[:n]), joint.sample(ends[n:]).y])[:, 2:].T
+    h2_ends, k2_ends = np.concatenate([_sum_joint(coef, ends[:n]), joint.sample(ends[n:])])[:, 2:].T
     e2 = eps * eps
     e4 = e2 * e2
     h2_sub = (U - u0 - e2 * h1_ends) / e4

@@ -182,7 +182,7 @@ def run_ground_state(cfg: RunConfig) -> dict:
         diags.append("bisection did not reach a node-free connection; best candidate reported")
     if gs.anchor_r == gs.profile.r[-1]:
         diags.append(f"closest approach at the horizon r={gs.anchor_r:g}: no decay tail; raise --rmax")
-    payload = {**gs._asdict(), "profile": _ruvh(gs.profile.r, gs.profile.u, gs.profile.v, p)}
+    payload = {**gs._asdict(), "profile": _ruvh(*gs.profile.columns, p)}
     del payload["history"]
     return _envelope("ground-state", cfg, payload, diags)
 
@@ -248,7 +248,7 @@ def run_portrait(cfg: RunConfig) -> dict:
     for lam in cfg.lambdas:
         t = shooting.horizon_run(lam, p, tol)
         rep = phaseflow.attraction_report(t, p)
-        trajectories.append({"lambda": lam, **rep._asdict(), **_ruvh(*t.columns(), p)})
+        trajectories.append({"lambda": lam, **rep._asdict(), **_ruvh(*t.columns, p)})
     payload = {
         "level": cfg.level,
         "level_set": {"pieces": list(pieces)},

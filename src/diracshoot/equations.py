@@ -73,9 +73,10 @@ def hamiltonian(s: State, p: Params, eps: float = 1.0) -> float:
     u and v may also be arrays, evaluated elementwise, or lists of floats,
     evaluated per sample into a list.
     """
+    hm, hw = energy_constants(p, eps)
     if isinstance(s[0], list):
-        return [hamiltonian(x, p, eps) for x in zip(*s)]
-    return _energy(None, s, *energy_constants(p, eps))
+        return [_energy(None, x, hm, hw) for x in zip(*s)]
+    return _energy(None, s, hm, hw)
 
 
 def hamiltonian_rate(r: float, s: State, p: Params) -> float:

@@ -7,8 +7,9 @@ matters).  Events are located by sign bracketing over each accepted step
 and refined by bisection on the cubic Hermite dense output (Hairer, Norsett
 & Wanner, Solving ODEs I, II.6); an event records the interpolated state at
 its crossing, from which callers compute any value there.  A trajectory
-keeps the step table of its run, and Trajectory.sample interpolates it at
-any radii with the same polynomial, in one array pass.
+holds its samples as float columns and the step list of its run, as arrays
+from their first read; Trajectory.sample interpolates the steps at any
+radii with the same polynomial, in one array pass, into rows of states.
 
 The adaptive loop, with a sign screen of the event values, the bisection
 that refines a crossing and the Hermite dense output are written once, in
@@ -32,7 +33,6 @@ import math
 import re
 import struct
 import types
-from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 from . import _lazy as np
@@ -90,38 +90,29 @@ class IntegrationError(RuntimeError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
 class Trajectory:
-    """Recorded integration path: samples (r, state) plus the event log.
-    r is strictly increasing; arrays are never mutated.  y has one row per
-    sample; its first two columns are the (u, v) plane for the 2-dimensional
-    flows.  stats holds solve's counters in the DOPRI5 names: nfev
-    (right-hand side evaluations), naccpt and nrejct (accepted and rejected
-    steps), and nbisect (event function evaluations that refine crossings).
-    table holds solve's step ends as rows (r, y, dy/dr), uncut at a terminal
-    crossing, which sample interpolates; stats and table are empty for paths
-    assembled outside solve.  solve's runs keep their samples as float
-    columns (see from_columns) until the first read of r, y or table."""
+    """Recorded integration path: the columns (r, y_0, y_1, ...) of its
+    samples, float lists or arrays, plus the event log.  r is strictly
+    increasing; y has one row per sample, and its first two columns are the
+    (u, v) plane for the 2-dimensional flows.  r, y and table are arrays
+    built at their first read and never mutated.  stats holds solve's
+    counters in the DOPRI5 names: nfev (right-hand side evaluations), naccpt
+    and nrejct (accepted and rejected steps), and nbisect (event function
+    evaluations that refine crossings).  table holds solve's step ends as
+    rows (r, y, dy/dr), uncut at a terminal crossing, which sample
+    interpolates; it is built from the flat list steps, and stats and table
+    are empty for paths given no steps."""
 
-    r: np.ndarray
-    y: np.ndarray
-    events: tuple[Event, ...]
-    status: str  # "completed" or "event:<kind>"
-    stats: dict = field(default_factory=dict)
-    # a factory leaves no class attribute, so a path of floats reaches __getattr__ for its table
-    table: np.ndarray | None = field(default_factory=lambda: None)
+    def __init__(self, columns, events, status, stats=None, steps=None):
+        self.columns = columns
+        self.events = tuple(events)
+        self.status = status  # "completed", "failed" or "event:<kind>"
+        self.stats = stats or {}
+        self._steps = steps
 
-    @classmethod
-    def from_columns(cls, columns, events, status, stats=None, steps=None) -> Trajectory:
-        """The path of the float columns (r, y_0, y_1, ...), its table the flat list steps of rows (r, y, dy/dr)."""
-        t = object.__new__(cls)
-        vars(t).update(events=tuple(events), status=status, stats=stats or {}, _floats=(columns, steps))
-        return t
-
-    def __getattr__(self, name):
-        if name not in ("r", "y", "table") or "_floats" not in vars(self):
-            raise AttributeError(name)
-        columns, steps = vars(self).pop("_floats")
+    @functools.cached_property
+    def _arrays(self) -> tuple:
+        columns, steps = self.columns, self._steps
         if steps is None:
             table, a = None, np.array(columns)
         else:
@@ -130,15 +121,14 @@ class Trajectory:
             table = np.frombuffer(struct.pack(f"{len(steps)}d", *steps)).reshape(-1, 2 * len(columns) - 1)
             a = table[: len(columns[0]), : len(columns)].T.copy()
             a[:, -1] = [column[-1] for column in columns]
-        vars(self).update(r=a[0], y=a[1:].T, table=table)
-        return vars(self)[name]
+        return a[0], a[1:].T, table
 
-    def columns(self) -> tuple[list[float], ...]:
-        """The samples as float columns: the radii, then each component of y."""
-        return vars(self)["_floats"][0] if "_floats" in vars(self) else (self.r.tolist(), *self.y.T.tolist())
+    r = property(lambda self: self._arrays[0])
+    y = property(lambda self: self._arrays[1])
+    table = property(lambda self: self._arrays[2])
 
     def __len__(self) -> int:
-        return len(self.columns()[0])
+        return len(self.columns[0])
 
     @property
     def u(self) -> np.ndarray:
@@ -156,12 +146,12 @@ class Trajectory:
     def closest(self) -> int:
         """Index of the sample of least |u| + |v|, the closest approach to
         the origin (the first of equal ones); computed once per trajectory."""
-        norm1 = [abs(u) + abs(v) for u, v in zip(*self.columns()[1:3])]
+        norm1 = [abs(u) + abs(v) for u, v in zip(*self.columns[1:3])]
         return norm1.index(min(norm1))
 
     @property
     def final_state(self) -> tuple[float, float]:
-        return tuple(column[-1] for column in self.columns()[1:3])
+        return tuple(column[-1] for column in self.columns[1:3])
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind == kind]
@@ -170,13 +160,14 @@ class Trajectory:
         """Number of recorded sign changes of v strictly before radius r."""
         return sum(1 for e in self.events if e.kind == EventKind.V_SIGN_CHANGE and e.r < r)
 
-    def sample(self, grid) -> Trajectory:
-        """This run at the 1-D, strictly increasing grid, from its step
-        table: a point equal to a sample takes the state there, any other
-        the Hermite value on the step ending beyond it (the polynomial that
-        refines events, in one array pass).  The grid lies within the run's
-        r_span; points past the last sample of a run that stopped early, at
-        a terminal crossing or a failure, are left out."""
+    def sample(self, grid) -> np.ndarray:
+        """The states of this run at the 1-D, strictly increasing grid, one
+        row per point, from its step table: a point equal to a sample takes
+        the state there, any other the Hermite value on the step ending
+        beyond it (the polynomial that refines events, in one array pass).
+        The grid lies within the run's r_span; points past the last sample
+        of a run that stopped early, at a terminal crossing or a failure,
+        have no row, so the rows are those of the first points of grid."""
         if self.table is None:
             raise ValueError("only a run of solve has a step table to sample")
         grid = np.array(grid, dtype=float)
@@ -193,7 +184,7 @@ class Trajectory:
         y = self.y[j]
         j = j[inner]
         y[inner] = np.transpose(_hermite(y.shape[1])(self.table[j - 1].T, self.table[j].T, pts[inner]))
-        return replace(self, r=pts, y=y)
+        return y
 
 
 # [expr] expands to "expr_0, expr_1, ..., ", [+expr] to "expr_0 + expr_1 + ..." and
@@ -463,7 +454,7 @@ def solve(
             for column, x in zip(columns, (cut[0], *cut[1])):
                 column[-1] = x
         stats = dict(nfev=2 + 6 * (naccpt + nrejct), naccpt=naccpt, nrejct=nrejct, nbisect=nbisect)
-        return Trajectory.from_columns(columns, events, status_str, stats, nodes)
+        return Trajectory(columns, events, status_str, stats, nodes)
 
     h, naccpt, nrejct, nbisect = _initial_step(f, r, y, k1, r_end, rel, abs_tol), 0, 0, 0
     while True:

@@ -48,7 +48,7 @@ def _radial_q(level: float, v: float, p: Params) -> float:
 
 def level_set(level: float, p: Params, resolution: int = 512) -> tuple[list[tuple[float, float]], ...]:
     """Trace {H = level} as ordered closed polylines, each a list of (u, v)
-    pairs.
+    pairs, from resolution >= 2 values of v per span.
 
     The curve is parameterized by v: u = +-sqrt(q(v) - v^2) on the v-spans
     where the radicand is nonnegative, v^2 between the roots
@@ -59,6 +59,8 @@ def level_set(level: float, p: Params, resolution: int = 512) -> tuple[list[tupl
     curve pinches at the saddle (0, 0) it is returned as two lobes that
     meet on the u = 0 axis.
     """
+    if not resolution >= 2:
+        raise ValueError(f"resolution must be at least 2, got {resolution}")
     a = p.gap
     h_min = -(a ** 2) / 4.0
     if level < h_min - 1e-12:
@@ -104,7 +106,7 @@ def attraction_report(traj: Trajectory, p: Params) -> AttractionReport:
     wells = [(math.hypot(u_end - u, v_end - v), (u, v)) for (u, v), _H in equilibria(p)[1:]]
     distance, nearest = min(wells, key=lambda w: w[0])
 
-    r, u, _v = traj.columns()
+    r, u, _v = traj.columns
     signs = [x > 0.0 for x, ri in zip(u, r) if ri >= entered_at and x != 0.0]
     alternations = sum(a != b for a, b in zip(signs, signs[1:]))
 
@@ -137,7 +139,7 @@ def stability_compare(
         return [0.0 for _ in rhos]
     grid = np.linspace(0.0, float(T), _STABILITY_N)
     kw = dict(rel=tol.rel, abs_tol=tol.abs)
-    auto = solve(autonomous_flow(p), (0.0, T), start, **kw).sample(grid).y
+    auto = solve(autonomous_flow(p), (0.0, T), start, **kw).sample(grid)
     f = radial_flow(p)
     runs = (solve(lambda r, s: f(r + rho, s), (0.0, T), start, **kw) for rho in rhos)
-    return [float(np.max(np.abs(auto - t.sample(grid).y).sum(axis=1))) for t in runs]
+    return [float(np.max(np.abs(auto - t.sample(grid)).sum(axis=1))) for t in runs]

@@ -129,7 +129,7 @@ def _certificate(traj: Trajectory, p: Params) -> Certificate | None:
     """The capture certificate at the first sample past r = 1 with H < C0/r,
     u v > 0 and v^2 < 2(m - omega), or None where no sample holds it."""
     c0 = universal_constant(p)
-    for r, u, v in zip(*traj.columns()):
+    for r, u, v in zip(*traj.columns):
         if r > 1.0 and u * v > 0.0 and v * v < 2.0 * p.gap and (H := hamiltonian((u, v), p)) < c0 / r:
             return Certificate(r, H, u * v, v * v, c0)
     return None
@@ -167,14 +167,14 @@ def _closest_approach_wronskian(traj: Trajectory, p: Params) -> float:
     """F = r (u K_v - v K_u) at the sample of least |u| + |v| (the closest
     approach that _summary reports); F changes sign with lambda - lambda*."""
     i = traj.closest
-    r, u, v = (column[i] for column in traj.columns())
+    r, u, v = (column[i] for column in traj.columns)
     bu, bv = _tail_basis(r, p)
     return r * (u * float(bv) - v * float(bu))
 
 
 def _summary(traj: Trajectory, p: Params) -> dict:
     i = traj.closest
-    r, u, v = traj.columns()
+    r, u, v = traj.columns
     return {
         "r_end": r[-1],
         "H_end": hamiltonian((u[-1], v[-1]), p),
@@ -190,7 +190,7 @@ def _before_first_node(c: Classification, p: Params) -> Classification:
     t = c.trajectory
     if t.status != f"event:{EventKind.V_SIGN_CHANGE.value}":
         return c
-    cut = Trajectory.from_columns(tuple(col[:-1] for col in t.columns()), t.events[:-1], t.status, t.stats)
+    cut = Trajectory(tuple(col[:-1] for col in t.columns), t.events[:-1], t.status, t.stats)
     return c._replace(trajectory=cut, summary=_summary(cut, p))
 
 
@@ -198,7 +198,7 @@ def decide(traj: Trajectory, p: Params) -> tuple[str, float]:
     """(verdict, r) of a radial run, the one rule for every run: A at a start
     inside {H < -capture_depth(p)}, else the first deciding event's verdict
     at its crossing, else undecided at the last sample."""
-    r, u, v = traj.columns()
+    r, u, v = traj.columns
     if hamiltonian((u[0], v[0]), p) < -capture_depth(p):
         return VERDICT_A, r[0]
     e = next((e for e in traj.events if e.kind in _DECIDED), None)
@@ -251,7 +251,7 @@ def classify(
     failure = None
     if H0 < -capture_depth(p):
         # the datum starts inside the capture region, where H only decreases: a one-sample run
-        traj = Trajectory.from_columns(([r0], [y0[0]], [y0[1]]), (), "completed")
+        traj = Trajectory(([r0], [y0[0]], [y0[1]]), (), "completed")
     else:
         g, dets = _events(p, stop_at_first_node)
         try:
@@ -445,12 +445,12 @@ def extend_with_decay_tail(
     r_tail = np.linspace(r_c, float(r_end), _N_TAIL + 1)[1:] if r_c < r_end else np.empty(0)
     bu, bv = _tail_basis(r_tail, p) if r_tail.size else (r_tail, r_tail)
 
-    profile = Trajectory(
+    columns = (
         np.concatenate([traj.r[: i_c + 1], r_tail]),
-        np.concatenate([traj.y[: i_c + 1], np.column_stack([amp * bu, amp * bv])]),
-        tuple(e for e in traj.events if e.r <= r_c),
-        "completed",
+        np.concatenate([traj.u[: i_c + 1], amp * bu]),
+        np.concatenate([traj.v[: i_c + 1], amp * bv]),
     )
+    profile = Trajectory(columns, (e for e in traj.events if e.r <= r_c), "completed")
     return profile, r_c, amp
 
 

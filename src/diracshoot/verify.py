@@ -257,7 +257,7 @@ def check_rescaling_commutation(p, tol):
         rad = solve(radial_flow(p), (r_s, eps * eps * 5.0 * 1.01), y_s, rel=tol.rel, abs_tol=tol.abs)
         # the grid above both starts, the radial one at R = r_s / eps^2
         at = grid[grid > max(resc.r[0], r_s / (eps * eps))]
-        a, b = resc.sample(at).y, rad.sample(eps * eps * at).y
+        a, b = resc.sample(at), rad.sample(eps * eps * at)
         d = np.max(np.abs(eps * b[:, 0] - a[:, 0]) + np.abs(eps * b[:, 1] - a[:, 1]))
         worst = max(worst, float(d))
     limit = 1e3 * tol.rel

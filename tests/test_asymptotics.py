@@ -97,14 +97,13 @@ def _first_order_run(p, r_end, r_eval=None, rel=TOL.rel):
 
 
 def test_first_order_initial_conditions():
-    fo = _first_order_run(P, 1.0, r_eval=[1e-5, 0.5, 1.0])
-    assert abs(fo.y[0, 0]) < 1e-4 and abs(fo.y[0, 1]) < 1e-8
+    rows = _first_order_run(P, 1.0, r_eval=[1e-5, 0.5, 1.0])
+    assert abs(rows[0, 0]) < 1e-4 and abs(rows[0, 1]) < 1e-8
 
 
 def test_first_order_log_growth_in_v_component():
     grid = np.geomspace(1e2, 1e6, 9)
-    fo = _first_order_run(P, 1e6, r_eval=grid)
-    h1, k1 = fo.y[:, 0], fo.y[:, 1]
+    h1, k1 = _first_order_run(P, 1e6, r_eval=grid).T
     # the sum stays O(log r) while the U-component vanishes
     assert np.max((np.abs(h1) + np.abs(k1)) / np.log(grid)) < 4.0
     assert abs(h1[-1]) < 1e-2
@@ -270,7 +269,7 @@ def test_remainder_sup_norm_matches_a_tight_run(eps, before):
     # farther than the run from r = 1e-6 at the defaults was (before)
     grid = np.linspace(R0, 1.0 / eps, 800)
     tight = solve(_rhs_joint(eps, P), (R0, 1.0 / eps), _joint_start(P, R0), rel=1e-13, abs_tol=1e-13)
-    h2, k2 = tight.sample(grid).y[:, 2:].T
+    h2, k2 = tight.sample(grid)[:, 2:].T
     assert abs(integrate_remainder(eps, P, TOL).sup_norm - np.max(np.abs(h2) + np.abs(k2))) <= before
 
 

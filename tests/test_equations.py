@@ -57,6 +57,24 @@ def test_hamiltonian_frozen_values():
     assert hamiltonian((1.0, 0.0), P) == pytest.approx(1.0)
 
 
+def test_hamiltonian_of_float_lists_is_one_call(monkeypatch):
+    # the energies of a list of samples come from one call: a wrapper bound as
+    # equations.hamiltonian, as a call counter binds one, sees one call per list
+    from diracshoot import equations
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = equations.hamiltonian
+    monkeypatch.setattr(equations, "hamiltonian", counted)
+    H = equations.hamiltonian(([0.0, 0.0, 1.0], [0.0, math.sqrt(0.5), 0.0]), P)
+    assert H == [hamiltonian(s, P) for s in [(0.0, 0.0), (0.0, math.sqrt(0.5)), (1.0, 0.0)]]
+    assert len(calls) == 1
+
+
 def test_hamiltonian_rate_frozen_values():
     assert hamiltonian_rate(1.0, (0.0, 0.7), P) == 0.0
     assert hamiltonian_rate(1.0, (1.0, 0.0), P) == pytest.approx(-2.5)

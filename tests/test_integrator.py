@@ -11,6 +11,7 @@ from diracshoot import (
     IntegrationError,
     Params,
     Tolerances,
+    Trajectory,
     autonomous_flow,
     hamiltonian,
     radial_flow,
@@ -41,9 +42,9 @@ def test_matches_scipy_on_radial():
         dense_output=True,
     )
     grid = np.linspace(0.5, 29.5, 200)
-    traj = solve(RADIAL, (1e-6, 30.0), y0, **KW).sample(grid)
+    rows = solve(RADIAL, (1e-6, 30.0), y0, **KW).sample(grid)
     ref_vals = ref.sol(grid)
-    err = np.max(np.abs(traj.y[:, 0] - ref_vals[0]) + np.abs(traj.y[:, 1] - ref_vals[1]))
+    err = np.max(np.abs(rows[:, 0] - ref_vals[0]) + np.abs(rows[:, 1] - ref_vals[1]))
     assert err < 1e-6
 
 
@@ -91,15 +92,17 @@ def test_shifted_approaches_autonomous():
     grid = np.linspace(0.0, 10.0, 200)
     auto = solve(autonomous_flow(P), (0.0, 10.0), (0.0, 1.0), **KW).sample(grid)
     sh = solve(lambda r, s: RADIAL(r + 1e6, s), (0.0, 10.0), (0.0, 1.0), **KW).sample(grid)
-    dev = np.max(np.abs(auto.y - sh.y))
+    dev = np.max(np.abs(auto - sh))
     assert dev < 1e-3
 
 
 def test_r_eval_sampling_and_monotonicity():
+    # one row per point of the increasing grid, each the row of its point alone
     grid = [0.5, 1.0, 2.0, 5.0]
-    traj = solve(RADIAL, (1e-6, 10.0), taylor_start(1.0, P, 1e-6), **KW).sample(grid)
-    assert np.allclose(traj.r, grid)
-    assert np.all(np.diff(traj.r) > 0)
+    run = solve(RADIAL, (1e-6, 10.0), taylor_start(1.0, P, 1e-6), **KW)
+    rows = run.sample(grid)
+    assert rows.shape == (len(grid), 2)
+    assert rows.tolist() == [run.sample([x])[0].tolist() for x in grid]
 
 
 def test_strictly_increasing_r():
@@ -189,8 +192,7 @@ def test_dense_output_consistency():
     y0 = taylor_start(1.1, P, 1e-6)
     full = solve(RADIAL, (1e-6, 8.0), y0, **KW)
     grid = full.r[10:-10:5]
-    sampled = full.sample(grid)
-    err = np.max(np.abs(sampled.y - full.y[10:-10:5]))
+    err = np.max(np.abs(full.sample(grid) - full.y[10:-10:5]))
     assert err < 1e-12  # same accepted points, no interpolation involved
 
 
@@ -309,8 +311,7 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
                  for pt, j in zip(pts, js)]
             R = pts
         stats = {"nfev": 2 + 6 * (naccpt + nrejct), "naccpt": naccpt, "nrejct": nrejct, "nbisect": nbisect}
-        R, Y = np.array(R, dtype=float), np.array(Y, dtype=float)
-        return I.Trajectory(R, Y, tuple(events), status, stats)
+        return I.Trajectory((R, *zip(*Y)), events, status, stats)
 
     h = I._initial_step(f, r, y, k1, r_end, rel, abs_tol)
     while r < r_end:
@@ -361,11 +362,18 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
     return build("completed")
 
 
+def _sampled(traj, r_eval):
+    """traj sampled at r_eval as a run: the points that sample gives rows for,
+    with those rows, and traj's events, status and stats."""
+    rows = traj.sample(r_eval)
+    return Trajectory((np.asarray(r_eval)[: len(rows)], *rows.T), traj.events, traj.status, traj.stats)
+
+
 def _solve(f, r_span, y0, r_eval=None, **kw):
     """solve, and its run sampled at r_eval when given: what _reference_solve
     returns for the same arguments."""
     traj = solve(f, r_span, y0, **kw)
-    return traj if r_eval is None else traj.sample(r_eval)
+    return traj if r_eval is None else _sampled(traj, r_eval)
 
 
 def _assert_same_run(traj, ref):
@@ -571,7 +579,7 @@ def test_failures_match_the_reference_solve(monkeypatch):
         with pytest.raises(IntegrationError) as ref:
             _reference_solve(f, span, y_start, r_eval=r_eval, **kw)
         assert str(exc.value) == str(ref.value)
-        partial = exc.value.partial if r_eval is None else exc.value.partial.sample(r_eval)
+        partial = exc.value.partial if r_eval is None else _sampled(exc.value.partial, r_eval)
         _assert_same_run(partial, ref.value.partial)
         return partial
 
@@ -697,9 +705,7 @@ def test_misuse_of_solve_is_rejected(kw, message):
 
 def test_empty_r_eval_gives_empty_trajectory():
     run = solve(lambda r, y: (-y[1], y[0]), (0.0, 3.0), (1.0, 0.0), rel=1e-8, abs_tol=1e-8)
-    traj = run.sample([])
-    assert traj.status == "completed" and len(traj) == 0
-    assert traj.y.shape == (0, 2)
+    assert run.sample([]).shape == (0, 2)
 
 
 def test_sample_of_a_terminal_run_ends_at_the_crossing():
@@ -715,10 +721,10 @@ def test_sample_of_a_terminal_run_ends_at_the_crossing():
     star = run.events[-1]
     assert run.status == "event:v_sign_change" and run.r[-1] == star.r < run.table[-1, 0]
     inside = 0.5 * (run.r[-2] + star.r)
-    traj = run.sample([r0, inside, star.r, run.table[-1, 0], 10.0])
-    assert list(traj.r) == [r0, inside, star.r]
-    assert tuple(traj.y[-1].tolist()) == star.y and traj.events == run.events
-    assert tuple(traj.y[1].tolist()) == _hermite(2)(run.table[-2], run.table[-1], inside)
+    rows = run.sample([r0, inside, star.r, run.table[-1, 0], 10.0])
+    assert len(rows) == 3 and tuple(rows[0].tolist()) == tuple(run.y[0].tolist())
+    assert tuple(rows[-1].tolist()) == star.y
+    assert tuple(rows[1].tolist()) == _hermite(2)(run.table[-2], run.table[-1], inside)
     with pytest.raises(ValueError, match="within r_span"):
         run.sample([0.0, 1.0])
 
@@ -726,18 +732,18 @@ def test_sample_of_a_terminal_run_ends_at_the_crossing():
 def test_run_builds_its_arrays_from_its_floats_at_the_first_read():
     # a run of solve keeps its samples as float columns, which the radial
     # commands read without numpy; the first read of r, y or table builds all
-    # three, the arrays hold the columns, the table the uncut step ends, and
-    # the floats go then
+    # three, the arrays hold the columns and the table the uncut step ends
     r0 = 1e-6 / 4.0
     run = solve(RADIAL, (r0, 10.0), taylor_start(2.0, P, r0), detectors=[STOP], g=v_sign, **KW)
-    r, u, v = run.columns()
-    assert len(run) == len(r) > 2 and "r" not in vars(run)
+    r, u, v = run.columns
+    assert len(run) == len(r) > 2 and "_arrays" not in vars(run)
     assert run.final_state == (u[-1], v[-1]) and r[-1] == run.events[-1].r
     assert run.closest == int(np.argmin(np.abs(u) + np.abs(v)))
     table = run.table
+    assert "_arrays" in vars(run) and run.table is table
     assert run.r.tolist() == r and run.y.tolist() == [list(s) for s in zip(u, v)]
     assert table[:-1, :3].tolist() == [list(s) for s in zip(r, u, v)][:-1] and table[-1, 0] > r[-1]
-    assert "_floats" not in vars(run) and run.columns() == (r, u, v)
+    assert run.columns == (r, u, v)
 
 
 def test_crossing_is_refined_far_below_unit_radius():

@@ -85,6 +85,13 @@ def test_level_set_pieces_are_the_numpy_columns(level, resolution):
         assert piece[resolution:] == [(-a, b) for a, b in right[-2:0:-1]] + right[:1]
 
 
+@pytest.mark.parametrize("resolution", [1, 0, -3])
+def test_level_set_needs_two_points_per_span(resolution):
+    # one point leaves no step between a span's ends, fewer no point at all
+    with pytest.raises(ValueError, match="resolution must be at least 2, got"):
+        level_set(-0.03, P, resolution)
+
+
 @given(st.floats(-0.06, 2.0))
 @settings(max_examples=25, deadline=None)
 def test_levelset_residual_random_levels(level):

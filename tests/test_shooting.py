@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import collocation
 import numpy as np
@@ -161,6 +160,27 @@ def test_capture_region_start_logs_the_start_state():
     assert (len(c.trajectory), c.trajectory.events, c.verdict) == (1, (), "A")
     assert c.summary["r_end"] == r0
     assert c.summary["H_end"] == hamiltonian(y0, P)
+
+
+def test_every_built_trajectory_holds_its_columns(gs):
+    # the library builds a trajectory four ways: a run of solve, a trial cut
+    # before its first node, the one-sample run of a datum that starts
+    # captured and the ground state's profile.  Each holds its columns, its
+    # arrays are them, and only the run of solve has a step table to sample
+    from diracshoot.shooting import _before_first_node
+
+    trial = classify(2.5, P, TOL, stop_at_first_node=True)
+    run, cut = trial.trajectory, _before_first_node(trial, P).trajectory
+    start = classify(0.5, P, TOL).trajectory
+    for t in (run, cut, start, gs.profile):
+        r, *y = t.columns
+        assert len(t) == len(r) == len(t.r) == len(t.y)
+        assert t.r.tolist() == list(r) and t.y.T.tolist() == [list(c) for c in y]
+    assert run.status == "event:v_sign_change" and len(cut) == len(run) - 1 and len(start) == 1
+    assert run.sample(run.r[:3]).tolist() == run.y[:3].tolist()
+    for t in (cut, start, gs.profile):
+        with pytest.raises(ValueError, match="step table"):
+            t.sample(t.r[:1])
 
 
 # per (m, omega): a start-captured datum, A(0), A(k >= 1) and 1e-20, which
@@ -397,7 +417,7 @@ def test_decay_fit_exact_exponential():
     # the K0 tail model e^(-mu r)/sqrt(r) is fitted exactly
     r = np.linspace(1.0, 10.0, 200)
     vals = 3.0 * np.exp(-0.4 * r) / np.sqrt(r)
-    traj = Trajectory(r, np.column_stack([vals / 2.0, vals / 2.0]), (), "completed")
+    traj = Trajectory((r, vals / 2.0, vals / 2.0), (), "completed")
     slope = decay_fit(traj, (1.0, 10.0))
     assert slope == pytest.approx(-0.4, abs=1e-6)
 
@@ -405,7 +425,7 @@ def test_decay_fit_exact_exponential():
 def test_decay_fit_constant_is_flat():
     # mu = 0: the 1/sqrt(r) prefactor alone has slope 0
     r = np.linspace(1.0, 5.0, 50)
-    traj = Trajectory(r, np.full((len(r), 2), 0.5) / np.sqrt(r)[:, None], (), "completed")
+    traj = Trajectory((r, 0.5 / np.sqrt(r), 0.5 / np.sqrt(r)), (), "completed")
     assert decay_fit(traj, (1.0, 5.0)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -438,7 +458,7 @@ def test_decay_fit_is_the_least_squares_slope_to_a_few_ulp(omega, amp_exp, seed,
         return
     bu, bv = _tail_basis(r, Params(1.0, omega))
     amp = 10.0 ** amp_exp
-    traj = Trajectory(r, np.column_stack([amp * bu, -amp * bv]), (), "completed")
+    traj = Trajectory((r, amp * bu, -amp * bv), (), "completed")
     i, j = np.sort(rng.choice(len(r), 2, replace=False))
     window = (float(r[i]), float(r[j]))
     inside = r[i : j + 1]
@@ -448,7 +468,7 @@ def test_decay_fit_is_the_least_squares_slope_to_a_few_ulp(omega, amp_exp, seed,
 
 def test_decay_fit_domain_errors():
     r = np.linspace(1.0, 5.0, 50)
-    traj = Trajectory(r, np.zeros((len(r), 2)), (), "completed")
+    traj = Trajectory((r, np.zeros(len(r)), np.zeros(len(r))), (), "completed")
     with pytest.raises(ValueError):
         decay_fit(traj, (1.0, 5.0))  # |u|+|v| = 0 in window
     with pytest.raises(ValueError):
@@ -462,7 +482,7 @@ def test_tail_match_without_linear_samples_raises():
     # approach (the last sample): there is no decay window to match the tail on
     r = np.linspace(1.0, 5.0, 41)
     bu, bv = _tail_basis(r, P)
-    traj = Trajectory(r, np.column_stack([10.0 * bu, 10.0 * bv]), (), "completed")
+    traj = Trajectory((r, 10.0 * bu, 10.0 * bv), (), "completed")
     assert traj.closest == 40 and traj.norm1.min() > 1e-2
     with pytest.raises(DecayWindowError):
         extend_with_decay_tail(traj, P, 10.0)
@@ -483,7 +503,7 @@ def test_tail_match_reads_the_decaying_amplitude_past_a_growing_mode():
     bu, bv = _tail_basis(r, P)
     u = A * bu - B * mu * i1(mu * r) / (P.m + P.omega)
     v = A * bv + B * i0(mu * r)
-    traj = Trajectory(r, np.column_stack([u, v]), (), "completed")
+    traj = Trajectory((r, u, v), (), "completed")
     assert 0 < traj.closest < len(r) - 1
     _, r_c, amp = extend_with_decay_tail(traj, P, 40.0)
     assert r_c == r[traj.closest]
@@ -788,7 +808,7 @@ def _cut_at_first_node(c, p):
     if i is None:
         return c
     n = int(np.searchsorted(t.r, t.events[i].r))
-    cut = replace(t, r=t.r[:n], y=t.y[:n], events=t.events[:i])
+    cut = Trajectory(tuple(column[:n] for column in t.columns), t.events[:i], t.status, t.stats)
     return c._replace(trajectory=cut, summary=shooting._summary(cut, p))
 
 

@@ -69,9 +69,7 @@ def test_corrupted_bubble_is_caught(monkeypatch):
 def test_certificate_soundness_counts_the_nodes_of_a_captured_run(monkeypatch):
     # a captured datum with two sign changes of v past its certificate's R
     # has one more than the certificate allows, whatever its verdict
-    from dataclasses import replace
-
-    from diracshoot import Event, EventKind
+    from diracshoot import Event, EventKind, Trajectory
 
     real = verify.classify
 
@@ -80,7 +78,8 @@ def test_certificate_soundness_counts_the_nodes_of_a_captured_run(monkeypatch):
         t, R = c.trajectory, c.certificate.R
         late = tuple(Event(EventKind.V_SIGN_CHANGE, R + d, (0.0, 0.0)) for d in (1e-3, 2e-3))
         assert c.verdict == "A"
-        return c._replace(trajectory=replace(t, events=t.events[:-1] + late + t.events[-1:]))
+        events = t.events[:-1] + late + t.events[-1:]
+        return c._replace(trajectory=Trajectory(t.columns, events, t.status, t.stats))
 
     monkeypatch.setattr(verify, "classify", two_late_nodes)
     r = verify.check_certificate_soundness(verify.Params(), verify.Tolerances())
