@@ -20,6 +20,7 @@ source-term algebra.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -167,6 +168,7 @@ def integrate_first_order(p: Params, r) -> tuple[np.ndarray, np.ndarray]:
     return c * pu - s * pv, c * pv + s * pu
 
 
+@functools.lru_cache(maxsize=16)
 def first_order_log_fit(p: Params) -> LogLawFit:
     """Fit the logarithmic growth law of the first-order V-correction to the
     closed form on r in [1e3, 1e6]; the exact law is k1 = -2(m + omega) ln r

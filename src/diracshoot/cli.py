@@ -12,18 +12,18 @@ Exit codes: 0 success, 1 usage or parse error, 2 computation failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 from . import asymptotics, phaseflow, shooting, verify as verify_mod
 from .equations import hamiltonian
 from .integrator import EventKind, IntegrationError
-from .params import Params, Tolerances
+from .params import Params, Tolerances, checked
 from .phaseflow import NotCapturedError
 
 SCHEMA_VERSION = "1"
@@ -44,12 +44,12 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    m: float = Params.m
-    omega: float = Params.omega
-    tol_rel: float = Tolerances.rel
-    tol_abs: float = Tolerances.abs
+@checked
+class RunConfig(NamedTuple):
+    m: float = Params().m
+    omega: float = Params().omega
+    tol_rel: float = Tolerances().rel
+    tol_abs: float = Tolerances().abs
     rmax: float | None = None
     lambdas: tuple[float, ...] = ()
     epsilons: tuple[float, ...] = ()
@@ -59,8 +59,8 @@ class RunConfig:
     format: str = "json"
     out: str | None = None
 
-    def __post_init__(self):
-        for name, value in vars(self).items():
+    def _check(self):
+        for name, value in self._asdict().items():
             values = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(x) for x in values if isinstance(x, float)):
                 raise ConfigError(f"{name} must be finite, got {value}")
@@ -80,6 +80,7 @@ class RunConfig:
             raise ConfigError("every lambda must be positive, with a finite square")
         if any(not 0.0 < e < 1.0 for e in self.epsilons):
             raise ConfigError("every epsilon must lie in (0, 1)")
+        return self
 
     def params(self) -> Params:
         return Params(self.m, self.omega)
@@ -89,14 +90,14 @@ class RunConfig:
 
     def echo(self) -> dict:
         # the fields are finite floats, ints, strings, None and float tuples
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
 
 
-# each config-file key names a RunConfig field; a tuple field (lambdas, epsilons)
-# is keyed in the singular, like its repeated flag, and takes a list of floats
+# each config-file key names a RunConfig field and its annotation's string (a ForwardRef's); a tuple
+# field (lambdas, epsilons) is keyed in the singular, like its repeated flag, and takes a list of floats
 _CONFIG_FIELDS = {
-    f.name.removesuffix("s") if f.type.startswith("tuple") else f.name: f
-    for f in dataclasses.fields(RunConfig)
+    name.removesuffix("s") if kind.startswith("tuple") else name: (name, kind)
+    for name, kind in ((n, ref.__forward_arg__) for n, ref in RunConfig.__annotations__.items())
 }
 _PARSERS = {
     "float": float,
@@ -120,10 +121,10 @@ def parse_config_file(path: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        f = _CONFIG_FIELDS[key]
+        name, kind = _CONFIG_FIELDS[key]
         try:
             # the type's first name: float | None parses as float, tuple[...] as tuple
-            values[f.name] = _PARSERS[f.type.split("[")[0].split(" | ")[0]](val)
+            values[name] = _PARSERS[kind.split("[")[0].split(" | ")[0]](val)
         except ValueError as err:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {err}") from None
     return values
@@ -428,10 +429,10 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(parse_config_file(args.config))
-    for f in dataclasses.fields(RunConfig):
-        flag = getattr(args, f.name, None)
+    for name in RunConfig._fields:
+        flag = getattr(args, name, None)
         if flag is not None:
-            values[f.name] = tuple(flag) if isinstance(flag, list) else flag
+            values[name] = tuple(flag) if isinstance(flag, list) else flag
     return RunConfig(**values)
 
 

@@ -3,21 +3,29 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Params:
+def checked(record_type):
+    """Build each record_type (a NamedTuple, whose body may not define __new__) through _check, which returns it."""
+    make = record_type.__new__
+    record_type.__new__ = lambda cls, *args, **kwargs: make(cls, *args, **kwargs)._check()
+    return record_type
+
+
+@checked
+class Params(NamedTuple):
     """Mass m and frequency omega of the radial system; needs 0 < omega < m."""
 
     m: float = 1.0
     omega: float = 0.5
 
-    def __post_init__(self):
+    def _check(self):
         if not self.m > 0:
             raise ValueError(f"m must be positive, got {self.m}")
         if not 0.0 < self.omega < self.m:
             raise ValueError(f"need 0 < omega < m, got omega={self.omega}, m={self.m}")
+        return self
 
     @property
     def gap(self) -> float:
@@ -30,8 +38,8 @@ class Params:
         return math.sqrt(self.m * self.m - self.omega * self.omega)
 
 
-@dataclass(frozen=True)
-class Tolerances:
+@checked
+class Tolerances(NamedTuple):
     """Integrator tolerances and horizon.
 
     rmax defaults to None and is derived from the parameters: rmax = 40 / mu
@@ -44,12 +52,13 @@ class Tolerances:
     abs: float = 1e-10
     rmax: float | None = None
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("rel", "abs"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.rmax is not None and not self.rmax > 0:
             raise ValueError("rmax must be positive")
+        return self
 
     def resolved(self, p: Params) -> "Tolerances":
         """Fill in the parameter-dependent default of rmax.
@@ -69,4 +78,4 @@ class Tolerances:
             if not p.mu * self.rmax >= 1e-303:
                 raise ValueError(f"rmax = {self.rmax:g} must be at least 1e-303 decay lengths 1/mu = {1e-303 / p.mu:g}")
             return self
-        return replace(self, rmax=40.0 / p.mu)
+        return self._replace(rmax=40.0 / p.mu)

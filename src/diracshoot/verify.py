@@ -45,8 +45,8 @@ def _check(module: str):
     """Register a check of module in ALL_CHECKS, in definition order.
 
     The check returns (passed, detail); the registered function returns the
-    CheckResult named after it without its check_ prefix.  A check that
-    raises is a failed result of its module.
+    CheckResult named after it without its check_ prefix.  The check gets
+    tol resolved, and a check that raises is a failed result of its module.
     """
 
     def register(fn):
@@ -55,7 +55,7 @@ def _check(module: str):
         @functools.wraps(fn)
         def check(p, tol) -> CheckResult:
             try:
-                passed, detail = fn(p, tol)
+                passed, detail = fn(p, tol.resolved(p))
             except Exception as err:  # a crashing check is a failing check
                 return CheckResult(name, module, False, f"raised {err!r}")
             return CheckResult(name, module, bool(passed), detail)
@@ -385,10 +385,8 @@ def check_csv_schema(p, tol):
     return ok, f"header: {header}"
 
 
-def run_suite(p: Params | None = None, tol: Tolerances | None = None) -> list[CheckResult]:
+def run_suite(p: Params = Params(), tol: Tolerances = Tolerances()) -> list[CheckResult]:
     """Execute every invariant check; failures are reported, not raised."""
-    p = p or Params()
-    tol = (tol or Tolerances()).resolved(p)
     # the shared results live for one run: a later run checks the code as it is then
     _shared.cache_clear()
     return [check(p, tol) for check in ALL_CHECKS]

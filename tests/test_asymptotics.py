@@ -117,6 +117,8 @@ def test_first_order_log_fit():
     fit = first_order_log_fit(P)
     assert fit.c == pytest.approx(2.0 * (P.m + P.omega), rel=1e-4)
     assert fit.h1_sup < 1.0
+    # the fit depends on p alone and is computed once per equal Params
+    assert first_order_log_fit(Params(P.m, P.omega)) is fit
 
 
 def test_li2_neg_matches_mpmath():

@@ -72,3 +72,26 @@ def test_tolerances_validation():
         Tolerances(abs=-1e-10)
     with pytest.raises(ValueError):
         Tolerances(rmax=-1.0)
+
+
+def test_records_are_frozen_hashable_and_checked_by_name():
+    # the NamedTuple records keep what the frozen dataclasses gave: no field
+    # assignment, equal records hashing equal (they key the solvers' caches),
+    # a TypeError that names an unknown field (Tolerances' eta and delta in
+    # test_capture_depth_is_fixed_by_the_classifier), and their checks on
+    # every build; test_tolerances_resolution checks that resolved returns
+    # a record with rmax set as it is
+    p, tol = Params(), Tolerances()
+    for record, name in ((p, "m"), (tol, "rmax")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 2.0)
+    assert Params(1.0, 0.5) == p and hash(Params(1.0, 0.5)) == hash(p)
+    resolved = tol.resolved(p)
+    assert resolved == Tolerances(rmax=40.0 / p.mu) and hash(resolved) == hash(Tolerances(rmax=40.0 / p.mu))
+    assert len({p: 0, Params(m=1.0, omega=0.5): 1}) == 1
+    with pytest.raises(TypeError, match="mass"):
+        Params(mass=1.0)
+    with pytest.raises(ValueError, match="need 0 < omega < m"):
+        Params(omega=2.0)
+    with pytest.raises(ValueError, match="rmax must be positive"):
+        Tolerances(1e-10, 1e-10, 0.0)

@@ -19,6 +19,16 @@ def test_check_passes(suite, i):
     assert r.passed, f"{r.module}/{r.name}: {r.detail}"
 
 
+def test_checks_resolve_the_tolerances_they_get():
+    # each registered check resolves tol, as every solver does on entry, so a
+    # direct call with the unresolved defaults passes as in run_suite
+    # (decay_bound read the unset rmax and raised a TypeError)
+    from diracshoot import Params, Tolerances
+
+    results = [check(Params(), Tolerances()) for check in verify.ALL_CHECKS]
+    assert [(r.name, r.detail) for r in results if not r.passed] == []
+
+
 def test_suite_covers_every_module(suite):
     assert len(suite) == len(verify.ALL_CHECKS)
     modules = {r.module for r in suite}
