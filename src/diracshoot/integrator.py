@@ -1,6 +1,6 @@
-"""Adaptive embedded Runge-Kutta 5(4) integration with event detection.
+"""Adaptive embedded Runge-Kutta integration with event detection.
 
-The stepper is the classic Dormand-Prince pair with FSAL, working on plain
+The stepper is a Dormand-Prince pair with FSAL, 5(4) or 8(5,3), on plain
 float tuples (the systems here are 2- or 4-dimensional and are integrated
 many thousands of times during a shooting run, so the per-step overhead
 matters).  Events are located by sign bracketing over each accepted step
@@ -13,9 +13,9 @@ radii with the same polynomial, in one array pass, into rows of states.
 
 The adaptive loop, with a sign screen of the event values, the bisection
 that refines a crossing and the Hermite dense output are written once, in
-_DP54_SRC (its stages, update and error sum from the pair's table _DP54),
-_REFINE_SRC and _HERMITE_SRC, as per-component expressions.  Their compilers
-_dp54(n, k, flow, events), for the loop and the bisection, and _hermite(n)
+_DP54_SRC (written from a Pair's table by _loop), _REFINE_SRC and
+_HERMITE_SRC, as per-component expressions.  Their compilers
+_dp54(n, k, flow, events, pair), for the loop and the bisection, and _hermite(n)
 exec them once per key, as dataclasses builds __init__.  Python loops over
 components or detectors cost several times their arithmetic; the expanded
 code keeps their operation order, so it is bitwise the loops.  A right-hand
@@ -49,6 +49,45 @@ _DP54 = (
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
     (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0),
 )
+
+# Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, II.10): scipy's DOP853 table as doubles, E5 and E3 last
+_DOP853 = (
+    (0.05260015195876773, 0.05260015195876773), (0.0789002279381516, 0.0197250569845379, 0.0591751709536137),
+    (0.1183503419072274, 0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2816496580927726, 0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.3333333333333333, 0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.25, 0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.3076923076923077, 0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+     0.008273789163814023),
+    (0.6512820512820513, 0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.6, 0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (0.8571428571428571, -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (1.0, 2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625, -17.9589318631188, 27.94888452941996,
+     -2.8589982771350235, -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+     0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
+    (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+     -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294),
+    (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+     -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082),
+)
+
+
+class Pair(NamedTuple):
+    """A pair with FSAL: one error vector is DOPRI5's RMS norm, two Hairer's |h| e5 / sqrt((e5 + 0.01 e3) n)."""
+
+    stages: tuple  # (c, row of A) per stage after k0
+    b: tuple
+    errors: tuple
+    exponent: float  # of the step-size factor
+    # DOPRI5's error weights reach the FSAL stage kS#, so it runs before the error norm, on rejected steps too
+    fsal_in_error = property(lambda self: len(self.errors[0]) > len(self.stages) + 1)
+
+
+DP5, DOP853 = Pair(_DP54[:-2], _DP54[-2], _DP54[-1:], -0.2), Pair(_DOP853[:-3], _DOP853[-3], _DOP853[-2:], -0.125)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -96,9 +135,9 @@ class Trajectory:
     increasing; y has one row per sample, and its first two columns are the
     (u, v) plane for the 2-dimensional flows.  r, y and table are arrays
     built at their first read and never mutated.  stats holds solve's
-    counters in the DOPRI5 names: nfev (right-hand side evaluations), naccpt
-    and nrejct (accepted and rejected steps), and nbisect (event function
-    evaluations that refine crossings).  table holds solve's step ends as
+    counters in the DOPRI5 names: nfev (right-hand side evaluations, see
+    solve), naccpt and nrejct (accepted and rejected steps), and nbisect (event
+    function evaluations that refine crossings).  table holds solve's step ends as
     rows (r, y, dy/dr), uncut at a terminal crossing, which sample
     interpolates; it is built from the flat list steps, and stats and table
     are empty for paths given no steps."""
@@ -192,9 +231,9 @@ class Trajectory:
 # event value index; lines starting with ? (the sign screen) are kept for k > 0.
 # run appends each accepted r, y and f = dy/dr to the flat list nodes and returns
 # (status, r, y, dy, h, naccpt, nrejct, p, q): "completed" at r_end, "event" after
-# a step over which some value changed sign from p to q, or a failure; its stages
-# k1# ... k5#, update n# and error terms are written from _DP54.  hermite
-# interpolates between two rows, of floats or arrays.
+# a step over which some value changed sign from p to q, or a failure; _loop
+# writes its stages k1# ..., update n#, error norm, exponent and FSAL stage kS#
+# from a Pair.  hermite interpolates between two rows, of floats or arrays.
 _DP54_SRC = """
 def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
     [y#] = y
@@ -212,25 +251,24 @@ def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
         # land exactly on r_end, so that a sample there takes the step end
         r_new = r_end if last else r + h
 STAGES
-        [k6#] = f(r_new, ([n#]))
         [an#] = [abs(n#)]
         # the scale is max(ay#, an#), written out: ay# unless an# is larger
         try:
-            err = math.sqrt(([+(ERROR
-                                / (abs_tol + rel * (an# if an# > ay# else ay#))) ** 2]) / {n})
+ERROR
         except OverflowError:  # a square past the float range, where ** raises
             err = math.inf
         if not err <= 1.0:  # an infinite or NaN error norm rejects the step
             nrejct += 1
-            fac = _SAFETY * err ** -0.2
+            fac = _SAFETY * err ** EXPONENT
             h *= fac if fac > _MIN_FACTOR else _MIN_FACTOR
             continue
         naccpt += 1
         r = r_new
-        [y#][ay#][k0#] = [n#][an#][k6#]
-        nodes += (r, [n#][k6#])
+FSAL
+        [y#][ay#][k0#] = [n#][an#][kS#]
+        nodes += (r, [n#][kS#])
         # err <= 1 here, so the factor is at least _SAFETY > _MIN_FACTOR
-        fac = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** -0.2
+        fac = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** EXPONENT
         h *= fac if fac < _MAX_FACTOR else _MAX_FACTOR
 ?        [q$] = g(r, ([y#]))
 ?        if [|p$ > 0.0 >= q$ or p$ < 0.0 <= q$]:
@@ -241,14 +279,29 @@ STAGES
 
 
 def _weighted(weights) -> str:
-    """h times the stages k0#, k1#, ... weighted by weights, zeros left out."""
+    """The stages k0#, k1#, ... weighted by weights, zeros left out."""
     terms = [f"{w!r} * k{j}#" for j, w in enumerate(weights) if w]
-    return "h * " + (terms[0] if len(terms) == 1 else f"({' + '.join(terms)})")
+    return terms[0] if len(terms) == 1 else f"({' + '.join(terms)})"
 
 
-_DP54_SRC = _DP54_SRC.replace("ERROR", _weighted(_DP54[-1])).replace("STAGES\n", "".join(
-    f"        [k{i}#] = f(r + {'h' if c == 1.0 else f'{c!r} * h'}, ([y# + {_weighted(a)}]))\n"
-    for i, (c, *a) in enumerate(_DP54[:-2], 1)) + f"        [n#] = [y# + {_weighted(_DP54[-2])}]\n")
+def _loop(pair: Pair) -> str:
+    """_DP54_SRC written from pair.  The FSAL stage kS# follows the update where it enters the error
+    norm (pair.fsal_in_error), else the acceptance.  Stage names share one width: k1 of component 10 is no k11."""
+    s, scale, fsal = len(pair.stages) + 1, "abs_tol + rel * (an# if an# > ay# else ay#)", ["[kS#] = f(r_new, ([n#]))"]
+    stages = [f"[k{i}#] = f(r + {'h' if c == 1.0 else f'{c!r} * h'}, ([y# + h * {_weighted(a)}]))"
+              for i, (c, *a) in enumerate(pair.stages, 1)] + [f"[n#] = [y# + h * {_weighted(pair.b)}]"]
+    stages, fsal = (stages + fsal, []) if pair.fsal_in_error else (stages, fsal)
+    if len(pair.errors) == 1:
+        error = [f"err = math.sqrt(([+(h * {_weighted(pair.errors[0])}\n{' ' * 32}/ ({scale})) ** 2]) / {{n}})"]
+    else:  # a zero e5 is a zero norm, and any other leaves a positive denominator
+        e5, e3 = (f"[+({_weighted(e)} / sc#) ** 2]" for e in pair.errors)
+        error = [f"[sc#] = [{scale}]", f"e5, e3 = {e5}, {e3}",
+                 "err = h * e5 / math.sqrt((e5 + 0.01 * e3) * {n}) if e5 else 0.0"]
+    src = _DP54_SRC.replace("EXPONENT", repr(pair.exponent))
+    for key, lines, indent in (("STAGES", stages, 8), ("ERROR", error, 12), ("FSAL", fsal, 8)):
+        src = src.replace(key + "\n", "".join(" " * indent + x + "\n" for x in lines))
+    return re.sub(r"\bk(\d+|S)#", lambda m: f"k{s if m[1] == 'S' else int(m[1]):0{len(str(s))}d}#", src)
+
 
 _HERMITE_SRC = """
 def hermite(row0, row1, r):
@@ -331,15 +384,15 @@ v_sign = formula("def f(x, s):\n    u, v = s\n    return v,\n")
 
 
 @functools.cache
-def _dp54(n: int, k: int, flow: str | None, events: str | None):
-    """(run, refine) for n components and k event values, refine None for
-    k = 0.  The formula of a flow replaces each call [x#] = f(radius,
+def _dp54(n: int, k: int, flow: str | None, events: str | None, pair: Pair):
+    """(run, refine) of pair for n components and k event values, refine
+    None for k = 0.  The formula of a flow replaces each call [x#] = f(radius,
     ([arguments])) and that of an event function each call [q$] = g(...),
     and their constants follow g among the arguments, the event function's
     alone in refine's.  Each name a formula binds or reads takes the suffix
     _f in a flow and _g in an event function, which no name of the loop
     ends in, so the formulas' names are their own."""
-    src = _DP54_SRC + _REFINE_SRC if k else _DP54_SRC
+    src = _loop(pair) + _REFINE_SRC if k else _loop(pair)
     params = {"f": "", "g": ""}
     for callee, text in (("f", flow), ("g", events)):
         if text is None:
@@ -379,7 +432,7 @@ def _rms(xs: list) -> float:
         return big * math.sqrt(sum((x / big) ** 2 for x in xs) / len(xs))
 
 
-def _initial_step(f, r0, y0, f0, r_end, rel, abs_tol):
+def _initial_step(f, r0, y0, f0, r_end, rel, abs_tol, exponent):
     span = r_end - r0
     sc = [abs_tol + rel * abs(yi) for yi in y0]
     d0 = _rms([yi / c for yi, c in zip(y0, sc)])
@@ -392,7 +445,7 @@ def _initial_step(f, r0, y0, f0, r_end, rel, abs_tol):
     if max(d1, d2) < 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** -exponent
     return min(100.0 * h0, h1, span)
 
 
@@ -405,6 +458,7 @@ def solve(
     abs_tol: float,
     detectors: Sequence[Detector] = (),
     g: Callable[[float, tuple], tuple] | None = None,
+    pair: Pair = DP5,
 ) -> Trajectory:
     """Integrate y' = f(r, y) over r_span with event detection.
 
@@ -415,11 +469,12 @@ def solve(
     every accepted step, and the trajectory keeps the step table that its
     sample method interpolates at any radii.  A terminal event truncates the
     samples at the refined crossing; otherwise the run ends at r_span[1]
-    with status "completed".  The right-hand side is evaluated
-    2 + 6 (naccpt + nrejct) times: at the start, for the initial step size
-    and six times per step, each a call of f unless f was built by formula,
-    whose source text the loop's stages inline.  stats also counts in
-    nbisect the evaluations of g that refine the crossings.
+    with status "completed".  pair steps: DP5 evaluates the right-hand side
+    2 + 6 (naccpt + nrejct) times, DOP853 2 + 11 (naccpt + nrejct) + naccpt
+    (its FSAL stage, of no error weight, runs on accepted steps alone): at the
+    start, for the initial step size and per stage, each a call of f unless f
+    was built by formula, whose source text the stages inline.  nbisect counts
+    the evaluations of g that refine crossings.
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
@@ -436,7 +491,7 @@ def solve(
     n = len(y)
     flow, consts = getattr(f, "formula", (None, ()))
     events, g_consts = getattr(g, "formula", (None, ())) if detectors else (None, ())
-    (run, refine), hermite = _dp54(n, len(detectors), flow, events), _hermite(n)
+    (run, refine), hermite = _dp54(n, len(detectors), flow, events, pair), _hermite(n)
 
     # the accepted (r, y, f) as rows of 1 + 2n floats; step j runs from row j-1 to row j
     nodes = [r, *y, *k1]
@@ -453,10 +508,11 @@ def solve(
         if cut:
             for column, x in zip(columns, (cut[0], *cut[1])):
                 column[-1] = x
-        stats = dict(nfev=2 + 6 * (naccpt + nrejct), naccpt=naccpt, nrejct=nrejct, nbisect=nbisect)
+        nfev = 2 + len(pair.stages) * (naccpt + nrejct) + naccpt + (nrejct if pair.fsal_in_error else 0)
+        stats = dict(nfev=nfev, naccpt=naccpt, nrejct=nrejct, nbisect=nbisect)
         return Trajectory(columns, events, status_str, stats, nodes)
 
-    h, naccpt, nrejct, nbisect = _initial_step(f, r, y, k1, r_end, rel, abs_tol), 0, 0, 0
+    h, naccpt, nrejct, nbisect = _initial_step(f, r, y, k1, r_end, rel, abs_tol, pair.exponent), 0, 0, 0
     while True:
         status, r, y, k1, h, naccpt, nrejct, g0, g1 = run(
             f, g, *consts, *g_consts, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, *g_prev

@@ -7,9 +7,10 @@ from typing import NamedTuple
 
 
 def checked(record_type):
-    """Build each record_type (a NamedTuple, whose body may not define __new__) through _check, which returns it."""
+    """Build each record_type (a NamedTuple, whose body may not define __new__) through _check, also in _replace."""
     make = record_type.__new__
     record_type.__new__ = lambda cls, *args, **kwargs: make(cls, *args, **kwargs)._check()
+    record_type._make = classmethod(lambda cls, fields: cls(*fields))
     return record_type
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from . import _lazy as np
 from .equations import ENERGY, energy_constants, hamiltonian, radial_flow, series_start
-from .integrator import Detector, EventKind, IntegrationError, Trajectory, formula, solve
+from .integrator import DOP853, DP5, Detector, EventKind, IntegrationError, Trajectory, formula, solve
 from .params import Params, Tolerances
 
 # the search stops at its width target (or at one ulp when that is finer)
@@ -116,7 +116,7 @@ class GroundState(NamedTuple):
     node_count: int
     converged: bool
     anchor_r: float
-    closest_approach: float  # least |u| + |v| before the first sign change of v
+    closest_approach: float  # least |u| + |v| at a step end before the first sign change of v
     history: tuple[Classification, ...] = ()
 
 
@@ -209,7 +209,7 @@ def horizon_run(lam: float, p: Params, tol: Tolerances) -> Trajectory:
     """The run of lam from its series start to tol.rmax, also from a start in
     the capture region.  It screens classify's events with none terminal, and
     the steps do not depend on the events screened, so up to its deciding
-    event it is classify's run step for step.  A failure raises IntegrationError."""
+    event it is a full-horizon classify's run step for step.  A failure raises IntegrationError."""
     tol = tol.resolved(p)
     r0, y0 = series_start(lam, p, tol)
     g, dets = _events(p, False, False)
@@ -230,14 +230,14 @@ def classify(
     an entry into {H < -capture_depth(p)} or a drop of |u| + |v| below ETA.
     decide reads the verdict, A(k) or I-candidate(k) with k the run's sign
     changes of v, or undecided where the run reaches the horizon tol.rmax,
-    stops at its first node (a trial) or fails; its note says which.  With
-    stop_at_first_node (a search trial) the run ends at the first sign
-    change of v and records the shooting function F at its closest approach
-    to the origin (see _closest_approach_wronskian); its certificate is None.
-    A full-horizon run reads the capture certificate at its first sample that
-    holds it (see _certificate).  A classification records the resolved
-    tolerances it ran at: a search runs its trials far from lambda* at a
-    looser one (see bisect), and its history shows which.
+    stops at its first node (a trial) or fails; its note says which.  A
+    search trial (stop_at_first_node) steps with DOP853, ends at the first
+    sign change of v and records the shooting function F at its closest
+    approach to the origin (see _closest_approach_wronskian); its certificate
+    is None.  A full-horizon run steps with DP5 and reads the capture
+    certificate at its first sample that holds it (see _certificate).  A
+    classification records the resolved tolerances it ran at: a search runs
+    its trials far from lambda* at a looser one (see bisect), and its history shows which.
     """
     tol = tol.resolved(p)
     r0, y0 = series_start(lam, p, tol)
@@ -254,8 +254,9 @@ def classify(
         traj = Trajectory(([r0], [y0[0]], [y0[1]]), (), "completed")
     else:
         g, dets = _events(p, stop_at_first_node)
+        pair = DOP853 if stop_at_first_node else DP5
         try:
-            traj = solve(_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g)
+            traj = solve(_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g, pair=pair)
         except IntegrationError as err:
             traj, failure = err.partial, str(err)
 
@@ -407,12 +408,12 @@ def _decay_window(t: Trajectory, anchor_r: float, p: Params) -> tuple[float, flo
     L = _LINEAR a bounds the linear regime, and g = min max(1, (m + omega)/(2 mu))
     the growing mode at the anchor, where |u| + |v| = min; near a zero of v, min
     = |u| is 2 mu/(m + omega) of it.  There the growing share is below g/L.  A
-    coarser run takes the last sample above L and the first below."""
+    coarser run takes the last sample above L and the first below; with none at or below L it raises."""
     lin = _LINEAR * math.sqrt(2.0 * p.gap)
     head = t.norm1[: np.searchsorted(t.r, anchor_r, side="right")]
     linear = head <= lin
-    if int(linear.sum()) < 2:
-        raise DecayWindowError("fewer than two linear samples before the anchor")
+    if not linear.any():
+        raise DecayWindowError("no linear sample before the anchor")
     grow = float(head[-1]) * max(1.0, math.sqrt((p.m + p.omega) / (4.0 * p.gap)))
     clean = linear & (head >= math.sqrt(lin * grow))
     k = max(int(np.argmax(linear)), 1)

@@ -235,13 +235,15 @@ def check_decay_bound(p, tol):
 @_check("shooting")
 def check_bisection_bracketing(p, tol):
     gs = _shared(ground_state, p, tol)
-    # 1e-9 is well above the search's stop width (0.1 tol.rel lambda*)
-    below = classify(gs.lambda_star - 1e-9, p, tol)
-    above = classify(gs.lambda_star + 1e-9, p, tol)
-    ok = below.node_count == 0 and above.node_count >= 1
-    return ok, (
-        f"lambda*-1e-9 -> {below.verdict}({below.node_count}), "
-        f"+1e-9 -> {above.verdict}({above.node_count})"
+    # DOP853 trials (the search) and these DP5 runs put the transition up to 2.96 (tol.abs + tol.rel lambda*)
+    # apart over 116 data; d is at least 2.7 times that gap there and far above the stop width 0.1 tol.rel lambda*
+    d = max(10.0 * tol.abs, 2.0 * tol.rel * gs.lambda_star)
+    below = classify(gs.lambda_star - d, p, tol)
+    above = classify(gs.lambda_star + d, p, tol)
+    offset = f"{d:.2g}".replace("e-0", "e-")  # 1e-9 at the default tolerances up to lambda* = 5
+    return below.node_count == 0 and above.node_count >= 1, (
+        f"lambda*-{offset} -> {below.verdict}({below.node_count}), "
+        f"+{offset} -> {above.verdict}({above.node_count})"
     )
 
 

@@ -226,7 +226,7 @@ def test_joint_flow_first_order_columns_match_the_closed_form(eps):
     sup = np.max(np.abs(h1) + np.abs(k1))
     assert np.max(err) <= 1e-9 * sup  # at most 6.3e-11 * sup measured at the step ends
     # the grid samples between the step ends are off by 1.8e-8, about 300x the
-    # step-end error: the cubic Hermite of ROADMAP item 9; this guards against worse
+    # step-end error: the cubic Hermite of ROADMAP item 20; this guards against worse
     rec = integrate_remainder(eps, P, TOL)
     h1, k1 = integrate_first_order(P, rec.r)
     assert np.max(np.abs(rec.h1 - h1) + np.abs(rec.k1 - k1)) < 1e-7

@@ -548,7 +548,7 @@ def test_readme_python_blocks_run_as_documented():
     printed = dict(re.findall(r"^(radial\.stats|gs\.lambda_star) +# (\{.*?\}|[\d.]+)", readme, re.M))
     assert printed == {
         "radial.stats": "{'nfev': 2444, 'naccpt': 407, 'nrejct': 0, 'nbisect': 0}",
-        "gs.lambda_star": "1.807896148878",
+        "gs.lambda_star": "1.807896148723",
     }
     assert ns["radial"].stats == ast.literal_eval(printed["radial.stats"])
     assert repr(ns["gs"].lambda_star).startswith(printed["gs.lambda_star"])

@@ -277,24 +277,76 @@ def _reference_step(f, r, y, k1, h, r_new, rel, abs_tol):
     return y_new, k7, math.sqrt(err / len(y))
 
 
+_reference_step.order = 5  # the step-size factor is err ** (-1/order)
+
+
+def _combination(weights, ks, i):
+    """The sum of w k[i] over the nonzero weights, left to right."""
+    terms = [float(w) * k[i] for w, k in zip(weights, ks) if w]
+    total = terms[0]
+    for t in terms[1:]:
+        total += t
+    return total
+
+
+def _reference_step_853(f, r, y, k1, h, r_new, rel, abs_tol):
+    """One DOP853 step from scipy's table, each stage and error sum a loop
+    over the components and the nonzero coefficients, with Hairer's error
+    norm; returns (y_new, None, err): the caller evaluates the FSAL stage,
+    which has no error weight, on accepted steps alone."""
+    from scipy.integrate._ivp import dop853_coefficients as T
+
+    def ahead(weights, ks, i):
+        # h times a combination, or h * w * k for a single term, as the loop writes it
+        single = [(float(w), k[i]) for w, k in zip(weights, ks) if w]
+        return h * single[0][0] * single[0][1] if len(single) == 1 else h * _combination(weights, ks, i)
+
+    ks = [k1]
+    for s in range(1, T.N_STAGES):
+        c = float(T.C[s])
+        ks.append(f(r + h if c == 1.0 else r + c * h, tuple(yi + ahead(T.A[s, :s], ks, i) for i, yi in enumerate(y))))
+    y_new = tuple(yi + ahead(T.B, ks, i) for i, yi in enumerate(y))
+    e5 = e3 = 0.0
+    try:
+        for i, (yi, yn) in enumerate(zip(y, y_new)):
+            sc = abs_tol + rel * max(abs(yi), abs(yn))
+            e5 += (_combination(T.E5[:-1], ks, i) / sc) ** 2
+            e3 += (_combination(T.E3[:-1], ks, i) / sc) ** 2
+    except OverflowError:  # a square past the float range rejects the step
+        return y_new, None, math.inf
+    return y_new, None, h * e5 / math.sqrt((e5 + 0.01 * e3) * len(y)) if e5 else 0.0
+
+
+_reference_step_853.order = 8
+
+
 def _row(r, y, f):
     """A step end as the row (r, *y, *f) that the loop stores and hermite reads."""
     return (r, *y, *f)
 
 
-def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eval=None):
+def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eval=None, step=None):
     """solve as a Python loop over the steps and, for each accepted step,
     over the detectors, taking each value from its own call of g and each
-    step from _reference_step, and over the r_eval points, each the state at
-    an equal step end or the scalar Hermite value on the first step ending
-    beyond it: the bitwise reference for the compiled loop.  nbisect counts
-    the calls of g at bisection points.  A failure raises IntegrationError
-    with the partial run."""
+    step from step (DP5's _reference_step, or _reference_step_853 for
+    DOP853), and over the r_eval points, each the state at an equal step end
+    or the scalar Hermite value on the first step ending beyond it: the
+    bitwise reference for the compiled loop.  nfev counts the calls of f and
+    nbisect the calls of g at bisection points.  A failure raises
+    IntegrationError with the partial run."""
     from diracshoot import integrator as I
+
+    step = step or _reference_step
+    nfev = 0
+
+    def counted(r, y):
+        nonlocal nfev
+        nfev += 1
+        return f(r, y)
 
     r_end = float(r_span[1])
     r, y = float(r_span[0]), tuple(float(c) for c in y0)
-    k1 = f(r, y)
+    k1 = counted(r, y)
     hermite = I._hermite(len(y))
     nodes = [(r, y, k1)]
     g_prev = [g(r, y)[i] for i in range(len(detectors))]
@@ -310,10 +362,10 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
             Y = [Y[j] if pt == R[j] else hermite(_row(*nodes[j - 1]), _row(*nodes[j]), pt)
                  for pt, j in zip(pts, js)]
             R = pts
-        stats = {"nfev": 2 + 6 * (naccpt + nrejct), "naccpt": naccpt, "nrejct": nrejct, "nbisect": nbisect}
+        stats = {"nfev": nfev, "naccpt": naccpt, "nrejct": nrejct, "nbisect": nbisect}
         return I.Trajectory((R, *zip(*Y)), events, status, stats)
 
-    h = I._initial_step(f, r, y, k1, r_end, rel, abs_tol)
+    h = I._initial_step(counted, r, y, k1, r_end, rel, abs_tol, -1.0 / step.order)
     while r < r_end:
         if naccpt + nrejct >= I._MAX_STEPS:
             raise IntegrationError(f"step budget exhausted at r={r}", build("failed"))
@@ -323,12 +375,14 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
         if not h > 1e-14 * abs(r):
             raise IntegrationError(f"step size underflow at r={r}", build("failed"))
         r_new = r_end if last else r + h
-        y_new, k7, err = _reference_step(f, r, y, k1, h, r_new, rel, abs_tol)
+        y_new, k7, err = step(counted, r, y, k1, h, r_new, rel, abs_tol)
         if not err <= 1.0:
             nrejct += 1
-            h *= max(I._MIN_FACTOR, I._SAFETY * err**-0.2)
+            h *= max(I._MIN_FACTOR, I._SAFETY * err ** (-1.0 / step.order))
             continue
         naccpt += 1
+        if k7 is None:  # DOP853's FSAL stage, which has no error weight
+            k7 = counted(r_new, y_new)
         fired = []
         for i, det in enumerate(detectors):
             g0 = g_prev[i]
@@ -357,7 +411,7 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
                 return build(f"event:{det.kind.value}", (r_star, y_star))
         r, y, k1 = r_new, y_new, k7
         nodes.append((r, y, k1))
-        factor = I._MAX_FACTOR if err == 0.0 else min(I._MAX_FACTOR, I._SAFETY * err**-0.2)
+        factor = I._MAX_FACTOR if err == 0.0 else min(I._MAX_FACTOR, I._SAFETY * err ** (-1.0 / step.order))
         h *= max(I._MIN_FACTOR, factor)
     return build("completed")
 
@@ -500,6 +554,64 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     assert len(got[i_both].events_of(EventKind.V_SIGN_CHANGE)) == 9
     assert len(got[i_both].events_of(EventKind.NORM_BELOW_ETA)) == 5
     assert [e.r for t in got[zeros] for e in t.events_of(EventKind.V_SIGN_CHANGE)] == [3.0, 3.0]
+
+
+def test_dop853_loop_is_bitwise_the_reference_solve():
+    # a DOP853 run three ways, as DP5's above: solve(f), which inlines the
+    # radial formula, solve of a counting callable around f, and the
+    # reference step written from scipy's table, so the pair's literals are
+    # scipy's doubles.  Search trials stopped at their first node, at a
+    # capture (a datum 7e-12 below lambda* at P) and at the eta tube (the
+    # ground state's datum at (1, 0.99)), and one that starts captured and
+    # runs to the horizon, each with rejected steps; the counting callable
+    # is called 2 + 11 (naccpt + nrejct) + naccpt times, as the FSAL stage
+    # runs on accepted steps alone
+    from diracshoot.integrator import DOP853
+    from diracshoot.shooting import _events
+
+    p99 = Params(1.0, 0.99)
+    runs = []
+    for p, lam in [(P, 8.0), (P, 1.8078961487164322), (p99, 0.22115975204859709), (P, 1.0)]:
+        tol = Tolerances().resolved(p)
+        r0, y0 = series_start(lam, p, tol)
+        calls = 0
+
+        def counted(r, y, f=radial_flow(p)):
+            nonlocal calls
+            calls += 1
+            return f(r, y)
+
+        g, dets = _events(p, True)
+        kw = dict(detectors=dets, g=g, rel=tol.rel, abs_tol=tol.abs)
+        span = (r0, tol.rmax)
+        run = solve(radial_flow(p), span, y0, pair=DOP853, **kw)
+        _assert_same_run(run, solve(counted, span, y0, pair=DOP853, **kw))
+        _assert_same_run(run, _reference_solve(radial_flow(p), span, y0, step=_reference_step_853, **kw))
+        steps, accepted = run.stats["naccpt"] + run.stats["nrejct"], run.stats["naccpt"]
+        assert calls == run.stats["nfev"] == 2 + 11 * steps + accepted
+        runs.append(run)
+    assert [t.status for t in runs] == [
+        "event:v_sign_change",
+        "event:entered_negative_energy",
+        "event:norm_below_eta",
+        "completed",
+    ]
+    assert all(t.stats["nrejct"] > 0 for t in runs)
+
+
+@pytest.mark.parametrize("rel", [1e-7, 1e-10])
+@pytest.mark.parametrize("lam", [1.0, 1.8, 1.8078961487234322])
+def test_dop853_steps_match_scipy(lam, rel):
+    # independent oracle: scipy's DOP853 at the same rtol and atol takes the
+    # same accepted steps to r = 12, or one more or fewer (its step control
+    # rejects at err >= 1, and caps the factor after a rejection)
+    from diracshoot.integrator import DOP853
+
+    r0, y0 = series_start(lam, P, TOL)
+    mine = solve(RADIAL, (r0, 12.0), y0, rel=rel, abs_tol=rel, pair=DOP853)
+    ref = solve_ivp(lambda r, y: RADIAL(r, tuple(y)), (r0, 12.0), y0, method="DOP853", rtol=rel, atol=rel)
+    assert ref.success and mine.status == "completed"
+    assert abs(mine.stats["naccpt"] - (len(ref.t) - 1)) <= 1
 
 
 def test_formula_event_function_is_called_only_at_the_start():

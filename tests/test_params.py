@@ -95,3 +95,18 @@ def test_records_are_frozen_hashable_and_checked_by_name():
         Params(omega=2.0)
     with pytest.raises(ValueError, match="rmax must be positive"):
         Tolerances(1e-10, 1e-10, 0.0)
+
+
+def test_replace_runs_the_record_checks():
+    # _replace builds its copy through _make, which the records route through
+    # their checked constructor: each bad copy raises as a bad build does
+    from diracshoot.cli import RunConfig
+
+    for record, change, message in (
+        (Params(), dict(omega=2.0), "need 0 < omega < m"),
+        (Tolerances(), dict(rel=-1.0), "rel must be positive"),
+        (RunConfig(), dict(resolution=0), "resolution must be at least 2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            record._replace(**change)
+        assert record._replace() == record

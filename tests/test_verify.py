@@ -76,6 +76,34 @@ def test_corrupted_bubble_is_caught(monkeypatch):
     assert "bubble_limit_agreement" in names
 
 
+@pytest.mark.parametrize("m", [4.0, 1e4])
+def test_bisection_bracketing_holds_at_large_lambda_star(m):
+    # the check classifies lambda* -+ d with full-horizon DP5 runs, and the
+    # search's trials run DOP853: at (1e4, 5e3), lambda* = 180.79, the two put
+    # the transition 5.4e-9 apart, and a fixed d = 1e-9 failed there; d =
+    # max(10 tol.abs, 2 tol.rel lambda*) is 3.6e-8 there and 1e-9 at (4, 2),
+    # where the transitions lie 2.1e-10 apart
+    from diracshoot import Params, Tolerances
+
+    r = verify.check_bisection_bracketing(Params(m, m / 2), Tolerances())
+    assert r.passed, r.detail
+
+
+def test_bisection_bracketing_catches_a_displaced_lambda_star(monkeypatch):
+    # lambda* moved by 1e-7 (relative), 180 times the check's offset at (1, 0.5)
+    from diracshoot import Params, Tolerances
+
+    real = verify.ground_state
+
+    def displaced(p, tol):
+        gs = real(p, tol)
+        return gs._replace(lambda_star=gs.lambda_star * (1.0 + 1e-7))
+
+    monkeypatch.setattr(verify, "ground_state", displaced)
+    r = verify.check_bisection_bracketing(Params(), Tolerances())
+    assert not r.passed and r.detail.startswith("lambda*-1e-9 -> "), r.detail
+
+
 def test_certificate_soundness_counts_the_nodes_of_a_captured_run(monkeypatch):
     # a captured datum with two sign changes of v past its certificate's R
     # has one more than the certificate allows, whatever its verdict
@@ -183,9 +211,9 @@ def test_suite_repeats_only_its_deliberate_runs(monkeypatch):
     real = integrator.solve
     runs = []
 
-    def counted(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None):
-        t = real(f, r_span, y0, rel=rel, abs_tol=abs_tol, detectors=detectors, g=g)
-        key = (_flow_key(f), tuple(map(float, r_span)), tuple(map(float, y0)), rel, abs_tol, tuple(detectors))
+    def counted(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, pair=integrator.DP5):
+        t = real(f, r_span, y0, rel=rel, abs_tol=abs_tol, detectors=detectors, g=g, pair=pair)
+        key = (_flow_key(f), tuple(map(float, r_span)), tuple(map(float, y0)), rel, abs_tol, tuple(detectors), pair)
         runs.append((key, t.stats["nfev"]))
         return t
 
@@ -202,7 +230,7 @@ def test_suite_repeats_only_its_deliberate_runs(monkeypatch):
     p = Params()
     tol = Tolerances().resolved(p)
     r2, y2 = series_start(2.0, p, tol)
-    classify2 = (radial_flow(p).formula, (r2, tol.rmax), y2, tol.rel, tol.abs, _events(p, False)[1])
+    classify2 = (radial_flow(p).formula, (r2, tol.rmax), y2, tol.rel, tol.abs, _events(p, False)[1], integrator.DP5)
     (rescaled, n_rescaled), *envelope = repeats
     assert envelope == [(classify2, 632)] * 2
     assert (rescaled[0], rescaled[1][1], n_rescaled) == (radial_flow(p, 0.1).formula, 10.0, 434)
