@@ -8,8 +8,9 @@ and refined by bisection on the cubic Hermite dense output (Hairer, Norsett
 & Wanner, Solving ODEs I, II.6); an event records the interpolated state at
 its crossing, from which callers compute any value there.  A trajectory
 holds its samples as float columns and the step list of its run, as arrays
-from their first read; Trajectory.sample interpolates the steps at any
-radii with the same polynomial, in one array pass, into rows of states.
+from their first read; Trajectory.sample interpolates the steps at any radii
+with that polynomial, or DOP853's own 7th-order one on a dense run (CONTD8,
+II.6), in one array pass, into rows of states.
 
 The adaptive loop, with a sign screen of the event values, the bisection
 that refines a crossing and the Hermite dense output are written once, in
@@ -50,7 +51,8 @@ _DP54 = (
     (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0),
 )
 
-# Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, II.10): scipy's DOP853 table as doubles, E5 and E3 last
+# Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, II.10): scipy's DOP853 table as doubles, E5 and E3 after b, then
+# the continuous extension (CONTD8, II.6): (c, row of A) of k13 ... k15, after the FSAL k12, and D over k0 ... k15
 _DOP853 = (
     (0.05260015195876773, 0.05260015195876773), (0.0789002279381516, 0.0197250569845379, 0.0591751709536137),
     (0.1183503419072274, 0.02958758547680685, 0.0, 0.08876275643042054),
@@ -73,6 +75,25 @@ _DOP853 = (
      -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294),
     (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
      -0.4226823213237919, -0.1521609496625161, 0.20136540080403034, 0.02265179219836082),
+    (0.1, 0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483, -0.2462390374708025, -0.12419142326381637,
+     0.15329179827876568, 0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.2, 0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776, 0.053541988307438566, -0.05492374857139099,
+     0.0, 0.0, -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456, 0.1413124436746325),
+    (0.7777777777777778, -0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0, -0.0013990241651590145, 2.9475147891527724,
+     -9.15095847217987),
+    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+     18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229, 15.697238121770845,
+     -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+     -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605, -43.53345659001114, 96.32455395918828,
+     -39.17726167561544, -149.72683625798564),
 )
 
 
@@ -83,11 +104,17 @@ class Pair(NamedTuple):
     b: tuple
     errors: tuple
     exponent: float  # of the step-size factor
+    extra: tuple = ()  # the continuous extension's (c, row of A) per stage after the FSAL one
+    d: tuple = ()  # and its rows of D, none for a pair without one
     # DOPRI5's error weights reach the FSAL stage kS#, so it runs before the error norm, on rejected steps too
     fsal_in_error = property(lambda self: len(self.errors[0]) > len(self.stages) + 1)
+    # the stages k1 ... of a step that the extension weighs, which a dense run records
+    dense_stages = property(lambda self: [j for j, *w in zip(range(len(self.stages) + 1), *self.d, *(
+        a[1:] for a in self.extra)) if j and any(w)])
 
 
-DP5, DOP853 = Pair(_DP54[:-2], _DP54[-2], _DP54[-1:], -0.2), Pair(_DOP853[:-3], _DOP853[-3], _DOP853[-2:], -0.125)
+DP5 = Pair(_DP54[:-2], _DP54[-2], _DP54[-1:], -0.2)
+DOP853 = Pair(_DOP853[:11], _DOP853[11], _DOP853[12:14], -0.125, _DOP853[14:17], _DOP853[17:])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -140,14 +167,15 @@ class Trajectory:
     function evaluations that refine crossings).  table holds solve's step ends as
     rows (r, y, dy/dr), uncut at a terminal crossing, which sample
     interpolates; it is built from the flat list steps, and stats and table
-    are empty for paths given no steps."""
+    are empty for paths given no steps; dense is a dense run's (f, pair, stages)."""
 
-    def __init__(self, columns, events, status, stats=None, steps=None):
+    def __init__(self, columns, events, status, stats=None, steps=None, dense=None):
         self.columns = columns
         self.events = tuple(events)
         self.status = status  # "completed", "failed" or "event:<kind>"
         self.stats = stats or {}
         self._steps = steps
+        self._dense = dense  # (f, pair, recorded stages) of a dense run
 
     @functools.cached_property
     def _arrays(self) -> tuple:
@@ -202,8 +230,10 @@ class Trajectory:
     def sample(self, grid) -> np.ndarray:
         """The states of this run at the 1-D, strictly increasing grid, one
         row per point, from its step table: a point equal to a sample takes
-        the state there, any other the Hermite value on the step ending
-        beyond it (the polynomial that refines events, in one array pass).
+        the state there, any other, in one array pass, the value on the step
+        ending beyond it of a dense run's degree-7 extension (rows h D K built
+        once per run); a run without stages takes the cubic Hermite, which
+        refine uses, unchanged, for the events of every run.
         The grid lies within the run's r_span; points past the last sample
         of a run that stopped early, at a terminal crossing or a failure,
         have no row, so the rows are those of the first points of grid."""
@@ -222,20 +252,45 @@ class Trajectory:
         inner = pts != r[j]
         y = self.y[j]
         j = j[inner]
-        y[inner] = np.transpose(_hermite(y.shape[1])(self.table[j - 1].T, self.table[j].T, pts[inner]))
+        if self._dense:
+            r0, h, c = self._extension
+            x = ((pts[inner] - r0[j - 1]) / h[j - 1])[:, None]
+            c, x, acc = c.take(j - 1, axis=1), (1.0 - x, x), 0.0
+            for i in range(len(c) - 1, 0, -1):  # c0 + x (c1 + (1 - x) (c2 + x (c3 + ... + x c7)))
+                acc = (acc + c[i]) * x[i % 2]
+            y[inner] = c[0] + acc
+        else:
+            y[inner] = np.transpose(_hermite(y.shape[1])(self.table[j - 1].T, self.table[j].T, pts[inner]))
         return y
+
+    @functools.cached_property
+    def _extension(self) -> tuple:
+        """Per step: r0, h and the rows y0, F0 ... F6 of the extension (scipy's Dop853DenseOutput), all at once."""
+        (f, pair, stages), t, n = self._dense, self.table, len(self.columns) - 1
+        r0, h, y0, y1 = t[:-1, 0], np.diff(t[:, 0])[:, None], t[:-1, 1 : n + 1], t[1:, 1 : n + 1]
+        # the stages k0 ... per step, k[s] the FSAL one and zero where no weight reads them
+        k, s = np.zeros((len(pair.d[0]), len(h), n)), len(pair.stages) + 1
+        stages = np.frombuffer(struct.pack(f"{len(stages)}d", *stages)).reshape(len(h), len(pair.dense_stages), n)
+        k[pair.dense_stages], k[0], k[s] = stages.swapaxes(0, 1), t[:-1, n + 1 :], t[1:, n + 1 :]
+        # the weighted sums by einsum, whose loops call no BLAS routine; f on arrays
+        for i, (c, *a) in enumerate(pair.extra, s + 1):
+            k[i] = np.transpose(f(r0 + c * h[:, 0], tuple((y0 + h * np.einsum("j,j...", a, k[:i])).T)))
+        dy = y1 - y0
+        F = [y0, dy, h * k[0] - dy, 2.0 * dy - h * (k[s] + k[0]), *(h * np.einsum("ij,j...->i...", pair.d, k))]
+        return r0, h[:, 0], np.array(F)
 
 
 # [expr] expands to "expr_0, expr_1, ..., ", [+expr] to "expr_0 + expr_1 + ..." and
 # [|expr] to "expr_0 or expr_1 or ...", with # the state component index or $ the
 # event value index; lines starting with ? (the sign screen) are kept for k > 0.
-# run appends each accepted r, y and f = dy/dr to the flat list nodes and returns
+# run appends each accepted r, y and f = dy/dr to the flat list nodes (and a dense
+# run the stages pair.dense_stages to the flat list stages) and returns
 # (status, r, y, dy, h, naccpt, nrejct, p, q): "completed" at r_end, "event" after
 # a step over which some value changed sign from p to q, or a failure; _loop
 # writes its stages k1# ..., update n#, error norm, exponent and FSAL stage kS#
 # from a Pair.  hermite interpolates between two rows, of floats or arrays.
 _DP54_SRC = """
-def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
+def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, stages, naccpt, nrejct, [p$]):
     [y#] = y
     [k0#] = dy
     [ay#] = [abs(y#)]
@@ -284,9 +339,10 @@ def _weighted(weights) -> str:
     return terms[0] if len(terms) == 1 else f"({' + '.join(terms)})"
 
 
-def _loop(pair: Pair) -> str:
-    """_DP54_SRC written from pair.  The FSAL stage kS# follows the update where it enters the error
-    norm (pair.fsal_in_error), else the acceptance.  Stage names share one width: k1 of component 10 is no k11."""
+def _loop(pair: Pair, dense: bool) -> str:
+    """_DP54_SRC written from pair, recording pair.dense_stages if dense.  The FSAL stage kS# follows the update where
+    it enters the error norm (pair.fsal_in_error), else the acceptance.  Stage names share one width: k1 of component 10
+    is no k11."""
     s, scale, fsal = len(pair.stages) + 1, "abs_tol + rel * (an# if an# > ay# else ay#)", ["[kS#] = f(r_new, ([n#]))"]
     stages = [f"[k{i}#] = f(r + {'h' if c == 1.0 else f'{c!r} * h'}, ([y# + h * {_weighted(a)}]))"
               for i, (c, *a) in enumerate(pair.stages, 1)] + [f"[n#] = [y# + h * {_weighted(pair.b)}]"]
@@ -298,6 +354,7 @@ def _loop(pair: Pair) -> str:
         error = [f"[sc#] = [{scale}]", f"e5, e3 = {e5}, {e3}",
                  "err = h * e5 / math.sqrt((e5 + 0.01 * e3) * {n}) if e5 else 0.0"]
     src = _DP54_SRC.replace("EXPONENT", repr(pair.exponent))
+    fsal += [f"stages += ({''.join(f'[k{j}#]' for j in pair.dense_stages)})"] if dense else []
     for key, lines, indent in (("STAGES", stages, 8), ("ERROR", error, 12), ("FSAL", fsal, 8)):
         src = src.replace(key + "\n", "".join(" " * indent + x + "\n" for x in lines))
     return re.sub(r"\bk(\d+|S)#", lambda m: f"k{s if m[1] == 'S' else int(m[1]):0{len(str(s))}d}#", src)
@@ -384,15 +441,15 @@ v_sign = formula("def f(x, s):\n    u, v = s\n    return v,\n")
 
 
 @functools.cache
-def _dp54(n: int, k: int, flow: str | None, events: str | None, pair: Pair):
+def _dp54(n: int, k: int, flow: str | None, events: str | None, pair: Pair, dense: bool):
     """(run, refine) of pair for n components and k event values, refine
-    None for k = 0.  The formula of a flow replaces each call [x#] = f(radius,
+    None for k = 0 (run records stages if dense).  The formula of a flow replaces each call [x#] = f(radius,
     ([arguments])) and that of an event function each call [q$] = g(...),
     and their constants follow g among the arguments, the event function's
     alone in refine's.  Each name a formula binds or reads takes the suffix
     _f in a flow and _g in an event function, which no name of the loop
     ends in, so the formulas' names are their own."""
-    src = _loop(pair) + _REFINE_SRC if k else _loop(pair)
+    src = _loop(pair, dense) + (_REFINE_SRC if k else "")
     params = {"f": "", "g": ""}
     for callee, text in (("f", flow), ("g", events)):
         if text is None:
@@ -459,6 +516,7 @@ def solve(
     detectors: Sequence[Detector] = (),
     g: Callable[[float, tuple], tuple] | None = None,
     pair: Pair = DP5,
+    dense: bool = False,
 ) -> Trajectory:
     """Integrate y' = f(r, y) over r_span with event detection.
 
@@ -474,7 +532,9 @@ def solve(
     (its FSAL stage, of no error weight, runs on accepted steps alone): at the
     start, for the initial step size and per stage, each a call of f unless f
     was built by formula, whose source text the stages inline.  nbisect counts
-    the evaluations of g that refine crossings.
+    the evaluations of g that refine crossings.  dense records the stages
+    that pair's continuous extension weighs (ValueError for DP5, which has
+    none) for sample, which evaluates its 3 other stages, uncounted.
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
@@ -485,17 +545,19 @@ def solve(
         raise ValueError(f"rel must be nonnegative and finite, got {rel}")
     if detectors and g is None:
         raise ValueError("detectors need an event function g")
+    if dense and not pair.d:
+        raise ValueError("dense output needs a pair with a continuous extension")
     y = tuple(float(c) for c in y0)
     r = r0
     k1 = f(r, y)
     n = len(y)
     flow, consts = getattr(f, "formula", (None, ()))
     events, g_consts = getattr(g, "formula", (None, ())) if detectors else (None, ())
-    (run, refine), hermite = _dp54(n, len(detectors), flow, events, pair), _hermite(n)
+    (run, refine), hermite = _dp54(n, len(detectors), flow, events, pair, dense), _hermite(n)
 
     # the accepted (r, y, f) as rows of 1 + 2n floats; step j runs from row j-1 to row j
     nodes = [r, *y, *k1]
-    w = 1 + 2 * n
+    w, stages = 1 + 2 * n, [] if dense else None
     g_prev = tuple(g(r, y)) if detectors else ()
     if len(g_prev) != len(detectors):
         raise ValueError(f"g must return one value per detector, {len(detectors)}, got {len(g_prev)}")
@@ -510,12 +572,12 @@ def solve(
                 column[-1] = x
         nfev = 2 + len(pair.stages) * (naccpt + nrejct) + naccpt + (nrejct if pair.fsal_in_error else 0)
         stats = dict(nfev=nfev, naccpt=naccpt, nrejct=nrejct, nbisect=nbisect)
-        return Trajectory(columns, events, status_str, stats, nodes)
+        return Trajectory(columns, events, status_str, stats, nodes, (f, pair, stages) if dense else None)
 
     h, naccpt, nrejct, nbisect = _initial_step(f, r, y, k1, r_end, rel, abs_tol, pair.exponent), 0, 0, 0
     while True:
         status, r, y, k1, h, naccpt, nrejct, g0, g1 = run(
-            f, g, *consts, *g_consts, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, *g_prev
+            f, g, *consts, *g_consts, r, y, k1, h, r_end, rel, abs_tol, nodes, stages, naccpt, nrejct, *g_prev
         )
         if status == "completed":
             return build("completed")

@@ -297,14 +297,14 @@ def check_rescaled_energy(p, tol):
 
 @_check("asymptotics")
 def check_first_order_log_law(p, tol):
-    # the closed form against the (h1, k1) columns the joint flow integrates;
-    # those samples lie between step ends, where the cubic Hermite error
-    # scales like the tolerance to the 4/5 (0.6-4.5 x this scale measured)
+    # the closed form against the (h1, k1) columns the joint flow integrates,
+    # read between step ends through DOP853's 7th-order extension: 0.1-2.1 x
+    # abs + rel sup from m = 0.01 to 10 and rel = abs = 1e-6 to 1e-13
     fit = asymptotics.first_order_log_fit(p)
     rec = _shared(asymptotics.integrate_remainder, 0.2, p, tol)
     h1, k1 = asymptotics.integrate_first_order(p, rec.r)
     dev = float(np.max(np.abs(h1 - rec.h1) + np.abs(k1 - rec.k1)))
-    bound = 20.0 * (tol.abs + tol.rel * float(np.max(np.abs(h1) + np.abs(k1)))) ** 0.8
+    bound = 10.0 * (tol.abs + tol.rel * float(np.max(np.abs(h1) + np.abs(k1))))
     ok = fit.c > 0.0 and fit.max_rel_residual < 0.1 and dev <= bound
     detail = f"c={fit.c:.4f}, rel residual {fit.max_rel_residual:.2e}"
     return ok, f"{detail}, joint flow off by {dev:.2e} <= {bound:.2e}"

@@ -614,6 +614,98 @@ def test_dop853_steps_match_scipy(lam, rel):
     assert abs(mine.stats["naccpt"] - (len(ref.t) - 1)) <= 1
 
 
+
+def test_dop853_extension_is_scipys_table():
+    # the continuous extension's literals are scipy's doubles: the extra
+    # stages' c and A rows (zero past each row's own stage) and D, bitwise;
+    # a dense run records the stages k5 ... k11 that they weigh, as k1 ... k4
+    # have zero weight in every row
+    from scipy.integrate._ivp import dop853_coefficients as T
+
+    from diracshoot.integrator import DOP853, DP5
+
+    assert len(DOP853.extra) == T.N_STAGES_EXTENDED - T.N_STAGES - 1 == 3
+    for i, (c, *a) in enumerate(DOP853.extra, 13):
+        assert _hex([c, *a]) == _hex([T.C[i], *T.A[i, :i]]) and not T.A[i, i:].any()
+    assert _hex(DOP853.d) == _hex(T.D) and np.shape(DOP853.d) == (4, 16)
+    assert DOP853.dense_stages == [5, 6, 7, 8, 9, 10, 11] and DP5.dense_stages == []
+    assert not T.A[13:, 1:5].any() and not T.D[:, 1:5].any()
+
+
+def _joint_run(eps, rel, **kw):
+    from diracshoot.asymptotics import _rhs_joint
+    from diracshoot.integrator import DOP853
+
+    start = (*first_order_start(P, R0), 0.0, 0.25 * (P.m**2 - P.omega**2) * R0**2)
+    return solve(_rhs_joint(eps, P), (R0, 1.0 / eps), start, rel=rel, abs_tol=rel, pair=DOP853, **kw)
+
+
+@pytest.mark.parametrize("eps, rel", [(0.2, 1e-8), (0.05, 1e-10), (0.3, 1e-6)])
+def test_dense_sample_is_scipys_dense_output_on_the_same_steps(eps, rel):
+    # independent oracle: scipy's Dop853DenseOutput built on each step of the
+    # run from scipy's table (its rk_step and np.dot sums); a dense run takes
+    # the steps of the run without stages bitwise, and a grid point at a step
+    # end takes the row there
+    from scipy.integrate._ivp import dop853_coefficients as T
+    from scipy.integrate._ivp.rk import Dop853DenseOutput, rk_step
+
+    from diracshoot.asymptotics import _rhs_joint
+
+    run = _joint_run(eps, rel, dense=True)
+    _assert_same_run(run, _joint_run(eps, rel))
+    f = _rhs_joint(eps, P)
+
+    def fun(r, y):
+        return np.array(f(r, tuple(y)))
+
+    table, worst = run.table, 0.0
+    for row0, row1 in zip(table, table[1:]):
+        r0, y0, f0, h = row0[0], row0[1:5], row0[5:], row1[0] - row0[0]
+        K = np.empty((16, 4))
+        y1, f1 = rk_step(fun, r0, y0, f0, h, T.A[:12, :12], T.B, T.C[:12], K[:13])
+        for s in range(13, 16):
+            K[s] = fun(r0 + T.C[s] * h, y0 + np.dot(K[:s].T, T.A[s, :s]) * h)
+        dy = y1 - y0
+        F = np.vstack([dy, h * f0 - dy, 2.0 * dy - h * (f1 + f0), h * np.dot(T.D, K)])
+        grid = np.linspace(r0, r0 + h, 9)[1:-1]
+        worst = max(worst, np.max(np.abs(Dop853DenseOutput(r0, r0 + h, y0, F)(grid).T - run.sample(grid))))
+    assert worst <= 1e-14  # 7.8e-16 measured
+    grid = np.unique(np.concatenate([run.r[::3], np.linspace(R0, 1.0 / eps, 101)]))
+    rows = run.sample(grid)
+    at = np.isin(grid, run.r)
+    assert _hex(rows[at]) == _hex(run.y[np.isin(run.r, grid)])
+
+
+def test_dense_sample_of_a_called_flow_is_the_inlined_one():
+    # a plain callable around the formula (as the benchmark's tracer wraps f)
+    # takes the called path of the loop and evaluates the extension's stages
+    # on arrays through the wrapper: the same rows, bitwise
+    from diracshoot.asymptotics import _rhs_joint
+    from diracshoot.integrator import DOP853
+
+    f = _rhs_joint(0.1, P)
+    start = (*first_order_start(P, R0), 0.0, 0.25 * (P.m**2 - P.omega**2) * R0**2)
+    grid = np.linspace(R0, 10.0, 800)
+    inlined = solve(f, (R0, 10.0), start, **KW, pair=DOP853, dense=True)
+    called = solve(lambda r, y: f(r, y), (R0, 10.0), start, **KW, pair=DOP853, dense=True)
+    _assert_same_run(inlined, called)
+    assert _hex(inlined.sample(grid)) == _hex(called.sample(grid))
+
+
+def test_dense_output_needs_a_pair_with_an_extension():
+    with pytest.raises(ValueError, match="continuous extension"):
+        solve(RADIAL, (0.1, 1.0), (0.0, 1.0), **KW, dense=True)
+
+
+def test_dense_run_failing_before_its_first_step_samples_its_start():
+    # a NaN slope fails the first step size: the partial run has no step,
+    # so its extension has no rows, and its start is still a sample
+    from diracshoot.integrator import DOP853
+
+    with pytest.raises(IntegrationError) as err:
+        solve(lambda r, y: (math.nan, 0.0), (0.0, 1.0), (1.0, 0.0), **KW, pair=DOP853, dense=True)
+    assert err.value.partial.sample([0.0]).tolist() == [[1.0, 0.0]]
+
 def test_formula_event_function_is_called_only_at_the_start():
     # the sign screen and the bisection both inline a g built by formula, so
     # a counting wrapper that keeps the formula is called once per run, at

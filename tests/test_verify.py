@@ -211,9 +211,10 @@ def test_suite_repeats_only_its_deliberate_runs(monkeypatch):
     real = integrator.solve
     runs = []
 
-    def counted(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, pair=integrator.DP5):
-        t = real(f, r_span, y0, rel=rel, abs_tol=abs_tol, detectors=detectors, g=g, pair=pair)
-        key = (_flow_key(f), tuple(map(float, r_span)), tuple(map(float, y0)), rel, abs_tol, tuple(detectors), pair)
+    def counted(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, pair=integrator.DP5, dense=False):
+        t = real(f, r_span, y0, rel=rel, abs_tol=abs_tol, detectors=detectors, g=g, pair=pair, dense=dense)
+        key = (_flow_key(f), tuple(map(float, r_span)), tuple(map(float, y0)), rel, abs_tol, tuple(detectors), pair,
+               dense)
         runs.append((key, t.stats["nfev"]))
         return t
 
@@ -230,7 +231,8 @@ def test_suite_repeats_only_its_deliberate_runs(monkeypatch):
     p = Params()
     tol = Tolerances().resolved(p)
     r2, y2 = series_start(2.0, p, tol)
-    classify2 = (radial_flow(p).formula, (r2, tol.rmax), y2, tol.rel, tol.abs, _events(p, False)[1], integrator.DP5)
+    classify2 = (radial_flow(p).formula, (r2, tol.rmax), y2, tol.rel, tol.abs, _events(p, False)[1], integrator.DP5,
+                 False)
     (rescaled, n_rescaled), *envelope = repeats
     assert envelope == [(classify2, 632)] * 2
     assert (rescaled[0], rescaled[1][1], n_rescaled) == (radial_flow(p, 0.1).formula, 10.0, 434)
