@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from . import _lazy as np
 from .equations import radial_flow, series_polynomials, series_start
-from .integrator import DOP853, Detector, EventKind, Trajectory, formula, solve, v_sign
+from .integrator import DOP853, Detector, EventKind, Trajectory, formula, sample, solve, v_sign
 from .params import Params, Tolerances
 from .shooting import lsq_slope
 
@@ -317,79 +317,81 @@ def _sum_joint(coef: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def integrate_remainder(
-    eps: float, p: Params, tol: Tolerances, T: float | None = None
-) -> PerturbationRecord:
-    """Compute the remainder (h2, k2) on (0, 1/eps) along both routes, and
-    with T the rescaled run's distance to the bubble on [0, T].
-
-    The joint flow gives (h2, k2) at any eps, with sup |h2|+|k2| growing like
-    mu^2/eps (ln(1/eps) - a) (see remainder_bound_constant); the subtraction
-    route checks it at the rescaled run's step ends up to 1/eps, with h1 and
-    k1 in closed form.  The joint run steps with DOP853 from its series
-    (_joint_series), near r = 0.9 at the default tolerance, and radii below
-    take the series' values; its two samplings share the extension's rows.
-    The rescaled flow steps with DP5, once, after it, to max(1/eps, T) from
-    a series start below half of min(1/eps, T), for both horizons.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"need 0 < eps < 1, got {eps}")
+    epsilons, p: Params, tol: Tolerances, T: float | None = None
+) -> list[PerturbationRecord]:
+    """The remainder (h2, k2) on (0, 1/eps) along both routes, one record per
+    eps of epsilons in their order, and with T the rescaled run's distance to
+    the bubble on [0, T].  The joint flow gives (h2, k2) at any eps, with sup
+    |h2|+|k2| growing like mu^2/eps (ln(1/eps) - a) (remainder_bound_constant);
+    the subtraction route checks it at the rescaled run's step ends up to
+    1/eps, with h1 and k1 in closed form.  Per eps the joint run steps with
+    DOP853 from its series (_joint_series), near r = 0.9 at the default
+    tolerance, then the rescaled one with DP5 to max(1/eps, T) from below half
+    of min(1/eps, T).  The rest is one elementwise pass over all eps, so each
+    record is bitwise its eps' alone: the series below the joint starts, one
+    sample of every run, the closed form at all step ends."""
+    for eps in epsilons:
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"need 0 < eps < 1, got {eps}")
     if T is not None and not T >= T_MIN:
         raise ValueError(f"T must be at least {T_MIN:g}, got {T:g}")
-    r_end = 1.0 / eps
-    grid = np.linspace(1e-6, r_end, _REMAINDER_N)
+    if not epsilons:
+        return []
+    grid = np.ascontiguousarray(np.linspace(1e-6, [1.0 / eps for eps in epsilons], _REMAINDER_N, axis=1))
+    coef, r0 = zip(*(_joint_series(eps, p, tol) for eps in epsilons))
+    coef = np.stack(coef, axis=1)  # orders, then eps
+    joint, resc = [], []
+    for eps, start, y0 in zip(epsilons, r0, _sum_joint(coef, np.array(r0))):
+        joint.append(solve(_rhs_joint(eps, p), (start, 1.0 / eps), tuple(y0), rel=tol.rel, abs_tol=tol.abs,
+                           pair=DOP853, dense=True))
+        horizons = (1.0 / eps,) if T is None else (1.0 / eps, float(T))
+        resc.append(integrate_rescaled(eps, p, tol, max(horizons), min(horizons)))
 
-    coef, r0 = _joint_series(eps, p, tol)
-    n = np.searchsorted(grid, r0)
-    head = _sum_joint(coef, np.append(grid[:n], r0))  # the grid points below the start, then the start
-    joint = solve(_rhs_joint(eps, p), (r0, r_end), tuple(head[-1]), rel=tol.rel, abs_tol=tol.abs,
-                  pair=DOP853, dense=True)
-    h1, k1, h2, k2 = np.concatenate([head[:-1], joint.sample(grid[n:])]).T
-    ends = (r_end,) if T is None else (r_end, float(T))
-    resc = integrate_rescaled(eps, p, tol, max(ends), min(ends))
-
-    sup_error = None
+    # per eps the grid points below the joint start (n) and the rescaled run's step ends below it (m) and
+    # up to 1/eps (e): the series sums those below, and the joint run's extension the others
+    E, n = len(resc), (grid < np.array(r0)[:, None]).sum(axis=1).tolist()
+    m = [int(np.searchsorted(t.r, start)) for t, start in zip(resc, r0)]
+    e = [int(np.searchsorted(t.r, 1.0 / eps, "right")) for t, eps in zip(resc, epsilons)]
+    below = np.concatenate([g[:k] for g, k in zip(grid, n)] + [t.r[:k] for t, k in zip(resc, m)])
+    owner = np.repeat(np.arange(2 * E) % E, n + m)
+    series = np.split(_sum_joint(coef.take(owner, axis=1), below), np.cumsum(n + m)[:-1])
+    runs, grids = joint + joint, [g[k:] for g, k in zip(grid, n)] + [t.r[i:j] for t, i, j in zip(resc, m, e)]
     if T is not None:
-        grid_T = np.linspace(resc.r[0], float(T), _CONVERGENCE_N)
-        u0, v0 = bubble(grid_T)
-        to_T = resc.sample(grid_T)
-        sup_error = float(np.max(np.abs(to_T[:, 0] - u0) + np.abs(to_T[:, 1] - v0)))
+        grid_T = np.linspace([t.r[0] for t in resc], float(T), _CONVERGENCE_N, axis=1)
+        runs, grids = runs + resc, grids + list(grid_T)
+    rows = sample(runs, grids)
+    parts = [x for pair in zip(series, rows) for x in pair]  # on the grids, then at the step ends
+    h1, k1, h2, k2 = np.concatenate(parts[: 2 * E]).T.reshape(4, E, -1)
+    h2_ends, k2_ends = np.concatenate(parts[2 * E :])[:, 2:].T
+
+    sup_error = [None] * E
+    if T is not None:
+        (u0, v0), (U, V) = bubble(grid_T), np.stack(rows[2 * E :]).transpose(2, 0, 1)
+        sup_error = np.max(np.abs(U - u0) + np.abs(V - v0), axis=1).tolist()
     # the subtraction route at the rescaled run's step ends up to 1/eps
-    at = resc.r <= r_end
-    ends, (U, V) = resc.r[at], resc.y[at].T
+    ends = np.concatenate([t.r[:j] for t, j in zip(resc, e)])
+    U, V = np.concatenate([t.y[:j] for t, j in zip(resc, e)]).T
     u0, v0 = bubble(ends)
     h1_ends, k1_ends = integrate_first_order(p, ends)
-    n = np.searchsorted(ends, r0)
-    h2_ends, k2_ends = np.concatenate([_sum_joint(coef, ends[:n]), joint.sample(ends[n:])])[:, 2:].T
-    e2 = eps * eps
+    e2 = np.repeat([eps * eps for eps in epsilons], e)
     e4 = e2 * e2
-    h2_sub = (U - u0 - e2 * h1_ends) / e4
-    k2_sub = (V - v0 - e2 * k1_ends) / e4
+    h2_sub, k2_sub = (U - u0 - e2 * h1_ends) / e4, (V - v0 - e2 * k1_ends) / e4
 
-    diff = np.maximum(np.abs(h2_ends - h2_sub), np.abs(k2_ends - k2_sub))
+    diff = np.maximum.reduceat(np.maximum(np.abs(h2_ends - h2_sub), np.abs(k2_ends - k2_sub)), np.cumsum([0] + e[:-1]))
     norm1 = np.abs(h2) + np.abs(k2)
-    sup = float(np.max(norm1))
-    threshold = eps ** -1.5
-    breaches = np.nonzero(norm1 >= threshold)[0]
-    bound_limit = remainder_bound_constant(p) * math.log(1.0 / eps) / eps
-    return PerturbationRecord(
-        epsilon=eps,
-        r=grid,
-        h1=h1,
-        k1=k1,
-        h2=h2,
-        k2=k2,
-        max_discrepancy=float(np.max(diff)),
-        rel_discrepancy=float(np.max(diff) / max(sup, 1e-300)),
-        sup_norm=sup,
-        threshold=threshold,
-        threshold_ok=len(breaches) == 0,
-        bound_limit=bound_limit,
-        bound_ok=sup <= bound_limit,
-        breach_r=float(grid[breaches[0]]) if len(breaches) else None,
-        node_radius=node_radius(resc, r_end),
-        T=None if T is None else float(T),
-        sup_error=sup_error,
-    )
+    sup, threshold = np.max(norm1, axis=1).tolist(), [eps ** -1.5 for eps in epsilons]
+    breaches = norm1 >= np.array(threshold)[:, None]
+    first = np.argmax(breaches, axis=1).tolist()
+    records = []
+    for i, eps in enumerate(epsilons):
+        breached, limit = bool(breaches[i, first[i]]), remainder_bound_constant(p) * math.log(1.0 / eps) / eps
+        records.append(PerturbationRecord(
+            epsilon=eps, r=grid[i], h1=h1[i], k1=k1[i], h2=h2[i], k2=k2[i], max_discrepancy=float(diff[i]),
+            rel_discrepancy=float(diff[i] / max(sup[i], 1e-300)), sup_norm=sup[i], threshold=threshold[i],
+            threshold_ok=not breached, bound_limit=limit, bound_ok=sup[i] <= limit,
+            breach_r=float(grid[i, first[i]]) if breached else None, node_radius=node_radius(resc[i], 1.0 / eps),
+            T=None if T is None else float(T), sup_error=sup_error[i]))
+    return records
 
 
 # --- uniform convergence -----------------------------------------------------

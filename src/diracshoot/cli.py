@@ -216,7 +216,7 @@ def run_asymptotics(cfg: RunConfig) -> dict:
     done = ["deduplicated"] if unique != tuple(cfg.epsilons) else []
     done += ["sorted into decreasing order"] if eps_sorted != unique else []
     diags = ["epsilon list " + " and ".join(done)] if done else []
-    records = [asymptotics.integrate_remainder(e, p, tol, cfg.T) for e in eps_sorted]
+    records = asymptotics.integrate_remainder(eps_sorted, p, tol, cfg.T)
     study = asymptotics.convergence_study(records, cfg.T)
     fit = asymptotics.first_order_log_fit(p)
     # the fields of each record that the command prints, and its rel_discrepancy as crosscheck_rel

@@ -8,9 +8,9 @@ and refined by bisection on the cubic Hermite dense output (Hairer, Norsett
 & Wanner, Solving ODEs I, II.6); an event records the interpolated state at
 its crossing, from which callers compute any value there.  A trajectory
 holds its samples as float columns and the step list of its run, as arrays
-from their first read; Trajectory.sample interpolates the steps at any radii
-with that polynomial, or DOP853's own 7th-order one on a dense run (CONTD8,
-II.6), in one array pass, into rows of states.
+from their first read; sample interpolates the steps of several runs at any
+radii with that polynomial, or DOP853's own 7th-order one on a dense run
+(CONTD8, II.6), in one array pass, into rows of states.
 
 The adaptive loop, with a sign screen of the event values, the bisection
 that refines a crossing and the Hermite dense output are written once, in
@@ -100,6 +100,7 @@ _DOP853 = (
 class Pair(NamedTuple):
     """A pair with FSAL: one error vector is DOPRI5's RMS norm, two Hairer's |h| e5 / sqrt((e5 + 0.01 e3) n)."""
 
+    name: str
     stages: tuple  # (c, row of A) per stage after k0
     b: tuple
     errors: tuple
@@ -111,10 +112,12 @@ class Pair(NamedTuple):
     # the stages k1 ... of a step that the extension weighs, which a dense run records
     dense_stages = property(lambda self: [j for j, *w in zip(range(len(self.stages) + 1), *self.d, *(
         a[1:] for a in self.extra)) if j and any(w)])
+    # equal pairs share a name: _dp54's cache key hashes it in place of the tables
+    __hash__ = lambda self: hash(self.name)  # noqa: E731
 
 
-DP5 = Pair(_DP54[:-2], _DP54[-2], _DP54[-1:], -0.2)
-DOP853 = Pair(_DOP853[:11], _DOP853[11], _DOP853[12:14], -0.125, _DOP853[14:17], _DOP853[17:])
+DP5 = Pair("DP5", _DP54[:-2], _DP54[-2], _DP54[-1:], -0.2)
+DOP853 = Pair("DOP853", _DOP853[:11], _DOP853[11], _DOP853[12:14], -0.125, _DOP853[14:17], _DOP853[17:])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -228,56 +231,87 @@ class Trajectory:
         return sum(1 for e in self.events if e.kind == EventKind.V_SIGN_CHANGE and e.r < r)
 
     def sample(self, grid) -> np.ndarray:
-        """The states of this run at the 1-D, strictly increasing grid, one
-        row per point, from its step table: a point equal to a sample takes
-        the state there, any other, in one array pass, the value on the step
-        ending beyond it of a dense run's degree-7 extension (rows h D K built
-        once per run); a run without stages takes the cubic Hermite, which
-        refine uses, unchanged, for the events of every run.
-        The grid lies within the run's r_span; points past the last sample
-        of a run that stopped early, at a terminal crossing or a failure,
-        have no row, so the rows are those of the first points of grid."""
-        if self.table is None:
+        """The states of this run at the grid: sample((self,), (grid,))[0]."""
+        return sample((self,), (grid,))[0]
+
+
+def sample(runs, grids) -> list:
+    """The states of each run at its 1-D, strictly increasing grid, one row per point, from its step
+    table: a point equal to a sample takes the state there, any other the value on the step ending
+    beyond it of a dense run's degree-7 extension, or of the cubic Hermite, which refine uses for the
+    events of every run.  A grid lies within its run's r_span; a run that stopped early, at a terminal
+    crossing or a failure, has no row past its last sample.  One array pass serves the dense runs of one
+    pair: the rows h D K are built once over their stacked steps (a run given twice once)."""
+    groups = {}
+    for k, (t, grid) in enumerate(zip(runs, grids)):
+        if t.table is None:
             raise ValueError("only a run of solve has a step table to sample")
-        grid = np.array(grid, dtype=float)
+        grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1:
             raise ValueError(f"grid must be one-dimensional, got shape {grid.shape}")
         if not np.all(grid[1:] > grid[:-1]):
             raise ValueError("grid must be strictly increasing")
-        r = self.r
-        if grid.size and not (grid[0] >= r[0] and (grid[-1] <= r[-1] or self.status != "completed")):
+        r = t.r
+        if grid.size and not (grid[0] >= r[0] and (grid[-1] <= r[-1] or t.status != "completed")):
             raise ValueError("grid must lie within r_span of the run")
         pts = grid[: np.searchsorted(grid, r[-1], "right")]
-        j = np.searchsorted(r, pts)
-        inner = pts != r[j]
-        y = self.y[j]
-        j = j[inner]
-        if self._dense:
-            r0, h, c = self._extension
-            x = ((pts[inner] - r0[j - 1]) / h[j - 1])[:, None]
-            c, x, acc = c.take(j - 1, axis=1), (1.0 - x, x), 0.0
-            for i in range(len(c) - 1, 0, -1):  # c0 + x (c1 + (1 - x) (c2 + x (c3 + ... + x c7)))
-                acc = (acc + c[i]) * x[i % 2]
-            y[inner] = c[0] + acc
-        else:
-            y[inner] = np.transpose(_hermite(y.shape[1])(self.table[j - 1].T, self.table[j].T, pts[inner]))
-        return y
+        # dense runs stack by pair and dimension, and a run without stages takes the Hermite alone
+        key = (t._dense[1], len(t.columns)) if t._dense else (None, k)
+        groups.setdefault(key, []).append((k, t, pts, np.searchsorted(r, pts)))
+    out = [None] * len(runs)
+    for (pair, _), group in groups.items():
+        ks, runs, pts, js = zip(*group)
+        n = len(runs[0].columns) - 1
+        uniq = list({id(t): t for t in runs}.values())
+        rows = np.cumsum([0] + [len(t.table) for t in uniq])  # each run's first row in the stack
+        first, ends = dict(zip(map(id, uniq), rows.tolist())), np.cumsum([len(x) for x in pts]).tolist()
+        j, pts = np.concatenate([j + first[id(t)] for t, j in zip(runs, js)]), np.concatenate(pts)
+        y = np.concatenate([t.y for t in uniq]).take(j, axis=0)  # the samples at or next beyond the points
+        inner = pts != np.concatenate([t.r for t in uniq]).take(j)
+        pts, j = pts[inner], j[inner]
+        table = np.concatenate([t.table for t in uniq]).T  # component-major: one row per column
+        if len(j):
+            y[inner] = np.transpose(_extension(pair, n, uniq, table, rows, pts, j) if pair else
+                                    _hermite(n)(table.take(j - 1, axis=1), table.take(j, axis=1), pts))
+        for k, a, b in zip(ks, [0, *ends], ends):
+            out[k] = y[a:b]
+    return out
 
-    @functools.cached_property
-    def _extension(self) -> tuple:
-        """Per step: r0, h and the rows y0, F0 ... F6 of the extension (scipy's Dop853DenseOutput), all at once."""
-        (f, pair, stages), t, n = self._dense, self.table, len(self.columns) - 1
-        r0, h, y0, y1 = t[:-1, 0], np.diff(t[:, 0])[:, None], t[:-1, 1 : n + 1], t[1:, 1 : n + 1]
-        # the stages k0 ... per step, k[s] the FSAL one and zero where no weight reads them
-        k, s = np.zeros((len(pair.d[0]), len(h), n)), len(pair.stages) + 1
-        stages = np.frombuffer(struct.pack(f"{len(stages)}d", *stages)).reshape(len(h), len(pair.dense_stages), n)
-        k[pair.dense_stages], k[0], k[s] = stages.swapaxes(0, 1), t[:-1, n + 1 :], t[1:, n + 1 :]
-        # the weighted sums by einsum, whose loops call no BLAS routine; f on arrays
-        for i, (c, *a) in enumerate(pair.extra, s + 1):
-            k[i] = np.transpose(f(r0 + c * h[:, 0], tuple((y0 + h * np.einsum("j,j...", a, k[:i])).T)))
-        dy = y1 - y0
-        F = [y0, dy, h * k[0] - dy, 2.0 * dy - h * (k[s] + k[0]), *(h * np.einsum("ij,j...->i...", pair.d, k))]
-        return r0, h[:, 0], np.array(F)
+
+def _extension(pair: Pair, n: int, runs, table, rows, pts, j) -> np.ndarray:
+    """The states at pts, point k on the step ending at row j[k] of runs' stacked table (run i from row rows[i]),
+    by the extension (scipy's Dop853DenseOutput), its rows y0, F0 ... F6 per step component-major; the stages call
+    the runs' shared formula once, each constant repeated per step, or each flow on its steps, without raising lines."""
+    starts = np.delete(np.arange(rows[-1] - 1), rows[1:-1] - 1)
+    t0, t1 = table[:, starts], table[:, starts + 1]
+    r0, h, y0, y1 = t0[0], t1[0] - t0[0], t0[1 : n + 1], t1[1 : n + 1]
+    # the stages k0 ... per step, k[s] the FSAL one and zero where no weight reads them
+    k, s, m = np.zeros((len(pair.d[0]), n, len(h))), len(pair.stages) + 1, len(pair.dense_stages)
+    stages = np.frombuffer(b"".join(struct.pack(f"{len(t._dense[2])}d", *t._dense[2]) for t in runs))
+    k[pair.dense_stages], k[0], k[s] = stages.reshape(-1, m, n).transpose(1, 2, 0), t0[n + 1 :], t1[n + 1 :]
+    fs, ends = [t._dense[0] for t in runs], np.cumsum([len(t.table) - 1 for t in runs])
+    srcs = {getattr(f, "formula", (None,))[0] for f in fs}
+    if len(srcs) == 1 and None not in srcs:
+        fn, consts = _definition(_unchecked(*srcs)), np.array([f.formula[1] for f in fs]).reshape(len(fs), -1)
+        consts = np.repeat(consts, np.diff(ends, prepend=0), axis=0).T
+        f = lambda x, s: fn(x, s, *consts)  # noqa: E731
+    else:
+        fs = [formula(_unchecked(f.formula[0]), *f.formula[1]) if hasattr(f, "formula") else f for f in fs]
+        f = lambda x, s: np.concatenate([g(x[a:b], tuple(v[a:b] for v in s))  # noqa: E731
+                                         for g, a, b in zip(fs, [0, *ends], ends) if b > a], axis=1)
+    # the weighted sums by einsum, whose loops call no BLAS routine
+    for i, (c, *a) in enumerate(pair.extra, s + 1):
+        k[i] = f(r0 + c * h, tuple(y0 + h * np.einsum("j,j...", a, k[:i])))
+    dy = y1 - y0
+    F = np.array([y0, dy, h * k[0] - dy, 2.0 * dy - h * (k[s] + k[0]), *(h * np.einsum("ij,j...->i...", pair.d, k))])
+    step = np.searchsorted(starts, j - 1)
+    x = (pts - r0.take(step)) / h.take(step)
+    x, values = (1.0 - x, x), np.zeros((n, len(pts)))
+    for i in range(len(F) - 1, 0, -1):  # c0 + x (c1 + (1 - x) (c2 + x (c3 + ... + x c7))), a row at a time
+        values += F[i].take(step, axis=1)
+        values *= x[i % 2]
+    values += F[0].take(step, axis=1)
+    return values
 
 
 # [expr] expands to "expr_0, expr_1, ..., ", [+expr] to "expr_0 + expr_1 + ..." and
@@ -414,6 +448,11 @@ def _compile(src: str, n: int, k: int = 0):
     return ns
 
 
+def _unchecked(src: str) -> str:
+    """src without its lines that raise, which check the arguments of a call."""
+    return "".join(x for x in src.splitlines(True) if " raise " not in x)
+
+
 @functools.cache
 def _definition(src: str):
     exec(src, ns := {})
@@ -458,7 +497,7 @@ def _dp54(n: int, k: int, flow: str | None, events: str | None, pair: Pair, dens
         # suffix; the exponent of a float such as 1.e5 is no name
         text = re.sub(r"(?<![\w.])[A-Za-z_]\w*(?![\w(])",
                       lambda m: m[0] if keyword.iskeyword(m[0]) else f"{m[0]}_{callee}", text)
-        head, unpack, *body, ret = [x.strip() for x in text.strip().splitlines() if " raise " not in x]
+        head, unpack, *body, ret = [x.strip() for x in _unchecked(text).strip().splitlines()]
         radius, state, *own = head.removeprefix("def f(").removesuffix("):").split(", ")
         ret = ret.removeprefix("return ")
         params[callee] = "".join(c + ", " for c in own)

@@ -301,7 +301,7 @@ def check_first_order_log_law(p, tol):
     # read between step ends through DOP853's 7th-order extension: 0.1-2.1 x
     # abs + rel sup from m = 0.01 to 10 and rel = abs = 1e-6 to 1e-13
     fit = asymptotics.first_order_log_fit(p)
-    rec = _shared(asymptotics.integrate_remainder, 0.2, p, tol)
+    rec = _shared(asymptotics.integrate_remainder, (0.2, 0.1, 0.05), p, tol)[0]
     h1, k1 = asymptotics.integrate_first_order(p, rec.r)
     dev = float(np.max(np.abs(h1 - rec.h1) + np.abs(k1 - rec.k1)))
     bound = 10.0 * (tol.abs + tol.rel * float(np.max(np.abs(h1) + np.abs(k1))))
@@ -312,17 +312,16 @@ def check_first_order_log_law(p, tol):
 
 @_check("asymptotics")
 def check_remainder_crosscheck(p, tol):
-    rec = _shared(asymptotics.integrate_remainder, 0.2, p, tol)
+    rec = _shared(asymptotics.integrate_remainder, (0.2, 0.1, 0.05), p, tol)[0]
     ok = rec.rel_discrepancy < asymptotics.CROSSCHECK_REL_BOUND
     return ok, f"relative discrepancy {rec.rel_discrepancy:.2e}"
 
 
 @_check("asymptotics")
 def check_remainder_threshold(p, tol):
-    for eps in (0.2, 0.1, 0.05):
-        rec = _shared(asymptotics.integrate_remainder, eps, p, tol)
+    for rec in _shared(asymptotics.integrate_remainder, (0.2, 0.1, 0.05), p, tol):
         if not rec.threshold_ok:
-            return False, f"eps={eps} breached eps^-3/2 at r={rec.breach_r}"
+            return False, f"eps={rec.epsilon} breached eps^-3/2 at r={rec.breach_r}"
     return True, "sup below eps^-3/2 throughout"
 
 

@@ -132,7 +132,7 @@ def test_criterion_07_bubble_exactness():
 
 def test_criterion_08_second_order_convergence():
     t0 = time.perf_counter()
-    records = [integrate_remainder(eps, P, TOL, 10.0) for eps in (0.2, 0.1, 0.05, 0.025)]
+    records = integrate_remainder((0.2, 0.1, 0.05, 0.025), P, TOL, 10.0)
     study = convergence_study(records, 10.0)
     elapsed = time.perf_counter() - t0
     ok = all(3.0 <= r <= 5.0 for r in study["ratios"]) and elapsed < 30.0
@@ -155,14 +155,14 @@ def test_criterion_10_remainder_oracles_and_bound():
     # below; no constant fitted at one eps bounds the smaller ones.
     t0 = time.perf_counter()
     mu2 = P.m ** 2 - P.omega ** 2
-    rec02 = integrate_remainder(0.2, P, TOL)
+    rec02 = integrate_remainder((0.2,), P, TOL)[0]
     agree = rec02.rel_discrepancy < 1e-4
     bound_ok = True
     worst = 0.0
     details = [f"crosscheck rel {rec02.rel_discrepancy:.2e}"]
     for k in range(13):  # eps = 0.2 ... 0.003125, halving every two rungs
         eps = 0.2 * 2.0 ** (-k / 2)
-        rec = rec02 if k == 0 else integrate_remainder(eps, P, TOL)
+        rec = rec02 if k == 0 else integrate_remainder((eps,), P, TOL)[0]
         limit = mu2 * math.log(1.0 / eps) / eps
         ok = rec.sup_norm <= limit
         bound_ok = bound_ok and ok
@@ -174,7 +174,7 @@ def test_criterion_10_remainder_oracles_and_bound():
             )
     details.append(f"worst sup/bound {worst:.3f} down to eps={eps:.4g}")
     # leading coefficient: h2/r - mu^2 ln r tends to the constant -mu^2 a
-    deep = integrate_remainder(1e-6, P, TOL)
+    deep = integrate_remainder((1e-6,), P, TOL)[0]
     far = deep.r >= 1e4
     offset = deep.h2[far] / deep.r[far] - mu2 * np.log(deep.r[far])
     spread = float(np.ptp(offset))

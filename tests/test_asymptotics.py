@@ -228,7 +228,7 @@ def test_joint_flow_first_order_columns_match_the_closed_form(eps):
     # the record's grid samples between its DOP853 steps, read through the
     # pair's own extension, hold the same bound (1.5e-10 and 4.8e-11 * sup
     # measured; its cubic Hermite was off by 1.8e-8 on DP5's steps)
-    rec = integrate_remainder(eps, P, TOL)
+    rec = integrate_remainder((eps,), P, TOL)[0]
     h1, k1 = integrate_first_order(P, rec.r)
     sup = np.max(np.abs(h1) + np.abs(k1))
     assert np.max(np.abs(rec.h1 - h1) + np.abs(rec.k1 - k1)) <= 1e-9 * sup
@@ -275,7 +275,7 @@ def test_remainder_sup_norm_matches_a_tight_run(eps, bound):
     tight = solve(_rhs_joint(eps, P), (R0, 1.0 / eps), _joint_start(P, R0), rel=1e-13, abs_tol=1e-13,
                   pair=DOP853, dense=True)
     h2, k2 = tight.sample(grid)[:, 2:].T
-    assert abs(integrate_remainder(eps, P, TOL).sup_norm - np.max(np.abs(h2) + np.abs(k2))) <= bound
+    assert abs(integrate_remainder((eps,), P, TOL)[0].sup_norm - np.max(np.abs(h2) + np.abs(k2))) <= bound
 
 
 @pytest.mark.parametrize("rel", [1e-6, 1e-10, 1e-12])
@@ -300,16 +300,38 @@ def test_joint_flow_samples_hold_the_tolerance_between_step_ends(eps, rel):
     assert err <= 3.0 * rel * (1.0 + np.max(np.abs(want).sum(axis=1)))
 
 
+def _bits(rec):
+    """The fields of a record, arrays as the hex of each value (which keeps the sign of zero)."""
+    return [[float(x).hex() for x in v] if isinstance(v, np.ndarray) else repr(v) for v in rec]
+
+
+@pytest.mark.parametrize("T", [None, 10.0])
+@pytest.mark.parametrize("mw", [(1.0, 0.5), (2.3, 0.7)])
+def test_remainder_records_of_an_epsilon_list_are_its_single_calls(mw, T):
+    # each pass over the list is elementwise, so every record is bitwise the
+    # one of its eps alone, arrays included: 1/0.2 falls short of T = 10, and
+    # the rescaled run at 0.02 crosses a zero of V before 1/eps (R = 46.6 and 37.0)
+    p, epsilons = Params(*mw), (0.02, 0.2, 0.05)
+    records = integrate_remainder(epsilons, p, TOL, T)
+    assert [rec.epsilon for rec in records] == list(epsilons) and records[0].node_radius < 50.0
+    for eps, rec in zip(epsilons, records):
+        assert _bits(rec) == _bits(integrate_remainder((eps,), p, TOL, T)[0])
+
+
+def test_remainder_of_no_epsilon_is_no_record():
+    assert integrate_remainder((), P, TOL) == []
+
+
 def test_remainder_initial_conditions_and_crosscheck():
     # the cross-check bound and the eps^-3/2 threshold at this eps are
     # verify's remainder_crosscheck and remainder_threshold
-    rec = integrate_remainder(0.2, P, TOL)
+    rec = integrate_remainder((0.2,), P, TOL)[0]
     assert abs(rec.h2[0]) < 1e-10 and abs(rec.k2[0]) < 1e-10
 
 
 def test_remainder_rejects_bad_eps():
     with pytest.raises(ValueError):
-        integrate_remainder(0.0, P, TOL)
+        integrate_remainder((0.0,), P, TOL)
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.2, 0.05])
@@ -317,7 +339,7 @@ def test_remainder_at_the_horizon_floor_is_clean(eps):
     # the rescaled run starts below T/2; at T = T_MIN its square is still a
     # normal float, so no step warns (pytest makes a RuntimeWarning an error)
     # and the two routes agree (6.0e-8 at eps = 0.2, 5.9e-8 at T = 10)
-    rec = integrate_remainder(eps, P, TOL, T_MIN)
+    rec = integrate_remainder((eps,), P, TOL, T_MIN)[0]
     assert rec.T == T_MIN and 0.0 < rec.sup_error < T_MIN
     assert rec.rel_discrepancy < CROSSCHECK_REL_BOUND
 
@@ -327,11 +349,11 @@ def test_remainder_below_the_horizon_floor_is_refused(T):
     # from T = 1e-154 the start's square leaves the normal range: numpy
     # warned at 1e-200 and the sample grid failed at 1e-320
     with pytest.raises(ValueError, match="T must be at least 1e-150"):
-        integrate_remainder(0.2, P, TOL, T)
+        integrate_remainder((0.2,), P, TOL, T)
 
 
 def _records(epsilons, T=10.0):
-    return [integrate_remainder(eps, P, TOL, T) for eps in epsilons]
+    return integrate_remainder(epsilons, P, TOL, T)
 
 
 def test_convergence_study_ratios():
@@ -360,15 +382,15 @@ def test_convergence_study_validation():
 def test_node_radius_regimes():
     # V stays positive before 1/eps until eps is small enough that the
     # logarithmic correction overtakes the bubble tail
-    assert integrate_remainder(0.5, P, TOL).node_radius is None
-    assert integrate_remainder(0.05, P, TOL).node_radius is None
-    R = integrate_remainder(0.02, P, TOL).node_radius
+    assert integrate_remainder((0.5,), P, TOL)[0].node_radius is None
+    assert integrate_remainder((0.05,), P, TOL)[0].node_radius is None
+    R = integrate_remainder((0.02,), P, TOL)[0].node_radius
     assert R is not None and R < 50.0
 
 
 def test_node_radius_reads_only_zeros_up_to_one_over_eps():
     # the run to T = 10 passes V's first zero at R = 8.71, beyond 1/eps = 3.33
-    rec = integrate_remainder(0.3, P, TOL, T=10.0)
+    rec = integrate_remainder((0.3,), P, TOL, T=10.0)[0]
     assert rec.node_radius is None
     zeros = integrate_rescaled(0.3, P, TOL, r_end=10.0).events_of(EventKind.V_SIGN_CHANGE)
     assert [round(e.r, 2) for e in zeros] == [8.71]
@@ -376,7 +398,7 @@ def test_node_radius_reads_only_zeros_up_to_one_over_eps():
 
 def test_node_radius_consistent_with_radial_flow():
     eps = 0.02
-    R = integrate_remainder(eps, P, TOL).node_radius
+    R = integrate_remainder((eps,), P, TOL)[0].node_radius
     lam = 1.0 / eps
     c = classify(lam, P, TOL)
     first = [e.r for e in c.trajectory.events if e.kind == EventKind.V_SIGN_CHANGE][0]

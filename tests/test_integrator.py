@@ -692,6 +692,55 @@ def test_dense_sample_of_a_called_flow_is_the_inlined_one():
     assert _hex(inlined.sample(grid)) == _hex(called.sample(grid))
 
 
+def test_stacked_sample_is_each_runs_own():
+    # the module's sample over several runs, in one pass, gives each run the
+    # rows it gives alone, bitwise: two dense runs of the joint formula, one
+    # of them given twice, with a dense run of a called flow (as the
+    # benchmark's tracer wraps f), each on its steps; two dense radial runs
+    # of other constants, one formula call with each constant repeated per
+    # step, one of them and a Hermite run cut at a terminal crossing; and a
+    # run without steps
+    from diracshoot.asymptotics import _rhs_joint
+    from diracshoot.integrator import DOP853, sample
+
+    joint = [_joint_run(eps, 1e-8, dense=True) for eps in (0.2, 0.05)]
+    f = _rhs_joint(0.1, P)
+    start = (*first_order_start(P, R0), 0.0, 0.25 * (P.m**2 - P.omega**2) * R0**2)
+    called = solve(lambda r, y: f(r, y), (R0, 10.0), start, **KW, pair=DOP853, dense=True)
+    r0 = 1e-6 / 4.0
+    cut = [solve(RADIAL, (r0, 10.0), taylor_start(2.0, P, r0), detectors=[STOP], g=v_sign, **KW, **kw)
+           for kw in (dict(pair=DOP853, dense=True), {})]
+    assert all(t.status == "event:v_sign_change" for t in cut)
+    p = Params(2.3, 0.7)
+    other = solve(radial_flow(p), (r0, 10.0), taylor_start(1.0, p, r0), **KW, pair=DOP853, dense=True)
+    with pytest.raises(IntegrationError) as err:
+        solve(lambda r, y: (math.nan, 0.0), (0.0, 1.0), (1.0, 0.0), **KW, pair=DOP853, dense=True)
+    runs = [*joint, joint[0], called, *cut, other, err.value.partial]
+    grids = [np.linspace(R0, 5.0, 300), np.linspace(R0, 20.0, 500), joint[0].r[::3], np.linspace(R0, 10.0, 400),
+             np.linspace(r0, 10.0, 600), np.linspace(r0, 10.0, 700), np.linspace(r0, 10.0, 200), [0.0]]
+    rows = sample(runs, grids)
+    assert [len(x) for x in rows[4:6]] == [np.sum(g <= t.r[-1]) for g, t in zip(grids[4:6], cut)]
+    assert [_hex(x) for x in rows] == [_hex(t.sample(g)) for t, g in zip(runs, grids)]
+
+
+@pytest.mark.parametrize("lam, rel", [(1.0, 1e-6), (1.0, 1e-10), (1.8, 1e-10)])
+def test_dense_radial_run_samples_near_a_tight_run(lam, rel):
+    # a formula flow whose lines that raise check a scalar r (radial_flow's
+    # r > 0) leaves them out on the extension's arrays, as run does (the
+    # check raised on the arrays before): on [r_s, 20] the samples are 3.3 to
+    # 15.6 times abs + rel sup off a rel = abs = 1e-13 run (measured at lambda
+    # = 0.5, 1 and 1.8, rel = 1e-6 to 1e-12), the step ends 1.0 to 15 times:
+    # the extension is one order below the step, as on the joint flow
+    from diracshoot.integrator import DOP853
+
+    r0, y0 = series_start(lam, P, Tolerances(rel, rel).resolved(P))
+    grid = np.linspace(r0, 20.0, 2000)
+    run, tight = (solve(RADIAL, (r0, 20.0), y0, rel=x, abs_tol=x, pair=DOP853, dense=True) for x in (rel, 1e-13))
+    want = tight.sample(grid)
+    err = np.max(np.abs(run.sample(grid) - want).sum(axis=1))
+    assert err <= 20.0 * rel * (1.0 + np.max(np.abs(want).sum(axis=1)))
+
+
 def test_dense_output_needs_a_pair_with_an_extension():
     with pytest.raises(ValueError, match="continuous extension"):
         solve(RADIAL, (0.1, 1.0), (0.0, 1.0), **KW, dense=True)

@@ -171,9 +171,9 @@ def test_remainder_checks_share_one_integration_per_eps(monkeypatch):
     real = asymptotics.integrate_remainder
     calls = []
 
-    def counted(eps, p, tol):
-        calls.append(eps)
-        return real(eps, p, tol)
+    def counted(epsilons, p, tol):
+        calls.extend(epsilons)
+        return real(epsilons, p, tol)
 
     monkeypatch.setattr(asymptotics, "integrate_remainder", counted)
     p = Params()
