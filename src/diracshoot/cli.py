@@ -15,10 +15,11 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import asymptotics, phaseflow, shooting, verify as verify_mod
 from .equations import hamiltonian
@@ -27,17 +28,7 @@ from .params import Params, Tolerances, checked
 from .phaseflow import NotCapturedError
 
 SCHEMA_VERSION = "1"
-
-CSV_HEADERS = {
-    "ground-state": "r,u,v,H",
-    "classify": "lambda,verdict,node_count,r_event,H_event,min_norm1,certificate_r",
-    "asymptotics": (
-        "epsilon,sup_error,ratio,node_radius,remainder_sup,threshold_ok,"
-        "bound_limit,bound_ok,crosscheck_rel"
-    ),
-    "portrait": "piece,u,v",
-    "verify": "check,module,passed,detail",
-}
+FORMATS = ("json", "csv")
 
 
 class ConfigError(ValueError):
@@ -64,18 +55,17 @@ class RunConfig(NamedTuple):
             values = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(x) for x in values if isinstance(x, float)):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        # Params and Tolerances hold the checks of their own fields, and
-        # Tolerances.resolved those that join the two
+        # Params and Tolerances hold the checks of their own fields, Tolerances.resolved
+        # those that join the two, and phaseflow.check_level_set those of level and resolution
         try:
             self.tolerances().resolved(self.params())
+            if not self.T >= asymptotics.T_MIN:
+                raise ValueError(f"T must be at least {asymptotics.T_MIN:g}, got {self.T:g}")
+            phaseflow.check_level_set(self.level, self.params(), self.resolution)
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        if not self.T >= asymptotics.T_MIN:
-            raise ConfigError(f"T must be at least {asymptotics.T_MIN:g}, got {self.T:g}")
-        if not self.resolution >= 2:
-            raise ConfigError(f"resolution must be at least 2, got {self.resolution}")
-        if self.format not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {self.format!r}")
+        if self.format not in FORMATS:
+            raise ConfigError(f"format must be {' or '.join(FORMATS)}, got {self.format!r}")
         if not all(lam > 0 and math.isfinite(lam * lam) for lam in self.lambdas):
             raise ConfigError("every lambda must be positive, with a finite square")
         if any(not 0.0 < e < 1.0 for e in self.epsilons):
@@ -93,18 +83,20 @@ class RunConfig(NamedTuple):
         return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
 
 
-# each config-file key names a RunConfig field and its annotation's string (a ForwardRef's); a tuple
-# field (lambdas, epsilons) is keyed in the singular, like its repeated flag, and takes a list of floats
-_CONFIG_FIELDS = {
-    name.removesuffix("s") if kind.startswith("tuple") else name: (name, kind)
-    for name, kind in ((n, ref.__forward_arg__) for n, ref in RunConfig.__annotations__.items())
-}
-_PARSERS = {
-    "float": float,
-    "int": int,
-    "str": str,
-    "tuple": lambda text: tuple(float(tok) for tok in text.replace(",", " ").split()),
-}
+# a field's parser: its annotation's string (a ForwardRef's) up to the first "[" or " | ", so float | None reads
+# as float and tuple[float, ...] as tuple
+def _kind(name: str) -> str:
+    return RunConfig.__annotations__[name].__forward_arg__.split("[")[0].split(" | ")[0]
+
+
+# each config-file key names a RunConfig field and, with dashes, is its flag; a tuple field (lambdas, epsilons)
+# is keyed in the singular, like its repeated flag, and takes a list of floats
+_CONFIG_FIELDS = {name.removesuffix("s") if _kind(name) == "tuple" else name: name for name in RunConfig._fields}
+_PARSERS = {"float": float, "int": int, "str": str,
+            "tuple": lambda text: tuple(float(tok) for tok in text.replace(",", " ").split())}
+# the help of the flags that have one
+_HELP = {"m": "mass parameter (default 1.0)", "omega": "frequency, 0 < omega < m", "rmax": "integration horizon",
+         "out": "output path (default stdout)", "T": "comparison horizon (default 10)"}
 
 
 def parse_config_file(path: str) -> dict:
@@ -121,10 +113,9 @@ def parse_config_file(path: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        name, kind = _CONFIG_FIELDS[key]
+        name = _CONFIG_FIELDS[key]
         try:
-            # the type's first name: float | None parses as float, tuple[...] as tuple
-            values[name] = _PARSERS[kind.split("[")[0].split(" | ")[0]](val)
+            values[name] = _PARSERS[_kind(name)](val)
         except ValueError as err:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {err}") from None
     return values
@@ -336,30 +327,9 @@ def _csv_lines_asymptotics(payload) -> list[str]:
     return lines
 
 
-def _csv_lines_portrait(payload) -> list[str]:
-    pieces = payload["level_set"]["pieces"]
-    return [_csv_row(i, u, v) for i, piece in enumerate(pieces) for u, v in piece]
-
-
-def _csv_lines_verify(payload) -> list[str]:
-    return [
-        _csv_row(c["name"], c["module"], c["passed"], '"' + c["detail"].replace('"', '""') + '"')
-        for c in payload["checks"]
-    ]
-
-
-_CSV_BUILDERS = {
-    "ground-state": lambda payload: _csv_lines_ruvh(payload["profile"]),
-    "classify": _csv_lines_classify,
-    "asymptotics": _csv_lines_asymptotics,
-    "portrait": _csv_lines_portrait,
-    "verify": _csv_lines_verify,
-}
-
-
 def render_csv(envelope: dict) -> str:
-    command = envelope["command"]
-    return _csv_text(CSV_HEADERS[command], _CSV_BUILDERS[command](envelope["payload"]))
+    row = _COMMANDS[envelope["command"]]
+    return _csv_text(row.csv_header, row.csv_lines(envelope["payload"]))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -378,71 +348,80 @@ def write_output(envelope: dict, cfg: RunConfig) -> None:
             _write_text(str(base.with_suffix(base.suffix + f".traj{i}.csv")), text)
 
 
-# --- argument parsing --------------------------------------------------------
+# --- the command table and argument parsing ------------------------------------
+
+
+class _Command(NamedTuple):
+    help: str
+    flags: tuple[str, ...]  # the config-file keys of its own flags, which follow the common ones
+    run: Callable[[RunConfig], dict]
+    csv_header: str
+    csv_lines: Callable[[dict], list[str]]  # a payload's rows
+
+
+_COMMANDS = {
+    "ground-state": _Command("locate the node-free localized solution", (), run_ground_state,
+                             "r,u,v,H", lambda payload: _csv_lines_ruvh(payload["profile"])),
+    "classify": _Command("classify initial data", ("lambda",), run_classify,
+                         "lambda,verdict,node_count,r_event,H_event,min_norm1,certificate_r", _csv_lines_classify),
+    "asymptotics": _Command("rescaled convergence and remainder checks", ("epsilon", "T"), run_asymptotics,
+                            "epsilon,sup_error,ratio,node_radius,remainder_sup,threshold_ok,bound_limit,bound_ok,"
+                            "crosscheck_rel", _csv_lines_asymptotics),
+    "portrait": _Command(
+        "energy level set and captured trajectories", ("lambda", "level", "resolution"), run_portrait, "piece,u,v",
+        lambda payload: [_csv_row(i, u, v) for i, piece in enumerate(payload["level_set"]["pieces"]) for u, v in piece],
+    ),
+    "verify": _Command(
+        "run the full invariant suite", (), run_verify, "check,module,passed,detail",
+        lambda payload: [_csv_row(c["name"], c["module"], c["passed"], '"' + c["detail"].replace('"', '""') + '"')
+                         for c in payload["checks"]],
+    ),
+}
+# views of the table; main calls each command through _RUNNERS, whose values a tracer may rebind
+CSV_HEADERS = {command: row.csv_header for command, row in _COMMANDS.items()}
+_RUNNERS = {command: row.run for command, row in _COMMANDS.items()}
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -1e-3 is a number, not a flag; argparse's own pattern has no exponent
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # usage errors must exit 1, not argparse's default 2
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--m", type=float, default=None, help="mass parameter (default 1.0)")
-    sp.add_argument("--omega", type=float, default=None, help="frequency, 0 < omega < m")
-    sp.add_argument("--tol-rel", type=float, default=None, dest="tol_rel")
-    sp.add_argument("--tol-abs", type=float, default=None, dest="tol_abs")
-    sp.add_argument("--rmax", type=float, default=None, help="integration horizon")
-    sp.add_argument("--format", choices=("json", "csv"), default=None)
-    sp.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    sp.add_argument("--config", type=str, default=None, help="key = value config file")
+def _add_flag(sp: argparse.ArgumentParser, key: str) -> None:
+    name = _CONFIG_FIELDS[key]
+    many = _kind(name) == "tuple"  # a repeated flag of floats
+    sp.add_argument("--" + key.replace("_", "-"), dest=name, default=None, help=_HELP.get(name),
+                    type=float if many else _PARSERS[_kind(name)], action="append" if many else "store",
+                    choices=FORMATS if name == "format" else None)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="diracshoot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("ground-state", help="locate the node-free localized solution")
-    _add_common(sp)
-
-    sp = sub.add_parser("classify", help="classify initial data")
-    _add_common(sp)
-    sp.add_argument("--lambda", type=float, action="append", dest="lambdas", default=None)
-
-    sp = sub.add_parser("asymptotics", help="rescaled convergence and remainder checks")
-    _add_common(sp)
-    sp.add_argument("--epsilon", type=float, action="append", dest="epsilons", default=None)
-    sp.add_argument("--T", type=float, default=None, help="comparison horizon (default 10)")
-
-    sp = sub.add_parser("portrait", help="energy level set and captured trajectories")
-    _add_common(sp)
-    sp.add_argument("--lambda", type=float, action="append", dest="lambdas", default=None)
-    sp.add_argument("--level", type=float, default=None)
-    sp.add_argument("--resolution", type=int, default=None)
-
-    sp = sub.add_parser("verify", help="run the full invariant suite")
-    _add_common(sp)
+    own = {key for row in _COMMANDS.values() for key in row.flags}
+    for command, row in _COMMANDS.items():
+        sp = sub.add_parser(command, help=row.help)
+        for key in [key for key in _CONFIG_FIELDS if key not in own]:
+            _add_flag(sp, key)
+        sp.add_argument("--config", type=str, default=None, help="key = value config file")
+        for key in row.flags:
+            _add_flag(sp, key)
     return parser
 
 
 def make_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
+    values = parse_config_file(args.config) if args.config else {}
     for name in RunConfig._fields:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = tuple(flag) if isinstance(flag, list) else flag
     return RunConfig(**values)
-
-
-_RUNNERS = {
-    "ground-state": run_ground_state,
-    "classify": run_classify,
-    "asymptotics": run_asymptotics,
-    "portrait": run_portrait,
-    "verify": run_verify,
-}
 
 
 def main(argv=None) -> int:

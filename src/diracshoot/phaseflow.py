@@ -46,6 +46,17 @@ def _radial_q(level: float, v: float, p: Params) -> float:
     return -mp + math.sqrt(mp * mp + 4.0 * (p.m * v * v + level))
 
 
+def check_level_set(level: float, p: Params, resolution: int) -> None:
+    """Raise ValueError where level_set cannot trace {H = level}: from a resolution below 2, or where the set
+    leaves the float range, as q overflows at the curve's top v (from about 4.5e307 at (1, 0.5))."""
+    if not resolution >= 2:
+        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    a = p.gap
+    if level > -(a ** 2) / 4.0:  # below, the set is empty or the two equilibria
+        if not math.isfinite(_radial_q(level, math.sqrt(a + math.sqrt(a * a + 4.0 * level)), p)):
+            raise ValueError(f"the level set of {level:g} leaves the float range at m = {p.m:g}, omega = {p.omega:g}")
+
+
 def level_set(level: float, p: Params, resolution: int = 512) -> tuple[list[tuple[float, float]], ...]:
     """Trace {H = level} as ordered closed polylines, each a list of (u, v)
     pairs, from resolution >= 2 values of v per span.
@@ -57,10 +68,10 @@ def level_set(level: float, p: Params, resolution: int = 512) -> tuple[list[tupl
     (within 1e-12) gives the two equilibrium points.  Negative levels give
     two ovals, nonnegative ones a single curve around both; where that
     curve pinches at the saddle (0, 0) it is returned as two lobes that
-    meet on the u = 0 axis.
+    meet on the u = 0 axis.  A level whose set leaves the float range
+    raises (check_level_set).
     """
-    if not resolution >= 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    check_level_set(level, p, resolution)
     a = p.gap
     h_min = -(a ** 2) / 4.0
     if level < h_min - 1e-12:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -71,6 +72,39 @@ def test_flag_overrides_config(tmp_path):
     cfg = cli.make_config(args)
     assert cfg.omega == 0.75  # flag wins
     assert cfg.lambdas == (0.5,)  # config survives
+
+
+COMMON_FLAGS = ["--m", "--omega", "--tol-rel", "--tol-abs", "--rmax", "--format", "--out", "--config"]
+
+
+@pytest.mark.parametrize(
+    "command, own",
+    [
+        ("ground-state", []),
+        ("classify", ["--lambda"]),
+        ("asymptotics", ["--epsilon", "--T"]),
+        ("portrait", ["--lambda", "--level", "--resolution"]),
+        ("verify", []),
+    ],
+)
+def test_each_command_takes_the_common_flags_and_those_of_its_table_row(command, own):
+    # every flag is a RunConfig field's config-file key with dashes, and --config the only one without a field
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = [a for a in sub.choices[command]._actions if a.dest != "help"]
+    assert [s for a in actions for s in a.option_strings] == COMMON_FLAGS + own
+    assert own == ["--" + key.replace("_", "-") for key in cli._COMMANDS[command].flags]
+    assert {a.dest for a in actions} <= {*RunConfig._fields, "config"}
+
+
+@pytest.mark.parametrize("argv", [["portrait", "--level", "-1e-3"], ["portrait", "--level=-1e-3"]])
+def test_a_negative_value_in_exponent_form_is_a_value(argv):
+    # argparse's own negative-number pattern has no exponent, so it read -1e-3 as a flag
+    assert cli.make_config(cli.build_parser().parse_args(argv)).level == -0.001
+
+
+def test_a_negative_lambda_in_exponent_form_reaches_the_config_check(capsys):
+    assert cli.main(["classify", "--lambda", "-1e-3"]) == 1
+    assert capsys.readouterr().err == "diracshoot: error: every lambda must be positive, with a finite square\n"
 
 
 def test_exit_code_usage_errors(capsys):
@@ -613,6 +647,11 @@ def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, di
         ["portrait", "--lambda", "0.5", "--rmax", "5e-324"],
         # exit 0 after two lines of numpy's overflow warning from the certificate
         ["classify", "--lambda", "1", "--rmax", "1e-310"],
+        # the level set's top radicand overflows from 4.5e307 at (1, 0.5), where it printed null and Infinity
+        ["portrait", "--level", "1e308"],
+        ["portrait", "--level", "4.5e307", "--lambda", "0.5"],
+        # (m + omega)^2 overflows, so even the default level 0 printed inf points
+        ["portrait", "--m", "1.2e154", "--omega", "1.19999e154"],
     ],
 )
 def test_invalid_settings_are_usage_errors(argv, capsys):

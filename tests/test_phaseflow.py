@@ -92,6 +92,14 @@ def test_level_set_needs_two_points_per_span(resolution):
         level_set(-0.03, P, resolution)
 
 
+def test_level_set_past_the_float_range_raises():
+    # at (1, 0.5) the radicand (m + omega)^2 + 4 (m v_hi^2 + level) of the curve's top overflows from 4.5e307,
+    # where the set held inf and nan points
+    assert all(math.isfinite(x) for piece in level_set(4.4e307, P, 8) for pt in piece for x in pt)
+    with pytest.raises(ValueError, match="the level set of 4.5e[+]307 leaves the float range"):
+        level_set(4.5e307, P)
+
+
 @given(st.floats(-0.06, 2.0))
 @settings(max_examples=25, deadline=None)
 def test_levelset_residual_random_levels(level):
