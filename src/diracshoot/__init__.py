@@ -15,6 +15,7 @@ from .asymptotics import (
     integrate_remainder,
     integrate_rescaled,
     node_radius,
+    rescaled_params,
 )
 from .equations import (
     autonomous_flow,

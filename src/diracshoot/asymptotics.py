@@ -65,23 +65,29 @@ def bubble_residual(grid) -> float:
     return float(np.max(res_u + res_v))
 
 
+def rescaled_params(eps: float, p: Params) -> Params:
+    """Params(eps^2 m, eps^2 omega), where (U, V)(r) = eps (u, v)(eps^2 r) solves the radial system
+    if (u, v) solves it at p; an eps whose rescaled parameters are no Params (at (1, 0.5) from
+    about 2e-162 down, where eps^2 omega or eps^2 m underflows to 0) raises."""
+    try:
+        return Params(eps * eps * p.m, eps * eps * p.omega)
+    except ValueError as err:
+        raise ValueError(f"at eps = {eps:g} the rescaled parameters eps^2 (m, omega) are invalid: {err}") from None
+
+
 def integrate_rescaled(
     eps: float, p: Params, tol: Tolerances, r_end: float | None = None, horizon: float | None = None
 ) -> Trajectory:
-    """Integrate the rescaled system radial_flow(p, eps) from (0, 1) up to
-    r_end (default 1/eps), recording the sign changes of V as V_SIGN_CHANGE
-    events (a detector leaves the steps as they are).  It starts from
-    series_start(1, p, tol, eps, horizon), below half the horizon (default
-    r_end), the nearest radius a caller samples.  Its energy
-    hamiltonian((U, V), p, eps) is non-increasing along the flow and bounded
-    by its datum value <= 1."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"need 0 <= eps < 1, got {eps}")
-    if r_end is None and eps == 0.0:
-        raise ValueError("the massless limit needs an explicit r_end")
-    end = float(r_end) if r_end is not None else 1.0 / eps
-    r0, y0 = series_start(1.0, p, tol, eps, end if horizon is None else horizon)
-    return solve(radial_flow(p, eps), (r0, end), y0, rel=tol.rel, abs_tol=tol.abs, detectors=_NODES, g=v_sign)
+    """Integrate the rescaled system, radial_flow at q = rescaled_params(eps, p), from (0, 1) up to
+    r_end (default 1/eps), recording the sign changes of V as V_SIGN_CHANGE events (a detector
+    leaves the steps as they are).  It starts from series_start(1, q, tol, horizon), below half the
+    horizon (default r_end), the nearest radius a caller samples.  Its energy hamiltonian((U, V), q)
+    is non-increasing along the flow and bounded by its datum value <= 1."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"need 0 < eps < 1, got {eps}")
+    q, end = rescaled_params(eps, p), 1.0 / eps if r_end is None else float(r_end)
+    r0, y0 = series_start(1.0, q, tol, end if horizon is None else horizon)
+    return solve(radial_flow(q), (r0, end), y0, rel=tol.rel, abs_tol=tol.abs, detectors=_NODES, g=v_sign)
 
 
 def node_radius(traj: Trajectory, r: float) -> float | None:
@@ -333,6 +339,7 @@ def integrate_remainder(
     for eps in epsilons:
         if not 0.0 < eps < 1.0:
             raise ValueError(f"need 0 < eps < 1, got {eps}")
+        rescaled_params(eps, p)
     if T is not None and not T >= T_MIN:
         raise ValueError(f"T must be at least {T_MIN:g}, got {T:g}")
     if not epsilons:

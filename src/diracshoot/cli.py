@@ -55,21 +55,23 @@ class RunConfig(NamedTuple):
             values = value if isinstance(value, tuple) else (value,)
             if not all(math.isfinite(x) for x in values if isinstance(x, float)):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        # Params and Tolerances hold the checks of their own fields, Tolerances.resolved
-        # those that join the two, and phaseflow.check_level_set those of level and resolution
+        # Params and Tolerances hold the checks of their own fields, Tolerances.resolved those that join
+        # the two, phaseflow.check_level_set those of level and resolution, and rescaled_params those of eps
         try:
             self.tolerances().resolved(self.params())
             if not self.T >= asymptotics.T_MIN:
                 raise ValueError(f"T must be at least {asymptotics.T_MIN:g}, got {self.T:g}")
             phaseflow.check_level_set(self.level, self.params(), self.resolution)
+            if any(not 0.0 < e < 1.0 for e in self.epsilons):
+                raise ValueError("every epsilon must lie in (0, 1)")
+            for e in self.epsilons:
+                asymptotics.rescaled_params(e, self.params())
         except ValueError as err:
             raise ConfigError(str(err)) from None
         if self.format not in FORMATS:
             raise ConfigError(f"format must be {' or '.join(FORMATS)}, got {self.format!r}")
         if not all(lam > 0 and math.isfinite(lam * lam) for lam in self.lambdas):
             raise ConfigError("every lambda must be positive, with a finite square")
-        if any(not 0.0 < e < 1.0 for e in self.epsilons):
-            raise ConfigError("every epsilon must lie in (0, 1)")
         return self
 
     def params(self) -> Params:
@@ -384,7 +386,8 @@ _RUNNERS = {command: row.run for command, row in _COMMANDS.items()}
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # a flag is its full name: a prefix such as --r for --rmax is a usage error
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # a value such as -1e-3 is a number, not a flag; argparse's own pattern has no exponent
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 

@@ -10,12 +10,11 @@ and is singular at r = 0, so every run starts from its power series there
 system whose energy H confines every trajectory.  radial_flow(p) returns
 the right-hand side f(r, s) with p's constants bound, which
 integrator.solve integrates; radial_flow(p)(r, s) evaluates it at one point.
-The blow-up rescaling (U, V)(r) = eps (u, v)(eps^2 r) gives back the same
-system with m and omega scaled by eps^2, so radial_flow, hamiltonian and
-series_start take eps (default 1) for it.  radial_flow is built by
-integrator.formula, so solve writes its formula into the compiled loop;
-the energy is the text ENERGY, which hamiltonian evaluates and the shooting
-event formulas splice into theirs.
+The blow-up rescaling is this system at other parameters
+(asymptotics.rescaled_params).  radial_flow is built by integrator.formula,
+so solve writes its formula into the compiled loop; the energy is the text
+ENERGY, which hamiltonian evaluates and the shooting event formulas splice
+into theirs.
 """
 
 from __future__ import annotations
@@ -39,11 +38,9 @@ def f(x, s, a_minus, a_plus):
 """
 
 
-def radial_flow(p: Params, eps: float = 1.0):
-    """f(r, s) = (q v - a- v - u / r, -q u - a+ u), q = u^2 + v^2, for r > 0,
-    with (a-, a+) = eps^2 (m - omega, m + omega)."""
-    e2 = eps * eps
-    return formula(_RADIAL, e2 * (p.m - p.omega), e2 * (p.m + p.omega))
+def radial_flow(p: Params):
+    """f(r, s) = (q v - (m - omega) v - u / r, -q u - (m + omega) u), q = u^2 + v^2, for r > 0."""
+    return formula(_RADIAL, p.m - p.omega, p.m + p.omega)
 
 
 def autonomous_flow(p: Params):
@@ -55,28 +52,20 @@ def autonomous_flow(p: Params):
     return lambda r, s: f(math.inf, s)
 
 
-# H over u, v, q = u^2 + v^2 and the constants (hm, hw) of energy_constants
-ENERGY = "q * q / 4.0 + hm * (u * u - v * v) + hw * q"
-_energy = formula(f"def f(x, s, hm, hw):\n    u, v = s\n    q = u * u + v * v\n    return {ENERGY}\n")
+# H over u, v, q = u^2 + v^2 and the constants m and omega
+ENERGY = "q * q / 4.0 + 0.5 * m * (u * u - v * v) + 0.5 * omega * q"
+_energy = formula(f"def f(x, s, m, omega):\n    u, v = s\n    q = u * u + v * v\n    return {ENERGY}\n")
 
 
-def energy_constants(p: Params, eps: float = 1.0) -> tuple[float, float]:
-    """(hm, hw) = (m/2, omega/2) with m and omega scaled by eps^2."""
-    e2 = eps * eps
-    return 0.5 * (e2 * p.m), 0.5 * (e2 * p.omega)
-
-
-def hamiltonian(s: State, p: Params, eps: float = 1.0) -> float:
-    """Energy H(u, v) = (u^2+v^2)^2/4 + (m/2)(u^2-v^2) + (omega/2)(u^2+v^2),
-    with m and omega scaled by eps^2: ENERGY at energy_constants(p, eps).
+def hamiltonian(s: State, p: Params) -> float:
+    """Energy H(u, v) = (u^2+v^2)^2/4 + (m/2)(u^2-v^2) + (omega/2)(u^2+v^2): ENERGY at p.
 
     u and v may also be arrays, evaluated elementwise, or lists of floats,
     evaluated per sample into a list.
     """
-    hm, hw = energy_constants(p, eps)
     if isinstance(s[0], list):
-        return [_energy(None, x, hm, hw) for x in zip(*s)]
-    return _energy(None, s, hm, hw)
+        return [_energy(None, x, p.m, p.omega) for x in zip(*s)]
+    return _energy(None, s, p.m, p.omega)
 
 
 def hamiltonian_rate(r: float, s: State, p: Params) -> float:
@@ -129,21 +118,17 @@ def _series():
     return ns["series"]
 
 
-def series_start(
-    lam: float, p: Params, tol: Tolerances, eps: float = 1.0, horizon: float | None = None
-) -> tuple[float, State]:
-    """Start (r_s, (u, v)) of the radial flow for the datum v(0) = lambda, with m and omega
-    scaled by eps^2: the series in the frame R = s^2 r, s^2 = lambda^2 + m + omega, where
-    (u, v) = s (U, V) with m and omega scaled by 1/s^2 has coefficients of order one, summed
-    where its last terms fall to 0.1 (tol.rel lambda + tol.abs), at most at R = 2 (the
-    bubble's poles: R = 2i) and at half the horizon (default tol's resolved rmax)."""
+def series_start(lam: float, p: Params, tol: Tolerances, horizon: float | None = None) -> tuple[float, State]:
+    """Start (r_s, (u, v)) of the radial flow for the datum v(0) = lambda: the series in the frame
+    R = s^2 r, s^2 = lambda^2 + m + omega, where (u, v) = s (U, V) with m and omega scaled by 1/s^2
+    has coefficients of order one, summed where its last terms fall to 0.1 (tol.rel lambda + tol.abs),
+    at most at R = 2 (the bubble's poles: R = 2i) and at half the horizon (default tol's resolved rmax)."""
     if not 0.0 < lam < math.inf:
         raise ValueError(f"datum must be positive and finite, got {lam}")
-    m, w = eps * eps * p.m, eps * eps * p.omega
-    s2 = lam * lam + m + w
+    s2 = lam * lam + p.m + p.omega
     horizon = tol.resolved(p).rmax if horizon is None else horizon
     s, cap = math.sqrt(s2), min(2.0, 0.5 * horizon * s2)
-    r, u, v = _series()(lam / s, (m - w) / s2, (m + w) / s2, 0.1 * (tol.rel * lam + tol.abs) / s, cap)
+    r, u, v = _series()(lam / s, p.gap / s2, (p.m + p.omega) / s2, 0.1 * (tol.rel * lam + tol.abs) / s, cap)
     return r / s2, (s * u, s * v)
 
 

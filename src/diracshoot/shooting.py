@@ -28,7 +28,7 @@ import math
 from typing import NamedTuple
 
 from . import _lazy as np
-from .equations import ENERGY, energy_constants, hamiltonian, radial_flow, series_start
+from .equations import ENERGY, hamiltonian, radial_flow, series_start
 from .integrator import DOP853, DP5, Detector, EventKind, IntegrationError, Trajectory, formula, solve
 from .params import Params, Tolerances
 
@@ -138,7 +138,7 @@ def _certificate(traj: Trajectory, p: Params) -> Certificate | None:
 # event values of a classification, with H the energy text of equations:
 # v, H + delta and |u| + |v| - eta
 _TRIAL = f"""
-def f(x, s, hm, hw, delta, eta):
+def f(x, s, m, omega, delta, eta):
     u, v = s
     q = u * u + v * v
     return v, {ENERGY} + delta, abs(u) + abs(v) - eta
@@ -156,7 +156,7 @@ def _events(p: Params, stop_at_first_node: bool, stop_at_verdict: bool = True):
         Detector(EventKind.ENTERED_NEGATIVE_ENERGY, direction=-1, terminal=stop_at_verdict),
         Detector(EventKind.NORM_BELOW_ETA, direction=-1, terminal=stop_at_verdict),
     )
-    return formula(_TRIAL, *energy_constants(p), capture_depth(p), ETA), dets
+    return formula(_TRIAL, p.m, p.omega, capture_depth(p), ETA), dets
 
 
 # the radial flow of p, bound once per search like _events

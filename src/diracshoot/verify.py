@@ -275,9 +275,10 @@ def check_bubble_exactness(p, tol):
 
 @_check("asymptotics")
 def check_bubble_limit_agreement(p, tol):
-    # the eps = 0 flow must land on the closed form; reads the module's
-    # bubble attribute so a corrupted formula is caught here
-    t = asymptotics.integrate_rescaled(0.0, p, tol, r_end=20.0)
+    # the massless flow must land on the closed form: eps = 0 has no Params, and at eps = 1e-8 the
+    # mass terms eps^2 (m +- omega) are 1.5e-16 at the defaults; reads the module's bubble attribute
+    # so a corrupted formula is caught here
+    t = asymptotics.integrate_rescaled(1e-8, p, tol, r_end=20.0)
     u0, v0 = asymptotics.bubble(t.r)
     d = float(np.max(np.abs(t.y[:, 0] - u0) + np.abs(t.y[:, 1] - v0)))
     return d < 1e-7, f"sup distance {d:.3e}"
@@ -287,7 +288,7 @@ def check_bubble_limit_agreement(p, tol):
 def check_rescaled_energy(p, tol):
     for eps in (0.3, 0.1):
         t = _shared(asymptotics.integrate_rescaled, eps, p, tol, 1.0 / eps)
-        H = hamiltonian((t.u, t.v), p, eps)
+        H = hamiltonian((t.u, t.v), asymptotics.rescaled_params(eps, p))
         if not float(H[0]) <= 1.0:
             return False, "datum energy above 1"
         if _worst_rise(H, tol) > 0.0:

@@ -17,7 +17,7 @@ from diracshoot.integrator import formula
 R0 = 1e-6
 
 
-def taylor_start(lam: float, p: Params, r0: float, eps: float = 1.0):
+def taylor_start(lam: float, p: Params, r0: float):
     """Second-order series start (u(r0), v(r0)) for the datum v(0) = lambda.
 
     Matched against the integral form of the radial system:
@@ -26,16 +26,15 @@ def taylor_start(lam: float, p: Params, r0: float, eps: float = 1.0):
         v(r0) = lambda - (r0^2/4) lambda (lambda^2 - (m-omega))
                                          (lambda^2 + m + omega) + O(r0^4)
 
-    with m and omega scaled by eps^2, valid while lambda^2 r0 is small.
+    valid while lambda^2 r0 is small.
     """
     if not 0.0 < lam < math.inf:
         raise ValueError(f"datum must be positive and finite, got {lam}")
     if not 0.0 < r0 < math.inf:
         raise ValueError(f"start radius must be positive and finite, got {r0}")
-    e2 = eps * eps
-    cu = lam * (lam * lam - e2 * (p.m - p.omega))
+    cu = lam * (lam * lam - (p.m - p.omega))
     u = 0.5 * r0 * cu
-    v = lam - 0.25 * r0 * r0 * cu * (lam * lam + e2 * (p.m + p.omega))
+    v = lam - 0.25 * r0 * r0 * cu * (lam * lam + (p.m + p.omega))
     return u, v
 
 

@@ -19,9 +19,11 @@ from diracshoot import (
     integrate_remainder,
     integrate_rescaled,
     radial_flow,
+    rescaled_params,
     series_start,
     solve,
 )
+from diracshoot import asymptotics
 from diracshoot.asymptotics import (
     CROSSCHECK_REL_BOUND,
     T_MIN,
@@ -31,7 +33,8 @@ from diracshoot.asymptotics import (
     _sum_joint,
     remainder_bound_constant,
 )
-from diracshoot.integrator import DOP853, EventKind
+from diracshoot.equations import _RADIAL
+from diracshoot.integrator import DOP853, EventKind, formula
 
 P = Params(1.0, 0.5)
 TOL = Tolerances()
@@ -66,20 +69,20 @@ def test_bubble_residual_rejects_nonpositive_grid():
 
 
 def test_rescaled_limit_is_bubble():
-    t = integrate_rescaled(0.0, P, TOL, r_end=20.0)
+    t = integrate_rescaled(1e-8, P, TOL, r_end=20.0)
     u0, v0 = bubble(t.r)
     assert np.max(np.abs(t.y[:, 0] - u0) + np.abs(t.y[:, 1] - v0)) < 1e-8
 
 
 @pytest.mark.parametrize(
-    "eps, r_end, horizon", [(0.2, 10.0, 5.0), (0.2, 5.0, 0.1), (0.05, 20.0, None), (0.0, 20.0, None)]
+    "eps, r_end, horizon", [(0.2, 10.0, 5.0), (0.2, 5.0, 0.1), (0.05, 20.0, None), (1e-8, 20.0, None)]
 )
 def test_rescaled_run_starts_from_the_series(eps, r_end, horizon):
     # the start is the series of the rescaled system below half the nearest
     # radius a caller samples (default r_end): at r = 0.68 for eps = 0.2, and
     # at T / 2 for T = 0.1
     t = integrate_rescaled(eps, P, TOL, r_end, horizon)
-    r_s, y_s = series_start(1.0, P, TOL, eps, r_end if horizon is None else horizon)
+    r_s, y_s = series_start(1.0, rescaled_params(eps, P), TOL, r_end if horizon is None else horizon)
     assert (t.r[0], tuple(t.y[0])) == (r_s, y_s)
     assert r_s <= 0.5 * (r_end if horizon is None else horizon) and t.r[-1] == r_end
 
@@ -87,8 +90,37 @@ def test_rescaled_run_starts_from_the_series(eps, r_end, horizon):
 def test_rescaled_rejects_bad_eps():
     with pytest.raises(ValueError):
         integrate_rescaled(1.5, P, TOL, r_end=1.0)
-    with pytest.raises(ValueError, match="massless limit needs an explicit r_end"):
+    with pytest.raises(ValueError, match="need 0 < eps < 1"):
         integrate_rescaled(0.0, P, TOL)
+
+
+def test_rescaled_params_refuses_an_eps_below_the_params_floor(monkeypatch):
+    # eps^2 (m, omega) at (1, 0.5) is (1e-323, 5e-324) at eps = 3e-162, (5e-324, 0) at 2e-162 and
+    # (0, 0) at 1e-200, which no Params holds; integrate_remainder checks every eps before it solves
+    assert rescaled_params(3e-162, P) == Params(1e-323, 5e-324)
+    for eps in (2e-162, 1e-200):
+        with pytest.raises(ValueError, match=f"at eps = {eps:g} the rescaled"):
+            rescaled_params(eps, P)
+    monkeypatch.setattr(asymptotics, "solve", lambda *args, **kwargs: pytest.fail("a run was solved"))
+    with pytest.raises(ValueError, match="at eps = 1e-200 the rescaled"):
+        integrate_remainder((0.2, 1e-200), P, TOL)
+
+
+def test_a_small_eps_stands_in_for_the_massless_flow():
+    # eps = 0 has no Params; at eps = 1e-8 the mass terms eps^2 (m +- omega) <= 1.5e-16 sit below
+    # the rounding of the order-one terms, and the run is the massless flow's from the same start
+    # to 7.4e-14 (measured): their step sequences differ slightly, so this is the difference of two
+    # integration errors, each near the 1.76e-10 distance to the bubble of bubble_limit_agreement;
+    # the bound 0.01 (rel + abs) lies between the two
+    t = integrate_rescaled(1e-8, P, TOL, r_end=20.0)
+    massless = solve(formula(_RADIAL, 0.0, 0.0), (t.r[0], 20.0), tuple(t.y[0]), rel=TOL.rel, abs_tol=TOL.abs)
+    grid = np.linspace(t.r[0], 20.0, 401)
+    assert np.max(np.abs(t.sample(grid) - massless.sample(grid))) <= 0.01 * (TOL.rel + TOL.abs)
+    # at (1, 0.5) eps^2 m -+ eps^2 omega is eps^2 (m -+ omega) bitwise for any eps, so a rescaled
+    # run there does not depend on how its constants are grouped
+    for eps in (0.3, 0.1, 0.05, math.pi / 10, 0.123456789, 1e-8):
+        consts = radial_flow(rescaled_params(eps, P)).formula[1]
+        assert [c.hex() for c in consts] == [c.hex() for c in (eps * eps * 0.5, eps * eps * 1.5)]
 
 
 def _first_order_run(p, r_end, r_eval=None, rel=TOL.rel):
@@ -260,7 +292,7 @@ def test_joint_series_start_holds_both_recurrences(mw, eps):
     h1, k1 = _sum_joint(coef, np.array([r0]))[0, :2]
     h1_closed, k1_closed = integrate_first_order(p, r0)
     assert abs(h1 - h1_closed) + abs(k1 - k1_closed) <= 1e-12
-    r_s, (U, V) = series_start(1.0, p, TOL, eps)
+    r_s, (U, V) = series_start(1.0, rescaled_params(eps, p), TOL)
     h1, k1, h2, k2 = _sum_joint(coef, np.array([r_s]))[0]
     (u0, v0), e = bubble(r_s), eps * eps
     assert abs(u0 + e * (h1 + e * h2) - U) + abs(v0 + e * (k1 + e * k2) - V) <= 0.1 * (TOL.rel + TOL.abs)
@@ -406,8 +438,8 @@ def test_node_radius_consistent_with_radial_flow():
 
 
 def test_rescaled_energy_at_datum():
-    assert hamiltonian((0.0, 1.0), P, 0.5) <= 1.0
-    assert hamiltonian((0.0, 1.0), P, 0.0) == pytest.approx(0.25)
+    assert hamiltonian((0.0, 1.0), rescaled_params(0.5, P)) <= 1.0
+    assert hamiltonian((0.0, 1.0), rescaled_params(1e-8, P)) == pytest.approx(0.25)
 
 
 @settings(deadline=None)
@@ -450,12 +482,12 @@ def test_remainder_sources_exact_in_high_precision():
     import mpmath
 
     rng = random.Random(2017)
-    first, bubble_flow = rhs_first_order(P), radial_flow(P, 0.0)
+    first, bubble_flow = rhs_first_order(P), formula(_RADIAL, 0.0, 0.0)
     with mpmath.workdps(50):
         for eps in (0.5, 0.25, 0.125):
             e2 = mpmath.mpf(eps) ** 2
             e4 = e2 * e2
-            flow = radial_flow(P, eps)
+            flow = radial_flow(rescaled_params(eps, P))
             joint = _rhs_joint(eps, P)
             for _ in range(20):
                 r = mpmath.mpf(rng.uniform(0.05, 40.0))

@@ -652,6 +652,10 @@ def test_asymptotics_names_how_the_epsilon_list_was_normalized(tmp_path, eps, di
         ["portrait", "--level", "4.5e307", "--lambda", "0.5"],
         # (m + omega)^2 overflows, so even the default level 0 printed inf points
         ["portrait", "--m", "1.2e154", "--omega", "1.19999e154"],
+        # a prefix of a flag is no flag (it set --lambdas, --resolution and --rmax)
+        ["classify", "--lamb", "2"],
+        ["portrait", "--res", "3"],
+        ["ground-state", "--r", "30"],
     ],
 )
 def test_invalid_settings_are_usage_errors(argv, capsys):
@@ -695,6 +699,16 @@ def test_error_norm_past_the_float_range_is_a_computation_failure(monkeypatch, c
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith("diracshoot: computation failed: step budget exhausted at r=1.27")
+
+
+def test_epsilon_past_the_rescaled_parameter_floor_is_a_usage_error(monkeypatch, capsys):
+    # at eps = 1e-200 the rescaled mass eps^2 m underflows to 0, which no Params holds: RunConfig
+    # refuses it before any computation (it ran 23 s to its step budget, exit 2), naming eps
+    monkeypatch.setitem(cli._RUNNERS, "asymptotics", lambda cfg: pytest.fail("the command ran"))
+    assert cli.main(["asymptotics", "--epsilon", "0.2", "--epsilon", "1e-200"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("diracshoot: error: at eps = 1e-200 the rescaled")
 
 
 def test_portrait_of_a_datum_that_is_not_captured_is_a_computation_failure():

@@ -15,6 +15,7 @@ from diracshoot import (
     hamiltonian_rate,
     r2h_rate,
     radial_flow,
+    rescaled_params,
     series_start,
     solve,
 )
@@ -148,16 +149,16 @@ def test_bound_flows_are_the_pointwise_formulas_bitwise(p, s, r, eps):
     # (U, V)(R) = eps (u, v)(eps^2 R), to rounding of the terms' magnitudes;
     # tiny covers subnormal states, which carry fewer than 53 bits
     lam, tiny = 1.0 + abs(u), 1e-300
-    assert bits(radial_flow(p, 1.0)(r, s)) == bits(radial)
-    assert hamiltonian(s, p, 1.0).hex() == hamiltonian(s, p).hex()
-    (r_1, y_1), (r_s, y_s) = series_start(lam, p, Tolerances(), 1.0), series_start(lam, p, Tolerances())
+    assert bits(radial_flow(rescaled_params(1.0, p))(r, s)) == bits(radial)
+    assert hamiltonian(s, rescaled_params(1.0, p)).hex() == hamiltonian(s, p).hex()
+    (r_1, y_1), (r_s, y_s) = series_start(lam, rescaled_params(1.0, p), Tolerances()), series_start(lam, p, Tolerances())
     assert r_1.hex() == r_s.hex() and bits(y_1) == bits(y_s)
     e2, unscaled = eps * eps, (u / eps, v / eps)
-    fu, fv = radial_flow(p, eps)(r, s)
+    fu, fv = radial_flow(rescaled_params(eps, p))(r, s)
     gu, gv = radial_flow(p)(e2 * r, unscaled)
     assert abs(fu - eps**3 * gu) <= 1e-14 * (abs(q * v) + e2 * p.gap * abs(v) + abs(u / r)) + tiny
     assert abs(fv - eps**3 * gv) <= 1e-14 * (q + e2 * (p.m + p.omega)) * abs(u) + tiny
-    H = hamiltonian(s, p, eps)
+    H = hamiltonian(s, rescaled_params(eps, p))
     assert abs(H - eps**4 * hamiltonian(unscaled, p)) <= 1e-14 * (q * q / 4.0 + e2 * (p.m + p.omega) * q) + tiny
 
 

@@ -15,6 +15,7 @@ from diracshoot import (
     autonomous_flow,
     hamiltonian,
     radial_flow,
+    rescaled_params,
     series_start,
     solve,
 )
@@ -470,12 +471,11 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
         r0, y0 = series_start(lam, p, tol)
         g, dets = _events(p, stop)
         runs.append((radial_flow(p), (r0, horizon), y0, dict(detectors=dets, g=g)))
-    # the rescaled run with a v-sign detector at eps = 0.05, 0.2 and the
-    # eps = 0 bubble limit, from its series start
-    for eps in (0.05, 0.2, 0.0):
-        end = 1.0 / eps if eps else 20.0
-        r0, y0 = series_start(1.0, P, TOL, eps, end)
-        runs.append((radial_flow(P, eps), (r0, end), y0, dict(detectors=[NODE], g=v_sign)))
+    # the rescaled run with a v-sign detector at eps = 0.05, 0.2 and near
+    # the bubble limit at eps = 1e-8, from its series start
+    for eps, end in ((0.05, 20.0), (0.2, 5.0), (1e-8, 20.0)):
+        r0, y0 = series_start(1.0, rescaled_params(eps, P), TOL, end)
+        runs.append((radial_flow(rescaled_params(eps, P)), (r0, end), y0, dict(detectors=[NODE], g=v_sign)))
     # the horizon run of attraction_report to a horizon of 80, where u
     # crosses zero many times on the spiral toward the equilibrium (19 times
     # to the default 40/mu), screening the three shooting events past the
@@ -863,11 +863,11 @@ def test_overflowing_error_norm_rejects_the_step(monkeypatch):
 
     monkeypatch.setattr(I, "_MAX_STEPS", 1000)
     eps = 1e-100
-    r0, y0 = series_start(1.0, P, TOL, eps, 1.0 / eps)
+    r0, y0 = series_start(1.0, rescaled_params(eps, P), TOL, 1.0 / eps)
     with pytest.raises(IntegrationError, match="step budget exhausted") as exc:
         integrate_rescaled(eps, P, TOL)
     with pytest.raises(IntegrationError) as ref:
-        _reference_solve(radial_flow(P, eps), (r0, 1.0 / eps), y0, detectors=[NODE], g=v_sign, **KW)
+        _reference_solve(radial_flow(rescaled_params(eps, P)), (r0, 1.0 / eps), y0, detectors=[NODE], g=v_sign, **KW)
     assert str(exc.value) == str(ref.value)
     _assert_same_run(exc.value.partial, ref.value.partial)
     assert exc.value.partial.r[-1] > 1.2e29 and exc.value.partial.stats["nrejct"] > 300

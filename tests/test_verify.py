@@ -205,7 +205,7 @@ def test_suite_repeats_only_its_deliberate_runs(monkeypatch):
     # that integrate_remainder integrates again after rescaling_commutation
     import sys
 
-    from diracshoot import Params, Tolerances, integrator, radial_flow, series_start
+    from diracshoot import Params, Tolerances, integrator, radial_flow, rescaled_params, series_start
     from diracshoot.shooting import _events
 
     real = integrator.solve
@@ -235,7 +235,7 @@ def test_suite_repeats_only_its_deliberate_runs(monkeypatch):
                  False)
     (rescaled, n_rescaled), *envelope = repeats
     assert envelope == [(classify2, 632)] * 2
-    assert (rescaled[0], rescaled[1][1], n_rescaled) == (radial_flow(p, 0.1).formula, 10.0, 434)
+    assert (rescaled[0], rescaled[1][1], n_rescaled) == (radial_flow(rescaled_params(0.1, p)).formula, 10.0, 434)
     assert sum(nfev for _, nfev in runs) <= 74396
 
 
@@ -298,5 +298,5 @@ def test_suite_integrates_each_rescaled_run_once(monkeypatch):
     monkeypatch.setattr(asymptotics, "integrate_rescaled", counted)
     verify.run_suite()
     checks, remainder = calls["diracshoot.verify"], calls["diracshoot.asymptotics"]
-    assert sorted(checks) == [(0.0, 20.0), (0.1, 10.0), (0.3, 1.0 / 0.3), (0.5, 5.0)]
+    assert sorted(checks) == [(1e-08, 20.0), (0.1, 10.0), (0.3, 1.0 / 0.3), (0.5, 5.0)]
     assert sorted(remainder) == [(0.05, 20.0), (0.1, 10.0), (0.2, 5.0)]
