@@ -228,7 +228,7 @@ class PerturbationRecord(NamedTuple):
 
     h2/k2 come from integrating the exact remainder equations with DOP853,
     read on the grid r through its 7th-order extension (1.5e-10 off at
-    eps = 0.3, where a cubic Hermite on its steps is 1.2e-5 off);
+    eps = 0.3, where a cubic Hermite on its steps was 1.2e-5 off);
     max_discrepancy / rel_discrepancy compare them with the subtraction
     route, the expansion defect of the rescaled solution over eps^4.
     threshold_ok records |h2|+|k2| < eps^(-3/2) with breach_r the first
@@ -242,8 +242,8 @@ class PerturbationRecord(NamedTuple):
     At omega/m = 0.5, sup_norm stays below bound_limit; from omega/m = 0.9
     on it passes it at every eps measured, 0.1 to 0.003 (ROADMAP.md, item
     19).  The subtraction route divides the rescaled run's error by eps^4,
-    so it is taken at that run's step ends up to 1/eps (1.2e-10 off at eps = 0.2,
-    against 2.3e-8 for its cubic Hermite samples between them), with h1 and
+    so it is taken at that run's step ends up to 1/eps (1.6e-10 off at eps = 0.2;
+    DP5's extension between them is 2.1e-10 off, a cubic Hermite was 2.3e-8), with h1 and
     k1 in closed form and the joint flow's extension there.  At the
     default tolerance and (1, 0.5), rel_discrepancy is 5.9e-8, 3.5e-7 and
     1.5e-6 at eps = 0.2, 0.1 and 0.05 and 4.7e-5 at 0.0125 (7.4e-5 at
@@ -350,7 +350,7 @@ def integrate_remainder(
     joint, resc = [], []
     for eps, start, y0 in zip(epsilons, r0, _sum_joint(coef, np.array(r0))):
         joint.append(solve(_rhs_joint(eps, p), (start, 1.0 / eps), tuple(y0), rel=tol.rel, abs_tol=tol.abs,
-                           pair=DOP853, dense=True))
+                           pair=DOP853))
         horizons = (1.0 / eps,) if T is None else (1.0 / eps, float(T))
         resc.append(integrate_rescaled(eps, p, tol, max(horizons), min(horizons)))
 

@@ -3,26 +3,22 @@
 The stepper is a Dormand-Prince pair with FSAL, 5(4) or 8(5,3), on plain
 float tuples (the systems here are 2- or 4-dimensional and are integrated
 many thousands of times during a shooting run, so the per-step overhead
-matters).  Events are located by sign bracketing over each accepted step
-and refined by bisection on the cubic Hermite dense output (Hairer, Norsett
-& Wanner, Solving ODEs I, II.6); an event records the interpolated state at
-its crossing, from which callers compute any value there.  A trajectory
-holds its samples as float columns and the step list of its run, as arrays
-from their first read; sample interpolates the steps of several runs at any
-radii with that polynomial, or DOP853's own 7th-order one on a dense run
-(CONTD8, II.6), in one array pass, into rows of states.
+matters).  Every run records the stages that its pair's continuous extension
+weighs (Hairer, Norsett & Wanner, Solving ODEs I, II.6: CONTD5 for DP5,
+CONTD8 for DOP853), the one polynomial between step ends: events are located
+by sign bracketing over each accepted step and refined by bisection on it,
+an event records the state there at its crossing, and sample reads it at any
+radii of several runs in one array pass.  A trajectory holds its samples as
+float columns and the step list of its run, as arrays from their first read.
 
-The adaptive loop, with a sign screen of the event values, the bisection
-that refines a crossing and the Hermite dense output are written once, in
-_DP54_SRC (written from a Pair's table by _loop), _REFINE_SRC and
-_HERMITE_SRC, as per-component expressions.  Their compilers
-_dp54(n, k, flow, events, pair), for the loop and the bisection, and _hermite(n)
-exec them once per key, as dataclasses builds __init__.  Python loops over
-components or detectors cost several times their arithmetic; the expanded
-code keeps their operation order, so it is bitwise the loops.  A right-hand
-side or event function built by formula carries its source text: each stage
-evaluates the flow's formula in place of calling it, and the sign screen and
-each bisection point the event function's, bitwise the same way.
+The loop with a sign screen of the event values (_DP54_SRC, written from a
+Pair's table by _loop) and the extension with the bisection on it are written
+once, as per-component expressions that _dp54 and _continuous exec once per
+key, as dataclasses builds __init__: Python loops over components or
+detectors cost several times their arithmetic, and the expanded code keeps
+their operation order, so it is bitwise the loops.  A flow or event function
+built by formula carries its source text, which each stage, the sign screen
+and each bisection point evaluate in place of a call, bitwise the same way.
 """
 
 from __future__ import annotations
@@ -50,6 +46,9 @@ _DP54 = (
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
     (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0),
 )
+# and its continuous extension (CONTD5; Dormand & Prince 1986, II.6): the row of D over k0 ... k6, of no extra stage
+_CONTD5 = ((-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+            701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423),)
 
 # Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, II.10): scipy's DOP853 table as doubles, E5 and E3 after b, then
 # the continuous extension (CONTD8, II.6): (c, row of A) of k13 ... k15, after the FSAL k12, and D over k0 ... k15
@@ -105,18 +104,18 @@ class Pair(NamedTuple):
     b: tuple
     errors: tuple
     exponent: float  # of the step-size factor
-    extra: tuple = ()  # the continuous extension's (c, row of A) per stage after the FSAL one
-    d: tuple = ()  # and its rows of D, none for a pair without one
+    extra: tuple  # the continuous extension's (c, row of A) per stage after the FSAL one
+    d: tuple  # and its rows of D
     # DOPRI5's error weights reach the FSAL stage kS#, so it runs before the error norm, on rejected steps too
     fsal_in_error = property(lambda self: len(self.errors[0]) > len(self.stages) + 1)
-    # the stages k1 ... of a step that the extension weighs, which a dense run records
+    # the stages k1 ... of a step that the extension weighs, which every run records
     dense_stages = property(lambda self: [j for j, *w in zip(range(len(self.stages) + 1), *self.d, *(
         a[1:] for a in self.extra)) if j and any(w)])
     # equal pairs share a name: _dp54's cache key hashes it in place of the tables
     __hash__ = lambda self: hash(self.name)  # noqa: E731
 
 
-DP5 = Pair("DP5", _DP54[:-2], _DP54[-2], _DP54[-1:], -0.2)
+DP5 = Pair("DP5", _DP54[:-2], _DP54[-2], _DP54[-1:], -0.2, (), _CONTD5)
 DOP853 = Pair("DOP853", _DOP853[:11], _DOP853[11], _DOP853[12:14], -0.125, _DOP853[14:17], _DOP853[17:])
 
 _SAFETY = 0.9
@@ -168,30 +167,31 @@ class Trajectory:
     counters in the DOPRI5 names: nfev (right-hand side evaluations, see
     solve), naccpt and nrejct (accepted and rejected steps), and nbisect (event
     function evaluations that refine crossings).  table holds solve's step ends as
-    rows (r, y, dy/dr), uncut at a terminal crossing, which sample
-    interpolates; it is built from the flat list steps, and stats and table
-    are empty for paths given no steps; dense is a dense run's (f, pair, stages)."""
+    rows (r, y, dy/dr), uncut at a terminal crossing, which sample reads with the
+    recorded stages of the step ending there, from the flat list steps of both;
+    stats and table are empty for paths given no steps; extension is (f, pair)."""
 
-    def __init__(self, columns, events, status, stats=None, steps=None, dense=None):
+    def __init__(self, columns, events, status, stats=None, steps=None, extension=None):
         self.columns = columns
         self.events = tuple(events)
         self.status = status  # "completed", "failed" or "event:<kind>"
         self.stats = stats or {}
         self._steps = steps
-        self._dense = dense  # (f, pair, recorded stages) of a dense run
+        self._extension = extension
 
     @functools.cached_property
     def _arrays(self) -> tuple:
-        columns, steps = self.columns, self._steps
+        columns, steps, n = self.columns, self._steps, len(self.columns) - 1
+        self._steps = None  # the arrays hold the steps from here, and the columns the floats of the samples
         if steps is None:
-            table, a = None, np.array(columns)
-        else:
-            # the step list as one buffer of C doubles, which numpy reads in place (twice as fast as
-            # np.fromiter); its first rows are the samples but the last, which a terminal crossing cuts
-            table = np.frombuffer(struct.pack(f"{len(steps)}d", *steps)).reshape(-1, 2 * len(columns) - 1)
-            a = table[: len(columns[0]), : len(columns)].T.copy()
-            a[:, -1] = [column[-1] for column in columns]
-        return a[0], a[1:].T, table
+            a = np.array(columns)
+            return a[0], a[1:].T, None, None
+        # the step list as one buffer of C doubles, which numpy reads in place (twice as fast as np.fromiter), a row
+        # per sample; its first columns are the samples but the last, which a terminal crossing cuts
+        rows = np.frombuffer(struct.pack(f"{len(steps)}d", *steps)).reshape(len(columns[0]), -1)
+        a = rows[:, : n + 1].T.copy()
+        a[:, -1] = [column[-1] for column in columns]
+        return a[0], a[1:].T, rows[:, : 1 + 2 * n], rows
 
     r = property(lambda self: self._arrays[0])
     y = property(lambda self: self._arrays[1])
@@ -237,11 +237,11 @@ class Trajectory:
 
 def sample(runs, grids) -> list:
     """The states of each run at its 1-D, strictly increasing grid, one row per point, from its step
-    table: a point equal to a sample takes the state there, any other the value on the step ending
-    beyond it of a dense run's degree-7 extension, or of the cubic Hermite, which refine uses for the
-    events of every run.  A grid lies within its run's r_span; a run that stopped early, at a terminal
-    crossing or a failure, has no row past its last sample.  One array pass serves the dense runs of one
-    pair: the rows h D K are built once over their stacked steps (a run given twice once)."""
+    table: a point equal to a sample takes the state there, any other the value of its pair's continuous
+    extension on the step ending beyond it, the polynomial on which refine locates events.  A grid lies
+    within its run's r_span; a run that stopped early, at a terminal crossing or a failure, has no row past
+    its last sample.  One array pass serves the runs of one pair and dimension (a run given twice once).
+    The extra stages that DOP853's extension evaluates are no calls that stats["nfev"] counts."""
     groups = {}
     for k, (t, grid) in enumerate(zip(runs, grids)):
         if t.table is None:
@@ -255,9 +255,7 @@ def sample(runs, grids) -> list:
         if grid.size and not (grid[0] >= r[0] and (grid[-1] <= r[-1] or t.status != "completed")):
             raise ValueError("grid must lie within r_span of the run")
         pts = grid[: np.searchsorted(grid, r[-1], "right")]
-        # dense runs stack by pair and dimension, and a run without stages takes the Hermite alone
-        key = (t._dense[1], len(t.columns)) if t._dense else (None, k)
-        groups.setdefault(key, []).append((k, t, pts, np.searchsorted(r, pts)))
+        groups.setdefault((t._extension[1], len(t.columns)), []).append((k, t, pts, np.searchsorted(r, pts)))
     out = [None] * len(runs)
     for (pair, _), group in groups.items():
         ks, runs, pts, js = zip(*group)
@@ -268,63 +266,47 @@ def sample(runs, grids) -> list:
         j, pts = np.concatenate([j + first[id(t)] for t, j in zip(runs, js)]), np.concatenate(pts)
         y = np.concatenate([t.y for t in uniq]).take(j, axis=0)  # the samples at or next beyond the points
         inner = pts != np.concatenate([t.r for t in uniq]).take(j)
-        pts, j = pts[inner], j[inner]
-        table = np.concatenate([t.table for t in uniq]).T  # component-major: one row per column
-        if len(j):
-            y[inner] = np.transpose(_extension(pair, n, uniq, table, rows, pts, j) if pair else
-                                    _hermite(n)(table.take(j - 1, axis=1), table.take(j, axis=1), pts))
+        if inner.any():
+            table = np.concatenate([t._arrays[3] for t in uniq]).T  # component-major: one row per column
+            y[inner] = _extension(pair, n, uniq, table, rows, pts[inner], j[inner]).T
         for k, a, b in zip(ks, [0, *ends], ends):
             out[k] = y[a:b]
     return out
 
 
 def _extension(pair: Pair, n: int, runs, table, rows, pts, j) -> np.ndarray:
-    """The states at pts, point k on the step ending at row j[k] of runs' stacked table (run i from row rows[i]),
-    by the extension (scipy's Dop853DenseOutput), its rows y0, F0 ... F6 per step component-major; the stages call
-    the runs' shared formula once, each constant repeated per step, or each flow on its steps, without raising lines."""
-    starts = np.delete(np.arange(rows[-1] - 1), rows[1:-1] - 1)
-    t0, t1 = table[:, starts], table[:, starts + 1]
-    r0, h, y0, y1 = t0[0], t1[0] - t0[0], t0[1 : n + 1], t1[1 : n + 1]
-    # the stages k0 ... per step, k[s] the FSAL one and zero where no weight reads them
-    k, s, m = np.zeros((len(pair.d[0]), n, len(h))), len(pair.stages) + 1, len(pair.dense_stages)
-    stages = np.frombuffer(b"".join(struct.pack(f"{len(t._dense[2])}d", *t._dense[2]) for t in runs))
-    k[pair.dense_stages], k[0], k[s] = stages.reshape(-1, m, n).transpose(1, 2, 0), t0[n + 1 :], t1[n + 1 :]
-    fs, ends = [t._dense[0] for t in runs], np.cumsum([len(t.table) - 1 for t in runs])
+    """The (n, len(pts)) states at pts, point k on the step ending at row j[k] of runs' stacked rows with stages (run i
+    from row rows[i]).  The steps holding a point take one call of rows for one component on (n, steps) arrays, its
+    stages one of the runs' shared formula without its raising lines, each constant repeated per step; a flow of any
+    other kind takes each step's rows on floats, its stages called as solve called it."""
+    steps, at = np.unique(j, return_inverse=True)
+    run, w = np.searchsorted(rows, steps, "right") - 1, 1 + 2 * n
+    a, b = table[:w, steps - 1], table[:, steps]  # a step's rows (r, y, dy/dr) at its ends, and its stages
+    fs = [t._extension[0] for t in runs]
     srcs = {getattr(f, "formula", (None,))[0] for f in fs}
-    if len(srcs) == 1 and None not in srcs:
-        fn, consts = _definition(_unchecked(*srcs)), np.array([f.formula[1] for f in fs]).reshape(len(fs), -1)
-        consts = np.repeat(consts, np.diff(ends, prepend=0), axis=0).T
-        f = lambda x, s: fn(x, s, *consts)  # noqa: E731
+    if not pair.extra or (len(srcs) == 1 and None not in srcs):
+        fn = pair.extra and _definition(_unchecked(*srcs))  # DP5's extension calls no flow
+        consts = np.array([f.formula[1] for f in fs]).reshape(len(fs), -1).take(run, axis=0).T if fn else ()
+        f = lambda x, s: (np.array(np.broadcast_arrays(*fn(x, s[0], *consts))),)  # noqa: E731
+        # each row's r, then its y, dy/dr and stages as (n, steps) blocks
+        blocks = (v for x in (a, b) for v in (x[0], *x[1:].reshape(-1, n, len(steps))))
+        F = np.array(_continuous(pair, 1)[0](f, *blocks))
     else:
-        fs = [formula(_unchecked(f.formula[0]), *f.formula[1]) if hasattr(f, "formula") else f for f in fs]
-        f = lambda x, s: np.concatenate([g(x[a:b], tuple(v[a:b] for v in s))  # noqa: E731
-                                         for g, a, b in zip(fs, [0, *ends], ends) if b > a], axis=1)
-    # the weighted sums by einsum, whose loops call no BLAS routine
-    for i, (c, *a) in enumerate(pair.extra, s + 1):
-        k[i] = f(r0 + c * h, tuple(y0 + h * np.einsum("j,j...", a, k[:i])))
-    dy = y1 - y0
-    F = np.array([y0, dy, h * k[0] - dy, 2.0 * dy - h * (k[s] + k[0]), *(h * np.einsum("ij,j...->i...", pair.d, k))])
-    step = np.searchsorted(starts, j - 1)
-    x = (pts - r0.take(step)) / h.take(step)
-    x, values = (1.0 - x, x), np.zeros((n, len(pts)))
-    for i in range(len(F) - 1, 0, -1):  # c0 + x (c1 + (1 - x) (c2 + x (c3 + ... + x c7))), a row at a time
-        values += F[i].take(step, axis=1)
-        values *= x[i % 2]
-    values += F[0].take(step, axis=1)
-    return values
+        rows_of, args = _continuous(pair, n)[0], np.vstack([a, b]).T.tolist()
+        F = np.array([rows_of(fs[i], *x) for i, x in zip(run.tolist(), args)]).T.reshape(-1, n, len(steps))
+    # evaluated a component at a time, which holds the rows of one at the points
+    r0, r1, extension = a[0].take(at), b[0].take(at), _continuous(pair, 1)[1]
+    return np.array([extension(tuple(F[:, i].take(at, axis=1)), r0, r1, pts)[0] for i in range(n)])
 
 
-# [expr] expands to "expr_0, expr_1, ..., ", [+expr] to "expr_0 + expr_1 + ..." and
-# [|expr] to "expr_0 or expr_1 or ...", with # the state component index or $ the
-# event value index; lines starting with ? (the sign screen) are kept for k > 0.
-# run appends each accepted r, y and f = dy/dr to the flat list nodes (and a dense
-# run the stages pair.dense_stages to the flat list stages) and returns
-# (status, r, y, dy, h, naccpt, nrejct, p, q): "completed" at r_end, "event" after
-# a step over which some value changed sign from p to q, or a failure; _loop
-# writes its stages k1# ..., update n#, error norm, exponent and FSAL stage kS#
-# from a Pair.  hermite interpolates between two rows, of floats or arrays.
+# [expr] expands to "expr_0, expr_1, ..., ", [+expr] to "expr_0 + expr_1 + ..." and [|expr] to "expr_0 or expr_1
+# or ...", with # the state component index or $ the event value index; lines starting with ? (the sign screen) are
+# kept for k > 0.  run appends each accepted r, y, f = dy/dr and the step's stages pair.dense_stages to the flat list
+# nodes, and returns (status, r, y, dy, h, naccpt, nrejct, p, q): "completed" at r_end, "event" after a step over
+# which some value changed sign from p to q, or a failure; _loop writes its stages k1# ..., update n#, error norm,
+# exponent and FSAL stage kS# from a Pair.
 _DP54_SRC = """
-def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, stages, naccpt, nrejct, [p$]):
+def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
     [y#] = y
     [k0#] = dy
     [ay#] = [abs(y#)]
@@ -355,7 +337,7 @@ ERROR
         r = r_new
 FSAL
         [y#][ay#][k0#] = [n#][an#][kS#]
-        nodes += (r, [n#][kS#])
+        nodes += (r, [n#][kS#]RECORDED)
         # err <= 1 here, so the factor is at least _SAFETY > _MIN_FACTOR
         fac = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** EXPONENT
         h *= fac if fac < _MAX_FACTOR else _MAX_FACTOR
@@ -373,11 +355,17 @@ def _weighted(weights) -> str:
     return terms[0] if len(terms) == 1 else f"({' + '.join(terms)})"
 
 
-def _loop(pair: Pair, dense: bool) -> str:
-    """_DP54_SRC written from pair, recording pair.dense_stages if dense.  The FSAL stage kS# follows the update where
-    it enters the error norm (pair.fsal_in_error), else the acceptance.  Stage names share one width: k1 of component 10
-    is no k11."""
-    s, scale, fsal = len(pair.stages) + 1, "abs_tol + rel * (an# if an# > ay# else ay#)", ["[kS#] = f(r_new, ([n#]))"]
+def _named(src: str, pair: Pair) -> str:
+    """src with the stages that a run records, pair.dense_stages, for RECORDED, and its stage names k0#, k1#, ... and
+    kS# (the FSAL stage) at one width: k1 of component 10 is no k11."""
+    s, src = len(pair.stages) + 1, src.replace("RECORDED", "".join(f"[k{j}#]" for j in pair.dense_stages))
+    return re.sub(r"\bk(\d+|S)#", lambda m: f"k{s if m[1] == 'S' else int(m[1]):0{len(str(s))}d}#", src)
+
+
+def _loop(pair: Pair) -> str:
+    """_DP54_SRC written from pair.  The FSAL stage kS# follows the update where it enters the error norm
+    (pair.fsal_in_error), else the acceptance."""
+    scale, fsal = "abs_tol + rel * (an# if an# > ay# else ay#)", ["[kS#] = f(r_new, ([n#]))"]
     stages = [f"[k{i}#] = f(r + {'h' if c == 1.0 else f'{c!r} * h'}, ([y# + h * {_weighted(a)}]))"
               for i, (c, *a) in enumerate(pair.stages, 1)] + [f"[n#] = [y# + h * {_weighted(pair.b)}]"]
     stages, fsal = (stages + fsal, []) if pair.fsal_in_error else (stages, fsal)
@@ -388,38 +376,40 @@ def _loop(pair: Pair, dense: bool) -> str:
         error = [f"[sc#] = [{scale}]", f"e5, e3 = {e5}, {e3}",
                  "err = h * e5 / math.sqrt((e5 + 0.01 * e3) * {n}) if e5 else 0.0"]
     src = _DP54_SRC.replace("EXPONENT", repr(pair.exponent))
-    fsal += [f"stages += ({''.join(f'[k{j}#]' for j in pair.dense_stages)})"] if dense else []
     for key, lines, indent in (("STAGES", stages, 8), ("ERROR", error, 12), ("FSAL", fsal, 8)):
         src = src.replace(key + "\n", "".join(" " * indent + x + "\n" for x in lines))
-    return re.sub(r"\bk(\d+|S)#", lambda m: f"k{s if m[1] == 'S' else int(m[1]):0{len(str(s))}d}#", src)
+    return _named(src, pair)
 
 
-_HERMITE_SRC = """
-def hermite(row0, row1, r):
-    r0, [a#][fa#] = row0
-    r1, [b#][fb#] = row1
+# rows writes a step's extension from its rows (r, y, dy/dr) at both ends and its recorded stages, after the extra
+# ones: F0 = y0, F1 = y1 - y0, F2 = h k0 - F1, F3 = 2 F1 - h (kS + k0), F4 ... = h D K, one flat tuple row by row.
+# extension evaluates them at r, floats or arrays, by the alternating Horner scheme F0 + x (F1 + (1 - x) (F2 + ...)).
+# refine bisects the step for the crossing of value i from its value lo at r0, down to a width relative to r, as runs
+# below r = 1 need; hi_r stays on the crossed side so the event condition holds at the reported point.  Each point r
+# runs extension's lines, which pass its state to g.  It returns hi_r and the number of points.
+_EXTENSION_SRC = """
+def rows(f, r0, [y#][k0#]r1, [n#][kS#]RECORDED):
     h = r1 - r0
-    t = (r - r0) / h
-    t2 = t * t
-    t3 = t2 * t
-    c00 = 2.0 * t3 - 3.0 * t2 + 1.0
-    c10 = t3 - 2.0 * t2 + t
-    c01 = -2.0 * t3 + 3.0 * t2
-    c11 = t3 - t2
-    return ([c00 * a# + c10 * h * fa# + c01 * b# + c11 * h * fb#])
-"""
+EXTRA
+    [d#] = [n# - y#]
+    return ([y#][d#][h * k0# - d#][2.0 * d# - h * (kS# + k0#)]WEIGHED)
 
-# refine bisects the step between two rows for the crossing of value i from
-# its value lo at row0, down to a width relative to r, as runs below r = 1
-# need; hi_r stays on the crossed side so the event condition holds at the
-# reported point.  Each point r runs hermite's lines, which pass its value to
-# g.  It returns hi_r and the number of points.
+def extension(F, r0, r1, r):
+    ROWS = F
+    x = (r - r0) / (r1 - r0)
+    x1 = 1.0 - x
+    return ([STATE])
+"""
 _REFINE_SRC = """
-def refine(g, row0, row1, i, direction, lo, abs_tol):
-    lo_r, hi_r, count = row0[0], row1[0], 0
+def refine(g, F, r0, r1, i, direction, lo, abs_tol):
+    ROWS = F
+    lo_r, hi_r, count = r0, r1, 0
     while count < 80 and not hi_r - lo_r <= 4e-16 * abs(hi_r):
         r = 0.5 * (lo_r + hi_r)
-HERMITE        value = ([q$])[i]
+        x = (r - r0) / (r1 - r0)
+        x1 = 1.0 - x
+        [q$] = g(r, ([STATE]))
+        value = ([q$])[i]
         count += 1
         if direction <= 0 and lo > 0.0 >= value or direction >= 0 and lo < 0.0 <= value:
             hi_r = r
@@ -429,9 +419,18 @@ HERMITE        value = ([q$])[i]
             lo_r, lo = r, value
     return hi_r, count
 """
-_REFINE_SRC = _REFINE_SRC.replace("HERMITE", re.sub(
-    r"return (.*)", r"[q$] = g(r, \1)", re.sub(r"(?m)^(?=.)", "    ", _HERMITE_SRC.split(":\n")[1])
-))
+
+
+def _extension_src(pair: Pair, src: str) -> str:
+    """src, _EXTENSION_SRC or _REFINE_SRC, written from pair: its extra stages, rows of D and Horner scheme."""
+    extra = "".join(f"    [k{i}#] = f(r0 + {c!r} * h, ([y# + h * {_weighted(a)}]))\n"
+                    for i, (c, *a) in enumerate(pair.extra, len(pair.stages) + 2))
+    state = f"F{len(pair.d) + 3}_#"
+    for i in range(len(pair.d) + 2, -1, -1):  # F_i plus (x or 1 - x, alternating) times the rows after it
+        state = f"F{i}_# + {'x1' if i % 2 else 'x'} * ({state})"
+    src = src.replace("EXTRA\n", extra).replace("STATE", state)
+    src = src.replace("WEIGHED", "".join(f"[h * {_weighted(w)}]" for w in pair.d))
+    return _named(src.replace("ROWS", "".join(f"[F{i}_#]" for i in range(len(pair.d) + 4))), pair)
 
 
 def _compile(src: str, n: int, k: int = 0):
@@ -480,15 +479,13 @@ v_sign = formula("def f(x, s):\n    u, v = s\n    return v,\n")
 
 
 @functools.cache
-def _dp54(n: int, k: int, flow: str | None, events: str | None, pair: Pair, dense: bool):
-    """(run, refine) of pair for n components and k event values, refine
-    None for k = 0 (run records stages if dense).  The formula of a flow replaces each call [x#] = f(radius,
-    ([arguments])) and that of an event function each call [q$] = g(...),
-    and their constants follow g among the arguments, the event function's
-    alone in refine's.  Each name a formula binds or reads takes the suffix
-    _f in a flow and _g in an event function, which no name of the loop
-    ends in, so the formulas' names are their own."""
-    src = _loop(pair, dense) + (_REFINE_SRC if k else "")
+def _dp54(n: int, k: int, flow: str | None, events: str | None, pair: Pair):
+    """(run, refine) of pair for n components and k event values, refine None for k = 0.  The formula of a flow
+    replaces each call [x#] = f(radius, ([arguments])) and that of an event function each call [q$] = g(...), and their
+    constants follow g among the arguments, the event function's alone in refine's.  Each name a formula binds or reads
+    takes the suffix _f in a flow and _g in an event function, which no name of the loop ends in, so the formulas'
+    names are their own."""
+    src = _loop(pair) + (_extension_src(pair, _REFINE_SRC) if k else "")
     params = {"f": "", "g": ""}
     for callee, text in (("f", flow), ("g", events)):
         if text is None:
@@ -512,8 +509,10 @@ def _dp54(n: int, k: int, flow: str | None, events: str | None, pair: Pair, dens
 
 
 @functools.cache
-def _hermite(n: int):
-    return _compile(_HERMITE_SRC, n)["hermite"]
+def _continuous(pair: Pair, n: int):
+    """(rows, extension) of pair for n components (see _EXTENSION_SRC)."""
+    ns = _compile(_extension_src(pair, _EXTENSION_SRC), n)
+    return ns["rows"], ns["extension"]
 
 
 def _crossed(g0: float, g1: float, direction: int) -> bool:
@@ -555,25 +554,19 @@ def solve(
     detectors: Sequence[Detector] = (),
     g: Callable[[float, tuple], tuple] | None = None,
     pair: Pair = DP5,
-    dense: bool = False,
 ) -> Trajectory:
     """Integrate y' = f(r, y) over r_span with event detection.
 
-    g(r, y) returns the event values, one per detector in their order; it is
-    called at the start and evaluated per accepted step and per bisection
-    point of a crossing, where the loop's sign screen and the bisection
-    inline the source text of a g built by formula.  Samples are recorded at
-    every accepted step, and the trajectory keeps the step table that its
-    sample method interpolates at any radii.  A terminal event truncates the
-    samples at the refined crossing; otherwise the run ends at r_span[1]
-    with status "completed".  pair steps: DP5 evaluates the right-hand side
-    2 + 6 (naccpt + nrejct) times, DOP853 2 + 11 (naccpt + nrejct) + naccpt
-    (its FSAL stage, of no error weight, runs on accepted steps alone): at the
-    start, for the initial step size and per stage, each a call of f unless f
-    was built by formula, whose source text the stages inline.  nbisect counts
-    the evaluations of g that refine crossings.  dense records the stages
-    that pair's continuous extension weighs (ValueError for DP5, which has
-    none) for sample, which evaluates its 3 other stages, uncounted.
+    g(r, y) returns the event values, one per detector in their order; it is called at the start and evaluated per
+    accepted step and per bisection point of a crossing, where the loop's sign screen and the bisection inline the
+    source text of a g built by formula.  Samples are recorded at every accepted step, and the trajectory keeps the
+    step table and the stages that pair's continuous extension weighs, which its sample method reads at any radii and
+    refine bisects for a crossing.  A terminal event truncates the samples at the refined crossing; otherwise the run
+    ends at r_span[1] with status "completed".  pair steps: DP5 evaluates the right-hand side 2 + 6 (naccpt + nrejct)
+    times, DOP853 2 + 11 (naccpt + nrejct) + naccpt (its FSAL stage, of no error weight, runs on accepted steps alone)
+    + 3 per step whose crossing refine reads (its extension's extra stages; DP5's has none): at the start, for the
+    initial step size and per stage, each a call of f unless f was built by formula, whose source text the loop's
+    stages inline.  nbisect counts the evaluations of g that refine crossings.
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
@@ -584,19 +577,18 @@ def solve(
         raise ValueError(f"rel must be nonnegative and finite, got {rel}")
     if detectors and g is None:
         raise ValueError("detectors need an event function g")
-    if dense and not pair.d:
-        raise ValueError("dense output needs a pair with a continuous extension")
     y = tuple(float(c) for c in y0)
     r = r0
     k1 = f(r, y)
     n = len(y)
     flow, consts = getattr(f, "formula", (None, ()))
     events, g_consts = getattr(g, "formula", (None, ())) if detectors else (None, ())
-    (run, refine), hermite = _dp54(n, len(detectors), flow, events, pair, dense), _hermite(n)
+    (run, refine), (rows, extension) = _dp54(n, len(detectors), flow, events, pair), _continuous(pair, n)
 
-    # the accepted (r, y, f) as rows of 1 + 2n floats; step j runs from row j-1 to row j
-    nodes = [r, *y, *k1]
-    w, stages = 1 + 2 * n, [] if dense else None
+    # the accepted (r, y, f) and the recorded stages of the step ending there as rows of 1 + 2n + m floats;
+    # step j runs from row j-1 to row j
+    m = n * len(pair.dense_stages)
+    nodes, w = [r, *y, *k1, *[0.0] * m], 1 + 2 * n + m
     g_prev = tuple(g(r, y)) if detectors else ()
     if len(g_prev) != len(detectors):
         raise ValueError(f"g must return one value per detector, {len(detectors)}, got {len(g_prev)}")
@@ -610,29 +602,32 @@ def solve(
             for column, x in zip(columns, (cut[0], *cut[1])):
                 column[-1] = x
         nfev = 2 + len(pair.stages) * (naccpt + nrejct) + naccpt + (nrejct if pair.fsal_in_error else 0)
-        stats = dict(nfev=nfev, naccpt=naccpt, nrejct=nrejct, nbisect=nbisect)
-        return Trajectory(columns, events, status_str, stats, nodes, (f, pair, stages) if dense else None)
+        stats = dict(nfev=nfev + len(pair.extra) * refined, naccpt=naccpt, nrejct=nrejct, nbisect=nbisect)
+        return Trajectory(columns, events, status_str, stats, nodes, (f, pair))
 
-    h, naccpt, nrejct, nbisect = _initial_step(f, r, y, k1, r_end, rel, abs_tol, pair.exponent), 0, 0, 0
+    h, naccpt, nrejct, nbisect, refined = _initial_step(f, r, y, k1, r_end, rel, abs_tol, pair.exponent), 0, 0, 0, 0
     while True:
         status, r, y, k1, h, naccpt, nrejct, g0, g1 = run(
-            f, g, *consts, *g_consts, r, y, k1, h, r_end, rel, abs_tol, nodes, stages, naccpt, nrejct, *g_prev
+            f, g, *consts, *g_consts, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, *g_prev
         )
         if status == "completed":
             return build("completed")
         if status != "event":
             raise IntegrationError(f"{status} at r={r}", build("failed"))
-        # some value changed sign over the step between the last two rows
-        a, b = nodes[-2 * w : -w], nodes[-w:]
+        # some value changed sign over the step between the last two rows, whose extension's rows F a
+        # detector that takes the crossing refines
         fired: list[tuple[float, Detector]] = []
         for i, det in enumerate(detectors):
             if not _crossed(g0[i], g1[i], det.direction):
                 continue
-            r_star, count = refine(g, *g_consts, a, b, i, det.direction, g0[i], abs_tol)
+            if not fired:
+                r_a, r_b, F = nodes[-2 * w], nodes[-w], rows(f, *nodes[-2 * w : -w - m], *nodes[-w:])
+            r_star, count = refine(g, *g_consts, F, r_a, r_b, i, det.direction, g0[i], abs_tol)
             nbisect += count
             fired.append((r_star, det))
+        refined += bool(fired)
         for r_star, det in sorted(fired, key=lambda t: t[0]):
-            y_star = hermite(a, b, r_star)
+            y_star = extension(F, r_a, r_b, r_star)
             events.append(Event(det.kind, r_star, y_star))
             if det.terminal:
                 return build(f"event:{det.kind.value}", (r_star, y_star))

@@ -38,8 +38,9 @@ _MAX_BISECT_ITER = 200
 # the search stops once hi - lo <= _STOP_REL * tol.rel * hi, the accuracy in
 # lambda* that the integration tolerance supports
 _STOP_REL = 0.1
-# samples of the matched decay tail between the anchor and the horizon
-_N_TAIL = 256
+# samples of the matched decay tail between the anchor and the horizon, or mu r = _K_END before it: up to there
+# _bessel_k01 holds K0 and K1 to a few ulp as normal floats, and from mu r = 742 on both are 0 in double
+_N_TAIL, _K_END = 256, 700.0
 # bracket_search doubles the datum up to this multiple of its first one
 _MAX_FACTOR = 1e6
 # the loose tolerance of search trials and its two distances (see bisect)
@@ -425,7 +426,8 @@ def extend_with_decay_tail(
     traj: Trajectory, p: Params, r_end: float
 ) -> tuple[Trajectory, float, float]:
     """Truncate a near-connection trajectory at its closest approach to the
-    origin and continue it with the matched decaying tail up to r_end.
+    origin and continue it with the matched decaying tail up to r_end, or up
+    to mu r = _K_END before it, past which the tail leaves the normal floats.
 
     Returns (profile, anchor_r, tail_amplitude).  The tail is matched by least
     squares on _decay_window, where decay_fit reads the slope; an anchor at
@@ -443,7 +445,8 @@ def extend_with_decay_tail(
     den = float(np.dot(bu, bu) + np.dot(bv, bv))
     amp = num / den
 
-    r_tail = np.linspace(r_c, float(r_end), _N_TAIL + 1)[1:] if r_c < r_end else np.empty(0)
+    r_end = min(float(r_end), _K_END / p.mu)
+    r_tail = np.linspace(r_c, r_end, _N_TAIL + 1)[1:] if r_c < r_end else np.empty(0)
     bu, bv = _tail_basis(r_tail, p) if r_tail.size else (r_tail, r_tail)
 
     columns = (

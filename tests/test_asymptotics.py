@@ -300,12 +300,12 @@ def test_joint_series_start_holds_both_recurrences(mw, eps):
 
 @pytest.mark.parametrize("eps, bound", [(0.2, 1e-12), (0.05, 1e-11), (0.01, 5e-10)])
 def test_remainder_sup_norm_matches_a_tight_run(eps, bound):
-    # against a dense DOP853 run of the joint flow from R0 at rel = abs =
+    # against a DOP853 run of the joint flow, read through its extension, from R0 at rel = abs =
     # 1e-13 on the record's grid: 5.2e-13, 7.0e-12 and 4.2e-10 measured (the
     # DP5 run sampled through its cubic Hermite was 1.1e-9, 3.7e-11 and 7.1e-10 off)
     grid = np.linspace(R0, 1.0 / eps, 800)
     tight = solve(_rhs_joint(eps, P), (R0, 1.0 / eps), _joint_start(P, R0), rel=1e-13, abs_tol=1e-13,
-                  pair=DOP853, dense=True)
+                  pair=DOP853)
     h2, k2 = tight.sample(grid)[:, 2:].T
     assert abs(integrate_remainder((eps,), P, TOL)[0].sup_norm - np.max(np.abs(h2) + np.abs(k2))) <= bound
 
@@ -325,7 +325,7 @@ def test_joint_flow_samples_hold_the_tolerance_between_step_ends(eps, rel):
     y0 = tuple(_sum_joint(coef, np.array([r0]))[0])
     grid = np.linspace(1e-6, 1.0 / eps, 800)
     grid = grid[grid >= r0]
-    run, tight = (solve(_rhs_joint(eps, P), (r0, 1.0 / eps), y0, rel=x, abs_tol=x, pair=DOP853, dense=True)
+    run, tight = (solve(_rhs_joint(eps, P), (r0, 1.0 / eps), y0, rel=x, abs_tol=x, pair=DOP853)
                   for x in (rel, 1e-13))
     want = tight.sample(grid)
     err = np.max(np.abs(run.sample(grid) - want).sum(axis=1))

@@ -288,17 +288,28 @@ def test_undecided_trial_keeps_to_the_horizon_it_is_given():
     assert "bisection did not reach a node-free connection; best candidate reported" in env["diagnostics"]
 
 
-def test_huge_horizon_ends_the_default_profile_in_zeros(gs):
-    # K0 and K1 are 0 in double past x = 745, so the tail's quadrature step
-    # comes from its largest argument up to there: at rmax = 1e300 that step
-    # asked numpy for an array too large to allocate.  No trial reaches the
-    # horizon, so the search and the profile up to the anchor are the default
-    # ones, and the tail past it is exact zeros
-    far = ground_state(P, Tolerances(rmax=1e300))
+@pytest.mark.parametrize("rmax", [1e6, 1e300], ids=str)
+def test_huge_horizon_ends_the_tail_where_the_bessel_pair_underflows(gs, rmax):
+    # K0 and K1 are 0 in double from x = 742 on, so the tail stops at mu r =
+    # 700, where they are still normal floats (at rmax = 1e6 all 256 rows
+    # were exact zeros, and 38 at rmax = 1e3); at rmax = 1e300 the tail's
+    # quadrature step from its largest argument asked numpy for an array too
+    # large to allocate.  No trial reaches the horizon, so the search and the
+    # profile up to the anchor are the default ones
+    far = ground_state(P, Tolerances(rmax=rmax))
     assert (far.lambda_star, far.anchor_r, far.converged) == (gs.lambda_star, gs.anchor_r, True)
     n = np.searchsorted(gs.profile.r, gs.anchor_r) + 1
     assert far.profile.y[:n].tobytes() == gs.profile.y[:n].tobytes()
-    assert far.profile.r[-1] == 1e300 and not np.any(far.profile.y[n:])
+    assert far.profile.r[-1] == 700.0 / P.mu and np.all(far.profile.norm1[n:] > 0.0)
+    assert far.profile.r[n:].tolist() == np.linspace(gs.anchor_r, 700.0 / P.mu, 257)[1:].tolist()
+
+
+def test_default_tail_ends_at_the_horizon(gs):
+    # the default horizon 40/mu lies below mu r = 700: its tail spaces its 256
+    # rows from the anchor to rmax, as before the tail stopped there
+    n, rmax = np.searchsorted(gs.profile.r, gs.anchor_r) + 1, TOL.resolved(P).rmax
+    assert len(gs.profile) == n + 256 and gs.profile.r[-1] == rmax == 40.0 / P.mu
+    assert gs.profile.r[n:].tolist() == np.linspace(gs.anchor_r, rmax, 257)[1:].tolist()
 
 
 def test_one_sample_candidate_has_no_decay_window():

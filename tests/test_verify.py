@@ -211,10 +211,9 @@ def test_suite_repeats_only_its_deliberate_runs(monkeypatch):
     real = integrator.solve
     runs = []
 
-    def counted(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, pair=integrator.DP5, dense=False):
-        t = real(f, r_span, y0, rel=rel, abs_tol=abs_tol, detectors=detectors, g=g, pair=pair, dense=dense)
-        key = (_flow_key(f), tuple(map(float, r_span)), tuple(map(float, y0)), rel, abs_tol, tuple(detectors), pair,
-               dense)
+    def counted(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, pair=integrator.DP5):
+        t = real(f, r_span, y0, rel=rel, abs_tol=abs_tol, detectors=detectors, g=g, pair=pair)
+        key = (_flow_key(f), tuple(map(float, r_span)), tuple(map(float, y0)), rel, abs_tol, tuple(detectors), pair)
         runs.append((key, t.stats["nfev"]))
         return t
 
@@ -231,8 +230,7 @@ def test_suite_repeats_only_its_deliberate_runs(monkeypatch):
     p = Params()
     tol = Tolerances().resolved(p)
     r2, y2 = series_start(2.0, p, tol)
-    classify2 = (radial_flow(p).formula, (r2, tol.rmax), y2, tol.rel, tol.abs, _events(p, False)[1], integrator.DP5,
-                 False)
+    classify2 = (radial_flow(p).formula, (r2, tol.rmax), y2, tol.rel, tol.abs, _events(p, False)[1], integrator.DP5)
     (rescaled, n_rescaled), *envelope = repeats
     assert envelope == [(classify2, 632)] * 2
     assert (rescaled[0], rescaled[1][1], n_rescaled) == (radial_flow(rescaled_params(0.1, p)).formula, 10.0, 434)
