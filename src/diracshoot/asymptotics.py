@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from . import _lazy as np
 from .equations import radial_flow, series_polynomials, series_start
-from .integrator import DOP853, Detector, EventKind, Trajectory, formula, sample, solve, v_sign
+from .integrator import Detector, EventKind, Trajectory, formula, sample, solve, v_sign
 from .params import Params, Tolerances
 from .shooting import lsq_slope
 
@@ -79,10 +79,10 @@ def integrate_rescaled(
     eps: float, p: Params, tol: Tolerances, r_end: float | None = None, horizon: float | None = None
 ) -> Trajectory:
     """Integrate the rescaled system, radial_flow at q = rescaled_params(eps, p), from (0, 1) up to
-    r_end (default 1/eps), recording the sign changes of V as V_SIGN_CHANGE events (a detector
-    leaves the steps as they are).  It starts from series_start(1, q, tol, horizon), below half the
-    horizon (default r_end), the nearest radius a caller samples.  Its energy hamiltonian((U, V), q)
-    is non-increasing along the flow and bounded by its datum value <= 1."""
+    r_end (default 1/eps) with solve's DOP853, recording the sign changes of V as V_SIGN_CHANGE events
+    (a detector leaves the steps as they are), refined on its extension.  It starts from series_start(1,
+    q, tol, horizon), below half the horizon (default r_end), the nearest radius a caller samples.  Its
+    energy hamiltonian((U, V), q) is non-increasing along the flow and bounded by its datum value <= 1."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
     q, end = rescaled_params(eps, p), 1.0 / eps if r_end is None else float(r_end)
@@ -242,12 +242,12 @@ class PerturbationRecord(NamedTuple):
     At omega/m = 0.5, sup_norm stays below bound_limit; from omega/m = 0.9
     on it passes it at every eps measured, 0.1 to 0.003 (ROADMAP.md, item
     19).  The subtraction route divides the rescaled run's error by eps^4,
-    so it is taken at that run's step ends up to 1/eps (1.6e-10 off at eps = 0.2;
-    DP5's extension between them is 2.1e-10 off, a cubic Hermite was 2.3e-8), with h1 and
+    so it is taken at that run's step ends up to 1/eps (4.8e-11 off at eps = 0.2;
+    its DOP853 extension between them is 4.2e-10 off, 2.1e-10 on the 5(4) pair), with h1 and
     k1 in closed form and the joint flow's extension there.  At the
-    default tolerance and (1, 0.5), rel_discrepancy is 5.9e-8, 3.5e-7 and
-    1.5e-6 at eps = 0.2, 0.1 and 0.05 and 4.7e-5 at 0.0125 (7.4e-5 at
-    omega = 0.9), and it reaches CROSSCHECK_REL_BOUND near eps = 0.009.
+    default tolerance and (1, 0.5), rel_discrepancy is 1.4e-8, 8.9e-8 and
+    3.8e-7 at eps = 0.2, 0.1 and 0.05 and 1.2e-5 at 0.0125 (1.9e-5 at
+    omega = 0.9), and it reaches CROSSCHECK_REL_BOUND near eps = 0.0055.
     """
 
     epsilon: float
@@ -330,10 +330,10 @@ def integrate_remainder(
     the bubble on [0, T].  The joint flow gives (h2, k2) at any eps, with sup
     |h2|+|k2| growing like mu^2/eps (ln(1/eps) - a) (remainder_bound_constant);
     the subtraction route checks it at the rescaled run's step ends up to
-    1/eps, with h1 and k1 in closed form.  Per eps the joint run steps with
-    DOP853 from its series (_joint_series), near r = 0.9 at the default
-    tolerance, then the rescaled one with DP5 to max(1/eps, T) from below half
-    of min(1/eps, T).  The rest is one elementwise pass over all eps, so each
+    1/eps, with h1 and k1 in closed form.  Per eps the joint run steps from its
+    series (_joint_series), near r = 0.9 at the default tolerance, then the
+    rescaled one to max(1/eps, T) from below half of min(1/eps, T), both with
+    solve's DOP853.  The rest is one elementwise pass over all eps, so each
     record is bitwise its eps' alone: the series below the joint starts, one
     sample of every run, the closed form at all step ends."""
     for eps in epsilons:
@@ -349,8 +349,7 @@ def integrate_remainder(
     coef = np.stack(coef, axis=1)  # orders, then eps
     joint, resc = [], []
     for eps, start, y0 in zip(epsilons, r0, _sum_joint(coef, np.array(r0))):
-        joint.append(solve(_rhs_joint(eps, p), (start, 1.0 / eps), tuple(y0), rel=tol.rel, abs_tol=tol.abs,
-                           pair=DOP853))
+        joint.append(solve(_rhs_joint(eps, p), (start, 1.0 / eps), tuple(y0), rel=tol.rel, abs_tol=tol.abs))
         horizons = (1.0 / eps,) if T is None else (1.0 / eps, float(T))
         resc.append(integrate_rescaled(eps, p, tol, max(horizons), min(horizons)))
 

@@ -553,7 +553,7 @@ def solve(
     abs_tol: float,
     detectors: Sequence[Detector] = (),
     g: Callable[[float, tuple], tuple] | None = None,
-    pair: Pair = DP5,
+    pair: Pair = DOP853,
 ) -> Trajectory:
     """Integrate y' = f(r, y) over r_span with event detection.
 
@@ -562,11 +562,11 @@ def solve(
     source text of a g built by formula.  Samples are recorded at every accepted step, and the trajectory keeps the
     step table and the stages that pair's continuous extension weighs, which its sample method reads at any radii and
     refine bisects for a crossing.  A terminal event truncates the samples at the refined crossing; otherwise the run
-    ends at r_span[1] with status "completed".  pair steps: DP5 evaluates the right-hand side 2 + 6 (naccpt + nrejct)
-    times, DOP853 2 + 11 (naccpt + nrejct) + naccpt (its FSAL stage, of no error weight, runs on accepted steps alone)
-    + 3 per step whose crossing refine reads (its extension's extra stages; DP5's has none): at the start, for the
-    initial step size and per stage, each a call of f unless f was built by formula, whose source text the loop's
-    stages inline.  nbisect counts the evaluations of g that refine crossings.
+    ends at r_span[1] with status "completed".  pair steps, DOP853 unless given (shooting's full-horizon runs give DP5):
+    DOP853 evaluates the right-hand side 2 + 11 (naccpt + nrejct) + naccpt times (its FSAL stage, of no error weight,
+    runs on accepted steps alone) + 3 per step whose crossing refine reads (its extension's extra stages), DP5 2 + 6
+    (naccpt + nrejct) times: at the start, for the initial step size and per stage, each a call of f unless f was built
+    by formula, whose source text the loop's stages inline.  nbisect counts the evaluations of g that refine crossings.
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:

@@ -148,16 +148,16 @@ def f(x, s, m, omega, delta, eta):
 
 @functools.lru_cache(maxsize=16)
 def _events(p: Params, stop_at_first_node: bool, stop_at_verdict: bool = True):
-    """(g, detectors) of a shooting trial, which stops at its first node, of
-    a classification, which stops at its verdict, or of a horizon run; built
-    once per key, as a search runs many trials of one key.  All screen the
-    same event values, so all compile one loop; only the terminal flags differ."""
+    """(g, detectors, pair) of a shooting trial, which stops at its first node
+    and steps with DOP853, of a classification, which stops at its verdict, or
+    of a horizon run, both with DP5; built once per key, as a search runs many
+    trials of one key.  All screen the same event values; only the terminal flags differ."""
     dets = (
         Detector(EventKind.V_SIGN_CHANGE, terminal=stop_at_first_node),
         Detector(EventKind.ENTERED_NEGATIVE_ENERGY, direction=-1, terminal=stop_at_verdict),
         Detector(EventKind.NORM_BELOW_ETA, direction=-1, terminal=stop_at_verdict),
     )
-    return formula(_TRIAL, p.m, p.omega, capture_depth(p), ETA), dets
+    return formula(_TRIAL, p.m, p.omega, capture_depth(p), ETA), dets, DOP853 if stop_at_first_node else DP5
 
 
 # the radial flow of p, bound once per search like _events
@@ -213,8 +213,8 @@ def horizon_run(lam: float, p: Params, tol: Tolerances) -> Trajectory:
     event it is a full-horizon classify's run step for step.  A failure raises IntegrationError."""
     tol = tol.resolved(p)
     r0, y0 = series_start(lam, p, tol)
-    g, dets = _events(p, False, False)
-    return solve(_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g)
+    g, dets, pair = _events(p, False, False)
+    return solve(_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g, pair=pair)
 
 
 def classify(
@@ -235,8 +235,8 @@ def classify(
     search trial (stop_at_first_node) steps with DOP853, ends at the first
     sign change of v and records the shooting function F at its closest
     approach to the origin (see _closest_approach_wronskian); its certificate
-    is None.  A full-horizon run steps with DP5 and reads the capture
-    certificate at its first sample that holds it (see _certificate).  A
+    is None.  A full-horizon run, the last that steps with DP5, reads the
+    capture certificate at its first sample that holds it (see _certificate).  A
     classification records the resolved tolerances it ran at: a search runs
     its trials far from lambda* at a looser one (see bisect), and its history shows which.
     """
@@ -254,8 +254,7 @@ def classify(
         # the datum starts inside the capture region, where H only decreases: a one-sample run
         traj = Trajectory(([r0], [y0[0]], [y0[1]]), (), "completed")
     else:
-        g, dets = _events(p, stop_at_first_node)
-        pair = DOP853 if stop_at_first_node else DP5
+        g, dets, pair = _events(p, stop_at_first_node)
         try:
             traj = solve(_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g, pair=pair)
         except IntegrationError as err:

@@ -101,8 +101,8 @@ def check_confinement(p, tol):
 
 @_check("radial-core")
 def check_sign_symmetry(p, tol):
-    a = _shared(horizon_run, 1.3, p, Tolerances(tol.rel, tol.abs, 20.0))
-    b = solve(radial_flow(p), (a.r[0], 20.0), -a.y[0], rel=tol.rel, abs_tol=tol.abs)
+    r0, y0 = series_start(1.3, p, tol, 20.0)
+    a, b = (solve(radial_flow(p), (r0, 20.0), y, rel=tol.rel, abs_tol=tol.abs) for y in (y0, (-y0[0], -y0[1])))
     # the flow is odd and every operation of a step commutes with negation,
     # so the mirrored run is the exact negative of the first
     d = float(np.max(np.abs(a.y + b.y)))
@@ -235,7 +235,7 @@ def check_decay_bound(p, tol):
 @_check("shooting")
 def check_bisection_bracketing(p, tol):
     gs = _shared(ground_state, p, tol)
-    # DOP853 trials (the search) and these DP5 runs put the transition up to 2.96 (tol.abs + tol.rel lambda*)
+    # the search's trials and these full-horizon runs put the transition up to 2.96 (tol.abs + tol.rel lambda*)
     # apart over 116 data; d is at least 2.7 times that gap there and far above the stop width 0.1 tol.rel lambda*
     d = max(10.0 * tol.abs, 2.0 * tol.rel * gs.lambda_star)
     below = classify(gs.lambda_star - d, p, tol)

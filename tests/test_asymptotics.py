@@ -34,7 +34,7 @@ from diracshoot.asymptotics import (
     remainder_bound_constant,
 )
 from diracshoot.equations import _RADIAL
-from diracshoot.integrator import DOP853, EventKind, formula
+from diracshoot.integrator import EventKind, formula
 
 P = Params(1.0, 0.5)
 TOL = Tolerances()
@@ -109,8 +109,8 @@ def test_rescaled_params_refuses_an_eps_below_the_params_floor(monkeypatch):
 def test_a_small_eps_stands_in_for_the_massless_flow():
     # eps = 0 has no Params; at eps = 1e-8 the mass terms eps^2 (m +- omega) <= 1.5e-16 sit below
     # the rounding of the order-one terms, and the run is the massless flow's from the same start
-    # to 7.4e-14 (measured): their step sequences differ slightly, so this is the difference of two
-    # integration errors, each near the 1.76e-10 distance to the bubble of bubble_limit_agreement;
+    # to 3.8e-14 (measured): their step sequences differ slightly, so this is the difference of two
+    # integration errors, each near the 5.5e-11 distance to the bubble of bubble_limit_agreement;
     # the bound 0.01 (rel + abs) lies between the two
     t = integrate_rescaled(1e-8, P, TOL, r_end=20.0)
     massless = solve(formula(_RADIAL, 0.0, 0.0), (t.r[0], 20.0), tuple(t.y[0]), rel=TOL.rel, abs_tol=TOL.abs)
@@ -304,8 +304,7 @@ def test_remainder_sup_norm_matches_a_tight_run(eps, bound):
     # 1e-13 on the record's grid: 5.2e-13, 7.0e-12 and 4.2e-10 measured (the
     # DP5 run sampled through its cubic Hermite was 1.1e-9, 3.7e-11 and 7.1e-10 off)
     grid = np.linspace(R0, 1.0 / eps, 800)
-    tight = solve(_rhs_joint(eps, P), (R0, 1.0 / eps), _joint_start(P, R0), rel=1e-13, abs_tol=1e-13,
-                  pair=DOP853)
+    tight = solve(_rhs_joint(eps, P), (R0, 1.0 / eps), _joint_start(P, R0), rel=1e-13, abs_tol=1e-13)
     h2, k2 = tight.sample(grid)[:, 2:].T
     assert abs(integrate_remainder((eps,), P, TOL)[0].sup_norm - np.max(np.abs(h2) + np.abs(k2))) <= bound
 
@@ -325,8 +324,7 @@ def test_joint_flow_samples_hold_the_tolerance_between_step_ends(eps, rel):
     y0 = tuple(_sum_joint(coef, np.array([r0]))[0])
     grid = np.linspace(1e-6, 1.0 / eps, 800)
     grid = grid[grid >= r0]
-    run, tight = (solve(_rhs_joint(eps, P), (r0, 1.0 / eps), y0, rel=x, abs_tol=x, pair=DOP853)
-                  for x in (rel, 1e-13))
+    run, tight = (solve(_rhs_joint(eps, P), (r0, 1.0 / eps), y0, rel=x, abs_tol=x) for x in (rel, 1e-13))
     want = tight.sample(grid)
     err = np.max(np.abs(run.sample(grid) - want).sum(axis=1))
     assert err <= 3.0 * rel * (1.0 + np.max(np.abs(want).sum(axis=1)))
@@ -370,7 +368,7 @@ def test_remainder_rejects_bad_eps():
 def test_remainder_at_the_horizon_floor_is_clean(eps):
     # the rescaled run starts below T/2; at T = T_MIN its square is still a
     # normal float, so no step warns (pytest makes a RuntimeWarning an error)
-    # and the two routes agree (6.0e-8 at eps = 0.2, 5.9e-8 at T = 10)
+    # and the two routes agree (1.1e-8 at eps = 0.2, 1.4e-8 at T = 10)
     rec = integrate_remainder((eps,), P, TOL, T_MIN)[0]
     assert rec.T == T_MIN and 0.0 < rec.sup_error < T_MIN
     assert rec.rel_discrepancy < CROSSCHECK_REL_BOUND

@@ -581,7 +581,7 @@ def test_readme_python_blocks_run_as_documented():
         exec(block, ns)
     printed = dict(re.findall(r"^(radial\.stats|gs\.lambda_star) +# (\{.*?\}|[\d.]+)", readme, re.M))
     assert printed == {
-        "radial.stats": "{'nfev': 2444, 'naccpt': 407, 'nrejct': 0, 'nbisect': 0}",
+        "radial.stats": "{'nfev': 1058, 'naccpt': 77, 'nrejct': 12, 'nbisect': 0}",
         "gs.lambda_star": "1.807896148723",
     }
     assert ns["radial"].stats == ast.literal_eval(printed["radial.stats"])
@@ -688,17 +688,15 @@ def test_unwritable_output_path_fails_before_the_computation(tmp_path, monkeypat
     assert not missing.parent.exists()
 
 
-def test_error_norm_past_the_float_range_is_a_computation_failure(monkeypatch, capsys):
-    # at eps = 1e-31 the rescaled run's error norm overflows near r = 1.27e29
-    # (see test_integrator); the run ends on its step budget, which a lower
-    # budget reaches sooner, once the joint flow (1,677 steps) has completed
-    from diracshoot import integrator
-
-    monkeypatch.setattr(integrator, "_MAX_STEPS", 2500)
-    assert cli.main(["asymptotics", "--epsilon", "1e-31"]) == 2
+def test_error_norm_past_the_float_range_is_a_computation_failure(capsys):
+    # at eps = 1e-100 the rescaled run's state leaves the float range near
+    # r = 8.3e54: the error norms of the steps after it are NaN, so each is
+    # rejected until the step size underflows (about 0.4 s).  At eps = 1e-31
+    # the run now completes, with a node radius that is noise (ROADMAP item 7)
+    assert cli.main(["asymptotics", "--epsilon", "1e-100"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
-    assert err.startswith("diracshoot: computation failed: step budget exhausted at r=1.27")
+    assert err.startswith("diracshoot: computation failed: step size underflow at r=8.28")
 
 
 def test_epsilon_past_the_rescaled_parameter_floor_is_a_usage_error(monkeypatch, capsys):

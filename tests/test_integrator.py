@@ -492,6 +492,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     # which inlines g alone, and the reference, which calls both; a run given
     # r_eval is sampled there after solve
     from diracshoot.asymptotics import _rhs_joint
+    from diracshoot.integrator import DP5
     from diracshoot.phaseflow import attraction_report
     from diracshoot.shooting import _events, horizon_run
 
@@ -512,7 +513,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
         (8.0, P, TOL, True, TOL.rmax),
     ]:
         r0, y0 = series_start(lam, p, tol)
-        g, dets = _events(p, stop)
+        g, dets, _ = _events(p, stop)
         runs.append((radial_flow(p), (r0, horizon), y0, dict(detectors=dets, g=g)))
     # the rescaled run with a v-sign detector at eps = 0.05, 0.2 and near
     # the bubble limit at eps = 1e-8, from its series start
@@ -525,7 +526,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     # capture with none terminal
     tol80 = Tolerances(rmax=80.0)
     r0, y0 = series_start(2.5, P, tol80)
-    g, dets = _events(P, False, False)
+    g, dets, _ = _events(P, False, False)
     i_spiral = len(runs)
     runs.append((radial_flow(P), (r0, tol80.rmax), y0, dict(detectors=dets, g=g)))
     # a grid through r0, step ends, the terminal crossing, interior points
@@ -533,8 +534,8 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     lam = 2.0
     r0 = 1e-6 / lam**2
     y0 = taylor_start(lam, P, r0)
-    steps = solve(RADIAL, (r0, 10.0), y0, **KW).r
-    r_star = solve(RADIAL, (r0, 10.0), y0, detectors=[STOP], g=v_sign, **KW).events[-1].r
+    steps = solve(RADIAL, (r0, 10.0), y0, **KW, pair=DP5).r
+    r_star = solve(RADIAL, (r0, 10.0), y0, detectors=[STOP], g=v_sign, **KW, pair=DP5).events[-1].r
     grid = np.unique(np.concatenate([steps[:60:4], [r_star], np.linspace(r0, 10.0, 301)]))
     runs.append((RADIAL, (r0, 10.0), y0, dict(r_eval=grid)))
     i_grid_stop = len(runs)
@@ -569,8 +570,8 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
 
     got = []
     for f, span, y0, ev in runs:
-        got.append(_solve(f, span, y0, **ev, **KW))
-        _assert_same_run(got[-1], _solve(lambda r, y: f(r, y), span, y0, **ev, **KW))
+        got.append(_solve(f, span, y0, **ev, **KW, pair=DP5))
+        _assert_same_run(got[-1], _solve(lambda r, y: f(r, y), span, y0, **ev, **KW, pair=DP5))
         _assert_same_run(got[-1], _reference_solve(f, span, y0, **ev, **KW))
         if "r_eval" in ev and got[-1].status == "completed":
             assert len(got[-1]) == len(ev["r_eval"])
@@ -610,7 +611,6 @@ def test_dop853_loop_is_bitwise_the_reference_solve():
     # is called 2 + 11 (naccpt + nrejct) + naccpt times, as the FSAL stage
     # runs on accepted steps alone, and 3 times more on the step whose
     # crossing stops a run, for the extra stages of its extension
-    from diracshoot.integrator import DOP853
     from diracshoot.shooting import _events
 
     p99 = Params(1.0, 0.99)
@@ -625,11 +625,11 @@ def test_dop853_loop_is_bitwise_the_reference_solve():
             calls += 1
             return f(r, y)
 
-        g, dets = _events(p, True)
+        g, dets, _ = _events(p, True)
         kw = dict(detectors=dets, g=g, rel=tol.rel, abs_tol=tol.abs)
         span = (r0, tol.rmax)
-        run = solve(radial_flow(p), span, y0, pair=DOP853, **kw)
-        _assert_same_run(run, solve(counted, span, y0, pair=DOP853, **kw))
+        run = solve(radial_flow(p), span, y0, **kw)
+        _assert_same_run(run, solve(counted, span, y0, **kw))
         _assert_same_run(run, _reference_solve(radial_flow(p), span, y0, step=_reference_step_853, **kw))
         steps, accepted = run.stats["naccpt"] + run.stats["nrejct"], run.stats["naccpt"]
         assert calls == run.stats["nfev"] == 2 + 11 * steps + accepted + 3 * (run.status != "completed")
@@ -649,10 +649,8 @@ def test_dop853_steps_match_scipy(lam, rel):
     # independent oracle: scipy's DOP853 at the same rtol and atol takes the
     # same accepted steps to r = 12, or one more or fewer (its step control
     # rejects at err >= 1, and caps the factor after a rejection)
-    from diracshoot.integrator import DOP853
-
     r0, y0 = series_start(lam, P, TOL)
-    mine = solve(RADIAL, (r0, 12.0), y0, rel=rel, abs_tol=rel, pair=DOP853)
+    mine = solve(RADIAL, (r0, 12.0), y0, rel=rel, abs_tol=rel)
     ref = solve_ivp(lambda r, y: RADIAL(r, tuple(y)), (r0, 12.0), y0, method="DOP853", rtol=rel, atol=rel)
     assert ref.success and mine.status == "completed"
     assert abs(mine.stats["naccpt"] - (len(ref.t) - 1)) <= 1
@@ -678,10 +676,9 @@ def test_dop853_extension_is_scipys_table():
 
 def _joint_run(eps, rel, **kw):
     from diracshoot.asymptotics import _rhs_joint
-    from diracshoot.integrator import DOP853
 
     start = (*first_order_start(P, R0), 0.0, 0.25 * (P.m**2 - P.omega**2) * R0**2)
-    return solve(_rhs_joint(eps, P), (R0, 1.0 / eps), start, rel=rel, abs_tol=rel, pair=DOP853, **kw)
+    return solve(_rhs_joint(eps, P), (R0, 1.0 / eps), start, rel=rel, abs_tol=rel, **kw)
 
 
 @pytest.mark.parametrize("eps, rel", [(0.2, 1e-8), (0.05, 1e-10), (0.3, 1e-6)])
@@ -724,13 +721,12 @@ def test_dense_sample_of_a_called_flow_is_the_inlined_one():
     # one step at a time on floats through the wrapper: the same rows as the
     # formula's one call on arrays, bitwise
     from diracshoot.asymptotics import _rhs_joint
-    from diracshoot.integrator import DOP853
 
     f = _rhs_joint(0.1, P)
     start = (*first_order_start(P, R0), 0.0, 0.25 * (P.m**2 - P.omega**2) * R0**2)
     grid = np.linspace(R0, 10.0, 800)
-    inlined = solve(f, (R0, 10.0), start, **KW, pair=DOP853)
-    called = solve(lambda r, y: f(r, y), (R0, 10.0), start, **KW, pair=DOP853)
+    inlined = solve(f, (R0, 10.0), start, **KW)
+    called = solve(lambda r, y: f(r, y), (R0, 10.0), start, **KW)
     _assert_same_run(inlined, called)
     assert _hex(inlined.sample(grid)) == _hex(called.sample(grid))
 
@@ -744,20 +740,20 @@ def test_stacked_sample_is_each_runs_own():
     # one of them and a DP5 run cut at a terminal crossing; and a run without
     # steps
     from diracshoot.asymptotics import _rhs_joint
-    from diracshoot.integrator import DOP853, sample
+    from diracshoot.integrator import DP5, sample
 
     joint = [_joint_run(eps, 1e-8) for eps in (0.2, 0.05)]
     f = _rhs_joint(0.1, P)
     start = (*first_order_start(P, R0), 0.0, 0.25 * (P.m**2 - P.omega**2) * R0**2)
-    called = solve(lambda r, y: f(r, y), (R0, 10.0), start, **KW, pair=DOP853)
+    called = solve(lambda r, y: f(r, y), (R0, 10.0), start, **KW)
     r0 = 1e-6 / 4.0
     cut = [solve(RADIAL, (r0, 10.0), taylor_start(2.0, P, r0), detectors=[STOP], g=v_sign, **KW, **kw)
-           for kw in (dict(pair=DOP853), {})]
+           for kw in ({}, dict(pair=DP5))]
     assert all(t.status == "event:v_sign_change" for t in cut)
     p = Params(2.3, 0.7)
-    other = solve(radial_flow(p), (r0, 10.0), taylor_start(1.0, p, r0), **KW, pair=DOP853)
+    other = solve(radial_flow(p), (r0, 10.0), taylor_start(1.0, p, r0), **KW)
     with pytest.raises(IntegrationError) as err:
-        solve(lambda r, y: (math.nan, 0.0), (0.0, 1.0), (1.0, 0.0), **KW, pair=DOP853)
+        solve(lambda r, y: (math.nan, 0.0), (0.0, 1.0), (1.0, 0.0), **KW)
     runs = [*joint, joint[0], called, *cut, other, err.value.partial]
     grids = [np.linspace(R0, 5.0, 300), np.linspace(R0, 20.0, 500), joint[0].r[::3], np.linspace(R0, 10.0, 400),
              np.linspace(r0, 10.0, 600), np.linspace(r0, 10.0, 700), np.linspace(r0, 10.0, 200), [0.0]]
@@ -774,11 +770,9 @@ def test_dense_radial_run_samples_near_a_tight_run(lam, rel):
     # 15.6 times abs + rel sup off a rel = abs = 1e-13 run (measured at lambda
     # = 0.5, 1 and 1.8, rel = 1e-6 to 1e-12), the step ends 1.0 to 15 times:
     # the extension is one order below the step, as on the joint flow
-    from diracshoot.integrator import DOP853
-
     r0, y0 = series_start(lam, P, Tolerances(rel, rel).resolved(P))
     grid = np.linspace(r0, 20.0, 2000)
-    run, tight = (solve(RADIAL, (r0, 20.0), y0, rel=x, abs_tol=x, pair=DOP853) for x in (rel, 1e-13))
+    run, tight = (solve(RADIAL, (r0, 20.0), y0, rel=x, abs_tol=x) for x in (rel, 1e-13))
     want = tight.sample(grid)
     err = np.max(np.abs(run.sample(grid) - want).sum(axis=1))
     assert err <= 20.0 * rel * (1.0 + np.max(np.abs(want).sum(axis=1)))
@@ -789,10 +783,8 @@ def test_sampling_a_called_flow_around_a_formula_is_the_inlined_run():
     # that raises on a scalar r one step at a time on floats, as solve called
     # it (on arrays, its raising line raised ValueError: the truth value of
     # an array is ambiguous), bitwise the formula's one call on arrays
-    from diracshoot.integrator import DOP853
-
     r0, y0 = series_start(1.0, P, TOL)
-    kw = dict(rel=1e-10, abs_tol=1e-10, pair=DOP853)
+    kw = dict(rel=1e-10, abs_tol=1e-10)
     inlined = solve(radial_flow(P), (r0, 20.0), y0, **kw)
     called = solve(lambda r, y: radial_flow(P)(r, y), (r0, 20.0), y0, **kw)
     _assert_same_run(inlined, called)
@@ -808,8 +800,10 @@ def test_dp5_sample_is_scipys_rk45_dense_output_on_the_same_steps(lam, rel):
     # (2.2e-16 measured)
     from scipy.integrate._ivp.rk import RK45, RkDenseOutput, rk_step
 
+    from diracshoot.integrator import DP5
+
     r0, y0 = series_start(lam, P, Tolerances(rel, rel).resolved(P))
-    run = solve(RADIAL, (r0, 20.0), y0, rel=rel, abs_tol=rel)
+    run = solve(RADIAL, (r0, 20.0), y0, rel=rel, abs_tol=rel, pair=DP5)
 
     def fun(r, y):
         return np.array(RADIAL(r, tuple(y)))
@@ -839,8 +833,10 @@ def test_dp5_samples_hold_the_step_end_error(lam, rel):
     # as the run's own step ends are: 1.00 to 1.12 times their error
     # measured, where the cubic Hermite on the same steps was 1.6 to 178
     # times it
+    from diracshoot.integrator import DP5
+
     r0, y0, ref = _scipy_dop853(lam, r_end=20.0, dense_output=True)
-    run = solve(RADIAL, (r0, 20.0), y0, rel=rel, abs_tol=rel)
+    run = solve(RADIAL, (r0, 20.0), y0, rel=rel, abs_tol=rel, pair=DP5)
     grid = np.linspace(r0, 20.0, 2000)
     at_ends = np.max(np.abs(run.y - ref.sol(run.r).T).sum(axis=1))
     between = np.max(np.abs(run.sample(grid) - ref.sol(grid).T).sum(axis=1))
@@ -859,7 +855,7 @@ def test_refined_first_node_is_near_a_tight_run(lam, pair):
     from diracshoot.shooting import _events
 
     r0, y0, ref = _scipy_dop853(lam, r_end=5.0, events=lambda r, y: y[1])
-    g, dets = _events(P, False)
+    g, dets, _ = _events(P, False)
     tol = Tolerances(1e-10, 1e-10).resolved(P)
     first = solve(RADIAL, (r0, tol.rmax), y0, rel=1e-10, abs_tol=1e-10, detectors=dets, g=g,
                   pair=getattr(integrator, pair)).events[0]
@@ -870,10 +866,8 @@ def test_refined_first_node_is_near_a_tight_run(lam, pair):
 def test_dense_run_failing_before_its_first_step_samples_its_start():
     # a NaN slope fails the first step size: the partial run has no step,
     # so its extension has no rows, and its start is still a sample
-    from diracshoot.integrator import DOP853
-
     with pytest.raises(IntegrationError) as err:
-        solve(lambda r, y: (math.nan, 0.0), (0.0, 1.0), (1.0, 0.0), **KW, pair=DOP853)
+        solve(lambda r, y: (math.nan, 0.0), (0.0, 1.0), (1.0, 0.0), **KW)
     assert err.value.partial.sample([0.0]).tolist() == [[1.0, 0.0]]
 
 def test_formula_event_function_is_called_only_at_the_start():
@@ -884,7 +878,7 @@ def test_formula_event_function_is_called_only_at_the_start():
     # wrapper, which counts each accepted step and each bisection point
     from diracshoot.shooting import _events
 
-    g, dets = _events(P, False)
+    g, dets, pair = _events(P, False)
     calls = 0
 
     def counted(r, y):
@@ -894,7 +888,7 @@ def test_formula_event_function_is_called_only_at_the_start():
 
     counted.formula = g.formula
     r0, y0 = series_start(1.8078961488783114 + 3e-12, P, TOL)
-    kw = dict(rel=TOL.rel, abs_tol=TOL.abs, detectors=dets)
+    kw = dict(rel=TOL.rel, abs_tol=TOL.abs, detectors=dets, pair=pair)
     inlined = solve(RADIAL, (r0, TOL.rmax), y0, g=counted, **kw)
     assert calls == 1
     called = solve(RADIAL, (r0, TOL.rmax), y0, g=lambda r, y: counted(r, y), **kw)
@@ -949,7 +943,7 @@ def test_failures_match_the_reference_solve(monkeypatch):
 
     def same_failure(f, span, y_start, message, r_eval=None, **kw):
         with pytest.raises(IntegrationError, match=message) as exc:
-            solve(f, span, y_start, **kw)
+            solve(f, span, y_start, **kw, pair=I.DP5)
         with pytest.raises(IntegrationError) as ref:
             _reference_solve(f, span, y_start, r_eval=r_eval, **kw)
         assert str(exc.value) == str(ref.value)
@@ -965,7 +959,7 @@ def test_failures_match_the_reference_solve(monkeypatch):
 
     monkeypatch.setattr(I, "_MAX_STEPS", 90)  # of the trial's 104 steps, its first node in the 78th
     r0, y0 = series_start(2.5, P, TOL)
-    g, dets = _events(P, False)
+    g, dets, _ = _events(P, False)
     kw = dict(detectors=dets, g=g, rel=TOL.rel, abs_tol=TOL.abs)
     partial = same_failure(RADIAL, (r0, TOL.rmax), y0, "step budget exhausted", **kw)
     assert partial.stats["naccpt"] + partial.stats["nrejct"] == 90
@@ -974,30 +968,60 @@ def test_failures_match_the_reference_solve(monkeypatch):
 
 
 def test_overflowing_error_norm_rejects_the_step(monkeypatch):
-    # near r = 1.27e29 the rescaled run at eps = 1e-100 tries steps whose
-    # stages blow up: a term of the error norm is finite but its square is
-    # past the float range, where ** raises, and the step is rejected as one
-    # with a NaN norm is; accepted steps then alternate with such rejected
-    # ones five times their size until the step budget runs out
+    # near r = 1.27e29 the DP5 run of the rescaled flow at eps = 1e-100 tries
+    # steps whose stages blow up: a term of the error norm is finite but its
+    # square is past the float range, where ** raises, and the step is
+    # rejected as one with a NaN norm is; accepted steps then alternate with
+    # such rejected ones five times their size until the step budget runs out
     from diracshoot import integrator as I
-    from diracshoot.asymptotics import integrate_rescaled
 
     monkeypatch.setattr(I, "_MAX_STEPS", 1000)
     eps = 1e-100
-    r0, y0 = series_start(1.0, rescaled_params(eps, P), TOL, 1.0 / eps)
+    q = rescaled_params(eps, P)
+    r0, y0 = series_start(1.0, q, TOL, 1.0 / eps)
+    kw = dict(detectors=[NODE], g=v_sign, **KW)
     with pytest.raises(IntegrationError, match="step budget exhausted") as exc:
-        integrate_rescaled(eps, P, TOL)
+        solve(radial_flow(q), (r0, 1.0 / eps), y0, **kw, pair=I.DP5)
     with pytest.raises(IntegrationError) as ref:
-        _reference_solve(radial_flow(rescaled_params(eps, P)), (r0, 1.0 / eps), y0, detectors=[NODE], g=v_sign, **KW)
+        _reference_solve(radial_flow(q), (r0, 1.0 / eps), y0, **kw)
     assert str(exc.value) == str(ref.value)
     _assert_same_run(exc.value.partial, ref.value.partial)
     assert exc.value.partial.r[-1] > 1.2e29 and exc.value.partial.stats["nrejct"] > 300
+
+
+def test_overflowing_dop853_error_norm_rejects_the_step():
+    # DOP853's terms (e5 / sc)^2 overflow too: a slope that jumps to 1e160 at
+    # r = 0.5 inside a step, at rel = 0 (sc = abs_tol), puts them past the
+    # float range, where ** raises, on every step over the jump, so the step
+    # size shrinks to its underflow, as the reference step that records the
+    # raise rejects it
+    overflows = 0
+
+    def step(*args):
+        nonlocal overflows
+        out = _reference_step_853(*args)
+        overflows += out[2] == math.inf
+        return out
+
+    step.order = _reference_step_853.order
+    jump = lambda r, y: (1e160 if r > 0.5 else 0.0,)  # noqa: E731
+    kw = dict(rel=0.0, abs_tol=1e-10)
+    with pytest.raises(IntegrationError, match="step size underflow") as exc:
+        solve(jump, (0.0, 1.0), (0.0,), **kw)
+    with pytest.raises(IntegrationError) as ref:
+        _reference_solve(jump, (0.0, 1.0), (0.0,), step=step, **kw)
+    assert str(exc.value) == str(ref.value)
+    _assert_same_run(exc.value.partial, ref.value.partial)
+    assert overflows == exc.value.partial.stats["nrejct"] > 50
+
 
 def test_stats_count_every_rhs_call(gs):
     # a counting wrapper around f is how a caller measures the work of solve;
     # it must leave the trajectory unchanged and agree with nfev.  A wrapper
     # that keeps the radial formula is called only for the first derivative
     # and the initial step size: the stages are inlined
+    from diracshoot.integrator import DP5
+
     calls = 0
 
     def counted(r, y):
@@ -1013,7 +1037,7 @@ def test_stats_count_every_rhs_call(gs):
     lam = 2.0
     r0 = 1e-6 / lam**2
     y0 = taylor_start(lam, P, r0)
-    for kw in (dict(), dict(detectors=[STOP], g=v_sign)):
+    for kw in (dict(pair=DP5), dict(detectors=[STOP], g=v_sign, pair=DP5)):
         plain = solve(RADIAL, (r0, 10.0), y0, rel=TOL.rel, abs_tol=TOL.abs, **kw)
         calls = 0
         wrapped = solve(counted, (r0, 10.0), y0, rel=TOL.rel, abs_tol=TOL.abs, **kw)
@@ -1091,7 +1115,7 @@ def test_sample_of_a_terminal_run_ends_at_the_crossing():
 
     lam = 2.0
     r0 = 1e-6 / lam**2
-    run = solve(RADIAL, (r0, 10.0), taylor_start(lam, P, r0), detectors=[STOP], g=v_sign, **KW)
+    run = solve(RADIAL, (r0, 10.0), taylor_start(lam, P, r0), detectors=[STOP], g=v_sign, **KW, pair=DP5)
     star = run.events[-1]
     assert run.status == "event:v_sign_change" and run.r[-1] == star.r < run.table[-1, 0]
     inside = 0.5 * (run.r[-2] + star.r)

@@ -151,8 +151,10 @@ def test_trial_and_full_horizon_run_compile_one_loop():
     # the two event functions of one Params carry the same formula, so solve
     # compiles one loop per pair for both; only the sign change's terminal
     # flag differs (trials run DOP853 and full-horizon runs DP5, one loop each)
-    (g_trial, trial), (g_full, full) = _events(P, True), _events(P, False)
-    assert g_trial.formula == g_full.formula
+    from diracshoot.integrator import DOP853, DP5
+
+    (g_trial, trial, dop853), (g_full, full, dp5) = _events(P, True), _events(P, False)
+    assert g_trial.formula == g_full.formula and (dop853, dp5) == (DOP853, DP5)
     assert trial[0] == full[0]._replace(terminal=True) and trial[1:] == full[1:]
 
 
@@ -904,13 +906,13 @@ def test_dop853_trials_take_the_sides_of_dp5_runs(monkeypatch):
     # benchmark's gs_inputs(1, 20); sides differ only closer to lambda*
     from diracshoot import integrator, shooting
 
-    compared = 0
+    events, compared = shooting._events, 0
     for m, omega in _gs_inputs(1, 20):
         p = Params(m, omega)
         gs = ground_state(p, TOL)
         far = [c for c in gs.history if abs(c.lam / gs.lambda_star - 1.0) > 10 * TOL.rel]
         with monkeypatch.context() as mp:
-            mp.setattr(shooting, "DOP853", integrator.DP5)
+            mp.setattr(shooting, "_events", lambda *key: (*events(*key)[:2], integrator.DP5))
             dp5 = [classify(c.lam, p, c.tol, stop_at_first_node=True, keep_trajectory=False) for c in far]
         assert [c.node_count >= 1 for c in far] == [d.node_count >= 1 for d in dp5]
         compared += len(far)
