@@ -20,6 +20,7 @@ from .asymptotics import (
 from .equations import (
     autonomous_flow,
     equilibria,
+    first_node,
     hamiltonian,
     hamiltonian_rate,
     r2h_rate,

@@ -95,6 +95,23 @@ def equilibria(p: Params) -> list[tuple[State, float]]:
     return [(pt, hamiltonian(pt, p)) for pt in pts]
 
 
+def first_node(lam: float, p: Params) -> float:
+    """The first zero r1 = R1 / lambda^2 of v(r) = lambda (V0 + eps^2 k1 + ...)(lambda^2 r), eps = 1 / lambda
+    (asymptotics): R1 is the root of lambda^2 V0(R) + k1(R), V0 = 4 / (4 + R^2) the bubble and k1 = -c ln R + b
+    the law of the first-order correction, c = 2 (m + omega), b = (m + omega)(3 + 2 ln 2) + (m - omega)
+    (asymptotics.first_order_log_fit).  Over c and in x = ln R, G(x) = L / (4 + e^(2x)) - x + b / c with
+    L = 4 lambda^2 / c decreases from G >= 1 at x = b / c - 1 to G < 0 at max(ln(L) / 2, b / c) + 1, and
+    bisection finds its root to the last bit.  The error, what it drops (eps^2 k2 and the law's O(ln^2 R /
+    R^2)) over the slope, is 1.2e-4 (relative) at lambda = 1e3 and about 2e-6 from 1e4 on at (1, 0.5)."""
+    c = 2.0 * (p.m + p.omega)
+    L, k = 4.0 * lam * lam / c, ((p.m + p.omega) * (3.0 + 2.0 * math.log(2.0)) + p.gap) / c
+    lo, hi = k - 1.0, max(0.5 * math.log(L), k) + 1.0
+    while lo < (x := 0.5 * (lo + hi)) < hi:
+        R = math.exp(x)
+        lo, hi = (x, hi) if L / (4.0 + R * R) - x + k > 0.0 else (lo, x)
+    return math.exp(hi) / (lam * lam)
+
+
 # (2k + 2) a_k = sum_j q_j b_(k-j) - am b_k, (2k + 2) b_(k+1) = -sum_j q_j a_(k-j) - ap a_k give
 # the series u = sum a_k r^(2k+1), v = sum b_k r^(2k), q = u^2 + v^2 = sum q_k r^(2k) of the radial
 # system, (am, ap) = (m - omega, m + omega) (Jorba & Zou, Exp. Math. 14, 2005); series runs it to

@@ -1,19 +1,18 @@
 """Adaptive embedded Runge-Kutta integration with event detection.
 
-The stepper is a Dormand-Prince pair with FSAL, 5(4) or 8(5,3), on plain
-float tuples (the systems here are 2- or 4-dimensional and are integrated
-many thousands of times during a shooting run, so the per-step overhead
-matters).  Every run records the stages that its pair's continuous extension
-weighs (Hairer, Norsett & Wanner, Solving ODEs I, II.6: CONTD5 for DP5,
-CONTD8 for DOP853), the one polynomial between step ends: events are located
-by sign bracketing over each accepted step and refined by bisection on it,
-an event records the state there at its crossing, and sample reads it at any
-radii of several runs in one array pass.  A trajectory holds its samples as
-float columns and the step list of its run, as arrays from their first read.
+The stepper is the Dormand-Prince 8(5,3) pair with FSAL (DOP853; Hairer,
+Norsett & Wanner, Solving ODEs I, II.10) on plain float tuples (the systems
+here are 2- or 4-dimensional and are integrated many thousands of times
+during a shooting run, so the per-step overhead matters).  Every run records
+the stages that its continuous extension (CONTD8, II.6) weighs: events are
+located by sign bracketing over each accepted step and refined by bisection
+on it, and sample reads it at any radii of several runs in one array pass.
+A trajectory holds its samples as float columns and the step list of its
+run, as arrays from their first read.
 
-The loop with a sign screen of the event values (_DP54_SRC, written from a
-Pair's table by _loop) and the extension with the bisection on it are written
-once, as per-component expressions that _dp54 and _continuous exec once per
+The loop with a sign screen of the event values (_LOOP_SRC, written from the
+table by _loop) and the extension with the bisection on it are written once,
+as per-component expressions that _compiled and _continuous exec once per
 key, as dataclasses builds __init__: Python loops over components or
 detectors cost several times their arithmetic, and the expanded code keeps
 their operation order, so it is bitwise the loops.  A flow or event function
@@ -34,24 +33,9 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import _lazy as np
 
-# Dormand-Prince 5(4) (Dormand & Prince 1980; Hairer, Norsett & Wanner, II.5):
-# (c, row of A) per stage after k0, the update's weights b, and the error
-# weights e (5th order minus embedded 4th order) over k0 ... k6, k6 the FSAL one
-_DP54 = (
-    (0.2, 0.2),
-    (0.3, 3.0 / 40.0, 9.0 / 40.0),
-    (0.8, 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (8.0 / 9.0, 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (1.0, 9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-    (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0),
-)
-# and its continuous extension (CONTD5; Dormand & Prince 1986, II.6): the row of D over k0 ... k6, of no extra stage
-_CONTD5 = ((-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
-            701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423),)
-
-# Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, II.10): scipy's DOP853 table as doubles, E5 and E3 after b, then
-# the continuous extension (CONTD8, II.6): (c, row of A) of k13 ... k15, after the FSAL k12, and D over k0 ... k15
+# Dormand-Prince 8(5,3) (Hairer, Norsett & Wanner, II.10): scipy's DOP853 table as doubles, (c, row of A) per stage
+# after k0, b, E5 and E3, then the continuous extension (CONTD8, II.6): (c, row of A) of k13 ... k15, after the FSAL
+# k12, and D over k0 ... k15
 _DOP853 = (
     (0.05260015195876773, 0.05260015195876773), (0.0789002279381516, 0.0197250569845379, 0.0591751709536137),
     (0.1183503419072274, 0.02958758547680685, 0.0, 0.08876275643042054),
@@ -96,32 +80,11 @@ _DOP853 = (
 )
 
 
-class Pair(NamedTuple):
-    """A pair with FSAL: one error vector is DOPRI5's RMS norm, two Hairer's |h| e5 / sqrt((e5 + 0.01 e3) n)."""
-
-    name: str
-    stages: tuple  # (c, row of A) per stage after k0
-    b: tuple
-    errors: tuple
-    exponent: float  # of the step-size factor
-    extra: tuple  # the continuous extension's (c, row of A) per stage after the FSAL one
-    d: tuple  # and its rows of D
-    # DOPRI5's error weights reach the FSAL stage kS#, so it runs before the error norm, on rejected steps too
-    fsal_in_error = property(lambda self: len(self.errors[0]) > len(self.stages) + 1)
-    # the stages k1 ... of a step that the extension weighs, which every run records
-    dense_stages = property(lambda self: [j for j, *w in zip(range(len(self.stages) + 1), *self.d, *(
-        a[1:] for a in self.extra)) if j and any(w)])
-    # equal pairs share a name: _dp54's cache key hashes it in place of the tables
-    __hash__ = lambda self: hash(self.name)  # noqa: E731
-
-
-DP5 = Pair("DP5", _DP54[:-2], _DP54[-2], _DP54[-1:], -0.2, (), _CONTD5)
-DOP853 = Pair("DOP853", _DOP853[:11], _DOP853[11], _DOP853[12:14], -0.125, _DOP853[14:17], _DOP853[17:])
-
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-_MAX_STEPS = 5_000_000
+_STAGES, _B, _ERRORS, _EXTRA, _D = _DOP853[:11], _DOP853[11], _DOP853[12:14], _DOP853[14:17], _DOP853[17:]
+_EXPONENT = -0.125  # of the step-size factor
+# the stages k1 ... k12 of a step that the extension weighs (k5 ... k11), which every run records
+_DENSE_STAGES = [j for j, *w in zip(range(len(_STAGES) + 1), *_D, *(a[1:] for a in _EXTRA)) if j and any(w)]
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _MAX_STEPS = 0.9, 0.2, 10.0, 5_000_000
 
 
 class EventKind(str, enum.Enum):
@@ -131,8 +94,7 @@ class EventKind(str, enum.Enum):
 
 
 class Event(NamedTuple):
-    """An event of the given kind at its refined crossing r, with the state
-    y there."""
+    """An event of the given kind at its refined crossing r, with the state y there."""
 
     kind: EventKind
     r: float
@@ -168,16 +130,17 @@ class Trajectory:
     solve), naccpt and nrejct (accepted and rejected steps), and nbisect (event
     function evaluations that refine crossings).  table holds solve's step ends as
     rows (r, y, dy/dr), uncut at a terminal crossing, which sample reads with the
-    recorded stages of the step ending there, from the flat list steps of both;
-    stats and table are empty for paths given no steps; extension is (f, pair)."""
+    recorded stages of the step ending there, from the flat list steps of both, and
+    the run's flow f for the extension's extra stages; stats and table are empty
+    for paths given no steps."""
 
-    def __init__(self, columns, events, status, stats=None, steps=None, extension=None):
+    def __init__(self, columns, events, status, stats=None, steps=None, f=None):
         self.columns = columns
         self.events = tuple(events)
         self.status = status  # "completed", "failed" or "event:<kind>"
         self.stats = stats or {}
         self._steps = steps
-        self._extension = extension
+        self._f = f
 
     @functools.cached_property
     def _arrays(self) -> tuple:
@@ -237,10 +200,10 @@ class Trajectory:
 
 def sample(runs, grids) -> list:
     """The states of each run at its 1-D, strictly increasing grid, one row per point, from its step
-    table: a point equal to a sample takes the state there, any other the value of its pair's continuous
+    table: a point equal to a sample takes the state there, any other the value of the continuous
     extension on the step ending beyond it, the polynomial on which refine locates events.  A grid lies
     within its run's r_span; a run that stopped early, at a terminal crossing or a failure, has no row past
-    its last sample.  One array pass serves the runs of one pair and dimension (a run given twice once).
+    its last sample.  One array pass serves the runs of one dimension (a run given twice once).
     The extra stages that DOP853's extension evaluates are no calls that stats["nfev"] counts."""
     groups = {}
     for k, (t, grid) in enumerate(zip(runs, grids)):
@@ -255,9 +218,9 @@ def sample(runs, grids) -> list:
         if grid.size and not (grid[0] >= r[0] and (grid[-1] <= r[-1] or t.status != "completed")):
             raise ValueError("grid must lie within r_span of the run")
         pts = grid[: np.searchsorted(grid, r[-1], "right")]
-        groups.setdefault((t._extension[1], len(t.columns)), []).append((k, t, pts, np.searchsorted(r, pts)))
+        groups.setdefault(len(t.columns), []).append((k, t, pts, np.searchsorted(r, pts)))
     out = [None] * len(runs)
-    for (pair, _), group in groups.items():
+    for group in groups.values():
         ks, runs, pts, js = zip(*group)
         n = len(runs[0].columns) - 1
         uniq = list({id(t): t for t in runs}.values())
@@ -268,13 +231,13 @@ def sample(runs, grids) -> list:
         inner = pts != np.concatenate([t.r for t in uniq]).take(j)
         if inner.any():
             table = np.concatenate([t._arrays[3] for t in uniq]).T  # component-major: one row per column
-            y[inner] = _extension(pair, n, uniq, table, rows, pts[inner], j[inner]).T
+            y[inner] = _extension(n, uniq, table, rows, pts[inner], j[inner]).T
         for k, a, b in zip(ks, [0, *ends], ends):
             out[k] = y[a:b]
     return out
 
 
-def _extension(pair: Pair, n: int, runs, table, rows, pts, j) -> np.ndarray:
+def _extension(n: int, runs, table, rows, pts, j) -> np.ndarray:
     """The (n, len(pts)) states at pts, point k on the step ending at row j[k] of runs' stacked rows with stages (run i
     from row rows[i]).  The steps holding a point take one call of rows for one component on (n, steps) arrays, its
     stages one of the runs' shared formula without its raising lines, each constant repeated per step; a flow of any
@@ -282,30 +245,31 @@ def _extension(pair: Pair, n: int, runs, table, rows, pts, j) -> np.ndarray:
     steps, at = np.unique(j, return_inverse=True)
     run, w = np.searchsorted(rows, steps, "right") - 1, 1 + 2 * n
     a, b = table[:w, steps - 1], table[:, steps]  # a step's rows (r, y, dy/dr) at its ends, and its stages
-    fs = [t._extension[0] for t in runs]
+    fs = [t._f for t in runs]
     srcs = {getattr(f, "formula", (None,))[0] for f in fs}
-    if not pair.extra or (len(srcs) == 1 and None not in srcs):
-        fn = pair.extra and _definition(_unchecked(*srcs))  # DP5's extension calls no flow
-        consts = np.array([f.formula[1] for f in fs]).reshape(len(fs), -1).take(run, axis=0).T if fn else ()
+    if len(srcs) == 1 and None not in srcs:
+        fn = _definition(_unchecked(*srcs))
+        consts = np.array([f.formula[1] for f in fs]).reshape(len(fs), -1).take(run, axis=0).T
         f = lambda x, s: (np.array(np.broadcast_arrays(*fn(x, s[0], *consts))),)  # noqa: E731
         # each row's r, then its y, dy/dr and stages as (n, steps) blocks
         blocks = (v for x in (a, b) for v in (x[0], *x[1:].reshape(-1, n, len(steps))))
-        F = np.array(_continuous(pair, 1)[0](f, *blocks))
+        F = np.array(_continuous(1)[0](f, *blocks))
     else:
-        rows_of, args = _continuous(pair, n)[0], np.vstack([a, b]).T.tolist()
+        rows_of, args = _continuous(n)[0], np.vstack([a, b]).T.tolist()
         F = np.array([rows_of(fs[i], *x) for i, x in zip(run.tolist(), args)]).T.reshape(-1, n, len(steps))
     # evaluated a component at a time, which holds the rows of one at the points
-    r0, r1, extension = a[0].take(at), b[0].take(at), _continuous(pair, 1)[1]
+    r0, r1, extension = a[0].take(at), b[0].take(at), _continuous(1)[1]
     return np.array([extension(tuple(F[:, i].take(at, axis=1)), r0, r1, pts)[0] for i in range(n)])
 
 
 # [expr] expands to "expr_0, expr_1, ..., ", [+expr] to "expr_0 + expr_1 + ..." and [|expr] to "expr_0 or expr_1
 # or ...", with # the state component index or $ the event value index; lines starting with ? (the sign screen) are
-# kept for k > 0.  run appends each accepted r, y, f = dy/dr and the step's stages pair.dense_stages to the flat list
+# kept for k > 0.  run appends each accepted r, y, f = dy/dr and the step's stages _DENSE_STAGES to the flat list
 # nodes, and returns (status, r, y, dy, h, naccpt, nrejct, p, q): "completed" at r_end, "event" after a step over
-# which some value changed sign from p to q, or a failure; _loop writes its stages k1# ..., update n#, error norm,
-# exponent and FSAL stage kS# from a Pair.
-_DP54_SRC = """
+# which some value changed sign from p to q, or a failure; _loop writes its stages k1# ..., update n# and error weights
+# E5 and E3 from the table.  The error norm is Hairer's |h| e5 / sqrt((e5 + 0.01 e3) n): a zero e5 is a
+# zero norm, and any other leaves a positive denominator.
+_LOOP_SRC = """
 def run(f, g, r, y, dy, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, [p$]):
     [y#] = y
     [k0#] = dy
@@ -325,21 +289,24 @@ STAGES
         [an#] = [abs(n#)]
         # the scale is max(ay#, an#), written out: ay# unless an# is larger
         try:
-ERROR
+            [sc#] = [abs_tol + rel * (an# if an# > ay# else ay#)]
+            e5, e3 = [+(E5 / sc#) ** 2], [+(E3 / sc#) ** 2]
+            err = h * e5 / math.sqrt((e5 + 0.01 * e3) * {n}) if e5 else 0.0
         except OverflowError:  # a square past the float range, where ** raises
             err = math.inf
         if not err <= 1.0:  # an infinite or NaN error norm rejects the step
             nrejct += 1
-            fac = _SAFETY * err ** EXPONENT
+            fac = _SAFETY * err ** _EXPONENT
             h *= fac if fac > _MIN_FACTOR else _MIN_FACTOR
             continue
         naccpt += 1
         r = r_new
-FSAL
+        # the FSAL stage, of no error weight, on accepted steps alone
+        [kS#] = f(r_new, ([n#]))
         [y#][ay#][k0#] = [n#][an#][kS#]
         nodes += (r, [n#][kS#]RECORDED)
         # err <= 1 here, so the factor is at least _SAFETY > _MIN_FACTOR
-        fac = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** EXPONENT
+        fac = _MAX_FACTOR if err == 0.0 else _SAFETY * err ** _EXPONENT
         h *= fac if fac < _MAX_FACTOR else _MAX_FACTOR
 ?        [q$] = g(r, ([y#]))
 ?        if [|p$ > 0.0 >= q$ or p$ < 0.0 <= q$]:
@@ -355,30 +322,20 @@ def _weighted(weights) -> str:
     return terms[0] if len(terms) == 1 else f"({' + '.join(terms)})"
 
 
-def _named(src: str, pair: Pair) -> str:
-    """src with the stages that a run records, pair.dense_stages, for RECORDED, and its stage names k0#, k1#, ... and
+def _named(src: str) -> str:
+    """src with the stages that a run records, _DENSE_STAGES, for RECORDED, and its stage names k0#, k1#, ... and
     kS# (the FSAL stage) at one width: k1 of component 10 is no k11."""
-    s, src = len(pair.stages) + 1, src.replace("RECORDED", "".join(f"[k{j}#]" for j in pair.dense_stages))
+    s, src = len(_STAGES) + 1, src.replace("RECORDED", "".join(f"[k{j}#]" for j in _DENSE_STAGES))
     return re.sub(r"\bk(\d+|S)#", lambda m: f"k{s if m[1] == 'S' else int(m[1]):0{len(str(s))}d}#", src)
 
 
-def _loop(pair: Pair) -> str:
-    """_DP54_SRC written from pair.  The FSAL stage kS# follows the update where it enters the error norm
-    (pair.fsal_in_error), else the acceptance."""
-    scale, fsal = "abs_tol + rel * (an# if an# > ay# else ay#)", ["[kS#] = f(r_new, ([n#]))"]
+def _loop() -> str:
+    """_LOOP_SRC written from the table."""
     stages = [f"[k{i}#] = f(r + {'h' if c == 1.0 else f'{c!r} * h'}, ([y# + h * {_weighted(a)}]))"
-              for i, (c, *a) in enumerate(pair.stages, 1)] + [f"[n#] = [y# + h * {_weighted(pair.b)}]"]
-    stages, fsal = (stages + fsal, []) if pair.fsal_in_error else (stages, fsal)
-    if len(pair.errors) == 1:
-        error = [f"err = math.sqrt(([+(h * {_weighted(pair.errors[0])}\n{' ' * 32}/ ({scale})) ** 2]) / {{n}})"]
-    else:  # a zero e5 is a zero norm, and any other leaves a positive denominator
-        e5, e3 = (f"[+({_weighted(e)} / sc#) ** 2]" for e in pair.errors)
-        error = [f"[sc#] = [{scale}]", f"e5, e3 = {e5}, {e3}",
-                 "err = h * e5 / math.sqrt((e5 + 0.01 * e3) * {n}) if e5 else 0.0"]
-    src = _DP54_SRC.replace("EXPONENT", repr(pair.exponent))
-    for key, lines, indent in (("STAGES", stages, 8), ("ERROR", error, 12), ("FSAL", fsal, 8)):
-        src = src.replace(key + "\n", "".join(" " * indent + x + "\n" for x in lines))
-    return _named(src, pair)
+              for i, (c, *a) in enumerate(_STAGES, 1)] + [f"[n#] = [y# + h * {_weighted(_B)}]"]
+    e5, e3 = map(_weighted, _ERRORS)
+    src = _LOOP_SRC.replace("STAGES\n", "".join(" " * 8 + x + "\n" for x in stages))
+    return _named(src.replace("E5", e5).replace("E3", e3))
 
 
 # rows writes a step's extension from its rows (r, y, dy/dr) at both ends and its recorded stages, after the extra
@@ -421,16 +378,16 @@ def refine(g, F, r0, r1, i, direction, lo, abs_tol):
 """
 
 
-def _extension_src(pair: Pair, src: str) -> str:
-    """src, _EXTENSION_SRC or _REFINE_SRC, written from pair: its extra stages, rows of D and Horner scheme."""
+def _extension_src(src: str) -> str:
+    """src, _EXTENSION_SRC or _REFINE_SRC, written from the table: its extra stages, rows of D and Horner scheme."""
     extra = "".join(f"    [k{i}#] = f(r0 + {c!r} * h, ([y# + h * {_weighted(a)}]))\n"
-                    for i, (c, *a) in enumerate(pair.extra, len(pair.stages) + 2))
-    state = f"F{len(pair.d) + 3}_#"
-    for i in range(len(pair.d) + 2, -1, -1):  # F_i plus (x or 1 - x, alternating) times the rows after it
+                    for i, (c, *a) in enumerate(_EXTRA, len(_STAGES) + 2))
+    state = f"F{len(_D) + 3}_#"
+    for i in range(len(_D) + 2, -1, -1):  # F_i plus (x or 1 - x, alternating) times the rows after it
         state = f"F{i}_# + {'x1' if i % 2 else 'x'} * ({state})"
     src = src.replace("EXTRA\n", extra).replace("STATE", state)
-    src = src.replace("WEIGHED", "".join(f"[h * {_weighted(w)}]" for w in pair.d))
-    return _named(src.replace("ROWS", "".join(f"[F{i}_#]" for i in range(len(pair.d) + 4))), pair)
+    src = src.replace("WEIGHED", "".join(f"[h * {_weighted(w)}]" for w in _D))
+    return _named(src.replace("ROWS", "".join(f"[F{i}_#]" for i in range(len(_D) + 4))))
 
 
 def _compile(src: str, n: int, k: int = 0):
@@ -440,8 +397,8 @@ def _compile(src: str, n: int, k: int = 0):
         return {"+": " + ", "|": " or "}[m[1]].join(terms) if m[1] else "".join(t + ", " for t in terms)
 
     src = re.sub(r"^\?(.*\n)", r"\1" if k else "", src.format(n=n), flags=re.M)
-    # the step-size factors as literals
-    src = re.sub(r"\b_(SAFETY|M[AI][XN]_FACTOR)\b", lambda m: repr(globals()[m[0]]), src)
+    # the step-size factors and exponent as literals
+    src = re.sub(r"\b_(SAFETY|M[AI][XN]_FACTOR|EXPONENT)\b", lambda m: repr(globals()[m[0]]), src)
     # a bracket expands when it holds an index, so [i] stays a subscript
     exec(re.sub(r"\[([+|]?)([^]]*[#$][^]]*)\]", expand, src), globals(), ns := {})
     return ns
@@ -479,13 +436,13 @@ v_sign = formula("def f(x, s):\n    u, v = s\n    return v,\n")
 
 
 @functools.cache
-def _dp54(n: int, k: int, flow: str | None, events: str | None, pair: Pair):
-    """(run, refine) of pair for n components and k event values, refine None for k = 0.  The formula of a flow
+def _compiled(n: int, k: int, flow: str | None, events: str | None):
+    """(run, refine) for n components and k event values, refine None for k = 0.  The formula of a flow
     replaces each call [x#] = f(radius, ([arguments])) and that of an event function each call [q$] = g(...), and their
     constants follow g among the arguments, the event function's alone in refine's.  Each name a formula binds or reads
     takes the suffix _f in a flow and _g in an event function, which no name of the loop ends in, so the formulas'
     names are their own."""
-    src = _loop(pair) + (_extension_src(pair, _REFINE_SRC) if k else "")
+    src = _loop() + (_extension_src(_REFINE_SRC) if k else "")
     params = {"f": "", "g": ""}
     for callee, text in (("f", flow), ("g", events)):
         if text is None:
@@ -509,9 +466,9 @@ def _dp54(n: int, k: int, flow: str | None, events: str | None, pair: Pair):
 
 
 @functools.cache
-def _continuous(pair: Pair, n: int):
-    """(rows, extension) of pair for n components (see _EXTENSION_SRC)."""
-    ns = _compile(_extension_src(pair, _EXTENSION_SRC), n)
+def _continuous(n: int):
+    """(rows, extension) for n components (see _EXTENSION_SRC)."""
+    ns = _compile(_extension_src(_EXTENSION_SRC), n)
     return ns["rows"], ns["extension"]
 
 
@@ -527,7 +484,7 @@ def _rms(xs: list) -> float:
         return big * math.sqrt(sum((x / big) ** 2 for x in xs) / len(xs))
 
 
-def _initial_step(f, r0, y0, f0, r_end, rel, abs_tol, exponent):
+def _initial_step(f, r0, y0, f0, r_end, rel, abs_tol):
     span = r_end - r0
     sc = [abs_tol + rel * abs(yi) for yi in y0]
     d0 = _rms([yi / c for yi, c in zip(y0, sc)])
@@ -540,7 +497,7 @@ def _initial_step(f, r0, y0, f0, r_end, rel, abs_tol, exponent):
     if max(d1, d2) < 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** -exponent
+        h1 = (0.01 / max(d1, d2)) ** -_EXPONENT
     return min(100.0 * h0, h1, span)
 
 
@@ -553,20 +510,19 @@ def solve(
     abs_tol: float,
     detectors: Sequence[Detector] = (),
     g: Callable[[float, tuple], tuple] | None = None,
-    pair: Pair = DOP853,
 ) -> Trajectory:
     """Integrate y' = f(r, y) over r_span with event detection.
 
     g(r, y) returns the event values, one per detector in their order; it is called at the start and evaluated per
     accepted step and per bisection point of a crossing, where the loop's sign screen and the bisection inline the
     source text of a g built by formula.  Samples are recorded at every accepted step, and the trajectory keeps the
-    step table and the stages that pair's continuous extension weighs, which its sample method reads at any radii and
+    step table and the stages that the continuous extension weighs, which its sample method reads at any radii and
     refine bisects for a crossing.  A terminal event truncates the samples at the refined crossing; otherwise the run
-    ends at r_span[1] with status "completed".  pair steps, DOP853 unless given (shooting's full-horizon runs give DP5):
-    DOP853 evaluates the right-hand side 2 + 11 (naccpt + nrejct) + naccpt times (its FSAL stage, of no error weight,
-    runs on accepted steps alone) + 3 per step whose crossing refine reads (its extension's extra stages), DP5 2 + 6
-    (naccpt + nrejct) times: at the start, for the initial step size and per stage, each a call of f unless f was built
-    by formula, whose source text the loop's stages inline.  nbisect counts the evaluations of g that refine crossings.
+    ends at r_span[1] with status "completed".  It evaluates the right-hand side 2 + 11 (naccpt + nrejct) + naccpt
+    times (the FSAL stage, of no error weight, runs on accepted steps alone) + 3 per step whose crossing refine reads
+    (the extension's extra stages): at the start, for the initial step size and per stage, each a call of f unless f
+    was built by formula, whose source text the loop's stages inline.  nbisect counts the evaluations of g that refine
+    crossings.
     """
     r0, r_end = float(r_span[0]), float(r_span[1])
     if not r_end > r0:
@@ -583,11 +539,11 @@ def solve(
     n = len(y)
     flow, consts = getattr(f, "formula", (None, ()))
     events, g_consts = getattr(g, "formula", (None, ())) if detectors else (None, ())
-    (run, refine), (rows, extension) = _dp54(n, len(detectors), flow, events, pair), _continuous(pair, n)
+    (run, refine), (rows, extension) = _compiled(n, len(detectors), flow, events), _continuous(n)
 
     # the accepted (r, y, f) and the recorded stages of the step ending there as rows of 1 + 2n + m floats;
     # step j runs from row j-1 to row j
-    m = n * len(pair.dense_stages)
+    m = n * len(_DENSE_STAGES)
     nodes, w = [r, *y, *k1, *[0.0] * m], 1 + 2 * n + m
     g_prev = tuple(g(r, y)) if detectors else ()
     if len(g_prev) != len(detectors):
@@ -601,11 +557,11 @@ def solve(
         if cut:
             for column, x in zip(columns, (cut[0], *cut[1])):
                 column[-1] = x
-        nfev = 2 + len(pair.stages) * (naccpt + nrejct) + naccpt + (nrejct if pair.fsal_in_error else 0)
-        stats = dict(nfev=nfev + len(pair.extra) * refined, naccpt=naccpt, nrejct=nrejct, nbisect=nbisect)
-        return Trajectory(columns, events, status_str, stats, nodes, (f, pair))
+        nfev = 2 + len(_STAGES) * (naccpt + nrejct) + naccpt + len(_EXTRA) * refined
+        stats = dict(nfev=nfev, naccpt=naccpt, nrejct=nrejct, nbisect=nbisect)
+        return Trajectory(columns, events, status_str, stats, nodes, f)
 
-    h, naccpt, nrejct, nbisect, refined = _initial_step(f, r, y, k1, r_end, rel, abs_tol, pair.exponent), 0, 0, 0, 0
+    h, naccpt, nrejct, nbisect, refined = _initial_step(f, r, y, k1, r_end, rel, abs_tol), 0, 0, 0, 0
     while True:
         status, r, y, k1, h, naccpt, nrejct, g0, g1 = run(
             f, g, *consts, *g_consts, r, y, k1, h, r_end, rel, abs_tol, nodes, naccpt, nrejct, *g_prev

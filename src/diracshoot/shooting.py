@@ -28,8 +28,8 @@ import math
 from typing import NamedTuple
 
 from . import _lazy as np
-from .equations import ENERGY, hamiltonian, radial_flow, series_start
-from .integrator import DOP853, DP5, Detector, EventKind, IntegrationError, Trajectory, formula, solve
+from .equations import ENERGY, first_node, hamiltonian, radial_flow, series_start
+from .integrator import Detector, Event, EventKind, IntegrationError, Trajectory, formula, solve
 from .params import Params, Tolerances
 
 # the search stops at its width target (or at one ulp when that is finer)
@@ -148,16 +148,16 @@ def f(x, s, m, omega, delta, eta):
 
 @functools.lru_cache(maxsize=16)
 def _events(p: Params, stop_at_first_node: bool, stop_at_verdict: bool = True):
-    """(g, detectors, pair) of a shooting trial, which stops at its first node
-    and steps with DOP853, of a classification, which stops at its verdict, or
-    of a horizon run, both with DP5; built once per key, as a search runs many
-    trials of one key.  All screen the same event values; only the terminal flags differ."""
+    """(g, detectors) of a shooting trial, which stops at its first node, of a
+    classification, which stops at its verdict, or of a horizon run; built
+    once per key, as a search runs many trials of one key.  All screen the
+    same event values; only the terminal flags differ."""
     dets = (
         Detector(EventKind.V_SIGN_CHANGE, terminal=stop_at_first_node),
         Detector(EventKind.ENTERED_NEGATIVE_ENERGY, direction=-1, terminal=stop_at_verdict),
         Detector(EventKind.NORM_BELOW_ETA, direction=-1, terminal=stop_at_verdict),
     )
-    return formula(_TRIAL, p.m, p.omega, capture_depth(p), ETA), dets, DOP853 if stop_at_first_node else DP5
+    return formula(_TRIAL, p.m, p.omega, capture_depth(p), ETA), dets
 
 
 # the radial flow of p, bound once per search like _events
@@ -195,6 +195,21 @@ def _before_first_node(c: Classification, p: Params) -> Classification:
     return c._replace(trajectory=cut, summary=_summary(cut, p))
 
 
+def _with_first_node(traj: Trajectory, lam: float, p: Params) -> Trajectory:
+    """traj with r1 = first_node(lam, p) leading its event log in place of the run's first sign change of v,
+    or added where it has none, and no step table; the state there is the bubble's (lam U0(R1), 0), R1 = lam^2
+    r1.  The verdict and the later nodes stay the run's, also any that a loose run put before r1 (at lambda
+    = 1e40 and rel = 1e-8).  A run that ends before r1 (failed at its start) comes back as it is."""
+    r1 = first_node(lam, p)
+    if not r1 < traj.columns[0][-1]:
+        return traj
+    R1 = lam * lam * r1
+    node = Event(EventKind.V_SIGN_CHANGE, r1, (2.0 * lam * R1 / (4.0 + R1 * R1), 0.0))
+    first = next((e for e in traj.events if e.kind == EventKind.V_SIGN_CHANGE), None)
+    events = [node, *(e for e in traj.events if e is not first)]
+    return Trajectory(traj.columns, events, traj.status, traj.stats)
+
+
 def decide(traj: Trajectory, p: Params) -> tuple[str, float]:
     """(verdict, r) of a radial run, the one rule for every run: A at a start
     inside {H < -capture_depth(p)}, else the first deciding event's verdict
@@ -213,8 +228,8 @@ def horizon_run(lam: float, p: Params, tol: Tolerances) -> Trajectory:
     event it is a full-horizon classify's run step for step.  A failure raises IntegrationError."""
     tol = tol.resolved(p)
     r0, y0 = series_start(lam, p, tol)
-    g, dets, pair = _events(p, False, False)
-    return solve(_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g, pair=pair)
+    g, dets = _events(p, False, False)
+    return solve(_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g)
 
 
 def classify(
@@ -232,13 +247,21 @@ def classify(
     decide reads the verdict, A(k) or I-candidate(k) with k the run's sign
     changes of v, or undecided where the run reaches the horizon tol.rmax,
     stops at its first node (a trial) or fails; its note says which.  A
-    search trial (stop_at_first_node) steps with DOP853, ends at the first
-    sign change of v and records the shooting function F at its closest
-    approach to the origin (see _closest_approach_wronskian); its certificate
-    is None.  A full-horizon run, the last that steps with DP5, reads the
-    capture certificate at its first sample that holds it (see _certificate).  A
-    classification records the resolved tolerances it ran at: a search runs
-    its trials far from lambda* at a looser one (see bisect), and its history shows which.
+    search trial (stop_at_first_node) ends at the first sign change of v and
+    records the shooting function F at its closest approach to the origin
+    (see _closest_approach_wronskian); its certificate is None.  A
+    full-horizon run reads the capture certificate at its first sample that
+    holds it (see _certificate).  A classification records the resolved
+    tolerances it ran at: a search runs its trials far from lambda* at a
+    looser one (see bisect), and its history shows which.
+
+    Where eps^2 m = m / lambda^2 <= tol.rel (lambda >= 1e5 at the defaults),
+    the first-order term that places a large datum's first node sinks to the
+    run's own tolerance (from lambda = 1e7 on at rel = 1e-10 the run finds
+    none), and the node is the closed form first_node (see _with_first_node):
+    node_count is max(1, the run's count).  Its error, 1.2e-4 at lambda = 1e3
+    and about 2e-6 from 1e4 on, passes the run's where rel is looser than
+    about 1e-6, as the switch then comes below lambda = 1e3.
     """
     tol = tol.resolved(p)
     r0, y0 = series_start(lam, p, tol)
@@ -254,12 +277,14 @@ def classify(
         # the datum starts inside the capture region, where H only decreases: a one-sample run
         traj = Trajectory(([r0], [y0[0]], [y0[1]]), (), "completed")
     else:
-        g, dets, pair = _events(p, stop_at_first_node)
+        g, dets = _events(p, stop_at_first_node)
         try:
-            traj = solve(_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g, pair=pair)
+            traj = solve(_flow(p), (r0, tol.rmax), y0, rel=tol.rel, abs_tol=tol.abs, detectors=dets, g=g)
         except IntegrationError as err:
             traj, failure = err.partial, str(err)
 
+    if not stop_at_first_node and p.m / (lam * lam) <= tol.rel:
+        traj = _with_first_node(traj, lam, p)
     cert = None if stop_at_first_node else _certificate(traj, p)
     wronskian = _closest_approach_wronskian(traj, p) if stop_at_first_node else None
     verdict = decide(traj, p)[0]

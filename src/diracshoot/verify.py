@@ -235,8 +235,8 @@ def check_decay_bound(p, tol):
 @_check("shooting")
 def check_bisection_bracketing(p, tol):
     gs = _shared(ground_state, p, tol)
-    # the search's trials and these full-horizon runs put the transition up to 2.96 (tol.abs + tol.rel lambda*)
-    # apart over 116 data; d is at least 2.7 times that gap there and far above the stop width 0.1 tol.rel lambda*
+    # trials and full-horizon runs step alike: at (1, 0.5), (4, 2) and (1e4, 5e3) the runs put the transition
+    # within 6.3e-6 (tol.abs + tol.rel lambda*) of lambda*, far below d and the stop width 0.1 tol.rel lambda*
     d = max(10.0 * tol.abs, 2.0 * tol.rel * gs.lambda_star)
     below = classify(gs.lambda_star - d, p, tol)
     above = classify(gs.lambda_star + d, p, tol)

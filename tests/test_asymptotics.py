@@ -13,6 +13,7 @@ from diracshoot import (
     bubble_residual,
     classify,
     convergence_study,
+    first_node,
     first_order_log_fit,
     hamiltonian,
     integrate_first_order,
@@ -248,6 +249,49 @@ def test_integrate_first_order_rejects_nonpositive_radii():
 
 def _joint_start(p, r0):
     return (*first_order_start(p, r0), 0.0, 0.25 * (p.m * p.m - p.omega * p.omega) * r0 * r0)
+
+
+@pytest.mark.parametrize("omega", [0.5, 0.1, 0.9])
+@pytest.mark.parametrize("lam", [1e3, 1e4, 1e5])
+def test_first_node_matches_a_tight_run_up_to_the_terms_it_drops(lam, omega):
+    # first_node is the root R1 of F = lam^2 V0 + (-c ln R + b), k1's log law.
+    # The run's first node, at rel = abs = 1e-12, also holds the terms that it
+    # drops: k1's closed form minus its law, O(ln^2 R / R^2), and eps^2 k2 of
+    # the joint remainder flow at eps = 1/lam.  To first order they move the
+    # root by shift = -(dropped) / (R1 F'(R1)) relative: at (1, 0.5) -1.16e-4,
+    # -2.36e-6 and -4.1e-8, of which eps^2 k2 is 5 to 9%, and the run's node
+    # is off R1 by -1.16e-4, -2.28e-6 and +5.8e-6.  The bound is a tenth of
+    # the shift plus the run's own error, 2e-4 to 8e-4 rel lam^2 measured at
+    # omega = 0.1, 0.5 and 0.9, which passes the shift at lam = 1e5
+    p, rel, eps = Params(1.0, omega), 1e-12, 1.0 / lam
+    r1 = first_node(lam, p)
+    R1 = lam * lam * r1
+    run = classify(lam, p, Tolerances(rel, rel)).trajectory.events_of(EventKind.V_SIGN_CHANGE)[0].r
+    gp = p.m + p.omega
+    law = -2.0 * gp * math.log(R1) + gp * (3.0 + 2.0 * math.log(2.0)) + p.gap
+    k2 = solve(_rhs_joint(eps, p), (R0, R1), _joint_start(p, R0), rel=rel, abs_tol=rel).y[-1, 3]
+    dropped = float(integrate_first_order(p, R1)[1]) - law + eps * eps * k2
+    slope = -8.0 * lam * lam * R1 / (4.0 + R1 * R1) ** 2 - 2.0 * gp / R1
+    shift = -dropped / (R1 * slope)
+    assert abs(run / r1 - 1.0 - shift) <= 0.1 * abs(shift) + 1e-3 * rel * lam * lam
+
+
+@pytest.mark.parametrize("s", [1e-6, 2.3, 1e4])
+def test_first_node_follows_the_scaling_law(s):
+    # (u, v)(r) -> sqrt(s) (u, v)(s r) maps the radial system at (m, omega)
+    # to the one at s (m, omega), so the datum sqrt(s) lambda has its first
+    # node at r1 / s; the law's c and b scale with s as lambda^2 does
+    for lam in (1e3, 1e8):
+        want = first_node(lam, P) / s
+        assert abs(first_node(math.sqrt(s) * lam, Params(s * P.m, s * P.omega)) / want - 1.0) <= 1e-13
+
+
+def test_first_node_is_the_paper_frames():
+    # the zero of V0/eps^2 + k1 + eps^2 k2 along the joint remainder flow at
+    # rel = abs = 1e-12 (ROADMAP item 5), quoted to four digits: first_node is
+    # within half a unit of the fourth (2.99589e7 and 2.36544e11)
+    for lam, R, half_unit in ((1e8, 2.996e7, 5e3), (1e12, 2.365e11, 5e7)):
+        assert abs(lam * lam * first_node(lam, P) - R) <= half_unit
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.05])

@@ -712,7 +712,7 @@ def test_epsilon_past_the_rescaled_parameter_floor_is_a_usage_error(monkeypatch,
 def test_portrait_of_a_datum_that_is_not_captured_is_a_computation_failure():
     # the README's lambda* is an I-candidate, so it has no spiral to follow
     msg = _assert_one_line_failure(
-        ["portrait", "--lambda", "1.807896148878311"], 2, "diracshoot: computation failed: "
+        ["portrait", "--lambda", "1.8078961487234297"], 2, "diracshoot: computation failed: "
     )
     assert "needs a captured datum" in msg
 
@@ -774,7 +774,8 @@ def test_removed_settings_are_no_config_file_keys(tmp_path, capsys, argv, key):
 def test_large_datum_is_decided(lam):
     # the start radius shrinks like 1/lambda^2 (1e-22 at 1e8), and the
     # step-size floor is relative to r, so the steps follow it down and the
-    # run is captured after its nodes, one at 1e5 and 1e8.  At 1e70 the
+    # run is captured after its nodes, one at 1e5 and 1e8, where the first is
+    # the closed form first_node (the run alone finds none at 1e8).  At 1e70 the
     # initial step size's norms square terms past the float range, so they
     # factor out the largest term; the node counts of 1e60 and 1e70 still
     # change with the tolerance, so only the verdict is asserted there

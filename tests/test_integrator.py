@@ -197,89 +197,20 @@ def test_dense_output_consistency():
     assert err < 1e-12  # same accepted points, no interpolation involved
 
 
-# the Dormand-Prince 5(4) coefficients, written out here so that the
-# reference checks the loop's table instead of sharing it
-C2, C3, C4, C5 = 0.2, 0.3, 0.8, 8.0 / 9.0
-A21 = 0.2
-A31, A32 = 3.0 / 40.0, 9.0 / 40.0
-A41, A42, A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-A51, A52, A53, A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-A61, A62, A63, A64, A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-B1, B3, B4, B5, B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-# error weights: 5th order minus embedded 4th order
-E1, E3, E4, E5, E6, E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
-
-
 def test_tableau_order_conditions():
-    # each stage row sums to its node, b sums to 1 and e to 0, and b meets
-    # the quadrature conditions of orders 2 and 3
+    # each stage row sums to its node, b sums to 1 and E5 and E3 to 0, and b
+    # meets the quadrature conditions sum b c^(k - 1) = 1/k of orders 1 to 8
     from diracshoot import integrator as I
 
-    *stages, b, e = I._DP54
+    stages, b, errors = I._STAGES, I._B, I._ERRORS
     ulp = math.ulp(1.0)
-    for c, *a in stages:
+    for c, *a in (*stages, *I._EXTRA):
         assert abs(math.fsum(a) - c) <= 8 * ulp
     c = [0.0] + [row[0] for row in stages]
-    assert len(b) == len(c) == 6 and len(e) == 7
-    assert abs(math.fsum(b) - 1.0) <= 4 * ulp and abs(math.fsum(e)) <= 4 * ulp
-    assert abs(math.fsum(bi * ci for bi, ci in zip(b, c)) - 0.5) <= 4 * ulp
-    assert abs(math.fsum(bi * ci * ci for bi, ci in zip(b, c)) - 1.0 / 3.0) <= 4 * ulp
-
-
-def _reference_step(f, r, y, k1, h, r_new, rel, abs_tol):
-    """One DP5(4) step in the vector form, each stage a loop over the
-    components; returns (y_new, k7, err) like the generated step, and its
-    stages k1 ... k7."""
-    k2 = f(r + C2 * h, tuple(yi + h * A21 * a for yi, a in zip(y, k1)))
-    k3 = f(r + C3 * h, tuple(yi + h * (A31 * a + A32 * b) for yi, a, b in zip(y, k1, k2)))
-    k4 = f(
-        r + C4 * h,
-        tuple(yi + h * (A41 * a + A42 * b + A43 * c) for yi, a, b, c in zip(y, k1, k2, k3)),
-    )
-    k5 = f(
-        r + C5 * h,
-        tuple(
-            yi + h * (A51 * a + A52 * b + A53 * c + A54 * d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-        ),
-    )
-    k6 = f(
-        r + h,
-        tuple(
-            yi + h * (A61 * a + A62 * b + A63 * c + A64 * d + A65 * e)
-            for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-        ),
-    )
-    y_new = tuple(
-        yi + h * (B1 * a + B3 * c + B4 * d + B5 * e + B6 * g)
-        for yi, a, c, d, e, g in zip(y, k1, k3, k4, k5, k6)
-    )
-    k7 = f(r_new, y_new)
-    err = 0.0
-    for yi, yn, a, c, d, e, g, s in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-        sc = abs_tol + rel * max(abs(yi), abs(yn))
-        e_i = h * (E1 * a + E3 * c + E4 * d + E5 * e + E6 * g + E7 * s)
-        try:
-            err += (e_i / sc) ** 2
-        except OverflowError:  # a square past the float range rejects the step
-            err = math.inf
-    return y_new, k7, math.sqrt(err / len(y)), [k1, k2, k3, k4, k5, k6, k7]
-
-
-_reference_step.order = 5  # the step-size factor is err ** (-1/order)
+    assert len(b) == len(c) == 12 and all(len(e) == 12 for e in errors)
+    assert abs(math.fsum(b) - 1.0) <= 4 * ulp and all(abs(math.fsum(e)) <= 4 * ulp for e in errors)
+    for k in range(1, 9):
+        assert abs(math.fsum(bi * ci ** (k - 1) for bi, ci in zip(b, c)) - 1.0 / k) <= 4 * ulp
 
 
 def _combination(weights, ks, i):
@@ -294,8 +225,8 @@ def _combination(weights, ks, i):
 def _reference_step_853(f, r, y, k1, h, r_new, rel, abs_tol):
     """One DOP853 step from scipy's table, each stage and error sum a loop
     over the components and the nonzero coefficients, with Hairer's error
-    norm; returns (y_new, None, err, stages): the caller evaluates the FSAL
-    stage, which has no error weight, on accepted steps alone."""
+    norm; returns (y_new, err, stages): the caller evaluates the FSAL stage,
+    which has no error weight, on accepted steps alone."""
     from scipy.integrate._ivp import dop853_coefficients as T
 
     def ahead(weights, ks, i):
@@ -315,42 +246,23 @@ def _reference_step_853(f, r, y, k1, h, r_new, rel, abs_tol):
             e5 += (_combination(T.E5[:-1], ks, i) / sc) ** 2
             e3 += (_combination(T.E3[:-1], ks, i) / sc) ** 2
     except OverflowError:  # a square past the float range rejects the step
-        return y_new, None, math.inf, ks
-    return y_new, None, h * e5 / math.sqrt((e5 + 0.01 * e3) * len(y)) if e5 else 0.0, ks
+        return y_new, math.inf, ks
+    return y_new, h * e5 / math.sqrt((e5 + 0.01 * e3) * len(y)) if e5 else 0.0, ks
 
 
-_reference_step_853.order = 8
-
-
-# DP5's continuous extension (CONTD5; Dormand & Prince 1986; Hairer, Norsett
-# & Wanner, II.6): its row of D over k1 ... k7, written out as the table above
-D1, D3, D4, D5, D6, D7 = (
-    -12715105075.0 / 11282082432.0,
-    87487479700.0 / 32700410799.0,
-    -10690763975.0 / 1880347072.0,
-    701980252875.0 / 199316789632.0,
-    -1453857185.0 / 822651844.0,
-    69997945.0 / 29380423.0,
-)
-
-
-def _reference_rows(f, r, y, r_new, y_new, ks, step):
-    """The rows F0, F1, ... of the continuous extension of step's pair on one
-    step, each a loop over the components, from its stages ks (the FSAL one
-    last): Hairer's CONTD5 for DP5, and for DOP853 scipy's Dop853DenseOutput
-    rows, whose three extra stages call f."""
+def _reference_rows(f, r, y, r_new, y_new, ks):
+    """The rows F0, F1, ... of the continuous extension on one step, each a
+    loop over the components, from its stages ks (the FSAL one last):
+    scipy's Dop853DenseOutput rows, whose three extra stages call f."""
     from scipy.integrate._ivp import dop853_coefficients as T
 
     h = r_new - r
     dy = [b - a for a, b in zip(y, y_new)]
     F = [y, dy, [h * k - d for k, d in zip(ks[0], dy)], [2.0 * d - h * (b + a) for d, a, b in zip(dy, ks[0], ks[-1])]]
-    D = [(D1, 0.0, D3, D4, D5, D6, D7)]
-    if step is _reference_step_853:
-        ks, D = list(ks), T.D
-        for s in range(13, 16):
-            ks.append(f(r + float(T.C[s]) * h, tuple(yi + h * _combination(T.A[s, :s], ks, i)
-                                                      for i, yi in enumerate(y))))
-    return F + [[h * _combination(row, ks, i) for i in range(len(y))] for row in D]
+    ks = list(ks)
+    for s in range(13, 16):
+        ks.append(f(r + float(T.C[s]) * h, tuple(yi + h * _combination(T.A[s, :s], ks, i) for i, yi in enumerate(y))))
+    return F + [[h * _combination(row, ks, i) for i in range(len(y))] for row in T.D]
 
 
 def _reference_extension(F, r, r_new, x):
@@ -369,16 +281,16 @@ def _reference_extension(F, r, r_new, x):
 def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eval=None, step=None):
     """solve as a Python loop over the steps and, for each accepted step,
     over the detectors, taking each value from its own call of g and each
-    step from step (DP5's _reference_step, or _reference_step_853 for
-    DOP853), and over the r_eval points, each the state at an equal step end
-    or the value of the pair's continuous extension on the first step ending
-    beyond it: the bitwise reference for the compiled loop.  nfev counts the
+    step from step (default _reference_step_853), and over the r_eval points,
+    each the state at an equal step end or the value of the continuous
+    extension on the first step ending beyond it: the bitwise reference for
+    the compiled loop.  nfev counts the
     calls of f, the extension's on steps whose crossings are refined too, and
     nbisect the calls of g at bisection points.  A failure raises
     IntegrationError with the partial run."""
     from diracshoot import integrator as I
 
-    step = step or _reference_step
+    step = step or _reference_step_853
     nfev = 0
 
     def counted(r, y):
@@ -401,13 +313,13 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
             pts = [pt for pt in r_eval if pt <= R[-1]]
             js = [next(j for j, r in enumerate(R) if r >= pt) for pt in pts]
             Y = [Y[j] if pt == R[j] else _reference_extension(
-                _reference_rows(f, *nodes[j - 1][:2], *nodes[j], step), nodes[j - 1][0], nodes[j][0], pt)
+                _reference_rows(f, *nodes[j - 1][:2], *nodes[j]), nodes[j - 1][0], nodes[j][0], pt)
                 for pt, j in zip(pts, js)]
             R = pts
         stats = {"nfev": nfev, "naccpt": naccpt, "nrejct": nrejct, "nbisect": nbisect}
         return I.Trajectory((R, *zip(*Y)), events, status, stats)
 
-    h = I._initial_step(counted, r, y, k1, r_end, rel, abs_tol, -1.0 / step.order)
+    h = I._initial_step(counted, r, y, k1, r_end, rel, abs_tol)
     while r < r_end:
         if naccpt + nrejct >= I._MAX_STEPS:
             raise IntegrationError(f"step budget exhausted at r={r}", build("failed"))
@@ -417,21 +329,20 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
         if not h > 1e-14 * abs(r):
             raise IntegrationError(f"step size underflow at r={r}", build("failed"))
         r_new = r_end if last else r + h
-        y_new, k7, err, ks = step(counted, r, y, k1, h, r_new, rel, abs_tol)
+        y_new, err, ks = step(counted, r, y, k1, h, r_new, rel, abs_tol)
         if not err <= 1.0:
             nrejct += 1
-            h *= max(I._MIN_FACTOR, I._SAFETY * err ** (-1.0 / step.order))
+            h *= max(I._MIN_FACTOR, I._SAFETY * err ** (-1.0 / 8.0))
             continue
         naccpt += 1
-        if k7 is None:  # DOP853's FSAL stage, which has no error weight
-            k7 = counted(r_new, y_new)
-            ks = [*ks, k7]
+        k7 = counted(r_new, y_new)  # the FSAL stage, which has no error weight
+        ks = [*ks, k7]
         fired, F = [], None
         for i, det in enumerate(detectors):
             g0 = g_prev[i]
             g1 = g_prev[i] = g(r_new, y_new)[i]
             if (g0 > 0.0 >= g1 or g0 < 0.0 <= g1) and I._crossed(g0, g1, det.direction):
-                F = F or _reference_rows(counted, r, y, r_new, y_new, ks, step)
+                F = F or _reference_rows(counted, r, y, r_new, y_new, ks)
                 lo_r, hi_r, g_lo = r, r_new, g0
                 for _ in range(80):
                     if hi_r - lo_r <= 4e-16 * abs(hi_r):
@@ -455,7 +366,7 @@ def _reference_solve(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, r_eva
                 return build(f"event:{det.kind.value}", (r_star, y_star))
         r, y, k1 = r_new, y_new, k7
         nodes.append((r, y, ks))
-        factor = I._MAX_FACTOR if err == 0.0 else min(I._MAX_FACTOR, I._SAFETY * err ** (-1.0 / step.order))
+        factor = I._MAX_FACTOR if err == 0.0 else min(I._MAX_FACTOR, I._SAFETY * err ** (-1.0 / 8.0))
         h *= max(I._MIN_FACTOR, factor)
     return build("completed")
 
@@ -492,7 +403,6 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     # which inlines g alone, and the reference, which calls both; a run given
     # r_eval is sampled there after solve
     from diracshoot.asymptotics import _rhs_joint
-    from diracshoot.integrator import DP5
     from diracshoot.phaseflow import attraction_report
     from diracshoot.shooting import _events, horizon_run
 
@@ -501,19 +411,19 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     # horizon, and one stopped at its first node (the first four are
     # full-horizon runs); each has rejected steps.  The I-candidate is the
     # connection at (1, 0.99): the ones at P take no rejected step
-    lam_star = 1.8078961488783114  # a datum at P, TOL whose trial connects
+    lam_star = 1.8078961487234297  # the ground state's datum at P, TOL
     p99 = Params(1.0, 0.99)
     tol99 = Tolerances().resolved(p99)
     trials = slice(len(runs), len(runs) + 5)
     for lam, p, tol, stop, horizon in [
         (lam_star - 7e-12, P, TOL, False, TOL.rmax),
         (lam_star + 3e-12, P, TOL, False, TOL.rmax),
-        (0.22115975241011132, p99, tol99, False, tol99.rmax),  # its ground state's datum
-        (lam_star - 7e-12, P, TOL, False, 20.0),
+        (0.22115975204862273, p99, tol99, False, tol99.rmax),  # its ground state's datum
+        (lam_star - 7e-12, P, TOL, False, 25.0),
         (8.0, P, TOL, True, TOL.rmax),
     ]:
         r0, y0 = series_start(lam, p, tol)
-        g, dets, _ = _events(p, stop)
+        g, dets = _events(p, stop)
         runs.append((radial_flow(p), (r0, horizon), y0, dict(detectors=dets, g=g)))
     # the rescaled run with a v-sign detector at eps = 0.05, 0.2 and near
     # the bubble limit at eps = 1e-8, from its series start
@@ -526,7 +436,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     # capture with none terminal
     tol80 = Tolerances(rmax=80.0)
     r0, y0 = series_start(2.5, P, tol80)
-    g, dets, _ = _events(P, False, False)
+    g, dets = _events(P, False, False)
     i_spiral = len(runs)
     runs.append((radial_flow(P), (r0, tol80.rmax), y0, dict(detectors=dets, g=g)))
     # a grid through r0, step ends, the terminal crossing, interior points
@@ -534,8 +444,8 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
     lam = 2.0
     r0 = 1e-6 / lam**2
     y0 = taylor_start(lam, P, r0)
-    steps = solve(RADIAL, (r0, 10.0), y0, **KW, pair=DP5).r
-    r_star = solve(RADIAL, (r0, 10.0), y0, detectors=[STOP], g=v_sign, **KW, pair=DP5).events[-1].r
+    steps = solve(RADIAL, (r0, 10.0), y0, **KW).r
+    r_star = solve(RADIAL, (r0, 10.0), y0, detectors=[STOP], g=v_sign, **KW).events[-1].r
     grid = np.unique(np.concatenate([steps[:60:4], [r_star], np.linspace(r0, 10.0, 301)]))
     runs.append((RADIAL, (r0, 10.0), y0, dict(r_eval=grid)))
     i_grid_stop = len(runs)
@@ -570,8 +480,8 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
 
     got = []
     for f, span, y0, ev in runs:
-        got.append(_solve(f, span, y0, **ev, **KW, pair=DP5))
-        _assert_same_run(got[-1], _solve(lambda r, y: f(r, y), span, y0, **ev, **KW, pair=DP5))
+        got.append(_solve(f, span, y0, **ev, **KW))
+        _assert_same_run(got[-1], _solve(lambda r, y: f(r, y), span, y0, **ev, **KW))
         _assert_same_run(got[-1], _reference_solve(f, span, y0, **ev, **KW))
         if "r_eval" in ev and got[-1].status == "completed":
             assert len(got[-1]) == len(ev["r_eval"])
@@ -601,7 +511,7 @@ def test_compiled_loop_is_bitwise_the_reference_solve():
 
 
 def test_dop853_loop_is_bitwise_the_reference_solve():
-    # a DOP853 run three ways, as DP5's above: solve(f), which inlines the
+    # a search trial three ways, as the runs above: solve(f), which inlines the
     # radial formula, solve of a counting callable around f, and the
     # reference step written from scipy's table, so the pair's literals are
     # scipy's doubles.  Search trials stopped at their first node, at a
@@ -625,12 +535,12 @@ def test_dop853_loop_is_bitwise_the_reference_solve():
             calls += 1
             return f(r, y)
 
-        g, dets, _ = _events(p, True)
+        g, dets = _events(p, True)
         kw = dict(detectors=dets, g=g, rel=tol.rel, abs_tol=tol.abs)
         span = (r0, tol.rmax)
         run = solve(radial_flow(p), span, y0, **kw)
         _assert_same_run(run, solve(counted, span, y0, **kw))
-        _assert_same_run(run, _reference_solve(radial_flow(p), span, y0, step=_reference_step_853, **kw))
+        _assert_same_run(run, _reference_solve(radial_flow(p), span, y0, **kw))
         steps, accepted = run.stats["naccpt"] + run.stats["nrejct"], run.stats["naccpt"]
         assert calls == run.stats["nfev"] == 2 + 11 * steps + accepted + 3 * (run.status != "completed")
         runs.append(run)
@@ -661,16 +571,16 @@ def test_dop853_extension_is_scipys_table():
     # the continuous extension's literals are scipy's doubles: the extra
     # stages' c and A rows (zero past each row's own stage) and D, bitwise;
     # a run records the stages k5 ... k11 that they weigh, as k1 ... k4 have
-    # zero weight in every row (DP5's k2 ... k5, as its k1 has none)
+    # zero weight in every row
     from scipy.integrate._ivp import dop853_coefficients as T
 
-    from diracshoot.integrator import DOP853, DP5
+    from diracshoot import integrator as I
 
-    assert len(DOP853.extra) == T.N_STAGES_EXTENDED - T.N_STAGES - 1 == 3
-    for i, (c, *a) in enumerate(DOP853.extra, 13):
+    assert len(I._EXTRA) == T.N_STAGES_EXTENDED - T.N_STAGES - 1 == 3
+    for i, (c, *a) in enumerate(I._EXTRA, 13):
         assert _hex([c, *a]) == _hex([T.C[i], *T.A[i, :i]]) and not T.A[i, i:].any()
-    assert _hex(DOP853.d) == _hex(T.D) and np.shape(DOP853.d) == (4, 16)
-    assert DOP853.dense_stages == [5, 6, 7, 8, 9, 10, 11] and DP5.dense_stages == [2, 3, 4, 5]
+    assert _hex(I._D) == _hex(T.D) and np.shape(I._D) == (4, 16)
+    assert I._DENSE_STAGES == [5, 6, 7, 8, 9, 10, 11]
     assert not T.A[13:, 1:5].any() and not T.D[:, 1:5].any()
 
 
@@ -737,18 +647,18 @@ def test_stacked_sample_is_each_runs_own():
     # of them given twice, with a run of a called flow (as the benchmark's
     # tracer wraps f), all on floats step by step; two DOP853 radial runs of
     # other constants, one formula call with each constant repeated per step,
-    # one of them and a DP5 run cut at a terminal crossing; and a run without
-    # steps
+    # one of them and a run of another tolerance cut at a terminal crossing;
+    # and a run without steps
     from diracshoot.asymptotics import _rhs_joint
-    from diracshoot.integrator import DP5, sample
+    from diracshoot.integrator import sample
 
     joint = [_joint_run(eps, 1e-8) for eps in (0.2, 0.05)]
     f = _rhs_joint(0.1, P)
     start = (*first_order_start(P, R0), 0.0, 0.25 * (P.m**2 - P.omega**2) * R0**2)
     called = solve(lambda r, y: f(r, y), (R0, 10.0), start, **KW)
     r0 = 1e-6 / 4.0
-    cut = [solve(RADIAL, (r0, 10.0), taylor_start(2.0, P, r0), detectors=[STOP], g=v_sign, **KW, **kw)
-           for kw in ({}, dict(pair=DP5))]
+    cut = [solve(RADIAL, (r0, 10.0), taylor_start(2.0, P, r0), detectors=[STOP], g=v_sign, rel=x, abs_tol=x)
+           for x in (TOL.rel, 1e-8)]
     assert all(t.status == "event:v_sign_change" for t in cut)
     p = Params(2.3, 0.7)
     other = solve(radial_flow(p), (r0, 10.0), taylor_start(1.0, p, r0), **KW)
@@ -792,32 +702,6 @@ def test_sampling_a_called_flow_around_a_formula_is_the_inlined_run():
     assert _hex(called.sample(grid)) == _hex(inlined.sample(grid))
 
 
-@pytest.mark.parametrize("lam, rel", [(1.3, 1e-8), (0.5, 1e-10), (1.8, 1e-6)])
-def test_dp5_sample_is_scipys_rk45_dense_output_on_the_same_steps(lam, rel):
-    # independent oracle: scipy's RK45 dense output (its rk_step, and its
-    # matrix P in powers of x, where the extension is CONTD5's Horner form)
-    # built on each step of a DP5 radial run, to 1e-15 of the state's scale
-    # (2.2e-16 measured)
-    from scipy.integrate._ivp.rk import RK45, RkDenseOutput, rk_step
-
-    from diracshoot.integrator import DP5
-
-    r0, y0 = series_start(lam, P, Tolerances(rel, rel).resolved(P))
-    run = solve(RADIAL, (r0, 20.0), y0, rel=rel, abs_tol=rel, pair=DP5)
-
-    def fun(r, y):
-        return np.array(RADIAL(r, tuple(y)))
-
-    worst = 0.0
-    for row0, row1 in zip(run.table, run.table[1:]):
-        r, y, f, h = row0[0], row0[1:3], row0[3:], row1[0] - row0[0]
-        K = np.empty((7, 2))
-        rk_step(fun, r, y, f, h, RK45.A, RK45.B, RK45.C, K)
-        grid = np.linspace(r, r + h, 9)[1:-1]
-        worst = max(worst, np.max(np.abs(RkDenseOutput(r, r + h, y, K.T.dot(RK45.P))(grid).T - run.sample(grid))))
-    assert worst <= 1e-15 * np.max(np.abs(run.y))
-
-
 def _scipy_dop853(lam, **kw):
     """scipy's DOP853 radial run from lam's series start at rtol = atol = 1e-13: an oracle sharing no code with solve."""
     r0, y0 = series_start(lam, P, Tolerances(1e-10, 1e-10).resolved(P))
@@ -825,40 +709,19 @@ def _scipy_dop853(lam, **kw):
                              atol=1e-13, **kw)
 
 
-@pytest.mark.parametrize("rel", [1e-8, 1e-10, 1e-12])
-@pytest.mark.parametrize("lam", [0.5, 1.3, 1.8])
-def test_dp5_samples_hold_the_step_end_error(lam, rel):
-    # independent oracle: scipy's DOP853 dense output at rtol = atol = 1e-13.
-    # DP5's continuous extension between step ends on [r_s, 20] is as near it
-    # as the run's own step ends are: 1.00 to 1.12 times their error
-    # measured, where the cubic Hermite on the same steps was 1.6 to 178
-    # times it
-    from diracshoot.integrator import DP5
-
-    r0, y0, ref = _scipy_dop853(lam, r_end=20.0, dense_output=True)
-    run = solve(RADIAL, (r0, 20.0), y0, rel=rel, abs_tol=rel, pair=DP5)
-    grid = np.linspace(r0, 20.0, 2000)
-    at_ends = np.max(np.abs(run.y - ref.sol(run.r).T).sum(axis=1))
-    between = np.max(np.abs(run.sample(grid) - ref.sol(grid).T).sum(axis=1))
-    assert between <= 2.0 * at_ends
-
-
-@pytest.mark.parametrize("pair", ["DP5", "DOP853"])
 @pytest.mark.parametrize("lam", [2.5, 10.0])
-def test_refined_first_node_is_near_a_tight_run(lam, pair):
+def test_refined_first_node_is_near_a_tight_run(lam):
     # independent oracle: the first root of v on scipy's DOP853 dense output at
-    # rtol = atol = 1e-13.  refine bisects the pair's own extension: the first
+    # rtol = atol = 1e-13.  refine bisects the run's own extension: the first
     # node of a full-horizon run at rel = abs = 1e-10 is within 1e-8 relative
-    # of it (1.9e-11 to 2.5e-10 measured, where the cubic Hermite was 2.2e-8
+    # of it (1.9e-11 to 3.6e-11 measured, where the cubic Hermite was 2.2e-8
     # to 1.1e-5 off)
-    from diracshoot import integrator
     from diracshoot.shooting import _events
 
     r0, y0, ref = _scipy_dop853(lam, r_end=5.0, events=lambda r, y: y[1])
-    g, dets, _ = _events(P, False)
+    g, dets = _events(P, False)
     tol = Tolerances(1e-10, 1e-10).resolved(P)
-    first = solve(RADIAL, (r0, tol.rmax), y0, rel=1e-10, abs_tol=1e-10, detectors=dets, g=g,
-                  pair=getattr(integrator, pair)).events[0]
+    first = solve(RADIAL, (r0, tol.rmax), y0, rel=1e-10, abs_tol=1e-10, detectors=dets, g=g).events[0]
     assert first.kind == EventKind.V_SIGN_CHANGE and first.r < 5.0
     assert abs(first.r / ref.t_events[0][0] - 1.0) <= 1e-8
 
@@ -878,7 +741,7 @@ def test_formula_event_function_is_called_only_at_the_start():
     # wrapper, which counts each accepted step and each bisection point
     from diracshoot.shooting import _events
 
-    g, dets, pair = _events(P, False)
+    g, dets = _events(P, False)
     calls = 0
 
     def counted(r, y):
@@ -888,7 +751,7 @@ def test_formula_event_function_is_called_only_at_the_start():
 
     counted.formula = g.formula
     r0, y0 = series_start(1.8078961488783114 + 3e-12, P, TOL)
-    kw = dict(rel=TOL.rel, abs_tol=TOL.abs, detectors=dets, pair=pair)
+    kw = dict(rel=TOL.rel, abs_tol=TOL.abs, detectors=dets)
     inlined = solve(RADIAL, (r0, TOL.rmax), y0, g=counted, **kw)
     assert calls == 1
     called = solve(RADIAL, (r0, TOL.rmax), y0, g=lambda r, y: counted(r, y), **kw)
@@ -908,9 +771,9 @@ def test_formula_names_are_private_to_the_loop():
     # the event functions through crossings that bisection refines
     import re
 
-    from diracshoot.integrator import _DP54_SRC, _EXTENSION_SRC, _REFINE_SRC
+    from diracshoot.integrator import _EXTENSION_SRC, _LOOP_SRC, _REFINE_SRC
 
-    assert not re.findall(r"\w_[fg]\b", _DP54_SRC + _REFINE_SRC + _EXTENSION_SRC)
+    assert not re.findall(r"\w_[fg]\b", _LOOP_SRC + _REFINE_SRC + _EXTENSION_SRC)
     for src in (
         "def f(x, s, e1):\n    u, v = s\n    return e1 * v, -u\n",
         "def f(x, s, c):\n    u, v = s\n    r = c * x\n    return r * v, -u\n",
@@ -943,7 +806,7 @@ def test_failures_match_the_reference_solve(monkeypatch):
 
     def same_failure(f, span, y_start, message, r_eval=None, **kw):
         with pytest.raises(IntegrationError, match=message) as exc:
-            solve(f, span, y_start, **kw, pair=I.DP5)
+            solve(f, span, y_start, **kw)
         with pytest.raises(IntegrationError) as ref:
             _reference_solve(f, span, y_start, r_eval=r_eval, **kw)
         assert str(exc.value) == str(ref.value)
@@ -955,38 +818,17 @@ def test_failures_match_the_reference_solve(monkeypatch):
     same_failure(blowup, (0.0, 2.0), (1.0,), "step size underflow", **blow)
     grid = np.linspace(0.0, 2.0, 41)
     partial = same_failure(blowup, (0.0, 2.0), (1.0,), "step size underflow", r_eval=grid, **blow)
-    assert len(partial) == 20 and partial.r[-1] == grid[19]
+    # the run's blow-up point lies 1.2e-11 past the exact r = 1, so the grid's 1.0 is within it
+    assert len(partial) == 21 and partial.r[-1] == grid[20] == 1.0
 
-    monkeypatch.setattr(I, "_MAX_STEPS", 90)  # of the trial's 104 steps, its first node in the 78th
+    monkeypatch.setattr(I, "_MAX_STEPS", 20)  # of the trial's 23 steps, its first node in the 17th
     r0, y0 = series_start(2.5, P, TOL)
-    g, dets, _ = _events(P, False)
+    g, dets = _events(P, False)
     kw = dict(detectors=dets, g=g, rel=TOL.rel, abs_tol=TOL.abs)
     partial = same_failure(RADIAL, (r0, TOL.rmax), y0, "step budget exhausted", **kw)
-    assert partial.stats["naccpt"] + partial.stats["nrejct"] == 90
+    assert partial.stats["naccpt"] + partial.stats["nrejct"] == 20
     assert partial.nodes_before() == 1
 
-
-
-def test_overflowing_error_norm_rejects_the_step(monkeypatch):
-    # near r = 1.27e29 the DP5 run of the rescaled flow at eps = 1e-100 tries
-    # steps whose stages blow up: a term of the error norm is finite but its
-    # square is past the float range, where ** raises, and the step is
-    # rejected as one with a NaN norm is; accepted steps then alternate with
-    # such rejected ones five times their size until the step budget runs out
-    from diracshoot import integrator as I
-
-    monkeypatch.setattr(I, "_MAX_STEPS", 1000)
-    eps = 1e-100
-    q = rescaled_params(eps, P)
-    r0, y0 = series_start(1.0, q, TOL, 1.0 / eps)
-    kw = dict(detectors=[NODE], g=v_sign, **KW)
-    with pytest.raises(IntegrationError, match="step budget exhausted") as exc:
-        solve(radial_flow(q), (r0, 1.0 / eps), y0, **kw, pair=I.DP5)
-    with pytest.raises(IntegrationError) as ref:
-        _reference_solve(radial_flow(q), (r0, 1.0 / eps), y0, **kw)
-    assert str(exc.value) == str(ref.value)
-    _assert_same_run(exc.value.partial, ref.value.partial)
-    assert exc.value.partial.r[-1] > 1.2e29 and exc.value.partial.stats["nrejct"] > 300
 
 
 def test_overflowing_dop853_error_norm_rejects_the_step():
@@ -1000,10 +842,9 @@ def test_overflowing_dop853_error_norm_rejects_the_step():
     def step(*args):
         nonlocal overflows
         out = _reference_step_853(*args)
-        overflows += out[2] == math.inf
+        overflows += out[1] == math.inf
         return out
 
-    step.order = _reference_step_853.order
     jump = lambda r, y: (1e160 if r > 0.5 else 0.0,)  # noqa: E731
     kw = dict(rel=0.0, abs_tol=1e-10)
     with pytest.raises(IntegrationError, match="step size underflow") as exc:
@@ -1018,10 +859,10 @@ def test_overflowing_dop853_error_norm_rejects_the_step():
 def test_stats_count_every_rhs_call(gs):
     # a counting wrapper around f is how a caller measures the work of solve;
     # it must leave the trajectory unchanged and agree with nfev.  A wrapper
-    # that keeps the radial formula is called only for the first derivative
-    # and the initial step size: the stages are inlined
-    from diracshoot.integrator import DP5
-
+    # that keeps the radial formula is called only for the first derivative,
+    # the initial step size and the extension's three extra stages on the
+    # step whose crossing stops a run: the stages are inlined.  The FSAL
+    # stage, of no error weight, runs on accepted steps alone
     calls = 0
 
     def counted(r, y):
@@ -1037,18 +878,18 @@ def test_stats_count_every_rhs_call(gs):
     lam = 2.0
     r0 = 1e-6 / lam**2
     y0 = taylor_start(lam, P, r0)
-    for kw in (dict(pair=DP5), dict(detectors=[STOP], g=v_sign, pair=DP5)):
+    for kw in ({}, dict(detectors=[STOP], g=v_sign)):
         plain = solve(RADIAL, (r0, 10.0), y0, rel=TOL.rel, abs_tol=TOL.abs, **kw)
         calls = 0
         wrapped = solve(counted, (r0, 10.0), y0, rel=TOL.rel, abs_tol=TOL.abs, **kw)
         assert calls == wrapped.stats["nfev"] == plain.stats["nfev"]
         assert np.array_equal(plain.r, wrapped.r) and np.array_equal(plain.y, wrapped.y)
         assert plain.events == wrapped.events
-        steps = wrapped.stats["naccpt"] + wrapped.stats["nrejct"]
-        assert calls == 2 + 6 * steps
+        steps, extra = wrapped.stats["naccpt"] + wrapped.stats["nrejct"], 3 * bool(kw)
+        assert calls == 2 + 11 * steps + wrapped.stats["naccpt"] + extra
         calls = 0
         inlined = solve(counted_formula, (r0, 10.0), y0, rel=TOL.rel, abs_tol=TOL.abs, **kw)
-        assert calls == 2 and inlined.stats == plain.stats
+        assert calls == 2 + extra and inlined.stats == plain.stats
         if not kw:
             assert wrapped.stats["naccpt"] == len(wrapped) - 1 and wrapped.stats["nrejct"] > 0
     assert gs.profile.stats == {} and gs.profile.table is None  # assembled outside solve
@@ -1111,18 +952,18 @@ def test_sample_of_a_terminal_run_ends_at_the_crossing():
     # the crossing takes the event's state y*, one before it the value of the
     # extension on that step, on which refine found y*, and the points past it
     # are left out; a grid before the start is still refused
-    from diracshoot.integrator import DP5, _continuous
+    from diracshoot.integrator import _continuous
 
     lam = 2.0
     r0 = 1e-6 / lam**2
-    run = solve(RADIAL, (r0, 10.0), taylor_start(lam, P, r0), detectors=[STOP], g=v_sign, **KW, pair=DP5)
+    run = solve(RADIAL, (r0, 10.0), taylor_start(lam, P, r0), detectors=[STOP], g=v_sign, **KW)
     star = run.events[-1]
     assert run.status == "event:v_sign_change" and run.r[-1] == star.r < run.table[-1, 0]
     inside = 0.5 * (run.r[-2] + star.r)
     rows = run.sample([r0, inside, star.r, run.table[-1, 0], 10.0])
     assert len(rows) == 3 and tuple(rows[0].tolist()) == tuple(run.y[0].tolist())
     assert tuple(rows[-1].tolist()) == star.y
-    rows_of, extension = _continuous(DP5, 2)
+    rows_of, extension = _continuous(2)
     F = rows_of(RADIAL, *run.table[-2].tolist(), *run._arrays[3][-1].tolist())  # with the step's stages
     assert tuple(rows[1].tolist()) == extension(F, run.table[-2, 0], run.table[-1, 0], inside)
     with pytest.raises(ValueError, match="within r_span"):
@@ -1148,9 +989,10 @@ def test_run_builds_its_arrays_from_its_floats_at_the_first_read():
 
 def test_crossing_is_refined_far_below_unit_radius():
     # the bisection stops at a width relative to the radius, so the first
-    # node of a large datum (near 4e-11, 4e-15 and 4e-19) lands on v = 0
+    # node of a large datum that the run resolves (near 5.8e-4, 4.7e-5 and
+    # 4.0e-6 at rel = abs = 1e-12) lands on v = 0
     from diracshoot import classify
 
-    for lam in (1e8, 1e10, 1e12):
-        node = classify(lam, P, TOL).trajectory.events_of(EventKind.V_SIGN_CHANGE)[0]
-        assert abs(node.y[1]) < 1e-9, (lam, node)
+    for lam in (1e3, 1e4, 1e5):
+        node = classify(lam, P, Tolerances(1e-12, 1e-12)).trajectory.events_of(EventKind.V_SIGN_CHANGE)[0]
+        assert node.r < 1e-3 and abs(node.y[1]) < 1e-9, (lam, node)

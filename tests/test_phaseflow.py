@@ -146,7 +146,7 @@ def test_attraction_alternations_are_the_numpy_count(lam):
 
 def test_attraction_report_requires_captured_datum():
     with pytest.raises(ValueError, match=r"got I-candidate\(0\)"):
-        _report(1.8078961488783114)  # near-connection datum
+        _report(1.8078961487234297)  # the ground state's datum, a connection
 
 
 def test_stability_zero_horizon():

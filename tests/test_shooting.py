@@ -149,13 +149,16 @@ def test_certificate_holds_with_a_margin(rel):
 
 def test_trial_and_full_horizon_run_compile_one_loop():
     # the two event functions of one Params carry the same formula, so solve
-    # compiles one loop per pair for both; only the sign change's terminal
-    # flag differs (trials run DOP853 and full-horizon runs DP5, one loop each)
-    from diracshoot.integrator import DOP853, DP5
+    # compiles one loop for both; only the sign change's terminal flag differs
+    from diracshoot import integrator
 
-    (g_trial, trial, dop853), (g_full, full, dp5) = _events(P, True), _events(P, False)
-    assert g_trial.formula == g_full.formula and (dop853, dp5) == (DOP853, DP5)
+    (g_trial, trial), (g_full, full) = _events(P, True), _events(P, False)
+    assert g_trial.formula == g_full.formula
     assert trial[0] == full[0]._replace(terminal=True) and trial[1:] == full[1:]
+    integrator._compiled.cache_clear()
+    for stop in (True, False):
+        classify(2.5, P, TOL, stop_at_first_node=stop)
+    assert integrator._compiled.cache_info().currsize == 1
 
 
 def test_capture_region_start_logs_the_start_state():
@@ -190,14 +193,16 @@ def test_every_built_trajectory_holds_its_columns(gs):
 
 
 # per (m, omega): a start-captured datum, A(0), A(k >= 1) and 1e-20, which
-# is undecided; at (1, 0.99) also its ground state's datum, an I-candidate
+# is undecided; at (1, 0.99) also its ground state's datum lambda*, an
+# I-candidate, and the one the search found when its trials ran the 5(4)
+# pair, 1.6e-9 above it, now A(1)
 _ONE_RUN = {
     (1.0, 0.5): (0.5, 1.3, 2.0, 1e-20),
     (1.0, 0.1): (0.5, 2.0, 3.0, 1e-20),
     (1.0, 0.9): (0.3, 0.6, 1.3, 1e-20),
     (2.3, 0.7): (1.0, 3.0, 5.0, 1e-20),
     (0.5, 0.25): (0.5, 1.0, 1.5, 1e-20),
-    (1.0, 0.99): (0.1, 0.2, 0.5, 0.22115975241011132, 1e-20),
+    (1.0, 0.99): (0.1, 0.2, 0.5, 0.22115975204862273, 0.22115975241011132, 1e-20),
 }
 
 
@@ -217,6 +222,30 @@ def test_horizon_run_is_the_classification_run_continued(m, omega):
         kinds.add((c.verdict, min(c.node_count, 1), len(c.trajectory) == 1))
     assert {("A", 0, True), ("A", 0, False), ("A", 1, False), ("undecided", 0, False)} <= kinds
     assert ("I-candidate", 0, False) in kinds or omega != 0.99
+
+
+@pytest.mark.parametrize("omega", [0.5, 0.99])
+def test_classify_reads_the_ground_states_connection(omega):
+    # a full-horizon run steps as the search's trials do, so at the ground
+    # state's own lambda* it reaches the eta tube node-free too (it read A(0)
+    # when full-horizon runs stepped with the 5(4) pair)
+    p = Params(1.0, omega)
+    c = classify(ground_state(p, TOL).lambda_star, p, TOL)
+    assert (c.verdict, c.node_count) == ("I-candidate", 0)
+
+
+@pytest.mark.parametrize("lam", [1e6, 1e8, 1e10, 1e12, 1e20, 1e40])
+def test_large_datum_keeps_its_first_node_at_every_tolerance(lam):
+    # where eps^2 m = m / lambda^2 <= rel, the first node is the closed form
+    # first_node; the run alone found none from lambda = 1e7 on at rel = 1e-10,
+    # and the node it found below moved with the tolerance
+    firsts = []
+    for rel in (1e-8, 1e-10, 1e-12):
+        c = classify(lam, P, Tolerances(rel, rel))
+        assert c.verdict == "A" and c.node_count >= 1
+        assert c.trajectory.nodes_before(c.summary["r_end"]) == c.node_count
+        firsts.append(c.trajectory.events_of(EventKind.V_SIGN_CHANGE)[0].r)
+    assert all(abs(r / firsts[0] - 1.0) <= 1e-6 for r in firsts)
 
 
 def test_horizon_run_raises_where_classify_is_undecided_by_a_failure():
@@ -830,8 +859,7 @@ def test_profile_candidates_are_the_search_trials_cut_at_their_first_node(monkey
     # bracket (1, 2.5) carries no F at its ends, and its own trials settle
     # it; under a sign-only F the midpoints override the secant, the search
     # never settles, and the candidates are the two ends.  Each candidate is
-    # its trial run again, cut at its first node: a trial runs DOP853, whose
-    # steps are no longer those of the full-horizon DP5 run
+    # its trial run again, cut at its first node
     from diracshoot import shooting
 
     real, cut = shooting.classify, shooting._before_first_node
@@ -899,22 +927,18 @@ def _gs_inputs(seed, n):
     return run.gs_inputs(seed, n)
 
 
-def test_dop853_trials_take_the_sides_of_dp5_runs(monkeypatch):
+def test_trials_take_the_sides_of_tight_runs():
     # a trial's side is settled where it passes the saddle at the origin, so
-    # every trial more than 10 tol.rel from lambda* (relative) has the side
-    # that a DP5 trial of the same datum and tolerance has, over the
-    # benchmark's gs_inputs(1, 20); sides differ only closer to lambda*
-    from diracshoot import integrator, shooting
-
-    events, compared = shooting._events, 0
+    # every trial more than 10 tol.rel from lambda* (relative), loose or at
+    # tol, has the side that a trial of the same datum at rel = abs = 1e-13
+    # has, over the benchmark's gs_inputs(1, 20); sides differ only closer to lambda*
+    tight, compared = Tolerances(1e-13, 1e-13), 0
     for m, omega in _gs_inputs(1, 20):
         p = Params(m, omega)
         gs = ground_state(p, TOL)
         far = [c for c in gs.history if abs(c.lam / gs.lambda_star - 1.0) > 10 * TOL.rel]
-        with monkeypatch.context() as mp:
-            mp.setattr(shooting, "_events", lambda *key: (*events(*key)[:2], integrator.DP5))
-            dp5 = [classify(c.lam, p, c.tol, stop_at_first_node=True, keep_trajectory=False) for c in far]
-        assert [c.node_count >= 1 for c in far] == [d.node_count >= 1 for d in dp5]
+        ref = [classify(c.lam, p, tight, stop_at_first_node=True, keep_trajectory=False) for c in far]
+        assert [c.node_count >= 1 for c in far] == [d.node_count >= 1 for d in ref]
         compared += len(far)
     assert compared >= 100
 

@@ -78,11 +78,11 @@ def test_corrupted_bubble_is_caught(monkeypatch):
 
 @pytest.mark.parametrize("m", [4.0, 1e4])
 def test_bisection_bracketing_holds_at_large_lambda_star(m):
-    # the check classifies lambda* -+ d with full-horizon DP5 runs, and the
-    # search's trials run DOP853: at (1e4, 5e3), lambda* = 180.79, the two put
-    # the transition 5.4e-9 apart, and a fixed d = 1e-9 failed there; d =
+    # the check classifies lambda* -+ d with full-horizon runs: at (1e4, 5e3),
+    # lambda* = 180.79, they put the transition 1.1e-13 above it (5.4e-9 when
+    # they stepped with the 5(4) pair, where a fixed d = 1e-9 failed); d =
     # max(10 tol.abs, 2 tol.rel lambda*) is 3.6e-8 there and 1e-9 at (4, 2),
-    # where the transitions lie 2.1e-10 apart
+    # where the transition lies 4.4e-16 above lambda* (2.1e-10 on the 5(4) pair)
     from diracshoot import Params, Tolerances
 
     r = verify.check_bisection_bracketing(Params(m, m / 2), Tolerances())
@@ -211,9 +211,9 @@ def test_suite_repeats_only_its_deliberate_runs(monkeypatch):
     real = integrator.solve
     runs = []
 
-    def counted(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None, pair=integrator.DOP853):
-        t = real(f, r_span, y0, rel=rel, abs_tol=abs_tol, detectors=detectors, g=g, pair=pair)
-        key = (_flow_key(f), tuple(map(float, r_span)), tuple(map(float, y0)), rel, abs_tol, tuple(detectors), pair)
+    def counted(f, r_span, y0, *, rel, abs_tol, detectors=(), g=None):
+        t = real(f, r_span, y0, rel=rel, abs_tol=abs_tol, detectors=detectors, g=g)
+        key = (_flow_key(f), tuple(map(float, r_span)), tuple(map(float, y0)), rel, abs_tol, tuple(detectors))
         runs.append((key, t.stats["nfev"]))
         return t
 
@@ -230,51 +230,25 @@ def test_suite_repeats_only_its_deliberate_runs(monkeypatch):
     p = Params()
     tol = Tolerances().resolved(p)
     r2, y2 = series_start(2.0, p, tol)
-    classify2 = (radial_flow(p).formula, (r2, tol.rmax), y2, tol.rel, tol.abs, _events(p, False)[1], integrator.DP5)
+    classify2 = (radial_flow(p).formula, (r2, tol.rmax), y2, tol.rel, tol.abs, _events(p, False)[1])
     (rescaled, n_rescaled), *envelope = repeats
-    assert envelope == [(classify2, 632)] * 2
+    assert envelope == [(classify2, 284)] * 2
     assert (rescaled[0], rescaled[1][1], n_rescaled) == (radial_flow(rescaled_params(0.1, p)).formula, 10.0, 218)
     assert sum(nfev for _, nfev in runs) <= 74396
 
 
-def test_runs_outside_shooting_step_with_dop853(monkeypatch):
-    # DOP853 is solve's default and DP5 steps shooting's full-horizon runs
-    # alone: every run that integrate_remainder, integrate_rescaled,
-    # stability_compare and verify's own checks start steps with DOP853, and
-    # only the integrator and shooting name DP5
+def test_runs_outside_shooting_step_with_dop853():
+    # DOP853 is the integrator's one pair: solve takes no pair to choose, and
+    # no module names the 5(4) pair (DP5) that shooting's full-horizon runs stepped with
     import inspect
     import pathlib
     import re
 
-    from diracshoot import Params, Tolerances, asymptotics, integrator, phaseflow
+    from diracshoot import integrator
 
-    real, pairs = integrator.solve, {}
-
-    def recording(name):
-        def recorded(*args, **kw):
-            call = inspect.signature(real).bind(*args, **kw)
-            call.apply_defaults()
-            pairs.setdefault(name, []).append(call.arguments["pair"])
-            return real(*args, **kw)
-
-        return recorded
-
-    for mod in (asymptotics, phaseflow, verify):
-        monkeypatch.setattr(mod, "solve", recording(mod.__name__))
-    verify._shared.cache_clear()  # the checks' shared runs, started afresh
-    p = Params()
-    tol = Tolerances().resolved(p)
-    asymptotics.integrate_remainder((0.2, 0.1), p, tol, 10.0)
-    asymptotics.integrate_rescaled(0.3, p, tol)
-    phaseflow.stability_compare((1e3, 2e3), (0.0, 1.0), 10.0, p, tol)
-    checks = (verify.check_sign_symmetry, verify.check_autonomous_conservation, verify.check_taylor_consistency,
-              verify.check_rescaling_commutation)
-    assert all(check(p, tol).passed for check in checks)
-    assert sorted(pairs) == ["diracshoot.asymptotics", "diracshoot.phaseflow", "diracshoot.verify"]
-    assert {pair.name for runs in pairs.values() for pair in runs} == {"DOP853"}
+    assert "pair" not in inspect.signature(integrator.solve).parameters
     src = pathlib.Path(integrator.__file__).parent
-    assert sorted(f.name for f in src.glob("*.py") if re.search(r"\bDP5\b", f.read_text())) == [
-        "integrator.py", "shooting.py"]
+    assert [f.name for f in src.glob("*.py") if re.search(r"\bDP5\b", f.read_text())] == []
 
 
 def test_taylor_consistency_catches_a_perturbed_series_start(monkeypatch):
